@@ -8,6 +8,12 @@ permutation unitary taking interleaved to blocked; every constructor
 here returns blocked order and the twist mediates whenever a formula is
 stated in the other order.  Drift between the two orders is the main bug
 risk in this whole domain, so both are first-class.
+
+Bell states, the twist and circuit unitaries are built without Kronecker
+products with the identity: Bell states are reshaped operators
+(``bell_vector``), permutations and gates act on tensor axes, and the
+Bell-basis expansion is a Walsh-Hadamard transform.  ``embed`` and the
+spin-flip concurrence oracle stay dense Kronecker products.
 """
 
 from __future__ import annotations
@@ -17,13 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from .linalg import (
-    basis_state,
-    identity,
-    permutation_matrix,
-    tensor,
-    tensor_all,
-)
+from .linalg import basis_state, identity, permutation_matrix, tensor_all
 from .pauli import PauliWord, as_bits, bits_to_int, gen_u, pauli_gate, word_matrix
 
 _NORM_TOL = 1e-10
@@ -38,8 +38,8 @@ def embed(n_wires: int, ops: dict[int, np.ndarray]) -> np.ndarray:
     return tensor_all([ops.get(q, identity(2)) for q in range(n_wires)])
 
 
-_P0 = np.array([[1, 0], [0, 0]], dtype=complex)
-_P1 = np.array([[0, 0], [0, 1]], dtype=complex)
+# CNOT as a (out_c, out_t, in_c, in_t) tensor.
+_CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]].reshape(2, 2, 2, 2)
 
 
 @dataclass
@@ -77,24 +77,24 @@ class Circuit:
     def swap(self, a: int, b: int) -> None:
         self.append("SWAP", a, b)
 
-    def gate_matrix(self, name: str, qs: tuple[int, ...]) -> np.ndarray:
-        if name in ("H", "X", "Z"):
-            return embed(self.wires, {qs[0]: pauli_gate(name)})
-        if name == "CNOT":
-            c, t = qs
-            return embed(self.wires, {c: _P0}) + embed(
-                self.wires, {c: _P1, t: pauli_gate("X")}
-            )
-        # SWAP, possibly between non-adjacent wires
-        perm = list(range(self.wires))
-        perm[qs[0]], perm[qs[1]] = perm[qs[1]], perm[qs[0]]
-        return permutation_matrix(perm, 2)
-
     def to_matrix(self) -> np.ndarray:
-        mat = identity(2**self.wires)
+        """The circuit unitary, built gate by gate on a ``(2,)*wires + (D,)`` view.
+
+        Row digits are tensor axes, so a SWAP is an axis swap and H, X, Z
+        and CNOT contract their 2x2 (2x2x2x2) gate tensor against their
+        wires' axes; no D x D gate matrix is formed or multiplied.
+        """
+        dim = 2**self.wires
+        mat = identity(dim).reshape((2,) * self.wires + (dim,))
         for name, qs in self.gates:
-            mat = self.gate_matrix(name, qs) @ mat
-        return mat
+            if name == "SWAP":
+                mat = np.swapaxes(mat, *qs)
+                continue
+            gate = _CNOT if name == "CNOT" else pauli_gate(name)
+            k = len(qs)
+            mat = np.tensordot(gate, mat, axes=(range(k, 2 * k), qs))
+            mat = np.moveaxis(mat, range(k), qs)
+        return mat.reshape(dim, dim)
 
     def to_qasm(self) -> str:
         """OpenQASM 2.0 text; gate order is construction order, bit-exact."""
@@ -119,17 +119,30 @@ def omega(d: int) -> np.ndarray:
     return vec
 
 
+def bell_vector(t: np.ndarray, m: np.ndarray | None = None) -> np.ndarray:
+    """``(T x M)|Omega> = vec(T M^T) / sqrt(D)``, with ``M = 1`` when omitted.
+
+    ``|Omega> = sum_i |ii> / sqrt(D)``, so the amplitude of ``|jk>`` is
+    ``(T M^T)[j, k] / sqrt(D)``: the row-major flattening of one D x D
+    matrix, scaled by the same constant as ``omega``.  No D^2 x D^2
+    Kronecker product is formed.
+    """
+    t = np.asarray(t, dtype=complex)
+    if m is not None:
+        t = t @ np.asarray(m).T
+    return t.reshape(-1) * (1.0 / np.sqrt(t.shape[0]))
+
+
 def bell2(alpha: int, beta: int) -> np.ndarray:
     """Two-qubit Bell state (Z^alpha X^beta tensor I)|phi(00)>."""
-    word = word_matrix(PauliWord((alpha,), (beta,)))
-    return tensor(word, identity(2)) @ omega(2)
+    return bell_vector(word_matrix(PauliWord((alpha,), (beta,))))
 
 
 def qudit_bell(d: int, alpha: int, beta: int) -> np.ndarray:
     """Generalized two-qudit Bell state (Z^alpha X^beta tensor I)|Omega>."""
     if not (0 <= alpha < d and 0 <= beta < d):
         raise ValueError(f"labels ({alpha},{beta}) out of range for d={d}")
-    return tensor(gen_u(d, alpha, beta), identity(d)) @ omega(d)
+    return bell_vector(gen_u(d, alpha, beta))
 
 
 def twist(n: int) -> np.ndarray:
@@ -164,7 +177,7 @@ def multi_bell(n: int, alpha, beta) -> np.ndarray:
     word = PauliWord(as_bits(alpha, n), as_bits(beta, n))
     if word.n != n:
         raise ValueError(f"label length {word.n} does not match n={n}")
-    return tensor(word_matrix(word), identity(2**n)) @ omega(2**n)
+    return bell_vector(word_matrix(word))
 
 
 def pair_product_bell(n: int, alpha, beta) -> np.ndarray:
@@ -228,11 +241,21 @@ class BellExpansion:
         )
 
     def reconstruct(self) -> np.ndarray:
-        out = np.zeros(4**self.n, dtype=complex)
-        for a in range(2**self.n):
-            for b in range(2**self.n):
-                out += self.amps[a, b] * multi_bell(self.n, a, b)
-        return out
+        """Inverse of ``expand_in_bell_basis``: ``Psi[j, j xor b] = (H amps)[j, b] / sqrt(D)``."""
+        dim = 2**self.n
+        j = np.arange(dim)[:, None]
+        out = np.zeros((dim, dim), dtype=complex)
+        out[j, j ^ j.T] = _walsh_hadamard(self.amps, self.n) * (1.0 / np.sqrt(dim))
+        return out.reshape(-1)
+
+
+def _walsh_hadamard(rows: np.ndarray, n: int) -> np.ndarray:
+    """``H @ rows`` with ``H[a, j] = (-1)^(a.j)`` over n bits, by n butterflies."""
+    out = rows.reshape((2,) * n + rows.shape[1:])
+    for k in range(n):
+        lo, hi = out.take(0, axis=k), out.take(1, axis=k)
+        out = np.stack((lo + hi, lo - hi), axis=k)
+    return out.reshape(rows.shape)
 
 
 def _check_state(state: np.ndarray, n: int) -> np.ndarray:
@@ -245,24 +268,26 @@ def _check_state(state: np.ndarray, n: int) -> np.ndarray:
 
 
 def expand_in_bell_basis(state: np.ndarray, n: int) -> BellExpansion:
+    """Bell-basis amplitudes by a gather and a Walsh-Hadamard transform, O(n 4^n).
+
+    ``B(ab)`` has amplitude ``(-1)^(a.j) / sqrt(D)`` on ``|j, j xor b>``
+    and 0 elsewhere, so with ``Psi = state.reshape(D, D)``,
+    ``amps[a, b] = sum_j (-1)^(a.j) Psi[j, j xor b] / sqrt(D)``: gather
+    ``G[j, b] = Psi[j, j xor b]``, then transform over ``a``.
+    """
     state = _check_state(state, n)
     dim = 2**n
-    amps = np.zeros((dim, dim), dtype=complex)
-    for a in range(dim):
-        for b in range(dim):
-            amps[a, b] = np.vdot(multi_bell(n, a, b), state)
-    return BellExpansion(n, amps)
+    j = np.arange(dim)[:, None]
+    gathered = state.reshape(dim, dim)[j, j ^ j.T]
+    return BellExpansion(n, _walsh_hadamard(gathered, n) * (1.0 / np.sqrt(dim)))
 
 
 def concurrence(state: np.ndarray, n: int) -> float:
     """|sum (-1)^(number of k with alpha_k != beta_k) d(ab)^2| over the expansion."""
     exp = expand_in_bell_basis(state, n)
-    total = 0.0 + 0.0j
-    for a in range(2**n):
-        for b in range(2**n):
-            sign = -1.0 if bin(a ^ b).count("1") % 2 else 1.0
-            total += sign * exp.amps[a, b] ** 2
-    return abs(total)
+    a = np.arange(2**n)
+    signs = 1.0 - 2.0 * (np.bitwise_count(a[:, None] ^ a[None, :]) & 1)
+    return float(abs(np.sum(signs * exp.amps**2)))
 
 
 def concurrence_oracle(state: np.ndarray, n: int) -> float:

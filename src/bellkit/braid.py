@@ -19,17 +19,18 @@ from itertools import product
 
 import numpy as np
 
-from .bell import all_labels, bell2, product_ket, qudit_bell, twist
+from .bell import all_labels, bell2, bell_vector, product_ket, qudit_bell, twist
 from .linalg import (
     DEFAULT_TOL,
     dagger,
+    fold,
     identity,
     random_state,
     residual,
     tensor,
     tensor_all,
 )
-from .pauli import PauliWord, word_dagger, word_matrix, word_mul
+from .pauli import PauliWord, gen_u, word_dagger, word_matrix, word_mul
 from .report import Report
 
 _SIGNS = (1, -1)
@@ -79,14 +80,14 @@ def bell_action_check(epsilon: int, eta: int, tol: float = 1e-15) -> Report:
     """Unified action formula and its closed-form special cases, exhaustively."""
     rep = Report("bell-action", {"eps": epsilon, "eta": eta}, tolerance=tol)
     b = bell_transform(epsilon, eta)
-    worst = 0.0
+    action_res = []
     images = set()
     for i, j in product((0, 1), repeat=2):
         ip, jp = bell_bijection(epsilon, eta, i, j)
         images.add((ip, jp))
         sign = (-1.0) ** sign_exponent(epsilon, eta, i, j)
-        worst = max(worst, residual(sign * (b @ product_ket((i, j))), bell2(ip, jp)))
-    rep.add("unified-action (4 inputs)", worst)
+        action_res.append(residual(sign * (b @ product_ket((i, j))), bell2(ip, jp)))
+    rep.add("unified-action (4 inputs)", fold(action_res))
     rep.add("input-output-bijection", 0.0 if len(images) == 4 else 1.0)
     rep.add("dagger-is-negated-params", residual(dagger(b), bell_transform(-epsilon, -eta)))
     rep.add("unitarity", residual(dagger(b) @ b, identity(4)))
@@ -173,7 +174,7 @@ def tl_generators(
         raise ValueError("local dimension must be in 2..4")
     state = qudit_bell(d, *label)
     if m is not None:
-        state = tensor(np.asarray(m, dtype=complex), identity(d)) @ state
+        state = bell_vector(np.asarray(m, dtype=complex) @ gen_u(d, *label))
         state = state / np.linalg.norm(state)
     proj = np.outer(state, state.conj())
     gens = [
@@ -294,22 +295,22 @@ def braid_teleport_single_check(
             out += np.kron(product_ket((i, j)), u @ psi)
         return out / 2.0
 
-    worst_eq = 0.0
-    for psi in [product_ket((0,)), product_ket((1,)), random_state(2, rng)]:
-        lhs = lhs_op @ np.kron(psi, product_ket((k, m)))
-        worst_eq = max(worst_eq, residual(lhs, rhs_for(psi)))
-    rep.add("equation (basis + random psi)", worst_eq)
+    eq_res = [
+        residual(lhs_op @ np.kron(psi, product_ket((k, m))), rhs_for(psi))
+        for psi in [product_ket((0,)), product_ket((1,)), random_state(2, rng)]
+    ]
+    rep.add("equation (basis + random psi)", fold(eq_res))
 
     x, z = word_matrix(PauliWord((0,), (1,))), word_matrix(PauliWord((1,), (0,)))
-    worst_abc = 0.0
+    abc_res = []
     for i, j in product((0, 1), repeat=2):
         ip, jp = bell_bijection(eps_r, eta_r, i, j)
         f_r = sign_exponent(eps_r, eta_r, i, j)
         u_word = (-1.0) ** (f_l ^ f_r) * word_matrix(correction_word(kp, mp, ip, jp))
         a, b, c = correction_abc(eps_l, eta_l, eps_r, eta_r, k, m, i, j)
         u_abc = (-1.0) ** a * np.linalg.matrix_power(x, b) @ np.linalg.matrix_power(z, c)
-        worst_abc = max(worst_abc, residual(u_word, u_abc))
-    rep.add("abc-route-equals-word-route", worst_abc)
+        abc_res.append(residual(u_word, u_abc))
+    rep.add("abc-route-equals-word-route", fold(abc_res))
     return rep
 
 

@@ -17,11 +17,15 @@ import time
 import numpy as np
 
 from . import bell, braid, teleport, verify
-from .linalg import DEFAULT_TOL, haar_unitary, random_state, residual
+from .linalg import DEFAULT_TOL, fold, haar_unitary, random_state, residual
 from .pauli import basis_group_check, qubit_word_set, qudit_word_set
 from .report import Report
 
+# --tol must lie in [TOL_FLOOR, TOL_CEILING]: below the floor float64
+# rounding fails sound identities, above the ceiling (or non-finite) a
+# tolerance would pass broken ones.
 TOL_FLOOR = 1e-15
+TOL_CEILING = 1e-6
 
 
 def _family(args) -> verify.BasisFamily:
@@ -84,10 +88,11 @@ def _suite_twist(args) -> Report:
 def _suite_concurrence(args) -> Report:
     rng = np.random.default_rng(args.seed)
     rep = Report("concurrence", {"n": args.n, "trials": args.trials}, tolerance=args.tol, seed=args.seed)
-    worst = 0.0
+    deviations = []
     for _ in range(args.trials):
         psi = random_state(4**args.n, rng)
-        worst = max(worst, abs(bell.concurrence(psi, args.n) - bell.concurrence_oracle(psi, args.n)))
+        deviations.append(abs(bell.concurrence(psi, args.n) - bell.concurrence_oracle(psi, args.n)))
+    worst = fold(deviations)
     rep.add(f"formula-vs-oracle ({args.trials} random states)", worst, tol=1e-10)
     rep.add("bell-state-is-1", abs(bell.concurrence(bell.multi_bell(args.n, 0, 0), args.n) - 1.0), tol=1e-10)
     rep.add("product-ket-is-0", bell.concurrence(bell.product_ket((0,) * (2 * args.n)), args.n), tol=1e-10)
@@ -294,8 +299,14 @@ def cmd_verify(args) -> int:
     if args.suite not in SUITES:
         print(f"unknown suite {args.suite!r}; choose from {', '.join(sorted(SUITES))}", file=sys.stderr)
         return 2
-    if args.tol < TOL_FLOOR:
-        print(f"--tol below the documented floor {TOL_FLOOR}", file=sys.stderr)
+    if not TOL_FLOOR <= args.tol <= TOL_CEILING:
+        print(
+            f"--tol {args.tol} outside the documented floor {TOL_FLOOR} and ceiling {TOL_CEILING}",
+            file=sys.stderr,
+        )
+        return 2
+    if args.trials < 1:
+        print(f"--trials must be at least 1, got {args.trials}", file=sys.stderr)
         return 2
     if args.seed is None:
         args.seed = _default_seed()
@@ -331,15 +342,16 @@ def cmd_teleport(args) -> int:
     draws = rng.choice(len(rows), size=args.samples, p=probs / probs.sum())
     histogram = {str(rows[k][0]): int(np.sum(draws == k)) for k in range(len(rows))}
     fidelities = [r[2] for r in rows]
+    min_fidelity = fold(fidelities, np.min)
     out = {
         "schema": "bellkit-report/1",
         "suite": "teleport-protocol",
         "params": {**dims, "samples": args.samples, "variant": args.variant},
         "seed": args.seed,
         "histogram": histogram,
-        "min_fidelity": min(fidelities),
-        "max_fidelity": max(fidelities),
-        "pass": bool(min(fidelities) > 1 - 1e-10),
+        "min_fidelity": min_fidelity,
+        "max_fidelity": fold(fidelities),
+        "pass": bool(min_fidelity > 1 - 1e-10),
     }
     return _emit(out, args.json_path, out["pass"])
 

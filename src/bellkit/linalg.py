@@ -12,8 +12,6 @@ Conventions, fixed once here:
 
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 
 DEFAULT_TOL = 1e-12
@@ -93,21 +91,18 @@ def permutation_matrix(perm, local_dim: int = 2) -> np.ndarray:
 
     ``perm`` must be a bijection on ``{0..k-1}``; the ket with digit
     string ``s`` is sent to the ket with digits ``t[perm[q]] = s[q]``.
+    Moving axis ``q`` of ``arange(D).reshape((d,)*k)`` to position
+    ``perm[q]`` lists, in target order, the source index of every ket, so
+    the matrix is written as ``P[t, src(t)] = 1`` in one scatter.
     """
     perm = list(perm)
     k = len(perm)
     if sorted(perm) != list(range(k)):
         raise ValueError(f"perm {perm} is not a bijection on 0..{k - 1}")
     dim = local_dim**k
+    src = np.moveaxis(np.arange(dim).reshape((local_dim,) * k), range(k), perm)
     mat = np.zeros((dim, dim), dtype=complex)
-    weights = [local_dim ** (k - 1 - q) for q in range(k)]
-    for digits in product(range(local_dim), repeat=k):
-        src = sum(d * w for d, w in zip(digits, weights))
-        tgt_digits = [0] * k
-        for q, d in enumerate(digits):
-            tgt_digits[perm[q]] = d
-        tgt = sum(d * w for d, w in zip(tgt_digits, weights))
-        mat[tgt, src] = 1.0
+    mat[np.arange(dim), src.reshape(-1)] = 1.0
     return mat
 
 
@@ -120,6 +115,19 @@ def residual(a: np.ndarray, b: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
     return float(np.max(np.abs(a - b)))
+
+
+def fold(values, op=np.max, empty: float = 0.0) -> float:
+    """Worst (``op=np.max``) or best (``op=np.min``) of a run of residuals.
+
+    Any NaN makes the result NaN, so a NaN residual fails both a must-pass
+    case (``NaN < tol`` is false) and an expect-fail control
+    (``NaN >= floor`` is false).  The built-in ``max``/``min`` would keep
+    or drop a NaN depending on where it sits.  ``empty`` is returned for
+    an empty run.
+    """
+    arr = np.fromiter(values, dtype=float)
+    return float(op(arr)) if arr.size else empty
 
 
 def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

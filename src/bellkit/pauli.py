@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, hs_inner, identity, residual, tensor_all
+from .linalg import DEFAULT_TOL, fold, hs_inner, identity, residual
 from .report import Report
 
 # ---------------------------------------------------------------------------
@@ -141,14 +141,20 @@ class PauliWord:
 
 
 def word_matrix(w: PauliWord) -> np.ndarray:
+    """The signed permutation ``T|i> = (-1)^(sign + a.(i xor b)) |i xor b>``.
+
+    Each factor maps ``Z^a X^b |i_k> = (-1)^(a_k (i_k xor b_k)) |i_k xor b_k>``,
+    so the entries ``T[i xor b, i]`` are written directly, with ``a`` and
+    ``b`` read as big-endian integers and no Kronecker product.
+    """
     if w.n > 12:
         raise ValueError(f"word on {w.n} qubits exceeds the 2^12 dense cap")
-    z, x = _GATES["Z"], _GATES["X"]
-    factors = [
-        np.linalg.matrix_power(z, a) @ np.linalg.matrix_power(x, b)
-        for a, b in zip(w.z_exps, w.x_exps)
-    ]
-    return (-1.0) ** w.sign * tensor_all(factors)
+    cols = np.arange(2**w.n)
+    rows = cols ^ bits_to_int(w.x_exps)
+    parity = (w.sign + np.bitwise_count(rows & bits_to_int(w.z_exps))) & 1
+    mat = np.zeros((cols.size, cols.size), dtype=complex)
+    mat[rows, cols] = 1.0 - 2.0 * parity
+    return mat
 
 
 def word_dagger(w: PauliWord) -> PauliWord:
@@ -187,9 +193,14 @@ class GenPauliWord:
 
 
 def gen_word_matrix(w: GenPauliWord) -> np.ndarray:
-    zpow = np.diag([omega_root(w.d, i * w.alpha) for i in range(w.d)])
-    xpow = np.linalg.matrix_power(gen_x(w.d), w.beta)
-    return omega_root(w.d, w.gamma) * (zpow @ xpow)
+    """The phased shift ``omega^g Z^a X^b |i> = omega^(g + a (i + b)) |i + b>``, written entrywise."""
+    cols = np.arange(w.d)
+    rows = (cols + w.beta) % w.d
+    mat = np.zeros((w.d, w.d), dtype=complex)
+    mat[rows, cols] = omega_root(w.d, w.gamma) * np.array(
+        [omega_root(w.d, w.alpha * r) for r in rows.tolist()]
+    )
+    return mat
 
 
 def gen_word_dagger(w: GenPauliWord) -> GenPauliWord:
@@ -254,22 +265,18 @@ def basis_group_check(words, d: int, tol: float = DEFAULT_TOL) -> Report:
     rep = Report("basis-group", {"d": d, "size": len(mats)}, tolerance=tol)
 
     eye = identity(d)
-    unit_res = max(residual(m.conj().T @ m, eye) for m in mats)
-    rep.add("unitary", unit_res)
+    rep.add("unitary", fold(residual(m.conj().T @ m, eye) for m in mats))
 
     def match_dist(m):
-        return min(residual(m, w) for w in mats)
+        return fold((residual(m, w) for w in mats), np.min, np.inf)
 
-    worst = (0.0, "")
-    for i, a in enumerate(mats):
-        for j, b in enumerate(mats):
-            dist = match_dist(a @ b)
-            if dist > worst[0]:
-                worst = (dist, f" witness=({i},{j})")
-    rep.add("closure-mul" + (worst[1] if worst[0] >= tol else ""), worst[0])
+    dists = np.array([[match_dist(a @ b) for b in mats] for a in mats])
+    # argmax returns the first NaN if there is one, else the first worst pair.
+    i, j = np.unravel_index(np.argmax(dists), dists.shape)
+    worst = fold(dists.flat)
+    rep.add("closure-mul" + (f" witness=({i},{j})" if not worst < tol else ""), worst)
 
-    dag_res = max(match_dist(m.conj().T) for m in mats)
-    rep.add("closure-dagger", dag_res)
+    rep.add("closure-dagger", fold(match_dist(m.conj().T) for m in mats))
 
     # One representative per global-phase coset; for unitaries u, v the
     # coset test is |tr(u^dagger v)| = d.

@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .linalg import fold
+
 SCHEMA = "bellkit-report/1"
 
 
@@ -43,7 +45,7 @@ class Report:
 
     @property
     def max_residual(self) -> float:
-        return max((c.residual for c in self.cases), default=0.0)
+        return fold(c.residual for c in self.cases)
 
     def to_dict(self) -> dict:
         out = {

@@ -18,24 +18,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import all_labels, multi_bell, omega, pair_product_bell, qudit_bell, twist
+from .bell import all_labels, bell_vector, multi_bell, omega, pair_product_bell, twist
 from .linalg import (
     DEFAULT_TOL,
     basis_state,
     dagger,
+    fold,
     haar_unitary,
     identity,
     is_unitary,
     random_state,
     residual,
-    tensor,
 )
 from .pauli import (
     GenPauliWord,
     PauliWord,
-    gen_word_dagger,
     gen_word_matrix,
-    gen_word_mul,
     word_dagger,
     word_matrix,
     word_mul,
@@ -78,82 +76,98 @@ def _nqubit_words(n: int) -> list[PauliWord]:
 
 
 def transfer_identity_check(d: int, seed: int = 0, tol: float = DEFAULT_TOL) -> Report:
-    """<Omega|_CA (|psi>_C |Omega>_AB) = (1/d)|psi>_B, checked on random psi."""
+    """<Omega|_CA (|psi>_C |Omega>_AB) = (1/d)|psi>_B, checked on random psi.
+
+    The partial contraction is ``<Omega| @ (psi x Omega).reshape(d^2, d)``.
+    """
     if d > 16:
         raise ValueError("d capped at 16")
     rng = np.random.default_rng(seed)
     rep = Report("transfer-identity", {"d": d}, tolerance=tol, seed=seed)
-    bra = omega(d).conj().reshape(1, -1)
-    contract = tensor(bra, identity(d))  # d x d^3
+    bra = omega(d).conj()
+
+    def contract(psi):
+        return bra @ np.kron(psi, omega(d)).reshape(d * d, d)
+
     psi = random_state(d, rng)
-    lhs = contract @ np.kron(psi, omega(d))
+    lhs = contract(psi)
     rep.add("random-psi", residual(lhs, psi / d))
     rep.add("lhs-norm-is-1/d", abs(np.linalg.norm(lhs) - 1.0 / d))
     if d == 2:
         e0 = basis_state(2, 0)
-        rep.add("psi=|0> gives |0>/2", residual(contract @ np.kron(e0, omega(2)), e0 / 2))
+        rep.add("psi=|0> gives |0>/2", residual(contract(e0), e0 / 2))
     return rep
 
 
-def _assemble_qudit(case: TeleportEqCase) -> tuple[np.ndarray, np.ndarray]:
-    d = case.d
-    words = _qudit_words(d)
-    m = case.m
-    b_word = GenPauliWord(d, *case.label)
-    ub = gen_word_matrix(b_word)
-    if case.variant in ("qudit11", "qudit11p", "basic2"):
-        resource = tensor(ub, m) @ omega(d)  # |Omega M^T(b)>
-        lhs = np.kron(case.psi, resource)
-        rhs = np.zeros(d**3, dtype=complex)
-        for w in words:
-            ua = gen_word_matrix(w)
-            meas = tensor(ua, identity(d)) @ omega(d)
-            rhs += np.kron(meas, m @ ub.T @ dagger(ua) @ case.psi)
-        return lhs, rhs / d
-    # qudit22 / qudit22p
-    resource = tensor(m @ ub, identity(d)) @ omega(d)  # |M Omega(b)>
-    lhs = np.kron(case.psi, resource)
-    rhs = np.zeros(d**3, dtype=complex)
-    for w in words:
-        ua = gen_word_matrix(w)
-        meas = tensor(ua, m) @ omega(d)  # |Omega M^T(a)>
-        rhs += np.kron(meas, ub.T @ dagger(ua) @ case.psi)
-    return lhs, rhs / d
+@dataclass
+class _Outcomes:
+    """The label-independent half of one variant's right-hand side.
+
+    ``meas`` is the K x D^2 stack of measurement vectors:
+    ``(U_a x 1)|Omega>`` for the ``*11`` variants, ``(U_a x M)|Omega>``
+    for the ``*22`` ones.  ``forward`` and ``inverse`` hold, per outcome,
+    ``U_a`` and ``U_a^dag`` as matrices for qudits, ``T(a)`` and
+    ``T^dag(a)`` as symbolic words for n qubits.  Built once per suite
+    call and shared by every resource label.
+    """
+
+    meas: np.ndarray
+    forward: list
+    inverse: list
 
 
-def _assemble_nqubit(case: TeleportEqCase) -> tuple[np.ndarray, np.ndarray]:
-    n = case.n
-    dim = 2**n
-    m = case.m
-    words = _nqubit_words(n)
-    ab_word = PauliWord(*case.label)
-    t_ab = word_matrix(ab_word)
-    base = omega(dim)
-    if case.variant == "nqubit11":
-        resource = tensor(t_ab, m) @ base  # |B M^T(a'b')>
-        lhs = np.kron(case.psi, resource)
-        rhs = np.zeros(dim**3, dtype=complex)
-        for w in words:
-            meas = multi_bell(n, w.z_exps, w.x_exps)
-            corr = word_matrix(word_mul(word_dagger(ab_word), word_dagger(w)))
-            rhs += np.kron(meas, m @ corr @ case.psi)
-        return lhs, rhs / dim
-    # nqubit22
-    resource = tensor(m @ t_ab, identity(dim)) @ base  # |M B(a'b')>
-    lhs = np.kron(case.psi, resource)
-    rhs = np.zeros(dim**3, dtype=complex)
-    for w in words:
-        meas = tensor(word_matrix(w), m) @ base  # |B M^T(alpha beta)>
-        corr = word_matrix(word_mul(word_dagger(ab_word), word_dagger(w)))
-        rhs += np.kron(meas, corr @ case.psi)
-    return lhs, rhs / dim
+def _outcomes(variant: str, m: np.ndarray, d: int | None = None, n: int | None = None) -> _Outcomes:
+    if variant in QUDIT_VARIANTS:
+        forward = mats = [gen_word_matrix(w) for w in _qudit_words(d)]
+        inverse = [dagger(u) for u in mats]
+    else:
+        forward = _nqubit_words(n)
+        mats = [word_matrix(w) for w in forward]
+        inverse = [word_dagger(w) for w in forward]
+    right = m if variant in UNITARY_M_REQUIRED else None
+    meas = np.array([bell_vector(u, right) for u in mats])
+    return _Outcomes(meas, forward, inverse)
+
+
+def _assemble(
+    case: TeleportEqCase, out: _Outcomes, corrupt: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of one teleportation equation in the C x A x B triple space.
+
+    LHS is ``psi x resource``.  RHS is ``(1/D) sum_a meas_a x out_a``,
+    computed as ``(meas.T @ outs).reshape(-1) / D`` with ``outs`` the K x D
+    stack of receiver states.  ``out_a`` is ``[M] U_b^T U_a^dag psi`` for
+    qudits and ``[M] T(T^dag(a'b') T^dag(a)) psi`` for n qubits, the
+    correction word composed symbolically (``[M]`` on the ``*11`` forms
+    only).  ``corrupt`` leaves the outcome word undaggered, the
+    linearity-reduction falsifiability control.
+    """
+    m, psi = case.m, case.psi
+    eleven = case.variant not in UNITARY_M_REQUIRED
+    if case.variant in QUDIT_VARIANTS:
+        dim = case.d
+        t_b = gen_word_matrix(GenPauliWord(dim, *case.label))
+        undo = out.forward if corrupt else out.inverse
+        outs = np.array([u @ psi for u in undo]) @ t_b  # rows (U_b^T U_a^dag psi)^T
+    else:
+        dim = 2**case.n
+        ab_word = PauliWord(*case.label)
+        t_b = word_matrix(ab_word)
+        left = word_dagger(ab_word)
+        undo = out.forward if corrupt else out.inverse
+        outs = np.array([word_matrix(word_mul(left, w)) @ psi for w in undo])
+    if eleven:
+        resource = bell_vector(t_b, m)  # |Omega M^T(b)>
+        outs = outs @ m.T
+    else:
+        resource = bell_vector(m @ t_b)  # |M Omega(b)>
+    lhs = np.kron(psi, resource)
+    rhs = (out.meas.T @ outs).reshape(-1) / dim
+    return lhs, rhs
 
 
 def teleport_eq_check(case: TeleportEqCase, tol: float = DEFAULT_TOL) -> Report:
-    if case.variant in QUDIT_VARIANTS:
-        lhs, rhs = _assemble_qudit(case)
-    else:
-        lhs, rhs = _assemble_nqubit(case)
+    lhs, rhs = _assemble(case, _outcomes(case.variant, case.m, case.d, case.n))
     rep = Report(
         "teleport-eq",
         {"variant": case.variant, "d": case.d, "n": case.n, "label": str(case.label)},
@@ -181,35 +195,27 @@ def teleport_eq_suite(
             d = 2
         if d is None:
             raise ValueError("qudit variant needs d")
-        psi = random_state(d, rng)
-        if variant == "basic2" or m_mode == "identity":
-            m = identity(d)
-        elif m_mode == "general":
-            m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        else:
-            m = haar_unitary(d, rng)
+        dim = d
         labels = [(a, b) for a in range(d) for b in range(d)]
-        for lab in labels:
-            case = TeleportEqCase(variant, psi, m, lab, d=d)
-            lhs, rhs = _assemble_qudit(case)
-            rep.add(f"label={lab}", residual(lhs, rhs))
     elif variant in NQUBIT_VARIANTS:
         if n is None:
             raise ValueError("n-qubit variant needs n")
         dim = 2**n
-        psi = random_state(dim, rng)
-        if m_mode == "identity":
-            m = identity(dim)
-        elif m_mode == "general":
-            m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        else:
-            m = haar_unitary(dim, rng)
-        for lab in all_labels(n):
-            case = TeleportEqCase(variant, psi, m, lab, n=n)
-            lhs, rhs = _assemble_nqubit(case)
-            rep.add(f"label={lab}", residual(lhs, rhs))
+        labels = list(all_labels(n))
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    psi = random_state(dim, rng)
+    if variant == "basic2" or m_mode == "identity":
+        m = identity(dim)
+    elif m_mode == "general":
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    else:
+        m = haar_unitary(dim, rng)
+    out = _outcomes(variant, m, d, n)
+    for lab in labels:
+        case = TeleportEqCase(variant, psi, m, lab, d=d, n=n)
+        lhs, rhs = _assemble(case, out)
+        rep.add(f"label={lab}", residual(lhs, rhs))
     return rep
 
 
@@ -226,6 +232,9 @@ def projective_eq_check(
     tol: float = DEFAULT_TOL,
 ) -> Report:
     """Projector-applied teleportation equations, every outcome swept.
+
+    ``(|m><m| x 1)(psi x resource) = m x (<m| @ prepared.reshape(D^2, D))``,
+    so each outcome costs one D^2 x D contraction, not a D^3 x D^3 projector.
 
     ``projective_qudit``: measure in |Omega M^T(a)>, resource |M Omega>,
     receiver picks up U_a^dag psi (correction U_a).
@@ -246,19 +255,18 @@ def projective_eq_check(
         if not is_unitary(m):
             raise ValueError("projective qudit variants require unitary M")
         psi = random_state(d, rng)
-        eye = identity(d)
+        eleven = variant == "projective_qudit11"
+        resource = bell_vector(identity(d), m) if eleven else bell_vector(m)
+        prepared = np.kron(psi, resource).reshape(d * d, d)
         for w in _qudit_words(d):
             ua = gen_word_matrix(w)
-            if variant == "projective_qudit":
-                meas = tensor(ua, m) @ omega(d)  # |Omega M^T(a)>
-                prepared = np.kron(psi, tensor(m, eye) @ omega(d))  # psi x |M Omega>
-                receiver = dagger(ua) @ psi
-            else:
-                meas = tensor(ua, eye) @ omega(d)  # |Omega(a)>
-                prepared = np.kron(psi, tensor(eye, m) @ omega(d))  # psi x |M^T shifted>
+            if eleven:
+                meas = bell_vector(ua)  # |Omega(a)>
                 receiver = m @ dagger(ua) @ psi
-            proj = tensor(np.outer(meas, meas.conj()), eye)
-            lhs = proj @ prepared
+            else:
+                meas = bell_vector(ua, m)  # |Omega M^T(a)>
+                receiver = dagger(ua) @ psi
+            lhs = np.kron(meas, meas.conj() @ prepared)
             rhs = np.kron(meas, receiver) / d
             rep.add(f"outcome={w.alpha, w.beta}", residual(lhs, rhs))
     elif variant == "projective_nqubit":
@@ -266,12 +274,10 @@ def projective_eq_check(
             raise ValueError("n-qubit variant needs n")
         dim = 2**n
         psi = random_state(dim, rng)
-        prepared = np.kron(psi, omega(dim))
-        eye = identity(dim)
+        prepared = np.kron(psi, omega(dim)).reshape(dim * dim, dim)
         for w in _nqubit_words(n):
-            meas = multi_bell(n, w.z_exps, w.x_exps)
-            proj = tensor(np.outer(meas, meas.conj()), eye)
-            lhs = proj @ prepared
+            meas = bell_vector(word_matrix(w))
+            lhs = np.kron(meas, meas.conj() @ prepared)
             rhs = np.kron(meas, word_matrix(word_dagger(w)) @ psi) / dim
             rep.add(f"outcome={w.z_exps, w.x_exps}", residual(lhs, rhs))
     else:
@@ -310,55 +316,32 @@ def protocol_outcomes(
     """
     psi = np.asarray(psi, dtype=complex)
     rows = []
+    dim = psi.shape[0]
     if variant in ("basic2", "qudit"):
-        d = psi.shape[0]
-        m = identity(d) if m is None else np.asarray(m, dtype=complex)
+        m = identity(dim) if m is None else np.asarray(m, dtype=complex)
         if not is_unitary(m):
             raise ValueError("protocol requires a unitary M")
         if resource is None:
-            resource = tensor(identity(d), m) @ omega(d)
-        prepared = np.kron(psi, resource)
-        eye = identity(d)
-        for w in _qudit_words(d):
-            ua = gen_word_matrix(w)
-            meas = tensor(ua, eye) @ omega(d)
-            branch = tensor(meas.conj().reshape(1, -1), eye) @ prepared
-            prob = float(np.linalg.norm(branch) ** 2)
-            post = branch / np.linalg.norm(branch)
-            corrected = gen_word_matrix(w) @ dagger(m) @ post
-            rows.append(
-                (
-                    (w.alpha, w.beta),
-                    prob,
-                    float(abs(np.vdot(psi, corrected))),
-                    corrected,
-                    f"U({w.alpha},{w.beta})·M†",
-                )
-            )
+            resource = bell_vector(identity(dim), m)
+        outcomes = [((w.alpha, w.beta), gen_word_matrix(w)) for w in _qudit_words(dim)]
+        m_dag, name = dagger(m), "U({},{})·M†"
     elif variant == "nqubit":
-        dim = psi.shape[0]
-        n = dim.bit_length() - 1
         if resource is None:
             resource = omega(dim)
-        prepared = np.kron(psi, resource)
-        eye = identity(dim)
-        for w in _nqubit_words(n):
-            meas = multi_bell(n, w.z_exps, w.x_exps)
-            branch = tensor(meas.conj().reshape(1, -1), eye) @ prepared
-            prob = float(np.linalg.norm(branch) ** 2)
-            post = branch / np.linalg.norm(branch)
-            corrected = word_matrix(w) @ post
-            rows.append(
-                (
-                    (w.z_exps, w.x_exps),
-                    prob,
-                    float(abs(np.vdot(psi, corrected))),
-                    corrected,
-                    f"T({w.z_exps},{w.x_exps})",
-                )
-            )
+        n = dim.bit_length() - 1
+        outcomes = [((w.z_exps, w.x_exps), word_matrix(w)) for w in _nqubit_words(n)]
+        m_dag, name = identity(dim), "T({},{})"  # M = 1 for n qubits
     else:
         raise ValueError(f"unknown protocol variant {variant!r}")
+    prepared = np.kron(psi, resource).reshape(dim * dim, dim)
+    for label, u in outcomes:
+        branch = bell_vector(u).conj() @ prepared  # (<Omega(a)| x 1)(psi x resource)
+        prob = float(np.linalg.norm(branch) ** 2)
+        post = branch / np.linalg.norm(branch)
+        corrected = u @ m_dag @ post
+        rows.append(
+            (label, prob, float(abs(np.vdot(psi, corrected))), corrected, name.format(*label))
+        )
     total = sum(r[1] for r in rows)
     if abs(total - 1.0) > 1e-12:
         raise AssertionError(f"outcome probabilities sum to {total}, not 1")
@@ -419,65 +402,36 @@ def linearity_reduction_check(
             d = 2
         if d is None:
             raise ValueError("qudit variant needs d")
-        dim = d
-        make_case = lambda psi: TeleportEqCase(variant, psi, identity(d), (0, 1), d=d)
-        assemble = _assemble_qudit
+        dim, label = d, (0, 1)
     elif variant in NQUBIT_VARIANTS:
         if n is None:
             raise ValueError("n-qubit variant needs n")
-        dim = 2**n
-        lab = (tuple([0] * n), tuple([1] * n))
-        make_case = lambda psi: TeleportEqCase(variant, psi, identity(dim), lab, n=n)
-        assemble = _assemble_nqubit
+        dim, label = 2**n, (tuple([0] * n), tuple([1] * n))
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    out = _outcomes(variant, identity(dim), d, n)
 
-    worst = 0.0
-    for i in range(dim):
-        lhs, rhs = assemble(make_case(basis_state(dim, i)))
-        worst = max(worst, residual(lhs, rhs))
-    rep.add("all-basis-inputs", worst)
+    def sides(psi, corrupt=False):
+        case = TeleportEqCase(variant, psi, identity(dim), label, d=d, n=n)
+        return _assemble(case, out, corrupt)
 
-    lhs, rhs = assemble(make_case(random_state(dim, rng)))
-    rep.add("random-superposition", residual(lhs, rhs))
-
+    basis = [basis_state(dim, i) for i in range(dim)]
+    rep.add("all-basis-inputs", fold(residual(*sides(psi)) for psi in basis))
+    rep.add("random-superposition", residual(*sides(random_state(dim, rng))))
     # Control: drop the dagger on the outcome correction; some basis input must fail.
-    worst_bad = 0.0
-    for i in range(dim):
-        psi = basis_state(dim, i)
-        case = make_case(psi)
-        lhs, _ = assemble(case)
-        bad = _corrupted_rhs(case)
-        worst_bad = max(worst_bad, residual(lhs, bad))
-    rep.add_expect_fail("corrupted-correction-fails", worst_bad, 1e-6)
+    rep.add_expect_fail(
+        "corrupted-correction-fails",
+        fold(residual(*sides(psi, corrupt=True)) for psi in basis),
+        1e-6,
+    )
 
     if variant in NQUBIT_VARIANTS:
-        worst = 0.0
-        for a, b in all_labels(n):
-            blocked = multi_bell(n, a, b)
-            interleaved = twist(n) @ pair_product_bell(n, a, b)
-            worst = max(worst, residual(blocked, interleaved))
-        rep.add("blocked-equals-twisted-interleaved", worst)
+        tau = twist(n)
+        rep.add(
+            "blocked-equals-twisted-interleaved",
+            fold(
+                residual(multi_bell(n, a, b), tau @ pair_product_bell(n, a, b))
+                for a, b in all_labels(n)
+            ),
+        )
     return rep
-
-
-def _corrupted_rhs(case: TeleportEqCase) -> np.ndarray:
-    """RHS with U_a^dag replaced by U_a: a deliberate sign/phase corruption."""
-    if case.variant in QUDIT_VARIANTS:
-        d = case.d
-        ub = gen_word_matrix(GenPauliWord(d, *case.label))
-        rhs = np.zeros(d**3, dtype=complex)
-        for w in _qudit_words(d):
-            ua = gen_word_matrix(w)
-            meas = tensor(ua, identity(d)) @ omega(d)
-            rhs += np.kron(meas, case.m @ ub.T @ ua @ case.psi)
-        return rhs / d
-    n = case.n
-    dim = 2**n
-    ab_word = PauliWord(*case.label)
-    rhs = np.zeros(dim**3, dtype=complex)
-    for w in _nqubit_words(n):
-        meas = multi_bell(n, w.z_exps, w.x_exps)
-        corr = word_matrix(word_mul(word_dagger(ab_word), w))  # outcome word left undaggered
-        rhs += np.kron(meas, case.m @ corr @ case.psi)
-    return rhs / dim

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import all_labels, multi_bell, omega, qudit_bell
+from .bell import all_labels, bell_vector, embed, multi_bell, omega, qudit_bell
 from .linalg import (
     DEFAULT_TOL,
     basis_state,
     dagger,
+    fold,
     haar_unitary,
     identity,
     is_unitary,
@@ -27,7 +28,7 @@ from .linalg import (
     residual,
     tensor,
 )
-from .pauli import all_words, gen_u, gen_x, gen_z, word_matrix
+from .pauli import all_words, gen_u, gen_x, gen_z, pauli_gate, word_matrix
 from .report import Report
 
 
@@ -57,22 +58,24 @@ def qubit_bell_family() -> BasisFamily:
 
 def qudit_bell_family(d: int) -> BasisFamily:
     labels = [(a, b) for a in range(d) for b in range(d)]
+    unitaries = [gen_u(d, a, b) for a, b in labels]
     return BasisFamily(
         dim=d * d,
-        states=[qudit_bell(d, a, b) for a, b in labels],
+        states=[bell_vector(u) for u in unitaries],
         labels=labels,
-        unitaries=[gen_u(d, a, b) for a, b in labels],
+        unitaries=unitaries,
         base=omega(d),
     )
 
 
 def multi_bell_family(n: int) -> BasisFamily:
-    labels = list(all_labels(n))
+    words = list(all_words(n))
+    unitaries = [word_matrix(w) for w in words]
     return BasisFamily(
         dim=4**n,
-        states=[multi_bell(n, a, b) for a, b in labels],
-        labels=labels,
-        unitaries=[word_matrix(w) for w in all_words(n)],
+        states=[bell_vector(u) for u in unitaries],
+        labels=[(w.z_exps, w.x_exps) for w in words],
+        unitaries=unitaries,
         base=omega(2**n),
     )
 
@@ -104,7 +107,11 @@ def completeness_check(fam: BasisFamily, tol: float = DEFAULT_TOL) -> Report:
 
 
 def extend_basis(fam: BasisFamily, m: np.ndarray, side: str) -> BasisFamily:
-    """Family with states (M U_a x 1)|Omega> (left) or (U_a M x 1)|Omega> (right)."""
+    """Family with states (M U_a x 1)|Omega> (left) or (U_a M x 1)|Omega> (right).
+
+    Each state is ``bell_vector(C) = vec(C) / sqrt(d)`` of the composed
+    local operator ``C``, so no Kronecker product with the identity is formed.
+    """
     if fam.unitaries is None or fam.base is None:
         raise ValueError("family does not carry its defining unitaries")
     m = np.asarray(m, dtype=complex)
@@ -113,9 +120,8 @@ def extend_basis(fam: BasisFamily, m: np.ndarray, side: str) -> BasisFamily:
         raise ValueError(f"M must be {local}x{local}, got {m.shape}")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    eye = identity(local)
     composed = [m @ u if side == "left" else u @ m for u in fam.unitaries]
-    states = [tensor(c, eye) @ fam.base for c in composed]
+    states = [bell_vector(c) for c in composed]
     return BasisFamily(fam.dim, states, list(fam.labels), composed, fam.base)
 
 
@@ -162,32 +168,31 @@ def basis_theorem_suite(
 
     eye_k = np.eye(len(fam.states))
     for side in ("left", "right"):
-        worst_unitary = 0.0
-        best_dev = np.inf
+        unitary_res, nonunitary_res = [], []
         for _ in range(trials):
             u = haar_unitary(local, rng)
-            worst_unitary = max(
-                worst_unitary, residual(gram_matrix(extend_basis(fam, u, side)), eye_k)
-            )
+            unitary_res.append(residual(gram_matrix(extend_basis(fam, u, side)), eye_k))
             m = perturbed_nonunitary(local, rng)
-            best_dev = min(best_dev, residual(gram_matrix(extend_basis(fam, m, side)), eye_k))
-        rep.add(f"unitary-extensions-{side} ({trials} trials)", worst_unitary)
+            nonunitary_res.append(residual(gram_matrix(extend_basis(fam, m, side)), eye_k))
+        rep.add(f"unitary-extensions-{side} ({trials} trials)", fold(unitary_res))
         rep.add_expect_fail(
-            f"nonunitary-extensions-{side} ({trials} trials)", best_dev, fail_floor
+            f"nonunitary-extensions-{side} ({trials} trials)",
+            fold(nonunitary_res, np.min, np.inf),
+            fail_floor,
         )
 
     # Reduced completeness: (1/d) sum_a U_a M |i><j| M^dag U_a^dag = (M^dag M)_ji 1.
     m = random_matrix(local, rng)
     mdm = m.conj().T @ m
-    worst = 0.0
+    reduced = []
     for i in range(local):
         for j in range(local):
             eij = np.outer(basis_state(local, i), basis_state(local, j))
             total = np.zeros((local, local), dtype=complex)
             for u in fam.unitaries:
                 total += u @ m @ eij @ m.conj().T @ u.conj().T
-            worst = max(worst, residual(total / local, mdm[j, i] * identity(local)))
-    rep.add("reduced-completeness (general M)", worst)
+            reduced.append(residual(total / local, mdm[j, i] * identity(local)))
+    rep.add("reduced-completeness (general M)", fold(reduced))
 
     # For square M, one-sided unitarity implies two-sided; nothing to sample.
     rep.add("vacuous-one-sided-unitarity", 0.0)
@@ -214,9 +219,7 @@ class ObservableSpec:
 def observable_check(spec: ObservableSpec, tol: float = DEFAULT_TOL) -> Report:
     rep = Report("observable", {"name": spec.name}, tolerance=tol)
     rep.add("hermitian", residual(spec.matrix, dagger(spec.matrix)))
-    worst = 0.0
-    for label, lam, state in spec.eigenpairs:
-        worst = max(worst, residual(spec.matrix @ state, lam * state))
+    worst = fold(residual(spec.matrix @ state, lam * state) for _, lam, state in spec.eigenpairs)
     rep.add(f"eigenequations ({len(spec.eigenpairs)} states)", worst)
     return rep
 
@@ -289,19 +292,11 @@ def multiqubit_observables(n: int) -> list[ObservableSpec]:
         raise ValueError("n must be in 1..5")
     labels = list(all_labels(n))
     states = {lab: multi_bell(n, *lab) for lab in labels}
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-    def embed(ops):
-        out = np.eye(1, dtype=complex)
-        for q in range(2 * n):
-            out = np.kron(out, ops.get(q, np.eye(2, dtype=complex)))
-        return out
-
+    x, z = pauli_gate("X"), pauli_gate("Z")
     specs = []
     for k in range(1, n + 1):
-        xx = embed({k - 1: x, n + k - 1: x})
-        zz = embed({k - 1: z, n + k - 1: z})
+        xx = embed(2 * n, {k - 1: x, n + k - 1: x})
+        zz = embed(2 * n, {k - 1: z, n + k - 1: z})
         specs.append(
             ObservableSpec(
                 f"X{k}X{n + k}",
@@ -326,7 +321,7 @@ def multiqubit_observable_suite(n: int, tol: float = DEFAULT_TOL) -> Report:
     for spec in specs:
         sub = observable_check(spec, tol)
         rep.add(spec.name, sub.max_residual)
-    worst = max(
+    worst = fold(
         residual(a.matrix @ b.matrix, b.matrix @ a.matrix)
         for i, a in enumerate(specs)
         for b in specs[i + 1 :]

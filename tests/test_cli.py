@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bellkit.bell import Circuit, multi_bell, product_ket, twist, twist_decomposition
-from bellkit.cli import main
+from bellkit.cli import TOL_CEILING, main
 from bellkit.linalg import residual
 
 
@@ -32,6 +32,40 @@ def test_bad_params_exit_two(capsys):
 def test_tolerance_floor(capsys):
     assert run(["verify", "gram", "--tol", "1e-16"]) == 2
     assert "floor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-inf", "1.1e-6", "0.5"])
+def test_tolerance_ceiling_and_non_finite(tol, capsys):
+    assert TOL_CEILING == 1e-6
+    assert run(["verify", "gram", f"--tol={tol}"]) == 2
+    assert "ceiling" in capsys.readouterr().err
+
+
+def test_tolerance_at_ceiling_accepted(capsys):
+    assert run(["verify", "gram", "--tol", str(TOL_CEILING)]) == 0
+
+
+@pytest.mark.parametrize("suite", ["concurrence", "basis-theorem", "gram"])
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_trials_below_one_exit_two(suite, trials, capsys):
+    assert run(["verify", suite, "--n", "1", "--trials", trials]) == 2
+    assert "--trials" in capsys.readouterr().err
+
+
+def test_nan_concurrence_deviation_fails_suite(monkeypatch, capsys):
+    from bellkit import bell
+
+    real = bell.concurrence_oracle
+    calls = []
+
+    def oracle(state, n):
+        calls.append(None)
+        return float("nan") if len(calls) == 2 else real(state, n)
+
+    monkeypatch.setattr(bell, "concurrence_oracle", oracle)
+    assert run(["verify", "concurrence", "--n", "1", "--trials", "3"]) == 1
+    case = json.loads(capsys.readouterr().out)["cases"][0]
+    assert case["id"].startswith("formula-vs-oracle") and case["pass"] is False
 
 
 def test_cnot_ybe_fails_exit_one(capsys):

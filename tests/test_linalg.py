@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from bellkit.linalg import (
     dagger,
+    fold,
     haar_unitary,
     hs_inner,
     mul,
@@ -169,3 +170,14 @@ def test_trace_cyclicity(seed):
     rng = np.random.default_rng(seed)
     a, b = rand_complex(rng, (8, 8)), rand_complex(rng, (8, 8))
     assert abs(trace(mul(a, b)) - trace(mul(b, a))) < 1e-12
+
+
+def test_fold_propagates_nan():
+    nan = float("nan")
+    assert fold([]) == 0.0
+    assert fold([], np.min, np.inf) == np.inf
+    assert fold([0.5, 2.0, 1.0]) == 2.0
+    assert fold(iter([0.5, 2.0]), np.min, np.inf) == 0.5
+    for values in ([nan, 1.0], [1.0, nan], [0.0, nan, 0.0]):
+        assert np.isnan(fold(values))
+        assert np.isnan(fold(values, np.min, np.inf))

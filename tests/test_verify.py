@@ -175,3 +175,58 @@ def test_trace_constraint_solve(n):
         assert any("appendix" in c.case_id for c in rep.cases)
     with pytest.raises(ValueError):
         trace_constraint_solve(4)
+
+
+# ---------------------------------------------------------------------------
+# a NaN residual never passes a folded case
+
+
+def _nan_on_call(real, k):
+    """residual() that returns NaN on its k-th call (1-based) and is exact otherwise."""
+    calls = []
+
+    def fake(a, b):
+        calls.append(None)
+        return float("nan") if len(calls) == k else real(a, b)
+
+    return fake
+
+
+def test_nan_residual_fails_must_pass_fold(monkeypatch):
+    import bellkit.verify as verify
+
+    spec = qudit_observables(2, 1)[0]
+    # call 1 is the hermiticity case; calls 2.. are folded eigenequations,
+    # so the NaN lands after a finite residual inside the fold
+    monkeypatch.setattr(verify, "residual", _nan_on_call(residual, 3))
+    rep = observable_check(spec)
+    case = rep.cases[1]
+    assert case.case_id.startswith("eigenequations")
+    assert np.isnan(case.residual) and not case.passed
+    assert not rep.passed
+
+
+def test_nan_residual_fails_expect_fail_control(monkeypatch):
+    import bellkit.verify as verify
+
+    # every non-unitary extension's Gram residual (those above 1e-3) reads NaN
+    monkeypatch.setattr(
+        verify, "residual", lambda a, b: r if (r := residual(a, b)) < 1e-3 else float("nan")
+    )
+    rep = basis_theorem_suite(d=2, trials=3, seed=11)
+    controls = [c for c in rep.cases if c.case_id.startswith("nonunitary")]
+    assert len(controls) == 2
+    assert all(np.isnan(c.residual) and not c.passed for c in controls)
+    assert not rep.passed
+
+
+def test_nan_case_propagates_through_max_residual():
+    from bellkit.report import Report
+
+    rep = Report("s", {})
+    rep.add("finite", 0.0)
+    rep.add("nan", float("nan"))
+    assert np.isnan(rep.max_residual)
+    outer = Report("outer", {})
+    outer.add("folded", rep.max_residual)
+    assert not outer.passed
