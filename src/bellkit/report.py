@@ -7,7 +7,6 @@ rerunning a suite with the same seed yields byte-identical output.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .linalg import fold
@@ -29,7 +28,6 @@ class Report:
     cases: list[Case] = field(default_factory=list)
     tolerance: float = 1e-12
     seed: int | None = None
-    wall_ms: int = 0
 
     def add(self, case_id: str, residual: float, tol: float | None = None) -> None:
         tol = self.tolerance if tol is None else tol
@@ -61,9 +59,6 @@ class Report:
         ]
         out["pass"] = self.passed
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
     def summary_lines(self):
         for c in self.cases:

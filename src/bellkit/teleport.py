@@ -43,6 +43,8 @@ from .report import Report
 QUDIT_VARIANTS = ("basic2", "qudit11", "qudit22", "qudit11p", "qudit22p")
 NQUBIT_VARIANTS = ("nqubit11", "nqubit22")
 UNITARY_M_REQUIRED = ("qudit22", "qudit22p", "nqubit22")
+# How teleport_eq_suite samples M: the identity, Haar-unitary, or complex Gaussian.
+M_MODES = ("identity", "unitary", "general")
 
 
 @dataclass
@@ -186,6 +188,8 @@ def teleport_eq_suite(
     m_mode: str = "unitary",
 ) -> Report:
     """Run one variant over all resource labels with a sampled M."""
+    if m_mode not in M_MODES:
+        raise ValueError(f"m_mode must be one of {'|'.join(M_MODES)}, got {m_mode!r}")
     rng = np.random.default_rng(seed)
     rep = Report(
         "teleport-eq", {"variant": variant, "d": d, "n": n, "m": m_mode}, tolerance=tol, seed=seed

@@ -13,7 +13,7 @@ import pytest
 
 from bellkit import bell, braid, teleport, verify
 from bellkit.cli import main as cli_main
-from bellkit.linalg import haar_unitary, random_state, residual, tensor_all, identity
+from bellkit.linalg import fold, haar_unitary, identity, random_state, residual, tensor_all
 from bellkit.pauli import pauli_gate
 
 TOL = 1e-12
@@ -34,8 +34,8 @@ def test_criterion_1_bell_basis_suites():
     fams += [verify.qudit_bell_family(d) for d in (2, 3, 4, 5)]
     fams += [verify.multi_bell_family(n) for n in (1, 2, 3)]
     for fam in fams:
-        worst = max(worst, verify.gram_check(fam).max_residual)
-        worst = max(worst, verify.completeness_check(fam).max_residual)
+        worst = fold((worst, verify.gram_check(fam).max_residual))
+        worst = fold((worst, verify.completeness_check(fam).max_residual))
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"criterion 1 runtime {elapsed:.1f}s exceeds 10s"
     criterion(1, "gram + completeness, qubit / qudit d<=5 / multi n<=3", worst)
@@ -50,7 +50,7 @@ def test_criterion_2_basis_theorem():
             if case.case_id.startswith(("unitary", "nonunitary")) and not case.passed:
                 misclassified += 1
             if case.case_id.startswith("unitary"):
-                worst_unitary = max(worst_unitary, case.residual)
+                worst_unitary = fold((worst_unitary, case.residual))
     assert misclassified == 0, f"{misclassified} misclassified extension classes"
     criterion(2, "basis theorem, 100+100 trials, d in 2..4 and n=2, both sides",
               worst_unitary)
@@ -60,7 +60,7 @@ def test_criterion_3_twist():
     worst = 0.0
     for n in (1, 2, 3, 4):
         circ = bell.twist_decomposition(n)
-        worst = max(worst, residual(circ.to_matrix(), bell.twist(n)))
+        worst = fold((worst, residual(circ.to_matrix(), bell.twist(n))))
         assert len(circ.gates) == n * (n - 1) // 2
     swap = bell.Circuit(2, [("SWAP", (0, 1))]).to_matrix()
     tau4 = tensor_all([identity(2), swap, identity(2)])
@@ -74,14 +74,14 @@ def test_criterion_4_observables():
     for d in (2, 3, 4, 5):
         for k in range(1, d):
             for spec in verify.qudit_observables(d, k):
-                worst = max(worst, verify.observable_check(spec).max_residual)
+                worst = fold((worst, verify.observable_check(spec).max_residual))
     # d=2 degenerate zero operators
     ox_m, oz_m = verify.qudit_observables(2, 1)[1], verify.qudit_observables(2, 1)[3]
-    worst = max(worst, residual(ox_m.matrix, np.zeros((4, 4))))
-    worst = max(worst, residual(oz_m.matrix, np.zeros((4, 4))))
+    worst = fold((worst, residual(ox_m.matrix, np.zeros((4, 4)))))
+    worst = fold((worst, residual(oz_m.matrix, np.zeros((4, 4)))))
     for n in (1, 2, 3):
         rep = verify.multiqubit_observable_suite(n)
-        worst = max(worst, rep.max_residual)
+        worst = fold((worst, rep.max_residual))
         assert rep.passed
     rng = np.random.default_rng(41)
     base = verify.qudit_observables(3, 1)
@@ -90,7 +90,7 @@ def test_criterion_4_observables():
         for spec in base:
             for side in ("left", "right"):
                 conj = verify.conjugated_observables(spec, m, side)
-                worst = max(worst, verify.observable_check(conj).max_residual)
+                worst = fold((worst, verify.observable_check(conj).max_residual))
     criterion(4, "observable eigenequations d<=5 all k, n<=3, 10 M-conjugations", worst)
 
 
@@ -99,7 +99,7 @@ def test_criterion_5_trace_constraint():
     for n in (1, 2, 3):
         rep = verify.trace_constraint_solve(n)
         assert rep.passed
-        worst = max(worst, rep.max_residual)
+        worst = fold((worst, rep.max_residual))
     mat, rhs, _ = verify.trace_system(1)
     assert residual(mat[[0, 1, 3, 2]], verify.APPENDIX_N1_MATRIX) == 0
     assert rhs[0] == 2 and not rhs[1:].any()
@@ -112,13 +112,13 @@ def test_criterion_6_concurrence():
     worst = 0.0
     for _ in range(100):
         psi = random_state(16, rng)
-        worst = max(worst, abs(bell.concurrence(psi, 2) - bell.concurrence_oracle(psi, 2)))
+        worst = fold((worst, abs(bell.concurrence(psi, 2) - bell.concurrence_oracle(psi, 2))))
     for a, b in bell.all_labels(2):
-        worst = max(worst, abs(bell.concurrence(bell.multi_bell(2, a, b), 2) - 1))
-    worst = max(worst, bell.concurrence(bell.product_ket((0, 1, 1, 0)), 2))
+        worst = fold((worst, abs(bell.concurrence(bell.multi_bell(2, a, b), 2) - 1)))
+    worst = fold((worst, bell.concurrence(bell.product_ket((0, 1, 1, 0)), 2)))
     for n in (1, 2, 3, 4):
         for sign in (1, -1):
-            worst = max(worst, abs(bell.concurrence(bell.ghz_state(n, 0, 0, sign), n) - 1))
+            worst = fold((worst, abs(bell.concurrence(bell.ghz_state(n, 0, 0, sign), n) - 1)))
     criterion(6, "concurrence formula vs oracle, Bell/product/GHZ worked examples",
               worst, bound=1e-10)
 
@@ -126,25 +126,25 @@ def test_criterion_6_concurrence():
 def test_criterion_7_teleportation():
     worst = 0.0
     for d in (2, 3, 5):
-        worst = max(worst, teleport.teleport_eq_suite("qudit11", d=d, seed=1).max_residual)
-        worst = max(worst, teleport.teleport_eq_suite("qudit22", d=d, seed=2).max_residual)
-        worst = max(worst, teleport.teleport_eq_suite(
-            "qudit11", d=d, seed=3, m_mode="general").max_residual)
+        worst = fold((worst, teleport.teleport_eq_suite("qudit11", d=d, seed=1).max_residual))
+        worst = fold((worst, teleport.teleport_eq_suite("qudit22", d=d, seed=2).max_residual))
+        worst = fold((worst, teleport.teleport_eq_suite(
+            "qudit11", d=d, seed=3, m_mode="general").max_residual))
     for variant in ("qudit11p", "qudit22p"):
         rep = teleport.teleport_eq_suite(variant, d=3, seed=4)
         assert len(rep.cases) == 9
-        worst = max(worst, rep.max_residual)
+        worst = fold((worst, rep.max_residual))
     for variant in ("nqubit11", "nqubit22"):
         rep = teleport.teleport_eq_suite(variant, n=2, seed=5)
         assert len(rep.cases) == 16
-        worst = max(worst, rep.max_residual)
+        worst = fold((worst, rep.max_residual))
     for variant, kw in (
         ("projective_qudit", {"d": 2}),
         ("projective_qudit", {"d": 3}),
         ("projective_qudit11", {"d": 3}),
         ("projective_nqubit", {"n": 2}),
     ):
-        worst = max(worst, teleport.projective_eq_check(variant, seed=6, **kw).max_residual)
+        worst = fold((worst, teleport.projective_eq_check(variant, seed=6, **kw).max_residual))
     criterion(7, "teleportation equations, all variants and labels", worst)
 
     rng = np.random.default_rng(7)
@@ -153,7 +153,7 @@ def test_criterion_7_teleportation():
         psi = random_state(dim, rng)
         m = haar_unitary(dim, rng) if variant == "qudit" else None
         for _, _, fid, _, _ in teleport.protocol_outcomes(psi, variant, m):
-            bad_fid = max(bad_fid, abs(fid - 1.0))
+            bad_fid = fold((bad_fid, abs(fid - 1.0)))
     criterion(7, "protocol fidelity = 1 on every outcome, every variant",
               bad_fid, bound=1e-10)
 
@@ -170,12 +170,12 @@ def test_criterion_7_teleportation():
 def test_criterion_8_yang_baxter_braid():
     worst = 0.0
     for eps, eta in product((1, -1), repeat=2):
-        worst = max(worst, braid.yang_baxter_check(
-            braid.bell_transform(eps, eta), 2).max_residual)
+        worst = fold((worst, braid.yang_baxter_check(
+            braid.bell_transform(eps, eta), 2).max_residual))
     for strands in (3, 4):
         rep = braid.braid_rep_check(strands, -1, 1)
         assert rep.passed
-        worst = max(worst, rep.max_residual)
+        worst = fold((worst, rep.max_residual))
     criterion(8, "B(eps,eta) solves YBE (all signs); braid relations, <=4 strands", worst)
 
     cnot = bell.Circuit(2, [("CNOT", (0, 1))]).to_matrix()
@@ -199,14 +199,14 @@ def test_criterion_9_temperley_lieb():
                 for b in range(d):
                     rep = braid.tl_relation_check(braid.tl_generators(strands, d, (a, b)))
                     assert rep.passed, (d, strands, a, b)
-                    worst = max(worst, rep.max_residual)
+                    worst = fold((worst, rep.max_residual))
         for _ in range(5):
             rep = braid.tl_relation_check(
                 braid.tl_generators(3, d, (1, 0), haar_unitary(d, rng)))
             assert rep.passed
-            worst = max(worst, rep.max_residual)
+            worst = fold((worst, rep.max_residual))
     bad = braid.tl_relation_check(braid.tl_generators(3, 2, (0, 0), np.diag([1.0, 2.0])))
-    bad_res = max(c.residual for c in bad.cases if c.case_id.startswith("tl("))
+    bad_res = fold(c.residual for c in bad.cases if c.case_id.startswith("tl("))
     assert bad_res > 1e-6, f"non-unitary control too weak: {bad_res}"
     criterion(9, "TL idempotents and d^-2 relations, n<=4 strands, d in {2,3}, 10 unitary M",
               worst)
@@ -220,14 +220,14 @@ def test_criterion_10_braid_teleportation():
         for k, m in product((0, 1), repeat=2):
             sub = braid.braid_teleport_single_check(
                 eps_l, eta_l, eps_r, eta_r, k, m, seed=100)
-            worst = max(worst, sub.max_residual)
+            worst = fold((worst, sub.max_residual))
     for a, b in bell.all_labels(2):
         sub = braid.braid_teleport_multi_check(
             2, (-1, -1), (1, 1), (1, 1), (-1, -1), a, b, seed=101)
-        worst = max(worst, sub.max_residual)
+        worst = fold((worst, sub.max_residual))
         sub = braid.braid_teleport_multi_check(
             2, (-1, -1), (1, 1), (1, 1), (-1, -1), a, b, seed=101, blocked=True)
-        worst = max(worst, sub.max_residual)
+        worst = fold((worst, sub.max_residual))
     criterion(10, "Table 1 exact; single braid equation all signs; n=2 multi, 16 labels",
               worst)
 

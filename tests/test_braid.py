@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -112,14 +113,16 @@ def test_braid_relations_cnot_control():
 
 
 def test_tl_generator_shape():
+    # on two strands e_1 is the projector itself
     rep = tl_generators(2, 2, (0, 0))
     phi = bell2(0, 0)
-    assert residual(rep.generators[0], np.outer(phi, phi.conj())) == 0
+    assert residual(rep.proj, np.outer(phi, phi.conj())) == 0
 
 
-@pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("strands", [3, 4])
-def test_tl_relations_all_labels(d, strands):
+@pytest.mark.parametrize(
+    "strands,d", [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4)]
+)
+def test_tl_relations_all_labels(strands, d):
     for a in range(d):
         for b in range(d):
             rep = tl_relation_check(tl_generators(strands, d, (a, b)))
@@ -144,8 +147,9 @@ def test_tl_nonunitary_m_breaks_relation():
 
 def test_tl_loop_parameter_scaling():
     for d in (2, 3):
-        rep_tl = tl_generators(3, d)
-        e1, e2 = rep_tl.generators
+        # on three strands e_1 = P x 1 and e_2 = 1 x P span the whole space
+        p = tl_generators(3, d).proj
+        e1, e2 = tensor(p, identity(d)), tensor(identity(d), p)
         assert residual(e1 @ e2 @ e1, e1 / d**2) < 1e-12
 
 
@@ -238,5 +242,29 @@ def test_multi_braid_teleport_caps():
 
 
 def test_tlrep_dataclass():
-    rep = TLRep(3, 2, tl_generators(3, 2).generators)
-    assert rep.n == 3 and rep.d == 2 and len(rep.generators) == 2
+    rep = TLRep(3, 2, tl_generators(3, 2).proj)
+    assert rep.n == 3 and rep.d == 2 and rep.proj.shape == (4, 4)
+    idem = [c.case_id for c in tl_relation_check(rep).cases if c.case_id.startswith("idem")]
+    assert idem == ["idempotent e1", "idempotent e2"]
+
+
+@pytest.mark.parametrize(
+    "strands,d,check",
+    [
+        (5, 4, lambda: tl_relation_check(
+            tl_generators(5, 4, (1, 3), haar_unitary(4, np.random.default_rng(3))))),
+        (6, 2, lambda: braid_rep_check(6, -1, 1)),
+    ],
+    ids=["tl", "braid"],
+)
+def test_relation_checks_stay_on_joint_support(strands, d, check):
+    # one dense generator on the full space is d^n x d^n complex (16 bytes an
+    # entry); the joint-support arrays are at most d^4 x d^4
+    check()
+    tracemalloc.start()
+    try:
+        check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * d ** (2 * strands)

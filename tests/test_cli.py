@@ -194,3 +194,37 @@ def test_circuit_bad_label_exit_two(tmp_path, capsys):
     out = tmp_path / "c.qasm"
     assert run(["circuit", "--n", "2", "--alpha", "1", "--beta", "01", "--out", str(out)]) == 2
     assert "bad parameters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "suite,flag,value",
+    [
+        ("ybe", "--gate", "bogus"),
+        ("ybe", "--gate", "twisted-conj"),
+        ("braid", "--gate", "cnott"),
+        ("braid", "--gate", "swap"),
+        ("tl", "--m", "nonunitry"),
+        ("tl", "--m", "general"),
+        ("teleport-eq", "--m", "haar"),
+        ("teleport-eq", "--m", "nonunitary"),
+    ],
+)
+def test_unknown_control_flag_exit_two(suite, flag, value, capsys):
+    assert run(["verify", suite, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert "bad parameters" in err and value in err
+
+
+@pytest.mark.parametrize(
+    "suite,flag,values",
+    [
+        ("ybe", "--gate", ["bell", "swap", "twisted", "twisted-plain", "cnot"]),
+        ("braid", "--gate", ["bell", "cnot"]),
+        ("tl", "--m", ["identity", "unitary", "nonunitary"]),
+        ("teleport-eq", "--m", ["identity", "unitary", "general"]),
+    ],
+)
+def test_known_control_flags_accepted(suite, flag, values, capsys):
+    for value in values:
+        assert run(["verify", suite, flag, value]) in (0, 1), (suite, value)
+        capsys.readouterr()

@@ -1,7 +1,9 @@
 """Structured kernels against the dense constructions they replaced.
 
 Every oracle here is the Kronecker-product or digit-loop form the library
-used before its kernels were rewritten by reshape, scatter and transform.
+used before its kernels were rewritten by reshape, scatter and transform,
+or before braid and Temperley-Lieb relations moved to the generators'
+joint support.
 The oracles live only in this file.  Where every entry compared is 0 or
 +-1 the two routes must agree exactly; elsewhere to 1e-15, which is a few
 ulps of the O(1) entries involved.
@@ -24,6 +26,7 @@ from bellkit.bell import (
     qudit_bell,
     twist,
 )
+from bellkit.braid import bell_transform, braid_rep_check, tl_generators, tl_relation_check
 from bellkit.linalg import (
     haar_unitary,
     identity,
@@ -52,6 +55,7 @@ from bellkit.teleport import (
     _outcomes,
     protocol_outcomes,
 )
+from bellkit.verify import perturbed_nonunitary
 
 FAST = settings(max_examples=40, deadline=None)
 
@@ -154,6 +158,46 @@ def dense_rhs(case, corrupt=False):
     for meas, out in terms:
         rhs += np.kron(meas, m @ out if eleven else out)
     return rhs / dim
+
+
+def dense_generators(n_strands, x, local_dim):
+    """g_i = 1^(i-1) x X x 1^(n-i-1), i = 1..n-1, each a dense local_dim^n matrix."""
+    eye = identity(local_dim)
+    return [
+        tensor_all([eye] * (i - 1) + [x] + [eye] * (n_strands - i - 1))
+        for i in range(1, n_strands)
+    ]
+
+
+def dense_far_cases(gens):
+    return [
+        (f"far-commute({i + 1},{j + 1})", residual(gens[i] @ gens[j], gens[j] @ gens[i]))
+        for i in range(len(gens))
+        for j in range(i + 2, len(gens))
+    ]
+
+
+def dense_tl_cases(rep_tl):
+    """(case id, residual) of every TL relation, on the full d^n space."""
+    gens = dense_generators(rep_tl.n, rep_tl.proj, rep_tl.d)
+    inv_d2 = 1.0 / rep_tl.d**2
+    cases = [(f"idempotent e{i + 1}", residual(e @ e, e)) for i, e in enumerate(gens)]
+    for i in range(len(gens) - 1):
+        a, b = gens[i], gens[i + 1]
+        cases.append((f"tl({i + 1},{i + 2})", residual(a @ b @ a, inv_d2 * a)))
+        cases.append((f"tl({i + 2},{i + 1})", residual(b @ a @ b, inv_d2 * b)))
+    return cases + dense_far_cases(gens)
+
+
+def dense_braid_cases(n_strands, gate):
+    """(case id, residual) of every braid relation, on the full 2^n space."""
+    gens = dense_generators(n_strands, gate, 2)
+    cases = [
+        (f"braid({i + 1},{i + 2})", residual(gens[i] @ gens[i + 1] @ gens[i],
+                                             gens[i + 1] @ gens[i] @ gens[i + 1]))
+        for i in range(len(gens) - 1)
+    ]
+    return cases + dense_far_cases(gens)
 
 
 # ---------------------------------------------------------------------------
@@ -324,3 +368,41 @@ def test_protocol_branch_matches_kronecker(variant, size, seed):
             u = dense_word_matrix(PauliWord(*label))
         branch = tensor(dense_bell(u).conj().reshape(1, -1), identity(dim)) @ prepared
         assert abs(prob - np.linalg.norm(branch) ** 2) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# braid and Temperley-Lieb relations on the joint support
+
+
+def _assert_cases_match(rep, dense):
+    assert [c.case_id for c in rep.cases] == [cid for cid, _ in dense]
+    for case, (_, res) in zip(rep.cases, dense):
+        assert abs(case.residual - res) <= 1e-15, (case.case_id, case.residual, res)
+
+
+TL_M = {
+    "none": lambda d, rng: None,
+    "unitary": haar_unitary,
+    "nonunitary": perturbed_nonunitary,
+}
+
+
+@pytest.mark.parametrize("m_kind", list(TL_M))
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("strands", [3, 4])
+def test_tl_relations_match_dense_generators(strands, d, m_kind):
+    rng = np.random.default_rng(strands * 10 + d)
+    for label in product(range(d), repeat=2):
+        rep_tl = tl_generators(strands, d, label, TL_M[m_kind](d, rng))
+        _assert_cases_match(tl_relation_check(rep_tl), dense_tl_cases(rep_tl))
+
+
+BRAID_GATES = {f"B({e},{t})": bell_transform(e, t) for e, t in product((1, -1), repeat=2)}
+BRAID_GATES["CNOT"] = Circuit(2, [("CNOT", (0, 1))]).to_matrix()
+
+
+@pytest.mark.parametrize("gate", list(BRAID_GATES))
+@pytest.mark.parametrize("strands", [3, 4, 5, 6])
+def test_braid_relations_match_dense_generators(strands, gate):
+    mat = BRAID_GATES[gate]
+    _assert_cases_match(braid_rep_check(strands, gate=mat), dense_braid_cases(strands, mat))

@@ -165,3 +165,9 @@ def test_bad_variant_rejected():
         protocol_outcomes(psi, "weird")
     with pytest.raises(ValueError):
         teleport_eq_suite("weird", d=2)
+
+
+@pytest.mark.parametrize("variant,kw", [("qudit11", {"d": 3}), ("basic2", {}), ("nqubit22", {"n": 1})])
+def test_unknown_m_mode_rejected(variant, kw):
+    with pytest.raises(ValueError, match="m_mode"):
+        teleport_eq_suite(variant, m_mode="haar", **kw)
