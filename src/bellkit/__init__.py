@@ -6,7 +6,7 @@ library constructs both sides of each one and reports max-abs residuals
 against an absolute tolerance (1e-12 by default).
 """
 
-from .linalg import DEFAULT_TOL, dagger, hs_inner, mul, residual, tensor, trace, transpose
+from .linalg import DEFAULT_TOL, dagger, hs_inner, residual, tensor
 from .report import Case, Report
 
 __all__ = [
@@ -15,11 +15,8 @@ __all__ = [
     "Report",
     "dagger",
     "hs_inner",
-    "mul",
     "residual",
     "tensor",
-    "trace",
-    "transpose",
 ]
 
 __version__ = "0.1.0"

@@ -304,3 +304,21 @@ def all_labels(n: int):
     for a in product((0, 1), repeat=n):
         for b in product((0, 1), repeat=n):
             yield a, b
+
+
+def bell_unitaries(d: int | None = None, n: int | None = None) -> tuple[list, list[np.ndarray]]:
+    """Labels and local unitaries ``U_a`` of a Bell basis ``(U_a x 1)|Omega>``.
+
+    Give exactly one size.  A qudit (``d``) has labels ``(alpha, beta)``
+    in ``0..d-1`` and ``U_a = Z^alpha X^beta``; n qubits (``n``) have the
+    bit-string labels of ``all_labels(n)`` and ``U_a = T(alpha beta)``.
+    Labels are lexicographic.  Both families are monomial matrices, and
+    the n-qubit words are real signed permutations, so ``T^T = T^dag``.
+    """
+    if (d is None) == (n is None):
+        raise ValueError("give exactly one of d (qudit) or n (n qubits)")
+    if d is not None:
+        labels = [(a, b) for a in range(d) for b in range(d)]
+        return labels, [gen_u(d, a, b) for a, b in labels]
+    labels = list(all_labels(n))
+    return labels, [word_matrix(PauliWord(a, b)) for a, b in labels]

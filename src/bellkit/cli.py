@@ -290,6 +290,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _at_least(args, **floors: int) -> bool:
+    """False, with a one-line message on stderr, if a size flag is below its floor."""
+    for name, floor in floors.items():
+        value = getattr(args, name)
+        if value < floor:
+            print(f"--{name} must be at least {floor}, got {value}", file=sys.stderr)
+            return False
+    return True
+
+
 def _emit(report_dict: dict, json_path: str | None, passed: bool) -> int:
     text = json.dumps(report_dict, indent=2)
     if json_path:
@@ -313,8 +323,7 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.trials < 1:
-        print(f"--trials must be at least 1, got {args.trials}", file=sys.stderr)
+    if not _at_least(args, n=1, d=2, trials=1):
         return 2
     if args.seed is None:
         args.seed = _default_seed()
@@ -327,6 +336,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_teleport(args) -> int:
+    if not _at_least(args, n=1, d=2, samples=1):
+        return 2
     if args.seed is None:
         args.seed = _default_seed()
     rng = np.random.default_rng(args.seed)

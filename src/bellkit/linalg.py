@@ -46,27 +46,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
 
 
-def transpose(a: np.ndarray) -> np.ndarray:
-    """Entrywise transpose, no conjugation."""
-    return np.asarray(a).T
-
-
-def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product, with an explicit shape check."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape[-1] != b.shape[0]:
-        raise ValueError(f"shape mismatch in mul: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def trace(a: np.ndarray) -> complex:
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"trace requires a square matrix, got {a.shape}")
-    return complex(np.trace(a))
-
-
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     """Hilbert-Schmidt inner product tr(a^dagger b) / d for d x d matrices."""
     a = np.asarray(a)

@@ -59,8 +59,3 @@ class Report:
         ]
         out["pass"] = self.passed
         return out
-
-    def summary_lines(self):
-        for c in self.cases:
-            status = "PASS" if c.passed else "FAIL"
-            yield f"[{status}] {self.suite}: {c.case_id}  residual={c.residual:.3e}"

@@ -10,6 +10,11 @@ Variants and their M policy: the measurement family of the ``*22``
 equations is (U_a M x 1)|Omega>-shaped, which is orthonormal only for
 unitary M, so those variants reject non-unitary M; the ``*11`` variants
 measure in the undecorated Bell family and accept any square M.
+``qudit11p`` and ``qudit22p`` are aliases of ``qudit11`` and ``qudit22``:
+same equations, same code path, same residuals at the same seed.
+
+Qudits (``U_a = Z^alpha X^beta``) and n qubits (``U_a = T(alpha beta)``)
+share one Bell family, ``bell.bell_unitaries``, and one assembler.
 """
 
 from __future__ import annotations
@@ -18,7 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import all_labels, bell_vector, multi_bell, omega, pair_product_bell, twist
+from .bell import (
+    all_labels,
+    bell_unitaries,
+    bell_vector,
+    multi_bell,
+    omega,
+    pair_product_bell,
+    twist,
+)
 from .linalg import (
     DEFAULT_TOL,
     basis_state,
@@ -30,14 +43,7 @@ from .linalg import (
     random_state,
     residual,
 )
-from .pauli import (
-    GenPauliWord,
-    PauliWord,
-    gen_word_matrix,
-    word_dagger,
-    word_matrix,
-    word_mul,
-)
+from .pauli import PauliWord, gen_u, word_matrix
 from .report import Report
 
 QUDIT_VARIANTS = ("basic2", "qudit11", "qudit22", "qudit11p", "qudit22p")
@@ -69,14 +75,6 @@ class TeleportEqCase:
             raise ValueError(f"variant {self.variant} requires a unitary M")
 
 
-def _qudit_words(d: int) -> list[GenPauliWord]:
-    return [GenPauliWord(d, a, b) for a in range(d) for b in range(d)]
-
-
-def _nqubit_words(n: int) -> list[PauliWord]:
-    return [PauliWord(a, b) for a, b in all_labels(n)]
-
-
 def transfer_identity_check(d: int, seed: int = 0, tol: float = DEFAULT_TOL) -> Report:
     """<Omega|_CA (|psi>_C |Omega>_AB) = (1/d)|psi>_B, checked on random psi.
 
@@ -101,34 +99,45 @@ def transfer_identity_check(d: int, seed: int = 0, tol: float = DEFAULT_TOL) -> 
     return rep
 
 
+def _sizes(variant: str, d: int | None, n: int | None) -> tuple[int | None, int]:
+    """Resolve a variant's ``(d, D)``: ``basic2`` fixes ``d = 2``, n qubits need n."""
+    if variant in QUDIT_VARIANTS:
+        if variant == "basic2":
+            d = 2
+        if d is None:
+            raise ValueError("qudit variant needs d")
+        return d, d
+    if variant in NQUBIT_VARIANTS:
+        if n is None:
+            raise ValueError("n-qubit variant needs n")
+        return d, 2**n
+    raise ValueError(f"unknown variant {variant!r}")
+
+
 @dataclass
 class _Outcomes:
     """The label-independent half of one variant's right-hand side.
 
+    ``labels`` are the outcome labels in ``bell_unitaries`` order.
     ``meas`` is the K x D^2 stack of measurement vectors:
     ``(U_a x 1)|Omega>`` for the ``*11`` variants, ``(U_a x M)|Omega>``
     for the ``*22`` ones.  ``forward`` and ``inverse`` hold, per outcome,
-    ``U_a`` and ``U_a^dag`` as matrices for qudits, ``T(a)`` and
-    ``T^dag(a)`` as symbolic words for n qubits.  Built once per suite
-    call and shared by every resource label.
+    the matrices ``U_a`` and ``U_a^dag`` (``T(a)`` and ``T^dag(a)`` for
+    n qubits).  Built once per suite call and shared by every resource
+    label.
     """
 
+    labels: list
     meas: np.ndarray
     forward: list
     inverse: list
 
 
 def _outcomes(variant: str, m: np.ndarray, d: int | None = None, n: int | None = None) -> _Outcomes:
-    if variant in QUDIT_VARIANTS:
-        forward = mats = [gen_word_matrix(w) for w in _qudit_words(d)]
-        inverse = [dagger(u) for u in mats]
-    else:
-        forward = _nqubit_words(n)
-        mats = [word_matrix(w) for w in forward]
-        inverse = [word_dagger(w) for w in forward]
+    labels, mats = bell_unitaries(d=d) if variant in QUDIT_VARIANTS else bell_unitaries(n=n)
     right = m if variant in UNITARY_M_REQUIRED else None
     meas = np.array([bell_vector(u, right) for u in mats])
-    return _Outcomes(meas, forward, inverse)
+    return _Outcomes(labels, meas, mats, [dagger(u) for u in mats])
 
 
 def _assemble(
@@ -138,33 +147,27 @@ def _assemble(
 
     LHS is ``psi x resource``.  RHS is ``(1/D) sum_a meas_a x out_a``,
     computed as ``(meas.T @ outs).reshape(-1) / D`` with ``outs`` the K x D
-    stack of receiver states.  ``out_a`` is ``[M] U_b^T U_a^dag psi`` for
-    qudits and ``[M] T(T^dag(a'b') T^dag(a)) psi`` for n qubits, the
-    correction word composed symbolically (``[M]`` on the ``*11`` forms
-    only).  ``corrupt`` leaves the outcome word undaggered, the
-    linearity-reduction falsifiability control.
+    stack of receiver states ``out_a = [M] U_b^T U_a^dag psi`` (``[M]`` on
+    the ``*11`` forms only).  One formula serves qudits and n qubits: a
+    Pauli word is a real signed permutation, so ``T(b)^T = T^dag(b)`` and
+    the n-qubit correction ``T^dag(b) T^dag(a) psi`` is the same product.
+    ``corrupt`` leaves ``U_a`` undaggered, the linearity-reduction
+    falsifiability control.
     """
     m, psi = case.m, case.psi
-    eleven = case.variant not in UNITARY_M_REQUIRED
     if case.variant in QUDIT_VARIANTS:
-        dim = case.d
-        t_b = gen_word_matrix(GenPauliWord(dim, *case.label))
-        undo = out.forward if corrupt else out.inverse
-        outs = np.array([u @ psi for u in undo]) @ t_b  # rows (U_b^T U_a^dag psi)^T
+        t_b = gen_u(case.d, *case.label)
     else:
-        dim = 2**case.n
-        ab_word = PauliWord(*case.label)
-        t_b = word_matrix(ab_word)
-        left = word_dagger(ab_word)
-        undo = out.forward if corrupt else out.inverse
-        outs = np.array([word_matrix(word_mul(left, w)) @ psi for w in undo])
-    if eleven:
+        t_b = word_matrix(PauliWord(*case.label))
+    undo = out.forward if corrupt else out.inverse
+    outs = np.array([u @ psi for u in undo]) @ t_b  # rows (U_b^T U_a^dag psi)^T
+    if case.variant in UNITARY_M_REQUIRED:
+        resource = bell_vector(m @ t_b)  # |M Omega(b)>
+    else:
         resource = bell_vector(t_b, m)  # |Omega M^T(b)>
         outs = outs @ m.T
-    else:
-        resource = bell_vector(m @ t_b)  # |M Omega(b)>
     lhs = np.kron(psi, resource)
-    rhs = (out.meas.T @ outs).reshape(-1) / dim
+    rhs = (out.meas.T @ outs).reshape(-1) / t_b.shape[0]
     return lhs, rhs
 
 
@@ -194,20 +197,7 @@ def teleport_eq_suite(
     rep = Report(
         "teleport-eq", {"variant": variant, "d": d, "n": n, "m": m_mode}, tolerance=tol, seed=seed
     )
-    if variant in QUDIT_VARIANTS:
-        if variant == "basic2":
-            d = 2
-        if d is None:
-            raise ValueError("qudit variant needs d")
-        dim = d
-        labels = [(a, b) for a in range(d) for b in range(d)]
-    elif variant in NQUBIT_VARIANTS:
-        if n is None:
-            raise ValueError("n-qubit variant needs n")
-        dim = 2**n
-        labels = list(all_labels(n))
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    d, dim = _sizes(variant, d, n)
     psi = random_state(dim, rng)
     if variant == "basic2" or m_mode == "identity":
         m = identity(dim)
@@ -216,7 +206,7 @@ def teleport_eq_suite(
     else:
         m = haar_unitary(dim, rng)
     out = _outcomes(variant, m, d, n)
-    for lab in labels:
+    for lab in out.labels:
         case = TeleportEqCase(variant, psi, m, lab, d=d, n=n)
         lhs, rhs = _assemble(case, out)
         rep.add(f"label={lab}", residual(lhs, rhs))
@@ -244,8 +234,9 @@ def projective_eq_check(
     receiver picks up U_a^dag psi (correction U_a).
     ``projective_qudit11``: measure in |Omega(a)>, resource (1 x M)|Omega>,
     receiver picks up M U_a^dag psi (correction U_a M^dag).
-    ``projective_nqubit``: measure in |B(ab)>, resource |B>, receiver
-    picks up T^dag(ab) psi.
+    ``projective_nqubit``: ``projective_qudit`` over the n-qubit family
+    with ``M = 1``: measure in |B(ab)>, resource |B>, receiver picks up
+    T^dag(ab) psi.  Only the qudit variants draw M (before psi).
     """
     rng = np.random.default_rng(seed)
     rep = Report(
@@ -258,34 +249,29 @@ def projective_eq_check(
             m = haar_unitary(d, rng)
         if not is_unitary(m):
             raise ValueError("projective qudit variants require unitary M")
-        psi = random_state(d, rng)
-        eleven = variant == "projective_qudit11"
-        resource = bell_vector(identity(d), m) if eleven else bell_vector(m)
-        prepared = np.kron(psi, resource).reshape(d * d, d)
-        for w in _qudit_words(d):
-            ua = gen_word_matrix(w)
-            if eleven:
-                meas = bell_vector(ua)  # |Omega(a)>
-                receiver = m @ dagger(ua) @ psi
-            else:
-                meas = bell_vector(ua, m)  # |Omega M^T(a)>
-                receiver = dagger(ua) @ psi
-            lhs = np.kron(meas, meas.conj() @ prepared)
-            rhs = np.kron(meas, receiver) / d
-            rep.add(f"outcome={w.alpha, w.beta}", residual(lhs, rhs))
+        labels, mats = bell_unitaries(d=d)
     elif variant == "projective_nqubit":
         if n is None:
             raise ValueError("n-qubit variant needs n")
-        dim = 2**n
-        psi = random_state(dim, rng)
-        prepared = np.kron(psi, omega(dim)).reshape(dim * dim, dim)
-        for w in _nqubit_words(n):
-            meas = bell_vector(word_matrix(w))
-            lhs = np.kron(meas, meas.conj() @ prepared)
-            rhs = np.kron(meas, word_matrix(word_dagger(w)) @ psi) / dim
-            rep.add(f"outcome={w.z_exps, w.x_exps}", residual(lhs, rhs))
+        m = identity(2**n)
+        labels, mats = bell_unitaries(n=n)
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    dim = m.shape[0]
+    psi = random_state(dim, rng)
+    eleven = variant == "projective_qudit11"
+    resource = bell_vector(identity(dim), m) if eleven else bell_vector(m)
+    prepared = np.kron(psi, resource).reshape(dim * dim, dim)
+    for label, ua in zip(labels, mats):
+        if eleven:
+            meas = bell_vector(ua)  # |Omega(a)>
+            receiver = m @ dagger(ua) @ psi
+        else:
+            meas = bell_vector(ua, m)  # |Omega M^T(a)>
+            receiver = dagger(ua) @ psi
+        lhs = np.kron(meas, meas.conj() @ prepared)
+        rhs = np.kron(meas, receiver) / dim
+        rep.add(f"outcome={label}", residual(lhs, rhs))
     return rep
 
 
@@ -313,9 +299,9 @@ def protocol_outcomes(
 ):
     """Deterministic outcome table: (label, probability, fidelity, output, correction).
 
-    The correction is composed symbolically (a Pauli word) and only then
-    materialized; for the qudit protocol the extra M^dag factor is
-    numeric.  A non-default ``resource`` (e.g. a Schmidt-skewed state)
+    Outcomes and corrections come from ``bell_unitaries``: outcome ``a``
+    is corrected by ``U_a M^dag`` for qudits and by ``T(a)`` for n qubits
+    (``M = 1``).  A non-default ``resource`` (e.g. a Schmidt-skewed state)
     is allowed so that loss of fidelity can be demonstrated.
     """
     psi = np.asarray(psi, dtype=complex)
@@ -327,18 +313,17 @@ def protocol_outcomes(
             raise ValueError("protocol requires a unitary M")
         if resource is None:
             resource = bell_vector(identity(dim), m)
-        outcomes = [((w.alpha, w.beta), gen_word_matrix(w)) for w in _qudit_words(dim)]
+        labels, mats = bell_unitaries(d=dim)
         m_dag, name = dagger(m), "U({},{})·M†"
     elif variant == "nqubit":
         if resource is None:
             resource = omega(dim)
-        n = dim.bit_length() - 1
-        outcomes = [((w.z_exps, w.x_exps), word_matrix(w)) for w in _nqubit_words(n)]
+        labels, mats = bell_unitaries(n=dim.bit_length() - 1)
         m_dag, name = identity(dim), "T({},{})"  # M = 1 for n qubits
     else:
         raise ValueError(f"unknown protocol variant {variant!r}")
     prepared = np.kron(psi, resource).reshape(dim * dim, dim)
-    for label, u in outcomes:
+    for label, u in zip(labels, mats):
         branch = bell_vector(u).conj() @ prepared  # (<Omega(a)| x 1)(psi x resource)
         prob = float(np.linalg.norm(branch) ** 2)
         post = branch / np.linalg.norm(branch)
@@ -401,18 +386,8 @@ def linearity_reduction_check(
     rep = Report(
         "linearity-reduction", {"variant": variant, "d": d, "n": n}, tolerance=tol, seed=seed
     )
-    if variant in QUDIT_VARIANTS:
-        if variant == "basic2":
-            d = 2
-        if d is None:
-            raise ValueError("qudit variant needs d")
-        dim, label = d, (0, 1)
-    elif variant in NQUBIT_VARIANTS:
-        if n is None:
-            raise ValueError("n-qubit variant needs n")
-        dim, label = 2**n, (tuple([0] * n), tuple([1] * n))
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    d, dim = _sizes(variant, d, n)
+    label = (0, 1) if variant in QUDIT_VARIANTS else ((0,) * n, (1,) * n)
     out = _outcomes(variant, identity(dim), d, n)
 
     def sides(psi, corrupt=False):

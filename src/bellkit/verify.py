@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import all_labels, bell_vector, embed, multi_bell, omega, qudit_bell
+from .bell import all_labels, bell_unitaries, bell_vector, embed, omega
 from .linalg import (
     DEFAULT_TOL,
     basis_state,
@@ -28,7 +28,7 @@ from .linalg import (
     residual,
     tensor,
 )
-from .pauli import all_words, gen_u, gen_x, gen_z, pauli_gate, word_matrix
+from .pauli import gen_x, gen_z, pauli_gate
 from .report import Report
 
 
@@ -57,26 +57,22 @@ def qubit_bell_family() -> BasisFamily:
 
 
 def qudit_bell_family(d: int) -> BasisFamily:
-    labels = [(a, b) for a in range(d) for b in range(d)]
-    unitaries = [gen_u(d, a, b) for a, b in labels]
-    return BasisFamily(
-        dim=d * d,
-        states=[bell_vector(u) for u in unitaries],
-        labels=labels,
-        unitaries=unitaries,
-        base=omega(d),
-    )
+    return _bell_family(*bell_unitaries(d=d))
 
 
 def multi_bell_family(n: int) -> BasisFamily:
-    words = list(all_words(n))
-    unitaries = [word_matrix(w) for w in words]
+    return _bell_family(*bell_unitaries(n=n))
+
+
+def _bell_family(labels: list, unitaries: list[np.ndarray]) -> BasisFamily:
+    """States ``(U_a x 1)|Omega>`` of one ``bell_unitaries`` family."""
+    local = unitaries[0].shape[0]
     return BasisFamily(
-        dim=4**n,
+        dim=local * local,
         states=[bell_vector(u) for u in unitaries],
-        labels=[(w.z_exps, w.x_exps) for w in words],
+        labels=labels,
         unitaries=unitaries,
-        base=omega(2**n),
+        base=omega(local),
     )
 
 
@@ -242,8 +238,8 @@ def qudit_observables(d: int, k: int) -> list[ObservableSpec]:
     oz_p = (b + dagger(b)) / 2
     oz_m = -1j * (b - dagger(b)) / 2
 
-    labels = [(al, be) for al in range(d) for be in range(d)]
-    states = {lab: qudit_bell(d, *lab) for lab in labels}
+    labels, unitaries = bell_unitaries(d=d)
+    states = {lab: bell_vector(u) for lab, u in zip(labels, unitaries)}
 
     def pairs(eigval):
         return [(lab, eigval(*lab), states[lab]) for lab in labels]
@@ -290,8 +286,8 @@ def multiqubit_observables(n: int) -> list[ObservableSpec]:
     """Phase-bit X_k X_{n+k} and parity-bit Z_k Z_{n+k} pairs, k = 1..n."""
     if not 1 <= n <= 5:
         raise ValueError("n must be in 1..5")
-    labels = list(all_labels(n))
-    states = {lab: multi_bell(n, *lab) for lab in labels}
+    labels, unitaries = bell_unitaries(n=n)
+    states = {lab: bell_vector(u) for lab, u in zip(labels, unitaries)}
     x, z = pauli_gate("X"), pauli_gate("Z")
     specs = []
     for k in range(1, n + 1):
@@ -345,17 +341,12 @@ def trace_system(n: int) -> tuple[np.ndarray, np.ndarray, list]:
     Unknowns are the row-major entries of the 2^n x 2^n matrix I; row
     order follows the lexicographic (alpha, beta) label order.
     """
-    dim = 2**n
-    words = list(all_words(n))
-    mat = np.zeros((4**n, dim * dim))
-    for r, w in enumerate(words):
-        t = word_matrix(w).real  # tensor words of Z, X are real matrices
-        for i in range(dim):
-            for j in range(dim):
-                mat[r, i * dim + j] = t[j, i]
+    labels, words = bell_unitaries(n=n)
+    # tr(I T) = sum_ij I[i, j] T[j, i]; tensor words of Z, X are real matrices.
+    mat = np.array([t.real.T.reshape(-1) for t in words])
     rhs = np.zeros(4**n)
-    rhs[0] = dim  # the all-zero label comes first
-    return mat, rhs, [(w.z_exps, w.x_exps) for w in words]
+    rhs[0] = 2**n  # the all-zero label comes first
+    return mat, rhs, labels
 
 
 APPENDIX_N1_MATRIX = np.array(

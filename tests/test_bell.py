@@ -6,6 +6,7 @@ from bellkit.bell import (
     Circuit,
     all_labels,
     bell2,
+    bell_unitaries,
     concurrence,
     concurrence_oracle,
     expand_in_bell_basis,
@@ -26,9 +27,15 @@ from bellkit.linalg import (
     residual,
     tensor,
     tensor_all,
-    transpose,
 )
-from bellkit.pauli import PauliWord, bits_to_int, pauli_gate, word_matrix
+from bellkit.pauli import (
+    GenPauliWord,
+    PauliWord,
+    bits_to_int,
+    gen_word_matrix,
+    pauli_gate,
+    word_matrix,
+)
 
 
 def rand_complex(rng, shape):
@@ -57,7 +64,7 @@ def test_m_shift_identity():
     for d in range(2, 9):
         m = rand_complex(rng, (d, d))
         lhs = tensor(m, identity(d)) @ omega(d)
-        rhs = tensor(identity(d), transpose(m)) @ omega(d)
+        rhs = tensor(identity(d), m.T) @ omega(d)
         assert residual(lhs, rhs) < 1e-12
 
 
@@ -260,3 +267,30 @@ def test_qasm_export():
 def test_bell_expansion_type():
     exp = BellExpansion(1, np.eye(2, dtype=complex) / np.sqrt(2))
     assert abs(exp.coefficient(0, 0) - 1 / np.sqrt(2)) < 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_bell_unitaries_qudit_exact(d):
+    labels, mats = bell_unitaries(d=d)
+    assert labels == [(a, b) for a in range(d) for b in range(d)]
+    assert len(mats) == d * d
+    for (a, b), u in zip(labels, mats):
+        assert residual(u, gen_word_matrix(GenPauliWord(d, a, b))) == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bell_unitaries_nqubit_exact(n):
+    labels, mats = bell_unitaries(n=n)
+    assert labels == list(all_labels(n))
+    assert labels == sorted(labels) and len(set(labels)) == 4**n
+    assert labels[1] == ((0,) * n, (0,) * (n - 1) + (1,))
+    for (a, b), u in zip(labels, mats):
+        assert residual(u, word_matrix(PauliWord(a, b))) == 0
+        assert residual(u.T, dagger(u)) == 0  # real signed permutation
+
+
+def test_bell_unitaries_needs_exactly_one_size():
+    with pytest.raises(ValueError):
+        bell_unitaries()
+    with pytest.raises(ValueError):
+        bell_unitaries(d=2, n=1)

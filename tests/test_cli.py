@@ -228,3 +228,25 @@ def test_known_control_flags_accepted(suite, flag, values, capsys):
     for value in values:
         assert run(["verify", suite, flag, value]) in (0, 1), (suite, value)
         capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["verify", "concurrence", "--n", "0"], "--n"),
+        (["verify", "concurrence", "--n", "-1"], "--n"),
+        (["verify", "projective-eq", "--variant", "nqubit", "--n", "-2"], "--n"),
+        (["verify", "basis-group", "--family", "multi", "--n", "0"], "--n"),
+        (["verify", "gram", "--family", "qudit", "--d", "1"], "--d"),
+        (["teleport", "--variant", "nqubit", "--n", "-1"], "--n"),
+        (["teleport", "--variant", "qudit", "--d", "0"], "--d"),
+        (["teleport", "--samples", "-1"], "--samples"),
+        (["teleport", "--samples", "0"], "--samples"),
+    ],
+)
+def test_out_of_range_size_exit_two(argv, flag, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{flag} must be at least"), lines

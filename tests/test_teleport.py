@@ -171,3 +171,17 @@ def test_bad_variant_rejected():
 def test_unknown_m_mode_rejected(variant, kw):
     with pytest.raises(ValueError, match="m_mode"):
         teleport_eq_suite(variant, m_mode="haar", **kw)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize(
+    "base,modes", [("qudit11", ("identity", "unitary", "general")), ("qudit22", ("identity", "unitary"))]
+)
+def test_primed_variants_are_aliases(base, modes, d):
+    # qudit11p/qudit22p are documented aliases: same case ids, bit-identical residuals.
+    for m_mode in modes:
+        for seed in (0, 5):
+            want = teleport_eq_suite(base, d=d, seed=seed, m_mode=m_mode).cases
+            got = teleport_eq_suite(base + "p", d=d, seed=seed, m_mode=m_mode).cases
+            assert [c.case_id for c in got] == [c.case_id for c in want]
+            assert [c.residual for c in got] == [c.residual for c in want]
