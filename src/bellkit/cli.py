@@ -26,6 +26,12 @@ from .report import Report
 TOL_FLOOR = 1e-15
 TOL_CEILING = 1e-6
 
+# basis-group compares all N^2 products of its N = d^3 (qudit) or 2*4^n
+# (multi) candidates with every member; above these sizes that no longer
+# finishes in seconds, so it is refused up front.
+BASIS_GROUP_MAX_D = 7
+BASIS_GROUP_MAX_N = 3
+
 
 def _choice(value: str, flag: str, allowed: tuple[str, ...]) -> None:
     """Reject a control-flag value the suite does not distinguish (exit 2)."""
@@ -208,7 +214,11 @@ def _suite_trace_constraint(args) -> Report:
 
 def _suite_basis_group(args) -> Report:
     if args.family == "multi":
+        if args.n > BASIS_GROUP_MAX_N:
+            raise ValueError(f"basis-group --n must be at most {BASIS_GROUP_MAX_N}, got {args.n}")
         return basis_group_check(qubit_word_set(args.n), 2**args.n, args.tol)
+    if args.d > BASIS_GROUP_MAX_D:
+        raise ValueError(f"basis-group --d must be at most {BASIS_GROUP_MAX_D}, got {args.d}")
     return basis_group_check(qudit_word_set(args.d), args.d, args.tol)
 
 
@@ -323,7 +333,7 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if not _at_least(args, n=1, d=2, trials=1):
+    if not _at_least(args, n=1, d=2, trials=1, conjugated=0):
         return 2
     if args.seed is None:
         args.seed = _default_seed()

@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, fold, hs_inner, identity, residual
+from .linalg import DEFAULT_TOL, fold, identity, residual
 from .report import Report
 
 # ---------------------------------------------------------------------------
@@ -251,13 +251,64 @@ def qudit_word_set(d: int) -> list[np.ndarray]:
     ]
 
 
+# Each temporary of the closure check holds at most this many bytes, so the
+# check's extra working set stays near 2 MiB whatever the candidate count.
+_CHUNK_BYTES = 1 << 19
+
+
+def _nearest_residuals(count: int, build, mats: np.ndarray) -> np.ndarray:
+    """``min_w max|P - w|`` over the members ``w`` of ``mats``, for each of
+    ``count`` matrices ``P``; ``build(lo, hi)`` stacks ``P[lo:hi]``.
+
+    Equal to folding ``residual(P, w)`` over every member with ``np.min``,
+    NaN included.  One GEMM gives every squared Frobenius distance
+    ``F2 = |P|^2 + |w|^2 - 2 Re<w, P>``; the Frobenius-nearest member
+    ``w*`` gives ``ub = max|P - w*|``.  As ``max|x| >= |x|_F / d``, only
+    members with ``F2 <= d^2 ub^2 + slack`` can do better, where ``slack``
+    is twice a bound on the rounding of both sides.  Those members get the
+    exact ``max|P - w|``, and so does every member for a ``P`` whose row
+    of ``F2`` is not finite (a NaN or inf entry, or overflow).  Every
+    returned value is such an exact residual against a real member, so a
+    pruning error could only raise it, never lower it.
+    """
+    size = mats[0].size
+    flat = mats.reshape(len(mats), size)
+    sq_w = (flat.real**2 + flat.imag**2).sum(axis=1)
+    flat_h = flat.conj().T.copy()
+    rel = 8 * (size + 2) * np.finfo(float).eps
+    floor = rel * sq_w.max() + np.finfo(float).tiny
+    step = max(1, _CHUNK_BYTES // (16 * max(len(mats), size)))
+    pair_step = max(1, _CHUNK_BYTES // (16 * size))
+    out = np.empty(count)
+    for lo in range(0, count, step):
+        prods = build(lo, min(lo + step, count))
+        flat_p = prods.reshape(len(prods), size)
+        sq_p = (flat_p.real**2 + flat_p.imag**2).sum(axis=1)
+        f2 = (flat_p @ flat_h).real
+        f2 *= -2.0
+        f2 += sq_w
+        f2 += sq_p[:, None]
+        best = np.argmin(f2, axis=1)
+        ub = np.abs(prods - mats[best]).max(axis=(1, 2))
+        bound = size * ub**2
+        bound += rel * (sq_p + bound) + floor
+        near = f2 <= bound[:, None]
+        near[~np.isfinite(f2.sum(axis=1))] = True
+        rows, cols = np.nonzero(near)
+        for k in range(0, rows.size, pair_step):
+            r, c = rows[k:k + pair_step], cols[k:k + pair_step]
+            np.minimum.at(ub, r, np.abs(prods[r] - mats[c]).max(axis=(1, 2)))
+        out[lo:lo + len(prods)] = ub
+    return out
+
+
 def basis_group_check(words, d: int, tol: float = DEFAULT_TOL) -> Report:
     """Verify that a finite set of matrices forms a basis group.
 
     Checks (i) every element unitary, (ii) closure under multiplication
     and conjugate transpose, (iii) Hilbert-Schmidt orthonormality of one
     phase representative per coset.  A closure violation is reported
-    with the witness pair in the case id.
+    with the witness pair (product) or index (adjoint) in the case id.
     """
     mats = [np.asarray(w, dtype=complex) for w in words]
     if not mats:
@@ -267,23 +318,31 @@ def basis_group_check(words, d: int, tol: float = DEFAULT_TOL) -> Report:
     eye = identity(d)
     rep.add("unitary", fold(residual(m.conj().T @ m, eye) for m in mats))
 
-    def match_dist(m):
-        return fold((residual(m, w) for w in mats), np.min, np.inf)
+    stack = np.stack(mats)
+    count = len(mats)
 
-    dists = np.array([[match_dist(a @ b) for b in mats] for a in mats])
+    def products(lo, hi):
+        i, j = np.divmod(np.arange(lo, hi), count)
+        return np.matmul(stack[i], stack[j])
+
+    dists = _nearest_residuals(count * count, products, stack).reshape(count, count)
     # argmax returns the first NaN if there is one, else the first worst pair.
     i, j = np.unravel_index(np.argmax(dists), dists.shape)
     worst = fold(dists.flat)
     rep.add("closure-mul" + (f" witness=({i},{j})" if not worst < tol else ""), worst)
 
-    rep.add("closure-dagger", fold(match_dist(m.conj().T) for m in mats))
+    adjoints = stack.conj().transpose(0, 2, 1)
+    dists = _nearest_residuals(count, lambda lo, hi: adjoints[lo:hi], stack)
+    worst = fold(dists)
+    rep.add("closure-dagger" + (f" witness=({np.argmax(dists)})" if not worst < tol else ""), worst)
 
     # One representative per global-phase coset; for unitaries u, v the
-    # coset test is |tr(u^dagger v)| = d.
-    reps: list[np.ndarray] = []
-    for m in mats:
-        if not any(abs(abs(hs_inner(r, m)) - 1.0) < 1e-9 for r in reps):
+    # coset test is |tr(u^dagger v)| = d.  hs[a, b] = tr(a^dagger b) / d.
+    flat = stack.reshape(count, -1)
+    hs = flat.conj() @ flat.T / stack.shape[1]
+    reps: list[int] = []
+    for m in range(count):
+        if not np.any(np.abs(np.abs(hs[reps, m]) - 1.0) < 1e-9):
             reps.append(m)
-    gram = np.array([[hs_inner(a, b) for b in reps] for a in reps])
-    rep.add("hs-orthonormal", residual(gram, np.eye(len(reps))))
+    rep.add("hs-orthonormal", residual(hs[np.ix_(reps, reps)], np.eye(len(reps))))
     return rep

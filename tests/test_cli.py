@@ -242,6 +242,7 @@ def test_known_control_flags_accepted(suite, flag, values, capsys):
         (["teleport", "--variant", "qudit", "--d", "0"], "--d"),
         (["teleport", "--samples", "-1"], "--samples"),
         (["teleport", "--samples", "0"], "--samples"),
+        (["verify", "observables", "--family", "qudit", "--d", "3", "--conjugated", "-1"], "--conjugated"),
     ],
 )
 def test_out_of_range_size_exit_two(argv, flag, capsys):
@@ -250,3 +251,33 @@ def test_out_of_range_size_exit_two(argv, flag, capsys):
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"{flag} must be at least"), lines
+
+
+@pytest.mark.parametrize(
+    "argv,flag,cap",
+    [
+        (["--family", "qudit", "--d", "8"], "--d", 7),
+        (["--family", "qudit", "--d", "20"], "--d", 7),
+        (["--family", "qubit", "--d", "8"], "--d", 7),
+        (["--family", "multi", "--n", "4"], "--n", 3),
+        (["--family", "multi", "--n", "5"], "--n", 3),
+    ],
+)
+def test_basis_group_size_cap_exit_two(argv, flag, cap, monkeypatch, capsys):
+    from bellkit import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the closure check ran above its size cap")
+
+    # a check that reached the closure would fail here instead of running for hours
+    monkeypatch.setattr(cli, "basis_group_check", never)
+    assert run(["verify", "basis-group", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and f"basis-group {flag} must be at most {cap}" in lines[0], lines
+
+
+def test_basis_group_at_size_cap_runs(capsys):
+    assert run(["verify", "basis-group", "--family", "multi", "--n", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True

@@ -2,13 +2,14 @@
 
 Every oracle here is the Kronecker-product or digit-loop form the library
 used before its kernels were rewritten by reshape, scatter and transform,
-or before braid and Temperley-Lieb relations moved to the generators'
-joint support.
+before braid and Temperley-Lieb relations moved to the generators' joint
+support, or before the basis-group closure was batched.
 The oracles live only in this file.  Where every entry compared is 0 or
 +-1 the two routes must agree exactly; elsewhere to 1e-15, which is a few
 ulps of the O(1) entries involved.
 """
 
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -28,7 +29,10 @@ from bellkit.bell import (
 )
 from bellkit.braid import bell_transform, braid_rep_check, tl_generators, tl_relation_check
 from bellkit.linalg import (
+    DEFAULT_TOL,
+    fold,
     haar_unitary,
+    hs_inner,
     identity,
     permutation_matrix,
     random_state,
@@ -39,14 +43,19 @@ from bellkit.linalg import (
 from bellkit.pauli import (
     GenPauliWord,
     PauliWord,
+    _nearest_residuals,
+    basis_group_check,
     gen_word_matrix,
     gen_x,
     omega_root,
     pauli_gate,
+    qubit_word_set,
+    qudit_word_set,
     word_dagger,
     word_matrix,
     word_mul,
 )
+from bellkit.report import Report
 from bellkit.teleport import (
     QUDIT_VARIANTS,
     UNITARY_M_REQUIRED,
@@ -198,6 +207,36 @@ def dense_braid_cases(n_strands, gate):
         for i in range(len(gens) - 1)
     ]
     return cases + dense_far_cases(gens)
+
+
+def dense_nearest(cands, mats):
+    """min over the members of residual(P, w), one residual call per pair."""
+    return np.array([fold((residual(p, w) for w in mats), np.min, np.inf) for p in cands])
+
+
+def dense_basis_group_check(words, d, tol=DEFAULT_TOL):
+    """basis_group_check by the N^3 loop: every product and adjoint compared
+    with every member by residual, the HS Gram entry by entry.
+
+    Returns the report and the per-product and per-adjoint nearest residuals.
+    """
+    mats = [np.asarray(w, dtype=complex) for w in words]
+    rep = Report("basis-group", {"d": d, "size": len(mats)}, tolerance=tol)
+    rep.add("unitary", fold(residual(m.conj().T @ m, identity(d)) for m in mats))
+    mul = dense_nearest([a @ b for a in mats for b in mats], mats).reshape(len(mats), -1)
+    i, j = np.unravel_index(np.argmax(mul), mul.shape)
+    worst = fold(mul.flat)
+    rep.add("closure-mul" + (f" witness=({i},{j})" if not worst < tol else ""), worst)
+    dag = dense_nearest([m.conj().T for m in mats], mats)
+    worst = fold(dag)
+    rep.add("closure-dagger" + (f" witness=({np.argmax(dag)})" if not worst < tol else ""), worst)
+    reps = []
+    for m in mats:
+        if not any(abs(abs(hs_inner(r, m)) - 1.0) < 1e-9 for r in reps):
+            reps.append(m)
+    gram = np.array([[hs_inner(a, b) for b in reps] for a in reps])
+    rep.add("hs-orthonormal", residual(gram, np.eye(len(reps))))
+    return rep, mul, dag
 
 
 # ---------------------------------------------------------------------------
@@ -406,3 +445,102 @@ BRAID_GATES["CNOT"] = Circuit(2, [("CNOT", (0, 1))]).to_matrix()
 def test_braid_relations_match_dense_generators(strands, gate):
     mat = BRAID_GATES[gate]
     _assert_cases_match(braid_rep_check(strands, gate=mat), dense_braid_cases(strands, mat))
+
+
+# ---------------------------------------------------------------------------
+# basis-group closure
+
+
+def _perturbed(words, index, delta):
+    out = [w.copy() for w in words]
+    r, c = np.argwhere(out[index] != 0)[0]
+    out[index][r, c] += delta
+    return out
+
+
+BASIS_GROUP_SETS = {
+    **{f"qudit-{d}": (lambda d=d: qudit_word_set(d), d) for d in (2, 3, 4, 5)},
+    **{f"multi-{n}": (lambda n=n: qubit_word_set(n), 2**n) for n in (1, 2)},
+    "qudit-3-dropped": (lambda: qudit_word_set(3)[:4] + qudit_word_set(3)[5:], 3),
+    "qudit-3-perturbed-1e-13": (lambda: _perturbed(qudit_word_set(3), 5, 1e-13), 3),
+    "qudit-3-perturbed-1e-6": (lambda: _perturbed(qudit_word_set(3), 5, 1e-6), 3),
+    "qudit-2-haar": (lambda: qudit_word_set(2) + [haar_unitary(2, np.random.default_rng(3))], 2),
+    "one-diag": (lambda: [np.eye(2), np.diag([1.0, 2.0])], 2),
+    "qudit-3-nan": (lambda: _perturbed(qudit_word_set(3), 7, np.nan), 3),
+    "qudit-3-inf": (lambda: _perturbed(qudit_word_set(3), 7, np.inf), 3),
+    "multi-1-nan": (lambda: _perturbed(qubit_word_set(1), 3, np.nan), 2),
+    # |P|^2 + |w|^2 - 2 Re<w, P> overflows to inf - inf: F2 gives no ranking
+    "overflow": (lambda: [1e160 * np.diag([1.0, 1.5]), 1e160 * np.eye(2)], 2),
+}
+
+
+@cache
+def _dense_basis_group(name):
+    """(words, d, report, per-product and per-adjoint residuals) of the dense loop."""
+    build, d = BASIS_GROUP_SETS[name]
+    words = build()
+    return words, d, *dense_basis_group_check(words, d)
+
+
+def _assert_reports_match(new, old):
+    a, b = new.to_dict(), old.to_dict()
+    assert [c["id"] for c in a["cases"]] == [c["id"] for c in b["cases"]]
+    assert [c["pass"] for c in a["cases"]] == [c["pass"] for c in b["cases"]]
+    # NaN and inf must sit at the same cases on both sides
+    np.testing.assert_allclose(
+        [c["residual"] for c in a["cases"]], [c["residual"] for c in b["cases"]], rtol=0, atol=1e-15
+    )
+
+
+@pytest.mark.parametrize("name", list(BASIS_GROUP_SETS))
+def test_basis_group_check_matches_dense_loop(name):
+    words, d, old, _, _ = _dense_basis_group(name)
+    _assert_reports_match(basis_group_check(words, d), old)
+
+
+@pytest.mark.parametrize("name", list(BASIS_GROUP_SETS))
+def test_nearest_residual_never_below_dense_loop(name):
+    """Per product and per adjoint, on the oracle's own matrices."""
+    words, _, _, old_mul, old_dag = _dense_basis_group(name)
+    mats = [np.asarray(w, dtype=complex) for w in words]
+    stack = np.stack(mats)
+    for cands, old in (
+        (np.array([a @ b for a in mats for b in mats]), old_mul.reshape(-1)),
+        (stack.conj().transpose(0, 2, 1), old_dag),
+    ):
+        new = _nearest_residuals(len(cands), lambda lo, hi, c=cands: c[lo:hi], stack)
+        assert not np.any(new < old)  # a pruning error may only raise a residual
+        np.testing.assert_array_equal(new, old)  # and none happened
+
+
+def test_adversarial_sets_fail_with_witnesses():
+    """The adversarial sets above do break closure, so the match covers failing reports."""
+    for name in ("qudit-3-dropped", "qudit-3-perturbed-1e-6", "qudit-2-haar", "one-diag"):
+        ids = [c.case_id for c in _dense_basis_group(name)[2].cases]
+        assert ids[1].startswith("closure-mul witness=("), (name, ids)
+    # a NaN member makes every nearest residual NaN: the first one is the witness
+    ids = [c.case_id for c in _dense_basis_group("qudit-3-nan")[2].cases]
+    assert ids[1:3] == ["closure-mul witness=(0,0)", "closure-dagger witness=(0)"]
+    # an inf entry times a zero is NaN in the products with that member
+    rep = _dense_basis_group("qudit-3-inf")[2]
+    assert rep.cases[1].case_id == "closure-mul witness=(0,7)" and np.isnan(rep.cases[1].residual)
+
+
+@st.composite
+def basis_group_variants(draw):
+    """A random subset of qudit_word_set(3) or qubit_word_set(1), perhaps with one entry moved."""
+    words, d = draw(st.sampled_from([(qudit_word_set(3), 3), (qubit_word_set(1), 2)]))
+    keep = draw(st.lists(st.booleans(), min_size=len(words), max_size=len(words)))
+    words = [w for w, k in zip(words, keep) if k] or words[:1]
+    if draw(st.booleans()):
+        delta = draw(st.sampled_from([1e-15, 1e-13, 1e-9, 1e-6, 1e-2, 1.0]))
+        delta *= draw(st.sampled_from([1, -1, 1j]))
+        words = _perturbed(words, draw(st.integers(0, len(words) - 1)), delta)
+    return words, d
+
+
+@given(basis_group_variants())
+@FAST
+def test_basis_group_check_matches_dense_loop_on_variants(case):
+    words, d = case
+    _assert_reports_match(basis_group_check(words, d), dense_basis_group_check(words, d)[0])

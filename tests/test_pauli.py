@@ -163,6 +163,14 @@ def test_basis_group_check():
         basis_group_check([], 2)
 
 
+def test_closure_dagger_witness():
+    # Z^dagger = Z^2 is missing from {1, Z}; the worst adjoint is index 1
+    ids = [c.case_id for c in basis_group_check([np.eye(3), gen_z(3)], 3).cases]
+    assert ids == ["unitary", "closure-mul witness=(1,1)", "closure-dagger witness=(1)", "hs-orthonormal"]
+    ids = [c.case_id for c in basis_group_check(qudit_word_set(3), 3).cases]
+    assert ids == ["unitary", "closure-mul", "closure-dagger", "hs-orthonormal"]
+
+
 def test_as_bits():
     assert as_bits(5, 4) == (0, 1, 0, 1)
     assert as_bits("101") == (1, 0, 1)
