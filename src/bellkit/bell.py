@@ -23,8 +23,9 @@ from itertools import product
 
 import numpy as np
 
-from .linalg import basis_state, identity, permutation_matrix, tensor_all
+from .linalg import basis_state, fold, identity, permutation_matrix, random_state, residual, tensor_all
 from .pauli import PauliWord, as_bits, bits_to_int, gen_u, pauli_gate, word_matrix
+from .report import Report
 
 _NORM_TOL = 1e-10
 
@@ -172,6 +173,19 @@ def twist_decomposition(n: int) -> Circuit:
     return circ
 
 
+def twist_check(n: int, tol: float) -> Report:
+    """The SWAP circuit reproduces the twist with n(n-1)/2 SWAPs; tau_4 is 1 x SWAP x 1."""
+    rep = Report("twist", {"n": n}, tolerance=tol)
+    circ = twist_decomposition(n)
+    rep.add("decomposition-matches-twist", residual(circ.to_matrix(), twist(n)))
+    expected = n * (n - 1) // 2
+    rep.add(f"swap-count={expected}", float(abs(len(circ.gates) - expected)), tol=0.5)
+    if n == 2:
+        direct = np.kron(np.kron(np.eye(2), Circuit(2, [("SWAP", (0, 1))]).to_matrix()), np.eye(2))
+        rep.add("tau4-is-I.SWAP.I", residual(twist(2), direct))
+    return rep
+
+
 def multi_bell(n: int, alpha, beta) -> np.ndarray:
     """Generalized 2n-qubit Bell state, blocked order: (T(ab) tensor I^n)|Omega_{2^n}>."""
     word = PauliWord(as_bits(alpha, n), as_bits(beta, n))
@@ -297,6 +311,24 @@ def concurrence_oracle(state: np.ndarray, n: int) -> float:
     flip = tensor_all([zx] * (2 * n))
     tilde = (-1.0) ** n * (flip @ state.conj())
     return abs(np.vdot(tilde, state))
+
+
+def concurrence_check(n: int, trials: int, seed: int, tol: float) -> Report:
+    """Formula against the spin-flip oracle on random states, plus the known values 1 and 0."""
+    rng = np.random.default_rng(seed)
+    rep = Report("concurrence", {"n": n, "trials": trials}, tolerance=tol, seed=seed)
+    deviations = []
+    for _ in range(trials):
+        psi = random_state(4**n, rng)
+        deviations.append(abs(concurrence(psi, n) - concurrence_oracle(psi, n)))
+    worst = fold(deviations)
+    rep.add(f"formula-vs-oracle ({trials} random states)", worst, tol=1e-10)
+    rep.add("bell-state-is-1", abs(concurrence(multi_bell(n, 0, 0), n) - 1.0), tol=1e-10)
+    rep.add("product-ket-is-0", concurrence(product_ket((0,) * (2 * n)), n), tol=1e-10)
+    for sign, name in ((1, "+"), (-1, "-")):
+        ghz = ghz_state(n, 0, 0, sign)
+        rep.add(f"ghz{name}-is-1", abs(concurrence(ghz, n) - 1.0), tol=1e-10)
+    return rep
 
 
 def all_labels(n: int):

@@ -147,15 +147,15 @@ def braid_rep_check(
     """
     if not 2 <= n_strands <= 6:
         raise ValueError("strand count must be in 2..6")
+    params = {"strands": n_strands}
     if gate is None:
         gate = bell_transform(epsilon, eta)
+        params.update(eps=epsilon, eta=eta)
     a, b = _adjacent_pair(gate, 2)
     braid_res = residual(a @ b @ a, b @ a @ b)
     f, g = _far_pair(gate, 2)
     far_res = residual(f @ g, g @ f)
-    rep = Report(
-        "braid-rep", {"strands": n_strands, "eps": epsilon, "eta": eta}, tolerance=tol
-    )
+    rep = Report("braid-rep", params, tolerance=tol)
     for i in range(1, n_strands - 1):
         rep.add(f"braid({i},{i + 1})", braid_res)
     for i, j in _far_pairs(n_strands - 1):
@@ -307,14 +307,16 @@ def braid_teleport_single_check(
     )
     kp, mp = bell_bijection(eps_l, eta_l, k, m)
     f_l = sign_exponent(eps_l, eta_l, k, m)
+    u_words = {}  # outcome (i, j) -> the signed word correction
+    for i, j in product((0, 1), repeat=2):
+        ip, jp = bell_bijection(eps_r, eta_r, i, j)
+        f_r = sign_exponent(eps_r, eta_r, i, j)
+        u_words[i, j] = (-1.0) ** (f_l ^ f_r) * word_matrix(correction_word(kp, mp, ip, jp))
 
     def rhs_for(psi):
         out = np.zeros(8, dtype=complex)
-        for i, j in product((0, 1), repeat=2):
-            ip, jp = bell_bijection(eps_r, eta_r, i, j)
-            f_r = sign_exponent(eps_r, eta_r, i, j)
-            u = (-1.0) ** (f_l ^ f_r) * word_matrix(correction_word(kp, mp, ip, jp))
-            out += np.kron(product_ket((i, j)), u @ psi)
+        for ij, u in u_words.items():
+            out += np.kron(product_ket(ij), u @ psi)
         return out / 2.0
 
     eq_res = [
@@ -325,10 +327,7 @@ def braid_teleport_single_check(
 
     x, z = word_matrix(PauliWord((0,), (1,))), word_matrix(PauliWord((1,), (0,)))
     abc_res = []
-    for i, j in product((0, 1), repeat=2):
-        ip, jp = bell_bijection(eps_r, eta_r, i, j)
-        f_r = sign_exponent(eps_r, eta_r, i, j)
-        u_word = (-1.0) ** (f_l ^ f_r) * word_matrix(correction_word(kp, mp, ip, jp))
+    for (i, j), u_word in u_words.items():
         a, b, c = correction_abc(eps_l, eta_l, eps_r, eta_r, k, m, i, j)
         u_abc = (-1.0) ** a * np.linalg.matrix_power(x, b) @ np.linalg.matrix_power(z, c)
         abc_res.append(residual(u_word, u_abc))
@@ -357,6 +356,14 @@ def twisted_yb_gates(n: int, eps, eta, kind: str = "plain") -> np.ndarray:
     if kind == "conjugated":
         return gate @ dagger(tau)
     raise ValueError("kind must be 'plain' or 'conjugated'")
+
+
+def _signed_word(eps, eta, a_bits, b_bits) -> tuple[PauliWord, int]:
+    """The word of the per-pair images ``bell_bijection`` and the summed sign exponent mod 2."""
+    pairs = list(zip(eps, eta, a_bits, b_bits, strict=True))
+    primes = [bell_bijection(*p) for p in pairs]
+    word = PauliWord(tuple(x[0] for x in primes), tuple(x[1] for x in primes))
+    return word, sum(sign_exponent(*p) for p in pairs) % 2
 
 
 def _interleave(a_bits, b_bits) -> tuple[int, ...]:
@@ -403,24 +410,12 @@ def braid_teleport_multi_check(
     if blocked:
         ket_ab = tau @ ket_ab
 
-    ap = [bell_bijection(e, t, a, b) for e, t, a, b in zip(eps_l, eta_l, a_bits, b_bits)]
-    f_l = sum(
-        sign_exponent(e, t, a, b) for e, t, a, b in zip(eps_l, eta_l, a_bits, b_bits)
-    ) % 2
-    word_ab = PauliWord(tuple(x[0] for x in ap), tuple(x[1] for x in ap))
+    word_ab, f_l = _signed_word(eps_l, eta_l, a_bits, b_bits)
 
     def rhs_for(psi):
         out = np.zeros(dim**3, dtype=complex)
         for alpha, beta in all_labels(n):
-            prime = [
-                bell_bijection(e, t, al, be)
-                for e, t, al, be in zip(eps_r, eta_r, alpha, beta)
-            ]
-            f_r = sum(
-                sign_exponent(e, t, al, be)
-                for e, t, al, be in zip(eps_r, eta_r, alpha, beta)
-            ) % 2
-            word_out = PauliWord(tuple(x[0] for x in prime), tuple(x[1] for x in prime))
+            word_out, f_r = _signed_word(eps_r, eta_r, alpha, beta)
             u = (-1.0) ** (f_l ^ f_r) * word_matrix(
                 word_mul(word_dagger(word_ab), word_dagger(word_out))
             )

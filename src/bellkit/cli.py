@@ -1,6 +1,13 @@
 """Command-line front end: named verification suites, protocol demos,
 circuit export, JSON reporting.
 
+``SUITES`` declares each ``verify`` suite once, as a runner
+``(tol, seed, *, flag=default, ...)`` whose keyword-only parameters are
+its flags: the name gives ``--flag``, the default its default and the
+annotation its type, with a ``Literal[...]`` annotation giving the
+accepted values.  ``--tol``, ``--seed`` and ``--json`` are common to
+every suite; any other flag a suite does not declare is bad usage.
+
 Exit codes: 0 all cases pass, 1 some case failed, 2 bad usage.  The
 default seed comes from BELLKIT_SEED (else 0); reports with a fixed
 seed serialize byte-identically across reruns.
@@ -9,14 +16,16 @@ seed serialize byte-identically across reruns.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
+from typing import Literal, get_args, get_origin
 
 import numpy as np
 
 from . import bell, braid, teleport, verify
-from .linalg import DEFAULT_TOL, fold, haar_unitary, random_state, residual
+from .linalg import DEFAULT_TOL, fold, haar_unitary, random_state
 from .pauli import basis_group_check, qubit_word_set, qudit_word_set
 from .report import Report
 
@@ -26,200 +35,186 @@ from .report import Report
 TOL_FLOOR = 1e-15
 TOL_CEILING = 1e-6
 
+# A size flag below its floor exits 2 before anything is built.
+SIZE_FLOORS = {"n": 1, "d": 2, "trials": 1, "conjugated": 0, "samples": 1}
+
 # basis-group compares all N^2 products of its N = d^3 (qudit) or 2*4^n
 # (multi) candidates with every member; above these sizes that no longer
 # finishes in seconds, so it is refused up front.
 BASIS_GROUP_MAX_D = 7
 BASIS_GROUP_MAX_N = 3
 
-
-def _choice(value: str, flag: str, allowed: tuple[str, ...]) -> None:
-    """Reject a control-flag value the suite does not distinguish (exit 2)."""
-    if value not in allowed:
-        raise ValueError(f"{flag} must be one of {'|'.join(allowed)}, got {value!r}")
-
-
-def _family(args) -> verify.BasisFamily:
-    if args.family == "qubit":
-        return verify.qubit_bell_family()
-    if args.family == "qudit":
-        return verify.qudit_bell_family(args.d)
-    return verify.multi_bell_family(args.n)
+Family = Literal["qubit", "qudit", "multi"]
+TeleportVariant = Literal[teleport.QUDIT_VARIANTS + teleport.NQUBIT_VARIANTS]
+# projective-eq also takes the teleport-eq style names of its variants
+PROJECTIVE_ALIASES = {"basic2": "projective_qudit", "qudit": "projective_qudit",
+                      "qudit11": "projective_qudit11", "nqubit": "projective_nqubit"}
+ProjectiveVariant = Literal[
+    (*PROJECTIVE_ALIASES, "projective_qudit", "projective_qudit11", "projective_nqubit")
+]
 
 
-def _suite_gram(args) -> Report:
-    return verify.gram_check(_family(args), args.tol)
+def _size(kind: str, d: int, n: int) -> dict:
+    """The one size a family or teleport variant runs at, as its report records it.
+
+    Multi-qubit kinds run at ``n``, the others at ``d``.  ``--family qubit``
+    and ``--variant basic2`` fix d = 2, so any other ``--d`` is refused.
+    """
+    if kind == "multi" or "nqubit" in kind:
+        return {"n": n}
+    if kind in ("qubit", "basic2") and d != 2:
+        flag = "--family" if kind == "qubit" else "--variant"
+        raise ValueError(f"{flag} {kind} runs at d=2, got --d {d}")
+    return {"d": d}
 
 
-def _suite_completeness(args) -> Report:
-    return verify.completeness_check(_family(args), args.tol)
+def _suite_gram(tol, seed, *, family: Family = "qudit", d: int = 2, n: int = 2) -> Report:
+    return verify.gram_check(verify.bell_family(**_size(family, d, n)), tol)
 
 
-def _suite_basis_theorem(args) -> Report:
-    if args.family == "multi":
-        return verify.basis_theorem_suite(n=args.n, trials=args.trials, seed=args.seed, tol=args.tol)
-    return verify.basis_theorem_suite(d=args.d, trials=args.trials, seed=args.seed, tol=args.tol)
+def _suite_completeness(tol, seed, *, family: Family = "qudit", d: int = 2, n: int = 2) -> Report:
+    return verify.completeness_check(verify.bell_family(**_size(family, d, n)), tol)
 
 
-def _suite_observables(args) -> Report:
-    rep = Report(
-        "observables",
-        {"family": args.family, "d": args.d, "n": args.n, "conjugated": args.conjugated},
-        tolerance=args.tol,
-        seed=args.seed,
-    )
-    rng = np.random.default_rng(args.seed)
-    if args.family == "multi":
-        sub = verify.multiqubit_observable_suite(args.n, args.tol)
-        rep.cases.extend(sub.cases)
+def _suite_basis_theorem(
+    tol, seed, *, family: Family = "qudit", d: int = 2, n: int = 2, trials: int = 20,
+) -> Report:
+    return verify.basis_theorem_suite(**_size(family, d, n), trials=trials, seed=seed, tol=tol)
+
+
+def _suite_basis_group(tol, seed, *, family: Family = "qudit", d: int = 2, n: int = 2) -> Report:
+    if family == "multi":
+        if n > BASIS_GROUP_MAX_N:
+            raise ValueError(f"basis-group --n must be at most {BASIS_GROUP_MAX_N}, got {n}")
+        return basis_group_check(qubit_word_set(n), 2**n, tol)
+    if d > BASIS_GROUP_MAX_D:
+        raise ValueError(f"basis-group --d must be at most {BASIS_GROUP_MAX_D}, got {d}")
+    d = _size(family, d, n)["d"]
+    return basis_group_check(qudit_word_set(d), d, tol)
+
+
+def _suite_observables(
+    tol, seed, *, family: Family = "qudit", d: int = 2, n: int = 2, k: int = 0, conjugated: int = 0,
+) -> Report:
+    if family == "multi":
+        rep = verify.multiqubit_observable_suite(n, tol)
+    else:
+        rep = verify.qudit_observable_suite(_size(family, d, n)["d"], k, conjugated, seed, tol)
+    return Report("observables", {"family": family, **rep.params}, rep.cases, tolerance=tol, seed=seed)
+
+
+def _suite_twist(tol, seed, *, n: int = 2) -> Report:
+    return bell.twist_check(n, tol)
+
+
+def _suite_concurrence(tol, seed, *, n: int = 2, trials: int = 20) -> Report:
+    return bell.concurrence_check(n, trials, seed, tol)
+
+
+def _suite_teleport_eq(
+    tol, seed, *, variant: TeleportVariant = "basic2", d: int = 2, n: int = 2,
+    m: Literal[teleport.M_MODES] = "unitary",
+) -> Report:
+    size = _size(variant, d, n)
+    return teleport.teleport_eq_suite(variant, **size, seed=seed, tol=tol, m_mode=m)
+
+
+def _suite_projective_eq(
+    tol, seed, *, variant: ProjectiveVariant = "basic2", d: int = 2, n: int = 2,
+) -> Report:
+    size = _size(variant, d, n)
+    variant = PROJECTIVE_ALIASES.get(variant, variant)
+    return teleport.projective_eq_check(variant, **size, seed=seed, tol=tol)
+
+
+def _suite_linearity_reduction(
+    tol, seed, *, variant: TeleportVariant = "basic2", d: int = 2, n: int = 2,
+) -> Report:
+    size = _size(variant, d, n)
+    return teleport.linearity_reduction_check(variant, **size, seed=seed, tol=tol)
+
+
+def _suite_transfer_identity(tol, seed, *, d: int = 2) -> Report:
+    return teleport.transfer_identity_check(d, seed, tol)
+
+
+def _suite_ybe(
+    tol, seed, *, gate: Literal["bell", "swap", "cnot", "twisted", "twisted-plain"] = "bell", n: int = 2,
+    eps: str = "1", eta: str = "1",
+) -> Report:
+    if gate == "bell":
+        rep = Report("ybe", {"gate": "bell"}, tolerance=tol)
+        for e in (1, -1):
+            for t in (1, -1):
+                sub = braid.yang_baxter_check(braid.bell_transform(e, t), 2, tol)
+                rep.add(f"B({e},{t})", sub.max_residual)
         return rep
-    ks = [args.k] if args.k else range(1, args.d)
-    for k in ks:
-        for spec in verify.qudit_observables(args.d, k):
-            rep.add(spec.name, verify.observable_check(spec, args.tol).max_residual)
-            for _ in range(args.conjugated):
-                for side in ("left", "right"):
-                    conj = verify.conjugated_observables(spec, haar_unitary(args.d, rng), side)
-                    rep.add(conj.name, verify.observable_check(conj, args.tol).max_residual)
+    if gate in ("swap", "cnot"):
+        # cnot is a falsifiability control; the report fails and the CLI exits 1
+        rep = braid.yang_baxter_check(bell.Circuit(2, [(gate.upper(), (0, 1))]).to_matrix(), 2, tol)
+    else:
+        signs = _parse_signs(eps, n), _parse_signs(eta, n)
+        kind = "plain" if gate == "twisted-plain" else "conjugated"
+        rep = braid.yang_baxter_check(braid.twisted_yb_gates(n, *signs, kind), 2**n, tol)
+        rep.params.update(eps=signs[0], eta=signs[1])
+    rep.params["gate"] = gate
     return rep
 
 
-def _suite_twist(args) -> Report:
-    rep = Report("twist", {"n": args.n}, tolerance=args.tol)
-    circ = bell.twist_decomposition(args.n)
-    rep.add("decomposition-matches-twist", residual(circ.to_matrix(), bell.twist(args.n)))
-    expected = args.n * (args.n - 1) // 2
-    rep.add(f"swap-count={expected}", float(abs(len(circ.gates) - expected)), tol=0.5)
-    if args.n == 2:
-        direct = np.kron(np.kron(np.eye(2), bell.Circuit(2, [("SWAP", (0, 1))]).to_matrix()), np.eye(2))
-        rep.add("tau4-is-I.SWAP.I", residual(bell.twist(2), direct))
+def _suite_braid(
+    tol, seed, *, gate: Literal["bell", "cnot"] = "bell", strands: int = 3, eps_scalar: int = 1,
+    eta_scalar: int = 1,
+) -> Report:
+    cnot = bell.Circuit(2, [("CNOT", (0, 1))]).to_matrix() if gate == "cnot" else None
+    rep = braid.braid_rep_check(strands, eps_scalar, eta_scalar, gate=cnot, tol=tol)
+    rep.params["gate"] = gate
     return rep
 
 
-def _suite_concurrence(args) -> Report:
-    rng = np.random.default_rng(args.seed)
-    rep = Report("concurrence", {"n": args.n, "trials": args.trials}, tolerance=args.tol, seed=args.seed)
-    deviations = []
-    for _ in range(args.trials):
-        psi = random_state(4**args.n, rng)
-        deviations.append(abs(bell.concurrence(psi, args.n) - bell.concurrence_oracle(psi, args.n)))
-    worst = fold(deviations)
-    rep.add(f"formula-vs-oracle ({args.trials} random states)", worst, tol=1e-10)
-    rep.add("bell-state-is-1", abs(bell.concurrence(bell.multi_bell(args.n, 0, 0), args.n) - 1.0), tol=1e-10)
-    rep.add("product-ket-is-0", bell.concurrence(bell.product_ket((0,) * (2 * args.n)), args.n), tol=1e-10)
-    for sign, name in ((1, "+"), (-1, "-")):
-        rep.add(
-            f"ghz{name}-is-1",
-            abs(bell.concurrence(bell.ghz_state(args.n, 0, 0, sign), args.n) - 1.0),
-            tol=1e-10,
-        )
+def _suite_tl(
+    tol, seed, *, m: Literal["identity", "unitary", "nonunitary"] = "unitary", strands: int = 3, d: int = 2,
+    alpha: int = 0, beta: int = 0,
+) -> Report:
+    rng = np.random.default_rng(seed)
+    local = None
+    if m == "unitary":
+        local = haar_unitary(d, rng)
+    elif m == "nonunitary":
+        local = verify.perturbed_nonunitary(d, rng)
+    rep = braid.tl_relation_check(braid.tl_generators(strands, d, (alpha, beta), local), tol)
+    rep.params.update(m=m, alpha=alpha, beta=beta)
+    rep.seed = seed
     return rep
 
 
-def _suite_teleport_eq(args) -> Report:
-    return teleport.teleport_eq_suite(
-        args.variant, d=args.d, n=args.n, seed=args.seed, tol=args.tol, m_mode=args.m
-    )
-
-
-def _suite_projective_eq(args) -> Report:
-    aliases = {
-        "basic2": "projective_qudit",
-        "qudit": "projective_qudit",
-        "qudit11": "projective_qudit11",
-        "nqubit": "projective_nqubit",
-    }
-    variant = aliases.get(args.variant, args.variant)
-    return teleport.projective_eq_check(
-        variant, d=args.d, n=args.n, seed=args.seed, tol=args.tol
-    )
-
-
-def _suite_ybe(args) -> Report:
-    _choice(args.gate, "--gate", ("bell", "swap", "cnot", "twisted", "twisted-plain"))
-    if args.gate == "bell":
-        rep = Report("ybe", {"gate": "bell"}, tolerance=args.tol)
-        for eps in (1, -1):
-            for eta in (1, -1):
-                sub = braid.yang_baxter_check(braid.bell_transform(eps, eta), 2, args.tol)
-                rep.add(f"B({eps},{eta})", sub.max_residual)
-        return rep
-    if args.gate == "swap":
-        swap = bell.Circuit(2, [("SWAP", (0, 1))]).to_matrix()
-        return braid.yang_baxter_check(swap, 2, args.tol)
-    if args.gate == "cnot":
-        # falsifiability control; the report fails and the CLI exits 1
-        cnot = bell.Circuit(2, [("CNOT", (0, 1))]).to_matrix()
-        return braid.yang_baxter_check(cnot, 2, args.tol)
-    signs = _parse_signs(args.eps, args.n), _parse_signs(args.eta, args.n)
-    kind = "plain" if args.gate == "twisted-plain" else "conjugated"
-    gate = braid.twisted_yb_gates(args.n, signs[0], signs[1], kind)
-    return braid.yang_baxter_check(gate, 2**args.n, args.tol)
-
-
-def _suite_braid(args) -> Report:
-    _choice(args.gate, "--gate", ("bell", "cnot"))
-    if args.gate == "cnot":
-        cnot = bell.Circuit(2, [("CNOT", (0, 1))]).to_matrix()
-        return braid.braid_rep_check(args.strands, gate=cnot, tol=args.tol)
-    return braid.braid_rep_check(args.strands, args.eps_scalar, args.eta_scalar, tol=args.tol)
-
-
-def _suite_tl(args) -> Report:
-    _choice(args.m, "--m", ("identity", "unitary", "nonunitary"))
-    rng = np.random.default_rng(args.seed)
-    m = None
-    if args.m == "unitary":
-        m = haar_unitary(args.d, rng)
-    elif args.m == "nonunitary":
-        m = verify.perturbed_nonunitary(args.d, rng)
-    rep_tl = braid.tl_generators(args.strands, args.d, (args.alpha, args.beta), m)
-    rep = braid.tl_relation_check(rep_tl, args.tol)
-    rep.params["m"] = args.m
-    rep.seed = args.seed
-    return rep
-
-
-def _suite_braid_teleport(args) -> Report:
-    rep = Report("braid-teleport", {"n": args.n}, tolerance=args.tol, seed=args.seed)
-    if args.n == 1:
+def _suite_braid_teleport(
+    tol, seed, *, n: int = 2, eps_l: str = "-1", eta_l: str = "1", eps_r: str = "1", eta_r: str = "-1",
+) -> Report:
+    rep = Report("braid-teleport", {"n": n}, tolerance=tol, seed=seed)
+    if n == 1:
         sub = braid.table1_check()
         rep.cases.extend(sub.cases)
-        for eps_l in (1, -1):
-            for eta_l in (1, -1):
-                k = m = (1 + eta_l) // 2
-                sub = braid.braid_teleport_single_check(
-                    eps_l, eta_l, -eps_l, -eta_l, k, m, seed=args.seed, tol=args.tol
-                )
-                rep.add(f"single eps_l={eps_l} eta_l={eta_l} k=m={k}", sub.max_residual)
+        for e in (1, -1):
+            for t in (1, -1):
+                k = m = (1 + t) // 2
+                sub = braid.braid_teleport_single_check(e, t, -e, -t, k, m, seed=seed, tol=tol)
+                rep.add(f"single eps_l={e} eta_l={t} k=m={k}", sub.max_residual)
         return rep
-    eps_l = _parse_signs(args.eps_l, args.n)
-    eta_l = _parse_signs(args.eta_l, args.n)
-    eps_r = _parse_signs(args.eps_r, args.n)
-    eta_r = _parse_signs(args.eta_r, args.n)
+    texts = {"eps_l": eps_l, "eta_l": eta_l, "eps_r": eps_r, "eta_r": eta_r}
+    signs = {name: _parse_signs(text, n) for name, text in texts.items()}
+    rep.params.update(signs)
     for blocked in (False, True):
-        for a, b in bell.all_labels(args.n):
+        for a, b in bell.all_labels(n):
             sub = braid.braid_teleport_multi_check(
-                args.n, eps_l, eta_l, eps_r, eta_r, a, b,
-                seed=args.seed, tol=args.tol, blocked=blocked,
+                n, **signs, a_bits=a, b_bits=b, seed=seed, tol=tol, blocked=blocked
             )
             form = "blocked" if blocked else "interleaved"
             rep.add(f"{form} a={a} b={b}", sub.max_residual)
     return rep
 
 
-def _suite_trace_constraint(args) -> Report:
-    return verify.trace_constraint_solve(args.n, args.tol)
-
-
-def _suite_basis_group(args) -> Report:
-    if args.family == "multi":
-        if args.n > BASIS_GROUP_MAX_N:
-            raise ValueError(f"basis-group --n must be at most {BASIS_GROUP_MAX_N}, got {args.n}")
-        return basis_group_check(qubit_word_set(args.n), 2**args.n, args.tol)
-    if args.d > BASIS_GROUP_MAX_D:
-        raise ValueError(f"basis-group --d must be at most {BASIS_GROUP_MAX_D}, got {args.d}")
-    return basis_group_check(qudit_word_set(args.d), args.d, args.tol)
+def _suite_trace_constraint(tol, seed, *, n: int = 2) -> Report:
+    return verify.trace_constraint_solve(n, tol)
 
 
 SUITES = {
@@ -232,6 +227,8 @@ SUITES = {
     "concurrence": _suite_concurrence,
     "teleport-eq": _suite_teleport_eq,
     "projective-eq": _suite_projective_eq,
+    "linearity-reduction": _suite_linearity_reduction,
+    "transfer-identity": _suite_transfer_identity,
     "ybe": _suite_ybe,
     "braid": _suite_braid,
     "tl": _suite_tl,
@@ -241,54 +238,56 @@ SUITES = {
 
 
 def _parse_signs(text: str, n: int) -> tuple[int, ...]:
-    parts = [int(p) for p in str(text).split(",")]
-    if len(parts) == 1:
-        parts = parts * n
-    if len(parts) != n:
-        raise ValueError(f"need {n} signs, got {text!r}")
-    return tuple(parts)
+    """One sign for all n pairs, or a comma list (the library checks its length)."""
+    parts = tuple(int(p) for p in text.split(","))
+    return parts * n if len(parts) == 1 else parts
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("BELLKIT_SEED", "0"))
+class _Parser(argparse.ArgumentParser):
+    """Raise bad usage as ValueError, so that ``main`` returns 2 instead of exiting."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _suite_parser(name: str) -> argparse.ArgumentParser:
+    """The flags of ``verify <name>``: its runner's keyword-only parameters, then the common ones."""
+    parser = _Parser(prog=f"bellkit verify {name}", allow_abbrev=False)
+    for param in inspect.signature(SUITES[name], eval_str=True).parameters.values():
+        if param.kind is not param.KEYWORD_ONLY:
+            continue
+        choices = get_args(param.annotation) if get_origin(param.annotation) is Literal else None
+        parser.add_argument(
+            "--" + param.name.replace("_", "-"),
+            type=str if choices else param.annotation,
+            choices=choices,
+            default=param.default,
+            help=f"default: {param.default}",
+        )
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help=f"default: {DEFAULT_TOL}, "
+                        f"at least {TOL_FLOOR}, at most {TOL_CEILING}")
+    # argparse applies type=int to a string default only when the flag is absent,
+    # so a malformed BELLKIT_SEED exits 2 like a malformed --seed
+    seed = os.environ.get("BELLKIT_SEED", "0")
+    parser.add_argument("--seed", type=int, default=seed, help="default: BELLKIT_SEED, else 0")
+    parser.add_argument("--json", dest="json_path", metavar="PATH", help="write the report here")
+    return parser
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="bellkit")
+    parser = _Parser(prog="bellkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pv = sub.add_parser("verify", help="run a named verification suite")
-    pv.add_argument("suite", help=f"one of: {', '.join(sorted(SUITES))}")
-    pv.add_argument("--family", choices=["qubit", "qudit", "multi"], default="qudit")
-    pv.add_argument("--d", type=int, default=2)
-    pv.add_argument("--n", type=int, default=2)
-    pv.add_argument("--k", type=int, default=0)
-    pv.add_argument("--strands", type=int, default=3)
-    pv.add_argument("--alpha", type=int, default=0)
-    pv.add_argument("--beta", type=int, default=0)
-    pv.add_argument("--trials", type=int, default=20)
-    pv.add_argument("--variant", default="basic2")
-    pv.add_argument("--gate", default="bell")
-    pv.add_argument("--m", default="unitary")
-    pv.add_argument("--conjugated", type=int, default=0)
-    pv.add_argument("--eps", default="1")
-    pv.add_argument("--eta", default="1")
-    pv.add_argument("--eps-l", default="-1")
-    pv.add_argument("--eta-l", default="1")
-    pv.add_argument("--eps-r", default="1")
-    pv.add_argument("--eta-r", default="-1")
-    pv.add_argument("--eps-scalar", type=int, default=1)
-    pv.add_argument("--eta-scalar", type=int, default=1)
-    pv.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    pv.add_argument("--seed", type=int, default=None)
-    pv.add_argument("--json", dest="json_path", default=None)
+    pv = sub.add_parser("verify", help="run a named verification suite",
+                        description="Each suite takes its own flags: bellkit verify SUITE --help")
+    pv.add_argument("suite", metavar="SUITE", help=f"one of: {', '.join(sorted(SUITES))}")
 
     pt = sub.add_parser("teleport", help="run the protocol simulator")
     pt.add_argument("--variant", choices=["basic2", "qudit", "nqubit"], default="basic2")
     pt.add_argument("--d", type=int, default=2)
     pt.add_argument("--n", type=int, default=1)
     pt.add_argument("--samples", type=int, default=1000)
-    pt.add_argument("--seed", type=int, default=None)
+    pt.add_argument("--seed", type=int, default=os.environ.get("BELLKIT_SEED", "0"))
     pt.add_argument("--json", dest="json_path", default=None)
 
     pc = sub.add_parser("circuit", help="export a preparation circuit as OpenQASM 2.0")
@@ -300,12 +299,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _at_least(args, **floors: int) -> bool:
+def _at_least(values: dict) -> bool:
     """False, with a one-line message on stderr, if a size flag is below its floor."""
-    for name, floor in floors.items():
-        value = getattr(args, name)
-        if value < floor:
-            print(f"--{name} must be at least {floor}, got {value}", file=sys.stderr)
+    for name, floor in SIZE_FLOORS.items():
+        if name in values and values[name] < floor:
+            print(f"--{name} must be at least {floor}, got {values[name]}", file=sys.stderr)
             return False
     return True
 
@@ -323,48 +321,35 @@ def _emit(report_dict: dict, json_path: str | None, passed: bool) -> int:
     return 0 if passed else 1
 
 
-def cmd_verify(args) -> int:
-    if args.suite not in SUITES:
-        print(f"unknown suite {args.suite!r}; choose from {', '.join(sorted(SUITES))}", file=sys.stderr)
+def cmd_verify(suite: str, argv: list[str]) -> int:
+    if suite not in SUITES:
+        print(f"unknown suite {suite!r}; choose from {', '.join(sorted(SUITES))}", file=sys.stderr)
         return 2
-    if not TOL_FLOOR <= args.tol <= TOL_CEILING:
+    flags = vars(_suite_parser(suite).parse_args(argv))
+    tol, seed, json_path = flags.pop("tol"), flags.pop("seed"), flags.pop("json_path")
+    if not TOL_FLOOR <= tol <= TOL_CEILING:
         print(
-            f"--tol {args.tol} outside the documented floor {TOL_FLOOR} and ceiling {TOL_CEILING}",
+            f"--tol {tol} outside the documented floor {TOL_FLOOR} and ceiling {TOL_CEILING}",
             file=sys.stderr,
         )
         return 2
-    if not _at_least(args, n=1, d=2, trials=1, conjugated=0):
+    if not _at_least(flags):
         return 2
-    if args.seed is None:
-        args.seed = _default_seed()
-    try:
-        report = SUITES[args.suite](args)
-    except (ValueError, KeyError) as exc:
-        print(f"bad parameters: {exc}", file=sys.stderr)
-        return 2
-    return _emit(report.to_dict(), args.json_path, report.passed)
+    report = SUITES[suite](tol, seed, **flags)
+    return _emit(report.to_dict(), json_path, report.passed)
 
 
 def cmd_teleport(args) -> int:
-    if not _at_least(args, n=1, d=2, samples=1):
+    if not _at_least(vars(args)):
         return 2
-    if args.seed is None:
-        args.seed = _default_seed()
+    dims = _size(args.variant, args.d, args.n)
     rng = np.random.default_rng(args.seed)
-    try:
-        if args.variant == "nqubit":
-            psi = random_state(2**args.n, rng)
-            m = None
-            dims = {"n": args.n}
-        else:
-            d = 2 if args.variant == "basic2" else args.d
-            psi = random_state(d, rng)
-            m = None if args.variant == "basic2" else haar_unitary(d, rng)
-            dims = {"d": d}
-        rows = teleport.protocol_outcomes(psi, args.variant, m)
-    except ValueError as exc:
-        print(f"bad parameters: {exc}", file=sys.stderr)
-        return 2
+    if args.variant == "nqubit":
+        psi, m = random_state(2**args.n, rng), None
+    else:
+        psi = random_state(args.d, rng)
+        m = None if args.variant == "basic2" else haar_unitary(args.d, rng)
+    rows = teleport.protocol_outcomes(psi, args.variant, m)
     probs = np.array([r[1] for r in rows])
     draws = rng.choice(len(rows), size=args.samples, p=probs / probs.sum())
     histogram = {str(rows[k][0]): int(np.sum(draws == k)) for k in range(len(rows))}
@@ -384,18 +369,14 @@ def cmd_teleport(args) -> int:
 
 
 def cmd_circuit(args) -> int:
-    try:
-        if args.twist is not None:
-            circ = bell.twist_decomposition(args.twist)
-        else:
-            alpha = [int(c) for c in str(args.alpha)]
-            beta = [int(c) for c in str(args.beta)]
-            if len(alpha) != args.n or len(beta) != args.n:
-                raise ValueError(f"labels must have length n={args.n}")
-            circ = bell.prep_circuit(args.n, alpha, beta)
-    except ValueError as exc:
-        print(f"bad parameters: {exc}", file=sys.stderr)
-        return 2
+    if args.twist is not None:
+        circ = bell.twist_decomposition(args.twist)
+    else:
+        alpha = [int(c) for c in str(args.alpha)]
+        beta = [int(c) for c in str(args.beta)]
+        if len(alpha) != args.n or len(beta) != args.n:
+            raise ValueError(f"labels must have length n={args.n}")
+        circ = bell.prep_circuit(args.n, alpha, beta)
     with open(args.out, "w") as fh:
         fh.write(circ.to_qasm())
     print(f"wrote {len(circ.gates)} gates to {args.out}")
@@ -403,12 +384,16 @@ def cmd_circuit(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "verify":
-        return cmd_verify(args)
-    if args.command == "teleport":
-        return cmd_teleport(args)
-    return cmd_circuit(args)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        # a suite's flags are parsed by its own parser, built only for that suite
+        if argv[:1] == ["verify"] and len(argv) > 1 and argv[1] not in ("-h", "--help"):
+            return cmd_verify(argv[1], argv[2:])
+        args = _build_parser().parse_args(argv)
+        return cmd_teleport(args) if args.command == "teleport" else cmd_circuit(args)
+    except (ValueError, KeyError) as exc:
+        print(f"bad parameters: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
-"""Teleportation equations as LHS/RHS residual checks, plus a sampled
-end-to-end protocol with Born-rule measurement.
+"""Teleportation equations as LHS/RHS residual checks, plus the
+protocol's Born-rule outcome table.
 
 Wire layout, fixed once: the sender holds the unknown state followed by
 the first (blocked-order) half of the shared resource; the receiver
@@ -99,18 +99,21 @@ def transfer_identity_check(d: int, seed: int = 0, tol: float = DEFAULT_TOL) -> 
     return rep
 
 
-def _sizes(variant: str, d: int | None, n: int | None) -> tuple[int | None, int]:
-    """Resolve a variant's ``(d, D)``: ``basic2`` fixes ``d = 2``, n qubits need n."""
+def _sizes(variant: str, d: int | None, n: int | None) -> tuple[int | None, int, dict]:
+    """Resolve a variant's ``(d, D)`` and the size its report records.
+
+    ``basic2`` fixes ``d = 2``; n qubits need n and have no ``d``.
+    """
     if variant in QUDIT_VARIANTS:
         if variant == "basic2":
             d = 2
         if d is None:
             raise ValueError("qudit variant needs d")
-        return d, d
+        return d, d, {"d": d}
     if variant in NQUBIT_VARIANTS:
         if n is None:
             raise ValueError("n-qubit variant needs n")
-        return d, 2**n
+        return None, 2**n, {"n": n}
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -190,16 +193,16 @@ def teleport_eq_suite(
     tol: float = DEFAULT_TOL,
     m_mode: str = "unitary",
 ) -> Report:
-    """Run one variant over all resource labels with a sampled M."""
+    """Run one variant over all resource labels with a sampled M (``basic2``: M = 1)."""
     if m_mode not in M_MODES:
         raise ValueError(f"m_mode must be one of {'|'.join(M_MODES)}, got {m_mode!r}")
     rng = np.random.default_rng(seed)
-    rep = Report(
-        "teleport-eq", {"variant": variant, "d": d, "n": n, "m": m_mode}, tolerance=tol, seed=seed
-    )
-    d, dim = _sizes(variant, d, n)
+    d, dim, size = _sizes(variant, d, n)
+    if variant == "basic2":
+        m_mode = "identity"
+    rep = Report("teleport-eq", {"variant": variant, **size, "m": m_mode}, tolerance=tol, seed=seed)
     psi = random_state(dim, rng)
-    if variant == "basic2" or m_mode == "identity":
+    if m_mode == "identity":
         m = identity(dim)
     elif m_mode == "general":
         m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -239,9 +242,6 @@ def projective_eq_check(
     T^dag(ab) psi.  Only the qudit variants draw M (before psi).
     """
     rng = np.random.default_rng(seed)
-    rep = Report(
-        "projective-eq", {"variant": variant, "d": d, "n": n}, tolerance=tol, seed=seed
-    )
     if variant in ("projective_qudit", "projective_qudit11"):
         if d is None:
             raise ValueError("qudit variant needs d")
@@ -249,14 +249,16 @@ def projective_eq_check(
             m = haar_unitary(d, rng)
         if not is_unitary(m):
             raise ValueError("projective qudit variants require unitary M")
-        labels, mats = bell_unitaries(d=d)
+        size = {"d": d}
     elif variant == "projective_nqubit":
         if n is None:
             raise ValueError("n-qubit variant needs n")
         m = identity(2**n)
-        labels, mats = bell_unitaries(n=n)
+        size = {"n": n}
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    labels, mats = bell_unitaries(**size)
+    rep = Report("projective-eq", {"variant": variant, **size}, tolerance=tol, seed=seed)
     dim = m.shape[0]
     psi = random_state(dim, rng)
     eleven = variant == "projective_qudit11"
@@ -276,19 +278,7 @@ def projective_eq_check(
 
 
 # ---------------------------------------------------------------------------
-# protocol simulation
-
-
-@dataclass
-class ProtocolTranscript:
-    variant: str
-    prepared: str
-    outcome: object
-    probability: float
-    correction: str
-    output_state: np.ndarray
-    fidelity: float
-    seed: int
+# protocol outcomes
 
 
 def protocol_outcomes(
@@ -337,23 +327,6 @@ def protocol_outcomes(
     return rows
 
 
-def run_protocol(
-    psi: np.ndarray,
-    variant: str,
-    m: np.ndarray | None = None,
-    seed: int = 0,
-    resource: np.ndarray | None = None,
-) -> ProtocolTranscript:
-    """Sample one Born-rule outcome and return the corrected transcript."""
-    rng = np.random.default_rng(seed)
-    rows = protocol_outcomes(psi, variant, m, resource)
-    probs = np.array([r[1] for r in rows])
-    pick = int(rng.choice(len(rows), p=probs / probs.sum()))
-    label, prob, fid, out, corr = rows[pick]
-    prepared = f"{variant} resource" + ("" if resource is None else " (custom)")
-    return ProtocolTranscript(variant, prepared, label, prob, corr, out, fid, seed)
-
-
 def skewed_resource(d: int, weights) -> np.ndarray:
     """Non-maximally entangled control: sum_i w_i |ii> with w normalized."""
     w = np.asarray(weights, dtype=complex)
@@ -383,10 +356,8 @@ def linearity_reduction_check(
     the interleaved pair-product resource.
     """
     rng = np.random.default_rng(seed)
-    rep = Report(
-        "linearity-reduction", {"variant": variant, "d": d, "n": n}, tolerance=tol, seed=seed
-    )
-    d, dim = _sizes(variant, d, n)
+    d, dim, size = _sizes(variant, d, n)
+    rep = Report("linearity-reduction", {"variant": variant, **size}, tolerance=tol, seed=seed)
     label = (0, 1) if variant in QUDIT_VARIANTS else ((0,) * n, (1,) * n)
     out = _outcomes(variant, identity(dim), d, n)
 

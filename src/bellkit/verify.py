@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import all_labels, bell_unitaries, bell_vector, embed, omega
+from .bell import all_labels, bell_unitaries, bell_vector, embed
 from .linalg import (
     DEFAULT_TOL,
     basis_state,
@@ -37,15 +37,14 @@ class BasisFamily:
     """A family of candidate basis states with their defining local unitaries.
 
     ``dim`` is the total Hilbert-space dimension; ``unitaries`` (one
-    local operator per state, acting on the first tensor factor of
-    ``base``) are kept so the family can be extended by a matrix M.
+    local operator ``U_a`` per state ``(U_a x 1)|Omega>``) are kept so the
+    family can be extended by a matrix M.
     """
 
     dim: int
     states: list[np.ndarray]
     labels: list
     unitaries: list[np.ndarray] | None = None
-    base: np.ndarray | None = None
 
     def __post_init__(self):
         if len(self.states) > self.dim:
@@ -57,23 +56,18 @@ def qubit_bell_family() -> BasisFamily:
 
 
 def qudit_bell_family(d: int) -> BasisFamily:
-    return _bell_family(*bell_unitaries(d=d))
+    return bell_family(d=d)
 
 
 def multi_bell_family(n: int) -> BasisFamily:
-    return _bell_family(*bell_unitaries(n=n))
+    return bell_family(n=n)
 
 
-def _bell_family(labels: list, unitaries: list[np.ndarray]) -> BasisFamily:
-    """States ``(U_a x 1)|Omega>`` of one ``bell_unitaries`` family."""
+def bell_family(d: int | None = None, n: int | None = None) -> BasisFamily:
+    """States ``(U_a x 1)|Omega>`` of the qudit (``d``) or n-qubit (``n``) Bell family."""
+    labels, unitaries = bell_unitaries(d=d, n=n)
     local = unitaries[0].shape[0]
-    return BasisFamily(
-        dim=local * local,
-        states=[bell_vector(u) for u in unitaries],
-        labels=labels,
-        unitaries=unitaries,
-        base=omega(local),
-    )
+    return BasisFamily(local * local, [bell_vector(u) for u in unitaries], labels, unitaries)
 
 
 def gram_matrix(fam: BasisFamily) -> np.ndarray:
@@ -108,7 +102,7 @@ def extend_basis(fam: BasisFamily, m: np.ndarray, side: str) -> BasisFamily:
     Each state is ``bell_vector(C) = vec(C) / sqrt(d)`` of the composed
     local operator ``C``, so no Kronecker product with the identity is formed.
     """
-    if fam.unitaries is None or fam.base is None:
+    if fam.unitaries is None:
         raise ValueError("family does not carry its defining unitaries")
     m = np.asarray(m, dtype=complex)
     local = fam.unitaries[0].shape[0]
@@ -118,7 +112,7 @@ def extend_basis(fam: BasisFamily, m: np.ndarray, side: str) -> BasisFamily:
         raise ValueError("side must be 'left' or 'right'")
     composed = [m @ u if side == "left" else u @ m for u in fam.unitaries]
     states = [bell_vector(c) for c in composed]
-    return BasisFamily(fam.dim, states, list(fam.labels), composed, fam.base)
+    return BasisFamily(fam.dim, states, list(fam.labels), composed)
 
 
 def perturbed_nonunitary(
@@ -152,15 +146,11 @@ def basis_theorem_suite(
     """
     if (d is None) == (n is None):
         raise ValueError("give exactly one of d (qudit) or n (multi-qubit)")
-    fam = qudit_bell_family(d) if d is not None else multi_bell_family(n)
+    fam = bell_family(d, n)
     local = fam.unitaries[0].shape[0]
     rng = np.random.default_rng(seed)
-    rep = Report(
-        "basis-theorem",
-        {"d": d, "n": n, "trials": trials},
-        tolerance=tol,
-        seed=seed,
-    )
+    size = {"n": n} if d is None else {"d": d}
+    rep = Report("basis-theorem", {**size, "trials": trials}, tolerance=tol, seed=seed)
 
     eye_k = np.eye(len(fam.states))
     for side in ("left", "right"):
@@ -251,6 +241,27 @@ def qudit_observables(d: int, k: int) -> list[ObservableSpec]:
         ObservableSpec(f"OZ+({k})", oz_p, pairs(lambda al, be: np.cos(ang * be))),
         ObservableSpec(f"OZ-({k})", oz_m, pairs(lambda al, be: np.sin(ang * be))),
     ]
+
+
+def qudit_observable_suite(
+    d: int, k: int = 0, conjugated: int = 0, seed: int = 0, tol: float = DEFAULT_TOL
+) -> Report:
+    """Eigenequations of the order-k qudit observables, with Haar conjugations.
+
+    ``k = 0`` runs every order 1..d-1.  Each observable is followed by
+    ``conjugated`` rounds of left and right conjugation by a Haar unitary.
+    """
+    params = {"d": d, "conjugated": conjugated, **({"k": k} if k else {})}
+    rep = Report("qudit-observables", params, tolerance=tol, seed=seed)
+    rng = np.random.default_rng(seed)
+    for order in [k] if k else range(1, d):
+        for spec in qudit_observables(d, order):
+            rep.add(spec.name, observable_check(spec, tol).max_residual)
+            for _ in range(conjugated):
+                for side in ("left", "right"):
+                    conj = conjugated_observables(spec, haar_unitary(d, rng), side)
+                    rep.add(conj.name, observable_check(conj, tol).max_residual)
+    return rep
 
 
 def conjugated_observables(spec: ObservableSpec, m: np.ndarray, side: str) -> ObservableSpec:

@@ -1,15 +1,46 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from bellkit.bell import Circuit, multi_bell, product_ket, twist, twist_decomposition
-from bellkit.cli import TOL_CEILING, main
+from bellkit.cli import SUITES, TOL_CEILING, main
 from bellkit.linalg import residual
+from bellkit.teleport import linearity_reduction_check
+
+# The flags each `verify` suite declares; --tol, --seed and --json are common to all.
+SUITE_FLAGS = {
+    "gram": {"--family", "--d", "--n"},
+    "completeness": {"--family", "--d", "--n"},
+    "basis-theorem": {"--family", "--d", "--n", "--trials"},
+    "basis-group": {"--family", "--d", "--n"},
+    "observables": {"--family", "--d", "--n", "--k", "--conjugated"},
+    "twist": {"--n"},
+    "concurrence": {"--n", "--trials"},
+    "teleport-eq": {"--variant", "--d", "--n", "--m"},
+    "projective-eq": {"--variant", "--d", "--n"},
+    "ybe": {"--gate", "--n", "--eps", "--eta"},
+    "braid": {"--gate", "--strands", "--eps-scalar", "--eta-scalar"},
+    "tl": {"--m", "--strands", "--d", "--alpha", "--beta"},
+    "braid-teleport": {"--n", "--eps-l", "--eta-l", "--eps-r", "--eta-r"},
+    "trace-constraint": {"--n"},
+    "linearity-reduction": {"--variant", "--d", "--n"},
+    "transfer-identity": {"--d"},
+}
+COMMON_FLAGS = {"--tol", "--seed", "--json"}
 
 
 def run(argv):
     return main(argv)
+
+
+def one_line_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1, lines
+    return lines[0]
 
 
 def test_gram_suite_exit_zero(capsys):
@@ -79,15 +110,18 @@ def test_trace_constraint_suite(capsys):
 
 
 def test_all_registered_suites_run(capsys):
+    shared = {"--d": "2", "--n": "2", "--trials": "3", "--variant": "basic2"}
     for suite in [
         "gram", "completeness", "basis-theorem", "basis-group", "observables",
         "twist", "concurrence", "teleport-eq", "projective-eq", "ybe", "braid",
-        "tl", "braid-teleport", "trace-constraint",
+        "tl", "braid-teleport", "trace-constraint", "linearity-reduction",
+        "transfer-identity",
     ]:
-        code = run([
-            "verify", suite, "--d", "2", "--n", "2", "--trials", "3",
-            "--variant", "basic2", "--seed", "1",
-        ])
+        argv = ["verify", suite, "--seed", "1"]
+        for flag, value in shared.items():
+            if flag in SUITE_FLAGS[suite]:
+                argv += [flag, value]
+        code = run(argv)
         capsys.readouterr()
         assert code == 0, suite
 
@@ -281,3 +315,101 @@ def test_basis_group_size_cap_exit_two(argv, flag, cap, monkeypatch, capsys):
 def test_basis_group_at_size_cap_runs(capsys):
     assert run(["verify", "basis-group", "--family", "multi", "--n", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+def test_suite_flag_table_covers_registry():
+    assert set(SUITES) == set(SUITE_FLAGS)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_FLAGS))
+def test_foreign_flag_exit_two(suite, capsys):
+    flag = "--family" if "--strands" in SUITE_FLAGS[suite] else "--strands"
+    value = "qudit" if flag == "--family" else "3"
+    assert run(["verify", suite, flag, value]) == 2
+    assert flag in one_line_error(capsys)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_FLAGS))
+def test_suite_help_lists_declared_flags(suite, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", suite, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == SUITE_FLAGS[suite] | COMMON_FLAGS | {"--help"}
+
+
+def _params(capsys, *argv):
+    assert run(["verify", *argv]) in (0, 1), argv
+    return json.loads(capsys.readouterr().out)["params"]
+
+
+def test_params_record_what_ran(capsys):
+    basic2 = _params(capsys, "teleport-eq", "--variant", "basic2")
+    assert basic2["d"] == 2 and "n" not in basic2
+    assert "d" not in _params(capsys, "teleport-eq", "--variant", "nqubit22", "--n", "2")
+    assert "n" not in _params(capsys, "projective-eq", "--variant", "qudit", "--d", "3")
+    swap = _params(capsys, "ybe", "--gate", "swap")
+    cnot = _params(capsys, "ybe", "--gate", "cnot")
+    assert swap["gate"] != cnot["gate"]
+    twisted = _params(capsys, "ybe", "--gate", "twisted", "--n", "2", "--eps=-1,1")
+    assert twisted["gate"] == "twisted" and twisted["eps"] == [-1, 1] and twisted["eta"] == [1, 1]
+    assert "eps" not in swap and "eta" not in swap
+    braid_cnot = _params(capsys, "braid", "--gate", "cnot")
+    assert braid_cnot["gate"] == "cnot" and "eps" not in braid_cnot and "eta" not in braid_cnot
+    braid_bell = _params(capsys, "braid", "--eps-scalar", "-1")
+    assert braid_bell["gate"] == "bell" and braid_bell["eps"] == -1 and braid_bell["eta"] == 1
+    theorem = _params(capsys, "basis-theorem", "--d", "3", "--trials", "2")
+    assert theorem == {"d": 3, "trials": 2}
+    multi = _params(capsys, "observables", "--family", "multi", "--n", "1")
+    assert multi == {"family": "multi", "n": 1}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gram", "--family", "qubit", "--d", "3"],
+        ["completeness", "--family", "qubit", "--d", "3"],
+        ["basis-theorem", "--family", "qubit", "--d", "3"],
+        ["basis-group", "--family", "qubit", "--d", "3"],
+        ["observables", "--family", "qubit", "--d", "3"],
+        ["teleport-eq", "--variant", "basic2", "--d", "3"],
+        ["projective-eq", "--variant", "basic2", "--d", "3"],
+        ["linearity-reduction", "--variant", "basic2", "--d", "3"],
+    ],
+)
+def test_qubit_and_basic2_refuse_other_d(argv, capsys):
+    assert run(["verify", *argv]) == 2
+    line = one_line_error(capsys)
+    assert "d=2" in line and "--d 3" in line, line
+
+
+@pytest.mark.parametrize("suite", ["basis-group", "basis-theorem", "observables"])
+def test_family_qubit_is_the_d2_family(suite, capsys):
+    extra = ["--trials", "2"] if suite == "basis-theorem" else []
+    assert run(["verify", suite, "--family", "qubit", *extra]) == 0
+    qubit = json.loads(capsys.readouterr().out)
+    assert run(["verify", suite, "--family", "qudit", "--d", "2", *extra]) == 0
+    qudit = json.loads(capsys.readouterr().out)
+    assert qubit["params"]["d"] == 2
+    assert qubit["cases"] == qudit["cases"]
+
+
+@pytest.mark.parametrize(
+    "variant,size",
+    [("basic2", {}), ("qudit22", {"d": 3}), ("nqubit11", {"n": 2}), ("nqubit22", {"n": 1})],
+)
+def test_linearity_reduction_suite(variant, size, capsys):
+    flags = [f for key, value in size.items() for f in (f"--{key}", str(value))]
+    assert run(["verify", "linearity-reduction", "--variant", variant, *flags, "--seed", "4"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    lib = linearity_reduction_check(variant, seed=4, **size).to_dict()
+    assert out["cases"] == lib["cases"]
+    control = [c for c in out["cases"] if c["id"] == "corrupted-correction-fails"]
+    assert control and control[0]["pass"] and control[0]["residual"] >= 1e-6
+    assert out["params"] == {"variant": variant, **(size or {"d": 2})}
+
+
+def test_transfer_identity_suite(capsys):
+    assert run(["verify", "transfer-identity", "--d", "3", "--seed", "2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["params"] == {"d": 3} and out["seed"] == 2 and len(out["cases"]) == 2

@@ -8,7 +8,6 @@ from bellkit.teleport import (
     linearity_reduction_check,
     projective_eq_check,
     protocol_outcomes,
-    run_protocol,
     skewed_resource,
     teleport_eq_check,
     teleport_eq_suite,
@@ -124,14 +123,13 @@ def test_protocol_outcomes_nqubit():
         assert fid == pytest.approx(1.0, abs=1e-10)
 
 
-def test_run_protocol_deterministic():
+def test_protocol_outcomes_basic2():
     psi = np.array([1, 1j]) / np.sqrt(2)
-    t1 = run_protocol(psi, "basic2", seed=33)
-    t2 = run_protocol(psi, "basic2", seed=33)
-    assert t1.outcome == t2.outcome
-    assert t1.seed == 33
-    assert t1.fidelity == pytest.approx(1.0, abs=1e-10)
-    assert t1.probability == pytest.approx(0.25, abs=1e-12)
+    rows = protocol_outcomes(psi, "basic2")
+    assert len(rows) == 4
+    for _, prob, fid, _, _ in rows:
+        assert prob == pytest.approx(0.25, abs=1e-12)
+        assert fid == pytest.approx(1.0, abs=1e-10)
 
 
 def test_skewed_resource_degrades_fidelity():
