@@ -12,8 +12,8 @@ risk in this whole domain, so both are first-class.
 Bell states, the twist and circuit unitaries are built without Kronecker
 products with the identity: Bell states are reshaped operators
 (``bell_vector``), permutations and gates act on tensor axes, and the
-Bell-basis expansion is a Walsh-Hadamard transform.  ``embed`` and the
-spin-flip concurrence oracle stay dense Kronecker products.
+Bell-basis expansion is a Walsh-Hadamard transform.  The spin-flip
+concurrence oracle stays a dense Kronecker product.
 """
 
 from __future__ import annotations
@@ -32,11 +32,6 @@ _NORM_TOL = 1e-10
 
 # ---------------------------------------------------------------------------
 # circuits
-
-
-def embed(n_wires: int, ops: dict[int, np.ndarray]) -> np.ndarray:
-    """Kronecker-embed single-qubit operators at the given wires, identity elsewhere."""
-    return tensor_all([ops.get(q, identity(2)) for q in range(n_wires)])
 
 
 # CNOT as a (out_c, out_t, in_c, in_t) tensor.

@@ -54,42 +54,58 @@ ProjectiveVariant = Literal[
 ]
 
 
-def _size(kind: str, d: int, n: int) -> dict:
+def _size(kind: str, d: int, n: int, runner=None) -> dict:
     """The one size a family or teleport variant runs at, as its report records it.
 
-    Multi-qubit kinds run at ``n``, the others at ``d``.  ``--family qubit``
-    and ``--variant basic2`` fix d = 2, so any other ``--d`` is refused.
+    Multi-qubit kinds run at ``n``, the others at ``d``; the other size must
+    keep the default that ``runner`` declares.  ``--family qubit`` and
+    ``--variant basic2`` fix d = 2, so any other ``--d`` is refused.
     """
+    branch = f"{'--family' if kind in get_args(Family) else '--variant'} {kind}"
     if kind == "multi" or "nqubit" in kind:
+        _unused(runner, branch, d=d)
         return {"n": n}
+    _unused(runner, branch, n=n)
     if kind in ("qubit", "basic2") and d != 2:
-        flag = "--family" if kind == "qubit" else "--variant"
-        raise ValueError(f"{flag} {kind} runs at d=2, got --d {d}")
+        raise ValueError(f"{branch} runs at d=2, got --d {d}")
     return {"d": d}
 
 
+def _unused(runner, branch: str, **values) -> None:
+    """Refuse a flag that ``branch`` ignores unless it keeps the default ``runner`` declares."""
+    if runner is None:  # bellkit teleport declares its flags in _build_parser, not in a runner
+        return
+    declared = inspect.signature(runner).parameters
+    for name, value in values.items():
+        if value != declared[name].default:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{branch} ignores {flag}, got {flag} {value}")
+
+
 def _suite_gram(tol, seed, *, family: Family = "qudit", d: int = 2, n: int = 2) -> Report:
-    return verify.gram_check(verify.bell_family(**_size(family, d, n)), tol)
+    return verify.gram_check(verify.bell_family(**_size(family, d, n, _suite_gram)), tol)
 
 
 def _suite_completeness(tol, seed, *, family: Family = "qudit", d: int = 2, n: int = 2) -> Report:
-    return verify.completeness_check(verify.bell_family(**_size(family, d, n)), tol)
+    return verify.completeness_check(verify.bell_family(**_size(family, d, n, _suite_completeness)), tol)
 
 
 def _suite_basis_theorem(
     tol, seed, *, family: Family = "qudit", d: int = 2, n: int = 2, trials: int = 20,
 ) -> Report:
-    return verify.basis_theorem_suite(**_size(family, d, n), trials=trials, seed=seed, tol=tol)
+    size = _size(family, d, n, _suite_basis_theorem)
+    return verify.basis_theorem_suite(**size, trials=trials, seed=seed, tol=tol)
 
 
 def _suite_basis_group(tol, seed, *, family: Family = "qudit", d: int = 2, n: int = 2) -> Report:
     if family == "multi":
         if n > BASIS_GROUP_MAX_N:
             raise ValueError(f"basis-group --n must be at most {BASIS_GROUP_MAX_N}, got {n}")
+        n = _size(family, d, n, _suite_basis_group)["n"]
         return basis_group_check(qubit_word_set(n), 2**n, tol)
     if d > BASIS_GROUP_MAX_D:
         raise ValueError(f"basis-group --d must be at most {BASIS_GROUP_MAX_D}, got {d}")
-    d = _size(family, d, n)["d"]
+    d = _size(family, d, n, _suite_basis_group)["d"]
     return basis_group_check(qudit_word_set(d), d, tol)
 
 
@@ -97,9 +113,11 @@ def _suite_observables(
     tol, seed, *, family: Family = "qudit", d: int = 2, n: int = 2, k: int = 0, conjugated: int = 0,
 ) -> Report:
     if family == "multi":
+        _unused(_suite_observables, "--family multi", d=d, k=k, conjugated=conjugated)
         rep = verify.multiqubit_observable_suite(n, tol)
     else:
-        rep = verify.qudit_observable_suite(_size(family, d, n)["d"], k, conjugated, seed, tol)
+        d = _size(family, d, n, _suite_observables)["d"]
+        rep = verify.qudit_observable_suite(d, k, conjugated, seed, tol)
     return Report("observables", {"family": family, **rep.params}, rep.cases, tolerance=tol, seed=seed)
 
 
@@ -115,14 +133,14 @@ def _suite_teleport_eq(
     tol, seed, *, variant: TeleportVariant = "basic2", d: int = 2, n: int = 2,
     m: Literal[teleport.M_MODES] = "unitary",
 ) -> Report:
-    size = _size(variant, d, n)
+    size = _size(variant, d, n, _suite_teleport_eq)
     return teleport.teleport_eq_suite(variant, **size, seed=seed, tol=tol, m_mode=m)
 
 
 def _suite_projective_eq(
     tol, seed, *, variant: ProjectiveVariant = "basic2", d: int = 2, n: int = 2,
 ) -> Report:
-    size = _size(variant, d, n)
+    size = _size(variant, d, n, _suite_projective_eq)
     variant = PROJECTIVE_ALIASES.get(variant, variant)
     return teleport.projective_eq_check(variant, **size, seed=seed, tol=tol)
 
@@ -130,7 +148,7 @@ def _suite_projective_eq(
 def _suite_linearity_reduction(
     tol, seed, *, variant: TeleportVariant = "basic2", d: int = 2, n: int = 2,
 ) -> Report:
-    size = _size(variant, d, n)
+    size = _size(variant, d, n, _suite_linearity_reduction)
     return teleport.linearity_reduction_check(variant, **size, seed=seed, tol=tol)
 
 
@@ -142,6 +160,8 @@ def _suite_ybe(
     tol, seed, *, gate: Literal["bell", "swap", "cnot", "twisted", "twisted-plain"] = "bell", n: int = 2,
     eps: str = "1", eta: str = "1",
 ) -> Report:
+    if not gate.startswith("twisted"):
+        _unused(_suite_ybe, f"--gate {gate}", n=n, eps=eps, eta=eta)
     if gate == "bell":
         rep = Report("ybe", {"gate": "bell"}, tolerance=tol)
         for e in (1, -1):
@@ -165,7 +185,10 @@ def _suite_braid(
     tol, seed, *, gate: Literal["bell", "cnot"] = "bell", strands: int = 3, eps_scalar: int = 1,
     eta_scalar: int = 1,
 ) -> Report:
-    cnot = bell.Circuit(2, [("CNOT", (0, 1))]).to_matrix() if gate == "cnot" else None
+    cnot = None
+    if gate == "cnot":
+        _unused(_suite_braid, "--gate cnot", eps_scalar=eps_scalar, eta_scalar=eta_scalar)
+        cnot = bell.Circuit(2, [("CNOT", (0, 1))]).to_matrix()
     rep = braid.braid_rep_check(strands, eps_scalar, eta_scalar, gate=cnot, tol=tol)
     rep.params["gate"] = gate
     return rep
@@ -192,6 +215,7 @@ def _suite_braid_teleport(
 ) -> Report:
     rep = Report("braid-teleport", {"n": n}, tolerance=tol, seed=seed)
     if n == 1:
+        _unused(_suite_braid_teleport, "--n 1", eps_l=eps_l, eta_l=eta_l, eps_r=eps_r, eta_r=eta_r)
         sub = braid.table1_check()
         rep.cases.extend(sub.cases)
         for e in (1, -1):
@@ -391,7 +415,7 @@ def main(argv=None) -> int:
             return cmd_verify(argv[1], argv[2:])
         args = _build_parser().parse_args(argv)
         return cmd_teleport(args) if args.command == "teleport" else cmd_circuit(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"bad parameters: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import all_labels, bell_unitaries, bell_vector, embed
+from .bell import all_labels, bell_unitaries, bell_vector
 from .linalg import (
     DEFAULT_TOL,
     basis_state,
@@ -28,7 +28,7 @@ from .linalg import (
     residual,
     tensor,
 )
-from .pauli import gen_x, gen_z, pauli_gate
+from .pauli import PauliWord, gen_x, gen_z, word_matrix
 from .report import Report
 
 
@@ -299,11 +299,12 @@ def multiqubit_observables(n: int) -> list[ObservableSpec]:
         raise ValueError("n must be in 1..5")
     labels, unitaries = bell_unitaries(n=n)
     states = {lab: bell_vector(u) for lab, u in zip(labels, unitaries)}
-    x, z = pauli_gate("X"), pauli_gate("Z")
+    zeros = (0,) * (2 * n)
     specs = []
     for k in range(1, n + 1):
-        xx = embed(2 * n, {k - 1: x, n + k - 1: x})
-        zz = embed(2 * n, {k - 1: z, n + k - 1: z})
+        pair = tuple(int(q in (k - 1, n + k - 1)) for q in range(2 * n))
+        xx = word_matrix(PauliWord(zeros, pair))
+        zz = word_matrix(PauliWord(pair, zeros))
         specs.append(
             ObservableSpec(
                 f"X{k}X{n + k}",

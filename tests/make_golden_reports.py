@@ -1,0 +1,101 @@
+"""Write tests/data/golden_reports.json, the reports that test_golden_reports.py pins.
+
+Run from the repository root, only when a change is meant to alter a report:
+
+    PYTHONPATH=src python tests/make_golden_reports.py
+
+Each call runs in-process through ``bellkit.cli.main`` with ``--seed 7``
+and a throwaway ``--json`` path; the table records the exit code and the
+report.  The benchmark calls are copied here, not imported, so that a
+benchmark change cannot silently change what this table covers.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+import tempfile
+
+from bellkit.cli import main
+
+SEED = "7"
+OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden_reports.json")
+
+BENCHMARK_CALLS = [
+    # multiqubit
+    "verify twist --n 5",
+    "verify gram --family multi --n 4",
+    "verify completeness --family multi --n 4",
+    "verify observables --family multi --n 4",
+    "verify concurrence --n 4 --trials 5",
+    "verify teleport-eq --variant nqubit11 --n 3",
+    "verify teleport-eq --variant nqubit22 --n 3",
+    "verify projective-eq --variant nqubit --n 3",
+    "verify braid-teleport --n 2",
+    "verify basis-group --family multi --n 2",
+    "teleport --variant nqubit --n 4 --samples 100000",
+    # qudit
+    "verify basis-group --family qudit --d 4",
+    "verify basis-theorem --d 8 --trials 50",
+    "verify teleport-eq --variant qudit11 --d 8",
+    "verify teleport-eq --variant qudit22 --d 8",
+    "verify observables --family qudit --d 8 --conjugated 2",
+    "verify gram --family qudit --d 16",
+    "verify completeness --family qudit --d 16",
+    "verify projective-eq --variant qudit --d 8",
+    "teleport --variant qudit --d 16 --samples 100000",
+    # operators
+    "verify tl --strands 5 --d 4",
+    "verify tl --strands 5 --d 4 --m nonunitary",
+    "verify ybe --gate twisted --n 3",
+    "verify ybe --gate twisted-plain --n 3",
+    "verify ybe --gate bell",
+    "verify ybe --gate cnot",
+    "verify braid --strands 6",
+    "verify braid --strands 6 --gate cnot",
+    "verify braid-teleport --n 1",
+]
+
+QUDIT = ["basic2", "qudit11", "qudit22", "qudit11p", "qudit22p"]
+NQUBIT = ["nqubit11", "nqubit22"]
+
+
+def _size_flag(variant: str) -> str:
+    if "nqubit" in variant:
+        return " --n 2"
+    return "" if variant == "basic2" else " --d 3"
+
+
+TELEPORT_CALLS = (
+    [f"verify teleport-eq --variant {v}{_size_flag(v)} --m {m}" for v in QUDIT + NQUBIT
+     for m in ("identity", "unitary", "general") if not ("22" in v and m == "general")]
+    + [f"verify projective-eq --variant {v}{_size_flag(v)}" for v in
+       ["basic2", "qudit", "qudit11", "nqubit", "projective_qudit", "projective_qudit11",
+        "projective_nqubit"]]
+    + ["verify projective-eq --variant nqubit --n 1", "verify projective-eq --variant qudit11 --d 5"]
+    + [f"verify linearity-reduction --variant {v}{_size_flag(v)}" for v in QUDIT + NQUBIT]
+    + ["verify linearity-reduction --variant nqubit22 --n 1"]
+    + ["teleport --variant basic2 --samples 1000", "teleport --variant qudit --d 3 --samples 1000",
+       "teleport --variant nqubit --n 2 --samples 1000"]
+)
+
+CALLS = BENCHMARK_CALLS + TELEPORT_CALLS
+
+
+def run(line: str) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report.json")
+        argv = line.split() + ["--seed", SEED, "--json", path]
+        code = main(argv)
+        with open(path) as fh:
+            report = json.load(fh)
+    return {"argv": argv[:-2], "exit": code, "report": report}
+
+
+if __name__ == "__main__":
+    table = [run(line) for line in CALLS]
+    with open(OUT, "w") as fh:
+        json.dump(table, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {len(table)} reports to {OUT}", file=sys.stderr)

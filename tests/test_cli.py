@@ -413,3 +413,52 @@ def test_transfer_identity_suite(capsys):
     assert run(["verify", "transfer-identity", "--d", "3", "--seed", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["params"] == {"d": 3} and out["seed"] == 2 and len(out["cases"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "gram", "--json", "{missing}/r.json"],
+        ["teleport", "--json", "{missing}/r.json"],
+        ["circuit", "--out", "{missing}/x.qasm"],
+    ],
+)
+def test_unwritable_output_exit_two(argv, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert run([a.format(missing=missing) for a in argv]) == 2
+    assert one_line_error(capsys).startswith("bad parameters:")
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["observables", "--family", "multi", "--k", "2"], "--k"),
+        (["observables", "--family", "multi", "--conjugated", "3"], "--conjugated"),
+        (["observables", "--family", "multi", "--d", "3"], "--d"),
+        (["observables", "--family", "qudit", "--d", "3", "--n", "3"], "--n"),
+        (["gram", "--family", "multi", "--d", "7"], "--d"),
+        (["gram", "--family", "qubit", "--n", "3"], "--n"),
+        (["completeness", "--family", "qudit", "--n", "3"], "--n"),
+        (["basis-theorem", "--family", "multi", "--d", "3"], "--d"),
+        (["basis-group", "--family", "multi", "--d", "3"], "--d"),
+        (["basis-group", "--family", "qudit", "--n", "3"], "--n"),
+        (["teleport-eq", "--variant", "qudit11", "--d", "3", "--n", "3"], "--n"),
+        (["teleport-eq", "--variant", "nqubit22", "--d", "3"], "--d"),
+        (["projective-eq", "--variant", "qudit", "--n", "3"], "--n"),
+        (["projective-eq", "--variant", "nqubit", "--d", "3"], "--d"),
+        (["linearity-reduction", "--variant", "basic2", "--n", "3"], "--n"),
+        (["linearity-reduction", "--variant", "nqubit11", "--d", "3"], "--d"),
+        (["ybe", "--gate", "bell", "--n", "3"], "--n"),
+        (["ybe", "--gate", "bell", "--eps=-1"], "--eps"),
+        (["ybe", "--gate", "swap", "--eta=-1"], "--eta"),
+        (["ybe", "--gate", "cnot", "--n", "3"], "--n"),
+        (["braid", "--gate", "cnot", "--eps-scalar", "-1"], "--eps-scalar"),
+        (["braid", "--gate", "cnot", "--eta-scalar", "-1"], "--eta-scalar"),
+        (["braid-teleport", "--n", "1", "--eps-l=1"], "--eps-l"),
+        (["braid-teleport", "--n", "1", "--eta-r=1"], "--eta-r"),
+    ],
+)
+def test_ignored_flag_exit_two(argv, flag, capsys):
+    assert run(["verify", *argv]) == 2
+    line = one_line_error(capsys)
+    assert line.startswith("bad parameters:") and f"ignores {flag}" in line, line

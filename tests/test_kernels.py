@@ -11,6 +11,7 @@ ulps of the O(1) entries involved.
 
 from functools import cache
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -56,14 +57,7 @@ from bellkit.pauli import (
     word_mul,
 )
 from bellkit.report import Report
-from bellkit.teleport import (
-    QUDIT_VARIANTS,
-    UNITARY_M_REQUIRED,
-    TeleportEqCase,
-    _assemble,
-    _outcomes,
-    protocol_outcomes,
-)
+from bellkit.teleport import QUDIT_VARIANTS, UNITARY_M_REQUIRED, _Setting, protocol_outcomes
 from bellkit.verify import perturbed_nonunitary
 
 FAST = settings(max_examples=40, deadline=None)
@@ -361,9 +355,11 @@ def _case(variant, size, label, seed, m_kind):
     psi = random_state(dim, rng)
     m = haar_unitary(dim, rng) if m_kind == "unitary" else identity(dim)
     if variant in QUDIT_VARIANTS:
-        return TeleportEqCase(variant, psi, m, (label[0] % size, label[1] % size), d=size)
+        return SimpleNamespace(variant=variant, psi=psi, m=m, label=(label[0] % size, label[1] % size),
+                               d=size, n=None)
     bits = [(label[0] >> k) & 1 for k in range(size)], [(label[1] >> k) & 1 for k in range(size)]
-    return TeleportEqCase(variant, psi, m, (tuple(bits[0]), tuple(bits[1])), n=size)
+    return SimpleNamespace(variant=variant, psi=psi, m=m, label=(tuple(bits[0]), tuple(bits[1])),
+                           d=None, n=size)
 
 
 @given(
@@ -378,7 +374,9 @@ def _case(variant, size, label, seed, m_kind):
 def test_assembler_matches_kronecker_sum(variant, la, lb, seed, m_kind, corrupt):
     size = 2 + seed % 4 if variant in QUDIT_VARIANTS else 1 + seed % 2
     case = _case(variant, size, (la, lb), seed, m_kind)
-    lhs, rhs = _assemble(case, _outcomes(variant, case.m, case.d, case.n), corrupt)
+    setting = _Setting("teleport-eq", variant, case.d, case.n)
+    setting.use(case.m)
+    lhs, rhs = setting.sides(case.psi, setting.labels.index(case.label), corrupt)
     assert residual(rhs, dense_rhs(case, corrupt)) <= 1e-15
     m = case.m
     t_b = (

@@ -2,17 +2,22 @@ import numpy as np
 import pytest
 
 from bellkit.bell import omega, product_ket
-from bellkit.linalg import haar_unitary, identity, random_state, residual, tensor
+from bellkit.linalg import DEFAULT_TOL, haar_unitary, identity, random_state, residual, tensor
 from bellkit.teleport import (
-    TeleportEqCase,
+    _Setting,
     linearity_reduction_check,
     projective_eq_check,
     protocol_outcomes,
     skewed_resource,
-    teleport_eq_check,
     teleport_eq_suite,
     transfer_identity_check,
 )
+
+
+def label_residual(variant, psi, m, label, **size):
+    setting = _Setting("teleport-eq", variant, **size)
+    setting.use(m)
+    return residual(*setting.sides(psi, setting.labels.index(label)))
 
 
 def test_transfer_identity():
@@ -27,8 +32,7 @@ def test_transfer_identity():
 def test_basic2_teleportation_equation():
     rng = np.random.default_rng(2)
     psi = random_state(2, rng)
-    case = TeleportEqCase("basic2", psi, identity(2), (0, 0), d=2)
-    assert teleport_eq_check(case).passed
+    assert label_residual("basic2", psi, identity(2), (0, 0), d=2) < DEFAULT_TOL
 
 
 @pytest.mark.parametrize("variant", ["qudit11", "qudit22", "qudit11p", "qudit22p"])
@@ -57,23 +61,20 @@ def test_unitary_m_required_on_22_variants():
     bad_m = np.diag([1.0, 2.0, 3.0]).astype(complex)
     for variant in ("qudit22", "qudit22p"):
         with pytest.raises(ValueError):
-            TeleportEqCase(variant, psi, bad_m, (0, 0), d=3)
+            label_residual(variant, psi, bad_m, (0, 0), d=3)
     psi4 = random_state(4, rng)
     with pytest.raises(ValueError):
-        TeleportEqCase("nqubit22", psi4, np.diag([1.0, 1, 1, 2]).astype(complex), ((0, 0), (0, 0)), n=2)
+        label_residual("nqubit22", psi4, np.diag([1.0, 1, 1, 2]).astype(complex), ((0, 0), (0, 0)), n=2)
     # and a genuinely non-orthonormal measurement family does break the equation
-    case = TeleportEqCase("qudit11", psi, bad_m, (0, 1), d=3)
-    assert teleport_eq_check(case).passed  # 11 stays valid for any M
+    assert label_residual("qudit11", psi, bad_m, (0, 1), d=3) < DEFAULT_TOL  # 11 stays valid for any M
 
 
 def test_residual_invariant_under_global_phase():
     rng = np.random.default_rng(9)
     psi = random_state(3, rng)
     m = haar_unitary(3, rng)
-    base = teleport_eq_check(TeleportEqCase("qudit22", psi, m, (1, 2), d=3)).max_residual
-    rotated = teleport_eq_check(
-        TeleportEqCase("qudit22", np.exp(0.7j) * psi, m, (1, 2), d=3)
-    ).max_residual
+    base = label_residual("qudit22", psi, m, (1, 2), d=3)
+    rotated = label_residual("qudit22", np.exp(0.7j) * psi, m, (1, 2), d=3)
     assert abs(base - rotated) < 1e-15
 
 
@@ -158,7 +159,7 @@ def test_linearity_includes_order_crosscheck():
 def test_bad_variant_rejected():
     psi = np.array([1.0, 0.0])
     with pytest.raises(ValueError):
-        TeleportEqCase("qudit33", psi, np.eye(2), (0, 0), d=2)
+        label_residual("qudit33", psi, np.eye(2), (0, 0), d=2)
     with pytest.raises(ValueError):
         protocol_outcomes(psi, "weird")
     with pytest.raises(ValueError):
