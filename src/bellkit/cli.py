@@ -1,12 +1,14 @@
 """Command-line front end: named verification suites, protocol demos,
 circuit export, JSON reporting.
 
-``SUITES`` declares each ``verify`` suite once, as a runner
-``(tol, seed, *, flag=default, ...)`` whose keyword-only parameters are
-its flags: the name gives ``--flag``, the default its default and the
+Every command is declared once, by its runner: ``SUITES`` holds one per
+``verify`` suite and ``COMMANDS`` one for ``teleport`` and ``circuit``.
+A runner's keyword-only parameters are its flags: the name gives
+``--flag``, the default its default (none: a required flag) and the
 annotation its type, with a ``Literal[...]`` annotation giving the
-accepted values.  ``--tol``, ``--seed`` and ``--json`` are common to
-every suite; any other flag a suite does not declare is bad usage.
+accepted values.  Its positional parameters name the common flags it
+takes, ``tol`` and ``seed``; a runner that returns a report also takes
+``--json``.  Any other flag is bad usage.
 
 Exit codes: 0 all cases pass, 1 some case failed, 2 bad usage.  The
 default seed comes from BELLKIT_SEED (else 0); reports with a fixed
@@ -45,23 +47,23 @@ BASIS_GROUP_MAX_D = 7
 BASIS_GROUP_MAX_N = 3
 
 Family = Literal["qubit", "qudit", "multi"]
-TeleportVariant = Literal[teleport.QUDIT_VARIANTS + teleport.NQUBIT_VARIANTS]
-# projective-eq also takes the teleport-eq style names of its variants
-PROJECTIVE_ALIASES = {"basic2": "projective_qudit", "qudit": "projective_qudit",
-                      "qudit11": "projective_qudit11", "nqubit": "projective_nqubit"}
-ProjectiveVariant = Literal[
-    (*PROJECTIVE_ALIASES, "projective_qudit", "projective_qudit11", "projective_nqubit")
-]
 
 
-def _size(kind: str, d: int, n: int, runner=None) -> dict:
+def _variants(check: str):
+    """The variant names a teleport check accepts, aliases first."""
+    return Literal[(*teleport._ALIASES.get(check, ()), *teleport._VARIANTS[check])]
+
+
+def _size(runner, d: int, n: int, **choice: str) -> dict:
     """The one size a family or teleport variant runs at, as its report records it.
 
+    ``choice`` is the flag that picks it, ``family=...`` or ``variant=...``.
     Multi-qubit kinds run at ``n``, the others at ``d``; the other size must
     keep the default that ``runner`` declares.  ``--family qubit`` and
     ``--variant basic2`` fix d = 2, so any other ``--d`` is refused.
     """
-    branch = f"{'--family' if kind in get_args(Family) else '--variant'} {kind}"
+    ((flag, kind),) = choice.items()
+    branch = f"--{flag} {kind}"
     if kind == "multi" or "nqubit" in kind:
         _unused(runner, branch, d=d)
         return {"n": n}
@@ -73,8 +75,6 @@ def _size(kind: str, d: int, n: int, runner=None) -> dict:
 
 def _unused(runner, branch: str, **values) -> None:
     """Refuse a flag that ``branch`` ignores unless it keeps the default ``runner`` declares."""
-    if runner is None:  # bellkit teleport declares its flags in _build_parser, not in a runner
-        return
     declared = inspect.signature(runner).parameters
     for name, value in values.items():
         if value != declared[name].default:
@@ -83,17 +83,18 @@ def _unused(runner, branch: str, **values) -> None:
 
 
 def _suite_gram(tol, seed, *, family: Family = "qudit", d: int = 2, n: int = 2) -> Report:
-    return verify.gram_check(verify.bell_family(**_size(family, d, n, _suite_gram)), tol)
+    return verify.gram_check(verify.bell_family(**_size(_suite_gram, d, n, family=family)), tol)
 
 
 def _suite_completeness(tol, seed, *, family: Family = "qudit", d: int = 2, n: int = 2) -> Report:
-    return verify.completeness_check(verify.bell_family(**_size(family, d, n, _suite_completeness)), tol)
+    size = _size(_suite_completeness, d, n, family=family)
+    return verify.completeness_check(verify.bell_family(**size), tol)
 
 
 def _suite_basis_theorem(
     tol, seed, *, family: Family = "qudit", d: int = 2, n: int = 2, trials: int = 20,
 ) -> Report:
-    size = _size(family, d, n, _suite_basis_theorem)
+    size = _size(_suite_basis_theorem, d, n, family=family)
     return verify.basis_theorem_suite(**size, trials=trials, seed=seed, tol=tol)
 
 
@@ -101,11 +102,11 @@ def _suite_basis_group(tol, seed, *, family: Family = "qudit", d: int = 2, n: in
     if family == "multi":
         if n > BASIS_GROUP_MAX_N:
             raise ValueError(f"basis-group --n must be at most {BASIS_GROUP_MAX_N}, got {n}")
-        n = _size(family, d, n, _suite_basis_group)["n"]
+        n = _size(_suite_basis_group, d, n, family=family)["n"]
         return basis_group_check(qubit_word_set(n), 2**n, tol)
     if d > BASIS_GROUP_MAX_D:
         raise ValueError(f"basis-group --d must be at most {BASIS_GROUP_MAX_D}, got {d}")
-    d = _size(family, d, n, _suite_basis_group)["d"]
+    d = _size(_suite_basis_group, d, n, family=family)["d"]
     return basis_group_check(qudit_word_set(d), d, tol)
 
 
@@ -116,7 +117,7 @@ def _suite_observables(
         _unused(_suite_observables, "--family multi", d=d, k=k, conjugated=conjugated)
         rep = verify.multiqubit_observable_suite(n, tol)
     else:
-        d = _size(family, d, n, _suite_observables)["d"]
+        d = _size(_suite_observables, d, n, family=family)["d"]
         rep = verify.qudit_observable_suite(d, k, conjugated, seed, tol)
     return Report("observables", {"family": family, **rep.params}, rep.cases, tolerance=tol, seed=seed)
 
@@ -130,25 +131,26 @@ def _suite_concurrence(tol, seed, *, n: int = 2, trials: int = 20) -> Report:
 
 
 def _suite_teleport_eq(
-    tol, seed, *, variant: TeleportVariant = "basic2", d: int = 2, n: int = 2,
+    tol, seed, *, variant: _variants("teleport-eq") = "basic2", d: int = 2, n: int = 2,
     m: Literal[teleport.M_MODES] = "unitary",
 ) -> Report:
-    size = _size(variant, d, n, _suite_teleport_eq)
+    size = _size(_suite_teleport_eq, d, n, variant=variant)
+    if variant == "basic2" and m != "identity":  # basic2 runs at M = 1
+        _unused(_suite_teleport_eq, "--variant basic2", m=m)
     return teleport.teleport_eq_suite(variant, **size, seed=seed, tol=tol, m_mode=m)
 
 
 def _suite_projective_eq(
-    tol, seed, *, variant: ProjectiveVariant = "basic2", d: int = 2, n: int = 2,
+    tol, seed, *, variant: _variants("projective-eq") = "basic2", d: int = 2, n: int = 2,
 ) -> Report:
-    size = _size(variant, d, n, _suite_projective_eq)
-    variant = PROJECTIVE_ALIASES.get(variant, variant)
+    size = _size(_suite_projective_eq, d, n, variant=variant)
     return teleport.projective_eq_check(variant, **size, seed=seed, tol=tol)
 
 
 def _suite_linearity_reduction(
-    tol, seed, *, variant: TeleportVariant = "basic2", d: int = 2, n: int = 2,
+    tol, seed, *, variant: _variants("teleport-eq") = "basic2", d: int = 2, n: int = 2,
 ) -> Report:
-    size = _size(variant, d, n, _suite_linearity_reduction)
+    size = _size(_suite_linearity_reduction, d, n, variant=variant)
     return teleport.linearity_reduction_check(variant, **size, seed=seed, tol=tol)
 
 
@@ -267,6 +269,50 @@ def _parse_signs(text: str, n: int) -> tuple[int, ...]:
     return parts * n if len(parts) == 1 else parts
 
 
+def _run_teleport(
+    seed, *, variant: _variants("protocol") = "basic2", d: int = 2, n: int = 1, samples: int = 1000,
+) -> dict:
+    """Run the protocol simulator: sample Born-rule outcomes of one teleportation."""
+    dims = _size(_run_teleport, d, n, variant=variant)
+    rng = np.random.default_rng(seed)
+    if variant == "nqubit":
+        psi, m = random_state(2**n, rng), None
+    else:
+        psi = random_state(d, rng)
+        m = None if variant == "basic2" else haar_unitary(d, rng)
+    rows = teleport.protocol_outcomes(psi, variant, m)
+    probs = np.array([r[1] for r in rows])
+    draws = rng.choice(len(rows), size=samples, p=probs / probs.sum())
+    histogram = {str(rows[k][0]): int(np.sum(draws == k)) for k in range(len(rows))}
+    fidelities = [r[2] for r in rows]
+    min_fidelity = fold(fidelities, np.min)
+    return {
+        "schema": "bellkit-report/1",
+        "suite": "teleport-protocol",
+        "params": {**dims, "samples": samples, "variant": variant},
+        "seed": seed,
+        "histogram": histogram,
+        "min_fidelity": min_fidelity,
+        "max_fidelity": fold(fidelities),
+        "pass": bool(min_fidelity > 1 - 1e-10),
+    }
+
+
+def _run_circuit(*, n: int = 1, alpha: str = "0", beta: str = "0", twist: int | None = None, out: str) -> str:
+    """Export a Bell-state preparation circuit, or with --twist the twist SWAPs, as OpenQASM 2.0."""
+    if twist is not None:
+        _unused(_run_circuit, f"--twist {twist}", n=n, alpha=alpha, beta=beta)
+        circ = bell.twist_decomposition(twist)
+    else:
+        circ = bell.prep_circuit(n, alpha, beta)  # refuses a label that is not n bits
+    with open(out, "w") as fh:
+        fh.write(circ.to_qasm())
+    return f"wrote {len(circ.gates)} gates to {out}"
+
+
+COMMANDS = {"teleport": _run_teleport, "circuit": _run_circuit}
+
+
 class _Parser(argparse.ArgumentParser):
     """Raise bad usage as ValueError, so that ``main`` returns 2 instead of exiting."""
 
@@ -274,57 +320,58 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _suite_parser(name: str) -> argparse.ArgumentParser:
-    """The flags of ``verify <name>``: its runner's keyword-only parameters, then the common ones."""
-    parser = _Parser(prog=f"bellkit verify {name}", allow_abbrev=False)
-    for param in inspect.signature(SUITES[name], eval_str=True).parameters.values():
+def _parser(command: str, runner) -> argparse.ArgumentParser:
+    """The flags of ``bellkit <command>``: its runner's keyword-only parameters, then the common ones."""
+    parser = _Parser(prog=f"bellkit {command}", description=runner.__doc__, allow_abbrev=False)
+    signature = inspect.signature(runner, eval_str=True)
+    for param in signature.parameters.values():
         if param.kind is not param.KEYWORD_ONLY:
             continue
-        choices = get_args(param.annotation) if get_origin(param.annotation) is Literal else None
+        kind, choices = param.annotation, None
+        if get_origin(kind) is Literal:
+            kind, choices = str, get_args(kind)
+        elif get_args(kind):  # int | None: an int, or None when the flag is left out
+            kind = get_args(kind)[0]
+        required = param.default is param.empty
         parser.add_argument(
             "--" + param.name.replace("_", "-"),
-            type=str if choices else param.annotation,
+            type=kind,
             choices=choices,
-            default=param.default,
-            help=f"default: {param.default}",
+            required=required,
+            default=None if required else param.default,
+            help="required" if required else f"default: {param.default}",
         )
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help=f"default: {DEFAULT_TOL}, "
-                        f"at least {TOL_FLOOR}, at most {TOL_CEILING}")
-    # argparse applies type=int to a string default only when the flag is absent,
-    # so a malformed BELLKIT_SEED exits 2 like a malformed --seed
-    seed = os.environ.get("BELLKIT_SEED", "0")
-    parser.add_argument("--seed", type=int, default=seed, help="default: BELLKIT_SEED, else 0")
-    parser.add_argument("--json", dest="json_path", metavar="PATH", help="write the report here")
+    if "tol" in signature.parameters:
+        parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help=f"default: {DEFAULT_TOL}, "
+                            f"at least {TOL_FLOOR}, at most {TOL_CEILING}")
+    if "seed" in signature.parameters:
+        # argparse applies type=int to a string default only when the flag is absent,
+        # so a malformed BELLKIT_SEED exits 2 like a malformed --seed
+        seed = os.environ.get("BELLKIT_SEED", "0")
+        parser.add_argument("--seed", type=int, default=seed, help="default: BELLKIT_SEED, else 0")
+    if signature.return_annotation is not str:  # a report, not a message
+        parser.add_argument("--json", dest="json_path", metavar="PATH", help="write the report here")
     return parser
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Command names only; each command's flags come from ``_parser``."""
     parser = _Parser(prog="bellkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    pv = sub.add_parser("verify", help="run a named verification suite",
+    pv = sub.add_parser("verify", help="Run a named verification suite.",
                         description="Each suite takes its own flags: bellkit verify SUITE --help")
     pv.add_argument("suite", metavar="SUITE", help=f"one of: {', '.join(sorted(SUITES))}")
-
-    pt = sub.add_parser("teleport", help="run the protocol simulator")
-    pt.add_argument("--variant", choices=["basic2", "qudit", "nqubit"], default="basic2")
-    pt.add_argument("--d", type=int, default=2)
-    pt.add_argument("--n", type=int, default=1)
-    pt.add_argument("--samples", type=int, default=1000)
-    pt.add_argument("--seed", type=int, default=os.environ.get("BELLKIT_SEED", "0"))
-    pt.add_argument("--json", dest="json_path", default=None)
-
-    pc = sub.add_parser("circuit", help="export a preparation circuit as OpenQASM 2.0")
-    pc.add_argument("--n", type=int, default=1)
-    pc.add_argument("--alpha", default="0")
-    pc.add_argument("--beta", default="0")
-    pc.add_argument("--twist", type=int, default=None, help="export only the twist SWAPs")
-    pc.add_argument("--out", required=True)
+    for name, runner in COMMANDS.items():
+        sub.add_parser(name, help=runner.__doc__)
     return parser
 
 
-def _at_least(values: dict) -> bool:
-    """False, with a one-line message on stderr, if a size flag is below its floor."""
+def _in_range(values: dict) -> bool:
+    """False, with a one-line message on stderr, if ``--tol`` or a size flag is out of range."""
+    if "tol" in values and not TOL_FLOOR <= values["tol"] <= TOL_CEILING:
+        print(f"--tol {values['tol']} outside the documented floor {TOL_FLOOR} and ceiling {TOL_CEILING}",
+              file=sys.stderr)
+        return False
     for name, floor in SIZE_FLOORS.items():
         if name in values and values[name] < floor:
             print(f"--{name} must be at least {floor}, got {values[name]}", file=sys.stderr)
@@ -332,89 +379,40 @@ def _at_least(values: dict) -> bool:
     return True
 
 
-def _emit(report_dict: dict, json_path: str | None, passed: bool) -> int:
-    text = json.dumps(report_dict, indent=2)
+def _emit(result: Report | dict | str, json_path: str | None) -> int:
+    """Print what a runner returned, or write its report to ``json_path``; 1 if a case failed."""
+    if isinstance(result, str):
+        print(result)
+        return 0
+    report = result.to_dict() if isinstance(result, Report) else result
+    text = json.dumps(report, indent=2)
     if json_path:
         with open(json_path, "w") as fh:
             fh.write(text + "\n")
-        for case in report_dict.get("cases", []):
+        for case in report.get("cases", []):
             status = "PASS" if case["pass"] else "FAIL"
             print(f"[{status}] {case['id']}  residual={case['residual']:.3e}")
     else:
         print(text)
-    return 0 if passed else 1
-
-
-def cmd_verify(suite: str, argv: list[str]) -> int:
-    if suite not in SUITES:
-        print(f"unknown suite {suite!r}; choose from {', '.join(sorted(SUITES))}", file=sys.stderr)
-        return 2
-    flags = vars(_suite_parser(suite).parse_args(argv))
-    tol, seed, json_path = flags.pop("tol"), flags.pop("seed"), flags.pop("json_path")
-    if not TOL_FLOOR <= tol <= TOL_CEILING:
-        print(
-            f"--tol {tol} outside the documented floor {TOL_FLOOR} and ceiling {TOL_CEILING}",
-            file=sys.stderr,
-        )
-        return 2
-    if not _at_least(flags):
-        return 2
-    report = SUITES[suite](tol, seed, **flags)
-    return _emit(report.to_dict(), json_path, report.passed)
-
-
-def cmd_teleport(args) -> int:
-    if not _at_least(vars(args)):
-        return 2
-    dims = _size(args.variant, args.d, args.n)
-    rng = np.random.default_rng(args.seed)
-    if args.variant == "nqubit":
-        psi, m = random_state(2**args.n, rng), None
-    else:
-        psi = random_state(args.d, rng)
-        m = None if args.variant == "basic2" else haar_unitary(args.d, rng)
-    rows = teleport.protocol_outcomes(psi, args.variant, m)
-    probs = np.array([r[1] for r in rows])
-    draws = rng.choice(len(rows), size=args.samples, p=probs / probs.sum())
-    histogram = {str(rows[k][0]): int(np.sum(draws == k)) for k in range(len(rows))}
-    fidelities = [r[2] for r in rows]
-    min_fidelity = fold(fidelities, np.min)
-    out = {
-        "schema": "bellkit-report/1",
-        "suite": "teleport-protocol",
-        "params": {**dims, "samples": args.samples, "variant": args.variant},
-        "seed": args.seed,
-        "histogram": histogram,
-        "min_fidelity": min_fidelity,
-        "max_fidelity": fold(fidelities),
-        "pass": bool(min_fidelity > 1 - 1e-10),
-    }
-    return _emit(out, args.json_path, out["pass"])
-
-
-def cmd_circuit(args) -> int:
-    if args.twist is not None:
-        circ = bell.twist_decomposition(args.twist)
-    else:
-        alpha = [int(c) for c in str(args.alpha)]
-        beta = [int(c) for c in str(args.beta)]
-        if len(alpha) != args.n or len(beta) != args.n:
-            raise ValueError(f"labels must have length n={args.n}")
-        circ = bell.prep_circuit(args.n, alpha, beta)
-    with open(args.out, "w") as fh:
-        fh.write(circ.to_qasm())
-    print(f"wrote {len(circ.gates)} gates to {args.out}")
-    return 0
+    return 0 if report["pass"] else 1
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        # a suite's flags are parsed by its own parser, built only for that suite
-        if argv[:1] == ["verify"] and len(argv) > 1 and argv[1] not in ("-h", "--help"):
-            return cmd_verify(argv[1], argv[2:])
-        args = _build_parser().parse_args(argv)
-        return cmd_teleport(args) if args.command == "teleport" else cmd_circuit(args)
+        # the top-level parser reads only the command's name; --help before it prints the list
+        command = argv[:2] if argv[:1] == ["verify"] else argv[:1]
+        args = _build_parser().parse_args(command)
+        runner = SUITES.get(args.suite) if args.command == "verify" else COMMANDS[args.command]
+        if runner is None:
+            print(f"unknown suite {args.suite!r}; choose from {', '.join(sorted(SUITES))}", file=sys.stderr)
+            return 2
+        flags = vars(_parser(" ".join(command), runner).parse_args(argv[len(command):]))
+        json_path = flags.pop("json_path", None)
+        if not _in_range(flags):
+            return 2
+        # the common flags fill the runner's positional parameters by name
+        return _emit(runner(**flags), json_path)
     except (ValueError, KeyError, OSError) as exc:
         print(f"bad parameters: {exc}", file=sys.stderr)
         return 2

@@ -62,6 +62,14 @@ _VARIANTS = {
     },
     "protocol": {"basic2": ("d", 11), "qudit": ("d", 11), "nqubit": ("n", 11)},
 }
+# projective-eq also takes the teleport-eq style names of its variants; its
+# reports record the full name.  basic2 fixes d = 2, as in teleport-eq.
+_ALIASES = {
+    "projective-eq": {
+        "basic2": "projective_qudit", "qudit": "projective_qudit", "qudit11": "projective_qudit11",
+        "nqubit": "projective_nqubit",
+    },
+}
 QUDIT_VARIANTS = tuple(v for v, (size, _) in _VARIANTS["teleport-eq"].items() if size == "d")
 NQUBIT_VARIANTS = tuple(v for v, (size, _) in _VARIANTS["teleport-eq"].items() if size == "n")
 UNITARY_M_REQUIRED = tuple(v for v, (_, form) in _VARIANTS["teleport-eq"].items() if form == 22)
@@ -72,18 +80,18 @@ M_MODES = ("identity", "unitary", "general")
 class _Setting:
     """One variant's teleportation setting, built once per check call.
 
-    ``size`` is the one size the report records, ``{"d": d}`` or
-    ``{"n": n}`` (``basic2`` fixes d = 2), and ``dim`` is D.  ``labels``,
-    ``forward`` (``U_a``) and ``inverse`` (``U_a^dag``) follow
-    ``bell_unitaries`` order.  ``use(m)`` sets M and builds ``meas``, the
+    ``variant`` is the full name (an alias resolved), ``size`` the one
+    size the report records, ``{"d": d}`` or ``{"n": n}`` (``basic2``
+    fixes d = 2), and ``dim`` is D.  ``labels``, ``forward`` (``U_a``)
+    and ``inverse`` (``U_a^dag``) follow ``bell_unitaries`` order.  ``use(m)`` sets M and builds ``meas``, the
     K x D^2 stack of measurement vectors.
     """
 
     def __init__(self, check: str, variant: str, d: int | None = None, n: int | None = None):
-        if variant not in _VARIANTS[check]:
+        self.check, self.variant = check, _ALIASES.get(check, {}).get(variant, variant)
+        if self.variant not in _VARIANTS[check]:
             raise ValueError(f"unknown {check} variant {variant!r}")
-        family, self.form = _VARIANTS[check][variant]
-        self.check, self.variant = check, variant
+        family, self.form = _VARIANTS[check][self.variant]
         size = 2 if variant == "basic2" else {"d": d, "n": n}[family]
         if size is None:
             raise ValueError(f"variant {variant} needs {family}")
@@ -201,12 +209,12 @@ def projective_eq_check(
     rng = np.random.default_rng(seed)
     setting = _Setting("projective-eq", variant, d, n)
     dim = setting.dim
-    if variant == "projective_nqubit":
+    if setting.variant == "projective_nqubit":
         m = identity(dim)
     elif m is None:
         m = haar_unitary(dim, rng)
     setting.use(m)
-    rep = Report("projective-eq", {"variant": variant, **setting.size}, tolerance=tol, seed=seed)
+    rep = Report("projective-eq", {"variant": setting.variant, **setting.size}, tolerance=tol, seed=seed)
     psi = random_state(dim, rng)
     prepared = np.kron(psi, setting.resource(0)).reshape(dim * dim, dim)
     for label, meas, receiver in zip(setting.labels, setting.meas, setting.receivers(psi, 0)):

@@ -51,18 +51,6 @@ class BasisFamily:
             raise ValueError("more states than the space can accommodate")
 
 
-def qubit_bell_family() -> BasisFamily:
-    return qudit_bell_family(2)
-
-
-def qudit_bell_family(d: int) -> BasisFamily:
-    return bell_family(d=d)
-
-
-def multi_bell_family(n: int) -> BasisFamily:
-    return bell_family(n=n)
-
-
 def bell_family(d: int | None = None, n: int | None = None) -> BasisFamily:
     """States ``(U_a x 1)|Omega>`` of the qudit (``d``) or n-qubit (``n``) Bell family."""
     labels, unitaries = bell_unitaries(d=d, n=n)

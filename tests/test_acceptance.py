@@ -30,9 +30,9 @@ def criterion(number, text, worst, bound=TOL):
 def test_criterion_1_bell_basis_suites():
     start = time.monotonic()
     worst = 0.0
-    fams = [verify.qubit_bell_family()]
-    fams += [verify.qudit_bell_family(d) for d in (2, 3, 4, 5)]
-    fams += [verify.multi_bell_family(n) for n in (1, 2, 3)]
+    fams = [verify.bell_family(d=2)]
+    fams += [verify.bell_family(d=d) for d in (2, 3, 4, 5)]
+    fams += [verify.bell_family(n=n) for n in (1, 2, 3)]
     for fam in fams:
         worst = fold((worst, verify.gram_check(fam).max_residual))
         worst = fold((worst, verify.completeness_check(fam).max_residual))

@@ -29,6 +29,12 @@ SUITE_FLAGS = {
     "transfer-identity": {"--d"},
 }
 COMMON_FLAGS = {"--tol", "--seed", "--json"}
+# Every command's flags, common ones included, keyed by the words after `bellkit`.
+COMMAND_FLAGS = {
+    **{f"verify {suite}": flags | COMMON_FLAGS for suite, flags in SUITE_FLAGS.items()},
+    "teleport": {"--variant", "--d", "--n", "--samples", "--seed", "--json"},
+    "circuit": {"--n", "--alpha", "--beta", "--twist", "--out"},
+}
 
 
 def run(argv):
@@ -224,6 +230,14 @@ def test_circuit_twist_export(tmp_path, capsys):
     assert residual(circ.to_matrix(), twist(3)) == 0
 
 
+@pytest.mark.parametrize("twist", ["0", "7"])
+def test_circuit_twist_out_of_range_exit_two(twist, tmp_path, capsys):
+    out = tmp_path / "t.qasm"
+    assert run(["circuit", "--twist", twist, "--out", str(out)]) == 2
+    assert one_line_error(capsys).startswith("bad parameters:")
+    assert not out.exists()
+
+
 def test_circuit_bad_label_exit_two(tmp_path, capsys):
     out = tmp_path / "c.qasm"
     assert run(["circuit", "--n", "2", "--alpha", "1", "--beta", "01", "--out", str(out)]) == 2
@@ -255,12 +269,13 @@ def test_unknown_control_flag_exit_two(suite, flag, value, capsys):
         ("ybe", "--gate", ["bell", "swap", "twisted", "twisted-plain", "cnot"]),
         ("braid", "--gate", ["bell", "cnot"]),
         ("tl", "--m", ["identity", "unitary", "nonunitary"]),
-        ("teleport-eq", "--m", ["identity", "unitary", "general"]),
+        ("teleport-eq --variant qudit11 --d 3", "--m", ["identity", "unitary", "general"]),
+        ("teleport-eq --variant basic2", "--m", ["identity", "unitary"]),
     ],
 )
 def test_known_control_flags_accepted(suite, flag, values, capsys):
     for value in values:
-        assert run(["verify", suite, flag, value]) in (0, 1), (suite, value)
+        assert run(["verify", *suite.split(), flag, value]) in (0, 1), (suite, value)
         capsys.readouterr()
 
 
@@ -277,10 +292,12 @@ def test_known_control_flags_accepted(suite, flag, values, capsys):
         (["teleport", "--samples", "-1"], "--samples"),
         (["teleport", "--samples", "0"], "--samples"),
         (["verify", "observables", "--family", "qudit", "--d", "3", "--conjugated", "-1"], "--conjugated"),
+        (["circuit", "--n", "0", "--alpha=", "--beta=", "--out", "{tmp}/c.qasm"], "--n"),
     ],
 )
-def test_out_of_range_size_exit_two(argv, flag, capsys):
-    assert run(argv) == 2
+def test_out_of_range_size_exit_two(argv, flag, tmp_path, capsys):
+    assert run([a.format(tmp=tmp_path) for a in argv]) == 2
+    assert list(tmp_path.iterdir()) == []
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
@@ -329,13 +346,13 @@ def test_foreign_flag_exit_two(suite, capsys):
     assert flag in one_line_error(capsys)
 
 
-@pytest.mark.parametrize("suite", sorted(SUITE_FLAGS))
-def test_suite_help_lists_declared_flags(suite, capsys):
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_suite_help_lists_declared_flags(command, capsys):
     with pytest.raises(SystemExit) as exc:
-        run(["verify", suite, "--help"])
+        run([*command.split(), "--help"])
     assert exc.value.code == 0
     listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
-    assert listed == SUITE_FLAGS[suite] | COMMON_FLAGS | {"--help"}
+    assert listed == COMMAND_FLAGS[command] | {"--help"}
 
 
 def _params(capsys, *argv):
@@ -432,33 +449,41 @@ def test_unwritable_output_exit_two(argv, tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv,flag",
     [
-        (["observables", "--family", "multi", "--k", "2"], "--k"),
-        (["observables", "--family", "multi", "--conjugated", "3"], "--conjugated"),
-        (["observables", "--family", "multi", "--d", "3"], "--d"),
-        (["observables", "--family", "qudit", "--d", "3", "--n", "3"], "--n"),
-        (["gram", "--family", "multi", "--d", "7"], "--d"),
-        (["gram", "--family", "qubit", "--n", "3"], "--n"),
-        (["completeness", "--family", "qudit", "--n", "3"], "--n"),
-        (["basis-theorem", "--family", "multi", "--d", "3"], "--d"),
-        (["basis-group", "--family", "multi", "--d", "3"], "--d"),
-        (["basis-group", "--family", "qudit", "--n", "3"], "--n"),
-        (["teleport-eq", "--variant", "qudit11", "--d", "3", "--n", "3"], "--n"),
-        (["teleport-eq", "--variant", "nqubit22", "--d", "3"], "--d"),
-        (["projective-eq", "--variant", "qudit", "--n", "3"], "--n"),
-        (["projective-eq", "--variant", "nqubit", "--d", "3"], "--d"),
-        (["linearity-reduction", "--variant", "basic2", "--n", "3"], "--n"),
-        (["linearity-reduction", "--variant", "nqubit11", "--d", "3"], "--d"),
-        (["ybe", "--gate", "bell", "--n", "3"], "--n"),
-        (["ybe", "--gate", "bell", "--eps=-1"], "--eps"),
-        (["ybe", "--gate", "swap", "--eta=-1"], "--eta"),
-        (["ybe", "--gate", "cnot", "--n", "3"], "--n"),
-        (["braid", "--gate", "cnot", "--eps-scalar", "-1"], "--eps-scalar"),
-        (["braid", "--gate", "cnot", "--eta-scalar", "-1"], "--eta-scalar"),
-        (["braid-teleport", "--n", "1", "--eps-l=1"], "--eps-l"),
-        (["braid-teleport", "--n", "1", "--eta-r=1"], "--eta-r"),
+        (["verify", "observables", "--family", "multi", "--k", "2"], "--k"),
+        (["verify", "observables", "--family", "multi", "--conjugated", "3"], "--conjugated"),
+        (["verify", "observables", "--family", "multi", "--d", "3"], "--d"),
+        (["verify", "observables", "--family", "qudit", "--d", "3", "--n", "3"], "--n"),
+        (["verify", "gram", "--family", "multi", "--d", "7"], "--d"),
+        (["verify", "gram", "--family", "qubit", "--n", "3"], "--n"),
+        (["verify", "completeness", "--family", "qudit", "--n", "3"], "--n"),
+        (["verify", "basis-theorem", "--family", "multi", "--d", "3"], "--d"),
+        (["verify", "basis-group", "--family", "multi", "--d", "3"], "--d"),
+        (["verify", "basis-group", "--family", "qudit", "--n", "3"], "--n"),
+        (["verify", "teleport-eq", "--variant", "qudit11", "--d", "3", "--n", "3"], "--n"),
+        (["verify", "teleport-eq", "--variant", "nqubit22", "--d", "3"], "--d"),
+        (["verify", "projective-eq", "--variant", "qudit", "--n", "3"], "--n"),
+        (["verify", "projective-eq", "--variant", "nqubit", "--d", "3"], "--d"),
+        (["verify", "linearity-reduction", "--variant", "basic2", "--n", "3"], "--n"),
+        (["verify", "linearity-reduction", "--variant", "nqubit11", "--d", "3"], "--d"),
+        (["verify", "ybe", "--gate", "bell", "--n", "3"], "--n"),
+        (["verify", "ybe", "--gate", "bell", "--eps=-1"], "--eps"),
+        (["verify", "ybe", "--gate", "swap", "--eta=-1"], "--eta"),
+        (["verify", "ybe", "--gate", "cnot", "--n", "3"], "--n"),
+        (["verify", "braid", "--gate", "cnot", "--eps-scalar", "-1"], "--eps-scalar"),
+        (["verify", "braid", "--gate", "cnot", "--eta-scalar", "-1"], "--eta-scalar"),
+        (["verify", "braid-teleport", "--n", "1", "--eps-l=1"], "--eps-l"),
+        (["verify", "braid-teleport", "--n", "1", "--eta-r=1"], "--eta-r"),
+        (["verify", "teleport-eq", "--variant", "basic2", "--m", "general"], "--m"),
+        (["teleport", "--variant", "qudit", "--d", "3", "--n", "5"], "--n"),
+        (["teleport", "--variant", "nqubit", "--n", "2", "--d", "7"], "--d"),
+        (["circuit", "--twist", "3", "--n", "2", "--alpha", "01", "--beta", "10", "--out", "{tmp}/t.qasm"],
+         "--n"),
+        (["circuit", "--twist", "3", "--alpha", "01", "--out", "{tmp}/t.qasm"], "--alpha"),
+        (["circuit", "--twist", "3", "--beta", "10", "--out", "{tmp}/t.qasm"], "--beta"),
     ],
 )
-def test_ignored_flag_exit_two(argv, flag, capsys):
-    assert run(["verify", *argv]) == 2
+def test_ignored_flag_exit_two(argv, flag, tmp_path, capsys):
+    assert run([a.format(tmp=tmp_path) for a in argv]) == 2
+    assert list(tmp_path.iterdir()) == []
     line = one_line_error(capsys)
     assert line.startswith("bad parameters:") and f"ignores {flag}" in line, line

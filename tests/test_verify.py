@@ -8,18 +8,16 @@ from bellkit.verify import (
     APPENDIX_N1_MATRIX,
     BasisFamily,
     basis_theorem_suite,
+    bell_family,
     completeness_check,
     conjugated_observables,
     extend_basis,
     gram_check,
     gram_matrix,
-    multi_bell_family,
     multiqubit_observable_suite,
     multiqubit_observables,
     observable_check,
     perturbed_nonunitary,
-    qubit_bell_family,
-    qudit_bell_family,
     qudit_observables,
     trace_constraint_solve,
     trace_system,
@@ -27,8 +25,8 @@ from bellkit.verify import (
 
 
 def test_gram_check_pass_and_fail():
-    assert gram_check(qubit_bell_family()).passed
-    assert gram_check(qudit_bell_family(3)).passed
+    assert gram_check(bell_family(d=2)).passed
+    assert gram_check(bell_family(d=3)).passed
     ket = np.zeros(4, dtype=complex)
     ket[0] = 1
     dup = BasisFamily(4, [ket, ket], ["a", "b"])
@@ -38,9 +36,9 @@ def test_gram_check_pass_and_fail():
 
 
 def test_completeness_check():
-    assert completeness_check(qubit_bell_family()).passed
-    assert completeness_check(multi_bell_family(2)).passed
-    fam = qubit_bell_family()
+    assert completeness_check(bell_family(d=2)).passed
+    assert completeness_check(bell_family(n=2)).passed
+    fam = bell_family(d=2)
     short = BasisFamily(4, fam.states[:3], fam.labels[:3])
     rep = completeness_check(short)
     assert not rep.passed
@@ -54,11 +52,11 @@ def test_completeness_check():
 
 
 def test_extend_basis():
-    fam = qudit_bell_family(2)
+    fam = bell_family(d=2)
     same = extend_basis(fam, np.eye(2), "left")
     assert max(residual(a, b) for a, b in zip(same.states, fam.states)) == 0
     rng = np.random.default_rng(0)
-    assert gram_check(extend_basis(qudit_bell_family(3), haar_unitary(3, rng), "left")).passed
+    assert gram_check(extend_basis(bell_family(d=3), haar_unitary(3, rng), "left")).passed
     skew = extend_basis(fam, np.diag([1.0, 2.0]), "left")
     g = gram_matrix(skew)
     assert g[0, 0] == pytest.approx(2.5)  # tr(M^dag M)/2
