@@ -12,8 +12,10 @@ risk in this whole domain, so both are first-class.
 Bell states, the twist and circuit unitaries are built without Kronecker
 products with the identity: Bell states are reshaped operators
 (``bell_vector``), permutations and gates act on tensor axes, and the
-Bell-basis expansion is a Walsh-Hadamard transform.  The spin-flip
-concurrence oracle stays a dense Kronecker product.
+Bell-basis expansion is a Walsh-Hadamard transform.  The twist, the
+SWAP circuits and the spin-flip ``(ZX)^(2n)`` of the concurrence oracle
+are monomial operators (``linalg.Monomial``): checked and applied from
+their index and phase arrays, never as dense 4^n x 4^n matrices.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from itertools import product
 
 import numpy as np
 
-from .linalg import basis_state, fold, identity, permutation_matrix, random_state, residual, tensor_all
-from .pauli import PauliWord, as_bits, bits_to_int, gen_u, pauli_gate, word_matrix
+from .linalg import Monomial, basis_state, fold, identity, permutation, random_state, residual, tensor_all
+from .pauli import PauliWord, as_bits, bits_to_int, gen_u, pauli_gate, word_matrix, word_monomial
 from .report import Report
 
 _NORM_TOL = 1e-10
@@ -92,6 +94,31 @@ class Circuit:
             mat = np.moveaxis(mat, range(k), qs)
         return mat.reshape(dim, dim)
 
+    def to_monomial(self) -> Monomial:
+        """The unitary of a circuit of SWAP, X, Z and CNOT gates, as a monomial.
+
+        Each column's output ket is tracked as one bit array per wire: a
+        SWAP swaps two wires' arrays, X and CNOT flip bits, and Z multiplies
+        the column phases by ``(-1)^bit``.  H has no monomial form and is
+        refused.
+        """
+        if any(name == "H" for name, _ in self.gates):
+            raise ValueError("a circuit with H gates is not a monomial operator")
+        cols = np.arange(2**self.wires)
+        bits = [(cols >> (self.wires - 1 - q)) & 1 for q in range(self.wires)]
+        phase = np.ones(cols.size)
+        for name, qs in self.gates:
+            if name == "SWAP":
+                bits[qs[0]], bits[qs[1]] = bits[qs[1]], bits[qs[0]]
+            elif name == "X":
+                bits[qs[0]] = bits[qs[0]] ^ 1
+            elif name == "CNOT":
+                bits[qs[1]] = bits[qs[1]] ^ bits[qs[0]]
+            else:
+                phase = phase * (1 - 2 * bits[qs[0]])
+        rows = sum(b << (self.wires - 1 - q) for q, b in enumerate(bits))
+        return Monomial(rows, phase)
+
     def to_qasm(self) -> str:
         """OpenQASM 2.0 text; gate order is construction order, bit-exact."""
         names = {"H": "h", "X": "x", "Z": "z", "CNOT": "cx", "SWAP": "swap"}
@@ -141,15 +168,20 @@ def qudit_bell(d: int, alpha: int, beta: int) -> np.ndarray:
     return bell_vector(gen_u(d, alpha, beta))
 
 
-def twist(n: int) -> np.ndarray:
-    """Permutation unitary sending |i1 j1 ... in jn> to |i1 ... in j1 ... jn>."""
+def twist_monomial(n: int) -> Monomial:
+    """Permutation sending |i1 j1 ... in jn> to |i1 ... in j1 ... jn>."""
     if not 1 <= n <= 6:
         raise ValueError("pair count must be in 1..6")
     perm = [0] * (2 * n)
     for k in range(n):
         perm[2 * k] = k
         perm[2 * k + 1] = n + k
-    return permutation_matrix(perm, 2)
+    return permutation(perm, 2)
+
+
+def twist(n: int) -> np.ndarray:
+    """The dense permutation unitary of ``twist_monomial(n)``."""
+    return twist_monomial(n).dense()
 
 
 def twist_decomposition(n: int) -> Circuit:
@@ -157,7 +189,7 @@ def twist_decomposition(n: int) -> Circuit:
 
     Factor k walks the k-th pair's second qubit rightward across the
     not-yet-moved first qubits; factors are emitted innermost first so
-    the circuit matrix reproduces ``twist(n)`` exactly.
+    the circuit reproduces ``twist_monomial(n)`` exactly.
     """
     if not 1 <= n <= 6:
         raise ValueError("pair count must be in 1..6")
@@ -169,15 +201,18 @@ def twist_decomposition(n: int) -> Circuit:
 
 
 def twist_check(n: int, tol: float) -> Report:
-    """The SWAP circuit reproduces the twist with n(n-1)/2 SWAPs; tau_4 is 1 x SWAP x 1."""
+    """The SWAP circuit reproduces the twist with n(n-1)/2 SWAPs; tau_4 is 1 x SWAP x 1.
+
+    Both sides are monomials, compared by their index and phase arrays.
+    """
     rep = Report("twist", {"n": n}, tolerance=tol)
     circ = twist_decomposition(n)
-    rep.add("decomposition-matches-twist", residual(circ.to_matrix(), twist(n)))
+    rep.add("decomposition-matches-twist", residual(circ.to_monomial(), twist_monomial(n)))
     expected = n * (n - 1) // 2
     rep.add(f"swap-count={expected}", float(abs(len(circ.gates) - expected)), tol=0.5)
     if n == 2:
-        direct = np.kron(np.kron(np.eye(2), Circuit(2, [("SWAP", (0, 1))]).to_matrix()), np.eye(2))
-        rep.add("tau4-is-I.SWAP.I", residual(twist(2), direct))
+        middle_swap = Circuit(4, [("SWAP", (1, 2))]).to_monomial()
+        rep.add("tau4-is-I.SWAP.I", residual(twist_monomial(2), middle_swap))
     return rep
 
 
@@ -300,10 +335,13 @@ def concurrence(state: np.ndarray, n: int) -> float:
 
 
 def concurrence_oracle(state: np.ndarray, n: int) -> float:
-    """Independent route: overlap with the spin-flipped conjugate state."""
+    """Independent route: overlap with the spin-flipped conjugate state.
+
+    The flip ``(ZX)^(2n)`` is the word ``T(1...1, 1...1)``, a signed bit
+    complement, applied as a monomial in O(4^n) memory.
+    """
     state = _check_state(state, n)
-    zx = pauli_gate("Z") @ pauli_gate("X")
-    flip = tensor_all([zx] * (2 * n))
+    flip = word_monomial(PauliWord((1,) * (2 * n), (1,) * (2 * n)))
     tilde = (-1.0) ** n * (flip @ state.conj())
     return abs(np.vdot(tilde, state))
 

@@ -1,4 +1,5 @@
-"""Dense complex linear-algebra kernel shared by all other modules.
+"""Complex linear-algebra kernel shared by all other modules: dense arrays
+and monomial (one nonzero per column) operators.
 
 Conventions, fixed once here:
 
@@ -41,8 +42,10 @@ def tensor_all(factors) -> np.ndarray:
     return out
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
+def dagger(a):
+    """Conjugate transpose, of a dense array or a ``Monomial``."""
+    if isinstance(a, Monomial):
+        return a.adjoint()
     return np.asarray(a).conj().T
 
 
@@ -65,28 +68,109 @@ def basis_state(dim: int, index: int) -> np.ndarray:
     return vec
 
 
-def permutation_matrix(perm, local_dim: int = 2) -> np.ndarray:
-    """Unitary 0/1 matrix rearranging the digits of a basis ket.
+class Monomial:
+    """Operator with one nonzero entry per column: ``M[perm[j], j] = phase[j]``.
+
+    Pauli and clock/shift words, digit permutations and gate-only SWAP/X/Z/CNOT
+    circuits are all of this form; held as a ``(perm, phase)`` pair of arrays
+    (the signed-permutation view of Aaronson-Gottesman, with phases kept
+    numeric) they multiply, invert, act on states and compare by
+    ``residual`` in O(D) instead of as dense D x D operators.  ``perm``
+    must be a bijection on ``0..D-1``.
+    """
+
+    __slots__ = ("perm", "phase")
+
+    def __init__(self, perm, phase=None):
+        perm = np.asarray(perm, dtype=np.intp)
+        if perm.ndim != 1 or (np.bincount(perm, minlength=perm.size) != 1).any():
+            raise ValueError("perm must be a bijection on 0..D-1")
+        self.perm = perm
+        self.phase = np.ones(perm.size, dtype=complex) if phase is None else np.asarray(phase, dtype=complex)
+        if self.phase.shape != perm.shape:
+            raise ValueError(f"phase shape {self.phase.shape} does not match perm {perm.shape}")
+
+    @property
+    def dim(self) -> int:
+        return self.perm.size
+
+    def __matmul__(self, other):
+        """``self @ other``: a monomial for a monomial, else ``apply``."""
+        if not isinstance(other, Monomial):
+            return self.apply(other)
+        _same_dim(self, other)
+        # column j of other has other.phase[j] in row other.perm[j], which
+        # self sends to row self.perm[other.perm[j]]
+        return Monomial(self.perm[other.perm], self.phase[other.perm] * other.phase)
+
+    def adjoint(self) -> Monomial:
+        """Conjugate transpose: column ``perm[j]`` gets ``conj(phase[j])`` in row ``j``."""
+        inv = np.empty_like(self.perm)
+        inv[self.perm] = np.arange(self.dim)
+        return Monomial(inv, self.phase[inv].conj())
+
+    def apply(self, states: np.ndarray) -> np.ndarray:
+        """``M @ states`` for a state ``(D,)`` or a stack of states ``(D, K)``, by one scatter."""
+        states = np.asarray(states)
+        if states.shape[:1] != (self.dim,):
+            raise ValueError(f"cannot apply a {self.dim}-dim monomial to shape {states.shape}")
+        out = np.empty(states.shape, dtype=np.result_type(states, complex))
+        out[self.perm] = self.phase.reshape((-1,) + (1,) * (states.ndim - 1)) * states
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The D x D matrix, written in one scatter."""
+        mat = np.zeros((self.dim, self.dim), dtype=complex)
+        mat[self.perm, np.arange(self.dim)] = self.phase
+        return mat
+
+
+def _same_dim(a: Monomial, b) -> None:
+    if not isinstance(b, Monomial):
+        raise TypeError(f"expected a Monomial, got {type(b).__name__}")
+    if a.dim != b.dim:
+        raise ValueError(f"monomial dimension mismatch: {a.dim} vs {b.dim}")
+
+
+def permutation(perm, local_dim: int = 2) -> Monomial:
+    """Monomial rearranging the digits of a basis ket.
 
     ``perm`` must be a bijection on ``{0..k-1}``; the ket with digit
     string ``s`` is sent to the ket with digits ``t[perm[q]] = s[q]``.
-    Moving axis ``q`` of ``arange(D).reshape((d,)*k)`` to position
-    ``perm[q]`` lists, in target order, the source index of every ket, so
-    the matrix is written as ``P[t, src(t)] = 1`` in one scatter.
+    Moving axis ``perm[q]`` of ``arange(D).reshape((d,)*k)`` (target
+    indices) to position ``q`` lists, in source order, the target index
+    of every ket.
     """
     perm = list(perm)
     k = len(perm)
     if sorted(perm) != list(range(k)):
         raise ValueError(f"perm {perm} is not a bijection on 0..{k - 1}")
-    dim = local_dim**k
-    src = np.moveaxis(np.arange(dim).reshape((local_dim,) * k), range(k), perm)
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[np.arange(dim), src.reshape(-1)] = 1.0
-    return mat
+    targets = np.moveaxis(np.arange(local_dim**k).reshape((local_dim,) * k), perm, range(k))
+    return Monomial(targets.reshape(-1))
 
 
-def residual(a: np.ndarray, b: np.ndarray) -> float:
-    """Max-abs entrywise difference; the residual used by every suite."""
+def permutation_matrix(perm, local_dim: int = 2) -> np.ndarray:
+    """Unitary 0/1 matrix of ``permutation(perm, local_dim)``."""
+    return permutation(perm, local_dim).dense()
+
+
+def residual(a, b) -> float:
+    """Max-abs entrywise difference; the residual used by every suite.
+
+    Two ``Monomial`` operators give the value of their dense matrices,
+    from the arrays: column j of the difference holds ``phase_a -
+    phase_b`` where the permutations agree, else ``phase_a`` and
+    ``-phase_b`` in two rows, so its max-abs is ``|phase_a - phase_b|``
+    or ``max(|phase_a|, |phase_b|)``, NaN included.
+    """
+    if isinstance(a, Monomial):
+        _same_dim(a, b)
+        cols = np.where(
+            a.perm == b.perm,
+            np.abs(a.phase - b.phase),
+            np.maximum(np.abs(a.phase), np.abs(b.phase)),
+        )
+        return float(np.max(cols))
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:

@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, fold, identity, residual
+from .linalg import DEFAULT_TOL, Monomial, fold, identity, residual
 from .report import Report
 
 # ---------------------------------------------------------------------------
@@ -140,21 +140,24 @@ class PauliWord:
         return len(self.z_exps)
 
 
-def word_matrix(w: PauliWord) -> np.ndarray:
+def word_monomial(w: PauliWord) -> Monomial:
     """The signed permutation ``T|i> = (-1)^(sign + a.(i xor b)) |i xor b>``.
 
     Each factor maps ``Z^a X^b |i_k> = (-1)^(a_k (i_k xor b_k)) |i_k xor b_k>``,
-    so the entries ``T[i xor b, i]`` are written directly, with ``a`` and
-    ``b`` read as big-endian integers and no Kronecker product.
+    so column ``i`` holds its sign in row ``i xor b``, with ``a`` and ``b``
+    read as big-endian integers and no Kronecker product.
     """
-    if w.n > 12:
-        raise ValueError(f"word on {w.n} qubits exceeds the 2^12 dense cap")
     cols = np.arange(2**w.n)
     rows = cols ^ bits_to_int(w.x_exps)
     parity = (w.sign + np.bitwise_count(rows & bits_to_int(w.z_exps))) & 1
-    mat = np.zeros((cols.size, cols.size), dtype=complex)
-    mat[rows, cols] = 1.0 - 2.0 * parity
-    return mat
+    return Monomial(rows, 1.0 - 2.0 * parity)
+
+
+def word_matrix(w: PauliWord) -> np.ndarray:
+    """The dense matrix of ``word_monomial(w)``, up to 12 qubits."""
+    if w.n > 12:
+        raise ValueError(f"word on {w.n} qubits exceeds the 2^12 dense cap")
+    return word_monomial(w).dense()
 
 
 def word_dagger(w: PauliWord) -> PauliWord:
@@ -192,15 +195,17 @@ class GenPauliWord:
         object.__setattr__(self, "gamma", self.gamma % self.d)
 
 
-def gen_word_matrix(w: GenPauliWord) -> np.ndarray:
-    """The phased shift ``omega^g Z^a X^b |i> = omega^(g + a (i + b)) |i + b>``, written entrywise."""
-    cols = np.arange(w.d)
-    rows = (cols + w.beta) % w.d
-    mat = np.zeros((w.d, w.d), dtype=complex)
-    mat[rows, cols] = omega_root(w.d, w.gamma) * np.array(
-        [omega_root(w.d, w.alpha * r) for r in rows.tolist()]
+def gen_word_monomial(w: GenPauliWord) -> Monomial:
+    """The phased shift ``omega^g Z^a X^b |i> = omega^(g + a (i + b)) |i + b>``."""
+    rows = (np.arange(w.d) + w.beta) % w.d
+    return Monomial(
+        rows, omega_root(w.d, w.gamma) * np.array([omega_root(w.d, w.alpha * r) for r in rows.tolist()])
     )
-    return mat
+
+
+def gen_word_matrix(w: GenPauliWord) -> np.ndarray:
+    """The dense matrix of ``gen_word_monomial(w)``."""
+    return gen_word_monomial(w).dense()
 
 
 def gen_word_dagger(w: GenPauliWord) -> GenPauliWord:

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import all_labels, bell_unitaries, bell_vector
+from .bell import bell_unitaries, bell_vector
 from .linalg import (
     DEFAULT_TOL,
+    Monomial,
     basis_state,
     dagger,
     fold,
@@ -28,7 +29,7 @@ from .linalg import (
     residual,
     tensor,
 )
-from .pauli import PauliWord, gen_x, gen_z, word_matrix
+from .pauli import PauliWord, gen_x, gen_z, word_monomial
 from .report import Report
 
 
@@ -71,12 +72,20 @@ def gram_check(fam: BasisFamily, tol: float = DEFAULT_TOL) -> Report:
     return rep
 
 
+def _projector_sum(states) -> np.ndarray:
+    """``sum_k |s_k><s_k|`` as one GEMM over the ``(K, D)`` stack of states.
+
+    A real stack (the n-qubit Bell family) needs only the real product.
+    """
+    stack = np.array(states)
+    if not stack.imag.any():
+        stack = stack.real
+    return stack.T @ stack.conj()
+
+
 def completeness_check(fam: BasisFamily, tol: float = DEFAULT_TOL) -> Report:
     rep = Report("completeness", {"size": len(fam.states), "dim": fam.dim}, tolerance=tol)
-    total = np.zeros((fam.dim, fam.dim), dtype=complex)
-    for s in fam.states:
-        total += np.outer(s, s.conj())
-    res = residual(total, identity(fam.dim))
+    res = residual(_projector_sum(fam.states), identity(fam.dim))
     case = "projector-sum-vs-identity"
     if len(fam.states) != fam.dim:
         case += f" (incomplete-family: {len(fam.states)} of {fam.dim})"
@@ -179,23 +188,63 @@ def basis_theorem_suite(
 
 @dataclass
 class ObservableSpec:
-    """A Hermitian operator with its closed-form eigenpairs.
+    """A Hermitian operator with its closed-form eigenpairs, stacked.
 
-    Eigenvalues come from the label, never from an eigensolver, so there
-    is no ordering ambiguity: each entry is (label, eigenvalue, state).
+    Column j of ``states`` is an eigenvector with eigenvalue
+    ``eigenvalues[j]`` and label ``labels[j]``.  Eigenvalues come from the
+    label, never from an eigensolver, so there is no ordering ambiguity.
+    ``matrix`` is a dense array or, for the multiqubit words, a
+    ``Monomial``.
     """
 
     name: str
-    matrix: np.ndarray
-    eigenpairs: list[tuple[object, float, np.ndarray]]
+    matrix: np.ndarray | Monomial
+    labels: list
+    eigenvalues: np.ndarray
+    states: np.ndarray
+
+
+def _label_text(label) -> str:
+    """``(1,0)`` for a qudit label, ``(01,10)`` for an n-qubit one."""
+    return "(" + ",".join("".join(map(str, x)) if isinstance(x, tuple) else str(x) for x in label) + ")"
+
+
+def _observable_residuals(spec: ObservableSpec, tol: float) -> tuple[float, float, str]:
+    """Hermiticity and eigenequation residuals of ``spec``, and the witness suffix.
+
+    The eigenequations ``O s = lam s`` are one product of ``O`` with the
+    stacked states.  When they fail, the suffix names the first state
+    with a NaN residual, else the worst one; it is empty on a pass, so
+    passing case ids are unchanged.
+    """
+    herm = residual(spec.matrix, dagger(spec.matrix))
+    lhs, rhs = spec.matrix @ spec.states, spec.states * spec.eigenvalues
+    eig = residual(lhs, rhs)
+    witness = ""
+    if not eig < tol:
+        # argmax returns the first NaN if there is one, else the first worst state
+        witness = f" witness={_label_text(spec.labels[np.argmax(np.abs(lhs - rhs).max(axis=0))])}"
+    return herm, eig, witness
 
 
 def observable_check(spec: ObservableSpec, tol: float = DEFAULT_TOL) -> Report:
     rep = Report("observable", {"name": spec.name}, tolerance=tol)
-    rep.add("hermitian", residual(spec.matrix, dagger(spec.matrix)))
-    worst = fold(residual(spec.matrix @ state, lam * state) for _, lam, state in spec.eigenpairs)
-    rep.add(f"eigenequations ({len(spec.eigenpairs)} states)", worst)
+    herm, eig, witness = _observable_residuals(spec, tol)
+    rep.add("hermitian", herm)
+    rep.add(f"eigenequations ({len(spec.labels)} states){witness}", eig)
     return rep
+
+
+def _add_observable(rep: Report, spec: ObservableSpec) -> None:
+    """One suite case per observable: the worse of its two residuals, named by ``spec``."""
+    herm, eig, witness = _observable_residuals(spec, rep.tolerance)
+    rep.add(spec.name + witness, fold((herm, eig)))
+
+
+def _bell_states(**size) -> tuple[list, np.ndarray]:
+    """Labels and ``(D, K)`` stacked states of the qudit (``d``) or n-qubit (``n``) Bell family."""
+    labels, unitaries = bell_unitaries(**size)
+    return labels, np.stack([bell_vector(u) for u in unitaries], axis=1)
 
 
 def qudit_observables(d: int, k: int) -> list[ObservableSpec]:
@@ -216,18 +265,17 @@ def qudit_observables(d: int, k: int) -> list[ObservableSpec]:
     oz_p = (b + dagger(b)) / 2
     oz_m = -1j * (b - dagger(b)) / 2
 
-    labels, unitaries = bell_unitaries(d=d)
-    states = {lab: bell_vector(u) for lab, u in zip(labels, unitaries)}
-
-    def pairs(eigval):
-        return [(lab, eigval(*lab), states[lab]) for lab in labels]
-
+    labels, states = _bell_states(d=d)
     ang = 2 * np.pi * k / d
+
+    def spec(name, op, eigval):
+        return ObservableSpec(name, op, labels, np.array([eigval(*lab) for lab in labels]), states)
+
     return [
-        ObservableSpec(f"OX+({k})", ox_p, pairs(lambda al, be: np.cos(ang * al))),
-        ObservableSpec(f"OX-({k})", ox_m, pairs(lambda al, be: np.sin(ang * al))),
-        ObservableSpec(f"OZ+({k})", oz_p, pairs(lambda al, be: np.cos(ang * be))),
-        ObservableSpec(f"OZ-({k})", oz_m, pairs(lambda al, be: np.sin(ang * be))),
+        spec(f"OX+({k})", ox_p, lambda al, be: np.cos(ang * al)),
+        spec(f"OX-({k})", ox_m, lambda al, be: np.sin(ang * al)),
+        spec(f"OZ+({k})", oz_p, lambda al, be: np.cos(ang * be)),
+        spec(f"OZ-({k})", oz_m, lambda al, be: np.sin(ang * be)),
     ]
 
 
@@ -244,11 +292,10 @@ def qudit_observable_suite(
     rng = np.random.default_rng(seed)
     for order in [k] if k else range(1, d):
         for spec in qudit_observables(d, order):
-            rep.add(spec.name, observable_check(spec, tol).max_residual)
+            _add_observable(rep, spec)
             for _ in range(conjugated):
                 for side in ("left", "right"):
-                    conj = conjugated_observables(spec, haar_unitary(d, rng), side)
-                    rep.add(conj.name, observable_check(conj, tol).max_residual)
+                    _add_observable(rep, conjugated_observables(spec, haar_unitary(d, rng), side))
     return rep
 
 
@@ -277,56 +324,52 @@ def conjugated_observables(spec: ObservableSpec, m: np.ndarray, side: str) -> Ob
     return ObservableSpec(
         f"{spec.name}|{side}-conjugated",
         shift @ spec.matrix @ inv,
-        [(lab, lam, shift @ st) for lab, lam, st in spec.eigenpairs],
+        spec.labels,
+        spec.eigenvalues,
+        shift @ spec.states,
     )
 
 
 def multiqubit_observables(n: int) -> list[ObservableSpec]:
-    """Phase-bit X_k X_{n+k} and parity-bit Z_k Z_{n+k} pairs, k = 1..n."""
+    """Phase-bit X_k X_{n+k} and parity-bit Z_k Z_{n+k} pairs, k = 1..n.
+
+    The observables are monomials; all 2n share one stack of Bell states.
+    """
     if not 1 <= n <= 5:
         raise ValueError("n must be in 1..5")
-    labels, unitaries = bell_unitaries(n=n)
-    states = {lab: bell_vector(u) for lab, u in zip(labels, unitaries)}
+    labels, states = _bell_states(n=n)
     zeros = (0,) * (2 * n)
     specs = []
     for k in range(1, n + 1):
         pair = tuple(int(q in (k - 1, n + k - 1)) for q in range(2 * n))
-        xx = word_matrix(PauliWord(zeros, pair))
-        zz = word_matrix(PauliWord(pair, zeros))
-        specs.append(
-            ObservableSpec(
-                f"X{k}X{n + k}",
-                xx,
-                [(lab, (-1.0) ** lab[0][k - 1], states[lab]) for lab in labels],
+        for name, word, bit in (("X", PauliWord(zeros, pair), 0), ("Z", PauliWord(pair, zeros), 1)):
+            # X_k X_{n+k} reads phase bit k of each label, Z_k Z_{n+k} its parity bit k
+            eigenvalues = np.array([(-1.0) ** lab[bit][k - 1] for lab in labels])
+            specs.append(
+                ObservableSpec(f"{name}{k}{name}{n + k}", word_monomial(word), labels, eigenvalues, states)
             )
-        )
-        specs.append(
-            ObservableSpec(
-                f"Z{k}Z{n + k}",
-                zz,
-                [(lab, (-1.0) ** lab[1][k - 1], states[lab]) for lab in labels],
-            )
-        )
     return specs
 
 
 def multiqubit_observable_suite(n: int, tol: float = DEFAULT_TOL) -> Report:
-    """Eigenequations, pairwise commutators, and joint-label uniqueness."""
+    """Eigenequations, pairwise commutators, and joint-label uniqueness.
+
+    Hermiticity and the commutators are exact index and phase arithmetic
+    on the monomial observables, and each observable's eigenequations are
+    one scatter over the stacked Bell states.
+    """
     specs = multiqubit_observables(n)
     rep = Report("multiqubit-observables", {"n": n}, tolerance=tol)
     for spec in specs:
-        sub = observable_check(spec, tol)
-        rep.add(spec.name, sub.max_residual)
+        _add_observable(rep, spec)
     worst = fold(
         residual(a.matrix @ b.matrix, b.matrix @ a.matrix)
         for i, a in enumerate(specs)
         for b in specs[i + 1 :]
     )
     rep.add("pairwise-commutators", worst)
-    eig_maps = [{lab: lam for lab, lam, _ in s.eigenpairs} for s in specs]
-    patterns = {
-        tuple(int(round(em[lab])) for em in eig_maps) for lab in all_labels(n)
-    }
+    # one row of joint eigenvalues per label (every spec lists the labels in one order)
+    patterns = {tuple(row) for row in np.rint(np.stack([s.eigenvalues for s in specs], axis=1)).tolist()}
     rep.add("joint-labels-distinct", 0.0 if len(patterns) == 4**n else 1.0)
     return rep
 

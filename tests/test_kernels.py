@@ -9,6 +9,7 @@ The oracles live only in this file.  Where every entry compared is 0 or
 ulps of the O(1) entries involved.
 """
 
+import tracemalloc
 from functools import cache
 from itertools import product
 from types import SimpleNamespace
@@ -22,19 +23,23 @@ from bellkit.bell import (
     Circuit,
     bell_vector,
     concurrence,
+    concurrence_oracle,
     expand_in_bell_basis,
     multi_bell,
     omega,
     qudit_bell,
     twist,
+    twist_check,
 )
 from bellkit.braid import bell_transform, braid_rep_check, tl_generators, tl_relation_check
 from bellkit.linalg import (
     DEFAULT_TOL,
+    Monomial,
     fold,
     haar_unitary,
     hs_inner,
     identity,
+    permutation,
     permutation_matrix,
     random_state,
     residual,
@@ -47,6 +52,7 @@ from bellkit.pauli import (
     _nearest_residuals,
     basis_group_check,
     gen_word_matrix,
+    gen_word_monomial,
     gen_x,
     omega_root,
     pauli_gate,
@@ -54,6 +60,7 @@ from bellkit.pauli import (
     qudit_word_set,
     word_dagger,
     word_matrix,
+    word_monomial,
     word_mul,
 )
 from bellkit.report import Report
@@ -95,6 +102,13 @@ def dense_gen_word_matrix(w):
     zpow = np.diag([omega_root(w.d, i * w.alpha) for i in range(w.d)])
     xpow = np.linalg.matrix_power(gen_x(w.d), w.beta)
     return omega_root(w.d, w.gamma) * (zpow @ xpow)
+
+
+def dense_concurrence_oracle(state, n):
+    """Overlap with the spin-flipped conjugate, the flip a dense Kronecker power of ZX."""
+    zx = pauli_gate("Z") @ pauli_gate("X")
+    tilde = (-1.0) ** n * (tensor_all([zx] * (2 * n)) @ state.conj())
+    return abs(np.vdot(tilde, state))
 
 
 def dense_bell(t, m=None):
@@ -267,6 +281,43 @@ def circuits(draw, max_wires=6, max_gates=12):
 
 seeds = st.integers(0, 2**32 - 1)
 
+FINITE_PHASES = st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False)
+# NaN and inf phases, in either part, for the residual's propagation rules
+SPECIAL_PHASES = st.sampled_from(
+    [np.nan, np.inf, -np.inf, complex(np.inf, 1.0), complex(0.0, np.nan), complex(1.0, -np.inf)]
+)
+
+
+@st.composite
+def monomial_pairs(draw, special=False):
+    """Two monomials of one dimension, built the ways the library builds them.
+
+    ``word``: n-qubit Pauli words (signed permutations); ``qudit``: clock and
+    shift words (complex phases); ``digits``: digit permutations; ``random``:
+    random permutations with random phases, the second one often sharing
+    the first's permutation or some of its phases.  ``special`` lets the
+    random phases be NaN or inf.
+    """
+    kind = draw(st.sampled_from(["word", "qudit", "digits", "random"]))
+    if kind == "word":
+        bits = st.tuples(*[st.integers(0, 1)] * draw(st.integers(1, 4)))
+        signs = st.integers(0, 1)
+        return tuple(word_monomial(PauliWord(draw(bits), draw(bits), draw(signs))) for _ in range(2))
+    if kind == "qudit":
+        d = draw(st.integers(2, 7))
+        labels = st.tuples(*[st.integers(0, d - 1)] * 3)
+        return tuple(gen_word_monomial(GenPauliWord(d, *draw(labels))) for _ in range(2))
+    if kind == "digits":
+        d, perms = draw(st.integers(2, 4)), st.permutations(range(draw(st.integers(1, 3))))
+        return permutation(draw(perms), d), permutation(draw(perms), d)
+    dim = draw(st.integers(1, 12))
+    phases = st.one_of(FINITE_PHASES, SPECIAL_PHASES) if special else FINITE_PHASES
+    perm_a = draw(st.permutations(range(dim)))
+    perm_b = draw(st.one_of(st.just(perm_a), st.permutations(range(dim))))
+    phase_a = draw(st.lists(phases, min_size=dim, max_size=dim))
+    phase_b = [p if draw(st.booleans()) else draw(phases) for p in phase_a]
+    return Monomial(perm_a, phase_a), Monomial(perm_b, phase_b)
+
 
 # ---------------------------------------------------------------------------
 # permutations, words, circuits
@@ -306,6 +357,103 @@ def test_circuit_matrix_matches_kronecker(circ):
         assert residual(got, want) <= 1e-15
     else:
         assert residual(got, want) == 0
+
+
+# ---------------------------------------------------------------------------
+# monomial operators against their dense matrices
+
+
+def _dense_of(m):
+    """The dense matrix written entry by entry from the (perm, phase) arrays."""
+    mat = np.zeros((m.dim, m.dim), dtype=complex)
+    for col, (row, ph) in enumerate(zip(m.perm.tolist(), m.phase.tolist())):
+        mat[row, col] = ph
+    return mat
+
+
+@given(monomial_pairs(special=True))
+@FAST
+def test_monomial_dense_matches_entrywise(pair):
+    for m in pair:
+        np.testing.assert_array_equal(m.dense(), _dense_of(m))
+
+
+@given(monomial_pairs())
+@FAST
+def test_monomial_product_matches_dense(pair):
+    a, b = pair
+    assert residual((a @ b).dense(), a.dense() @ b.dense()) <= 1e-15
+
+
+@given(monomial_pairs(special=True))
+@FAST
+def test_monomial_adjoint_matches_dense(pair):
+    for m in pair:
+        np.testing.assert_array_equal(m.adjoint().dense(), m.dense().conj().T)
+
+
+@given(monomial_pairs(), st.integers(1, 4), seeds)
+@FAST
+def test_monomial_apply_matches_dense(pair, k, seed):
+    m = pair[0]
+    rng = np.random.default_rng(seed)
+    states = rng.standard_normal((m.dim, k)) + 1j * rng.standard_normal((m.dim, k))
+    states /= np.linalg.norm(states, axis=0)  # O(1) entries, as everywhere else in this file
+    assert residual(m.apply(states), m.dense() @ states) <= 1e-15
+    assert residual(m @ states[:, 0], m.dense() @ states[:, 0]) <= 1e-15
+
+
+@given(monomial_pairs(special=True))
+@FAST
+def test_monomial_residual_matches_dense(pair):
+    """Exactly the dense value, NaN and inf included, either way round."""
+    a, b = pair
+    np.testing.assert_array_equal(residual(a, b), residual(a.dense(), b.dense()))
+    np.testing.assert_array_equal(residual(b, a), residual(b.dense(), a.dense()))
+
+
+def test_monomial_residual_nan_and_inf():
+    eye = Monomial([0, 1])
+    swap = Monomial([1, 0])
+    assert np.isnan(residual(Monomial([0, 1], [np.nan, 1]), swap))  # a NaN where perms differ
+    assert np.isnan(residual(Monomial([0, 1], [np.inf, 1]), Monomial([0, 1], [np.inf, 1])))
+    assert residual(Monomial([0, 1], [np.inf, 1]), swap) == np.inf
+    assert residual(eye, swap) == 1.0 and residual(eye, eye) == 0.0
+    with pytest.raises(ValueError):
+        Monomial([0, 0])
+    with pytest.raises(ValueError):
+        residual(eye, Monomial([0, 1, 2]))
+    with pytest.raises(TypeError):
+        residual(eye, np.eye(2))
+
+
+@given(circuits())
+@FAST
+def test_circuit_monomial_matches_kronecker(circ):
+    if any(name == "H" for name, _ in circ.gates):
+        with pytest.raises(ValueError):
+            circ.to_monomial()
+    else:
+        assert residual(circ.to_monomial().dense(), dense_circuit_matrix(circ)) == 0
+
+
+def test_twist_check_forms_no_dense_operator():
+    """At n = 6 one dense 4096^2 complex matrix is 256 MiB; the index arrays are a few KiB."""
+    tracemalloc.start()
+    try:
+        rep = twist_check(6, DEFAULT_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 16 * 2**20, peak
+
+
+@given(st.integers(1, 3), seeds)
+@FAST
+def test_concurrence_oracle_matches_dense_flip(n, seed):
+    psi = random_state(4**n, np.random.default_rng(seed))
+    assert concurrence_oracle(psi, n) == dense_concurrence_oracle(psi, n)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from bellkit.pauli import pauli_gate
 from bellkit.verify import (
     APPENDIX_N1_MATRIX,
     BasisFamily,
+    ObservableSpec,
     basis_theorem_suite,
     bell_family,
     completeness_check,
@@ -18,6 +19,7 @@ from bellkit.verify import (
     multiqubit_observables,
     observable_check,
     perturbed_nonunitary,
+    qudit_observable_suite,
     qudit_observables,
     trace_constraint_solve,
     trace_system,
@@ -96,15 +98,15 @@ def test_qudit_observables_d2():
     assert residual(ox_m.matrix, np.zeros((4, 4))) < 1e-15
     assert residual(oz_m.matrix, np.zeros((4, 4))) < 1e-15
     # eigenvalues (-1)^alpha and (-1)^beta
-    for (al, be), lam, _ in ox_p.eigenpairs:
+    for (al, be), lam in zip(ox_p.labels, ox_p.eigenvalues):
         assert lam == pytest.approx((-1.0) ** al)
-    for (al, be), lam, _ in oz_p.eigenpairs:
+    for (al, be), lam in zip(oz_p.labels, oz_p.eigenvalues):
         assert lam == pytest.approx((-1.0) ** be)
 
 
 def test_qudit_observables_d3_eigenvalue():
     ox_p = qudit_observables(3, 1)[0]
-    lam = dict(((lab, l) for lab, l, _ in ox_p.eigenpairs))[(1, 0)]
+    lam = dict(zip(ox_p.labels, ox_p.eigenvalues))[(1, 0)]
     assert lam == pytest.approx(np.cos(2 * np.pi / 3))
     state = qudit_bell(3, 1, 0)
     assert residual(ox_p.matrix @ state, lam * state) < 1e-12
@@ -140,7 +142,7 @@ def test_right_conjugation_uses_transpose_pair():
     shift = tensor(identity(3), m.T)
     inv = tensor(identity(3), m.conj())
     assert residual(conj.matrix, shift @ spec.matrix @ inv) == 0
-    for (al, be), lam, state in conj.eigenpairs:
+    for (al, be), state in zip(conj.labels, conj.states.T):
         direct = tensor(np.eye(3), m.T) @ qudit_bell(3, al, be)
         assert residual(state, direct) < 1e-12
 
@@ -150,11 +152,54 @@ def test_multiqubit_observables():
         assert multiqubit_observable_suite(n).passed
     specs = multiqubit_observables(1)
     xx = tensor(pauli_gate("X"), pauli_gate("X"))
-    assert residual(specs[0].matrix, xx) == 0
+    assert residual(specs[0].matrix.dense(), xx) == 0
     # n=2: joint eigenvalue pattern separates all 16 labels
     rep = multiqubit_observable_suite(2)
     case = [c for c in rep.cases if c.case_id == "joint-labels-distinct"][0]
     assert case.residual == 0
+
+
+def _respec(spec, lam_shift=None, nan_at=None):
+    """``spec`` with eigenvalues shifted by ``lam_shift[label]``, and a NaN in the state at ``nan_at``."""
+    shift = lam_shift or {}
+    states = spec.states.copy()
+    if nan_at is not None:
+        states[0, spec.labels.index(nan_at)] = np.nan
+    eigenvalues = spec.eigenvalues + [shift.get(lab, 0.0) for lab in spec.labels]
+    return ObservableSpec(spec.name, spec.matrix, spec.labels, eigenvalues, states)
+
+
+def test_failed_eigenequations_name_witness():
+    spec = qudit_observables(3, 1)[0]
+    # the worst state is the witness, not the first failing one
+    rep = observable_check(_respec(spec, {(0, 1): 0.25, (1, 2): 0.5}))
+    assert rep.cases[1].case_id == "eigenequations (9 states) witness=(1,2)"
+    assert rep.cases[1].residual > 0.1 and not rep.cases[1].passed
+    # a NaN state is the witness even when a finite one is worse
+    rep = observable_check(_respec(spec, {(0, 1): 5.0}, nan_at=(2, 0)))
+    assert rep.cases[1].case_id == "eigenequations (9 states) witness=(2,0)"
+    assert np.isnan(rep.cases[1].residual) and not rep.passed
+    # n-qubit labels read as bit strings; the matrix here is a monomial
+    multi = multiqubit_observables(2)[0]
+    rep = observable_check(_respec(multi, {((1, 0), (0, 1)): 2.0}))
+    assert rep.cases[1].case_id == "eigenequations (16 states) witness=(10,01)"
+    # passing ids are unchanged
+    assert [c.case_id for c in observable_check(spec).cases] == ["hermitian", "eigenequations (9 states)"]
+
+
+def test_observable_suite_case_names_witness(monkeypatch):
+    import bellkit.verify as verify
+
+    real = verify.qudit_observables
+
+    def broken(d, k):
+        specs = real(d, k)
+        return [_respec(specs[0], nan_at=(1, 1))] + specs[1:]
+
+    monkeypatch.setattr(verify, "qudit_observables", broken)
+    rep = qudit_observable_suite(3, k=1)
+    assert [c.case_id for c in rep.cases] == ["OX+(1) witness=(1,1)", "OX-(1)", "OZ+(1)", "OZ-(1)"]
+    assert np.isnan(rep.cases[0].residual) and not rep.passed
 
 
 def test_trace_system_appendix_order():
@@ -194,9 +239,9 @@ def test_nan_residual_fails_must_pass_fold(monkeypatch):
     import bellkit.verify as verify
 
     spec = qudit_observables(2, 1)[0]
-    # call 1 is the hermiticity case; calls 2.. are folded eigenequations,
-    # so the NaN lands after a finite residual inside the fold
-    monkeypatch.setattr(verify, "residual", _nan_on_call(residual, 3))
+    # call 1 is the hermiticity case; call 2 is the eigenequations, stacked
+    # over all states into one residual, so the NaN lands after a finite one
+    monkeypatch.setattr(verify, "residual", _nan_on_call(residual, 2))
     rep = observable_check(spec)
     case = rep.cases[1]
     assert case.case_id.startswith("eigenequations")
