@@ -26,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from .linalg import Monomial, basis_state, fold, identity, permutation, random_state, residual, tensor_all
-from .pauli import PauliWord, as_bits, bits_to_int, gen_u, pauli_gate, word_matrix, word_monomial
+from .pauli import PauliWord, as_bits, bits_to_int, gen_u, pauli_gate, word_matrix, word_monomial, word_stack
 from .report import Report
 
 _NORM_TOL = 1e-10
@@ -137,9 +137,7 @@ def omega(d: int) -> np.ndarray:
     """The maximally entangled two-qudit state (1/sqrt d) sum_i |ii>."""
     if d < 2:
         raise ValueError("local dimension must be at least 2")
-    vec = np.zeros(d * d, dtype=complex)
-    vec[:: d + 1] = 1.0 / np.sqrt(d)
-    return vec
+    return bell_vector(identity(d))
 
 
 def bell_vector(t: np.ndarray, m: np.ndarray | None = None) -> np.ndarray:
@@ -147,13 +145,14 @@ def bell_vector(t: np.ndarray, m: np.ndarray | None = None) -> np.ndarray:
 
     ``|Omega> = sum_i |ii> / sqrt(D)``, so the amplitude of ``|jk>`` is
     ``(T M^T)[j, k] / sqrt(D)``: the row-major flattening of one D x D
-    matrix, scaled by the same constant as ``omega``.  No D^2 x D^2
-    Kronecker product is formed.
+    matrix, scaled by ``1/sqrt(D)`` (``omega`` is ``T = 1``).  No D^2 x D^2
+    Kronecker product is formed.  A ``(K, D, D)`` stack of ``T`` gives
+    the ``(K, D^2)`` stack of states.
     """
     t = np.asarray(t, dtype=complex)
     if m is not None:
         t = t @ np.asarray(m).T
-    return t.reshape(-1) * (1.0 / np.sqrt(t.shape[0]))
+    return t.reshape(t.shape[:-2] + (-1,)) * (1.0 / np.sqrt(t.shape[-1]))
 
 
 def bell2(alpha: int, beta: int) -> np.ndarray:
@@ -371,19 +370,20 @@ def all_labels(n: int):
             yield a, b
 
 
-def bell_unitaries(d: int | None = None, n: int | None = None) -> tuple[list, list[np.ndarray]]:
-    """Labels and local unitaries ``U_a`` of a Bell basis ``(U_a x 1)|Omega>``.
+def bell_unitaries(d: int | None = None, n: int | None = None) -> tuple[list, np.ndarray]:
+    """Labels and the ``(K, D, D)`` stack of unitaries ``U_a`` of a Bell basis ``(U_a x 1)|Omega>``.
 
     Give exactly one size.  A qudit (``d``) has labels ``(alpha, beta)``
     in ``0..d-1`` and ``U_a = Z^alpha X^beta``; n qubits (``n``) have the
     bit-string labels of ``all_labels(n)`` and ``U_a = T(alpha beta)``.
-    Labels are lexicographic.  Both families are monomial matrices, and
-    the n-qubit words are real signed permutations, so ``T^T = T^dag``.
+    Labels are lexicographic, and the stack is one scatter of every word.
+    Both families are monomial matrices, and the n-qubit words are real
+    signed permutations, so ``T^T = T^dag``.
     """
     if (d is None) == (n is None):
         raise ValueError("give exactly one of d (qudit) or n (n qubits)")
     if d is not None:
-        labels = [(a, b) for a in range(d) for b in range(d)]
-        return labels, [gen_u(d, a, b) for a, b in labels]
-    labels = list(all_labels(n))
-    return labels, [word_matrix(PauliWord(a, b)) for a, b in labels]
+        labels, shape = list(product(range(d), repeat=2)), (d, d)
+    else:
+        labels, shape = list(all_labels(n)), (2**n, 2**n)
+    return labels, word_stack(*np.indices(shape).reshape(2, -1, 1), n=n, d=d)

@@ -149,11 +149,6 @@ def permutation(perm, local_dim: int = 2) -> Monomial:
     return Monomial(targets.reshape(-1))
 
 
-def permutation_matrix(perm, local_dim: int = 2) -> np.ndarray:
-    """Unitary 0/1 matrix of ``permutation(perm, local_dim)``."""
-    return permutation(perm, local_dim).dense()
-
-
 def residual(a, b) -> float:
     """Max-abs entrywise difference; the residual used by every suite.
 

@@ -101,16 +101,12 @@ def omega_root(d: int, k: int = 1) -> complex:
 
 def gen_x(d: int) -> np.ndarray:
     """Cyclic shift: X|i> = |i + 1 mod d>."""
-    if d < 2:
-        raise ValueError("local dimension must be at least 2")
-    return np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    return gen_u(d, 0, 1)
 
 
 def gen_z(d: int) -> np.ndarray:
     """Clock matrix diag(1, omega, ..., omega^(d-1))."""
-    if d < 2:
-        raise ValueError("local dimension must be at least 2")
-    return np.diag([omega_root(d, i) for i in range(d)])
+    return gen_u(d, 1, 0)
 
 
 def gen_u(d: int, alpha: int, beta: int) -> np.ndarray:
@@ -140,17 +136,36 @@ class PauliWord:
         return len(self.z_exps)
 
 
-def word_monomial(w: PauliWord) -> Monomial:
-    """The signed permutation ``T|i> = (-1)^(sign + a.(i xor b)) |i xor b>``.
+def _word_entries(a, b, g, n: int | None = None, d: int | None = None):
+    """Rows and phases of words: column ``i`` holds ``phase[..., i]`` in row ``rows[..., i]``.
 
-    Each factor maps ``Z^a X^b |i_k> = (-1)^(a_k (i_k xor b_k)) |i_k xor b_k>``,
-    so column ``i`` holds its sign in row ``i xor b``, with ``a`` and ``b``
-    read as big-endian integers and no Kronecker product.
+    n qubits, ``a``, ``b`` big-endian bit strings read as integers:
+    ``(-1)^g Z^a X^b |i> = (-1)^(g + a.(i xor b)) |i xor b>``, one factor
+    ``(-1)^(a_k (i_k xor b_k))`` per qubit.  One qudit of dimension d:
+    ``omega^g Z^a X^b |i> = omega^g omega^(a (i + b)) |i + b>``.  Scalar
+    exponents give one word, ``(K, 1)`` arrays a ``(K, D)`` family.
     """
-    cols = np.arange(2**w.n)
-    rows = cols ^ bits_to_int(w.x_exps)
-    parity = (w.sign + np.bitwise_count(rows & bits_to_int(w.z_exps))) & 1
-    return Monomial(rows, 1.0 - 2.0 * parity)
+    if n is not None:
+        rows = np.arange(2**n) ^ b
+        return rows, 1.0 - 2.0 * ((g + np.bitwise_count(rows & a)) & 1)
+    if d < 2:
+        raise ValueError("local dimension must be at least 2")
+    rows = (np.arange(d) + b) % d
+    roots = np.array([omega_root(d, k) for k in range(d)])
+    return rows, roots[g % d] * roots[a * rows % d]
+
+
+def word_stack(a, b, g=0, n: int | None = None, d: int | None = None) -> np.ndarray:
+    """The ``(K, D, D)`` stack of words with ``(K, 1)`` exponents (``_word_entries``), in one scatter."""
+    rows, phase = _word_entries(a, b, g, n, d)
+    out = np.zeros(rows.shape + rows.shape[-1:], dtype=complex)
+    out[np.arange(len(rows))[:, None], rows, np.arange(rows.shape[-1])] = phase
+    return out
+
+
+def word_monomial(w: PauliWord) -> Monomial:
+    """The signed permutation ``T|i> = (-1)^(sign + a.(i xor b)) |i xor b>``."""
+    return Monomial(*_word_entries(bits_to_int(w.z_exps), bits_to_int(w.x_exps), w.sign, n=w.n))
 
 
 def word_matrix(w: PauliWord) -> np.ndarray:
@@ -196,11 +211,8 @@ class GenPauliWord:
 
 
 def gen_word_monomial(w: GenPauliWord) -> Monomial:
-    """The phased shift ``omega^g Z^a X^b |i> = omega^(g + a (i + b)) |i + b>``."""
-    rows = (np.arange(w.d) + w.beta) % w.d
-    return Monomial(
-        rows, omega_root(w.d, w.gamma) * np.array([omega_root(w.d, w.alpha * r) for r in rows.tolist()])
-    )
+    """The phased shift ``omega^g Z^a X^b |i> = omega^g omega^(a (i + b)) |i + b>``."""
+    return Monomial(*_word_entries(w.alpha, w.beta, w.gamma, d=w.d))
 
 
 def gen_word_matrix(w: GenPauliWord) -> np.ndarray:
@@ -237,23 +249,14 @@ def all_words(n: int):
 
 
 def qubit_word_set(n: int) -> list[np.ndarray]:
-    """All 2 * 4^n signed word matrices, the candidate basis group at d=2^n."""
-    mats = []
-    for w in all_words(n):
-        m = word_matrix(w)
-        mats.append(m)
-        mats.append(-m)
-    return mats
+    """All 2 * 4^n signed words, the candidate basis group at d=2^n: ``all_words`` order, + then -."""
+    return list(word_stack(*np.indices((2**n, 2**n, 2)).reshape(3, -1, 1), n=n))
 
 
 def qudit_word_set(d: int) -> list[np.ndarray]:
-    """All d^3 phase-decorated qudit words omega^g Z^a X^b."""
-    return [
-        gen_word_matrix(GenPauliWord(d, a, b, g))
-        for g in range(d)
-        for a in range(d)
-        for b in range(d)
-    ]
+    """All d^3 phase-decorated qudit words omega^g Z^a X^b, in (g, a, b) lexicographic order."""
+    g, a, b = np.indices((d, d, d)).reshape(3, -1, 1)
+    return list(word_stack(a, b, g, d=d))
 
 
 # Each temporary of the closure check holds at most this many bytes, so the

@@ -82,8 +82,9 @@ class _Setting:
 
     ``variant`` is the full name (an alias resolved), ``size`` the one
     size the report records, ``{"d": d}`` or ``{"n": n}`` (``basic2``
-    fixes d = 2), and ``dim`` is D.  ``labels``, ``forward`` (``U_a``)
-    and ``inverse`` (``U_a^dag``) follow ``bell_unitaries`` order.  ``use(m)`` sets M and builds ``meas``, the
+    fixes d = 2), and ``dim`` is D.  ``labels`` and the K x D x D stacks
+    ``forward`` (``U_a``) and ``inverse`` (``U_a^dag``) follow
+    ``bell_unitaries`` order.  ``use(m)`` sets M and builds ``meas``, the
     K x D^2 stack of measurement vectors.
     """
 
@@ -97,8 +98,8 @@ class _Setting:
             raise ValueError(f"variant {variant} needs {family}")
         self.size = {family: size}
         self.labels, self.forward = bell_unitaries(**self.size)
-        self.inverse = [dagger(u) for u in self.forward]
-        self.dim = self.forward[0].shape[0]
+        self.inverse = self.forward.conj().transpose(0, 2, 1)
+        self.dim = self.forward.shape[-1]
 
     def use(self, m: np.ndarray) -> None:
         """Set M and build ``meas``; only the teleport-eq 11 forms hold for any square M."""
@@ -106,7 +107,7 @@ class _Setting:
         if (self.form == 22 or self.check != "teleport-eq") and not is_unitary(m):
             raise ValueError(f"variant {self.variant} requires a unitary M")
         self.m = m
-        self.meas = np.array([bell_vector(u, m if self.form == 22 else None) for u in self.forward])
+        self.meas = bell_vector(self.forward, m if self.form == 22 else None)
 
     def resource(self, b: int) -> np.ndarray:
         """``|M Omega(b)>`` in form 22, ``(U_b x M)|Omega>`` in form 11."""
@@ -121,7 +122,7 @@ class _Setting:
         ``U_a`` undaggered, the linearity-reduction falsifiability control.
         """
         undo = self.forward if corrupt else self.inverse
-        outs = np.array([u @ psi for u in undo]) @ self.forward[b]  # rows (U_b^T U_a^dag psi)^T
+        outs = (undo @ psi) @ self.forward[b]  # rows (U_b^T U_a^dag psi)^T
         return outs @ self.m.T if self.form == 11 else outs
 
     def sides(self, psi: np.ndarray, b: int, corrupt: bool = False) -> tuple[np.ndarray, np.ndarray]:

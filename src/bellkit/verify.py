@@ -37,17 +37,19 @@ from .report import Report
 class BasisFamily:
     """A family of candidate basis states with their defining local unitaries.
 
-    ``dim`` is the total Hilbert-space dimension; ``unitaries`` (one
-    local operator ``U_a`` per state ``(U_a x 1)|Omega>``) are kept so the
-    family can be extended by a matrix M.
+    ``dim`` is the total Hilbert-space dimension and ``states`` the
+    ``(K, dim)`` stack of states; ``unitaries``, the ``(K, D, D)`` stack of
+    local operators ``U_a`` with states ``(U_a x 1)|Omega>``, is kept so
+    the family can be extended by a matrix M.
     """
 
     dim: int
-    states: list[np.ndarray]
+    states: np.ndarray
     labels: list
-    unitaries: list[np.ndarray] | None = None
+    unitaries: np.ndarray | None = None
 
     def __post_init__(self):
+        self.states = np.asarray(self.states)
         if len(self.states) > self.dim:
             raise ValueError("more states than the space can accommodate")
 
@@ -55,29 +57,26 @@ class BasisFamily:
 def bell_family(d: int | None = None, n: int | None = None) -> BasisFamily:
     """States ``(U_a x 1)|Omega>`` of the qudit (``d``) or n-qubit (``n``) Bell family."""
     labels, unitaries = bell_unitaries(d=d, n=n)
-    local = unitaries[0].shape[0]
-    return BasisFamily(local * local, [bell_vector(u) for u in unitaries], labels, unitaries)
+    return BasisFamily(unitaries.shape[-1] ** 2, bell_vector(unitaries), labels, unitaries)
 
 
 def gram_matrix(fam: BasisFamily) -> np.ndarray:
-    stack = np.array(fam.states)
-    return stack.conj() @ stack.T
+    return fam.states.conj() @ fam.states.T
 
 
 def gram_check(fam: BasisFamily, tol: float = DEFAULT_TOL) -> Report:
     rep = Report("gram", {"size": len(fam.states), "dim": fam.dim}, tolerance=tol)
-    if not fam.states:
+    if not len(fam.states):
         raise ValueError("empty family")
     rep.add("gram-vs-identity", residual(gram_matrix(fam), np.eye(len(fam.states))))
     return rep
 
 
-def _projector_sum(states) -> np.ndarray:
+def _projector_sum(stack: np.ndarray) -> np.ndarray:
     """``sum_k |s_k><s_k|`` as one GEMM over the ``(K, D)`` stack of states.
 
     A real stack (the n-qubit Bell family) needs only the real product.
     """
-    stack = np.array(states)
     if not stack.imag.any():
         stack = stack.real
     return stack.T @ stack.conj()
@@ -96,20 +95,20 @@ def completeness_check(fam: BasisFamily, tol: float = DEFAULT_TOL) -> Report:
 def extend_basis(fam: BasisFamily, m: np.ndarray, side: str) -> BasisFamily:
     """Family with states (M U_a x 1)|Omega> (left) or (U_a M x 1)|Omega> (right).
 
-    Each state is ``bell_vector(C) = vec(C) / sqrt(d)`` of the composed
-    local operator ``C``, so no Kronecker product with the identity is formed.
+    The composed local operators are one batched product with the stack
+    of ``U_a``, and each state is ``bell_vector(C) = vec(C) / sqrt(d)`` of
+    its operator ``C``, so no Kronecker product with the identity is formed.
     """
     if fam.unitaries is None:
         raise ValueError("family does not carry its defining unitaries")
     m = np.asarray(m, dtype=complex)
-    local = fam.unitaries[0].shape[0]
+    local = fam.unitaries.shape[-1]
     if m.shape != (local, local):
         raise ValueError(f"M must be {local}x{local}, got {m.shape}")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    composed = [m @ u if side == "left" else u @ m for u in fam.unitaries]
-    states = [bell_vector(c) for c in composed]
-    return BasisFamily(fam.dim, states, list(fam.labels), composed)
+    composed = m @ fam.unitaries if side == "left" else fam.unitaries @ m
+    return BasisFamily(fam.dim, bell_vector(composed), list(fam.labels), composed)
 
 
 def perturbed_nonunitary(
@@ -139,41 +138,43 @@ def basis_theorem_suite(
 
     Reports, per side, the worst Gram residual over unitary trials (must
     stay below ``tol``) and the best Gram deviation over non-unitary
-    trials (must stay above ``fail_floor``).
+    trials (must stay above ``fail_floor``).  A failing case names its
+    trial, counted from 0, as `` witness=trial <t>``: the first NaN one,
+    else the worst (unitary) or best (non-unitary) one.
     """
     if (d is None) == (n is None):
         raise ValueError("give exactly one of d (qudit) or n (multi-qubit)")
     fam = bell_family(d, n)
-    local = fam.unitaries[0].shape[0]
+    local = fam.unitaries.shape[-1]
     rng = np.random.default_rng(seed)
     size = {"n": n} if d is None else {"d": d}
     rep = Report("basis-theorem", {**size, "trials": trials}, tolerance=tol, seed=seed)
 
     eye_k = np.eye(len(fam.states))
     for side in ("left", "right"):
-        unitary_res, nonunitary_res = [], []
-        for _ in range(trials):
+        unitary_res, nonunitary_res = np.empty(trials), np.empty(trials)
+        for t in range(trials):
             u = haar_unitary(local, rng)
-            unitary_res.append(residual(gram_matrix(extend_basis(fam, u, side)), eye_k))
+            unitary_res[t] = residual(gram_matrix(extend_basis(fam, u, side)), eye_k)
             m = perturbed_nonunitary(local, rng)
-            nonunitary_res.append(residual(gram_matrix(extend_basis(fam, m, side)), eye_k))
-        rep.add(f"unitary-extensions-{side} ({trials} trials)", fold(unitary_res))
-        rep.add_expect_fail(
-            f"nonunitary-extensions-{side} ({trials} trials)",
-            fold(nonunitary_res, np.min, np.inf),
-            fail_floor,
-        )
+            nonunitary_res[t] = residual(gram_matrix(extend_basis(fam, m, side)), eye_k)
+        worst = fold(unitary_res)
+        # argmax (argmin) returns the first NaN if there is one, else the first worst (best) trial
+        witness = f" witness=trial {np.argmax(unitary_res)}" if not worst < tol else ""
+        rep.add(f"unitary-extensions-{side} ({trials} trials){witness}", worst)
+        best = fold(nonunitary_res, np.min, np.inf)
+        witness = f" witness=trial {np.argmin(nonunitary_res)}" if not best >= fail_floor else ""
+        rep.add_expect_fail(f"nonunitary-extensions-{side} ({trials} trials){witness}", best, fail_floor)
 
     # Reduced completeness: (1/d) sum_a U_a M |i><j| M^dag U_a^dag = (M^dag M)_ji 1.
     m = random_matrix(local, rng)
     mdm = m.conj().T @ m
+    adjoints = fam.unitaries.conj().transpose(0, 2, 1)
     reduced = []
     for i in range(local):
         for j in range(local):
             eij = np.outer(basis_state(local, i), basis_state(local, j))
-            total = np.zeros((local, local), dtype=complex)
-            for u in fam.unitaries:
-                total += u @ m @ eij @ m.conj().T @ u.conj().T
+            total = (fam.unitaries @ m @ eij @ m.conj().T @ adjoints).sum(axis=0)
             reduced.append(residual(total / local, mdm[j, i] * identity(local)))
     rep.add("reduced-completeness (general M)", fold(reduced))
 
@@ -241,12 +242,6 @@ def _add_observable(rep: Report, spec: ObservableSpec) -> None:
     rep.add(spec.name + witness, fold((herm, eig)))
 
 
-def _bell_states(**size) -> tuple[list, np.ndarray]:
-    """Labels and ``(D, K)`` stacked states of the qudit (``d``) or n-qubit (``n``) Bell family."""
-    labels, unitaries = bell_unitaries(**size)
-    return labels, np.stack([bell_vector(u) for u in unitaries], axis=1)
-
-
 def qudit_observables(d: int, k: int) -> list[ObservableSpec]:
     """The four Hermitian combinations of X^k x X^k and Z^k x (Z^dag)^k.
 
@@ -265,7 +260,8 @@ def qudit_observables(d: int, k: int) -> list[ObservableSpec]:
     oz_p = (b + dagger(b)) / 2
     oz_m = -1j * (b - dagger(b)) / 2
 
-    labels, states = _bell_states(d=d)
+    fam = bell_family(d=d)
+    labels, states = fam.labels, fam.states.T
     ang = 2 * np.pi * k / d
 
     def spec(name, op, eigval):
@@ -337,7 +333,8 @@ def multiqubit_observables(n: int) -> list[ObservableSpec]:
     """
     if not 1 <= n <= 5:
         raise ValueError("n must be in 1..5")
-    labels, states = _bell_states(n=n)
+    fam = bell_family(n=n)
+    labels, states = fam.labels, fam.states.T
     zeros = (0,) * (2 * n)
     specs = []
     for k in range(1, n + 1):
@@ -386,7 +383,7 @@ def trace_system(n: int) -> tuple[np.ndarray, np.ndarray, list]:
     """
     labels, words = bell_unitaries(n=n)
     # tr(I T) = sum_ij I[i, j] T[j, i]; tensor words of Z, X are real matrices.
-    mat = np.array([t.real.T.reshape(-1) for t in words])
+    mat = words.real.transpose(0, 2, 1).reshape(len(words), -1)
     rhs = np.zeros(4**n)
     rhs[0] = 2**n  # the all-zero label comes first
     return mat, rhs, labels

@@ -81,7 +81,24 @@ TELEPORT_CALLS = (
        "teleport --variant nqubit --n 2 --samples 1000"]
 )
 
-CALLS = BENCHMARK_CALLS + TELEPORT_CALLS
+# Readers of the one Bell family (bell.bell_unitaries) that the calls above miss.
+FAMILY_CALLS = [
+    "verify basis-theorem --family qubit --trials 3",
+    "verify basis-theorem --d 3 --trials 5",
+    "verify basis-theorem --family multi --n 2 --trials 3",
+    "verify trace-constraint --n 1",
+    "verify trace-constraint --n 2",
+    "verify trace-constraint --n 3",
+    "verify gram --family multi --n 5",
+    "verify completeness --family multi --n 5",
+    "verify basis-group --family multi --n 3",
+    "verify basis-group --d 5",
+    "verify observables --family multi --n 5",
+    "verify observables --family qudit --d 3 --k 2 --conjugated 1",
+    "verify teleport-eq --variant nqubit22 --n 4",
+]
+
+CALLS = BENCHMARK_CALLS + TELEPORT_CALLS + FAMILY_CALLS
 
 
 def run(line: str) -> dict:

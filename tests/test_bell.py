@@ -269,18 +269,19 @@ def test_bell_expansion_type():
     assert abs(exp.coefficient(0, 0) - 1 / np.sqrt(2)) < 1e-15
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 16])
 def test_bell_unitaries_qudit_exact(d):
     labels, mats = bell_unitaries(d=d)
     assert labels == [(a, b) for a in range(d) for b in range(d)]
-    assert len(mats) == d * d
+    assert isinstance(mats, np.ndarray) and mats.shape == (d * d, d, d)
     for (a, b), u in zip(labels, mats):
         assert residual(u, gen_word_matrix(GenPauliWord(d, a, b))) == 0
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_bell_unitaries_nqubit_exact(n):
     labels, mats = bell_unitaries(n=n)
+    assert isinstance(mats, np.ndarray) and mats.shape == (4**n, 2**n, 2**n)
     assert labels == list(all_labels(n))
     assert labels == sorted(labels) and len(set(labels)) == 4**n
     assert labels[1] == ((0,) * n, (0,) * (n - 1) + (1,))

@@ -40,7 +40,6 @@ from bellkit.linalg import (
     hs_inner,
     identity,
     permutation,
-    permutation_matrix,
     random_state,
     residual,
     tensor,
@@ -327,7 +326,7 @@ def monomial_pairs(draw, special=False):
 @FAST
 def test_permutation_matrix_matches_digit_loop(case):
     perm, d = case
-    assert residual(permutation_matrix(perm, d), dense_permutation_matrix(perm, d)) == 0
+    assert residual(permutation(perm, d).dense(), dense_permutation_matrix(perm, d)) == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

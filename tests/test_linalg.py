@@ -8,7 +8,7 @@ from bellkit.linalg import (
     fold,
     haar_unitary,
     hs_inner,
-    permutation_matrix,
+    permutation,
     residual,
     tensor,
 )
@@ -91,21 +91,21 @@ def test_hs_inner_values():
 
 
 def test_permutation_matrix_examples():
-    assert residual(permutation_matrix([0, 1], 2), np.eye(4)) == 0
-    swap = permutation_matrix([1, 0], 2)
+    assert residual(permutation([0, 1], 2).dense(), np.eye(4)) == 0
+    swap = permutation([1, 0], 2).dense()
     ket01 = np.zeros(4)
     ket01[0b01] = 1
     ket10 = np.zeros(4)
     ket10[0b10] = 1
     assert residual(swap @ ket01, ket10) == 0
     # perm (1,2,0) relabels digits: |100> -> |010>
-    p = permutation_matrix([1, 2, 0], 2)
+    p = permutation([1, 2, 0], 2).dense()
     ket = np.zeros(8)
     ket[0b100] = 1
     out = p @ ket
     assert np.argmax(np.abs(out)) == 0b010
     with pytest.raises(ValueError):
-        permutation_matrix([0, 0], 2)
+        permutation([0, 0], 2).dense()
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -115,8 +115,8 @@ def test_permutation_composition(k):
     for sigma in permutations(range(k)):
         for pi in permutations(range(k)):
             composed = [sigma[pi[q]] for q in range(k)]
-            lhs = permutation_matrix(composed, 2)
-            rhs = permutation_matrix(sigma, 2) @ permutation_matrix(pi, 2)
+            lhs = permutation(composed, 2).dense()
+            rhs = permutation(sigma, 2).dense() @ permutation(pi, 2).dense()
             assert residual(lhs, rhs) == 0
 
 

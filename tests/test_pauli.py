@@ -153,6 +153,23 @@ def test_words_hs_orthonormal():
         assert residual(gram, np.eye(4**n)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_qubit_word_set_order_exact(n):
+    # basis-group witness ids index into this order: each word, then its negative
+    want = [word_matrix(PauliWord(w.z_exps, w.x_exps, s)) for w in all_words(n) for s in (0, 1)]
+    got = qubit_word_set(n)
+    assert len(got) == len(want) == 2 * 4**n
+    assert all(residual(g, w) == 0 for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+def test_qudit_word_set_order_exact(d):
+    want = [gen_word_matrix(GenPauliWord(d, a, b, g)) for g in range(d) for a in range(d) for b in range(d)]
+    got = qudit_word_set(d)
+    assert len(got) == len(want) == d**3
+    assert all(residual(g, w) == 0 for g, w in zip(got, want))
+
+
 def test_basis_group_check():
     assert basis_group_check(qudit_word_set(3), 3).passed
     assert basis_group_check(qubit_word_set(2), 4).passed

@@ -89,6 +89,61 @@ def test_basis_theorem_suite_multi():
         basis_theorem_suite(d=2, n=2)
 
 
+def _nth_call(real, changed):
+    """``real`` with the result of call k (counted from 0) replaced by ``changed[k](result, *args)``."""
+    count = [0]
+
+    def patched(*args):
+        out = real(*args)
+        k, count[0] = count[0], count[0] + 1
+        return changed[k](out, *args) if k in changed else out
+
+    return patched
+
+
+def test_basis_theorem_names_witness_trial(monkeypatch):
+    import bellkit.verify as verify
+
+    def ids(rep):
+        return [c.case_id for c in rep.cases]
+
+    passing = [
+        "unitary-extensions-left (4 trials)", "nonunitary-extensions-left (4 trials)",
+        "unitary-extensions-right (4 trials)", "nonunitary-extensions-right (4 trials)",
+        "reduced-completeness (general M)", "vacuous-one-sided-unitarity",
+    ]
+    assert ids(basis_theorem_suite(d=2, trials=4, seed=5)) == passing
+    # haar_unitary is called twice a trial, once directly and once inside
+    # perturbed_nonunitary: call 2t is unitary trial t on the left, call
+    # 8 + 2t on the right.  Left: trial 1 NaN, trial 2 worse but finite;
+    # right: trial 0 fails, trial 3 is worse.
+    scale = {2: np.nan, 4: 3.0, 8: 1.5, 14: 2.0}
+    changed = {k: (lambda u, dim, rng, s=s: s * u) for k, s in scale.items()}
+    monkeypatch.setattr(verify, "haar_unitary", _nth_call(haar_unitary, changed))
+    rep = basis_theorem_suite(d=2, trials=4, seed=5)
+    assert ids(rep) == [
+        "unitary-extensions-left (4 trials) witness=trial 1", "nonunitary-extensions-left (4 trials)",
+        "unitary-extensions-right (4 trials) witness=trial 3", "nonunitary-extensions-right (4 trials)",
+        *passing[4:],
+    ]
+    assert np.isnan(rep.cases[0].residual) and rep.cases[2].residual == pytest.approx(3.0)
+    assert [c.passed for c in rep.cases] == [False, True, False, True, True, True]
+
+    # the non-unitary control names its best trial: a unitary M on the
+    # left at trial 2, a NaN M on the right at trial 1 (call 4 + 1)
+    monkeypatch.setattr(verify, "haar_unitary", haar_unitary)
+    changed = {2: lambda m, dim, rng: haar_unitary(dim, rng), 5: lambda m, dim, rng: np.nan * m}
+    monkeypatch.setattr(verify, "perturbed_nonunitary", _nth_call(perturbed_nonunitary, changed))
+    rep = basis_theorem_suite(d=2, trials=4, seed=5)
+    assert ids(rep) == [
+        "unitary-extensions-left (4 trials)", "nonunitary-extensions-left (4 trials) witness=trial 2",
+        "unitary-extensions-right (4 trials)", "nonunitary-extensions-right (4 trials) witness=trial 1",
+        *passing[4:],
+    ]
+    assert rep.cases[1].residual < 1e-12 and np.isnan(rep.cases[3].residual)
+    assert [c.passed for c in rep.cases] == [True, False, True, False, True, True]
+
+
 def test_qudit_observables_d2():
     ox_p, ox_m, oz_p, oz_m = qudit_observables(2, 1)
     xx = tensor(pauli_gate("X"), pauli_gate("X"))
