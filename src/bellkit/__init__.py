@@ -6,17 +6,16 @@ library constructs both sides of each one and reports max-abs residuals
 against an absolute tolerance (1e-12 by default).
 """
 
-from .linalg import DEFAULT_TOL, dagger, hs_inner, residual, tensor
+from .linalg import DEFAULT_TOL, apply_local, dagger, residual
 from .report import Case, Report
 
 __all__ = [
     "DEFAULT_TOL",
     "Case",
     "Report",
+    "apply_local",
     "dagger",
-    "hs_inner",
     "residual",
-    "tensor",
 ]
 
 __version__ = "0.1.0"

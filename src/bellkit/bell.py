@@ -25,7 +25,7 @@ from itertools import product
 
 import numpy as np
 
-from .linalg import Monomial, basis_state, fold, identity, permutation, random_state, residual, tensor_all
+from .linalg import Monomial, basis_state, fold, identity, permutation, random_state, residual
 from .pauli import PauliWord, as_bits, bits_to_int, gen_u, pauli_gate, word_matrix, word_monomial, word_stack
 from .report import Report
 
@@ -224,10 +224,11 @@ def multi_bell(n: int, alpha, beta) -> np.ndarray:
 
 
 def pair_product_bell(n: int, alpha, beta) -> np.ndarray:
-    """Interleaved-order n-fold tensor product of two-qubit Bell pairs."""
-    a = as_bits(alpha, n)
-    b = as_bits(beta, n)
-    return tensor_all([bell2(ak, bk) for ak, bk in zip(a, b)])
+    """Interleaved-order n-fold tensor product of two-qubit Bell pairs, by outer products."""
+    out = np.ones(1, dtype=complex)
+    for ak, bk in zip(as_bits(alpha, n), as_bits(beta, n)):
+        out = np.outer(out, bell2(ak, bk)).reshape(-1)
+    return out
 
 
 def prep_circuit(n: int, alpha, beta) -> Circuit:

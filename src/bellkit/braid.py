@@ -15,21 +15,13 @@ kept as exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 
 import numpy as np
 
-from .bell import all_labels, bell2, bell_vector, product_ket, qudit_bell, twist
-from .linalg import (
-    DEFAULT_TOL,
-    dagger,
-    fold,
-    identity,
-    random_state,
-    residual,
-    tensor,
-    tensor_all,
-)
+from .bell import all_labels, bell2, bell_vector, product_ket, qudit_bell, twist_monomial
+from .linalg import DEFAULT_TOL, apply_local, dagger, fold, identity, random_state, residual
 from .pauli import PauliWord, gen_u, word_dagger, word_matrix, word_mul
 from .report import Report
 
@@ -102,18 +94,29 @@ def bell_action_check(epsilon: int, eta: int, tol: float = 1e-15) -> Report:
 # j >= i+2 (a wider gap only adds an identity factor between them).  On the
 # full d^n space both sides are "local side x identity", and tensoring with
 # an identity changes neither the value nor the max-abs residual, so each
-# relation is checked on that d^3 or d^4 support.
+# relation is checked on that d^3 or d^4 support.  There each side is a word
+# of X placed at sites s, applied to the columns of the identity by
+# ``apply_local``, one block of columns at a time; no placed X is formed.
 
 
-def _adjacent_pair(x: np.ndarray, local_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Generators i and i+1 on their joint d^3 support: (X x 1, 1 x X)."""
-    eye = identity(local_dim)
-    return tensor(x, eye), tensor(eye, x)
+def _word(x: np.ndarray, local_dim: int, sites, cols: np.ndarray) -> np.ndarray:
+    """``X_{s_1} X_{s_2} ... @ cols`` for ``sites = (s_1, s_2, ...)``, X_s = x on sites (s, s+1)."""
+    for s in reversed(sites):
+        cols = apply_local(x, cols, local_dim**s)
+    return cols
 
 
-def _far_pair(x: np.ndarray, local_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Generators i and j >= i+2 on their joint d^4 support: (X x 1_{d^2}, 1_{d^2} x X)."""
-    return _adjacent_pair(x, local_dim**2)
+def _relation_residual(x: np.ndarray, local_dim: int, support: int, lhs, rhs, scale: float = 1.0) -> float:
+    """Max-abs residual of ``word(lhs) - scale * word(rhs)`` on ``support`` sites.
+
+    Both words act on identity blocks of ``len(x)`` columns; memory is one block.
+    """
+    dim = local_dim**support
+    width = x.shape[0]
+    return fold(
+        residual(_word(x, local_dim, lhs, eye), scale * _word(x, local_dim, rhs, eye))
+        for eye in (np.eye(dim, width, -start, dtype=complex) for start in range(0, dim, width))
+    )
 
 
 def _far_pairs(n_gens: int):
@@ -126,9 +129,8 @@ def yang_baxter_check(r: np.ndarray, local_dim: int, tol: float = DEFAULT_TOL) -
     r = np.asarray(r, dtype=complex)
     if r.shape != (local_dim**2, local_dim**2):
         raise ValueError(f"R must be {local_dim ** 2} square, got {r.shape}")
-    r1, r2 = _adjacent_pair(r, local_dim)
     rep = Report("ybe", {"local_dim": local_dim}, tolerance=tol)
-    rep.add("triple-products", residual(r1 @ r2 @ r1, r2 @ r1 @ r2))
+    rep.add("triple-products", _relation_residual(r, local_dim, 3, (0, 1, 0), (1, 0, 1)))
     return rep
 
 
@@ -151,10 +153,8 @@ def braid_rep_check(
     if gate is None:
         gate = bell_transform(epsilon, eta)
         params.update(eps=epsilon, eta=eta)
-    a, b = _adjacent_pair(gate, 2)
-    braid_res = residual(a @ b @ a, b @ a @ b)
-    f, g = _far_pair(gate, 2)
-    far_res = residual(f @ g, g @ f)
+    braid_res = _relation_residual(gate, 2, 3, (0, 1, 0), (1, 0, 1))
+    far_res = _relation_residual(gate, 2, 4, (0, 2), (2, 0))
     rep = Report("braid-rep", params, tolerance=tol)
     for i in range(1, n_strands - 1):
         rep.add(f"braid({i},{i + 1})", braid_res)
@@ -210,12 +210,10 @@ def tl_relation_check(rep_tl: TLRep, tol: float = DEFAULT_TOL) -> Report:
     """
     p, d = rep_tl.proj, rep_tl.d
     inv_d2 = 1.0 / d**2
-    a, b = _adjacent_pair(p, d)
     idem_res = residual(p @ p, p)
-    fwd_res = residual(a @ b @ a, inv_d2 * a)
-    back_res = residual(b @ a @ b, inv_d2 * b)
-    f, g = _far_pair(p, d)
-    far_res = residual(f @ g, g @ f)
+    fwd_res = _relation_residual(p, d, 3, (0, 1, 0), (0,), inv_d2)
+    back_res = _relation_residual(p, d, 3, (1, 0, 1), (1,), inv_d2)
+    far_res = _relation_residual(p, d, 4, (0, 2), (2, 0))
     n_gens = rep_tl.n - 1
     rep = Report("tl-relations", {"strands": rep_tl.n, "d": d}, tolerance=tol)
     for i in range(1, n_gens + 1):
@@ -230,6 +228,14 @@ def tl_relation_check(rep_tl: TLRep, tol: float = DEFAULT_TOL) -> Report:
 
 # ---------------------------------------------------------------------------
 # braid teleportation
+
+
+def _teleport_lhs(gate_r: np.ndarray, gate_l: np.ndarray, psi: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """``(gate_r x 1)(1 x gate_l)`` on ``psi x ket``, as two applications to the vector.
+
+    ``gate_l`` acts on ``ket``, then ``gate_r`` on ``psi`` and the ket's first half.
+    """
+    return apply_local(gate_r, apply_local(gate_l, np.kron(psi, ket), psi.size))
 
 
 def correction_word(kp: int, mp: int, ip: int, jp: int) -> PauliWord:
@@ -290,7 +296,8 @@ def braid_teleport_single_check(
 ) -> Report:
     """Single-qubit braid teleportation equation for one resource ket |km>.
 
-    LHS: (B(-eps_r, -eta_r) x 1)(1 x B(eps_l, eta_l)) on psi x |km>.
+    LHS: (B(-eps_r, -eta_r) x 1)(1 x B(eps_l, eta_l)) on psi x |km>, as two
+    applications of the 4x4 gates to the ket.
     RHS: (1/2) sum |ij> x U psi with U the signed word correction; the
     (-1)^a X^b Z^c route must agree with the word route exactly.
     """
@@ -302,9 +309,7 @@ def braid_teleport_single_check(
         tolerance=tol,
         seed=seed,
     )
-    lhs_op = tensor(bell_transform(-eps_r, -eta_r), identity(2)) @ tensor(
-        identity(2), bell_transform(eps_l, eta_l)
-    )
+    b_l, b_r = bell_transform(eps_l, eta_l), bell_transform(-eps_r, -eta_r)
     kp, mp = bell_bijection(eps_l, eta_l, k, m)
     f_l = sign_exponent(eps_l, eta_l, k, m)
     u_words = {}  # outcome (i, j) -> the signed word correction
@@ -320,7 +325,7 @@ def braid_teleport_single_check(
         return out / 2.0
 
     eq_res = [
-        residual(lhs_op @ np.kron(psi, product_ket((k, m))), rhs_for(psi))
+        residual(_teleport_lhs(b_r, b_l, psi, product_ket((k, m))), rhs_for(psi))
         for psi in [product_ket((0,)), product_ket((1,)), random_state(2, rng)]
     ]
     rep.add("equation (basis + random psi)", fold(eq_res))
@@ -340,7 +345,8 @@ def twisted_yb_gates(n: int, eps, eta, kind: str = "plain") -> np.ndarray:
 
     The conjugated kind solves the Yang-Baxter equation on local
     dimension 2^n; the plain kind does not (it is the gate that appears
-    in the multi-qubit braid teleportation equation).
+    in the multi-qubit braid teleportation equation).  tau is applied as
+    a monomial, and tau^dag on the right as ``(tau G^dag)^dag``.
     """
     eps = tuple(eps)
     eta = tuple(eta)
@@ -349,12 +355,12 @@ def twisted_yb_gates(n: int, eps, eta, kind: str = "plain") -> np.ndarray:
     _check_sign(*eps, *eta)
     if not 1 <= n <= 3:
         raise ValueError("n must be in 1..3")
-    tau = twist(n)
-    gate = tau @ tensor_all([bell_transform(e, t) for e, t in zip(eps, eta)])
+    tau = twist_monomial(n)
+    gate = tau @ reduce(np.kron, [bell_transform(e, t) for e, t in zip(eps, eta)])
     if kind == "plain":
         return gate
     if kind == "conjugated":
-        return gate @ dagger(tau)
+        return dagger(tau @ dagger(gate))
     raise ValueError("kind must be 'plain' or 'conjugated'")
 
 
@@ -385,7 +391,7 @@ def braid_teleport_multi_check(
     tol: float = DEFAULT_TOL,
     blocked: bool = False,
 ) -> Report:
-    """Multi-qubit braid teleportation equation, full-vector assembly.
+    """Multi-qubit braid teleportation equation on the full 8^n-dim vector.
 
     Interleaved form uses the plain twisted gates on |a1 b1 ... an bn>;
     the blocked form conjugates the gates by the twist and feeds the
@@ -393,7 +399,7 @@ def braid_teleport_multi_check(
     T^dag(a'b') T^dag(alpha' beta') with the per-pair sign exponents.
     """
     if not 1 <= n <= 2:
-        raise ValueError("full-vector assembly is capped at n = 2")
+        raise ValueError("the multi-qubit braid teleportation check is capped at n = 2")
     eps_l, eta_l = tuple(eps_l), tuple(eta_l)
     eps_r, eta_r = tuple(eps_r), tuple(eta_r)
     a_bits, b_bits = tuple(a_bits), tuple(b_bits)
@@ -402,10 +408,8 @@ def braid_teleport_multi_check(
     gate_l = twisted_yb_gates(n, eps_l, eta_l, kind)
     gate_r = twisted_yb_gates(n, eps_r, eta_r, kind)
     dim = 2**n
-    eye_n = identity(dim)
-    lhs_op = tensor(dagger(gate_r), eye_n) @ tensor(eye_n, gate_l)
 
-    tau = twist(n)
+    tau = twist_monomial(n)
     ket_ab = product_ket(_interleave(a_bits, b_bits))
     if blocked:
         ket_ab = tau @ ket_ab
@@ -441,6 +445,6 @@ def braid_teleport_multi_check(
         seed=seed,
     )
     psi = random_state(dim, rng)
-    lhs = lhs_op @ np.kron(psi, ket_ab)
+    lhs = _teleport_lhs(dagger(gate_r), gate_l, psi, ket_ab)
     rep.add(f"equation a={a_bits} b={b_bits}", residual(lhs, rhs_for(psi)))
     return rep

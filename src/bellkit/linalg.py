@@ -1,9 +1,12 @@
-"""Complex linear-algebra kernel shared by all other modules: dense arrays
-and monomial (one nonzero per column) operators.
+"""Complex linear-algebra kernel shared by all other modules: dense arrays,
+local operators and monomial (one nonzero per column) operators.
 
 Conventions, fixed once here:
 
 * states are 1-D complex ``numpy`` arrays, operators 2-D;
+* an operator on some sites of a larger space, ``1 x op x 1``, is applied
+  by ``apply_local`` to a state or to the columns of an operator, never
+  formed as a Kronecker product with identities;
 * qudit ordering is big-endian: wire 0 is the most significant digit,
   so a basis ket labelled by the digit string ``s[0] s[1] ... s[k-1]``
   sits at flat index ``sum(s[q] * D**(k-1-q))``;
@@ -17,29 +20,23 @@ import numpy as np
 
 DEFAULT_TOL = 1e-12
 
-# Dense storage only; a Kronecker product whose result would exceed this
-# per-axis size is refused instead of thrashing memory.
-MAX_DIM = 2**24
 
+def apply_local(op: np.ndarray, x: np.ndarray, before: int = 1) -> np.ndarray:
+    """``(1_before x op x 1_rest) @ x`` for ``x`` of shape ``(D,)`` or ``(D, C)``.
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the standard row-major block convention."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim == 2 and b.ndim == 2 and a.shape[0] * b.shape[0] > MAX_DIM:
-        raise ValueError(
-            f"tensor result dimension {a.shape[0] * b.shape[0]} exceeds cap {MAX_DIM}"
-        )
-    return np.kron(a, b)
-
-
-def tensor_all(factors) -> np.ndarray:
-    """Left-to-right Kronecker product of a sequence of arrays."""
-    factors = list(factors)
-    out = np.asarray(factors[0])
-    for f in factors[1:]:
-        out = tensor(out, f)
-    return out
+    ``op`` is k x k; ``before`` is the dimension of the factor ahead of it
+    (``d**s`` for an operator starting at qudit ``s``) and ``rest = D /
+    (before * k)``.  Entry ``[(b, i, r), c]`` of ``x`` is entry
+    ``[b, i, (r, c)]`` of its ``(before, k, rest * C)`` view, so the product
+    is one batched ``matmul`` of ``op`` with that view: no transpose, and no
+    Kronecker product with an identity is formed.
+    """
+    op = np.asarray(op)
+    x = np.asarray(x)
+    k = op.shape[0]
+    if op.shape != (k, k) or x.ndim not in (1, 2) or x.shape[0] % (before * k):
+        raise ValueError(f"cannot apply a {op.shape} operator after {before} to shape {x.shape}")
+    return np.matmul(op, x.reshape(before, k, -1)).reshape(x.shape)
 
 
 def dagger(a):
@@ -47,15 +44,6 @@ def dagger(a):
     if isinstance(a, Monomial):
         return a.adjoint()
     return np.asarray(a).conj().T
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(a^dagger b) / d for d x d matrices."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"hs_inner requires equal square shapes, got {a.shape}, {b.shape}")
-    return complex(np.trace(a.conj().T @ b) / a.shape[0])
 
 
 def identity(dim: int) -> np.ndarray:

@@ -19,6 +19,7 @@ from .bell import bell_unitaries, bell_vector
 from .linalg import (
     DEFAULT_TOL,
     Monomial,
+    apply_local,
     basis_state,
     dagger,
     fold,
@@ -27,7 +28,6 @@ from .linalg import (
     is_unitary,
     random_matrix,
     residual,
-    tensor,
 )
 from .pauli import PauliWord, gen_x, gen_z, word_monomial
 from .report import Report
@@ -60,8 +60,14 @@ def bell_family(d: int | None = None, n: int | None = None) -> BasisFamily:
     return BasisFamily(unitaries.shape[-1] ** 2, bell_vector(unitaries), labels, unitaries)
 
 
+def _real_if_real(stack: np.ndarray) -> np.ndarray:
+    """A real stack (the n-qubit Bell family) as a real array, so that its products take the real GEMM."""
+    return stack.real if not stack.imag.any() else stack
+
+
 def gram_matrix(fam: BasisFamily) -> np.ndarray:
-    return fam.states.conj() @ fam.states.T
+    stack = _real_if_real(fam.states)
+    return stack.conj() @ stack.T
 
 
 def gram_check(fam: BasisFamily, tol: float = DEFAULT_TOL) -> Report:
@@ -73,12 +79,8 @@ def gram_check(fam: BasisFamily, tol: float = DEFAULT_TOL) -> Report:
 
 
 def _projector_sum(stack: np.ndarray) -> np.ndarray:
-    """``sum_k |s_k><s_k|`` as one GEMM over the ``(K, D)`` stack of states.
-
-    A real stack (the n-qubit Bell family) needs only the real product.
-    """
-    if not stack.imag.any():
-        stack = stack.real
+    """``sum_k |s_k><s_k|`` as one GEMM over the ``(K, D)`` stack of states."""
+    stack = _real_if_real(stack)
     return stack.T @ stack.conj()
 
 
@@ -253,8 +255,8 @@ def qudit_observables(d: int, k: int) -> list[ObservableSpec]:
         raise ValueError(f"k must be in 1..{d - 1}")
     xk = np.linalg.matrix_power(gen_x(d), k)
     zk = np.linalg.matrix_power(gen_z(d), k)
-    a = tensor(xk, xk)
-    b = tensor(zk, dagger(zk))
+    a = np.kron(xk, xk)
+    b = np.kron(zk, dagger(zk))
     ox_p = (a + dagger(a)) / 2
     ox_m = 1j * (a - dagger(a)) / 2
     oz_p = (b + dagger(b)) / 2
@@ -300,7 +302,9 @@ def conjugated_observables(spec: ObservableSpec, m: np.ndarray, side: str) -> Ob
 
     Left: (M x 1) O (M^dag x 1) on states (M x 1)|psi>.  Right uses the
     transpose/conjugate pair (1 x M^T) O (1 x M^*), matching the local
-    action U_a M = (1 x M^T) on the reference Bell state.
+    action U_a M = (1 x M^T) on the reference Bell state.  Each side is
+    one application of M to O's rows and one to its columns, O(d^5)
+    instead of the O(d^6) products with ``M x 1``.
     """
     m = np.asarray(m, dtype=complex)
     if not is_unitary(m):
@@ -308,21 +312,18 @@ def conjugated_observables(spec: ObservableSpec, m: np.ndarray, side: str) -> Ob
     d = m.shape[0]
     if spec.matrix.shape != (d * d, d * d):
         raise ValueError("observable dimension does not match M")
-    eye = identity(d)
-    if side == "left":
-        shift = tensor(m, eye)
-        inv = tensor(dagger(m), eye)
-    elif side == "right":
-        shift = tensor(eye, m.T)
-        inv = tensor(eye, m.conj())
-    else:
+    if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
+    # shift = 1_before x op x 1_rest; inv = shift^dag, applied on the right through
+    # O inv = (inv^T O^T)^T with inv^T = 1_before x op^*
+    op, before = (m, 1) if side == "left" else (m.T, d)
+    shifted = apply_local(op, spec.matrix, before)
     return ObservableSpec(
         f"{spec.name}|{side}-conjugated",
-        shift @ spec.matrix @ inv,
+        apply_local(op.conj(), shifted.T, before).T,
         spec.labels,
         spec.eigenvalues,
-        shift @ spec.states,
+        apply_local(op, spec.states, before),
     )
 
 

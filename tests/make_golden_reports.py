@@ -1,13 +1,18 @@
 """Write tests/data/golden_reports.json, the reports that test_golden_reports.py pins.
 
-Run from the repository root, only when a change is meant to alter a report:
+Run from the repository root after adding a call, or when a change is meant
+to alter a report:
 
     PYTHONPATH=src python tests/make_golden_reports.py
 
 Each call runs in-process through ``bellkit.cli.main`` with ``--seed 7``
 and a throwaway ``--json`` path; the table records the exit code and the
-report.  The benchmark calls are copied here, not imported, so that a
-benchmark change cannot silently change what this table covers.
+report.  A stored entry that the fresh run matches by
+``test_golden_reports.assert_matches`` (the test's own comparison, residuals
+to its ``ATOL``) is kept as stored, so a rerun rewrites only new or changed
+calls and is a no-op on an unchanged tree.  The benchmark calls are copied
+here, not imported, so that a benchmark change cannot silently change what
+this table covers.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import sys
 import tempfile
 
 from bellkit.cli import main
+from test_golden_reports import assert_matches
 
 SEED = "7"
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden_reports.json")
@@ -98,7 +104,17 @@ FAMILY_CALLS = [
     "verify teleport-eq --variant nqubit22 --n 4",
 ]
 
-CALLS = BENCHMARK_CALLS + TELEPORT_CALLS + FAMILY_CALLS
+# Readers of the local-operator kernel (linalg.apply_local) that the calls above miss.
+KERNEL_CALLS = [
+    "verify ybe --gate twisted --n 1",
+    "verify ybe --gate twisted --n 2 --eps=1,-1 --eta=-1,1",
+    "verify ybe --gate swap",
+    "verify tl --strands 3 --d 3 --m identity",
+    "verify braid --strands 3",
+    "verify observables --family qudit --d 5 --conjugated 1",
+]
+
+CALLS = BENCHMARK_CALLS + TELEPORT_CALLS + FAMILY_CALLS + KERNEL_CALLS
 
 
 def run(line: str) -> dict:
@@ -111,9 +127,30 @@ def run(line: str) -> dict:
     return {"argv": argv[:-2], "exit": code, "report": report}
 
 
+def merge(stored: dict | None, fresh: dict) -> dict:
+    """``stored`` if ``fresh`` matches it as the test compares them, else ``fresh``."""
+    if stored is not None:
+        try:
+            assert_matches(fresh, stored)
+            return stored
+        except AssertionError:
+            pass
+    return fresh
+
+
 if __name__ == "__main__":
-    table = [run(line) for line in CALLS]
+    if not __debug__:
+        sys.exit("assert_matches is made of asserts; run without -O, or every stored entry is kept")
+    stored = {}
+    if os.path.exists(OUT):
+        with open(OUT) as fh:
+            stored = {tuple(e["argv"]): e for e in json.load(fh)}
+    table = []
+    for line in CALLS:
+        fresh = run(line)
+        table.append(merge(stored.get(tuple(fresh["argv"])), fresh))
+    written = sum(entry is not stored.get(tuple(entry["argv"])) for entry in table)
     with open(OUT, "w") as fh:
         json.dump(table, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {len(table)} reports to {OUT}", file=sys.stderr)
+    print(f"{len(table)} reports in {OUT}: {written} new or changed", file=sys.stderr)

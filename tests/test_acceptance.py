@@ -13,7 +13,8 @@ import pytest
 
 from bellkit import bell, braid, teleport, verify
 from bellkit.cli import main as cli_main
-from bellkit.linalg import fold, haar_unitary, identity, random_state, residual, tensor_all
+from bellkit.linalg import fold, haar_unitary, identity, random_state, residual
+from dense import kron
 from bellkit.pauli import pauli_gate
 
 TOL = 1e-12
@@ -63,7 +64,7 @@ def test_criterion_3_twist():
         worst = fold((worst, residual(circ.to_matrix(), bell.twist(n))))
         assert len(circ.gates) == n * (n - 1) // 2
     swap = bell.Circuit(2, [("SWAP", (0, 1))]).to_matrix()
-    tau4 = tensor_all([identity(2), swap, identity(2)])
+    tau4 = kron(identity(2), swap, identity(2))
     assert residual(bell.twist(2), tau4) == 0
     criterion(3, "twist decomposition exact, swap counts n(n-1)/2, tau4 = I.SWAP.I",
               worst, bound=0.0)

@@ -25,8 +25,6 @@ from bellkit.linalg import (
     haar_unitary,
     identity,
     residual,
-    tensor,
-    tensor_all,
 )
 from bellkit.pauli import (
     GenPauliWord,
@@ -36,6 +34,7 @@ from bellkit.pauli import (
     pauli_gate,
     word_matrix,
 )
+from dense import kron
 
 
 def rand_complex(rng, shape):
@@ -54,7 +53,7 @@ def test_omega_trace_inner_product():
     # <Omega| (N^dag L x 1) |Omega> = tr(N^dag L) / d
     rng = np.random.default_rng(3)
     l, n = rand_complex(rng, (3, 3)), rand_complex(rng, (3, 3))
-    lhs = np.vdot(tensor(n, identity(3)) @ omega(3), tensor(l, identity(3)) @ omega(3))
+    lhs = np.vdot(kron(n, identity(3)) @ omega(3), kron(l, identity(3)) @ omega(3))
     assert abs(lhs - np.trace(n.conj().T @ l) / 3) < 1e-12
 
 
@@ -63,8 +62,8 @@ def test_m_shift_identity():
     rng = np.random.default_rng(4)
     for d in range(2, 9):
         m = rand_complex(rng, (d, d))
-        lhs = tensor(m, identity(d)) @ omega(d)
-        rhs = tensor(identity(d), m.T) @ omega(d)
+        lhs = kron(m, identity(d)) @ omega(d)
+        rhs = kron(identity(d), m.T) @ omega(d)
         assert residual(lhs, rhs) < 1e-12
 
 
@@ -100,7 +99,7 @@ def test_qudit_bell_family():
 def test_twist_small_cases():
     assert residual(twist(1), np.eye(4)) == 0
     swap = Circuit(2, [("SWAP", (0, 1))]).to_matrix()
-    assert residual(twist(2), tensor_all([identity(2), swap, identity(2)])) == 0
+    assert residual(twist(2), kron(identity(2), swap, identity(2))) == 0
     out = twist(3) @ product_ket("011011")
     assert np.argmax(np.abs(out)) == bits_to_int((0, 1, 1, 1, 0, 1))
     with pytest.raises(ValueError):
@@ -125,8 +124,8 @@ def test_twist_conjugation_property():
     for n in (2, 3):
         ops = [rand_complex(rng, (2, 2)) for _ in range(2 * n)]
         tau = twist(n)
-        lhs = tau @ tensor_all(ops) @ dagger(tau)
-        rhs = tensor_all(ops[0::2] + ops[1::2])
+        lhs = tau @ kron(*ops) @ dagger(tau)
+        rhs = kron(*ops[0::2] + ops[1::2])
         assert residual(lhs, rhs) < 1e-12
 
 
@@ -134,11 +133,11 @@ def test_twist_intertwines_word_layouts():
     # tau . prod_k (T(a_k b_k) x 1) = (T_n(ab) x 1^n) . tau
     tau = twist(2)
     for a, b in all_labels(2):
-        interleaved = tensor_all(
-            [word_matrix(PauliWord((a[k],), (b[k],))) if q == 0 else identity(2)
-             for k in range(2) for q in range(2)]
-        )
-        blocked = tensor(word_matrix(PauliWord(a, b)), identity(4))
+        interleaved = kron(*[
+            word_matrix(PauliWord((a[k],), (b[k],))) if q == 0 else identity(2)
+            for k in range(2) for q in range(2)
+        ])
+        blocked = kron(word_matrix(PauliWord(a, b)), identity(4))
         assert residual(tau @ interleaved, blocked @ tau) == 0
 
 

@@ -22,7 +22,8 @@ from bellkit.braid import (
     twisted_yb_gates,
     yang_baxter_check,
 )
-from bellkit.linalg import dagger, haar_unitary, identity, residual, tensor
+from bellkit.linalg import dagger, haar_unitary, identity, residual
+from dense import kron
 
 SIGN_PAIRS = list(product((1, -1), repeat=2))
 
@@ -92,7 +93,7 @@ def test_ybe_preserved_under_local_conjugation():
     # (V x V) R (V x V)^dag stays a solution for unitary V
     rng = np.random.default_rng(0)
     v = haar_unitary(2, rng)
-    vv = tensor(v, v)
+    vv = kron(v, v)
     r = vv @ bell_transform(-1, 1) @ dagger(vv)
     assert yang_baxter_check(r, 2).max_residual < 1e-12
 
@@ -149,7 +150,7 @@ def test_tl_loop_parameter_scaling():
     for d in (2, 3):
         # on three strands e_1 = P x 1 and e_2 = 1 x P span the whole space
         p = tl_generators(3, d).proj
-        e1, e2 = tensor(p, identity(d)), tensor(identity(d), p)
+        e1, e2 = kron(p, identity(d)), kron(identity(d), p)
         assert residual(e1 @ e2 @ e1, e1 / d**2) < 1e-12
 
 

@@ -19,12 +19,15 @@ with open(TABLE) as fh:
 ATOL = 1e-13
 
 
-@pytest.mark.parametrize("entry", GOLDEN, ids=[" ".join(e["argv"]) for e in GOLDEN])
-def test_report_matches_golden(entry, tmp_path, capsys):
-    path = tmp_path / "report.json"
-    assert main([*entry["argv"], "--json", str(path)]) == entry["exit"]
-    capsys.readouterr()
-    got, want = json.loads(path.read_text()), entry["report"]
+def assert_matches(got: dict, want: dict) -> None:
+    """Assert that entry ``got`` (argv, exit, report) matches the pinned ``want``.
+
+    The generator keeps a stored entry exactly when this passes, so the
+    table and the test share one notion of "unchanged".
+    """
+    assert got["argv"] == want["argv"]
+    assert got["exit"] == want["exit"]
+    got, want = got["report"], want["report"]
     assert set(got) == set(want)
     exact = {key: value for key, value in want.items() if key not in ("cases", "max_residual",
                                                                        "min_fidelity", "max_fidelity")}
@@ -40,3 +43,18 @@ def test_report_matches_golden(entry, tmp_path, capsys):
             assert {k: v for k, v in g.items() if k != "residual"} == {
                 k: v for k, v in w.items() if k != "residual"
             }
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=[" ".join(e["argv"]) for e in GOLDEN])
+def test_report_matches_golden(entry, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    code = main([*entry["argv"], "--json", str(path)])
+    capsys.readouterr()
+    assert_matches({"argv": entry["argv"], "exit": code, "report": json.loads(path.read_text())}, entry)
+
+
+def test_table_pins_every_generator_call():
+    """A call added to the generator but never generated would go unpinned."""
+    from make_golden_reports import CALLS, SEED
+
+    assert [e["argv"] for e in GOLDEN] == [line.split() + ["--seed", SEED] for line in CALLS]

@@ -3,7 +3,8 @@
 Every oracle here is the Kronecker-product or digit-loop form the library
 used before its kernels were rewritten by reshape, scatter and transform,
 before braid and Temperley-Lieb relations moved to the generators' joint
-support, or before the basis-group closure was batched.
+support, before local operators were applied by ``apply_local`` instead of
+formed as ``op x 1``, or before the basis-group closure was batched.
 The oracles live only in this file.  Where every entry compared is 0 or
 +-1 the two routes must agree exactly; elsewhere to 1e-15, which is a few
 ulps of the O(1) entries involved.
@@ -21,29 +22,39 @@ from hypothesis import strategies as st
 
 from bellkit.bell import (
     Circuit,
+    all_labels,
     bell_vector,
     concurrence,
     concurrence_oracle,
     expand_in_bell_basis,
+    bell2,
     multi_bell,
     omega,
+    pair_product_bell,
     qudit_bell,
     twist,
     twist_check,
 )
-from bellkit.braid import bell_transform, braid_rep_check, tl_generators, tl_relation_check
+from bellkit.braid import (
+    _teleport_lhs,
+    bell_transform,
+    braid_rep_check,
+    tl_generators,
+    tl_relation_check,
+    twisted_yb_gates,
+    yang_baxter_check,
+)
 from bellkit.linalg import (
     DEFAULT_TOL,
     Monomial,
+    apply_local,
+    dagger,
     fold,
     haar_unitary,
-    hs_inner,
     identity,
     permutation,
     random_state,
     residual,
-    tensor,
-    tensor_all,
 )
 from bellkit.pauli import (
     GenPauliWord,
@@ -64,7 +75,8 @@ from bellkit.pauli import (
 )
 from bellkit.report import Report
 from bellkit.teleport import QUDIT_VARIANTS, UNITARY_M_REQUIRED, _Setting, protocol_outcomes
-from bellkit.verify import perturbed_nonunitary
+from bellkit.verify import conjugated_observables, perturbed_nonunitary, qudit_observables
+from dense import hs_inner, kron
 
 FAST = settings(max_examples=40, deadline=None)
 
@@ -94,7 +106,7 @@ def dense_word_matrix(w):
         np.linalg.matrix_power(z, a) @ np.linalg.matrix_power(x, b)
         for a, b in zip(w.z_exps, w.x_exps)
     ]
-    return (-1.0) ** w.sign * tensor_all(factors)
+    return (-1.0) ** w.sign * kron(*factors)
 
 
 def dense_gen_word_matrix(w):
@@ -106,13 +118,13 @@ def dense_gen_word_matrix(w):
 def dense_concurrence_oracle(state, n):
     """Overlap with the spin-flipped conjugate, the flip a dense Kronecker power of ZX."""
     zx = pauli_gate("Z") @ pauli_gate("X")
-    tilde = (-1.0) ** n * (tensor_all([zx] * (2 * n)) @ state.conj())
+    tilde = (-1.0) ** n * (kron(*[zx] * (2 * n)) @ state.conj())
     return abs(np.vdot(tilde, state))
 
 
 def dense_bell(t, m=None):
     dim = t.shape[0]
-    return tensor(t, identity(dim) if m is None else m) @ omega(dim)
+    return kron(t, identity(dim) if m is None else m) @ omega(dim)
 
 
 def dense_multi_bell(n, a, b):
@@ -131,7 +143,7 @@ def dense_expand(state, n):
 
 def dense_circuit_matrix(circ):
     def embed(ops):
-        return tensor_all([ops.get(q, identity(2)) for q in range(circ.wires)])
+        return kron(*[ops.get(q, identity(2)) for q in range(circ.wires)])
 
     p0 = np.diag([1.0, 0.0]).astype(complex)
     p1 = np.diag([0.0, 1.0]).astype(complex)
@@ -180,9 +192,23 @@ def dense_generators(n_strands, x, local_dim):
     """g_i = 1^(i-1) x X x 1^(n-i-1), i = 1..n-1, each a dense local_dim^n matrix."""
     eye = identity(local_dim)
     return [
-        tensor_all([eye] * (i - 1) + [x] + [eye] * (n_strands - i - 1))
+        kron(*[eye] * (i - 1) + [x] + [eye] * (n_strands - i - 1))
         for i in range(1, n_strands)
     ]
+
+
+def dense_twisted_yb_gate(n, eps, eta, kind):
+    """tau . (B_1 x ... x B_n), times tau^dag for the conjugated kind, by Kronecker products."""
+    tau = dense_permutation_matrix([k if q == 0 else n + k for k in range(n) for q in range(2)])
+    gate = tau @ kron(*[bell_transform(e, t) for e, t in zip(eps, eta)])
+    return gate if kind == "plain" else gate @ tau.T
+
+
+def dense_ybe_residual(r, local_dim):
+    """(R x 1)(1 x R)(R x 1) against (1 x R)(R x 1)(1 x R), as dense products."""
+    eye = identity(local_dim)
+    r1, r2 = kron(r, eye), kron(eye, r)
+    return residual(r1 @ r2 @ r1, r2 @ r1 @ r2)
 
 
 def dense_far_cases(gens):
@@ -550,7 +576,7 @@ def test_protocol_branch_matches_kronecker(variant, size, seed):
             u = dense_gen_word_matrix(GenPauliWord(dim, *label))
         else:
             u = dense_word_matrix(PauliWord(*label))
-        branch = tensor(dense_bell(u).conj().reshape(1, -1), identity(dim)) @ prepared
+        branch = kron(dense_bell(u).conj().reshape(1, -1), identity(dim)) @ prepared
         assert abs(prob - np.linalg.norm(branch) ** 2) <= 1e-15
 
 
@@ -590,6 +616,109 @@ BRAID_GATES["CNOT"] = Circuit(2, [("CNOT", (0, 1))]).to_matrix()
 def test_braid_relations_match_dense_generators(strands, gate):
     mat = BRAID_GATES[gate]
     _assert_cases_match(braid_rep_check(strands, gate=mat), dense_braid_cases(strands, mat))
+
+
+# ---------------------------------------------------------------------------
+# local operators: apply_local and its readers
+
+
+@given(
+    st.sampled_from([2, 3]), st.integers(0, 2), st.integers(1, 2), st.integers(0, 2),
+    st.sampled_from([None, 1, 3]), seeds,
+)
+@FAST
+def test_apply_local_matches_kronecker(d, before, sites, after, cols, seed):
+    rng = np.random.default_rng(seed)
+    k, dim = d**sites, d ** (before + sites + after)
+    op = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    shape = (dim,) if cols is None else (dim, cols)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = kron(identity(d**before), op, identity(d**after)) @ x
+    got = apply_local(op, x, d**before)
+    assert got.shape == x.shape
+    # at most 9 products of O(1) Gaussians per entry
+    assert residual(got, want) < 1e-13
+
+
+def test_apply_local_refuses_a_misfit():
+    op = np.eye(4)
+    for x, before in ((np.ones(6), 1), (np.ones((8, 2)), 3), (np.ones((2, 2, 2)), 1)):
+        with pytest.raises(ValueError):
+            apply_local(op, x, before)
+    with pytest.raises(ValueError):
+        apply_local(np.ones((2, 4)), np.ones(8))
+
+
+YB_SIGNS = {
+    n: list(product(product((1, -1), repeat=n), repeat=2)) for n in (1, 2, 3)
+}
+# n = 3 has 64 sign patterns of 0.1 s dense products each; take every ninth
+YB_CASES = [(n, eps, eta) for n in (1, 2) for eps, eta in YB_SIGNS[n]] + [
+    (3, eps, eta) for eps, eta in YB_SIGNS[3][::9]
+]
+
+
+@pytest.mark.parametrize("kind", ["plain", "conjugated"])
+@pytest.mark.parametrize("n,eps,eta", YB_CASES)
+def test_yang_baxter_matches_dense_products(n, eps, eta, kind):
+    gate = twisted_yb_gates(n, eps, eta, kind)
+    assert residual(gate, dense_twisted_yb_gate(n, eps, eta, kind)) <= 1e-15
+    got = yang_baxter_check(gate, 2**n).max_residual
+    assert abs(got - dense_ybe_residual(gate, 2**n)) <= 1e-15, (got, dense_ybe_residual(gate, 2**n))
+    # the conjugated gates solve the equation; the plain ones do not, except
+    # at n = 1, where the twist is the identity
+    assert (got < DEFAULT_TOL) == (kind == "conjugated" or n == 1)
+
+
+def test_twisted_ybe_check_holds_no_dense_triple_product():
+    gate = twisted_yb_gates(3, (1, -1, 1), (-1, 1, 1), "conjugated")
+    yang_baxter_check(gate, 8)
+    tracemalloc.start()
+    try:
+        rep = yang_baxter_check(gate, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    # one dense 512 x 512 complex operator is 4 MiB, and the dense triple
+    # products peaked at 22 MiB; one 512 x 64 column block is 0.5 MiB
+    assert peak < 4 * 2**20, peak
+
+
+@given(st.sampled_from([1, 2]), seeds)
+@FAST
+def test_teleport_lhs_matches_kronecker(n, seed):
+    rng = np.random.default_rng(seed)
+    dim = 2**n
+    gate_r, gate_l = haar_unitary(dim * dim, rng), haar_unitary(dim * dim, rng)
+    psi, ket = random_state(dim, rng), random_state(dim * dim, rng)
+    want = kron(gate_r, identity(dim)) @ kron(identity(dim), gate_l) @ kron(psi, ket)
+    assert residual(_teleport_lhs(gate_r, gate_l, psi, ket), want) < 1e-15
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_conjugated_observables_match_kronecker(d, side):
+    rng = np.random.default_rng(d)
+    eye = identity(d)
+    for spec in qudit_observables(d, d - 1):
+        m = haar_unitary(d, rng)
+        shift, inv = (kron(m, eye), kron(dagger(m), eye)) if side == "left" else (
+            kron(eye, m.T), kron(eye, m.conj()))
+        once = conjugated_observables(spec, m, side)
+        assert residual(once.matrix, shift @ spec.matrix @ inv) < 1e-14
+        assert residual(once.states, shift @ spec.states) < 1e-14
+        # a second round reads the first one's output, a transposed view
+        twice = conjugated_observables(once, m, side)
+        assert residual(twice.matrix, shift @ shift @ spec.matrix @ inv @ inv) < 1e-14
+        assert residual(twice.states, shift @ shift @ spec.states) < 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pair_product_bell_matches_kronecker(n):
+    for a, b in all_labels(n):
+        want = kron(*[bell2(ak, bk) for ak, bk in zip(a, b)])
+        assert residual(pair_product_bell(n, a, b), want) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellkit.linalg import dagger, hs_inner, residual
+from bellkit.linalg import dagger, residual
+from dense import hs_inner
 from bellkit.pauli import (
     GenPauliWord,
     PauliWord,

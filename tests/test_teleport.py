@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bellkit.bell import omega, product_ket
-from bellkit.linalg import DEFAULT_TOL, haar_unitary, identity, random_state, residual, tensor
+from bellkit.linalg import DEFAULT_TOL, haar_unitary, identity, random_state, residual
 from bellkit.teleport import (
     _Setting,
     linearity_reduction_check,

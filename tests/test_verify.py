@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from bellkit.bell import omega, qudit_bell
-from bellkit.linalg import haar_unitary, residual, tensor, identity
+from bellkit.linalg import haar_unitary, residual, identity
+from dense import kron
 from bellkit.pauli import pauli_gate
 from bellkit.verify import (
     APPENDIX_N1_MATRIX,
@@ -146,8 +147,8 @@ def test_basis_theorem_names_witness_trial(monkeypatch):
 
 def test_qudit_observables_d2():
     ox_p, ox_m, oz_p, oz_m = qudit_observables(2, 1)
-    xx = tensor(pauli_gate("X"), pauli_gate("X"))
-    zz = tensor(pauli_gate("Z"), pauli_gate("Z"))
+    xx = kron(pauli_gate("X"), pauli_gate("X"))
+    zz = kron(pauli_gate("Z"), pauli_gate("Z"))
     assert residual(ox_p.matrix, xx) == 0
     assert residual(oz_p.matrix, zz) == 0
     assert residual(ox_m.matrix, np.zeros((4, 4))) < 1e-15
@@ -194,19 +195,47 @@ def test_right_conjugation_uses_transpose_pair():
     m = haar_unitary(3, rng)
     spec = qudit_observables(3, 1)[2]
     conj = conjugated_observables(spec, m, "right")
-    shift = tensor(identity(3), m.T)
-    inv = tensor(identity(3), m.conj())
-    assert residual(conj.matrix, shift @ spec.matrix @ inv) == 0
+    shift = kron(identity(3), m.T)
+    inv = kron(identity(3), m.conj())
+    # the states take the dense shift's products in its order; the right factor
+    # is applied to the transpose, so with a rounding M the matrix differs from
+    # the dense pair in the last bits (exact equality: the dyadic test below)
+    assert residual(conj.states, shift @ spec.states) == 0
+    assert np.array_equal(conj.eigenvalues, spec.eigenvalues)
+    assert residual(conj.matrix, shift @ spec.matrix @ inv) < 1e-15
+    plain = kron(identity(3), m) @ spec.matrix @ kron(identity(3), m.conj().T)
+    assert residual(conj.matrix, plain) > 0.1
     for (al, be), state in zip(conj.labels, conj.states.T):
-        direct = tensor(np.eye(3), m.T) @ qudit_bell(3, al, be)
+        direct = kron(np.eye(3), m.T) @ qudit_bell(3, al, be)
         assert residual(state, direct) < 1e-12
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_conjugation_is_exact_on_dyadic_unitary(side):
+    # M = diag(1, i, -1, -i) H_4 / 2 is unitary with entries in {+-1/2, +-i/2}, not
+    # symmetric, and OZ+(1) at d = 4 has entries in {0, +-1}: every product and
+    # partial sum is a small multiple of 1/4, so any summation order gives the
+    # dense pair's bits
+    h4 = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+    m = np.diag([1, 1j, -1, -1j]) @ h4 / 2
+    spec = qudit_observables(4, 1)[2]
+    conj = conjugated_observables(spec, m, side)
+    eye = identity(4)
+    # the left form shifts by M x 1, the right by 1 x M^T; the other matrix is wrong
+    op, wrong = (m, m.T) if side == "left" else (m.T, m)
+    place = (lambda a: kron(a, eye)) if side == "left" else (lambda a: kron(eye, a))
+    shift = place(op)
+    assert residual(conj.matrix, shift @ spec.matrix @ shift.conj().T) == 0
+    assert residual(conj.states, shift @ spec.states) == 0
+    off = place(wrong)
+    assert residual(conj.matrix, off @ spec.matrix @ off.conj().T) > 0.1
 
 
 def test_multiqubit_observables():
     for n in (1, 2, 3):
         assert multiqubit_observable_suite(n).passed
     specs = multiqubit_observables(1)
-    xx = tensor(pauli_gate("X"), pauli_gate("X"))
+    xx = kron(pauli_gate("X"), pauli_gate("X"))
     assert residual(specs[0].matrix.dense(), xx) == 0
     # n=2: joint eigenvalue pattern separates all 16 labels
     rep = multiqubit_observable_suite(2)
