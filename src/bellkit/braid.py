@@ -22,15 +22,15 @@ import numpy as np
 
 from .bell import all_labels, bell2, bell_vector, product_ket, qudit_bell, twist_monomial
 from .linalg import DEFAULT_TOL, apply_local, dagger, fold, identity, random_state, residual
-from .pauli import PauliWord, gen_u, word_dagger, word_matrix, word_mul
+from .pauli import _word_entries, gen_u, pauli_gate, word_stack
 from .report import Report
 
 _SIGNS = (1, -1)
 
 
 def _check_sign(*vals):
-    for v in vals:
-        if v not in _SIGNS:
+    for v in map(np.asarray, vals):
+        if not ((v == 1) | (v == -1)).all():
             raise ValueError(f"sign parameters must be +1 or -1, got {v}")
 
 
@@ -48,20 +48,21 @@ def bell_transform(epsilon: int, eta: int) -> np.ndarray:
     ) / np.sqrt(2.0)
 
 
-def sign_exponent(epsilon: int, eta: int, i: int, j: int) -> int:
-    """f(eps, eta, i, j) in {0,1}: the sign picked up mapping |ij> to a Bell state."""
+def sign_exponent(epsilon, eta, i, j):
+    """f(eps, eta, i, j) in {0,1}: the sign picked up mapping |ij> to a Bell state.
+
+    f is i for (-1, -1), i (j xor 1) for (-1, 1), i j for (1, -1) and 0 for
+    (1, 1): with e = (1 - eps)/2 and t = (1 - eta)/2 that is
+    ``i & ((j & (e xor t)) xor e)``.  Scalars, or bit arrays with one sign
+    pair per pair of bits, broadcast.
+    """
     _check_sign(epsilon, eta)
-    if (epsilon, eta) == (-1, -1):
-        return i
-    if (epsilon, eta) == (-1, 1):
-        return i & (j ^ 1)
-    if (epsilon, eta) == (1, -1):
-        return i & j
-    return 0
+    e, t = (1 - epsilon) // 2, (1 - eta) // 2
+    return i & ((j & (e ^ t)) ^ e)
 
 
-def bell_bijection(epsilon: int, eta: int, i: int, j: int) -> tuple[int, int]:
-    """(i, j) -> (i', j') with B(eps, eta)|ij> = (-1)^f |phi(i', j')>."""
+def bell_bijection(epsilon, eta, i, j):
+    """(i, j) -> (i', j') with B(eps, eta)|ij> = (-1)^f |phi(i', j')>; broadcasts like ``sign_exponent``."""
     _check_sign(epsilon, eta)
     jp = i ^ j
     ip = i ^ ((abs(epsilon - eta) // 2) * jp) ^ ((1 + eta) // 2)
@@ -230,25 +231,79 @@ def tl_relation_check(rep_tl: TLRep, tol: float = DEFAULT_TOL) -> Report:
 # braid teleportation
 
 
-def _teleport_lhs(gate_r: np.ndarray, gate_l: np.ndarray, psi: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    """``(gate_r x 1)(1 x gate_l)`` on ``psi x ket``, as two applications to the vector.
+def _teleport_lhs(gate_r: np.ndarray, gate_l: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """``(gate_r x 1)(1 x gate_l)`` on ``states``, a ``psi x ket`` vector or a column stack of them.
 
-    ``gate_l`` acts on ``ket``, then ``gate_r`` on ``psi`` and the ket's first half.
+    ``gate_l`` acts on the ket, then ``gate_r`` on psi and the ket's first
+    half; each is one ``apply_local`` over every column.
     """
-    return apply_local(gate_r, apply_local(gate_l, np.kron(psi, ket), psi.size))
+    return apply_local(gate_r, apply_local(gate_l, states, states.shape[0] // gate_l.shape[0]))
 
 
-def correction_word(kp: int, mp: int, ip: int, jp: int) -> PauliWord:
-    """T^dag(k'm') T^dag(i'j') as one signed word."""
-    return word_mul(
-        word_dagger(PauliWord((kp,), (mp,))), word_dagger(PauliWord((ip,), (jp,)))
+def _label_bits(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(4^n, n)`` bit arrays ``a`` and ``b`` of every label ``(a, b)``, in ``all_labels(n)`` order."""
+    labels = np.arange(4**n)[:, None]
+    shifts = np.arange(n - 1, -1, -1)
+    return (labels >> (n + shifts)) & 1, (labels >> shifts) & 1
+
+
+def _signed_images(eps, eta, a: np.ndarray, b: np.ndarray):
+    """Per label: ``z = a'`` and ``x = b'`` of the per-pair images as big-endian integers, and
+    the summed sign exponent mod 2, for ``(K, n)`` bits and one sign pair per qubit pair."""
+    ap, bp = bell_bijection(eps, eta, a, b)
+    weights = 1 << np.arange(a.shape[1] - 1, -1, -1)
+    return ap @ weights, bp @ weights, sign_exponent(eps, eta, a, b).sum(axis=1) & 1
+
+
+def outcome_table(eps_l, eta_l, eps_r, eta_r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exponents ``(z, x, g)`` of the correction words, resource kets by outcomes.
+
+    Entry ``[ab, alpha beta]`` (both in ``all_labels(n)`` order, n the
+    number of sign pairs per side) is the word ``(-1)^g T(z, x)`` equal to
+    ``(-1)^(f_l + f_r) T^dag(a'b') T^dag(alpha'beta')``.  The product of
+    two words adds their exponents mod 2, so ``z = z_ab xor z_out`` and
+    ``x = x_ab xor x_out``; g collects f_l, f_r, ``popcount(z & x)`` of each
+    dagger and ``popcount(x_ab & z_out)`` of moving X past Z, mod 2.
+    """
+    eps_l, eta_l, eps_r, eta_r = (np.asarray(s) for s in (eps_l, eta_l, eps_r, eta_r))
+    a, b = _label_bits(eps_l.size)
+    z_ab, x_ab, f_l = _signed_images(eps_l, eta_l, a, b)
+    z_out, x_out, f_r = _signed_images(eps_r, eta_r, a, b)
+    g = (
+        (np.bitwise_count(z_ab & x_ab) + f_l)[:, None]
+        + np.bitwise_count(z_out & x_out) + f_r
+        + np.bitwise_count(x_ab[:, None] & z_out)
     )
+    return z_ab[:, None] ^ z_out, x_ab[:, None] ^ x_out, g & 1
 
 
-def correction_abc(
-    eps_l: int, eta_l: int, eps_r: int, eta_r: int, k: int, m: int, i: int, j: int
-) -> tuple[int, int, int]:
-    """Exponents (a, b, c) of the single-qubit correction (-1)^a X^b Z^c."""
+def _teleport_rhs(table, psi: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``(1/D) sum_out |rows[out]> x U(ab, out) psi`` for each resource ket ab of ``table``.
+
+    ``table`` holds ``(R, K)`` word exponents (``outcome_table`` or some of
+    its rows) and ``rows[out]`` is the product ket of outcome ``out``.  Each
+    word acts on psi, ``(D,)`` or ``(D, P)``, by its ``_word_entries`` rows
+    and phases, scattered into one ``(R, K * D, ...)`` array.
+    """
+    z, x, g = (t[..., None] for t in table)
+    dim = psi.shape[0]
+    entries, phase = _word_entries(z, x, g, n=dim.bit_length() - 1)
+    out = np.zeros(z.shape[:2] + psi.shape, dtype=complex)
+    out[np.arange(len(z))[:, None, None], rows[:, None], entries] = (
+        phase.reshape(phase.shape + (1,) * (psi.ndim - 1)) * psi / dim
+    )
+    return out.reshape((len(z), -1) + psi.shape[1:])
+
+
+def _product_rows(n: int, blocked: bool) -> np.ndarray:
+    """Row of each label's product ket ``|a1 b1 ... an bn>``, moved by the twist in the blocked form."""
+    a, b = _label_bits(n)
+    rows = sum((a[:, k] << (2 * (n - k) - 1)) | (b[:, k] << (2 * (n - k) - 2)) for k in range(n))
+    return twist_monomial(n).perm[rows] if blocked else rows
+
+
+def correction_abc(eps_l: int, eta_l: int, eps_r: int, eta_r: int, k, m, i, j):
+    """Exponents (a, b, c) of the single-qubit correction (-1)^a X^b Z^c; bits broadcast."""
     kp, mp = bell_bijection(eps_l, eta_l, k, m)
     ip, jp = bell_bijection(eps_r, eta_r, i, j)
     a = (
@@ -259,8 +314,8 @@ def correction_abc(
     return a, jp ^ mp, ip ^ kp
 
 
-def table1_abc(eps_l: int, eta_l: int, k: int, m: int, i: int, j: int) -> tuple[int, int, int]:
-    """The published closed forms for (a, b, c) when eps_r = -eps_l, eta_r = -eta_l."""
+def table1_abc(eps_l: int, eta_l: int, k, m, i, j):
+    """The published closed forms for (a, b, c) when eps_r = -eps_l, eta_r = -eta_l; bits broadcast."""
     b = i ^ j ^ k ^ m
     if (eps_l, eta_l) == (-1, 1):
         return (i & j) ^ ((m ^ 1) & (i ^ j ^ k)), b, j ^ m ^ 1
@@ -274,13 +329,11 @@ def table1_abc(eps_l: int, eta_l: int, k: int, m: int, i: int, j: int) -> tuple[
 def table1_check() -> Report:
     """Exact agreement of the closed-form exponent table, 16 bit cases per row."""
     rep = Report("table1", {}, tolerance=0.5)
+    bits = np.indices((2,) * 4).reshape(4, -1)  # k, m, i, j
     for eps_l, eta_l in product(_SIGNS, repeat=2):
-        mismatches = 0
-        for k, m, i, j in product((0, 1), repeat=4):
-            got = correction_abc(eps_l, eta_l, -eps_l, -eta_l, k, m, i, j)
-            if got != table1_abc(eps_l, eta_l, k, m, i, j):
-                mismatches += 1
-        rep.add(f"row (eps,eta)=({eps_l},{eta_l})", float(mismatches))
+        got = np.stack(correction_abc(eps_l, eta_l, -eps_l, -eta_l, *bits))
+        want = np.stack(table1_abc(eps_l, eta_l, *bits))
+        rep.add(f"row (eps,eta)=({eps_l},{eta_l})", float(np.any(got != want, axis=0).sum()))
     return rep
 
 
@@ -297,8 +350,9 @@ def braid_teleport_single_check(
     """Single-qubit braid teleportation equation for one resource ket |km>.
 
     LHS: (B(-eps_r, -eta_r) x 1)(1 x B(eps_l, eta_l)) on psi x |km>, as two
-    applications of the 4x4 gates to the ket.
-    RHS: (1/2) sum |ij> x U psi with U the signed word correction; the
+    applications of the 4x4 gates to the ket, for psi = |0>, |1> and a
+    random state at once.  RHS: (1/2) sum |ij> x U psi with U the signed
+    word correction, row ``|km>`` of ``outcome_table``; the
     (-1)^a X^b Z^c route must agree with the word route exactly.
     """
     _check_sign(eps_l, eta_l, eps_r, eta_r)
@@ -310,33 +364,18 @@ def braid_teleport_single_check(
         seed=seed,
     )
     b_l, b_r = bell_transform(eps_l, eta_l), bell_transform(-eps_r, -eta_r)
-    kp, mp = bell_bijection(eps_l, eta_l, k, m)
-    f_l = sign_exponent(eps_l, eta_l, k, m)
-    u_words = {}  # outcome (i, j) -> the signed word correction
-    for i, j in product((0, 1), repeat=2):
-        ip, jp = bell_bijection(eps_r, eta_r, i, j)
-        f_r = sign_exponent(eps_r, eta_r, i, j)
-        u_words[i, j] = (-1.0) ** (f_l ^ f_r) * word_matrix(correction_word(kp, mp, ip, jp))
+    table = [t[[2 * k + m]] for t in outcome_table((eps_l,), (eta_l,), (eps_r,), (eta_r,))]
+    psis = np.stack([product_ket((0,)), product_ket((1,)), random_state(2, rng)], axis=1)
+    lhs = _teleport_lhs(b_r, b_l, np.kron(psis, product_ket((k, m))[:, None]))
+    rhs = _teleport_rhs(table, psis, _product_rows(1, False))[0]
+    rep.add("equation (basis + random psi)", residual(lhs, rhs))
 
-    def rhs_for(psi):
-        out = np.zeros(8, dtype=complex)
-        for ij, u in u_words.items():
-            out += np.kron(product_ket(ij), u @ psi)
-        return out / 2.0
-
-    eq_res = [
-        residual(_teleport_lhs(b_r, b_l, psi, product_ket((k, m))), rhs_for(psi))
-        for psi in [product_ket((0,)), product_ket((1,)), random_state(2, rng)]
-    ]
-    rep.add("equation (basis + random psi)", fold(eq_res))
-
-    x, z = word_matrix(PauliWord((0,), (1,))), word_matrix(PauliWord((1,), (0,)))
-    abc_res = []
-    for (i, j), u_word in u_words.items():
-        a, b, c = correction_abc(eps_l, eta_l, eps_r, eta_r, k, m, i, j)
-        u_abc = (-1.0) ** a * np.linalg.matrix_power(x, b) @ np.linalg.matrix_power(z, c)
-        abc_res.append(residual(u_word, u_abc))
-    rep.add("abc-route-equals-word-route", fold(abc_res))
+    i, j = (bits[:, 0] for bits in _label_bits(1))
+    a, b, c = correction_abc(eps_l, eta_l, eps_r, eta_r, k, m, i, j)
+    eye, x, z = (pauli_gate(name) for name in "IXZ")
+    x_b, z_c = (np.where(e[:, None, None] == 1, gate, eye) for e, gate in ((b, x), (c, z)))
+    u_abc = (1.0 - 2.0 * a)[:, None, None] * x_b @ z_c
+    rep.add("abc-route-equals-word-route", residual(word_stack(*(t.T for t in table), n=1), u_abc))
     return rep
 
 
@@ -364,70 +403,35 @@ def twisted_yb_gates(n: int, eps, eta, kind: str = "plain") -> np.ndarray:
     raise ValueError("kind must be 'plain' or 'conjugated'")
 
 
-def _signed_word(eps, eta, a_bits, b_bits) -> tuple[PauliWord, int]:
-    """The word of the per-pair images ``bell_bijection`` and the summed sign exponent mod 2."""
-    pairs = list(zip(eps, eta, a_bits, b_bits, strict=True))
-    primes = [bell_bijection(*p) for p in pairs]
-    word = PauliWord(tuple(x[0] for x in primes), tuple(x[1] for x in primes))
-    return word, sum(sign_exponent(*p) for p in pairs) % 2
-
-
-def _interleave(a_bits, b_bits) -> tuple[int, ...]:
-    out = []
-    for a, b in zip(a_bits, b_bits, strict=True):
-        out.extend((a, b))
-    return tuple(out)
-
-
 def braid_teleport_multi_check(
     n: int,
     eps_l,
     eta_l,
     eps_r,
     eta_r,
-    a_bits,
-    b_bits,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
     blocked: bool = False,
 ) -> Report:
-    """Multi-qubit braid teleportation equation on the full 8^n-dim vector.
+    """Multi-qubit braid teleportation equation on the full 8^n-dim vector, every resource ket.
 
     Interleaved form uses the plain twisted gates on |a1 b1 ... an bn>;
     the blocked form conjugates the gates by the twist and feeds the
     blocked ket tau|ab>.  Correction per outcome is the signed word
-    T^dag(a'b') T^dag(alpha' beta') with the per-pair sign exponents.
+    T^dag(a'b') T^dag(alpha' beta') with the per-pair sign exponents, read
+    from ``outcome_table``.  Both gates are built once: the left-hand sides
+    of all 4^n kets are one column stack, and one case per ket is reported.
     """
     if not 1 <= n <= 2:
         raise ValueError("the multi-qubit braid teleportation check is capped at n = 2")
     eps_l, eta_l = tuple(eps_l), tuple(eta_l)
     eps_r, eta_r = tuple(eps_r), tuple(eta_r)
-    a_bits, b_bits = tuple(a_bits), tuple(b_bits)
     rng = np.random.default_rng(seed)
     kind = "conjugated" if blocked else "plain"
     gate_l = twisted_yb_gates(n, eps_l, eta_l, kind)
     gate_r = twisted_yb_gates(n, eps_r, eta_r, kind)
-    dim = 2**n
-
-    tau = twist_monomial(n)
-    ket_ab = product_ket(_interleave(a_bits, b_bits))
-    if blocked:
-        ket_ab = tau @ ket_ab
-
-    word_ab, f_l = _signed_word(eps_l, eta_l, a_bits, b_bits)
-
-    def rhs_for(psi):
-        out = np.zeros(dim**3, dtype=complex)
-        for alpha, beta in all_labels(n):
-            word_out, f_r = _signed_word(eps_r, eta_r, alpha, beta)
-            u = (-1.0) ** (f_l ^ f_r) * word_matrix(
-                word_mul(word_dagger(word_ab), word_dagger(word_out))
-            )
-            ket = product_ket(_interleave(alpha, beta))
-            if blocked:
-                ket = tau @ ket
-            out += np.kron(ket, u @ psi)
-        return out / dim
+    table = outcome_table(eps_l, eta_l, eps_r, eta_r)
+    rows = _product_rows(n, blocked)
 
     rep = Report(
         "braid-teleport-multi",
@@ -437,14 +441,15 @@ def braid_teleport_multi_check(
             "eta_l": str(eta_l),
             "eps_r": str(eps_r),
             "eta_r": str(eta_r),
-            "a": str(a_bits),
-            "b": str(b_bits),
             "form": "blocked" if blocked else "interleaved",
         },
         tolerance=tol,
         seed=seed,
     )
-    psi = random_state(dim, rng)
-    lhs = _teleport_lhs(dagger(gate_r), gate_l, psi, ket_ab)
-    rep.add(f"equation a={a_bits} b={b_bits}", residual(lhs, rhs_for(psi)))
+    psi = random_state(2**n, rng)
+    kets = identity(len(rows))[:, rows]
+    lhs = _teleport_lhs(dagger(gate_r), gate_l, np.kron(psi[:, None], kets))
+    residuals = np.abs(lhs.T - _teleport_rhs(table, psi, rows)).max(axis=1)
+    for (a_bits, b_bits), res in zip(all_labels(n), residuals):
+        rep.add(f"a={a_bits} b={b_bits}", res)
     return rep

@@ -230,12 +230,9 @@ def _suite_braid_teleport(
     signs = {name: _parse_signs(text, n) for name, text in texts.items()}
     rep.params.update(signs)
     for blocked in (False, True):
-        for a, b in bell.all_labels(n):
-            sub = braid.braid_teleport_multi_check(
-                n, **signs, a_bits=a, b_bits=b, seed=seed, tol=tol, blocked=blocked
-            )
-            form = "blocked" if blocked else "interleaved"
-            rep.add(f"{form} a={a} b={b}", sub.max_residual)
+        sub = braid.braid_teleport_multi_check(n, **signs, seed=seed, tol=tol, blocked=blocked)
+        for case in sub.cases:
+            rep.add(f"{sub.params['form']} {case.case_id}", case.residual)
     return rep
 
 
@@ -280,11 +277,10 @@ def _run_teleport(
     else:
         psi = random_state(d, rng)
         m = None if variant == "basic2" else haar_unitary(d, rng)
-    rows = teleport.protocol_outcomes(psi, variant, m)
-    probs = np.array([r[1] for r in rows])
-    draws = rng.choice(len(rows), size=samples, p=probs / probs.sum())
-    histogram = {str(rows[k][0]): int(np.sum(draws == k)) for k in range(len(rows))}
-    fidelities = [r[2] for r in rows]
+    labels, probs, fidelities, _, _ = zip(*teleport.protocol_outcomes(psi, variant, m))
+    probs = np.array(probs)
+    draws = rng.choice(len(labels), size=samples, p=probs / probs.sum())
+    histogram = dict(zip(map(str, labels), np.bincount(draws, minlength=len(labels)).tolist()))
     min_fidelity = fold(fidelities, np.min)
     return {
         "schema": "bellkit-report/1",

@@ -14,7 +14,6 @@ bookkeeping built on top of these words stays exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -220,36 +219,12 @@ def gen_word_matrix(w: GenPauliWord) -> np.ndarray:
     return gen_word_monomial(w).dense()
 
 
-def gen_word_dagger(w: GenPauliWord) -> GenPauliWord:
-    # (omega^g Z^a X^b)^dagger = omega^(-g - a b) Z^(-a) X^(-b)  (mod d).
-    return GenPauliWord(w.d, -w.alpha, -w.beta, -w.gamma - w.alpha * w.beta)
-
-
-def gen_word_mul(a: GenPauliWord, b: GenPauliWord) -> GenPauliWord:
-    if a.d != b.d:
-        raise ValueError(f"dimension mismatch: {a.d} vs {b.d}")
-    # X^{b_a} Z^{a_b} = omega^(-b_a a_b) Z^{a_b} X^{b_a}.
-    return GenPauliWord(
-        a.d,
-        a.alpha + b.alpha,
-        a.beta + b.beta,
-        a.gamma + b.gamma - a.beta * b.alpha,
-    )
-
-
 # ---------------------------------------------------------------------------
 # word families
 
 
-def all_words(n: int):
-    """The 4^n unsigned n-qubit words, labels in (alpha, beta) lexicographic order."""
-    for za in product((0, 1), repeat=n):
-        for xb in product((0, 1), repeat=n):
-            yield PauliWord(za, xb)
-
-
 def qubit_word_set(n: int) -> list[np.ndarray]:
-    """All 2 * 4^n signed words, the candidate basis group at d=2^n: ``all_words`` order, + then -."""
+    """All 2 * 4^n signed words, the candidate basis group at d=2^n: (z, x) lexicographic, each + then -."""
     return list(word_stack(*np.indices((2**n, 2**n, 2)).reshape(3, -1, 1), n=n))
 
 

@@ -35,6 +35,8 @@ same equations, same code path, same residuals at the same seed.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .bell import all_labels, bell_unitaries, bell_vector, multi_bell, omega, pair_product_bell, twist
@@ -84,8 +86,9 @@ class _Setting:
     size the report records, ``{"d": d}`` or ``{"n": n}`` (``basic2``
     fixes d = 2), and ``dim`` is D.  ``labels`` and the K x D x D stacks
     ``forward`` (``U_a``) and ``inverse`` (``U_a^dag``) follow
-    ``bell_unitaries`` order.  ``use(m)`` sets M and builds ``meas``, the
-    K x D^2 stack of measurement vectors.
+    ``bell_unitaries`` order; ``inverse`` is built on first use, so the
+    protocol, which never reads it, does not hold it.  ``use(m)`` sets M
+    and builds ``meas``, the K x D^2 stack of measurement vectors.
     """
 
     def __init__(self, check: str, variant: str, d: int | None = None, n: int | None = None):
@@ -98,8 +101,11 @@ class _Setting:
             raise ValueError(f"variant {variant} needs {family}")
         self.size = {family: size}
         self.labels, self.forward = bell_unitaries(**self.size)
-        self.inverse = self.forward.conj().transpose(0, 2, 1)
         self.dim = self.forward.shape[-1]
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        return self.forward.conj().transpose(0, 2, 1)
 
     def use(self, m: np.ndarray) -> None:
         """Set M and build ``meas``; only the teleport-eq 11 forms hold for any square M."""
@@ -229,6 +235,16 @@ def projective_eq_check(
 # protocol outcomes
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[k] . b[k]`` for every row k, unconjugated; ``a`` may be one row for all.
+
+    A stack of (1, D) x (D, 1) products: each is the BLAS dot that
+    ``np.dot``, ``np.vdot`` and ``np.linalg.norm`` run on one vector, so each
+    row sums in the order a per-row call would, bit for bit.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def protocol_outcomes(
     psi: np.ndarray,
     variant: str,
@@ -238,7 +254,8 @@ def protocol_outcomes(
     """Deterministic outcome table: (label, probability, fidelity, output, correction).
 
     Measures in the form-11 setting at b = 0: outcome ``a`` is corrected by
-    ``U_a M^dag`` for qudits and by ``T(a)`` for n qubits (``M = 1``).  A
+    ``U_a M^dag`` for qudits and by ``T(a)`` for n qubits (``M = 1``).  Every
+    outcome is computed at once, from stacked products over the K labels.  A
     non-default ``resource`` (e.g. a Schmidt-skewed state) is allowed so
     that loss of fidelity can be demonstrated.
     """
@@ -250,30 +267,22 @@ def protocol_outcomes(
     if resource is None:
         resource = setting.resource(0)
     prepared = np.kron(psi, resource).reshape(dim * dim, dim)
-    m_dag, name = dagger(setting.m), "T({},{})" if qubits else "U({},{})·M†"
-    rows = []
-    for label, u, meas in zip(setting.labels, setting.forward, setting.meas):
-        branch = meas.conj() @ prepared  # (<Omega(a)| x 1)(psi x resource)
-        prob = float(np.linalg.norm(branch) ** 2)
-        post = branch / np.linalg.norm(branch)
-        corrected = u @ m_dag @ post
-        rows.append(
-            (label, prob, float(abs(np.vdot(psi, corrected))), corrected, name.format(*label))
-        )
-    total = sum(r[1] for r in rows)
-    if abs(total - 1.0) > 1e-12:
-        raise AssertionError(f"outcome probabilities sum to {total}, not 1")
-    return rows
-
-
-def skewed_resource(d: int, weights) -> np.ndarray:
-    """Non-maximally entangled control: sum_i w_i |ii> with w normalized."""
-    w = np.asarray(weights, dtype=complex)
-    if w.shape != (d,):
-        raise ValueError("need d Schmidt weights")
-    vec = np.zeros(d * d, dtype=complex)
-    vec[:: d + 1] = w / np.linalg.norm(w)
-    return vec
+    # Every branch (<Omega(a)| x 1)(psi x resource) in one product of (1, D^2)
+    # rows, each summed as the per-row vector-matrix product is; one
+    # (K, D^2) x (D^2, D) GEMM sums in another order and moves the last bit.
+    # Conjugating prepared (D^3), not the K x D^2 meas stack, keeps the copy small.
+    branches = np.matmul(setting.meas[:, None, :], prepared.conj())[:, 0].conj()
+    norms = np.sqrt(_row_dots(branches.real, branches.real) + _row_dots(branches.imag, branches.imag))
+    probs = norms**2
+    if abs(probs.sum() - 1.0) > 1e-12:
+        raise AssertionError(f"outcome probabilities sum to {probs.sum()}, not 1")
+    # each post-measurement state times its correction U_a M^dag, one stacked product
+    corrections = setting.forward @ dagger(setting.m)
+    corrected = np.matmul(corrections, (branches / norms[:, None])[..., None])[..., 0]
+    fidelities = np.abs(_row_dots(psi.conj(), corrected))
+    name = "T({},{})" if qubits else "U({},{})·M†"
+    names = [name.format(*label) for label in setting.labels]
+    return list(zip(setting.labels, probs.tolist(), fidelities.tolist(), corrected, names))
 
 
 # ---------------------------------------------------------------------------

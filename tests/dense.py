@@ -1,11 +1,15 @@
-"""Dense reference forms that only the tests use.
+"""Dense and per-label reference forms that only the tests use.
 
 The library applies local operators with ``linalg.apply_local`` and never
 forms ``op x 1`` as a matrix; the tests build that Kronecker form here, as
-an oracle to compare against.
+an oracle to compare against.  The same holds for the braid-teleportation
+right-hand side, built here one symbolic outcome word at a time.
 """
 
 import numpy as np
+
+from bellkit.bell import all_labels, product_ket, twist_monomial
+from bellkit.pauli import PauliWord, word_dagger, word_matrix, word_mul
 
 
 def kron(*factors) -> np.ndarray:
@@ -23,3 +27,69 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"hs_inner requires equal square shapes, got {a.shape}, {b.shape}")
     return complex(np.trace(a.conj().T @ b) / a.shape[0])
+
+
+# ---------------------------------------------------------------------------
+# braid teleportation, one outcome word at a time
+#
+# The library reads every correction word from one integer outcome table
+# (``braid.outcome_table``); these are the per-label symbolic forms it
+# replaced, with the sign table and bit bijection restated here so that
+# the oracle does not share them with the code it checks.
+
+
+def sign_exponent(epsilon, eta, i, j):
+    """f(eps, eta, i, j) by cases, for one bit pair."""
+    if (epsilon, eta) == (-1, -1):
+        return i
+    if (epsilon, eta) == (-1, 1):
+        return i & (j ^ 1)
+    if (epsilon, eta) == (1, -1):
+        return i & j
+    return 0
+
+
+def bell_bijection(epsilon, eta, i, j):
+    """(i, j) -> (i', j') for one bit pair."""
+    jp = i ^ j
+    ip = i ^ ((abs(epsilon - eta) // 2) * jp) ^ ((1 + eta) // 2)
+    return ip & 1, jp
+
+
+def signed_word(eps, eta, a_bits, b_bits):
+    """The word of the per-pair images and the summed sign exponent mod 2."""
+    pairs = list(zip(eps, eta, a_bits, b_bits, strict=True))
+    primes = [bell_bijection(*p) for p in pairs]
+    word = PauliWord(tuple(x[0] for x in primes), tuple(x[1] for x in primes))
+    return word, sum(sign_exponent(*p) for p in pairs) % 2
+
+
+def interleave(a_bits, b_bits):
+    out = []
+    for a, b in zip(a_bits, b_bits, strict=True):
+        out.extend((a, b))
+    return tuple(out)
+
+
+def correction_word(word_ab, word_out):
+    """T^dag(a'b') T^dag(alpha'beta') as one signed word."""
+    return word_mul(word_dagger(word_ab), word_dagger(word_out))
+
+
+def product_ket_of(a_bits, b_bits, blocked=False):
+    """|a1 b1 ... an bn>, or tau applied to it in the blocked form."""
+    ket = product_ket(interleave(a_bits, b_bits))
+    return twist_monomial(len(a_bits)) @ ket if blocked else ket
+
+
+def braid_teleport_rhs(eps_l, eta_l, eps_r, eta_r, a_bits, b_bits, psi, blocked=False):
+    """(1/2^n) sum over outcomes of |alpha beta> x U psi, for resource |ab>, outcome by outcome."""
+    n = len(a_bits)
+    dim = 2**n
+    word_ab, f_l = signed_word(eps_l, eta_l, a_bits, b_bits)
+    out = np.zeros(dim**3, dtype=complex)
+    for alpha, beta in all_labels(n):
+        word_out, f_r = signed_word(eps_r, eta_r, alpha, beta)
+        u = (-1.0) ** (f_l ^ f_r) * word_matrix(correction_word(word_ab, word_out))
+        out += np.kron(product_ket_of(alpha, beta, blocked), u @ psi)
+    return out / dim

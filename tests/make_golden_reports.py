@@ -114,7 +114,14 @@ KERNEL_CALLS = [
     "verify observables --family qudit --d 5 --conjugated 1",
 ]
 
-CALLS = BENCHMARK_CALLS + TELEPORT_CALLS + FAMILY_CALLS + KERNEL_CALLS
+# Braid teleportation at non-default signs: the benchmark call runs only the
+# default ones, so these pin the outcome table's per-pair sign bookkeeping.
+BRAID_CALLS = [
+    "verify braid-teleport --n 2 --eps-l=1,-1 --eta-l=-1,1 --eps-r=-1,1 --eta-r=1,-1",
+    "verify braid-teleport --n 2 --eps-l=-1,-1 --eta-l=-1,-1 --eps-r=-1,1 --eta-r=1,-1",
+]
+
+CALLS = BENCHMARK_CALLS + TELEPORT_CALLS + FAMILY_CALLS + KERNEL_CALLS + BRAID_CALLS
 
 
 def run(line: str) -> dict:

@@ -222,12 +222,10 @@ def test_criterion_10_braid_teleportation():
             sub = braid.braid_teleport_single_check(
                 eps_l, eta_l, eps_r, eta_r, k, m, seed=100)
             worst = fold((worst, sub.max_residual))
-    for a, b in bell.all_labels(2):
+    for blocked in (False, True):
         sub = braid.braid_teleport_multi_check(
-            2, (-1, -1), (1, 1), (1, 1), (-1, -1), a, b, seed=101)
-        worst = fold((worst, sub.max_residual))
-        sub = braid.braid_teleport_multi_check(
-            2, (-1, -1), (1, 1), (1, 1), (-1, -1), a, b, seed=101, blocked=True)
+            2, (-1, -1), (1, 1), (1, 1), (-1, -1), seed=101, blocked=blocked)
+        assert [c.case_id for c in sub.cases] == [f"a={a} b={b}" for a, b in bell.all_labels(2)]
         worst = fold((worst, sub.max_residual))
     criterion(10, "Table 1 exact; single braid equation all signs; n=2 multi, 16 labels",
               worst)

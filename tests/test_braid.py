@@ -213,9 +213,16 @@ def test_twisted_gate_ybe_claims():
         twisted_yb_gates(2, (1, 1), (1, 1), "sideways")
 
 
+def _case(rep, a, b):
+    """The case of resource ket |ab> in a multi-check report."""
+    (case,) = [c for c in rep.cases if c.case_id == f"a={a} b={b}"]
+    return case
+
+
 def test_multi_braid_teleport_reduces_to_single_at_n1():
-    rep = braid_teleport_multi_check(1, (-1,), (1,), (1,), (-1,), (1,), (1,), seed=4)
+    rep = braid_teleport_multi_check(1, (-1,), (1,), (1,), (-1,), seed=4)
     assert rep.passed
+    assert _case(rep, (1,), (1,)).passed
     single = braid_teleport_single_check(-1, 1, 1, -1, 1, 1, seed=4)
     assert single.passed
 
@@ -224,22 +231,24 @@ def test_multi_braid_teleport_worked_n2():
     # the (-1,-1)/(1,1) left signs with a = b = 11 and right epsilon = 1, eta = -1
     eps_l = eta_r = (-1, -1)
     eta_l = eps_r = (1, 1)
+    rep = braid_teleport_multi_check(2, eps_l, eta_l, eps_r, eta_r, seed=5)
+    assert [c.case_id for c in rep.cases] == [f"a={a} b={b}" for a, b in all_labels(2)]
     for a, b in all_labels(2):
-        rep = braid_teleport_multi_check(2, eps_l, eta_l, eps_r, eta_r, a, b, seed=5)
-        assert rep.passed, (a, b)
+        assert _case(rep, a, b).passed, (a, b)
 
 
 def test_multi_braid_teleport_blocked_form():
     eps = (-1, -1)
     eta = (1, 1)
+    rep = braid_teleport_multi_check(2, eps, eta, eps, eta, seed=6, blocked=True)
+    assert rep.params["form"] == "blocked"
     for a, b in [((1, 1), (1, 1)), ((0, 1), (1, 0))]:
-        rep = braid_teleport_multi_check(2, eps, eta, eps, eta, a, b, seed=6, blocked=True)
-        assert rep.passed
+        assert _case(rep, a, b).passed
 
 
 def test_multi_braid_teleport_caps():
     with pytest.raises(ValueError):
-        braid_teleport_multi_check(3, (1,) * 3, (1,) * 3, (1,) * 3, (1,) * 3, (0,) * 3, (0,) * 3)
+        braid_teleport_multi_check(3, (1,) * 3, (1,) * 3, (1,) * 3, (1,) * 3)
 
 
 def test_tlrep_dataclass():

@@ -36,9 +36,13 @@ from bellkit.bell import (
     twist_check,
 )
 from bellkit.braid import (
+    _product_rows,
     _teleport_lhs,
+    _teleport_rhs,
     bell_transform,
     braid_rep_check,
+    braid_teleport_multi_check,
+    outcome_table,
     tl_generators,
     tl_relation_check,
     twisted_yb_gates,
@@ -74,9 +78,10 @@ from bellkit.pauli import (
     word_mul,
 )
 from bellkit.report import Report
+from bellkit.cli import _run_teleport
 from bellkit.teleport import QUDIT_VARIANTS, UNITARY_M_REQUIRED, _Setting, protocol_outcomes
 from bellkit.verify import conjugated_observables, perturbed_nonunitary, qudit_observables
-from dense import hs_inner, kron
+from dense import braid_teleport_rhs, hs_inner, kron, product_ket_of
 
 FAST = settings(max_examples=40, deadline=None)
 
@@ -685,15 +690,20 @@ def test_twisted_ybe_check_holds_no_dense_triple_product():
     assert peak < 4 * 2**20, peak
 
 
-@given(st.sampled_from([1, 2]), seeds)
+@given(st.sampled_from([1, 2]), st.integers(1, 5), seeds)
 @FAST
-def test_teleport_lhs_matches_kronecker(n, seed):
+def test_teleport_lhs_matches_kronecker(n, cols, seed):
     rng = np.random.default_rng(seed)
     dim = 2**n
     gate_r, gate_l = haar_unitary(dim * dim, rng), haar_unitary(dim * dim, rng)
-    psi, ket = random_state(dim, rng), random_state(dim * dim, rng)
-    want = kron(gate_r, identity(dim)) @ kron(identity(dim), gate_l) @ kron(psi, ket)
-    assert residual(_teleport_lhs(gate_r, gate_l, psi, ket), want) < 1e-15
+    psi = random_state(dim, rng)
+    kets = np.stack([random_state(dim * dim, rng) for _ in range(cols)], axis=1)
+    dense = kron(gate_r, identity(dim)) @ kron(identity(dim), gate_l)
+    stacked = _teleport_lhs(gate_r, gate_l, np.kron(psi[:, None], kets))
+    for c in range(cols):
+        want = dense @ kron(psi, kets[:, c])
+        assert residual(_teleport_lhs(gate_r, gate_l, kron(psi, kets[:, c])), want) < 1e-15
+        assert residual(stacked[:, c], want) < 1e-15
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -818,3 +828,109 @@ def basis_group_variants(draw):
 def test_basis_group_check_matches_dense_loop_on_variants(case):
     words, d = case
     _assert_reports_match(basis_group_check(words, d), dense_basis_group_check(words, d)[0])
+
+
+# ---------------------------------------------------------------------------
+# braid teleportation: the integer outcome table against per-label words
+
+# every sign pattern (eps_l, eta_l, eps_r, eta_r) at n = 1, every ninth at n = 2
+SIGN_PATTERNS = [(1, s) for s in product((1, -1), repeat=4)] + [
+    (2, s) for s in list(product((1, -1), repeat=8))[::9]
+]
+
+
+def _split_signs(n, signs):
+    return [signs[k * n:(k + 1) * n] for k in range(4)]
+
+
+@pytest.mark.parametrize("blocked", [False, True], ids=["interleaved", "blocked"])
+@pytest.mark.parametrize("n,signs", SIGN_PATTERNS)
+def test_outcome_table_matches_per_label_words(n, signs, blocked):
+    sides = _split_signs(n, signs)
+    psi = random_state(2**n, np.random.default_rng(len(signs) + sum(signs)))
+    rhs = _teleport_rhs(outcome_table(*sides), psi, _product_rows(n, blocked))
+    assert rhs.shape == (4**n, 8**n)
+    for ab, (a, b) in enumerate(all_labels(n)):
+        assert residual(rhs[ab], braid_teleport_rhs(*sides, a, b, psi, blocked)) <= 1e-15, (a, b)
+
+
+@pytest.mark.parametrize("blocked", [False, True], ids=["interleaved", "blocked"])
+@pytest.mark.parametrize("n,signs", [(1, (-1, 1, 1, -1)), (2, (-1, -1, 1, 1, 1, 1, -1, -1)),
+                                     (2, (1, -1, -1, 1, -1, 1, 1, -1))])
+def test_multi_check_cases_match_per_ket_kronecker(n, signs, blocked):
+    """Each case is the residual of the dense LHS against the per-label RHS for that ket."""
+    sides = _split_signs(n, signs)
+    rep = braid_teleport_multi_check(n, *sides, seed=5, blocked=blocked)
+    psi = random_state(2**n, np.random.default_rng(5))
+    kind = "conjugated" if blocked else "plain"
+    gate_l = dense_twisted_yb_gate(n, sides[0], sides[1], kind)
+    gate_r = dagger(dense_twisted_yb_gate(n, sides[2], sides[3], kind))
+    ops = kron(gate_r, identity(2**n)) @ kron(identity(2**n), gate_l)
+    assert len(rep.cases) == 4**n
+    for case, (a, b) in zip(rep.cases, all_labels(n)):
+        lhs = ops @ kron(psi, product_ket_of(a, b, blocked))
+        want = residual(lhs, braid_teleport_rhs(*sides, a, b, psi, blocked))
+        assert case.case_id == f"a={a} b={b}"
+        assert abs(case.residual - want) <= 1e-15, case.case_id
+
+
+# ---------------------------------------------------------------------------
+# protocol: one stacked contraction against the per-label loop
+
+
+def dense_protocol_outcomes(psi, variant, m=None, resource=None):
+    """The per-label loop that ``protocol_outcomes`` replaced."""
+    dim = psi.shape[0]
+    setting = _Setting("protocol", variant, d=dim, n=dim.bit_length() - 1)
+    qubits = "n" in setting.size
+    setting.use(identity(dim) if m is None or qubits else m)
+    if resource is None:
+        resource = setting.resource(0)
+    prepared = np.kron(psi, resource).reshape(dim * dim, dim)
+    name = "T({},{})" if qubits else "U({},{})·M†"
+    rows = []
+    for label, u, meas in zip(setting.labels, setting.forward, setting.meas):
+        branch = meas.conj() @ prepared
+        prob = float(np.linalg.norm(branch) ** 2)
+        corrected = u @ dagger(setting.m) @ (branch / np.linalg.norm(branch))
+        rows.append((label, prob, float(abs(np.vdot(psi, corrected))), corrected, name.format(*label)))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "variant,size,haar,skewed",
+    [("basic2", 2, False, False), ("basic2", 2, False, True), ("qudit", 2, True, False),
+     ("qudit", 3, True, False), ("qudit", 5, True, False), ("qudit", 3, True, True),
+     ("nqubit", 1, False, False), ("nqubit", 2, False, False), ("nqubit", 3, False, False)],
+)
+def test_protocol_outcomes_match_per_label_loop(variant, size, haar, skewed):
+    rng = np.random.default_rng(size)
+    dim = 2**size if variant == "nqubit" else size
+    psi = random_state(dim, rng)
+    m = haar_unitary(dim, rng) if haar else None
+    resource = random_state(dim * dim, rng) if skewed else None
+    got = protocol_outcomes(psi, variant, m, resource)
+    want = dense_protocol_outcomes(psi, variant, m, resource)
+    assert [(r[0], r[4]) for r in got] == [(r[0], r[4]) for r in want]
+    for g, w in zip(got, want):
+        assert type(g[1]) is float and type(g[2]) is float
+        assert abs(g[1] - w[1]) <= 1e-14, g[0]
+        assert abs(g[2] - w[2]) <= 1e-14, g[0]
+        assert residual(g[3], w[3]) <= 1e-14, g[0]
+
+
+@pytest.mark.parametrize("variant,size", [("basic2", 2), ("qudit", 3), ("nqubit", 2)])
+def test_protocol_histogram_matches_per_label_counts(variant, size):
+    kwargs = {"n": size} if variant == "nqubit" else {"d": size}
+    for seed in (1, 7):
+        report = _run_teleport(seed, variant=variant, **kwargs, samples=5000)
+        # the same draws as the command: psi, then M for qudit, then the samples
+        rng = np.random.default_rng(seed)
+        dim = 2**size if variant == "nqubit" else size
+        psi = random_state(dim, rng)
+        m = haar_unitary(dim, rng) if variant == "qudit" else None
+        rows = protocol_outcomes(psi, variant, m)
+        probs = np.array([r[1] for r in rows])
+        draws = rng.choice(len(rows), size=5000, p=probs / probs.sum())
+        assert report["histogram"] == {str(rows[k][0]): int(np.sum(draws == k)) for k in range(len(rows))}
+

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,13 +10,10 @@ from dense import hs_inner
 from bellkit.pauli import (
     GenPauliWord,
     PauliWord,
-    all_words,
     as_bits,
     basis_group_check,
     bit_dot,
-    gen_word_dagger,
     gen_word_matrix,
-    gen_word_mul,
     gen_x,
     gen_z,
     pauli_gate,
@@ -24,6 +23,34 @@ from bellkit.pauli import (
     word_matrix,
     word_mul,
 )
+
+
+# Word algebra that only these tests use: the library multiplies and
+# inverts words through their (perm, phase) arrays, not symbolically.
+
+
+def all_words(n: int):
+    """The 4^n unsigned n-qubit words, labels in (alpha, beta) lexicographic order."""
+    for za in product((0, 1), repeat=n):
+        for xb in product((0, 1), repeat=n):
+            yield PauliWord(za, xb)
+
+
+def gen_word_dagger(w: GenPauliWord) -> GenPauliWord:
+    # (omega^g Z^a X^b)^dagger = omega^(-g - a b) Z^(-a) X^(-b)  (mod d).
+    return GenPauliWord(w.d, -w.alpha, -w.beta, -w.gamma - w.alpha * w.beta)
+
+
+def gen_word_mul(a: GenPauliWord, b: GenPauliWord) -> GenPauliWord:
+    if a.d != b.d:
+        raise ValueError(f"dimension mismatch: {a.d} vs {b.d}")
+    # X^{b_a} Z^{a_b} = omega^(-b_a a_b) Z^{a_b} X^{b_a}.
+    return GenPauliWord(
+        a.d,
+        a.alpha + b.alpha,
+        a.beta + b.beta,
+        a.gamma + b.gamma - a.beta * b.alpha,
+    )
 
 
 def test_pauli_gates():

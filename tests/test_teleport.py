@@ -8,10 +8,19 @@ from bellkit.teleport import (
     linearity_reduction_check,
     projective_eq_check,
     protocol_outcomes,
-    skewed_resource,
     teleport_eq_suite,
     transfer_identity_check,
 )
+
+
+def skewed_resource(d: int, weights) -> np.ndarray:
+    """Non-maximally entangled control: sum_i w_i |ii> with w normalized."""
+    w = np.asarray(weights, dtype=complex)
+    if w.shape != (d,):
+        raise ValueError("need d Schmidt weights")
+    vec = np.zeros(d * d, dtype=complex)
+    vec[:: d + 1] = w / np.linalg.norm(w)
+    return vec
 
 
 def label_residual(variant, psi, m, label, **size):
