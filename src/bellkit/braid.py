@@ -21,7 +21,7 @@ from itertools import product
 import numpy as np
 
 from .bell import all_labels, bell2, bell_vector, product_ket, qudit_bell, twist_monomial
-from .linalg import DEFAULT_TOL, apply_local, dagger, fold, identity, random_state, residual
+from .linalg import DEFAULT_TOL, apply_local, dagger, fold, identity, random_state, real_if_real, residual
 from .pauli import _word_entries, gen_u, pauli_gate, word_stack
 from .report import Report
 
@@ -111,12 +111,15 @@ def _relation_residual(x: np.ndarray, local_dim: int, support: int, lhs, rhs, sc
     """Max-abs residual of ``word(lhs) - scale * word(rhs)`` on ``support`` sites.
 
     Both words act on identity blocks of ``len(x)`` columns; memory is one block.
+    A real ``x`` (an exactly real complex one included) and its blocks stay
+    float64, so every product is a real GEMM.
     """
+    x = real_if_real(x)
     dim = local_dim**support
     width = x.shape[0]
     return fold(
         residual(_word(x, local_dim, lhs, eye), scale * _word(x, local_dim, rhs, eye))
-        for eye in (np.eye(dim, width, -start, dtype=complex) for start in range(0, dim, width))
+        for eye in (np.eye(dim, width, -start, dtype=x.dtype) for start in range(0, dim, width))
     )
 
 
@@ -127,7 +130,7 @@ def _far_pairs(n_gens: int):
 
 def yang_baxter_check(r: np.ndarray, local_dim: int, tol: float = DEFAULT_TOL) -> Report:
     """(R x 1)(1 x R)(R x 1) = (1 x R)(R x 1)(1 x R) on the triple space."""
-    r = np.asarray(r, dtype=complex)
+    r = np.asarray(r)
     if r.shape != (local_dim**2, local_dim**2):
         raise ValueError(f"R must be {local_dim ** 2} square, got {r.shape}")
     rep = Report("ybe", {"local_dim": local_dim}, tolerance=tol)

@@ -158,6 +158,16 @@ def _suite_transfer_identity(tol, seed, *, d: int = 2) -> Report:
     return teleport.transfer_identity_check(d, seed, tol)
 
 
+def _suite_bell_action(tol, seed) -> Report:
+    """The Bell transform's unified action on product kets, its bijection, adjoint and unitarity, at all four sign pairs."""
+    rep = Report("bell-action", {}, tolerance=tol)
+    for e in (1, -1):
+        for t in (1, -1):
+            for case in braid.bell_action_check(e, t, tol).cases:
+                rep.add(f"B({e},{t}) {case.case_id}", case.residual)
+    return rep
+
+
 def _suite_ybe(
     tol, seed, *, gate: Literal["bell", "swap", "cnot", "twisted", "twisted-plain"] = "bell", n: int = 2,
     eps: str = "1", eta: str = "1",
@@ -252,6 +262,7 @@ SUITES = {
     "projective-eq": _suite_projective_eq,
     "linearity-reduction": _suite_linearity_reduction,
     "transfer-identity": _suite_transfer_identity,
+    "bell-action": _suite_bell_action,
     "ybe": _suite_ybe,
     "braid": _suite_braid,
     "tl": _suite_tl,

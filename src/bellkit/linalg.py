@@ -1,9 +1,12 @@
-"""Complex linear-algebra kernel shared by all other modules: dense arrays,
-local operators and monomial (one nonzero per column) operators.
+"""Linear-algebra kernel shared by all other modules: dense arrays, local
+operators and monomial (one nonzero per column) operators.
 
 Conventions, fixed once here:
 
-* states are 1-D complex ``numpy`` arrays, operators 2-D;
+* states are 1-D ``numpy`` arrays, operators 2-D; real operands stay
+  float64 and a result is complex only when an operand is (``real_if_real``
+  turns an exactly real complex array into float64, so that its products
+  run as real GEMMs);
 * an operator on some sites of a larger space, ``1 x op x 1``, is applied
   by ``apply_local`` to a state or to the columns of an operator, never
   formed as a Kronecker product with identities;
@@ -39,6 +42,18 @@ def apply_local(op: np.ndarray, x: np.ndarray, before: int = 1) -> np.ndarray:
     return np.matmul(op, x.reshape(before, k, -1)).reshape(x.shape)
 
 
+def real_if_real(a) -> np.ndarray:
+    """``a`` as a contiguous float64 array when its imaginary part is exactly zero, else as given.
+
+    A NaN imaginary part counts as nonzero, so an array holding one stays
+    complex and the NaN still reaches every residual computed from it.
+    """
+    a = np.asarray(a)
+    if np.iscomplexobj(a) and not (a.imag != 0).any():
+        return np.ascontiguousarray(a.real)
+    return a
+
+
 def dagger(a):
     """Conjugate transpose, of a dense array or a ``Monomial``."""
     if isinstance(a, Monomial):
@@ -64,7 +79,9 @@ class Monomial:
     (the signed-permutation view of Aaronson-Gottesman, with phases kept
     numeric) they multiply, invert, act on states and compare by
     ``residual`` in O(D) instead of as dense D x D operators.  ``perm``
-    must be a bijection on ``0..D-1``.
+    must be a bijection on ``0..D-1``.  ``phase`` keeps its dtype, at least
+    float64: real for n-qubit words and permutations, complex for qudit
+    words; ``@``, ``apply`` and ``dense`` give the operands' result type.
     """
 
     __slots__ = ("perm", "phase")
@@ -74,7 +91,8 @@ class Monomial:
         if perm.ndim != 1 or (np.bincount(perm, minlength=perm.size) != 1).any():
             raise ValueError("perm must be a bijection on 0..D-1")
         self.perm = perm
-        self.phase = np.ones(perm.size, dtype=complex) if phase is None else np.asarray(phase, dtype=complex)
+        phase = np.ones(perm.size) if phase is None else np.asarray(phase)
+        self.phase = phase.astype(np.result_type(phase, float), copy=False)
         if self.phase.shape != perm.shape:
             raise ValueError(f"phase shape {self.phase.shape} does not match perm {perm.shape}")
 
@@ -102,13 +120,13 @@ class Monomial:
         states = np.asarray(states)
         if states.shape[:1] != (self.dim,):
             raise ValueError(f"cannot apply a {self.dim}-dim monomial to shape {states.shape}")
-        out = np.empty(states.shape, dtype=np.result_type(states, complex))
+        out = np.empty(states.shape, dtype=np.result_type(states, self.phase))
         out[self.perm] = self.phase.reshape((-1,) + (1,) * (states.ndim - 1)) * states
         return out
 
     def dense(self) -> np.ndarray:
         """The D x D matrix, written in one scatter."""
-        mat = np.zeros((self.dim, self.dim), dtype=complex)
+        mat = np.zeros((self.dim, self.dim), dtype=self.phase.dtype)
         mat[self.perm, np.arange(self.dim)] = self.phase
         return mat
 

@@ -150,7 +150,7 @@ def _word_entries(a, b, g, n: int | None = None, d: int | None = None):
     if d < 2:
         raise ValueError("local dimension must be at least 2")
     rows = (np.arange(d) + b) % d
-    roots = np.array([omega_root(d, k) for k in range(d)])
+    roots = np.array([omega_root(d, k) for k in range(d)], dtype=complex)
     return rows, roots[g % d] * roots[a * rows % d]
 
 

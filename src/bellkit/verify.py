@@ -20,13 +20,13 @@ from .linalg import (
     DEFAULT_TOL,
     Monomial,
     apply_local,
-    basis_state,
     dagger,
     fold,
     haar_unitary,
     identity,
     is_unitary,
     random_matrix,
+    real_if_real,
     residual,
 )
 from .pauli import PauliWord, gen_x, gen_z, word_monomial
@@ -60,13 +60,8 @@ def bell_family(d: int | None = None, n: int | None = None) -> BasisFamily:
     return BasisFamily(unitaries.shape[-1] ** 2, bell_vector(unitaries), labels, unitaries)
 
 
-def _real_if_real(stack: np.ndarray) -> np.ndarray:
-    """A real stack (the n-qubit Bell family) as a real array, so that its products take the real GEMM."""
-    return stack.real if not stack.imag.any() else stack
-
-
 def gram_matrix(fam: BasisFamily) -> np.ndarray:
-    stack = _real_if_real(fam.states)
+    stack = real_if_real(fam.states)
     return stack.conj() @ stack.T
 
 
@@ -80,7 +75,7 @@ def gram_check(fam: BasisFamily, tol: float = DEFAULT_TOL) -> Report:
 
 def _projector_sum(stack: np.ndarray) -> np.ndarray:
     """``sum_k |s_k><s_k|`` as one GEMM over the ``(K, D)`` stack of states."""
-    stack = _real_if_real(stack)
+    stack = real_if_real(stack)
     return stack.T @ stack.conj()
 
 
@@ -128,6 +123,20 @@ def perturbed_nonunitary(
         g *= 2.0
 
 
+def reduced_completeness(unitaries: np.ndarray, m: np.ndarray) -> float:
+    """Worst residual of ``(1/d) sum_a U_a M |i><j| M^dag U_a^dag = (M^dag M)_ji 1`` over all pairs (i, j).
+
+    Entry ``[p, q]`` of the sum is ``sum_a V_a[p, i] conj(V_a[q, j])`` with
+    ``V_a = U_a M``, so with ``X[a, (i, p)] = V_a[p, i]`` every pair is one
+    GEMM ``X^T conj(X)``, read as ``[i, p, j, q]``.
+    """
+    local = m.shape[0]
+    x = (unitaries @ m).transpose(0, 2, 1).reshape(len(unitaries), -1)
+    total = (x.T @ x.conj()).reshape((local,) * 4).transpose(0, 2, 1, 3)
+    mdm = m.conj().T @ m
+    return residual(total / local, mdm.T[:, :, None, None] * np.eye(local))
+
+
 def basis_theorem_suite(
     d: int | None = None,
     n: int | None = None,
@@ -168,17 +177,7 @@ def basis_theorem_suite(
         witness = f" witness=trial {np.argmin(nonunitary_res)}" if not best >= fail_floor else ""
         rep.add_expect_fail(f"nonunitary-extensions-{side} ({trials} trials){witness}", best, fail_floor)
 
-    # Reduced completeness: (1/d) sum_a U_a M |i><j| M^dag U_a^dag = (M^dag M)_ji 1.
-    m = random_matrix(local, rng)
-    mdm = m.conj().T @ m
-    adjoints = fam.unitaries.conj().transpose(0, 2, 1)
-    reduced = []
-    for i in range(local):
-        for j in range(local):
-            eij = np.outer(basis_state(local, i), basis_state(local, j))
-            total = (fam.unitaries @ m @ eij @ m.conj().T @ adjoints).sum(axis=0)
-            reduced.append(residual(total / local, mdm[j, i] * identity(local)))
-    rep.add("reduced-completeness (general M)", fold(reduced))
+    rep.add("reduced-completeness (general M)", reduced_completeness(fam.unitaries, random_matrix(local, rng)))
 
     # For square M, one-sided unitarity implies two-sided; nothing to sample.
     rep.add("vacuous-one-sided-unitarity", 0.0)
@@ -238,10 +237,10 @@ def observable_check(spec: ObservableSpec, tol: float = DEFAULT_TOL) -> Report:
     return rep
 
 
-def _add_observable(rep: Report, spec: ObservableSpec) -> None:
-    """One suite case per observable: the worse of its two residuals, named by ``spec``."""
+def _add_observable(rep: Report, spec: ObservableSpec, *others: float) -> None:
+    """One suite case per observable: the worst of its two residuals and ``others``, named by ``spec``."""
     herm, eig, witness = _observable_residuals(spec, rep.tolerance)
-    rep.add(spec.name + witness, fold((herm, eig)))
+    rep.add(spec.name + witness, fold((herm, eig, *others)))
 
 
 def qudit_observables(d: int, k: int) -> list[ObservableSpec]:
@@ -283,17 +282,24 @@ def qudit_observable_suite(
     """Eigenequations of the order-k qudit observables, with Haar conjugations.
 
     ``k = 0`` runs every order 1..d-1.  Each observable is followed by
-    ``conjugated`` rounds of left and right conjugation by a Haar unitary.
+    ``conjugated`` rounds of left and right conjugation by a Haar unitary
+    M.  A conjugated case also compares the conjugated states with the
+    family extended by M on that side, ``extend_basis(fam, M, side)``:
+    any unitary conjugation keeps the eigenequations, so only this
+    residual tells a right conjugation from a left one.
     """
     params = {"d": d, "conjugated": conjugated, **({"k": k} if k else {})}
     rep = Report("qudit-observables", params, tolerance=tol, seed=seed)
     rng = np.random.default_rng(seed)
+    fam = bell_family(d=d)
     for order in [k] if k else range(1, d):
         for spec in qudit_observables(d, order):
             _add_observable(rep, spec)
             for _ in range(conjugated):
                 for side in ("left", "right"):
-                    _add_observable(rep, conjugated_observables(spec, haar_unitary(d, rng), side))
+                    m = haar_unitary(d, rng)
+                    turned = conjugated_observables(spec, m, side)
+                    _add_observable(rep, turned, residual(turned.states.T, extend_basis(fam, m, side).states))
     return rep
 
 
@@ -335,7 +341,7 @@ def multiqubit_observables(n: int) -> list[ObservableSpec]:
     if not 1 <= n <= 5:
         raise ValueError("n must be in 1..5")
     fam = bell_family(n=n)
-    labels, states = fam.labels, fam.states.T
+    labels, states = fam.labels, real_if_real(fam.states.T)
     zeros = (0,) * (2 * n)
     specs = []
     for k in range(1, n + 1):

@@ -1,14 +1,18 @@
-"""Dense and per-label reference forms that only the tests use.
+"""Dense, complex and per-label reference forms that only the tests use.
 
 The library applies local operators with ``linalg.apply_local`` and never
 forms ``op x 1`` as a matrix; the tests build that Kronecker form here, as
 an oracle to compare against.  The same holds for the braid-teleportation
-right-hand side, built here one symbolic outcome word at a time.
+right-hand side, built here one symbolic outcome word at a time, for the
+relation kernel with every operand forced complex, and for the reduced
+completeness of the basis theorem, one pair (i, j) at a time.
 """
 
 import numpy as np
 
 from bellkit.bell import all_labels, product_ket, twist_monomial
+from bellkit.braid import _word
+from bellkit.linalg import fold, residual
 from bellkit.pauli import PauliWord, word_dagger, word_matrix, word_mul
 
 
@@ -93,3 +97,37 @@ def braid_teleport_rhs(eps_l, eta_l, eps_r, eta_r, a_bits, b_bits, psi, blocked=
         u = (-1.0) ** (f_l ^ f_r) * word_matrix(correction_word(word_ab, word_out))
         out += np.kron(product_ket_of(alpha, beta, blocked), u @ psi)
     return out / dim
+
+
+# ---------------------------------------------------------------------------
+# relation kernel with every operand complex
+
+
+def complex_relation_residual(x, local_dim, support, lhs, rhs, scale=1.0):
+    """``braid._relation_residual`` with ``x`` and its identity blocks forced complex."""
+    x = np.asarray(x, dtype=complex)
+    dim = local_dim**support
+    width = x.shape[0]
+    return fold(
+        residual(_word(x, local_dim, lhs, eye), scale * _word(x, local_dim, rhs, eye))
+        for eye in (np.eye(dim, width, -start, dtype=complex) for start in range(0, dim, width))
+    )
+
+
+# ---------------------------------------------------------------------------
+# basis theorem, one pair at a time
+
+
+def reduced_completeness(unitaries, m):
+    """Worst residual of (1/d) sum_a U_a M |i><j| M^dag U_a^dag = (M^dag M)_ji 1, pair by pair."""
+    local = m.shape[0]
+    mdm = m.conj().T @ m
+    adjoints = unitaries.conj().transpose(0, 2, 1)
+    reduced = []
+    for i in range(local):
+        for j in range(local):
+            eij = np.zeros((local, local), dtype=complex)
+            eij[i, j] = 1.0
+            total = (unitaries @ m @ eij @ m.conj().T @ adjoints).sum(axis=0)
+            reduced.append(residual(total / local, mdm[j, i] * np.eye(local)))
+    return fold(reduced)

@@ -112,7 +112,11 @@ KERNEL_CALLS = [
     "verify tl --strands 3 --d 3 --m identity",
     "verify braid --strands 3",
     "verify observables --family qudit --d 5 --conjugated 1",
+    "verify tl --strands 5 --d 4 --m identity",
 ]
+
+# The Bell transform's action formula, a suite that no call above runs.
+ACTION_CALLS = ["verify bell-action"]
 
 # Braid teleportation at non-default signs: the benchmark call runs only the
 # default ones, so these pin the outcome table's per-pair sign bookkeeping.
@@ -121,7 +125,7 @@ BRAID_CALLS = [
     "verify braid-teleport --n 2 --eps-l=-1,-1 --eta-l=-1,-1 --eps-r=-1,1 --eta-r=1,-1",
 ]
 
-CALLS = BENCHMARK_CALLS + TELEPORT_CALLS + FAMILY_CALLS + KERNEL_CALLS + BRAID_CALLS
+CALLS = BENCHMARK_CALLS + TELEPORT_CALLS + FAMILY_CALLS + KERNEL_CALLS + BRAID_CALLS + ACTION_CALLS
 
 
 def run(line: str) -> dict:

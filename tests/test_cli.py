@@ -27,6 +27,7 @@ SUITE_FLAGS = {
     "trace-constraint": {"--n"},
     "linearity-reduction": {"--variant", "--d", "--n"},
     "transfer-identity": {"--d"},
+    "bell-action": set(),
 }
 COMMON_FLAGS = {"--tol", "--seed", "--json"}
 # Every command's flags, common ones included, keyed by the words after `bellkit`.
@@ -111,6 +112,50 @@ def test_cnot_ybe_fails_exit_one(capsys):
     assert out["cases"][0]["residual"] >= 0.5
 
 
+def test_bell_action_suite(capsys):
+    assert run(["verify", "bell-action"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["params"] == {} and "seed" not in out
+    checks = ["unified-action (4 inputs)", "input-output-bijection", "dagger-is-negated-params", "unitarity"]
+    signs = ["B(1,1)", "B(1,-1)", "B(-1,1)", "B(-1,-1)"]
+    assert [c["id"] for c in out["cases"]] == [f"{b} {c}" for b in signs for c in checks]
+
+
+def test_bell_action_suite_fails_on_a_flipped_eta(monkeypatch, capsys):
+    from bellkit import braid
+
+    real = braid.bell_transform
+    monkeypatch.setattr(braid, "bell_transform", lambda eps, eta: real(eps, -eta))
+    assert run(["verify", "bell-action"]) == 1
+    failed = {c["id"] for c in json.loads(capsys.readouterr().out)["cases"] if not c["pass"]}
+    assert failed == {f"B({e},{t}) unified-action (4 inputs)" for e in (1, -1) for t in (1, -1)}
+
+
+def test_observables_tell_right_conjugation_from_left(monkeypatch, capsys):
+    from bellkit import verify
+    from bellkit.linalg import apply_local
+
+    real = verify.conjugated_observables
+
+    def first_qudit_transpose(spec, m, side):
+        """The right conjugation with M^T on the first qudit instead of the second."""
+        if side == "left":
+            return real(spec, m, side)
+        op = m.T
+        matrix = apply_local(op.conj(), apply_local(op, spec.matrix).T).T
+        states = apply_local(op, spec.states)
+        return verify.ObservableSpec(f"{spec.name}|right-conjugated", matrix, spec.labels, spec.eigenvalues, states)
+
+    argv = ["verify", "observables", "--family", "qudit", "--d", "3", "--conjugated", "1"]
+    assert run(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(verify, "conjugated_observables", first_qudit_transpose)
+    assert run(argv) == 1
+    cases = json.loads(capsys.readouterr().out)["cases"]
+    assert len(cases) == 24
+    assert all(c["pass"] != c["id"].endswith("|right-conjugated") for c in cases)
+
+
 def test_trace_constraint_suite(capsys):
     assert run(["verify", "trace-constraint", "--n", "2"]) == 0
 
@@ -121,7 +166,7 @@ def test_all_registered_suites_run(capsys):
         "gram", "completeness", "basis-theorem", "basis-group", "observables",
         "twist", "concurrence", "teleport-eq", "projective-eq", "ybe", "braid",
         "tl", "braid-teleport", "trace-constraint", "linearity-reduction",
-        "transfer-identity",
+        "transfer-identity", "bell-action",
     ]:
         argv = ["verify", suite, "--seed", "1"]
         for flag, value in shared.items():

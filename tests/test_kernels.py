@@ -35,7 +35,9 @@ from bellkit.bell import (
     twist,
     twist_check,
 )
+from bellkit import braid
 from bellkit.braid import (
+    TLRep,
     _product_rows,
     _teleport_lhs,
     _teleport_rhs,
@@ -80,8 +82,21 @@ from bellkit.pauli import (
 from bellkit.report import Report
 from bellkit.cli import _run_teleport
 from bellkit.teleport import QUDIT_VARIANTS, UNITARY_M_REQUIRED, _Setting, protocol_outcomes
-from bellkit.verify import conjugated_observables, perturbed_nonunitary, qudit_observables
-from dense import braid_teleport_rhs, hs_inner, kron, product_ket_of
+from bellkit.verify import (
+    bell_family,
+    conjugated_observables,
+    perturbed_nonunitary,
+    qudit_observables,
+    reduced_completeness,
+)
+from dense import (
+    braid_teleport_rhs,
+    complex_relation_residual,
+    hs_inner,
+    kron,
+    product_ket_of,
+)
+from dense import reduced_completeness as dense_reduced_completeness
 
 FAST = settings(max_examples=40, deadline=None)
 
@@ -624,6 +639,78 @@ def test_braid_relations_match_dense_generators(strands, gate):
 
 
 # ---------------------------------------------------------------------------
+# real arithmetic for real operators
+#
+# Each real gate meets the relation shapes its checks use: the braid (and
+# Yang-Baxter) relation on three sites, far commutation on four for the
+# two-qubit gates, and both TL relations for the projectors.
+
+YB_SHAPE = (3, (0, 1, 0), (1, 0, 1), 1.0)
+FAR_SHAPE = (4, (0, 2), (2, 0), 1.0)
+
+
+def _tl_shapes(d):
+    return [(3, (0, 1, 0), (0,), 1.0 / d**2), (3, (1, 0, 1), (1,), 1.0 / d**2), FAR_SHAPE]
+
+
+REAL_GATES = {
+    **{f"B({e},{t})": (bell_transform(e, t), 2, [YB_SHAPE, FAR_SHAPE]) for e, t in product((1, -1), repeat=2)},
+    **{
+        f"twisted-{kind} n={n}": (twisted_yb_gates(n, (1, -1, 1)[:n], (-1, 1, 1)[:n], kind), 2**n, [YB_SHAPE])
+        for n in (1, 2, 3)
+        for kind in ("plain", "conjugated")
+    },
+    **{name: (Circuit(2, [(name, (0, 1))]).to_matrix(), 2, [YB_SHAPE, FAR_SHAPE]) for name in ("SWAP", "CNOT")},
+    **{f"TL identity-M d={d}": (tl_generators(3, d).proj, d, _tl_shapes(d)) for d in (2, 3, 4)},
+}
+
+
+@pytest.fixture
+def word_dtypes(monkeypatch):
+    """The dtypes of every word the relation kernel applies while the test runs."""
+    word, dtypes = braid._word, set()
+
+    def recording_word(*args):
+        out = word(*args)
+        dtypes.add(out.dtype)
+        return out
+
+    monkeypatch.setattr(braid, "_word", recording_word)
+    return dtypes
+
+
+@pytest.mark.parametrize("name", list(REAL_GATES))
+def test_real_gates_take_the_real_relation_path(name, word_dtypes):
+    gate, local, shapes = REAL_GATES[name]
+    for support, lhs, rhs, scale in shapes:
+        got = braid._relation_residual(gate, local, support, lhs, rhs, scale)
+        want = complex_relation_residual(gate, local, support, lhs, rhs, scale)
+        assert abs(got - want) <= 1e-15, (support, lhs, rhs, got, want)
+    assert word_dtypes == {np.dtype(np.float64)}
+
+
+def test_complex_gates_keep_the_complex_path(word_dtypes):
+    proj = tl_generators(3, 3, (1, 2), haar_unitary(3, np.random.default_rng(3))).proj
+    assert tl_relation_check(TLRep(3, 3, proj)).passed
+    assert word_dtypes == {np.dtype(np.complex128)}
+
+
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_nan_in_a_gate_fails_its_relations(part):
+    gate = bell_transform(1, 1)
+    # a NaN imaginary part alone must keep the gate complex, so the NaN still reaches the residual
+    gate[0, 3] = complex(np.nan, 0.0) if part == "real" else complex(gate[0, 3].real, np.nan)
+    for rep in (yang_baxter_check(gate, 2), braid_rep_check(4, gate=gate)):
+        assert not rep.passed
+        assert np.isnan(rep.max_residual)
+    proj = tl_generators(3, 2).proj
+    proj[1, 2] = complex(np.nan, 0.0) if part == "real" else complex(0.0, np.nan)
+    rep = tl_relation_check(TLRep(4, 2, proj))
+    assert not rep.passed
+    assert all(np.isnan(case.residual) for case in rep.cases)
+
+
+# ---------------------------------------------------------------------------
 # local operators: apply_local and its readers
 
 
@@ -722,6 +809,24 @@ def test_conjugated_observables_match_kronecker(d, side):
         twice = conjugated_observables(once, m, side)
         assert residual(twice.matrix, shift @ shift @ spec.matrix @ inv @ inv) < 1e-14
         assert residual(twice.states, shift @ shift @ spec.states) < 1e-14
+
+
+@pytest.mark.parametrize("size", [{"d": 2}, {"d": 3}, {"d": 5}, {"d": 8}, {"n": 2}])
+def test_reduced_completeness_matches_pair_loop(size):
+    rng = np.random.default_rng(sum(size.values()))
+    unitaries = bell_family(**size).unitaries
+    local = unitaries.shape[-1]
+    m = rng.standard_normal((local, local)) + 1j * rng.standard_normal((local, local))
+    got = reduced_completeness(unitaries, m)
+    assert got < DEFAULT_TOL
+    # sums of d^2 products of O(1) Gaussians, in two association orders
+    assert abs(got - dense_reduced_completeness(unitaries, m)) <= 1e-13
+    # a stack that is no Bell family leaves an O(1) residual, the same on both routes
+    broken = unitaries.copy()
+    broken[-1] = haar_unitary(local, rng)
+    got = reduced_completeness(broken, m)
+    assert got > 0.01
+    assert abs(got - dense_reduced_completeness(broken, m)) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

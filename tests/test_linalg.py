@@ -4,13 +4,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellkit.linalg import (
+    Monomial,
     dagger,
     fold,
     haar_unitary,
     permutation,
+    real_if_real,
     residual,
 )
-from bellkit.pauli import gen_x, gen_z, pauli_gate
+from bellkit.pauli import (
+    GenPauliWord,
+    PauliWord,
+    gen_word_matrix,
+    gen_word_monomial,
+    gen_x,
+    gen_z,
+    pauli_gate,
+    word_monomial,
+)
 from dense import hs_inner, kron
 
 X = pauli_gate("X")
@@ -159,3 +170,48 @@ def test_fold_propagates_nan():
     for values in ([nan, 1.0], [1.0, nan], [0.0, nan, 0.0]):
         assert np.isnan(fold(values))
         assert np.isnan(fold(values, np.min, np.inf))
+
+
+def test_real_if_real():
+    exact = np.array([[1.0, -0.5], [0.0, 2.0]], dtype=complex)
+    out = real_if_real(exact[:, ::-1])
+    assert out.dtype == np.float64 and out.flags.c_contiguous
+    assert np.array_equal(out, exact.real[:, ::-1])
+    for imag in (1e-300, np.nan, np.inf):
+        held = exact.copy()
+        held[1, 0] = complex(0.0, imag)
+        assert real_if_real(held) is held
+    held = exact.copy()
+    held[1, 0] = np.nan  # a NaN real part with a zero imaginary one is still real
+    assert real_if_real(held).dtype == np.float64 and np.isnan(real_if_real(held)[1, 0])
+    real = np.eye(2)
+    assert real_if_real(real) is real
+
+
+REAL_MONOMIALS = {
+    "pauli word": word_monomial(PauliWord((1, 0, 1), (0, 1, 1), 1)),
+    "permutation": permutation([2, 0, 1], 2),
+    "integer phases": Monomial([1, 0], [1, -1]),
+}
+
+
+@pytest.mark.parametrize("name", list(REAL_MONOMIALS))
+def test_real_monomial_stays_float64(name):
+    m = REAL_MONOMIALS[name]
+    rng = np.random.default_rng(len(name))
+    for out in (m.phase, (m @ m).phase, m.adjoint().phase, dagger(m).phase, m.dense()):
+        assert out.dtype == np.float64
+    for shape in ((m.dim,), (m.dim, 3)):
+        states = rng.standard_normal(shape)
+        assert m.apply(states).dtype == np.float64 and (m @ states).dtype == np.float64
+        assert residual(m @ states, m.dense() @ states) == 0
+        assert (m @ (states + 0j)).dtype == np.complex128
+        assert residual(m @ (states + 0j), m @ states) == 0
+    assert (m @ Monomial(np.arange(m.dim), np.full(m.dim, 1j))).phase.dtype == np.complex128
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_qudit_words_stay_complex(d):
+    m = gen_word_monomial(GenPauliWord(d, 1, 1))
+    assert m.phase.dtype == np.complex128 and m.dense().dtype == np.complex128
+    assert gen_word_matrix(GenPauliWord(d, 0, 0)).dtype == np.complex128

@@ -9,6 +9,7 @@ from bellkit.verify import (
     APPENDIX_N1_MATRIX,
     BasisFamily,
     ObservableSpec,
+    _projector_sum,
     basis_theorem_suite,
     bell_family,
     completeness_check,
@@ -241,6 +242,19 @@ def test_multiqubit_observables():
     rep = multiqubit_observable_suite(2)
     case = [c for c in rep.cases if c.case_id == "joint-labels-distinct"][0]
     assert case.residual == 0
+
+
+def test_multiqubit_family_readers_take_real_products():
+    for n in (1, 2, 3):
+        for spec in multiqubit_observables(n):
+            assert spec.states.dtype == np.float64
+            assert (spec.matrix @ spec.states).dtype == np.float64
+        fam = bell_family(n=n)
+        assert gram_matrix(fam).dtype == np.float64
+        assert _projector_sum(fam.states).dtype == np.float64
+    fam = bell_family(d=3)
+    assert gram_matrix(fam).dtype == np.complex128
+    assert _projector_sum(fam.states).dtype == np.complex128
 
 
 def _respec(spec, lam_shift=None, nan_at=None):
