@@ -289,9 +289,7 @@ def _run_teleport(
         psi = random_state(d, rng)
         m = None if variant == "basic2" else haar_unitary(d, rng)
     labels, probs, fidelities, _, _ = zip(*teleport.protocol_outcomes(psi, variant, m))
-    probs = np.array(probs)
-    draws = rng.choice(len(labels), size=samples, p=probs / probs.sum())
-    histogram = dict(zip(map(str, labels), np.bincount(draws, minlength=len(labels)).tolist()))
+    histogram = dict(zip(map(str, labels), teleport.sample_histogram(np.array(probs), samples, rng).tolist()))
     min_fidelity = fold(fidelities, np.min)
     return {
         "schema": "bellkit-report/1",
@@ -404,14 +402,22 @@ def _emit(result: Report | dict | str, json_path: str | None) -> int:
     return 0 if report["pass"] else 1
 
 
+def _resolve(argv: list[str]):
+    """The words of ``argv`` that name the command, and its runner (None if unknown)."""
+    if argv[:1] == ["verify"]:
+        return argv[:2], SUITES.get(argv[1]) if len(argv) > 1 else None
+    return argv[:1], COMMANDS.get(argv[0]) if argv else None
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        # the top-level parser reads only the command's name; --help before it prints the list
-        command = argv[:2] if argv[:1] == ["verify"] else argv[:1]
-        args = _build_parser().parse_args(command)
-        runner = SUITES.get(args.suite) if args.command == "verify" else COMMANDS[args.command]
+        command, runner = _resolve(argv)
         if runner is None:
+            # Only help, bad usage and an unknown suite need the top-level
+            # parser: it prints the help or raises, and what it lets through
+            # is `verify SUITE` with a suite that SUITES does not hold.
+            args = _build_parser().parse_args(command)
             print(f"unknown suite {args.suite!r}; choose from {', '.join(sorted(SUITES))}", file=sys.stderr)
             return 2
         flags = vars(_parser(" ".join(command), runner).parse_args(argv[len(command):]))

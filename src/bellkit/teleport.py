@@ -77,6 +77,10 @@ NQUBIT_VARIANTS = tuple(v for v, (size, _) in _VARIANTS["teleport-eq"].items() i
 UNITARY_M_REQUIRED = tuple(v for v, (_, form) in _VARIANTS["teleport-eq"].items() if form == 22)
 # How teleport_eq_suite samples M: the identity, Haar-unitary, or complex Gaussian.
 M_MODES = ("identity", "unitary", "general")
+# The equation checks walk the labels in blocks whose stacked sides hold at
+# most this many entries each: every label at once up to D = 8, and a working
+# set that stays in cache (and in memory) at larger D.
+BLOCK_ENTRIES = 2**16
 
 
 class _Setting:
@@ -115,26 +119,64 @@ class _Setting:
         self.m = m
         self.meas = bell_vector(self.forward, m if self.form == 22 else None)
 
-    def resource(self, b: int) -> np.ndarray:
-        """``|M Omega(b)>`` in form 22, ``(U_b x M)|Omega>`` in form 11."""
+    def resource(self, b) -> np.ndarray:
+        """``|M Omega(b)>`` in form 22, ``(U_b x M)|Omega>`` in form 11.
+
+        ``b`` is one label index, or an index array or slice of B labels,
+        which gives the ``(B, D^2)`` stack.
+        """
         t_b = self.forward[b]
         return bell_vector(self.m @ t_b) if self.form == 22 else bell_vector(t_b, self.m)
 
-    def receivers(self, psi: np.ndarray, b: int, corrupt: bool = False) -> np.ndarray:
+    def receivers(self, psi: np.ndarray, b, corrupt: bool = False) -> np.ndarray:
         """The K x D stack of receiver states ``[M] U_b^T U_a^dag psi``, ``[M]`` in form 11.
 
         One formula serves qudits and n qubits: a Pauli word is a real
         signed permutation, so ``T(b)^T = T^dag(b)``.  ``corrupt`` leaves
         ``U_a`` undaggered, the linearity-reduction falsifiability control.
+        A block of B label indices ``b`` gives the ``(B, K, D)`` stack.
         """
         undo = self.forward if corrupt else self.inverse
         outs = (undo @ psi) @ self.forward[b]  # rows (U_b^T U_a^dag psi)^T
         return outs @ self.m.T if self.form == 11 else outs
 
+    def block_sides(self, psi: np.ndarray, labels, corrupt: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """``psi x resource(b)`` and ``(1/D) sum_a meas_a x receiver_a`` in the C x A x B
+        space, as two ``(B, D^3)`` stacks over the B label indices ``labels``.
+
+        The left side is the broadcast outer product, the same products as
+        ``np.kron``.  The right side is one stacked product of the ``(D^2, K)``
+        measurement stack with each label's ``(K, D)`` receivers, which sums
+        each label as its own product would.  One ``(D^2, K) x (K, B D)`` GEMM
+        with the receivers side by side moves the last bit at D = 2, 3, 5.
+        """
+        res = self.resource(labels)
+        count = len(res)
+        lhs = (psi[:, None] * res[:, None, :]).reshape(count, -1)
+        rhs = np.matmul(self.meas.T, self.receivers(psi, labels, corrupt)).reshape(count, -1) / self.dim
+        return lhs, rhs
+
     def sides(self, psi: np.ndarray, b: int, corrupt: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """``psi x resource(b)`` and ``(1/D) sum_a meas_a x receiver_a``, in the C x A x B space."""
-        rhs = (self.meas.T @ self.receivers(psi, b, corrupt)).reshape(-1) / self.dim
-        return np.kron(psi, self.resource(b)), rhs
+        """``block_sides`` at the one label index ``b``, as two D^3 vectors."""
+        lhs, rhs = self.block_sides(psi, [b], corrupt)
+        return lhs[0], rhs[0]
+
+    def branches(self, prepared: np.ndarray) -> np.ndarray:
+        """Every measurement branch ``(<meas_a| x 1) prepared``, for ``prepared`` as a D^2 x D matrix.
+
+        One product of (1, D^2) rows, each summed as the per-row
+        vector-matrix product is; one (K, D^2) x (D^2, D) GEMM sums in
+        another order and moves the last bit.  Conjugating ``prepared``
+        (D^3), not the K x D^2 ``meas`` stack, keeps the copy small.
+        """
+        return np.matmul(self.meas[:, None, :], prepared.conj())[:, 0].conj()
+
+
+def _label_blocks(count: int, dim: int):
+    """Slices of the ``count`` labels whose stacked ``(B, D^3)`` sides hold at most
+    ``BLOCK_ENTRIES`` entries (at least one label per block)."""
+    step = max(1, BLOCK_ENTRIES // dim**3)
+    return (slice(lo, lo + step) for lo in range(0, count, step))
 
 
 def transfer_identity_check(d: int, seed: int = 0, tol: float = DEFAULT_TOL) -> Report:
@@ -186,8 +228,12 @@ def teleport_eq_suite(
     else:
         m = haar_unitary(dim, rng)
     setting.use(m)
-    for b, lab in enumerate(setting.labels):
-        rep.add(f"label={lab}", residual(*setting.sides(psi, b)))
+    for block in _label_blocks(len(setting.labels), dim):
+        diffs = np.abs(np.subtract(*setting.block_sides(psi, block)))
+        for lab, diff, worst in zip(setting.labels[block], diffs, diffs.max(axis=1)):
+            # argmax returns the first NaN entry if there is one, else the first worst one
+            witness = f" witness=entry {np.argmax(diff)}" if not worst < tol else ""
+            rep.add(f"label={lab}{witness}", worst)
     return rep
 
 
@@ -223,11 +269,13 @@ def projective_eq_check(
     setting.use(m)
     rep = Report("projective-eq", {"variant": setting.variant, **setting.size}, tolerance=tol, seed=seed)
     psi = random_state(dim, rng)
-    prepared = np.kron(psi, setting.resource(0)).reshape(dim * dim, dim)
-    for label, meas, receiver in zip(setting.labels, setting.meas, setting.receivers(psi, 0)):
-        lhs = np.kron(meas, meas.conj() @ prepared)
-        rhs = np.kron(meas, receiver) / dim
-        rep.add(f"outcome={label}", residual(lhs, rhs))
+    branches = setting.branches(np.kron(psi, setting.resource(0)).reshape(dim * dim, dim))
+    receivers = setting.receivers(psi, 0)
+    for block in _label_blocks(len(setting.labels), dim):
+        meas = setting.meas[block, :, None]
+        diffs = np.abs(meas * branches[block, None, :] - meas * receivers[block, None, :] / dim)
+        for label, worst in zip(setting.labels[block], diffs.max(axis=(1, 2))):
+            rep.add(f"outcome={label}", worst)
     return rep
 
 
@@ -266,12 +314,7 @@ def protocol_outcomes(
     setting.use(identity(dim) if m is None or qubits else m)
     if resource is None:
         resource = setting.resource(0)
-    prepared = np.kron(psi, resource).reshape(dim * dim, dim)
-    # Every branch (<Omega(a)| x 1)(psi x resource) in one product of (1, D^2)
-    # rows, each summed as the per-row vector-matrix product is; one
-    # (K, D^2) x (D^2, D) GEMM sums in another order and moves the last bit.
-    # Conjugating prepared (D^3), not the K x D^2 meas stack, keeps the copy small.
-    branches = np.matmul(setting.meas[:, None, :], prepared.conj())[:, 0].conj()
+    branches = setting.branches(np.kron(psi, resource).reshape(dim * dim, dim))
     norms = np.sqrt(_row_dots(branches.real, branches.real) + _row_dots(branches.imag, branches.imag))
     probs = norms**2
     if abs(probs.sum() - 1.0) > 1e-12:
@@ -283,6 +326,24 @@ def protocol_outcomes(
     name = "T({},{})" if qubits else "U({},{})·M†"
     names = [name.format(*label) for label in setting.labels]
     return list(zip(setting.labels, probs.tolist(), fidelities.tolist(), corrected, names))
+
+
+def sample_histogram(probs: np.ndarray, samples: int, rng: np.random.Generator) -> np.ndarray:
+    """How many of ``samples`` Born-rule draws land on each outcome, in outcome order.
+
+    The same counts as ``np.bincount(rng.choice(K, samples, p=probs / probs.sum()),
+    minlength=K)`` from the same generator state: ``choice`` draws
+    ``rng.random(samples)`` and puts a draw ``u`` on the first outcome whose
+    normalized cdf exceeds it, so outcome k takes the draws in
+    ``[cdf[k-1], cdf[k])``.  Sorting the draws counts them with one binary
+    search per outcome instead of one per draw.
+    """
+    p = np.asarray(probs, dtype=float) / np.sum(probs)
+    if not np.all(p >= 0):
+        raise ValueError("probabilities must be non-negative and not NaN")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return np.diff(np.searchsorted(np.sort(rng.random(samples)), cdf), prepend=0)
 
 
 # ---------------------------------------------------------------------------

@@ -92,9 +92,11 @@ def completeness_check(fam: BasisFamily, tol: float = DEFAULT_TOL) -> Report:
 def extend_basis(fam: BasisFamily, m: np.ndarray, side: str) -> BasisFamily:
     """Family with states (M U_a x 1)|Omega> (left) or (U_a M x 1)|Omega> (right).
 
-    The composed local operators are one batched product with the stack
-    of ``U_a``, and each state is ``bell_vector(C) = vec(C) / sqrt(d)`` of
-    its operator ``C``, so no Kronecker product with the identity is formed.
+    The composed local operators are one GEMM with the stack of ``U_a``
+    laid out as one matrix: its rows ``(K d, d) x M`` on the right, its
+    columns side by side ``M x (d, K d)`` on the left.  Each state is
+    ``bell_vector(C) = vec(C) / sqrt(d)`` of its operator ``C``, so no
+    Kronecker product with the identity is formed.
     """
     if fam.unitaries is None:
         raise ValueError("family does not carry its defining unitaries")
@@ -104,7 +106,11 @@ def extend_basis(fam: BasisFamily, m: np.ndarray, side: str) -> BasisFamily:
         raise ValueError(f"M must be {local}x{local}, got {m.shape}")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    composed = m @ fam.unitaries if side == "left" else fam.unitaries @ m
+    stack = fam.unitaries
+    if side == "left":
+        composed = (m @ stack.transpose(1, 0, 2).reshape(local, -1)).reshape(local, -1, local).transpose(1, 0, 2)
+    else:
+        composed = (stack.reshape(-1, local) @ m).reshape(stack.shape)
     return BasisFamily(fam.dim, bell_vector(composed), list(fam.labels), composed)
 
 

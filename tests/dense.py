@@ -4,8 +4,9 @@ The library applies local operators with ``linalg.apply_local`` and never
 forms ``op x 1`` as a matrix; the tests build that Kronecker form here, as
 an oracle to compare against.  The same holds for the braid-teleportation
 right-hand side, built here one symbolic outcome word at a time, for the
-relation kernel with every operand forced complex, and for the reduced
-completeness of the basis theorem, one pair (i, j) at a time.
+relation kernel with every operand forced complex, for the reduced
+completeness of the basis theorem, one pair (i, j) at a time, and for the
+teleportation equations, one Bell label or outcome at a time.
 """
 
 import numpy as np
@@ -131,3 +132,23 @@ def reduced_completeness(unitaries, m):
             total = (unitaries @ m @ eij @ m.conj().T @ adjoints).sum(axis=0)
             reduced.append(residual(total / local, mdm[j, i] * np.eye(local)))
     return fold(reduced)
+
+
+# ---------------------------------------------------------------------------
+# teleportation equations, one label or outcome at a time
+
+
+def teleport_sides(setting, psi, b, corrupt=False):
+    """The two sides at label index ``b``: one ``np.kron`` and one (D^2, K) x (K, D) product."""
+    rhs = (setting.meas.T @ setting.receivers(psi, b, corrupt)).reshape(-1) / setting.dim
+    return np.kron(psi, setting.resource(b)), rhs
+
+
+def projective_residuals(setting, psi):
+    """The projective equation's residual at every outcome, two ``np.kron`` per outcome."""
+    dim = setting.dim
+    prepared = np.kron(psi, setting.resource(0)).reshape(dim * dim, dim)
+    return [
+        residual(np.kron(meas, meas.conj() @ prepared), np.kron(meas, receiver) / dim)
+        for meas, receiver in zip(setting.meas, setting.receivers(psi, 0))
+    ]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bellkit.bell import Circuit, multi_bell, product_ket, twist, twist_decomposition
+from bellkit import cli
 from bellkit.cli import SUITES, TOL_CEILING, main
 from bellkit.linalg import residual
 from bellkit.teleport import linearity_reduction_check
@@ -60,6 +61,36 @@ def test_gram_suite_exit_zero(capsys):
 def test_unknown_suite_exit_two(capsys):
     assert run(["verify", "nope"]) == 2
     assert "unknown suite" in capsys.readouterr().err
+
+
+def test_known_command_needs_no_top_level_parser(monkeypatch, tmp_path, capsys):
+    def refuse():
+        raise AssertionError("the top-level parser was built")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    assert run(["verify", "gram"]) == 0
+    assert run(["teleport", "--samples", "10"]) == 0
+    assert run(["circuit", "--out", str(tmp_path / "c.qasm")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "twist", "--help"])
+    assert exc.value.code == 0
+
+
+def test_top_level_help_and_errors(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: bellkit [-h] {verify,teleport,circuit}")
+    assert "Run a named verification suite." in out
+    assert run(["verify"]) == 2
+    assert one_line_error(capsys) == "bad parameters: the following arguments are required: SUITE"
+    assert run(["verify", "nosuch"]) == 2
+    assert one_line_error(capsys).startswith("unknown suite 'nosuch'; choose from basis-group, basis-theorem")
+    assert run(["nosuch"]) == 2
+    assert one_line_error(capsys).startswith("bad parameters: argument command: invalid choice: 'nosuch'")
+    assert run([]) == 2
+    assert "required: command" in one_line_error(capsys)
 
 
 def test_bad_params_exit_two(capsys):

@@ -81,10 +81,20 @@ from bellkit.pauli import (
 )
 from bellkit.report import Report
 from bellkit.cli import _run_teleport
-from bellkit.teleport import QUDIT_VARIANTS, UNITARY_M_REQUIRED, _Setting, protocol_outcomes
+from bellkit import teleport
+from bellkit.teleport import (
+    QUDIT_VARIANTS,
+    UNITARY_M_REQUIRED,
+    _Setting,
+    projective_eq_check,
+    protocol_outcomes,
+    sample_histogram,
+    teleport_eq_suite,
+)
 from bellkit.verify import (
     bell_family,
     conjugated_observables,
+    extend_basis,
     perturbed_nonunitary,
     qudit_observables,
     reduced_completeness,
@@ -95,6 +105,8 @@ from dense import (
     hs_inner,
     kron,
     product_ket_of,
+    projective_residuals,
+    teleport_sides,
 )
 from dense import reduced_completeness as dense_reduced_completeness
 
@@ -1039,3 +1051,141 @@ def test_protocol_histogram_matches_per_label_counts(variant, size):
         draws = rng.choice(len(rows), size=5000, p=probs / probs.sum())
         assert report["histogram"] == {str(rows[k][0]): int(np.sum(draws == k)) for k in range(len(rows))}
 
+
+# ---------------------------------------------------------------------------
+# teleportation equations: every label of a block at once against the
+# per-label body, which must agree bit for bit
+
+TELEPORT_EQ_CASES = (
+    [("basic2", {"d": 2})]
+    + [(v, {"d": d}) for v in ("qudit11", "qudit22", "qudit11p", "qudit22p") for d in (2, 3, 5, 8)]
+    + [(v, {"n": n}) for v in ("nqubit11", "nqubit22") for n in (1, 2, 3)]
+)
+PROJECTIVE_EQ_CASES = (
+    [(v, {"d": d}) for v in ("projective_qudit", "projective_qudit11") for d in (2, 3, 5, 8)]
+    + [("projective_nqubit", {"n": n}) for n in (1, 2, 3)]
+)
+
+
+def _teleport_setting(variant, size, seed):
+    """A setting with psi and M drawn: Haar M in form 22, Gaussian (non-unitary) M in form 11."""
+    rng = np.random.default_rng(seed)
+    setting = _Setting("teleport-eq", variant, **size)
+    dim = setting.dim
+    psi = random_state(dim, rng)
+    if variant == "basic2":
+        m = identity(dim)
+    elif variant in UNITARY_M_REQUIRED:
+        m = haar_unitary(dim, rng)
+    else:
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    setting.use(m)
+    return setting, psi
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("variant,size", TELEPORT_EQ_CASES)
+def test_block_sides_equal_per_label_body(variant, size, corrupt):
+    setting, psi = _teleport_setting(variant, size, seed=sum(size.values()))
+    count = len(setting.labels)
+    want = [teleport_sides(setting, psi, b, corrupt) for b in range(count)]
+    # every label at once, blocks of 3 and 2 that split K unevenly, and an index list out of order
+    blocks = [slice(lo, lo + step) for step in (count, 3, 2) for lo in range(0, count, step)]
+    blocks.append(list(range(count))[::-1])
+    for block in blocks:
+        lhs, rhs = setting.block_sides(psi, block, corrupt)
+        indices = np.arange(count)[block]
+        assert lhs.shape == rhs.shape == (len(indices), setting.dim**3)
+        for row, b in enumerate(indices):
+            np.testing.assert_array_equal(lhs[row], want[b][0])
+            np.testing.assert_array_equal(rhs[row], want[b][1])
+    for b in (0, count - 1):
+        for got, expected in zip(setting.sides(psi, b, corrupt), want[b]):
+            np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("block_labels", [None, 3])
+@pytest.mark.parametrize("variant,size", TELEPORT_EQ_CASES)
+def test_teleport_eq_suite_equals_per_label_loop(variant, size, block_labels, monkeypatch):
+    setting = _Setting("teleport-eq", variant, **size)
+    if block_labels:
+        monkeypatch.setattr(teleport, "BLOCK_ENTRIES", block_labels * setting.dim**3)
+    rep = teleport_eq_suite(variant, **size, seed=4)
+    # the suite's draws: psi, then M (Haar, or the identity for basic2)
+    rng = np.random.default_rng(4)
+    psi = random_state(setting.dim, rng)
+    setting.use(identity(setting.dim) if variant == "basic2" else haar_unitary(setting.dim, rng))
+    assert [c.case_id for c in rep.cases] == [f"label={lab}" for lab in setting.labels]
+    assert [c.residual for c in rep.cases] == [
+        residual(*teleport_sides(setting, psi, b)) for b in range(len(setting.labels))
+    ]
+    assert rep.passed
+
+
+@pytest.mark.parametrize("block_labels", [None, 3])
+@pytest.mark.parametrize("variant,size", PROJECTIVE_EQ_CASES)
+def test_projective_eq_equals_per_outcome_loop(variant, size, block_labels, monkeypatch):
+    setting = _Setting("projective-eq", variant, **size)
+    if block_labels:
+        monkeypatch.setattr(teleport, "BLOCK_ENTRIES", block_labels * setting.dim**3)
+    rep = projective_eq_check(variant, **size, seed=5)
+    # the check's draws: M for the qudit variants, then psi
+    rng = np.random.default_rng(5)
+    m = identity(setting.dim) if variant == "projective_nqubit" else haar_unitary(setting.dim, rng)
+    setting.use(m)
+    want = projective_residuals(setting, random_state(setting.dim, rng))
+    assert [c.case_id for c in rep.cases] == [f"outcome={lab}" for lab in setting.labels]
+    assert [c.residual for c in rep.cases] == want
+    assert rep.passed
+
+
+def test_teleport_eq_blocks_bound_memory():
+    # n = 4: 256 labels of 4096 entries per side, walked 16 labels at a time
+    tracemalloc.start()
+    try:
+        rep = teleport_eq_suite("nqubit22", n=4, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 12 * 2**20, peak
+
+
+@pytest.mark.parametrize("samples", [1, 1000, 100000])
+@pytest.mark.parametrize("outcomes", [4, 16, 256])
+@pytest.mark.parametrize("zeros", [False, True])
+def test_sample_histogram_equals_choice_counts(outcomes, samples, zeros):
+    rng = np.random.default_rng(outcomes + samples)
+    probs = rng.random(outcomes)
+    if zeros:  # outcomes that can never be drawn, the first and last among them
+        probs[rng.random(outcomes) < 0.5] = 0.0
+        probs[[0, -1]] = 0.0
+        probs[1] = 0.3
+    seed = int(rng.integers(2**32))
+    choice_rng, histogram_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = np.bincount(choice_rng.choice(outcomes, samples, p=probs / probs.sum()), minlength=outcomes)
+    got = sample_histogram(probs, samples, histogram_rng)
+    np.testing.assert_array_equal(got, want)
+    assert got.sum() == samples
+    assert not np.any(got[probs == 0])
+    # and the generator is left where choice leaves it
+    assert histogram_rng.random() == choice_rng.random()
+
+
+@pytest.mark.parametrize("probs", [[0.5, -0.1, 0.6], [0.5, np.nan, 0.5]])
+def test_sample_histogram_refuses_bad_probabilities(probs):
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_histogram(np.array(probs), 10, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("size", [{"d": 2}, {"d": 3}, {"d": 5}, {"d": 8}, {"n": 2}])
+def test_extend_basis_matches_batched_product(size, side):
+    fam = bell_family(**size)
+    local = fam.unitaries.shape[-1]
+    m = haar_unitary(local, np.random.default_rng(local))
+    got = extend_basis(fam, m, side)
+    want = m @ fam.unitaries if side == "left" else fam.unitaries @ m
+    assert residual(got.unitaries, want) <= 1e-15
+    assert residual(got.states, bell_vector(want)) <= 1e-15
+    assert got.labels == fam.labels

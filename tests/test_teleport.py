@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bellkit import teleport
 from bellkit.bell import omega, product_ket
 from bellkit.linalg import DEFAULT_TOL, haar_unitary, identity, random_state, residual
 from bellkit.teleport import (
@@ -11,6 +12,7 @@ from bellkit.teleport import (
     teleport_eq_suite,
     transfer_identity_check,
 )
+from dense import teleport_sides
 
 
 def skewed_resource(d: int, weights) -> np.ndarray:
@@ -193,3 +195,56 @@ def test_primed_variants_are_aliases(base, modes, d):
             got = teleport_eq_suite(base + "p", d=d, seed=seed, m_mode=m_mode).cases
             assert [c.case_id for c in got] == [c.case_id for c in want]
             assert [c.residual for c in got] == [c.residual for c in want]
+
+
+def _patch_receivers(monkeypatch, corrupt):
+    """Make ``_Setting.receivers`` pass its stack through ``corrupt(outs, label_indices)``."""
+    original = _Setting.receivers
+
+    def receivers(self, psi, b, corrupt_flag=False):
+        outs = original(self, psi, b, corrupt_flag)
+        corrupt(outs, np.arange(len(self.labels))[b])
+        return outs
+
+    monkeypatch.setattr(_Setting, "receivers", receivers)
+
+
+@pytest.mark.parametrize("variant,size", [("qudit22", {"d": 3}), ("nqubit11", {"n": 2})])
+def test_failing_label_names_worst_entry(variant, size, monkeypatch):
+    clean = teleport_eq_suite(variant, **size, seed=3)
+    assert clean.passed and all(" witness" not in c.case_id for c in clean.cases)
+
+    def shift(outs, labels):
+        outs[..., 1, 0] += 0.25
+
+    _patch_receivers(monkeypatch, shift)
+    rep = teleport_eq_suite(variant, **size, seed=3)
+    setting = _Setting("teleport-eq", variant, **size)
+    rng = np.random.default_rng(3)
+    psi = random_state(setting.dim, rng)
+    setting.use(haar_unitary(setting.dim, rng))
+    assert not any(c.passed for c in rep.cases)
+    for b, (case, lab) in enumerate(zip(rep.cases, setting.labels)):
+        diff = np.abs(np.subtract(*teleport_sides(setting, psi, b)))
+        assert case.case_id == f"label={lab} witness=entry {np.argmax(diff)}"
+        assert case.residual == diff.max()
+
+
+@pytest.mark.parametrize("block_entries", [teleport.BLOCK_ENTRIES, 2 * 27])
+def test_nan_fails_its_label_only(block_entries, monkeypatch):
+    clean = teleport_eq_suite("qudit11", d=3, seed=2)
+    target = 4
+
+    def poison(outs, labels):
+        outs[labels == target, 2, 1] = np.nan
+
+    _patch_receivers(monkeypatch, poison)
+    monkeypatch.setattr(teleport, "BLOCK_ENTRIES", block_entries)
+    rep = teleport_eq_suite("qudit11", d=3, seed=2)
+    for b, (case, want) in enumerate(zip(rep.cases, clean.cases)):
+        if b == target:
+            # column 1 of the receivers is NaN, so entry 1 is the first NaN of the right side
+            assert case.case_id == f"{want.case_id} witness=entry 1"
+            assert np.isnan(case.residual) and not case.passed
+        else:
+            assert case == want
