@@ -26,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from .linalg import Monomial, basis_state, fold, identity, permutation, random_state, residual
-from .pauli import PauliWord, as_bits, bits_to_int, gen_u, pauli_gate, word_matrix, word_monomial, word_stack
+from .pauli import DENSE_MAX_N, PauliWord, as_bits, bits_to_int, gen_u, pauli_gate, word_matrix, word_monomial, word_stack
 from .report import Report
 
 _NORM_TOL = 1e-10
@@ -152,7 +152,8 @@ def bell_vector(t: np.ndarray, m: np.ndarray | None = None) -> np.ndarray:
     t = np.asarray(t, dtype=complex)
     if m is not None:
         t = t @ np.asarray(m).T
-    return t.reshape(t.shape[:-2] + (-1,)) * (1.0 / np.sqrt(t.shape[-1]))
+    # scaling into a C-ordered result flattens a strided (transposed) stack in the same pass
+    return np.multiply(t, 1.0 / np.sqrt(t.shape[-1]), order="C").reshape(t.shape[:-2] + (-1,))
 
 
 def bell2(alpha: int, beta: int) -> np.ndarray:
@@ -176,11 +177,6 @@ def twist_monomial(n: int) -> Monomial:
         perm[2 * k] = k
         perm[2 * k + 1] = n + k
     return permutation(perm, 2)
-
-
-def twist(n: int) -> np.ndarray:
-    """The dense permutation unitary of ``twist_monomial(n)``."""
-    return twist_monomial(n).dense()
 
 
 def twist_decomposition(n: int) -> Circuit:
@@ -347,15 +343,25 @@ def concurrence_oracle(state: np.ndarray, n: int) -> float:
 
 
 def concurrence_check(n: int, trials: int, seed: int, tol: float) -> Report:
-    """Formula against the spin-flip oracle on random states, plus the known values 1 and 0."""
+    """Formula against the spin-flip oracle on random states, plus the known values 1 and 0.
+
+    ``n`` is checked against the dense word cap (``multi_bell`` builds the
+    Bell state as a dense word) before any ``4**n``-entry state is drawn.
+    A failing formula case names its trial, counted from 0, as
+    `` witness=trial <t>``: the first NaN one, else the worst one.
+    """
+    if n > DENSE_MAX_N:
+        raise ValueError(f"concurrence --n must be at most {DENSE_MAX_N}, got {n}")
     rng = np.random.default_rng(seed)
     rep = Report("concurrence", {"n": n, "trials": trials}, tolerance=tol, seed=seed)
-    deviations = []
-    for _ in range(trials):
+    deviations = np.empty(trials)
+    for t in range(trials):
         psi = random_state(4**n, rng)
-        deviations.append(abs(concurrence(psi, n) - concurrence_oracle(psi, n)))
+        deviations[t] = abs(concurrence(psi, n) - concurrence_oracle(psi, n))
     worst = fold(deviations)
-    rep.add(f"formula-vs-oracle ({trials} random states)", worst, tol=1e-10)
+    # argmax returns the first NaN if there is one, else the first worst trial
+    witness = f" witness=trial {np.argmax(deviations)}" if not worst < 1e-10 else ""
+    rep.add(f"formula-vs-oracle ({trials} random states){witness}", worst, tol=1e-10)
     rep.add("bell-state-is-1", abs(concurrence(multi_bell(n, 0, 0), n) - 1.0), tol=1e-10)
     rep.add("product-ket-is-0", concurrence(product_ket((0,) * (2 * n)), n), tol=1e-10)
     for sign, name in ((1, "+"), (-1, "-")):

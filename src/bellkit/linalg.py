@@ -25,21 +25,24 @@ DEFAULT_TOL = 1e-12
 
 
 def apply_local(op: np.ndarray, x: np.ndarray, before: int = 1) -> np.ndarray:
-    """``(1_before x op x 1_rest) @ x`` for ``x`` of shape ``(D,)`` or ``(D, C)``.
+    """``(1_before x op x 1_rest) @ x`` for ``x`` of shape ``(D,)`` or ``(..., D, C)``.
 
-    ``op`` is k x k; ``before`` is the dimension of the factor ahead of it
-    (``d**s`` for an operator starting at qudit ``s``) and ``rest = D /
-    (before * k)``.  Entry ``[(b, i, r), c]`` of ``x`` is entry
-    ``[b, i, (r, c)]`` of its ``(before, k, rest * C)`` view, so the product
-    is one batched ``matmul`` of ``op`` with that view: no transpose, and no
-    Kronecker product with an identity is formed.
+    ``op`` is k x k, or a stack ``(..., k, k)`` whose leading axes
+    broadcast against those of ``x``; ``before`` is the dimension of the
+    factor ahead of it (``d**s`` for an operator starting at qudit ``s``)
+    and ``rest = D / (before * k)``.  Entry ``[(b, i, r), c]`` of ``x`` is
+    entry ``[b, i, (r, c)]`` of its ``(before, k, rest * C)`` view, so the
+    product is one batched ``matmul`` of ``op`` with that view: no
+    transpose, and no Kronecker product with an identity is formed.
     """
     op = np.asarray(op)
     x = np.asarray(x)
-    k = op.shape[0]
-    if op.shape != (k, k) or x.ndim not in (1, 2) or x.shape[0] % (before * k):
+    k = op.shape[-1]
+    if op.shape[-2:] != (k, k) or not x.ndim or x.shape[-2:][0] % (before * k):
         raise ValueError(f"cannot apply a {op.shape} operator after {before} to shape {x.shape}")
-    return np.matmul(op, x.reshape(before, k, -1)).reshape(x.shape)
+    # a stack of operators meets the view's (before, k, rest * C) axes across one more axis
+    out = np.matmul(op if op.ndim == 2 else op[..., None, :, :], x.reshape(x.shape[:-2] + (before, k, -1)))
+    return out.reshape(out.shape[:-3] + x.shape[-2:])
 
 
 def real_if_real(a) -> np.ndarray:
@@ -49,7 +52,7 @@ def real_if_real(a) -> np.ndarray:
     complex and the NaN still reaches every residual computed from it.
     """
     a = np.asarray(a)
-    if np.iscomplexobj(a) and not (a.imag != 0).any():
+    if np.iscomplexobj(a) and not a.imag.any():
         return np.ascontiguousarray(a.real)
     return a
 
@@ -178,7 +181,12 @@ def residual(a, b) -> float:
         raise ValueError(f"shape mismatch in residual: {a.shape} vs {b.shape}")
     if a.size == 0:
         return 0.0
-    return float(np.max(np.abs(a - b)))
+    return float(np.abs(a - b).max())
+
+
+def residuals(a, b) -> np.ndarray:
+    """``residual`` of each matrix of a stack ``(..., m, n)``: max-abs over the last two axes, NaN kept."""
+    return np.abs(np.asarray(a) - b).max(axis=(-2, -1))
 
 
 def fold(values, op=np.max, empty: float = 0.0) -> float:
@@ -195,10 +203,11 @@ def fold(values, op=np.max, empty: float = 0.0) -> float:
 
 
 def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """Whether ``a``, or every matrix of a stack ``(..., D, D)``, is unitary to ``tol``."""
     a = np.asarray(a)
-    return a.ndim == 2 and a.shape[0] == a.shape[1] and residual(
-        a.conj().T @ a, np.eye(a.shape[0])
-    ) < tol
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        return False
+    return bool((residuals(np.swapaxes(a.conj(), -1, -2) @ a, np.eye(a.shape[-1])) < tol).all())
 
 
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -207,12 +216,31 @@ def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def random_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def random_matrix(dim: int, rng: np.random.Generator, lead: tuple = ()) -> np.ndarray:
+    """Complex Gaussian matrix, or a ``(*lead, dim, dim)`` stack of them, from one draw.
+
+    Each matrix draws its real part, then its imaginary part, so a stack
+    holds the same numbers as one call per matrix in row-major order.
+    """
+    z = rng.standard_normal((*lead, 2, dim, dim))
+    out = z[..., 0, :, :].astype(complex)
+    out.imag = z[..., 1, :, :]
+    return out
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary: QR of a complex Gaussian with phase-fixed R diagonal."""
-    q, r = np.linalg.qr(random_matrix(dim, rng))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+def qr_unitary(z: np.ndarray) -> np.ndarray:
+    """The Q factor of each matrix of ``z`` with the R diagonal phase-fixed, by one batched QR.
+
+    For a complex Gaussian ``z`` this is a Haar unitary (Mezzadri, "How to
+    generate random matrices from the classical compact groups", Notices
+    AMS 54, 2007).
+    """
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q *= (d / np.abs(d))[..., None, :]
+    return q
+
+
+def haar_unitary(dim: int, rng: np.random.Generator, lead: tuple = ()) -> np.ndarray:
+    """Haar-random unitary, or a ``(*lead, dim, dim)`` stack of them drawn as one ``random_matrix`` stack."""
+    return qr_unitary(random_matrix(dim, rng, lead))

@@ -20,6 +20,10 @@ import numpy as np
 from .linalg import DEFAULT_TOL, Monomial, fold, identity, residual
 from .report import Report
 
+# word_matrix builds words on at most this many qubits as dense 2^n x 2^n
+# matrices; concurrence_check refuses larger n before drawing any state.
+DENSE_MAX_N = 12
+
 # ---------------------------------------------------------------------------
 # bit strings
 
@@ -168,9 +172,9 @@ def word_monomial(w: PauliWord) -> Monomial:
 
 
 def word_matrix(w: PauliWord) -> np.ndarray:
-    """The dense matrix of ``word_monomial(w)``, up to 12 qubits."""
-    if w.n > 12:
-        raise ValueError(f"word on {w.n} qubits exceeds the 2^12 dense cap")
+    """The dense matrix of ``word_monomial(w)``, up to ``DENSE_MAX_N`` qubits."""
+    if w.n > DENSE_MAX_N:
+        raise ValueError(f"word on {w.n} qubits exceeds the 2^{DENSE_MAX_N} dense cap")
     return word_monomial(w).dense()
 
 

@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bell import all_labels, bell_unitaries, bell_vector, multi_bell, omega, pair_product_bell, twist
+from .bell import all_labels, bell_unitaries, bell_vector, multi_bell, omega, pair_product_bell, twist_monomial
 from .linalg import (
     DEFAULT_TOL,
     basis_state,
@@ -381,7 +381,7 @@ def linearity_reduction_check(
     )
 
     if variant in NQUBIT_VARIANTS:
-        tau = twist(n)
+        tau = twist_monomial(n)
         rep.add(
             "blocked-equals-twisted-interleaved",
             fold(

@@ -25,12 +25,30 @@ from .linalg import (
     haar_unitary,
     identity,
     is_unitary,
+    qr_unitary,
     random_matrix,
     real_if_real,
     residual,
+    residuals,
 )
 from .pauli import PauliWord, gen_x, gen_z, word_monomial
 from .report import Report
+
+# Every array of a stacked block (a block of Haar draws, of basis-theorem
+# trials or of one observable's conjugations) holds at most this many
+# complex entries, 64 KiB, and at least one matrix.  Measured at d = 8
+# (Linux, glibc malloc), 128 KiB blocks were served from fresh pages on
+# every call, thousands of minor page faults per call, which cost more
+# than the stacking saved.
+BLOCK_ENTRIES = 2**12
+
+SIDES = ("left", "right")
+
+
+def _blocks(total: int, entries: int):
+    """Slices of ``range(total)`` holding ``BLOCK_ENTRIES // entries`` items each (at least one)."""
+    step = max(1, BLOCK_ENTRIES // entries)
+    return (slice(start, min(start + step, total)) for start in range(0, total, step))
 
 
 @dataclass
@@ -40,7 +58,9 @@ class BasisFamily:
     ``dim`` is the total Hilbert-space dimension and ``states`` the
     ``(K, dim)`` stack of states; ``unitaries``, the ``(K, D, D)`` stack of
     local operators ``U_a`` with states ``(U_a x 1)|Omega>``, is kept so
-    the family can be extended by a matrix M.
+    the family can be extended by a matrix M.  A family extended by a
+    stack of M holds one such family per M, ``(..., K, dim)`` and
+    ``(..., K, D, D)``.
     """
 
     dim: int
@@ -50,7 +70,7 @@ class BasisFamily:
 
     def __post_init__(self):
         self.states = np.asarray(self.states)
-        if len(self.states) > self.dim:
+        if self.states.shape[-2] > self.dim:
             raise ValueError("more states than the space can accommodate")
 
 
@@ -61,8 +81,9 @@ def bell_family(d: int | None = None, n: int | None = None) -> BasisFamily:
 
 
 def gram_matrix(fam: BasisFamily) -> np.ndarray:
+    """``<s_i|s_j>`` as one GEMM over the stacked states, or one per family of a stacked family."""
     stack = real_if_real(fam.states)
-    return stack.conj() @ stack.T
+    return stack.conj() @ np.swapaxes(stack, -1, -2)
 
 
 def gram_check(fam: BasisFamily, tol: float = DEFAULT_TOL) -> Report:
@@ -96,37 +117,57 @@ def extend_basis(fam: BasisFamily, m: np.ndarray, side: str) -> BasisFamily:
     laid out as one matrix: its rows ``(K d, d) x M`` on the right, its
     columns side by side ``M x (d, K d)`` on the left.  Each state is
     ``bell_vector(C) = vec(C) / sqrt(d)`` of its operator ``C``, so no
-    Kronecker product with the identity is formed.
+    Kronecker product with the identity is formed.  A stack of M
+    ``(..., d, d)`` gives the stacked family, one GEMM per M.
     """
     if fam.unitaries is None:
         raise ValueError("family does not carry its defining unitaries")
     m = np.asarray(m, dtype=complex)
-    local = fam.unitaries.shape[-1]
-    if m.shape != (local, local):
-        raise ValueError(f"M must be {local}x{local}, got {m.shape}")
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
     stack = fam.unitaries
+    local = stack.shape[-1]
+    if m.shape[-2:] != (local, local):
+        raise ValueError(f"M must be {local}x{local}, got {m.shape}")
+    if side not in SIDES:
+        raise ValueError("side must be 'left' or 'right'")
+    lead = m.shape[:-2]
     if side == "left":
-        composed = (m @ stack.transpose(1, 0, 2).reshape(local, -1)).reshape(local, -1, local).transpose(1, 0, 2)
+        composed = (m @ stack.transpose(1, 0, 2).reshape(local, -1)).reshape(*lead, local, -1, local)
+        composed = np.swapaxes(composed, -3, -2)
     else:
-        composed = (stack.reshape(-1, local) @ m).reshape(stack.shape)
+        composed = (stack.reshape(-1, local) @ m).reshape(*lead, *stack.shape)
     return BasisFamily(fam.dim, bell_vector(composed), list(fam.labels), composed)
 
 
 def perturbed_nonunitary(
-    dim: int, rng: np.random.Generator, min_dev: float = 0.1
+    dim: int, rng: np.random.Generator, min_dev: float = 0.1, lead: tuple = ()
 ) -> np.ndarray:
-    """Haar unitary plus a perturbation with ||M^dag M - 1||_2 >= min_dev."""
-    u = haar_unitary(dim, rng)
-    g = random_matrix(dim, rng)
-    g *= min_dev / np.linalg.norm(g, 2)
-    while True:
-        m = u + g
-        dev = np.linalg.norm(m.conj().T @ m - np.eye(dim), 2)
-        if dev >= min_dev:
-            return m
-        g *= 2.0
+    """Haar unitary plus a perturbation with ||M^dag M - 1||_2 >= min_dev, or a ``(*lead)`` stack of them.
+
+    Each matrix draws its Haar part, then its perturbation, so a stack
+    holds the same numbers as one call per matrix.
+    """
+    z = random_matrix(dim, rng, (*lead, 2))
+    return _perturb(qr_unitary(z[..., 0, :, :]), z[..., 1, :, :], min_dev)
+
+
+def _perturb(u: np.ndarray, g: np.ndarray, min_dev: float = 0.1) -> np.ndarray:
+    """``u + g`` with each ``g`` scaled to spectral norm ``min_dev``, then doubled until ``||M^dag M - 1||_2 >= min_dev``.
+
+    The stacks are flattened to one batch, and each round recomputes only
+    the matrices still below ``min_dev``.
+    """
+    shape, dim = u.shape, u.shape[-1]
+    u, g = u.reshape(-1, dim, dim), g.reshape(-1, dim, dim)
+    g = g * (min_dev / np.linalg.norm(g, 2, axis=(-2, -1)))[:, None, None]
+    m = u + g
+    low = np.ones(len(m), dtype=bool)
+    while low.any():
+        below = m[low]
+        dev = np.linalg.norm(np.swapaxes(below.conj(), -1, -2) @ below - np.eye(dim), 2, axis=(-2, -1))
+        low[low] = dev < min_dev
+        g[low] *= 2.0
+        m[low] = u[low] + g[low]
+    return m.reshape(shape)
 
 
 def reduced_completeness(unitaries: np.ndarray, m: np.ndarray) -> float:
@@ -143,6 +184,27 @@ def reduced_completeness(unitaries: np.ndarray, m: np.ndarray) -> float:
     return residual(total / local, mdm.T[:, :, None, None] * np.eye(local))
 
 
+def _trial_matrices(local: int, trials: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The unitary and the perturbed matrices of ``trials`` trials, as two ``(trials, d, d)`` stacks.
+
+    One draw and one batched QR, in the order of one ``haar_unitary`` and
+    one ``perturbed_nonunitary`` call per trial: the unitary, then the
+    perturbed matrix's Haar part and perturbation.
+    """
+    z = random_matrix(local, rng, (trials, 3))
+    haar = qr_unitary(z[:, :2])
+    return haar[:, 0], _perturb(haar[:, 1], z[:, 2])
+
+
+def _gram_residuals(fam: BasisFamily, ms: np.ndarray, side: str) -> np.ndarray:
+    """Gram residual of ``fam`` extended by each M of the stack ``ms``, extended and Grammed in blocks."""
+    eye = np.eye(len(fam.states))
+    out = []
+    for block in _blocks(len(ms), fam.states.size):
+        out.extend(residual(gram, eye) for gram in gram_matrix(extend_basis(fam, ms[block], side)))
+    return np.array(out)
+
+
 def basis_theorem_suite(
     d: int | None = None,
     n: int | None = None,
@@ -157,7 +219,9 @@ def basis_theorem_suite(
     stay below ``tol``) and the best Gram deviation over non-unitary
     trials (must stay above ``fail_floor``).  A failing case names its
     trial, counted from 0, as `` witness=trial <t>``: the first NaN one,
-    else the worst (unitary) or best (non-unitary) one.
+    else the worst (unitary) or best (non-unitary) one.  Each side's
+    trials are drawn in stacked blocks, in the per-trial order
+    (``_trial_matrices``), and extended and Grammed in stacked blocks.
     """
     if (d is None) == (n is None):
         raise ValueError("give exactly one of d (qudit) or n (multi-qubit)")
@@ -167,14 +231,12 @@ def basis_theorem_suite(
     size = {"n": n} if d is None else {"d": d}
     rep = Report("basis-theorem", {**size, "trials": trials}, tolerance=tol, seed=seed)
 
-    eye_k = np.eye(len(fam.states))
-    for side in ("left", "right"):
+    for side in SIDES:
         unitary_res, nonunitary_res = np.empty(trials), np.empty(trials)
-        for t in range(trials):
-            u = haar_unitary(local, rng)
-            unitary_res[t] = residual(gram_matrix(extend_basis(fam, u, side)), eye_k)
-            m = perturbed_nonunitary(local, rng)
-            nonunitary_res[t] = residual(gram_matrix(extend_basis(fam, m, side)), eye_k)
+        for block in _blocks(trials, 3 * local**2):
+            unitaries, nonunitaries = _trial_matrices(local, block.stop - block.start, rng)
+            unitary_res[block] = _gram_residuals(fam, unitaries, side)
+            nonunitary_res[block] = _gram_residuals(fam, nonunitaries, side)
         worst = fold(unitary_res)
         # argmax (argmin) returns the first NaN if there is one, else the first worst (best) trial
         witness = f" witness=trial {np.argmax(unitary_res)}" if not worst < tol else ""
@@ -202,7 +264,9 @@ class ObservableSpec:
     ``eigenvalues[j]`` and label ``labels[j]``.  Eigenvalues come from the
     label, never from an eigensolver, so there is no ordering ambiguity.
     ``matrix`` is a dense array or, for the multiqubit words, a
-    ``Monomial``.
+    ``Monomial``.  ``conjugated_observables`` by a stack of M gives a
+    stack of observables: ``matrix`` ``(..., D, D)`` and ``states``
+    ``(..., D, K)``.
     """
 
     name: str
@@ -228,25 +292,40 @@ def _observable_residuals(spec: ObservableSpec, tol: float) -> tuple[float, floa
     herm = residual(spec.matrix, dagger(spec.matrix))
     lhs, rhs = spec.matrix @ spec.states, spec.states * spec.eigenvalues
     eig = residual(lhs, rhs)
-    witness = ""
-    if not eig < tol:
-        # argmax returns the first NaN if there is one, else the first worst state
-        witness = f" witness={_label_text(spec.labels[np.argmax(np.abs(lhs - rhs).max(axis=0))])}"
+    witness = _witness(spec.labels, np.abs(lhs - rhs).max(axis=0)) if not eig < tol else ""
     return herm, eig, witness
 
 
-def observable_check(spec: ObservableSpec, tol: float = DEFAULT_TOL) -> Report:
-    rep = Report("observable", {"name": spec.name}, tolerance=tol)
-    herm, eig, witness = _observable_residuals(spec, tol)
-    rep.add("hermitian", herm)
-    rep.add(f"eigenequations ({len(spec.labels)} states){witness}", eig)
-    return rep
+def _witness(labels: list, per_state: np.ndarray) -> str:
+    """`` witness=<label>`` of the first state with a NaN residual, else of the first worst one (``argmax``)."""
+    return f" witness={_label_text(labels[np.argmax(per_state)])}"
 
 
-def _add_observable(rep: Report, spec: ObservableSpec, *others: float) -> None:
-    """One suite case per observable: the worst of its two residuals and ``others``, named by ``spec``."""
+def _stack_residuals(stack: ObservableSpec, tol: float) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """``_observable_residuals`` of each observable of a dense stack, from one batched product."""
+    herm = residuals(stack.matrix, np.swapaxes(stack.matrix.conj(), -1, -2))
+    lhs, rhs = stack.matrix @ stack.states, stack.states * stack.eigenvalues
+    per_state = np.abs(lhs - rhs).max(axis=-2)
+    eig = per_state.max(axis=-1)
+    return herm, eig, ["" if e < tol else _witness(stack.labels, p) for e, p in zip(eig, per_state)]
+
+
+def _add_observable(rep: Report, spec: ObservableSpec) -> None:
+    """One suite case per observable: the worst of its two residuals, named by ``spec``."""
     herm, eig, witness = _observable_residuals(spec, rep.tolerance)
-    rep.add(spec.name + witness, fold((herm, eig, *others)))
+    rep.add(spec.name + witness, fold((herm, eig)))
+
+
+def _conjugated_cases(spec: ObservableSpec, fam: BasisFamily, ms: np.ndarray, side: str, tol: float) -> list:
+    """Case id and residual of ``spec`` conjugated on ``side`` by each M of the stack ``ms``.
+
+    The residual is the worst of the conjugated observable's two
+    residuals and the distance of its states from ``fam`` extended by M.
+    """
+    turned = conjugated_observables(spec, ms, side)
+    herm, eig, witness = _stack_residuals(turned, tol)
+    moved = residuals(np.swapaxes(turned.states, -1, -2), extend_basis(fam, ms, side).states)
+    return [(turned.name + w, fold(r)) for w, *r in zip(witness, herm, eig, moved)]
 
 
 def qudit_observables(d: int, k: int) -> list[ObservableSpec]:
@@ -270,16 +349,29 @@ def qudit_observables(d: int, k: int) -> list[ObservableSpec]:
     fam = bell_family(d=d)
     labels, states = fam.labels, fam.states.T
     ang = 2 * np.pi * k / d
+    # each eigenvalue is read from a table over the d values of one label digit
+    alpha, beta = np.array(labels).T
+    cos, sin = (np.array([f(ang * x) for x in range(d)]) for f in (np.cos, np.sin))
 
-    def spec(name, op, eigval):
-        return ObservableSpec(name, op, labels, np.array([eigval(*lab) for lab in labels]), states)
+    def spec(name, op, eigenvalues):
+        return ObservableSpec(name, op, labels, eigenvalues, states)
 
     return [
-        spec(f"OX+({k})", ox_p, lambda al, be: np.cos(ang * al)),
-        spec(f"OX-({k})", ox_m, lambda al, be: np.sin(ang * al)),
-        spec(f"OZ+({k})", oz_p, lambda al, be: np.cos(ang * be)),
-        spec(f"OZ-({k})", oz_m, lambda al, be: np.sin(ang * be)),
+        spec(f"OX+({k})", ox_p, cos[alpha]),
+        spec(f"OX-({k})", ox_m, sin[alpha]),
+        spec(f"OZ+({k})", oz_p, cos[beta]),
+        spec(f"OZ-({k})", oz_m, sin[beta]),
     ]
+
+
+def _haar_stream(dim: int, rng: np.random.Generator, count: int):
+    """``count`` Haar unitaries, one at a time in the order of one ``haar_unitary`` call each.
+
+    They are drawn as stacks of at most ``BLOCK_ENTRIES`` entries, so a
+    long run keeps one stack in memory, not every draw.
+    """
+    for block in _blocks(count, dim * dim):
+        yield from haar_unitary(dim, rng, (block.stop - block.start,))
 
 
 def qudit_observable_suite(
@@ -292,20 +384,26 @@ def qudit_observable_suite(
     M.  A conjugated case also compares the conjugated states with the
     family extended by M on that side, ``extend_basis(fam, M, side)``:
     any unitary conjugation keeps the eigenequations, so only this
-    residual tells a right conjugation from a left one.
+    residual tells a right conjugation from a left one.  The Ms are
+    drawn in stacks, in the per-call order (``_haar_stream``), and each
+    observable's rounds are conjugated and checked in stacked blocks.
     """
     params = {"d": d, "conjugated": conjugated, **({"k": k} if k else {})}
     rep = Report("qudit-observables", params, tolerance=tol, seed=seed)
     rng = np.random.default_rng(seed)
     fam = bell_family(d=d)
-    for order in [k] if k else range(1, d):
+    orders = [k] if k else range(1, d)
+    # one M per order, observable (four per order), round and side, in that order
+    draws = _haar_stream(d, rng, len(orders) * 4 * conjugated * len(SIDES))
+    for order in orders:
         for spec in qudit_observables(d, order):
             _add_observable(rep, spec)
-            for _ in range(conjugated):
-                for side in ("left", "right"):
-                    m = haar_unitary(d, rng)
-                    turned = conjugated_observables(spec, m, side)
-                    _add_observable(rep, turned, residual(turned.states.T, extend_basis(fam, m, side).states))
+            for block in _blocks(conjugated, d**4):
+                ms = np.array([[next(draws) for _ in SIDES] for _ in range(block.stop - block.start)])
+                sides = (_conjugated_cases(spec, fam, ms[:, s], side, tol) for s, side in enumerate(SIDES))
+                for cases in zip(*sides):
+                    for case_id, res in cases:
+                        rep.add(case_id, res)
     return rep
 
 
@@ -316,23 +414,25 @@ def conjugated_observables(spec: ObservableSpec, m: np.ndarray, side: str) -> Ob
     transpose/conjugate pair (1 x M^T) O (1 x M^*), matching the local
     action U_a M = (1 x M^T) on the reference Bell state.  Each side is
     one application of M to O's rows and one to its columns, O(d^5)
-    instead of the O(d^6) products with ``M x 1``.
+    instead of the O(d^6) products with ``M x 1``.  A stack of M
+    ``(..., d, d)`` gives the stack of transforms, each application one
+    batched product over the stack.
     """
     m = np.asarray(m, dtype=complex)
     if not is_unitary(m):
         raise ValueError("conjugation requires a unitary matrix")
-    d = m.shape[0]
+    d = m.shape[-1]
     if spec.matrix.shape != (d * d, d * d):
         raise ValueError("observable dimension does not match M")
-    if side not in ("left", "right"):
+    if side not in SIDES:
         raise ValueError("side must be 'left' or 'right'")
     # shift = 1_before x op x 1_rest; inv = shift^dag, applied on the right through
     # O inv = (inv^T O^T)^T with inv^T = 1_before x op^*
-    op, before = (m, 1) if side == "left" else (m.T, d)
+    op, before = (m, 1) if side == "left" else (np.swapaxes(m, -1, -2), d)
     shifted = apply_local(op, spec.matrix, before)
     return ObservableSpec(
         f"{spec.name}|{side}-conjugated",
-        apply_local(op.conj(), shifted.T, before).T,
+        np.swapaxes(apply_local(op.conj(), np.swapaxes(shifted, -1, -2), before), -1, -2),
         spec.labels,
         spec.eigenvalues,
         apply_local(op, spec.states, before),

@@ -5,16 +5,28 @@ forms ``op x 1`` as a matrix; the tests build that Kronecker form here, as
 an oracle to compare against.  The same holds for the braid-teleportation
 right-hand side, built here one symbolic outcome word at a time, for the
 relation kernel with every operand forced complex, for the reduced
-completeness of the basis theorem, one pair (i, j) at a time, and for the
-teleportation equations, one Bell label or outcome at a time.
+completeness of the basis theorem, one pair (i, j) at a time, for the
+teleportation equations, one Bell label or outcome at a time, and for the
+Haar-sampled basis-theorem and observable suites, one draw, Gram and
+conjugation at a time.
 """
 
 import numpy as np
 
 from bellkit.bell import all_labels, product_ket, twist_monomial
 from bellkit.braid import _word
-from bellkit.linalg import fold, residual
+from bellkit.linalg import DEFAULT_TOL, fold, residual
 from bellkit.pauli import PauliWord, word_dagger, word_matrix, word_mul
+from bellkit.report import Report
+from bellkit.verify import (
+    _observable_residuals,
+    bell_family,
+    conjugated_observables,
+    extend_basis,
+    gram_matrix,
+    qudit_observables,
+    reduced_completeness as batched_reduced_completeness,
+)
 
 
 def kron(*factors) -> np.ndarray:
@@ -23,6 +35,11 @@ def kron(*factors) -> np.ndarray:
     for f in factors[1:]:
         out = np.kron(out, f)
     return out
+
+
+def twist(n: int) -> np.ndarray:
+    """The dense permutation unitary of ``twist_monomial(n)``."""
+    return twist_monomial(n).dense()
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -152,3 +169,87 @@ def projective_residuals(setting, psi):
         residual(np.kron(meas, meas.conj() @ prepared), np.kron(meas, receiver) / dim)
         for meas, receiver in zip(setting.meas, setting.receivers(psi, 0))
     ]
+
+
+# ---------------------------------------------------------------------------
+# Haar-sampled suites, one draw, Gram and conjugation at a time
+#
+# The library draws, factors and checks its Haar samples as stacks; these
+# are the single-matrix samplers and per-trial loops it replaced.
+
+
+def haar_one(dim, rng):
+    """One Haar unitary: QR of a complex Gaussian, real part drawn first, R diagonal phase-fixed."""
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def perturbed_one(dim, rng, min_dev=0.1):
+    """One Haar unitary plus a Gaussian perturbation doubled until ||M^dag M - 1||_2 >= min_dev."""
+    u = haar_one(dim, rng)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    g *= min_dev / np.linalg.norm(g, 2)
+    while True:
+        m = u + g
+        if np.linalg.norm(m.conj().T @ m - np.eye(dim), 2) >= min_dev:
+            return m
+        g *= 2.0
+
+
+def basis_theorem_loop(d=None, n=None, trials=20, seed=0, tol=DEFAULT_TOL, fail_floor=1e-3):
+    """``verify.basis_theorem_suite`` with two draws and two Grams per trial and side."""
+    fam = bell_family(d, n)
+    local = fam.unitaries.shape[-1]
+    rng = np.random.default_rng(seed)
+    size = {"n": n} if d is None else {"d": d}
+    rep = Report("basis-theorem", {**size, "trials": trials}, tolerance=tol, seed=seed)
+    eye_k = np.eye(len(fam.states))
+    for side in ("left", "right"):
+        unitary_res, nonunitary_res = np.empty(trials), np.empty(trials)
+        for t in range(trials):
+            u = haar_one(local, rng)
+            unitary_res[t] = residual(gram_matrix(extend_basis(fam, u, side)), eye_k)
+            m = perturbed_one(local, rng)
+            nonunitary_res[t] = residual(gram_matrix(extend_basis(fam, m, side)), eye_k)
+        worst = fold(unitary_res)
+        witness = f" witness=trial {np.argmax(unitary_res)}" if not worst < tol else ""
+        rep.add(f"unitary-extensions-{side} ({trials} trials){witness}", worst)
+        best = fold(nonunitary_res, np.min, np.inf)
+        witness = f" witness=trial {np.argmin(nonunitary_res)}" if not best >= fail_floor else ""
+        rep.add_expect_fail(f"nonunitary-extensions-{side} ({trials} trials){witness}", best, fail_floor)
+    general = rng.standard_normal((local, local)) + 1j * rng.standard_normal((local, local))
+    rep.add("reduced-completeness (general M)", batched_reduced_completeness(fam.unitaries, general))
+    rep.add("vacuous-one-sided-unitarity", 0.0)
+    return rep
+
+
+def observable_check(spec, tol=DEFAULT_TOL):
+    """One observable's hermiticity and eigenequation residuals, as a two-case report."""
+    rep = Report("observable", {"name": spec.name}, tolerance=tol)
+    herm, eig, witness = _observable_residuals(spec, tol)
+    rep.add("hermitian", herm)
+    rep.add(f"eigenequations ({len(spec.labels)} states){witness}", eig)
+    return rep
+
+
+def qudit_observable_loop(d, k=0, conjugated=0, seed=0, tol=DEFAULT_TOL):
+    """``verify.qudit_observable_suite`` with one draw and one conjugation per round and side."""
+    params = {"d": d, "conjugated": conjugated, **({"k": k} if k else {})}
+    rep = Report("qudit-observables", params, tolerance=tol, seed=seed)
+    rng = np.random.default_rng(seed)
+    fam = bell_family(d=d)
+
+    def add(spec, *others):
+        herm, eig, witness = _observable_residuals(spec, tol)
+        rep.add(spec.name + witness, fold((herm, eig, *others)))
+
+    for order in [k] if k else range(1, d):
+        for spec in qudit_observables(d, order):
+            add(spec)
+            for _ in range(conjugated):
+                for side in ("left", "right"):
+                    m = haar_one(d, rng)
+                    turned = conjugated_observables(spec, m, side)
+                    add(turned, residual(turned.states.T, extend_basis(fam, m, side).states))
+    return rep

@@ -14,7 +14,7 @@ import pytest
 from bellkit import bell, braid, teleport, verify
 from bellkit.cli import main as cli_main
 from bellkit.linalg import fold, haar_unitary, identity, random_state, residual
-from dense import kron
+from dense import kron, observable_check, twist
 from bellkit.pauli import pauli_gate
 
 TOL = 1e-12
@@ -61,11 +61,11 @@ def test_criterion_3_twist():
     worst = 0.0
     for n in (1, 2, 3, 4):
         circ = bell.twist_decomposition(n)
-        worst = fold((worst, residual(circ.to_matrix(), bell.twist(n))))
+        worst = fold((worst, residual(circ.to_matrix(), twist(n))))
         assert len(circ.gates) == n * (n - 1) // 2
     swap = bell.Circuit(2, [("SWAP", (0, 1))]).to_matrix()
     tau4 = kron(identity(2), swap, identity(2))
-    assert residual(bell.twist(2), tau4) == 0
+    assert residual(twist(2), tau4) == 0
     criterion(3, "twist decomposition exact, swap counts n(n-1)/2, tau4 = I.SWAP.I",
               worst, bound=0.0)
 
@@ -75,7 +75,7 @@ def test_criterion_4_observables():
     for d in (2, 3, 4, 5):
         for k in range(1, d):
             for spec in verify.qudit_observables(d, k):
-                worst = fold((worst, verify.observable_check(spec).max_residual))
+                worst = fold((worst, observable_check(spec).max_residual))
     # d=2 degenerate zero operators
     ox_m, oz_m = verify.qudit_observables(2, 1)[1], verify.qudit_observables(2, 1)[3]
     worst = fold((worst, residual(ox_m.matrix, np.zeros((4, 4)))))
@@ -91,7 +91,7 @@ def test_criterion_4_observables():
         for spec in base:
             for side in ("left", "right"):
                 conj = verify.conjugated_observables(spec, m, side)
-                worst = fold((worst, verify.observable_check(conj).max_residual))
+                worst = fold((worst, observable_check(conj).max_residual))
     criterion(4, "observable eigenequations d<=5 all k, n<=3, 10 M-conjugations", worst)
 
 

@@ -17,7 +17,6 @@ from bellkit.bell import (
     prep_circuit,
     product_ket,
     qudit_bell,
-    twist,
     twist_decomposition,
 )
 from bellkit.linalg import (
@@ -34,7 +33,7 @@ from bellkit.pauli import (
     pauli_gate,
     word_matrix,
 )
-from dense import kron
+from dense import kron, twist
 
 
 def rand_complex(rng, shape):
@@ -241,6 +240,40 @@ def test_concurrence_formula_vs_oracle():
         psi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         psi /= np.linalg.norm(psi)
         assert abs(concurrence(psi, 2) - concurrence_oracle(psi, 2)) < 1e-10
+
+
+def _concurrence_off_at(monkeypatch, offsets):
+    """``bell.concurrence`` with ``offsets[t]`` added on its call t (counted from 0): trial t of a check."""
+    from bellkit import bell
+
+    real, calls = bell.concurrence, []
+
+    def patched(state, n):
+        calls.append(None)
+        return real(state, n) + offsets.get(len(calls) - 1, 0.0)
+
+    monkeypatch.setattr(bell, "concurrence", patched)
+
+
+def test_concurrence_failure_names_witness_trial(monkeypatch):
+    from bellkit.bell import concurrence_check
+
+    def formula_case(offsets):
+        monkeypatch.undo()
+        _concurrence_off_at(monkeypatch, offsets)
+        return concurrence_check(2, 4, 3, 1e-12).cases[0]
+
+    # passing ids are unchanged
+    case = formula_case({})
+    assert (case.case_id, case.passed) == ("formula-vs-oracle (4 random states)", True)
+    # the worst trial is the witness, not the first failing one
+    case = formula_case({1: 0.25, 2: 0.5})
+    assert case.case_id == "formula-vs-oracle (4 random states) witness=trial 2"
+    assert case.residual == pytest.approx(0.5) and not case.passed
+    # a NaN trial is the witness even when a finite one is worse
+    case = formula_case({0: 0.75, 3: np.nan})
+    assert case.case_id == "formula-vs-oracle (4 random states) witness=trial 3"
+    assert np.isnan(case.residual) and not case.passed
 
 
 def test_circuit_validation():

@@ -4,11 +4,12 @@ import re
 import numpy as np
 import pytest
 
-from bellkit.bell import Circuit, multi_bell, product_ket, twist, twist_decomposition
+from bellkit.bell import Circuit, multi_bell, product_ket, twist_decomposition
 from bellkit import cli
 from bellkit.cli import SUITES, TOL_CEILING, main
 from bellkit.linalg import residual
 from bellkit.teleport import linearity_reduction_check
+from dense import twist
 
 # The flags each `verify` suite declares; --tol, --seed and --json are common to all.
 SUITE_FLAGS = {
@@ -169,11 +170,11 @@ def test_observables_tell_right_conjugation_from_left(monkeypatch, capsys):
     real = verify.conjugated_observables
 
     def first_qudit_transpose(spec, m, side):
-        """The right conjugation with M^T on the first qudit instead of the second."""
+        """The right conjugation of a stack of M, with M^T on the first qudit instead of the second."""
         if side == "left":
             return real(spec, m, side)
-        op = m.T
-        matrix = apply_local(op.conj(), apply_local(op, spec.matrix).T).T
+        op = np.swapaxes(m, -1, -2)
+        matrix = np.swapaxes(apply_local(op.conj(), np.swapaxes(apply_local(op, spec.matrix), -1, -2)), -1, -2)
         states = apply_local(op, spec.states)
         return verify.ObservableSpec(f"{spec.name}|right-conjugated", matrix, spec.labels, spec.eigenvalues, states)
 
@@ -403,6 +404,18 @@ def test_basis_group_size_cap_exit_two(argv, flag, cap, monkeypatch, capsys):
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and f"basis-group {flag} must be at most {cap}" in lines[0], lines
+
+
+def test_concurrence_size_cap_exit_two_before_any_draw(monkeypatch, capsys):
+    from bellkit import bell
+
+    def never(*args, **kwargs):
+        raise AssertionError("a trial state was drawn above the dense cap")
+
+    # a 4^13-entry trial state is 1 GiB; the cap must refuse before the first one
+    monkeypatch.setattr(bell, "random_state", never)
+    assert run(["verify", "concurrence", "--n", "13", "--trials", "2"]) == 2
+    assert one_line_error(capsys) == "bad parameters: concurrence --n must be at most 12, got 13"
 
 
 def test_basis_group_at_size_cap_runs(capsys):

@@ -32,7 +32,6 @@ from bellkit.bell import (
     omega,
     pair_product_bell,
     qudit_bell,
-    twist,
     twist_check,
 )
 from bellkit import braid
@@ -91,22 +90,31 @@ from bellkit.teleport import (
     sample_histogram,
     teleport_eq_suite,
 )
+from bellkit import verify
 from bellkit.verify import (
+    _trial_matrices,
+    basis_theorem_suite,
     bell_family,
     conjugated_observables,
     extend_basis,
     perturbed_nonunitary,
+    qudit_observable_suite,
     qudit_observables,
     reduced_completeness,
 )
 from dense import (
+    basis_theorem_loop,
     braid_teleport_rhs,
     complex_relation_residual,
+    haar_one,
     hs_inner,
     kron,
+    perturbed_one,
     product_ket_of,
     projective_residuals,
+    qudit_observable_loop,
     teleport_sides,
+    twist,
 )
 from dense import reduced_completeness as dense_reduced_completeness
 
@@ -1189,3 +1197,82 @@ def test_extend_basis_matches_batched_product(size, side):
     assert residual(got.unitaries, want) <= 1e-15
     assert residual(got.states, bell_vector(want)) <= 1e-15
     assert got.labels == fam.labels
+
+
+# ---------------------------------------------------------------------------
+# Haar trials drawn, factored and checked as stacks
+#
+# The basis-theorem and observable suites draw their Haar samples as stacks
+# and check them in blocks of ``verify.BLOCK_ENTRIES`` entries.  The same
+# floats must come out as from one draw, one Gram and one conjugation at a
+# time, at the default blocks and at blocks of one matrix.
+
+BLOCKS = {"default": None, "one-matrix": 1}
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (5,), (2, 3)])
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_stacked_draws_equal_per_call_draws(dim, lead):
+    count = int(np.prod(lead))
+    for stacked, single in ((haar_unitary, haar_one), (perturbed_nonunitary, perturbed_one)):
+        stack_rng, loop_rng = np.random.default_rng(dim), np.random.default_rng(dim)
+        got = stacked(dim, stack_rng, lead=lead)
+        assert got.shape == (*lead, dim, dim)
+        np.testing.assert_array_equal(got.reshape(count, dim, dim), [single(dim, loop_rng) for _ in range(count)])
+        assert stack_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("trials", [1, 4, 9])
+def test_trial_matrices_interleave_per_call_draws(trials):
+    stack_rng, loop_rng = np.random.default_rng(trials), np.random.default_rng(trials)
+    unitaries, nonunitaries = _trial_matrices(3, trials, stack_rng)
+    for u, m in zip(unitaries, nonunitaries, strict=True):
+        np.testing.assert_array_equal(u, haar_one(3, loop_rng))
+        np.testing.assert_array_equal(m, perturbed_one(3, loop_rng))
+    assert stack_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("block", list(BLOCKS))
+@pytest.mark.parametrize("trials", [1, 5, 50])
+@pytest.mark.parametrize("size", [{"d": 2}, {"d": 3}, {"d": 5}, {"d": 8}, {"d": 16}, {"n": 1}, {"n": 2}, {"n": 3}])
+def test_basis_theorem_suite_equals_per_trial_loop(size, trials, block, monkeypatch):
+    if BLOCKS[block]:
+        monkeypatch.setattr(verify, "BLOCK_ENTRIES", BLOCKS[block])
+    seed = trials + sum(size.values())
+    assert basis_theorem_suite(**size, trials=trials, seed=seed).to_dict() == basis_theorem_loop(
+        **size, trials=trials, seed=seed
+    ).to_dict()
+
+
+@pytest.mark.parametrize("block", list(BLOCKS))
+@pytest.mark.parametrize("conjugated", [0, 1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_qudit_observable_suite_equals_per_conjugation_loop(d, k, conjugated, block, monkeypatch):
+    if BLOCKS[block]:
+        monkeypatch.setattr(verify, "BLOCK_ENTRIES", BLOCKS[block])
+    seed = d + 10 * conjugated
+    assert qudit_observable_suite(d, k, conjugated, seed).to_dict() == qudit_observable_loop(
+        d, k, conjugated, seed
+    ).to_dict()
+
+
+@pytest.mark.parametrize(
+    "run,bound_mib",
+    [
+        (lambda: basis_theorem_suite(d=16, trials=50), 12),
+        (lambda: qudit_observable_suite(16, 0, 2), 21),
+        # the trials are drawn in blocks too, so memory does not grow with their number
+        (lambda: basis_theorem_suite(d=3, trials=3000), 1),
+    ],
+    ids=["basis-theorem-d16", "observables-d16", "basis-theorem-many-trials"],
+)
+def test_stacked_suites_bound_memory(run, bound_mib):
+    tracemalloc.start()
+    try:
+        rep = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < bound_mib * 2**20, peak

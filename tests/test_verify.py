@@ -3,7 +3,7 @@ import pytest
 
 from bellkit.bell import omega, qudit_bell
 from bellkit.linalg import haar_unitary, residual, identity
-from dense import kron
+from dense import kron, observable_check
 from bellkit.pauli import pauli_gate
 from bellkit.verify import (
     APPENDIX_N1_MATRIX,
@@ -19,7 +19,6 @@ from bellkit.verify import (
     gram_matrix,
     multiqubit_observable_suite,
     multiqubit_observables,
-    observable_check,
     perturbed_nonunitary,
     qudit_observable_suite,
     qudit_observables,
@@ -91,21 +90,25 @@ def test_basis_theorem_suite_multi():
         basis_theorem_suite(d=2, n=2)
 
 
-def _nth_call(real, changed):
-    """``real`` with the result of call k (counted from 0) replaced by ``changed[k](result, *args)``."""
+def _patch_trials(monkeypatch, changed):
+    """Pass trial t of stack ``kind`` (0 unitary, 1 perturbed) from call k of ``_trial_matrices`` through ``changed[k, kind, t](matrix, *args)``."""
+    import bellkit.verify as verify
+
+    real = verify._trial_matrices
     count = [0]
 
     def patched(*args):
-        out = real(*args)
-        k, count[0] = count[0], count[0] + 1
-        return changed[k](out, *args) if k in changed else out
+        stacks = [stack.copy() for stack in real(*args)]
+        for (k, kind, t), change in changed.items():
+            if k == count[0]:
+                stacks[kind][t] = change(stacks[kind][t], *args)
+        count[0] += 1
+        return tuple(stacks)
 
-    return patched
+    monkeypatch.setattr(verify, "_trial_matrices", patched)
 
 
 def test_basis_theorem_names_witness_trial(monkeypatch):
-    import bellkit.verify as verify
-
     def ids(rep):
         return [c.case_id for c in rep.cases]
 
@@ -115,13 +118,11 @@ def test_basis_theorem_names_witness_trial(monkeypatch):
         "reduced-completeness (general M)", "vacuous-one-sided-unitarity",
     ]
     assert ids(basis_theorem_suite(d=2, trials=4, seed=5)) == passing
-    # haar_unitary is called twice a trial, once directly and once inside
-    # perturbed_nonunitary: call 2t is unitary trial t on the left, call
-    # 8 + 2t on the right.  Left: trial 1 NaN, trial 2 worse but finite;
-    # right: trial 0 fails, trial 3 is worse.
-    scale = {2: np.nan, 4: 3.0, 8: 1.5, 14: 2.0}
-    changed = {k: (lambda u, dim, rng, s=s: s * u) for k, s in scale.items()}
-    monkeypatch.setattr(verify, "haar_unitary", _nth_call(haar_unitary, changed))
+    # _trial_matrices draws a side's trials as one stack at this size: call 0
+    # is the left side, call 1 the right.  Left: trial 1 NaN, trial 2 worse
+    # but finite; right: trial 0 fails, trial 3 is worse.
+    scale = {(0, 0, 1): np.nan, (0, 0, 2): 3.0, (1, 0, 0): 1.5, (1, 0, 3): 2.0}
+    _patch_trials(monkeypatch, {k: (lambda u, *args, s=s: s * u) for k, s in scale.items()})
     rep = basis_theorem_suite(d=2, trials=4, seed=5)
     assert ids(rep) == [
         "unitary-extensions-left (4 trials) witness=trial 1", "nonunitary-extensions-left (4 trials)",
@@ -132,10 +133,10 @@ def test_basis_theorem_names_witness_trial(monkeypatch):
     assert [c.passed for c in rep.cases] == [False, True, False, True, True, True]
 
     # the non-unitary control names its best trial: a unitary M on the
-    # left at trial 2, a NaN M on the right at trial 1 (call 4 + 1)
-    monkeypatch.setattr(verify, "haar_unitary", haar_unitary)
-    changed = {2: lambda m, dim, rng: haar_unitary(dim, rng), 5: lambda m, dim, rng: np.nan * m}
-    monkeypatch.setattr(verify, "perturbed_nonunitary", _nth_call(perturbed_nonunitary, changed))
+    # left at trial 2, a NaN M on the right at trial 1
+    monkeypatch.undo()
+    changed = {(0, 1, 2): lambda m, dim, trials, rng: haar_unitary(dim, rng), (1, 1, 1): lambda m, *args: np.nan * m}
+    _patch_trials(monkeypatch, changed)
     rep = basis_theorem_suite(d=2, trials=4, seed=5)
     assert ids(rep) == [
         "unitary-extensions-left (4 trials)", "nonunitary-extensions-left (4 trials) witness=trial 2",
