@@ -264,31 +264,6 @@ def ghz_state(n: int, j_bits=0, l_bits=0, sign: int = 1) -> np.ndarray:
 # Bell-basis expansion and concurrence
 
 
-@dataclass
-class BellExpansion:
-    """Amplitudes of a 2n-qubit state over the blocked Bell basis.
-
-    ``amps[a, b]`` is the coefficient of the basis state with phase bits
-    ``a`` and parity bits ``b`` read as big-endian integers.
-    """
-
-    n: int
-    amps: np.ndarray
-
-    def coefficient(self, alpha, beta) -> complex:
-        return complex(
-            self.amps[bits_to_int(as_bits(alpha, self.n)), bits_to_int(as_bits(beta, self.n))]
-        )
-
-    def reconstruct(self) -> np.ndarray:
-        """Inverse of ``expand_in_bell_basis``: ``Psi[j, j xor b] = (H amps)[j, b] / sqrt(D)``."""
-        dim = 2**self.n
-        j = np.arange(dim)[:, None]
-        out = np.zeros((dim, dim), dtype=complex)
-        out[j, j ^ j.T] = _walsh_hadamard(self.amps, self.n) * (1.0 / np.sqrt(dim))
-        return out.reshape(-1)
-
-
 def _walsh_hadamard(rows: np.ndarray, n: int) -> np.ndarray:
     """``H @ rows`` with ``H[a, j] = (-1)^(a.j)`` over n bits, by n butterflies."""
     out = rows.reshape((2,) * n + rows.shape[1:])
@@ -307,9 +282,11 @@ def _check_state(state: np.ndarray, n: int) -> np.ndarray:
     return state
 
 
-def expand_in_bell_basis(state: np.ndarray, n: int) -> BellExpansion:
+def expand_in_bell_basis(state: np.ndarray, n: int) -> np.ndarray:
     """Bell-basis amplitudes by a gather and a Walsh-Hadamard transform, O(n 4^n).
 
+    ``amps[a, b]`` is the coefficient of the basis state with phase bits
+    ``a`` and parity bits ``b`` read as big-endian integers.
     ``B(ab)`` has amplitude ``(-1)^(a.j) / sqrt(D)`` on ``|j, j xor b>``
     and 0 elsewhere, so with ``Psi = state.reshape(D, D)``,
     ``amps[a, b] = sum_j (-1)^(a.j) Psi[j, j xor b] / sqrt(D)``: gather
@@ -319,15 +296,14 @@ def expand_in_bell_basis(state: np.ndarray, n: int) -> BellExpansion:
     dim = 2**n
     j = np.arange(dim)[:, None]
     gathered = state.reshape(dim, dim)[j, j ^ j.T]
-    return BellExpansion(n, _walsh_hadamard(gathered, n) * (1.0 / np.sqrt(dim)))
+    return _walsh_hadamard(gathered, n) * (1.0 / np.sqrt(dim))
 
 
 def concurrence(state: np.ndarray, n: int) -> float:
     """|sum (-1)^(number of k with alpha_k != beta_k) d(ab)^2| over the expansion."""
-    exp = expand_in_bell_basis(state, n)
     a = np.arange(2**n)
     signs = 1.0 - 2.0 * (np.bitwise_count(a[:, None] ^ a[None, :]) & 1)
-    return float(abs(np.sum(signs * exp.amps**2)))
+    return float(abs(np.sum(signs * expand_in_bell_basis(state, n) ** 2)))
 
 
 def concurrence_oracle(state: np.ndarray, n: int) -> float:

@@ -6,9 +6,9 @@ Covers the qubit gates X, Z, H, the qudit clock/shift pair with
 {0,1} sign exponent, qudit words ``omega^g Z^a X^b`` with an exactly
 tracked phase exponent g mod d, and the basis-group closure check.
 
-Phases are never floated through matrices when multiplying words: the
-sign/phase arithmetic is integer, so braid and teleportation
-bookkeeping built on top of these words stays exact.
+Phases are never floated through matrices when combining words: signs
+and phases are integer exponents, so the braid outcome table, which adds
+them, stays exact.
 """
 
 from __future__ import annotations
@@ -55,15 +55,6 @@ def bits_to_int(bits) -> int:
     for b in bits:
         out = (out << 1) | b
     return out
-
-
-def bit_xor(a, b) -> tuple[int, ...]:
-    return tuple(x ^ y for x, y in zip(a, b, strict=True))
-
-
-def bit_dot(a, b) -> int:
-    """Dot product of two bit strings modulo 2."""
-    return sum(x * y for x, y in zip(a, b, strict=True)) % 2
 
 
 # ---------------------------------------------------------------------------
@@ -176,24 +167,6 @@ def word_matrix(w: PauliWord) -> np.ndarray:
     if w.n > DENSE_MAX_N:
         raise ValueError(f"word on {w.n} qubits exceeds the 2^{DENSE_MAX_N} dense cap")
     return word_monomial(w).dense()
-
-
-def word_dagger(w: PauliWord) -> PauliWord:
-    # T^dagger(ab) = (-1)^(a.b) T(ab), so only the sign exponent moves.
-    return PauliWord(w.z_exps, w.x_exps, w.sign ^ bit_dot(w.z_exps, w.x_exps))
-
-
-def word_mul(a: PauliWord, b: PauliWord) -> PauliWord:
-    """Exact symbolic product; matches the matrix product entry for entry."""
-    if a.n != b.n:
-        raise ValueError(f"word length mismatch: {a.n} vs {b.n}")
-    # Per factor, X^{x_a} Z^{z_b} = (-1)^{x_a z_b} Z^{z_b} X^{x_a}.
-    cross = sum(xa * zb for xa, zb in zip(a.x_exps, b.z_exps)) % 2
-    return PauliWord(
-        bit_xor(a.z_exps, b.z_exps),
-        bit_xor(a.x_exps, b.x_exps),
-        a.sign ^ b.sign ^ cross,
-    )
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,6 @@ same equations, same code path, same residuals at the same seed.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .bell import all_labels, bell_unitaries, bell_vector, multi_bell, omega, pair_product_bell, twist_monomial
@@ -88,11 +86,9 @@ class _Setting:
 
     ``variant`` is the full name (an alias resolved), ``size`` the one
     size the report records, ``{"d": d}`` or ``{"n": n}`` (``basic2``
-    fixes d = 2), and ``dim`` is D.  ``labels`` and the K x D x D stacks
-    ``forward`` (``U_a``) and ``inverse`` (``U_a^dag``) follow
-    ``bell_unitaries`` order; ``inverse`` is built on first use, so the
-    protocol, which never reads it, does not hold it.  ``use(m)`` sets M
-    and builds ``meas``, the K x D^2 stack of measurement vectors.
+    fixes d = 2), and ``dim`` is D.  ``labels`` and the K x D x D stack
+    ``forward`` (``U_a``) follow ``bell_unitaries`` order.  ``use(m)`` sets
+    M and builds ``meas``, the K x D^2 stack of measurement vectors.
     """
 
     def __init__(self, check: str, variant: str, d: int | None = None, n: int | None = None):
@@ -106,10 +102,6 @@ class _Setting:
         self.size = {family: size}
         self.labels, self.forward = bell_unitaries(**self.size)
         self.dim = self.forward.shape[-1]
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        return self.forward.conj().transpose(0, 2, 1)
 
     def use(self, m: np.ndarray) -> None:
         """Set M and build ``meas``; only the teleport-eq 11 forms hold for any square M."""
@@ -135,9 +127,10 @@ class _Setting:
         signed permutation, so ``T(b)^T = T^dag(b)``.  ``corrupt`` leaves
         ``U_a`` undaggered, the linearity-reduction falsifiability control.
         A block of B label indices ``b`` gives the ``(B, K, D)`` stack.
+        ``U_a^dag psi`` is ``conj(psi^dag U_a)``, so no ``U_a^dag`` stack is formed.
         """
-        undo = self.forward if corrupt else self.inverse
-        outs = (undo @ psi) @ self.forward[b]  # rows (U_b^T U_a^dag psi)^T
+        undone = self.forward @ psi if corrupt else (psi.conj() @ self.forward).conj()
+        outs = undone @ self.forward[b]  # rows (U_b^T U_a^dag psi)^T
         return outs @ self.m.T if self.form == 11 else outs
 
     def block_sides(self, psi: np.ndarray, labels, corrupt: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -155,11 +148,6 @@ class _Setting:
         lhs = (psi[:, None] * res[:, None, :]).reshape(count, -1)
         rhs = np.matmul(self.meas.T, self.receivers(psi, labels, corrupt)).reshape(count, -1) / self.dim
         return lhs, rhs
-
-    def sides(self, psi: np.ndarray, b: int, corrupt: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """``block_sides`` at the one label index ``b``, as two D^3 vectors."""
-        lhs, rhs = self.block_sides(psi, [b], corrupt)
-        return lhs[0], rhs[0]
 
     def branches(self, prepared: np.ndarray) -> np.ndarray:
         """Every measurement branch ``(<meas_a| x 1) prepared``, for ``prepared`` as a D^2 x D matrix.
@@ -371,12 +359,12 @@ def linearity_reduction_check(
     setting.use(identity(dim))
     at = setting.labels.index((0, 1) if variant in QUDIT_VARIANTS else ((0,) * n, (1,) * n))
     basis = [basis_state(dim, i) for i in range(dim)]
-    rep.add("all-basis-inputs", fold(residual(*setting.sides(psi, at)) for psi in basis))
-    rep.add("random-superposition", residual(*setting.sides(random_state(dim, rng), at)))
+    rep.add("all-basis-inputs", fold(residual(*setting.block_sides(psi, [at])) for psi in basis))
+    rep.add("random-superposition", residual(*setting.block_sides(random_state(dim, rng), [at])))
     # Control: drop the dagger on the outcome correction; some basis input must fail.
     rep.add_expect_fail(
         "corrupted-correction-fails",
-        fold(residual(*setting.sides(psi, at, corrupt=True)) for psi in basis),
+        fold(residual(*setting.block_sides(psi, [at], corrupt=True)) for psi in basis),
         1e-6,
     )
 

@@ -1,4 +1,4 @@
-"""Dense, complex and per-label reference forms that only the tests use.
+"""Dense, complex, symbolic and per-label reference forms that only the tests use.
 
 The library applies local operators with ``linalg.apply_local`` and never
 forms ``op x 1`` as a matrix; the tests build that Kronecker form here, as
@@ -8,15 +8,17 @@ relation kernel with every operand forced complex, for the reduced
 completeness of the basis theorem, one pair (i, j) at a time, for the
 teleportation equations, one Bell label or outcome at a time, and for the
 Haar-sampled basis-theorem and observable suites, one draw, Gram and
-conjugation at a time.
+conjugation at a time.  The symbolic word algebra (products and adjoints
+of ``PauliWord`` tuples) and the Bell-basis reconstruction, one label at
+a time, live here too: the library reaches neither.
 """
 
 import numpy as np
 
-from bellkit.bell import all_labels, product_ket, twist_monomial
+from bellkit.bell import all_labels, multi_bell, product_ket, twist_monomial
 from bellkit.braid import _word
 from bellkit.linalg import DEFAULT_TOL, fold, residual
-from bellkit.pauli import PauliWord, word_dagger, word_matrix, word_mul
+from bellkit.pauli import PauliWord, bits_to_int, word_matrix
 from bellkit.report import Report
 from bellkit.verify import (
     _observable_residuals,
@@ -49,6 +51,42 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"hs_inner requires equal square shapes, got {a.shape}, {b.shape}")
     return complex(np.trace(a.conj().T @ b) / a.shape[0])
+
+
+# ---------------------------------------------------------------------------
+# symbolic word algebra and the Bell-basis reconstruction
+
+
+def bit_xor(a, b) -> tuple[int, ...]:
+    return tuple(x ^ y for x, y in zip(a, b, strict=True))
+
+
+def bit_dot(a, b) -> int:
+    """Dot product of two bit strings modulo 2."""
+    return sum(x * y for x, y in zip(a, b, strict=True)) % 2
+
+
+def word_dagger(w: PauliWord) -> PauliWord:
+    # T^dagger(ab) = (-1)^(a.b) T(ab), so only the sign exponent moves.
+    return PauliWord(w.z_exps, w.x_exps, w.sign ^ bit_dot(w.z_exps, w.x_exps))
+
+
+def word_mul(a: PauliWord, b: PauliWord) -> PauliWord:
+    """Exact symbolic product; matches the matrix product entry for entry."""
+    if a.n != b.n:
+        raise ValueError(f"word length mismatch: {a.n} vs {b.n}")
+    # Per factor, X^{x_a} Z^{z_b} = (-1)^{x_a z_b} Z^{z_b} X^{x_a}.
+    cross = sum(xa * zb for xa, zb in zip(a.x_exps, b.z_exps)) % 2
+    return PauliWord(
+        bit_xor(a.z_exps, b.z_exps),
+        bit_xor(a.x_exps, b.x_exps),
+        a.sign ^ b.sign ^ cross,
+    )
+
+
+def reconstruct(amps, n):
+    """``sum_ab amps[a, b] B(ab)``: the state whose ``expand_in_bell_basis`` is ``amps``."""
+    return sum(amps[bits_to_int(a), bits_to_int(b)] * multi_bell(n, a, b) for a, b in all_labels(n))
 
 
 # ---------------------------------------------------------------------------

@@ -6,22 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellkit.linalg import dagger, residual
-from dense import hs_inner
+from dense import bit_dot, hs_inner, word_dagger, word_mul
 from bellkit.pauli import (
     GenPauliWord,
     PauliWord,
     as_bits,
     basis_group_check,
-    bit_dot,
     gen_word_matrix,
     gen_x,
     gen_z,
     pauli_gate,
     qubit_word_set,
     qudit_word_set,
-    word_dagger,
     word_matrix,
-    word_mul,
 )
 
 

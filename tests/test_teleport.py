@@ -28,7 +28,7 @@ def skewed_resource(d: int, weights) -> np.ndarray:
 def label_residual(variant, psi, m, label, **size):
     setting = _Setting("teleport-eq", variant, **size)
     setting.use(m)
-    return residual(*setting.sides(psi, setting.labels.index(label)))
+    return residual(*setting.block_sides(psi, [setting.labels.index(label)]))
 
 
 def test_transfer_identity():
