@@ -9,10 +9,9 @@ here returns blocked order and the twist mediates whenever a formula is
 stated in the other order.  Drift between the two orders is the main bug
 risk in this whole domain, so both are first-class.
 
-Bell states, the twist and circuit unitaries are built without Kronecker
-products with the identity: Bell states are reshaped operators
-(``bell_vector``), permutations and gates act on tensor axes, and the
-Bell-basis expansion is a Walsh-Hadamard transform.  The twist, the
+Bell states and the twist are built without Kronecker products with
+the identity: Bell states are reshaped operators (``bell_vector``), and
+the Bell-basis expansion is a Walsh-Hadamard transform.  The twist, the
 SWAP circuits and the spin-flip ``(ZX)^(2n)`` of the concurrence oracle
 are monomial operators (``linalg.Monomial``): checked and applied from
 their index and phase arrays, never as dense 4^n x 4^n matrices.
@@ -26,7 +25,7 @@ from itertools import product
 import numpy as np
 
 from .linalg import Monomial, basis_state, fold, identity, permutation, random_state, residual
-from .pauli import DENSE_MAX_N, PauliWord, as_bits, bits_to_int, gen_u, pauli_gate, word_matrix, word_monomial, word_stack
+from .pauli import DENSE_MAX_N, as_bits, bits_to_int, word, word_stack
 from .report import Report
 
 _NORM_TOL = 1e-10
@@ -34,10 +33,6 @@ _NORM_TOL = 1e-10
 
 # ---------------------------------------------------------------------------
 # circuits
-
-
-# CNOT as a (out_c, out_t, in_c, in_t) tensor.
-_CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]].reshape(2, 2, 2, 2)
 
 
 @dataclass
@@ -74,25 +69,6 @@ class Circuit:
 
     def swap(self, a: int, b: int) -> None:
         self.append("SWAP", a, b)
-
-    def to_matrix(self) -> np.ndarray:
-        """The circuit unitary, built gate by gate on a ``(2,)*wires + (D,)`` view.
-
-        Row digits are tensor axes, so a SWAP is an axis swap and H, X, Z
-        and CNOT contract their 2x2 (2x2x2x2) gate tensor against their
-        wires' axes; no D x D gate matrix is formed or multiplied.
-        """
-        dim = 2**self.wires
-        mat = identity(dim).reshape((2,) * self.wires + (dim,))
-        for name, qs in self.gates:
-            if name == "SWAP":
-                mat = np.swapaxes(mat, *qs)
-                continue
-            gate = _CNOT if name == "CNOT" else pauli_gate(name)
-            k = len(qs)
-            mat = np.tensordot(gate, mat, axes=(range(k, 2 * k), qs))
-            mat = np.moveaxis(mat, range(k), qs)
-        return mat.reshape(dim, dim)
 
     def to_monomial(self) -> Monomial:
         """The unitary of a circuit of SWAP, X, Z and CNOT gates, as a monomial.
@@ -158,14 +134,14 @@ def bell_vector(t: np.ndarray, m: np.ndarray | None = None) -> np.ndarray:
 
 def bell2(alpha: int, beta: int) -> np.ndarray:
     """Two-qubit Bell state (Z^alpha X^beta tensor I)|phi(00)>."""
-    return bell_vector(word_matrix(PauliWord((alpha,), (beta,))))
+    return bell_vector(word(alpha, beta, n=1).dense())
 
 
 def qudit_bell(d: int, alpha: int, beta: int) -> np.ndarray:
     """Generalized two-qudit Bell state (Z^alpha X^beta tensor I)|Omega>."""
     if not (0 <= alpha < d and 0 <= beta < d):
         raise ValueError(f"labels ({alpha},{beta}) out of range for d={d}")
-    return bell_vector(gen_u(d, alpha, beta))
+    return bell_vector(word(alpha, beta, d=d).dense())
 
 
 def twist_monomial(n: int) -> Monomial:
@@ -213,10 +189,9 @@ def twist_check(n: int, tol: float) -> Report:
 
 def multi_bell(n: int, alpha, beta) -> np.ndarray:
     """Generalized 2n-qubit Bell state, blocked order: (T(ab) tensor I^n)|Omega_{2^n}>."""
-    word = PauliWord(as_bits(alpha, n), as_bits(beta, n))
-    if word.n != n:
-        raise ValueError(f"label length {word.n} does not match n={n}")
-    return bell_vector(word_matrix(word))
+    if n > DENSE_MAX_N:
+        raise ValueError(f"word on {n} qubits exceeds the 2^{DENSE_MAX_N} dense cap")
+    return bell_vector(word(bits_to_int(as_bits(alpha, n)), bits_to_int(as_bits(beta, n)), n=n).dense())
 
 
 def pair_product_bell(n: int, alpha, beta) -> np.ndarray:
@@ -313,7 +288,7 @@ def concurrence_oracle(state: np.ndarray, n: int) -> float:
     complement, applied as a monomial in O(4^n) memory.
     """
     state = _check_state(state, n)
-    flip = word_monomial(PauliWord((1,) * (2 * n), (1,) * (2 * n)))
+    flip = word(4**n - 1, 4**n - 1, n=2 * n)
     tilde = (-1.0) ** n * (flip @ state.conj())
     return abs(np.vdot(tilde, state))
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bell import all_labels, bell2, bell_vector, product_ket, qudit_bell, twist_monomial
 from .linalg import DEFAULT_TOL, apply_local, dagger, fold, identity, random_state, real_if_real, residual
-from .pauli import _word_entries, gen_u, pauli_gate, word_stack
+from .pauli import _word_entries, pauli_gate, word, word_stack
 from .report import Report
 
 _SIGNS = (1, -1)
@@ -198,7 +198,7 @@ def tl_generators(
         raise ValueError("local dimension must be in 2..4")
     state = qudit_bell(d, *label)
     if m is not None:
-        state = bell_vector(np.asarray(m, dtype=complex) @ gen_u(d, *label))
+        state = bell_vector(np.asarray(m, dtype=complex) @ word(*label, d=d).dense())
         state = state / np.linalg.norm(state)
     return TLRep(n_strands, d, np.outer(state, state.conj()))
 

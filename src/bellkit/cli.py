@@ -183,7 +183,7 @@ def _suite_ybe(
         return rep
     if gate in ("swap", "cnot"):
         # cnot is a falsifiability control; the report fails and the CLI exits 1
-        rep = braid.yang_baxter_check(bell.Circuit(2, [(gate.upper(), (0, 1))]).to_matrix(), 2, tol)
+        rep = braid.yang_baxter_check(bell.Circuit(2, [(gate.upper(), (0, 1))]).to_monomial().dense(), 2, tol)
     else:
         signs = _parse_signs(eps, n), _parse_signs(eta, n)
         kind = "plain" if gate == "twisted-plain" else "conjugated"
@@ -200,7 +200,7 @@ def _suite_braid(
     cnot = None
     if gate == "cnot":
         _unused(_suite_braid, "--gate cnot", eps_scalar=eps_scalar, eta_scalar=eta_scalar)
-        cnot = bell.Circuit(2, [("CNOT", (0, 1))]).to_matrix()
+        cnot = bell.Circuit(2, [("CNOT", (0, 1))]).to_monomial().dense()
     rep = braid.braid_rep_check(strands, eps_scalar, eta_scalar, gate=cnot, tol=tol)
     rep.params["gate"] = gate
     return rep

@@ -1,5 +1,6 @@
 """Linear-algebra kernel shared by all other modules: dense arrays, local
-operators and monomial (one nonzero per column) operators.
+operators, monomial (one nonzero per column) operators and the blocks in
+which a stack is walked.
 
 Conventions, fixed once here:
 
@@ -22,6 +23,16 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_TOL = 1e-12
+
+
+def blocks(total: int, entries: int, budget: int):
+    """Slices of ``range(total)`` of ``budget // entries`` items each (at least one), capped at ``total``.
+
+    A stack of one block's items, ``entries`` entries per item, holds at
+    most ``budget`` entries, or one item.
+    """
+    step = max(1, budget // entries)
+    return (slice(start, min(start + step, total)) for start in range(0, total, step))
 
 
 def apply_local(op: np.ndarray, x: np.ndarray, before: int = 1) -> np.ndarray:

@@ -1,10 +1,10 @@
-"""Pauli machinery, symbolic and numeric.
+"""Pauli and clock/shift words, and the basis-group closure check.
 
-Covers the qubit gates X, Z, H, the qudit clock/shift pair with
-``ZX = omega XZ`` (omega = exp(2 pi i / d)), n-qubit tensor words
-``T(ab) = (-1)^s  prod_k Z^{a_k} X^{b_k}`` with an exactly tracked
-{0,1} sign exponent, qudit words ``omega^g Z^a X^b`` with an exactly
-tracked phase exponent g mod d, and the basis-group closure check.
+Covers the qubit gates X, Z, H, and the one formula for words: n-qubit
+tensor words ``T(ab) = (-1)^g  prod_k Z^{a_k} X^{b_k}`` and qudit words
+``omega^g Z^a X^b`` (omega = exp(2 pi i / d), ``ZX = omega XZ``), built
+from integer exponents as monomial operators (``word``) or as one
+stacked family (``word_stack``).
 
 Phases are never floated through matrices when combining words: signs
 and phases are integer exponents, so the braid outcome table, which adds
@@ -13,15 +13,13 @@ them, stays exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import DEFAULT_TOL, Monomial, fold, identity, residual
 from .report import Report
 
-# word_matrix builds words on at most this many qubits as dense 2^n x 2^n
-# matrices; concurrence_check refuses larger n before drawing any state.
+# multi_bell builds its word dense, 2^n x 2^n, on at most this many qubits;
+# concurrence_check refuses larger n before drawing any state.
 DENSE_MAX_N = 12
 
 # ---------------------------------------------------------------------------
@@ -78,7 +76,7 @@ def pauli_gate(name: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# qudit clock and shift
+# qudit roots of unity
 
 
 def omega_root(d: int, k: int = 1) -> complex:
@@ -93,41 +91,8 @@ def omega_root(d: int, k: int = 1) -> complex:
     return complex(np.exp(2j * np.pi * k / d))
 
 
-def gen_x(d: int) -> np.ndarray:
-    """Cyclic shift: X|i> = |i + 1 mod d>."""
-    return gen_u(d, 0, 1)
-
-
-def gen_z(d: int) -> np.ndarray:
-    """Clock matrix diag(1, omega, ..., omega^(d-1))."""
-    return gen_u(d, 1, 0)
-
-
-def gen_u(d: int, alpha: int, beta: int) -> np.ndarray:
-    """The unitary Z^alpha X^beta without phase decoration."""
-    return gen_word_matrix(GenPauliWord(d, alpha, beta))
-
-
 # ---------------------------------------------------------------------------
-# symbolic words
-
-
-@dataclass(frozen=True)
-class PauliWord:
-    """(-1)^sign * tensor_k Z^{z_k} X^{x_k} over n qubits."""
-
-    z_exps: tuple[int, ...]
-    x_exps: tuple[int, ...]
-    sign: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "z_exps", as_bits(self.z_exps))
-        object.__setattr__(self, "x_exps", as_bits(self.x_exps, len(self.z_exps)))
-        object.__setattr__(self, "sign", int(self.sign) & 1)
-
-    @property
-    def n(self) -> int:
-        return len(self.z_exps)
+# words
 
 
 def _word_entries(a, b, g, n: int | None = None, d: int | None = None):
@@ -149,6 +114,11 @@ def _word_entries(a, b, g, n: int | None = None, d: int | None = None):
     return rows, roots[g % d] * roots[a * rows % d]
 
 
+def word(a: int, b: int, g: int = 0, n: int | None = None, d: int | None = None) -> Monomial:
+    """The word ``(-1)^g Z^a X^b`` on n qubits, or ``omega^g Z^a X^b`` on one qudit, as a monomial."""
+    return Monomial(*_word_entries(a, b, g, n, d))
+
+
 def word_stack(a, b, g=0, n: int | None = None, d: int | None = None) -> np.ndarray:
     """The ``(K, D, D)`` stack of words with ``(K, 1)`` exponents (``_word_entries``), in one scatter."""
     rows, phase = _word_entries(a, b, g, n, d)
@@ -157,58 +127,19 @@ def word_stack(a, b, g=0, n: int | None = None, d: int | None = None) -> np.ndar
     return out
 
 
-def word_monomial(w: PauliWord) -> Monomial:
-    """The signed permutation ``T|i> = (-1)^(sign + a.(i xor b)) |i xor b>``."""
-    return Monomial(*_word_entries(bits_to_int(w.z_exps), bits_to_int(w.x_exps), w.sign, n=w.n))
-
-
-def word_matrix(w: PauliWord) -> np.ndarray:
-    """The dense matrix of ``word_monomial(w)``, up to ``DENSE_MAX_N`` qubits."""
-    if w.n > DENSE_MAX_N:
-        raise ValueError(f"word on {w.n} qubits exceeds the 2^{DENSE_MAX_N} dense cap")
-    return word_monomial(w).dense()
-
-
-@dataclass(frozen=True)
-class GenPauliWord:
-    """omega^gamma * Z^alpha X^beta over one qudit of dimension d."""
-
-    d: int
-    alpha: int
-    beta: int
-    gamma: int = 0
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("local dimension must be at least 2")
-        object.__setattr__(self, "alpha", self.alpha % self.d)
-        object.__setattr__(self, "beta", self.beta % self.d)
-        object.__setattr__(self, "gamma", self.gamma % self.d)
-
-
-def gen_word_monomial(w: GenPauliWord) -> Monomial:
-    """The phased shift ``omega^g Z^a X^b |i> = omega^g omega^(a (i + b)) |i + b>``."""
-    return Monomial(*_word_entries(w.alpha, w.beta, w.gamma, d=w.d))
-
-
-def gen_word_matrix(w: GenPauliWord) -> np.ndarray:
-    """The dense matrix of ``gen_word_monomial(w)``."""
-    return gen_word_monomial(w).dense()
-
-
 # ---------------------------------------------------------------------------
 # word families
 
 
-def qubit_word_set(n: int) -> list[np.ndarray]:
+def qubit_word_set(n: int) -> np.ndarray:
     """All 2 * 4^n signed words, the candidate basis group at d=2^n: (z, x) lexicographic, each + then -."""
-    return list(word_stack(*np.indices((2**n, 2**n, 2)).reshape(3, -1, 1), n=n))
+    return word_stack(*np.indices((2**n, 2**n, 2)).reshape(3, -1, 1), n=n)
 
 
-def qudit_word_set(d: int) -> list[np.ndarray]:
+def qudit_word_set(d: int) -> np.ndarray:
     """All d^3 phase-decorated qudit words omega^g Z^a X^b, in (g, a, b) lexicographic order."""
     g, a, b = np.indices((d, d, d)).reshape(3, -1, 1)
-    return list(word_stack(a, b, g, d=d))
+    return word_stack(a, b, g, d=d)
 
 
 # Each temporary of the closure check holds at most this many bytes, so the
@@ -270,16 +201,14 @@ def basis_group_check(words, d: int, tol: float = DEFAULT_TOL) -> Report:
     phase representative per coset.  A closure violation is reported
     with the witness pair (product) or index (adjoint) in the case id.
     """
-    mats = [np.asarray(w, dtype=complex) for w in words]
-    if not mats:
+    stack = np.asarray(words, dtype=complex)
+    count = len(stack)
+    if not count:
         raise ValueError("empty candidate set")
-    rep = Report("basis-group", {"d": d, "size": len(mats)}, tolerance=tol)
+    rep = Report("basis-group", {"d": d, "size": count}, tolerance=tol)
 
     eye = identity(d)
-    rep.add("unitary", fold(residual(m.conj().T @ m, eye) for m in mats))
-
-    stack = np.stack(mats)
-    count = len(mats)
+    rep.add("unitary", fold(residual(m.conj().T @ m, eye) for m in stack))
 
     def products(lo, hi):
         i, j = np.divmod(np.arange(lo, hi), count)

@@ -41,6 +41,7 @@ from .bell import all_labels, bell_unitaries, bell_vector, multi_bell, omega, pa
 from .linalg import (
     DEFAULT_TOL,
     basis_state,
+    blocks,
     dagger,
     fold,
     haar_unitary,
@@ -72,7 +73,6 @@ _ALIASES = {
 }
 QUDIT_VARIANTS = tuple(v for v, (size, _) in _VARIANTS["teleport-eq"].items() if size == "d")
 NQUBIT_VARIANTS = tuple(v for v, (size, _) in _VARIANTS["teleport-eq"].items() if size == "n")
-UNITARY_M_REQUIRED = tuple(v for v, (_, form) in _VARIANTS["teleport-eq"].items() if form == 22)
 # How teleport_eq_suite samples M: the identity, Haar-unitary, or complex Gaussian.
 M_MODES = ("identity", "unitary", "general")
 # The equation checks walk the labels in blocks whose stacked sides hold at
@@ -160,13 +160,6 @@ class _Setting:
         return np.matmul(self.meas[:, None, :], prepared.conj())[:, 0].conj()
 
 
-def _label_blocks(count: int, dim: int):
-    """Slices of the ``count`` labels whose stacked ``(B, D^3)`` sides hold at most
-    ``BLOCK_ENTRIES`` entries (at least one label per block)."""
-    step = max(1, BLOCK_ENTRIES // dim**3)
-    return (slice(lo, lo + step) for lo in range(0, count, step))
-
-
 def transfer_identity_check(d: int, seed: int = 0, tol: float = DEFAULT_TOL) -> Report:
     """<Omega|_CA (|psi>_C |Omega>_AB) = (1/d)|psi>_B, checked on random psi.
 
@@ -216,7 +209,7 @@ def teleport_eq_suite(
     else:
         m = haar_unitary(dim, rng)
     setting.use(m)
-    for block in _label_blocks(len(setting.labels), dim):
+    for block in blocks(len(setting.labels), dim**3, BLOCK_ENTRIES):
         diffs = np.abs(np.subtract(*setting.block_sides(psi, block)))
         for lab, diff, worst in zip(setting.labels[block], diffs, diffs.max(axis=1)):
             # argmax returns the first NaN entry if there is one, else the first worst one
@@ -259,7 +252,7 @@ def projective_eq_check(
     psi = random_state(dim, rng)
     branches = setting.branches(np.kron(psi, setting.resource(0)).reshape(dim * dim, dim))
     receivers = setting.receivers(psi, 0)
-    for block in _label_blocks(len(setting.labels), dim):
+    for block in blocks(len(setting.labels), dim**3, BLOCK_ENTRIES):
         meas = setting.meas[block, :, None]
         diffs = np.abs(meas * branches[block, None, :] - meas * receivers[block, None, :] / dim)
         for label, worst in zip(setting.labels[block], diffs.max(axis=(1, 2))):

@@ -20,6 +20,7 @@ from .linalg import (
     DEFAULT_TOL,
     Monomial,
     apply_local,
+    blocks,
     dagger,
     fold,
     haar_unitary,
@@ -31,7 +32,7 @@ from .linalg import (
     residual,
     residuals,
 )
-from .pauli import PauliWord, gen_x, gen_z, word_monomial
+from .pauli import word
 from .report import Report
 
 # Every array of a stacked block (a block of Haar draws, of basis-theorem
@@ -43,12 +44,6 @@ from .report import Report
 BLOCK_ENTRIES = 2**12
 
 SIDES = ("left", "right")
-
-
-def _blocks(total: int, entries: int):
-    """Slices of ``range(total)`` holding ``BLOCK_ENTRIES // entries`` items each (at least one)."""
-    step = max(1, BLOCK_ENTRIES // entries)
-    return (slice(start, min(start + step, total)) for start in range(0, total, step))
 
 
 @dataclass
@@ -200,7 +195,7 @@ def _gram_residuals(fam: BasisFamily, ms: np.ndarray, side: str) -> np.ndarray:
     """Gram residual of ``fam`` extended by each M of the stack ``ms``, extended and Grammed in blocks."""
     eye = np.eye(len(fam.states))
     out = []
-    for block in _blocks(len(ms), fam.states.size):
+    for block in blocks(len(ms), fam.states.size, BLOCK_ENTRIES):
         out.extend(residual(gram, eye) for gram in gram_matrix(extend_basis(fam, ms[block], side)))
     return np.array(out)
 
@@ -233,7 +228,7 @@ def basis_theorem_suite(
 
     for side in SIDES:
         unitary_res, nonunitary_res = np.empty(trials), np.empty(trials)
-        for block in _blocks(trials, 3 * local**2):
+        for block in blocks(trials, 3 * local**2, BLOCK_ENTRIES):
             unitaries, nonunitaries = _trial_matrices(local, block.stop - block.start, rng)
             unitary_res[block] = _gram_residuals(fam, unitaries, side)
             nonunitary_res[block] = _gram_residuals(fam, nonunitaries, side)
@@ -328,17 +323,18 @@ def _conjugated_cases(spec: ObservableSpec, fam: BasisFamily, ms: np.ndarray, si
     return [(turned.name + w, fold(r)) for w, *r in zip(witness, herm, eig, moved)]
 
 
-def qudit_observables(d: int, k: int) -> list[ObservableSpec]:
-    """The four Hermitian combinations of X^k x X^k and Z^k x (Z^dag)^k.
+def qudit_observables(fam: BasisFamily, k: int) -> list[ObservableSpec]:
+    """The four Hermitian combinations of X^k x X^k and Z^k x (Z^dag)^k, on the qudit family ``fam``.
 
     Their eigenvalues on |Omega(alpha beta)> are cos/sin(2 k alpha pi / d)
     and cos/sin(2 k beta pi / d); at d=2, k=1 the two sine operators
     degenerate to zero.
     """
+    d = fam.unitaries.shape[-1]
     if not 1 <= k <= d - 1:
         raise ValueError(f"k must be in 1..{d - 1}")
-    xk = np.linalg.matrix_power(gen_x(d), k)
-    zk = np.linalg.matrix_power(gen_z(d), k)
+    xk = np.linalg.matrix_power(word(0, 1, d=d).dense(), k)
+    zk = np.linalg.matrix_power(word(1, 0, d=d).dense(), k)
     a = np.kron(xk, xk)
     b = np.kron(zk, dagger(zk))
     ox_p = (a + dagger(a)) / 2
@@ -346,7 +342,6 @@ def qudit_observables(d: int, k: int) -> list[ObservableSpec]:
     oz_p = (b + dagger(b)) / 2
     oz_m = -1j * (b - dagger(b)) / 2
 
-    fam = bell_family(d=d)
     labels, states = fam.labels, fam.states.T
     ang = 2 * np.pi * k / d
     # each eigenvalue is read from a table over the d values of one label digit
@@ -370,7 +365,7 @@ def _haar_stream(dim: int, rng: np.random.Generator, count: int):
     They are drawn as stacks of at most ``BLOCK_ENTRIES`` entries, so a
     long run keeps one stack in memory, not every draw.
     """
-    for block in _blocks(count, dim * dim):
+    for block in blocks(count, dim * dim, BLOCK_ENTRIES):
         yield from haar_unitary(dim, rng, (block.stop - block.start,))
 
 
@@ -396,9 +391,9 @@ def qudit_observable_suite(
     # one M per order, observable (four per order), round and side, in that order
     draws = _haar_stream(d, rng, len(orders) * 4 * conjugated * len(SIDES))
     for order in orders:
-        for spec in qudit_observables(d, order):
+        for spec in qudit_observables(fam, order):
             _add_observable(rep, spec)
-            for block in _blocks(conjugated, d**4):
+            for block in blocks(conjugated, d**4, BLOCK_ENTRIES):
                 ms = np.array([[next(draws) for _ in SIDES] for _ in range(block.stop - block.start)])
                 sides = (_conjugated_cases(spec, fam, ms[:, s], side, tol) for s, side in enumerate(SIDES))
                 for cases in zip(*sides):
@@ -448,16 +443,14 @@ def multiqubit_observables(n: int) -> list[ObservableSpec]:
         raise ValueError("n must be in 1..5")
     fam = bell_family(n=n)
     labels, states = fam.labels, real_if_real(fam.states.T)
-    zeros = (0,) * (2 * n)
     specs = []
     for k in range(1, n + 1):
-        pair = tuple(int(q in (k - 1, n + k - 1)) for q in range(2 * n))
-        for name, word, bit in (("X", PauliWord(zeros, pair), 0), ("Z", PauliWord(pair, zeros), 1)):
+        # qubits k and n + k, big-endian over 2n
+        pair = (1 << (2 * n - k)) | (1 << (n - k))
+        for name, z, x, bit in (("X", 0, pair, 0), ("Z", pair, 0, 1)):
             # X_k X_{n+k} reads phase bit k of each label, Z_k Z_{n+k} its parity bit k
             eigenvalues = np.array([(-1.0) ** lab[bit][k - 1] for lab in labels])
-            specs.append(
-                ObservableSpec(f"{name}{k}{name}{n + k}", word_monomial(word), labels, eigenvalues, states)
-            )
+            specs.append(ObservableSpec(f"{name}{k}{name}{n + k}", word(z, x, n=2 * n), labels, eigenvalues, states))
     return specs
 
 

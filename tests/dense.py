@@ -8,17 +8,23 @@ relation kernel with every operand forced complex, for the reduced
 completeness of the basis theorem, one pair (i, j) at a time, for the
 teleportation equations, one Bell label or outcome at a time, and for the
 Haar-sampled basis-theorem and observable suites, one draw, Gram and
-conjugation at a time.  The symbolic word algebra (products and adjoints
-of ``PauliWord`` tuples) and the Bell-basis reconstruction, one label at
-a time, live here too: the library reaches neither.
+conjugation at a time.  The symbolic words (``PauliWord``, ``GenPauliWord``)
+with their algebra of products and adjoints, the circuit unitary built
+gate by gate from Kronecker products, and the Bell-basis reconstruction,
+one label at a time, live here too: the library reaches none of them.
+The library builds every word from integer exponents (``pauli.word``);
+``word_matrix`` and its kin read a symbolic word into that call.
 """
+
+from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from bellkit.bell import all_labels, multi_bell, product_ket, twist_monomial
 from bellkit.braid import _word
-from bellkit.linalg import DEFAULT_TOL, fold, residual
-from bellkit.pauli import PauliWord, bits_to_int, word_matrix
+from bellkit.linalg import DEFAULT_TOL, fold, identity, residual
+from bellkit.pauli import as_bits, bits_to_int, pauli_gate, word
 from bellkit.report import Report
 from bellkit.verify import (
     _observable_residuals,
@@ -54,7 +60,71 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# symbolic word algebra and the Bell-basis reconstruction
+# symbolic words, their algebra and the Bell-basis reconstruction
+
+
+@dataclass(frozen=True)
+class PauliWord:
+    """(-1)^sign * tensor_k Z^{z_k} X^{x_k} over n qubits."""
+
+    z_exps: tuple[int, ...]
+    x_exps: tuple[int, ...]
+    sign: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "z_exps", as_bits(self.z_exps))
+        object.__setattr__(self, "x_exps", as_bits(self.x_exps, len(self.z_exps)))
+        object.__setattr__(self, "sign", int(self.sign) & 1)
+
+    @property
+    def n(self) -> int:
+        return len(self.z_exps)
+
+
+@dataclass(frozen=True)
+class GenPauliWord:
+    """omega^gamma * Z^alpha X^beta over one qudit of dimension d."""
+
+    d: int
+    alpha: int
+    beta: int
+    gamma: int = 0
+
+    def __post_init__(self):
+        if self.d < 2:
+            raise ValueError("local dimension must be at least 2")
+        object.__setattr__(self, "alpha", self.alpha % self.d)
+        object.__setattr__(self, "beta", self.beta % self.d)
+        object.__setattr__(self, "gamma", self.gamma % self.d)
+
+
+# Adaptors: each reads a symbolic word's exponents into ``pauli.word``.
+
+
+def word_monomial(w: PauliWord):
+    return word(bits_to_int(w.z_exps), bits_to_int(w.x_exps), w.sign, n=w.n)
+
+
+def word_matrix(w: PauliWord) -> np.ndarray:
+    return word_monomial(w).dense()
+
+
+def gen_word_monomial(w: GenPauliWord):
+    return word(w.alpha, w.beta, w.gamma, d=w.d)
+
+
+def gen_word_matrix(w: GenPauliWord) -> np.ndarray:
+    return gen_word_monomial(w).dense()
+
+
+def gen_x(d: int) -> np.ndarray:
+    """Cyclic shift: X|i> = |i + 1 mod d>."""
+    return word(0, 1, d=d).dense()
+
+
+def gen_z(d: int) -> np.ndarray:
+    """Clock matrix diag(1, omega, ..., omega^(d-1))."""
+    return word(1, 0, d=d).dense()
 
 
 def bit_xor(a, b) -> tuple[int, ...]:
@@ -84,9 +154,66 @@ def word_mul(a: PauliWord, b: PauliWord) -> PauliWord:
     )
 
 
+def gen_word_dagger(w: GenPauliWord) -> GenPauliWord:
+    # (omega^g Z^a X^b)^dagger = omega^(-g - a b) Z^(-a) X^(-b)  (mod d).
+    return GenPauliWord(w.d, -w.alpha, -w.beta, -w.gamma - w.alpha * w.beta)
+
+
+def gen_word_mul(a: GenPauliWord, b: GenPauliWord) -> GenPauliWord:
+    if a.d != b.d:
+        raise ValueError(f"dimension mismatch: {a.d} vs {b.d}")
+    # X^{b_a} Z^{a_b} = omega^(-b_a a_b) Z^{a_b} X^{b_a}.
+    return GenPauliWord(
+        a.d,
+        a.alpha + b.alpha,
+        a.beta + b.beta,
+        a.gamma + b.gamma - a.beta * b.alpha,
+    )
+
+
 def reconstruct(amps, n):
     """``sum_ab amps[a, b] B(ab)``: the state whose ``expand_in_bell_basis`` is ``amps``."""
     return sum(amps[bits_to_int(a), bits_to_int(b)] * multi_bell(n, a, b) for a, b in all_labels(n))
+
+
+# ---------------------------------------------------------------------------
+# circuits, one Kronecker-product gate at a time
+
+
+def dense_permutation_matrix(perm, local_dim=2):
+    k = len(perm)
+    dim = local_dim**k
+    mat = np.zeros((dim, dim), dtype=complex)
+    weights = [local_dim ** (k - 1 - q) for q in range(k)]
+    for digits in product(range(local_dim), repeat=k):
+        src = sum(d * w for d, w in zip(digits, weights))
+        tgt_digits = [0] * k
+        for q, d in enumerate(digits):
+            tgt_digits[perm[q]] = d
+        tgt = sum(d * w for d, w in zip(tgt_digits, weights))
+        mat[tgt, src] = 1.0
+    return mat
+
+
+def dense_circuit_matrix(circ):
+    """The unitary of any circuit, H included: each gate's ``1 x gate x 1`` multiplied in, first gate first."""
+    def embed(ops):
+        return kron(*[ops.get(q, identity(2)) for q in range(circ.wires)])
+
+    p0 = np.diag([1.0, 0.0]).astype(complex)
+    p1 = np.diag([0.0, 1.0]).astype(complex)
+    mat = identity(2**circ.wires)
+    for name, qs in circ.gates:
+        if name in ("H", "X", "Z"):
+            gate = embed({qs[0]: pauli_gate(name)})
+        elif name == "CNOT":
+            gate = embed({qs[0]: p0}) + embed({qs[0]: p1, qs[1]: pauli_gate("X")})
+        else:
+            perm = list(range(circ.wires))
+            perm[qs[0]], perm[qs[1]] = perm[qs[1]], perm[qs[0]]
+            gate = dense_permutation_matrix(perm)
+        mat = gate @ mat
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +410,7 @@ def qudit_observable_loop(d, k=0, conjugated=0, seed=0, tol=DEFAULT_TOL):
         rep.add(spec.name + witness, fold((herm, eig, *others)))
 
     for order in [k] if k else range(1, d):
-        for spec in qudit_observables(d, order):
+        for spec in qudit_observables(fam, order):
             add(spec)
             for _ in range(conjugated):
                 for side in ("left", "right"):

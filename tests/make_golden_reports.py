@@ -113,6 +113,7 @@ KERNEL_CALLS = [
     "verify braid --strands 3",
     "verify observables --family qudit --d 5 --conjugated 1",
     "verify tl --strands 5 --d 4 --m identity",
+    "verify tl --strands 4 --d 3 --alpha 2 --beta 1",
 ]
 
 # The Bell transform's action formula, a suite that no call above runs.

@@ -14,7 +14,7 @@ import pytest
 from bellkit import bell, braid, teleport, verify
 from bellkit.cli import main as cli_main
 from bellkit.linalg import fold, haar_unitary, identity, random_state, residual
-from dense import kron, observable_check, twist
+from dense import dense_circuit_matrix, kron, observable_check, twist
 from bellkit.pauli import pauli_gate
 
 TOL = 1e-12
@@ -61,9 +61,9 @@ def test_criterion_3_twist():
     worst = 0.0
     for n in (1, 2, 3, 4):
         circ = bell.twist_decomposition(n)
-        worst = fold((worst, residual(circ.to_matrix(), twist(n))))
+        worst = fold((worst, residual(dense_circuit_matrix(circ), twist(n))))
         assert len(circ.gates) == n * (n - 1) // 2
-    swap = bell.Circuit(2, [("SWAP", (0, 1))]).to_matrix()
+    swap = dense_circuit_matrix(bell.Circuit(2, [("SWAP", (0, 1))]))
     tau4 = kron(identity(2), swap, identity(2))
     assert residual(twist(2), tau4) == 0
     criterion(3, "twist decomposition exact, swap counts n(n-1)/2, tau4 = I.SWAP.I",
@@ -74,10 +74,10 @@ def test_criterion_4_observables():
     worst = 0.0
     for d in (2, 3, 4, 5):
         for k in range(1, d):
-            for spec in verify.qudit_observables(d, k):
+            for spec in verify.qudit_observables(verify.bell_family(d=d), k):
                 worst = fold((worst, observable_check(spec).max_residual))
     # d=2 degenerate zero operators
-    ox_m, oz_m = verify.qudit_observables(2, 1)[1], verify.qudit_observables(2, 1)[3]
+    ox_m, oz_m = verify.qudit_observables(verify.bell_family(d=2), 1)[1::2]
     worst = fold((worst, residual(ox_m.matrix, np.zeros((4, 4)))))
     worst = fold((worst, residual(oz_m.matrix, np.zeros((4, 4)))))
     for n in (1, 2, 3):
@@ -85,7 +85,7 @@ def test_criterion_4_observables():
         worst = fold((worst, rep.max_residual))
         assert rep.passed
     rng = np.random.default_rng(41)
-    base = verify.qudit_observables(3, 1)
+    base = verify.qudit_observables(verify.bell_family(d=3), 1)
     for _ in range(10):
         m = haar_unitary(3, rng)
         for spec in base:
@@ -179,7 +179,7 @@ def test_criterion_8_yang_baxter_braid():
         worst = fold((worst, rep.max_residual))
     criterion(8, "B(eps,eta) solves YBE (all signs); braid relations, <=4 strands", worst)
 
-    cnot = bell.Circuit(2, [("CNOT", (0, 1))]).to_matrix()
+    cnot = dense_circuit_matrix(bell.Circuit(2, [("CNOT", (0, 1))]))
     cnot_res = braid.yang_baxter_check(cnot, 2).max_residual
     assert cnot_res >= 0.5, f"CNOT control too weak: {cnot_res}"
     plain = braid.twisted_yb_gates(2, (1, -1), (-1, 1), "plain")

@@ -24,15 +24,17 @@ from bellkit.linalg import (
     identity,
     residual,
 )
-from bellkit.pauli import (
+from bellkit.pauli import bits_to_int
+from dense import (
     GenPauliWord,
     PauliWord,
-    bits_to_int,
+    dense_circuit_matrix,
     gen_word_matrix,
-    pauli_gate,
+    kron,
+    reconstruct,
+    twist,
     word_matrix,
 )
-from dense import kron, reconstruct, twist
 
 
 def rand_complex(rng, shape):
@@ -77,7 +79,7 @@ def test_bell2_circuit_route():
     circ = Circuit(2)
     circ.h(0)
     circ.cnot(0, 1)
-    mat = circ.to_matrix()
+    mat = dense_circuit_matrix(circ)
     for a in (0, 1):
         for b in (0, 1):
             assert residual(mat @ product_ket((a, b)), bell2(a, b)) < 1e-15
@@ -96,7 +98,7 @@ def test_qudit_bell_family():
 
 def test_twist_small_cases():
     assert residual(twist(1), np.eye(4)) == 0
-    swap = Circuit(2, [("SWAP", (0, 1))]).to_matrix()
+    swap = dense_circuit_matrix(Circuit(2, [("SWAP", (0, 1))]))
     assert residual(twist(2), kron(identity(2), swap, identity(2))) == 0
     out = twist(3) @ product_ket("011011")
     assert np.argmax(np.abs(out)) == bits_to_int((0, 1, 1, 1, 0, 1))
@@ -109,7 +111,7 @@ def test_twist_decomposition(n):
     circ = twist_decomposition(n)
     assert len(circ.gates) == n * (n - 1) // 2
     assert all(name == "SWAP" for name, _ in circ.gates)
-    assert residual(circ.to_matrix(), twist(n)) == 0
+    assert residual(dense_circuit_matrix(circ), twist(n)) == 0
 
 
 def test_twist_decomposition_n2_is_middle_swap():
@@ -162,10 +164,10 @@ def test_prep_circuit():
     circ = prep_circuit(1, (0,), (0,))
     assert [g[0] for g in circ.gates] == ["H", "CNOT"]
     zero = product_ket((0, 0))
-    assert residual(circ.to_matrix() @ zero, bell2(0, 0)) < 1e-15
+    assert residual(dense_circuit_matrix(circ) @ zero, bell2(0, 0)) < 1e-15
     for a, b in all_labels(2):
         circ = prep_circuit(2, a, b)
-        state = circ.to_matrix() @ product_ket((0,) * 4)
+        state = dense_circuit_matrix(circ) @ product_ket((0,) * 4)
         assert residual(state, multi_bell(2, a, b)) < 1e-12
         assert len(circ.gates) == 4 + sum(a) + sum(b)
 

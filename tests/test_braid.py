@@ -23,7 +23,7 @@ from bellkit.braid import (
     yang_baxter_check,
 )
 from bellkit.linalg import dagger, haar_unitary, identity, residual
-from dense import kron
+from dense import dense_circuit_matrix, kron
 
 SIGN_PAIRS = list(product((1, -1), repeat=2))
 
@@ -81,9 +81,9 @@ def test_ybe_bell_transform(eps, eta):
 
 
 def test_ybe_swap_and_cnot():
-    swap = Circuit(2, [("SWAP", (0, 1))]).to_matrix()
+    swap = dense_circuit_matrix(Circuit(2, [("SWAP", (0, 1))]))
     assert yang_baxter_check(swap, 2).passed
-    cnot = Circuit(2, [("CNOT", (0, 1))]).to_matrix()
+    cnot = dense_circuit_matrix(Circuit(2, [("CNOT", (0, 1))]))
     assert yang_baxter_check(cnot, 2).max_residual >= 0.5
     with pytest.raises(ValueError):
         yang_baxter_check(swap, 3)
@@ -107,7 +107,7 @@ def test_braid_relations(strands):
 
 
 def test_braid_relations_cnot_control():
-    cnot = Circuit(2, [("CNOT", (0, 1))]).to_matrix()
+    cnot = dense_circuit_matrix(Circuit(2, [("CNOT", (0, 1))]))
     rep = braid_rep_check(3, gate=cnot)
     braid_cases = [c for c in rep.cases if c.case_id.startswith("braid")]
     assert max(c.residual for c in braid_cases) > 1e-6

@@ -9,7 +9,7 @@ from bellkit import cli
 from bellkit.cli import SUITES, TOL_CEILING, main
 from bellkit.linalg import residual
 from bellkit.teleport import linearity_reduction_check
-from dense import twist
+from dense import dense_circuit_matrix, twist
 
 # The flags each `verify` suite declares; --tol, --seed and --json are common to all.
 SUITE_FLAGS = {
@@ -293,7 +293,7 @@ def test_circuit_roundtrip_n2(tmp_path, capsys):
     assert run(["circuit", "--n", "2", "--alpha", "10", "--beta", "01", "--out", str(out)]) == 0
     capsys.readouterr()
     circ = _parse_qasm(out.read_text())
-    state = circ.to_matrix() @ product_ket((0,) * 4)
+    state = dense_circuit_matrix(circ) @ product_ket((0,) * 4)
     assert residual(state, multi_bell(2, (1, 0), (0, 1))) < 1e-12
 
 
@@ -304,7 +304,7 @@ def test_circuit_twist_export(tmp_path, capsys):
     circ = _parse_qasm(out.read_text())
     assert len(circ.gates) == 3
     assert all(name == "SWAP" for name, _ in circ.gates)
-    assert residual(circ.to_matrix(), twist(3)) == 0
+    assert residual(dense_circuit_matrix(circ), twist(3)) == 0
 
 
 @pytest.mark.parametrize("twist", ["0", "7"])

@@ -12,17 +12,18 @@ from bellkit.linalg import (
     real_if_real,
     residual,
 )
-from bellkit.pauli import (
+from bellkit.pauli import pauli_gate
+from dense import (
     GenPauliWord,
     PauliWord,
     gen_word_matrix,
     gen_word_monomial,
     gen_x,
     gen_z,
-    pauli_gate,
+    hs_inner,
+    kron,
     word_monomial,
 )
-from dense import hs_inner, kron
 
 X = pauli_gate("X")
 Z = pauli_gate("Z")

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -5,25 +6,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellkit.bell import multi_bell
 from bellkit.linalg import dagger, residual
-from dense import bit_dot, hs_inner, word_dagger, word_mul
-from bellkit.pauli import (
+from dense import (
     GenPauliWord,
     PauliWord,
-    as_bits,
-    basis_group_check,
+    bit_dot,
+    gen_word_dagger,
     gen_word_matrix,
+    gen_word_mul,
     gen_x,
     gen_z,
+    hs_inner,
+    word_dagger,
+    word_matrix,
+    word_mul,
+)
+from bellkit.pauli import (
+    as_bits,
+    basis_group_check,
     pauli_gate,
     qubit_word_set,
     qudit_word_set,
-    word_matrix,
 )
-
-
-# Word algebra that only these tests use: the library multiplies and
-# inverts words through their (perm, phase) arrays, not symbolically.
 
 
 def all_words(n: int):
@@ -31,23 +36,6 @@ def all_words(n: int):
     for za in product((0, 1), repeat=n):
         for xb in product((0, 1), repeat=n):
             yield PauliWord(za, xb)
-
-
-def gen_word_dagger(w: GenPauliWord) -> GenPauliWord:
-    # (omega^g Z^a X^b)^dagger = omega^(-g - a b) Z^(-a) X^(-b)  (mod d).
-    return GenPauliWord(w.d, -w.alpha, -w.beta, -w.gamma - w.alpha * w.beta)
-
-
-def gen_word_mul(a: GenPauliWord, b: GenPauliWord) -> GenPauliWord:
-    if a.d != b.d:
-        raise ValueError(f"dimension mismatch: {a.d} vs {b.d}")
-    # X^{b_a} Z^{a_b} = omega^(-b_a a_b) Z^{a_b} X^{b_a}.
-    return GenPauliWord(
-        a.d,
-        a.alpha + b.alpha,
-        a.beta + b.beta,
-        a.gamma + b.gamma - a.beta * b.alpha,
-    )
 
 
 def test_pauli_gates():
@@ -131,8 +119,15 @@ def test_word_matrix_examples():
     assert residual(word_matrix(PauliWord((0,), (0,))), np.eye(2)) == 0
     zx_word = word_matrix(PauliWord((1, 0), (0, 1)))
     assert residual(zx_word, np.kron(pauli_gate("Z"), pauli_gate("X"))) == 0
-    with pytest.raises(ValueError):
-        word_matrix(PauliWord((0,) * 13, (0,) * 13))
+    # past the dense cap multi_bell refuses before it builds the 2^13 x 2^13 word (2 GiB complex)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            multi_bell(13, 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_word_dagger_rule_all_n2():

@@ -148,7 +148,7 @@ def test_basis_theorem_names_witness_trial(monkeypatch):
 
 
 def test_qudit_observables_d2():
-    ox_p, ox_m, oz_p, oz_m = qudit_observables(2, 1)
+    ox_p, ox_m, oz_p, oz_m = qudit_observables(bell_family(d=2), 1)
     xx = kron(pauli_gate("X"), pauli_gate("X"))
     zz = kron(pauli_gate("Z"), pauli_gate("Z"))
     assert residual(ox_p.matrix, xx) == 0
@@ -163,7 +163,7 @@ def test_qudit_observables_d2():
 
 
 def test_qudit_observables_d3_eigenvalue():
-    ox_p = qudit_observables(3, 1)[0]
+    ox_p = qudit_observables(bell_family(d=3), 1)[0]
     lam = dict(zip(ox_p.labels, ox_p.eigenvalues))[(1, 0)]
     assert lam == pytest.approx(np.cos(2 * np.pi / 3))
     state = qudit_bell(3, 1, 0)
@@ -173,15 +173,15 @@ def test_qudit_observables_d3_eigenvalue():
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_qudit_observables_all_k(d):
     for k in range(1, d):
-        for spec in qudit_observables(d, k):
+        for spec in qudit_observables(bell_family(d=d), k):
             assert observable_check(spec).passed, (d, k, spec.name)
     with pytest.raises(ValueError):
-        qudit_observables(d, d)
+        qudit_observables(bell_family(d=d), d)
 
 
 def test_conjugated_observables():
     rng = np.random.default_rng(2)
-    spec = qudit_observables(3, 2)[1]
+    spec = qudit_observables(bell_family(d=3), 2)[1]
     for side in ("left", "right"):
         conj = conjugated_observables(spec, haar_unitary(3, rng), side)
         assert observable_check(conj).passed
@@ -195,7 +195,7 @@ def test_right_conjugation_uses_transpose_pair():
     # eigenvectors of the right form are (1 x M^T)|Omega(ab)> = |Omega M(ab)>
     rng = np.random.default_rng(3)
     m = haar_unitary(3, rng)
-    spec = qudit_observables(3, 1)[2]
+    spec = qudit_observables(bell_family(d=3), 1)[2]
     conj = conjugated_observables(spec, m, "right")
     shift = kron(identity(3), m.T)
     inv = kron(identity(3), m.conj())
@@ -220,7 +220,7 @@ def test_conjugation_is_exact_on_dyadic_unitary(side):
     # dense pair's bits
     h4 = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
     m = np.diag([1, 1j, -1, -1j]) @ h4 / 2
-    spec = qudit_observables(4, 1)[2]
+    spec = qudit_observables(bell_family(d=4), 1)[2]
     conj = conjugated_observables(spec, m, side)
     eye = identity(4)
     # the left form shifts by M x 1, the right by 1 x M^T; the other matrix is wrong
@@ -269,7 +269,7 @@ def _respec(spec, lam_shift=None, nan_at=None):
 
 
 def test_failed_eigenequations_name_witness():
-    spec = qudit_observables(3, 1)[0]
+    spec = qudit_observables(bell_family(d=3), 1)[0]
     # the worst state is the witness, not the first failing one
     rep = observable_check(_respec(spec, {(0, 1): 0.25, (1, 2): 0.5}))
     assert rep.cases[1].case_id == "eigenequations (9 states) witness=(1,2)"
@@ -291,8 +291,8 @@ def test_observable_suite_case_names_witness(monkeypatch):
 
     real = verify.qudit_observables
 
-    def broken(d, k):
-        specs = real(d, k)
+    def broken(fam, k):
+        specs = real(fam, k)
         return [_respec(specs[0], nan_at=(1, 1))] + specs[1:]
 
     monkeypatch.setattr(verify, "qudit_observables", broken)
@@ -337,7 +337,7 @@ def _nan_on_call(real, k):
 def test_nan_residual_fails_must_pass_fold(monkeypatch):
     import bellkit.verify as verify
 
-    spec = qudit_observables(2, 1)[0]
+    spec = qudit_observables(bell_family(d=2), 1)[0]
     # call 1 is the hermiticity case; call 2 is the eigenequations, stacked
     # over all states into one residual, so the NaN lands after a finite one
     monkeypatch.setattr(verify, "residual", _nan_on_call(residual, 2))
