@@ -25,7 +25,7 @@ from itertools import product
 import numpy as np
 
 from .linalg import Monomial, basis_state, fold, identity, permutation, random_state, residual
-from .pauli import DENSE_MAX_N, as_bits, bits_to_int, word, word_stack
+from .pauli import DENSE_MAX_N, _word_entries, as_bits, bits_to_int, word
 from .report import Report
 
 _NORM_TOL = 1e-10
@@ -328,15 +328,18 @@ def all_labels(n: int):
             yield a, b
 
 
-def bell_unitaries(d: int | None = None, n: int | None = None) -> tuple[list, np.ndarray]:
-    """Labels and the ``(K, D, D)`` stack of unitaries ``U_a`` of a Bell basis ``(U_a x 1)|Omega>``.
+def bell_unitaries(d: int | None = None, n: int | None = None) -> tuple[list, tuple[np.ndarray, np.ndarray]]:
+    """Labels and the words ``U_a`` of a Bell basis ``(U_a x 1)|Omega>``, as one ``(rows, phase)`` pair.
 
     Give exactly one size.  A qudit (``d``) has labels ``(alpha, beta)``
     in ``0..d-1`` and ``U_a = Z^alpha X^beta``; n qubits (``n``) have the
     bit-string labels of ``all_labels(n)`` and ``U_a = T(alpha beta)``.
-    Labels are lexicographic, and the stack is one scatter of every word.
-    Both families are monomial matrices, and the n-qubit words are real
-    signed permutations, so ``T^T = T^dag``.
+    Labels are lexicographic.  Every word is a monomial matrix, and the
+    family is held as two ``(K, D)`` arrays from ``pauli._word_entries``:
+    ``U_a[rows[a, j], j] = phase[a, j]``, each ``rows[a]`` a permutation.
+    No dense ``(K, D, D)`` stack is formed; readers gather with ``compose``
+    and group by row map with ``word_groups``.  The n-qubit phases are
+    real signs, so ``T^T = T^dag``.
     """
     if (d is None) == (n is None):
         raise ValueError("give exactly one of d (qudit) or n (n qubits)")
@@ -344,4 +347,59 @@ def bell_unitaries(d: int | None = None, n: int | None = None) -> tuple[list, np
         labels, shape = list(product(range(d), repeat=2)), (d, d)
     else:
         labels, shape = list(all_labels(n)), (2**n, 2**n)
-    return labels, word_stack(*np.indices(shape).reshape(2, -1, 1), n=n, d=d)
+    return labels, _word_entries(*np.indices(shape).reshape(2, -1, 1), 0, n=n, d=d)
+
+
+def compose(words, m: np.ndarray, side: str) -> np.ndarray:
+    """``M U_a`` (``side="left"``) or ``U_a M`` (``"right"``) for every word of ``words = (rows, phase)``.
+
+    Column j of ``M U_a`` is column ``rows[a, j]`` of M times
+    ``phase[a, j]``, a column gather; row ``rows[a, j]`` of ``U_a M`` is
+    row j of M times ``phase[a, j]``, a row gather through the inverse
+    permutation of ``rows[a]``.  No product with a dense word is formed.
+    M is ``(..., r, D)`` on the left and ``(..., D, c)`` on the right, and
+    a stack of M gives one stack of products per M: ``(..., K, r, D)`` or
+    ``(..., K, D, c)``.
+    """
+    rows, phase = words
+    m = np.asarray(m)
+    if side == "left":
+        # gather the rows of M^T, then read the result transposed back
+        return np.swapaxes(np.swapaxes(m, -1, -2)[..., rows, :] * phase[:, :, None], -1, -2)
+    inverse = np.argsort(rows, axis=-1)
+    return m[..., inverse, :] * np.take_along_axis(phase, inverse, axis=-1)[:, :, None]
+
+
+def word_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The labels of a family ``(rows, phase)`` grouped by row map, for batched products over the groups.
+
+    Returns ``order``, the ``(G, K / G)`` label indices of each group in
+    label order, and ``maps``, the ``(G, D)`` row map each group shares.
+    The states of group g have their nonzeros at the positions ``(maps[g,
+    j], j)`` of the D x D grid of ``|jk>``.  A Bell family has one group
+    per shift, and the groups' supports partition the D^2 positions, so
+    two groups' states share no nonzero.  Otherwise None: groups of
+    unequal size (a label repeated), or supports that overlap or leave a
+    gap (a shift repeated or dropped).  A partition has D maps, one per
+    entry of column 0, so the labels are grouped by ``rows[:, 0]``; two
+    different maps in one group overlap there.  One integer count then
+    checks the partition.
+    """
+    count, local = rows.shape
+    if count % local or (np.bincount(rows[:, 0], minlength=local) != count // local).any():
+        return None
+    order = np.argsort(rows[:, 0], kind="stable").reshape(local, -1)
+    maps = rows[order[:, 0]]
+    cover = np.bincount((maps * local + np.arange(local)).ravel(), minlength=local * local)
+    if np.count_nonzero(cover != 1) or (rows[order] != maps[:, None]).any():
+        return None
+    return order, maps
+
+
+def family_states(words) -> np.ndarray:
+    """The ``(K, D^2)`` stack of states ``(U_a x 1)|Omega>``: entry j of ``U_a`` at ``rows[a, j] * D + j``, over ``sqrt(D)``."""
+    rows, phase = words
+    count, dim = rows.shape
+    out = np.zeros((count, dim * dim), dtype=np.result_type(phase, complex))
+    out[np.arange(count)[:, None], rows * dim + np.arange(dim)] = phase * (1.0 / np.sqrt(dim))
+    return out

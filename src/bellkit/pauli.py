@@ -3,8 +3,9 @@
 Covers the qubit gates X, Z, H, and the one formula for words: n-qubit
 tensor words ``T(ab) = (-1)^g  prod_k Z^{a_k} X^{b_k}`` and qudit words
 ``omega^g Z^a X^b`` (omega = exp(2 pi i / d), ``ZX = omega XZ``), built
-from integer exponents as monomial operators (``word``) or as one
-stacked family (``word_stack``).
+from integer exponents as monomial operators (``word``), as a family's
+``(rows, phase)`` pair (``_word_entries``), or, for the basis-group
+candidate sets and braid's table check, as a dense stack (``word_stack``).
 
 Phases are never floated through matrices when combining words: signs
 and phases are integer exponents, so the braid outcome table, which adds

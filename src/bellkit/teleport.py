@@ -3,8 +3,9 @@ protocol's Born-rule outcome table.
 
 Wire layout, fixed once: the sender holds the unknown state followed by
 the first (blocked-order) half of the shared resource; the receiver
-holds the second half.  Every equation is assembled as two full vectors
-in that triple space and compared entrywise.
+holds the second half.  Every ``teleport-eq`` equation is assembled as
+two full vectors in that triple space and compared entrywise;
+``projective-eq`` compares the two factors of each outcome's difference.
 
 Every check reads one teleportation setting, ``_Setting``: a Bell family
 from ``bell.bell_unitaries`` (qudits ``U_a = Z^alpha X^beta`` sized by
@@ -37,12 +38,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bell import all_labels, bell_unitaries, bell_vector, multi_bell, omega, pair_product_bell, twist_monomial
+from .bell import (
+    all_labels,
+    bell_unitaries,
+    bell_vector,
+    compose,
+    multi_bell,
+    omega,
+    pair_product_bell,
+    twist_monomial,
+    word_groups,
+)
 from .linalg import (
     DEFAULT_TOL,
     basis_state,
     blocks,
-    dagger,
     fold,
     haar_unitary,
     identity,
@@ -75,9 +85,9 @@ QUDIT_VARIANTS = tuple(v for v, (size, _) in _VARIANTS["teleport-eq"].items() if
 NQUBIT_VARIANTS = tuple(v for v, (size, _) in _VARIANTS["teleport-eq"].items() if size == "n")
 # How teleport_eq_suite samples M: the identity, Haar-unitary, or complex Gaussian.
 M_MODES = ("identity", "unitary", "general")
-# The equation checks walk the labels in blocks whose stacked sides hold at
-# most this many entries each: every label at once up to D = 8, and a working
-# set that stays in cache (and in memory) at larger D.
+# teleport-eq walks the labels in blocks whose stacked sides hold at most this
+# many entries each: every label at once up to D = 8, and a working set that
+# stays in cache (and in memory) at larger D.
 BLOCK_ENTRIES = 2**16
 
 
@@ -86,9 +96,14 @@ class _Setting:
 
     ``variant`` is the full name (an alias resolved), ``size`` the one
     size the report records, ``{"d": d}`` or ``{"n": n}`` (``basic2``
-    fixes d = 2), and ``dim`` is D.  ``labels`` and the K x D x D stack
-    ``forward`` (``U_a``) follow ``bell_unitaries`` order.  ``use(m)`` sets
-    M and builds ``meas``, the K x D^2 stack of measurement vectors.
+    fixes d = 2), and ``dim`` is D.  ``labels`` and ``words``, the
+    family's ``(rows, phase)`` pair with ``U_a[rows[a, j], j] =
+    phase[a, j]``, follow ``bell_unitaries`` order, and ``order`` and
+    ``maps`` group the labels by row map (``bell.word_groups``).  Every
+    side is a gather of the pair or a product over the groups: no K x D x D
+    stack of ``U_a`` and no K x D^2 stack of measurement vectors is
+    formed.  ``use(m)`` sets M, and ``send(psi)`` sets psi and builds the
+    right sides' one matrix ``q``.
     """
 
     def __init__(self, check: str, variant: str, d: int | None = None, n: int | None = None):
@@ -100,64 +115,125 @@ class _Setting:
         if size is None:
             raise ValueError(f"variant {variant} needs {family}")
         self.size = {family: size}
-        self.labels, self.forward = bell_unitaries(**self.size)
-        self.dim = self.forward.shape[-1]
+        self.labels, self.words = bell_unitaries(**self.size)
+        self.dim = self.words[0].shape[-1]
+        self.order, self.maps = word_groups(self.words[0])
 
     def use(self, m: np.ndarray) -> None:
-        """Set M and build ``meas``; only the teleport-eq 11 forms hold for any square M."""
+        """Set M; only the teleport-eq 11 forms hold for any square M."""
         m = np.asarray(m, dtype=complex)
         if (self.form == 22 or self.check != "teleport-eq") and not is_unitary(m):
             raise ValueError(f"variant {self.variant} requires a unitary M")
         self.m = m
-        self.meas = bell_vector(self.forward, m if self.form == 22 else None)
+
+    def _operators(self, b) -> np.ndarray:
+        """``M U_b`` in form 22, ``U_b M^T`` in form 11, for the label indices ``b``: ``(B, D, D)``."""
+        words = self.words[0][b], self.words[1][b]
+        return compose(words, self.m, "left") if self.form == 22 else compose(words, self.m.T, "right")
 
     def resource(self, b) -> np.ndarray:
-        """``|M Omega(b)>`` in form 22, ``(U_b x M)|Omega>`` in form 11.
+        """``|M Omega(b)>`` in form 22, ``(U_b x M)|Omega>`` in form 11, as a ``(B, D^2)`` stack
+        over an index array or slice ``b`` of B labels."""
+        return bell_vector(self._operators(b))
 
-        ``b`` is one label index, or an index array or slice of B labels,
-        which gives the ``(B, D^2)`` stack.
+    def meas(self, b) -> np.ndarray:
+        """The ``(B, D^2)`` measurement vectors ``(U_a x M)|Omega>`` (form 22) or ``(U_a x 1)|Omega>`` (form 11)."""
+        words = self.words[0][b], self.words[1][b]
+        return bell_vector(compose(words, self.m.T if self.form == 22 else identity(self.dim), "right"))
+
+    def meas_max(self) -> np.ndarray:
+        """``max|meas_a|`` of every label, from the pair: row ``rows[a, j]`` of ``U_a M^T`` is
+        ``phase[a, j]`` times column j of M (form 22), of ``U_a`` just ``phase[a, j]`` (form 11)."""
+        scale = np.abs(self.words[1])
+        if self.form == 22:
+            scale = scale * np.abs(self.m).max(axis=0)
+        return scale.max(axis=1) * (1.0 / np.sqrt(self.dim))
+
+    def undone(self, psi: np.ndarray, corrupt: bool = False) -> np.ndarray:
+        """The ``(K, D)`` rows ``U_a^dag psi``: entry j is ``conj(phase[a, j]) psi[rows[a, j]]``, one gather.
+
+        ``corrupt`` leaves ``U_a`` undaggered, the linearity-reduction
+        falsifiability control: ``U_a psi``, one scatter.
         """
-        t_b = self.forward[b]
-        return bell_vector(self.m @ t_b) if self.form == 22 else bell_vector(t_b, self.m)
+        rows, phase = self.words
+        if not corrupt:
+            return phase.conj() * psi[rows]
+        out = np.empty(rows.shape, dtype=complex)
+        np.put_along_axis(out, rows, phase * psi, axis=1)
+        return out
 
-    def receivers(self, psi: np.ndarray, b, corrupt: bool = False) -> np.ndarray:
-        """The K x D stack of receiver states ``[M] U_b^T U_a^dag psi``, ``[M]`` in form 11.
+    def receivers(self, psi: np.ndarray) -> np.ndarray:
+        """The K x D stack of receiver states ``[M] U_b^T U_a^dag psi`` at b = 0, ``[M]`` in form 11.
 
-        One formula serves qudits and n qubits: a Pauli word is a real
-        signed permutation, so ``T(b)^T = T^dag(b)``.  ``corrupt`` leaves
-        ``U_a`` undaggered, the linearity-reduction falsifiability control.
-        A block of B label indices ``b`` gives the ``(B, K, D)`` stack.
-        ``U_a^dag psi`` is ``conj(psi^dag U_a)``, so no ``U_a^dag`` stack is formed.
+        One formula serves qudits and n qubits: rows ``(U_a^dag psi)^T U_b``
+        are a column gather of ``undone``, and a Pauli word is a real
+        signed permutation, so ``T(b)^T = T^dag(b)``.
         """
-        undone = self.forward @ psi if corrupt else (psi.conj() @ self.forward).conj()
-        outs = undone @ self.forward[b]  # rows (U_b^T U_a^dag psi)^T
+        outs = self.undone(psi)[:, self.words[0][0]] * self.words[1][0]
         return outs @ self.m.T if self.form == 11 else outs
 
-    def block_sides(self, psi: np.ndarray, labels, corrupt: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def send(self, psi: np.ndarray, corrupt: bool = False) -> None:
+        """Set psi and build ``q = (1/D) sum_a meas_a x (U_a^dag psi)^T``, a D^2 x D matrix.
+
+        Label b's right side ``(1/D) sum_a meas_a x (U_a^dag psi)^T U_b [M^T]``
+        is then ``q U_b [M^T]``, since ``U_b`` factors out of the sum.  In
+        form 11, ``meas_a`` holds ``phase[a, j] / sqrt(D)`` at ``(rows[a,
+        j], j)``, so ``q`` is one batched GEMM of the phases with ``undone``
+        per row map, written at the map's positions, which the maps
+        partition (``bell.word_groups``); form 22 then applies M on the
+        middle axis.  ``corrupt`` as in ``undone``.
+        """
+        dim = self.dim
+        undone = self.undone(psi, corrupt)
+        per_map = np.swapaxes(self.words[1][self.order], -1, -2) @ undone[self.order]
+        q = np.zeros((dim * dim, dim), dtype=complex)
+        q[(self.maps * dim + np.arange(dim)).ravel()] = per_map.reshape(-1, dim)
+        q *= 1.0 / (dim * np.sqrt(dim))
+        if self.form == 22:
+            q = (self.m @ q.reshape(dim, dim, dim)).reshape(dim * dim, dim)
+        self.psi, self.q = psi, q
+
+    def block_sides(self, labels, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """``psi x resource(b)`` and ``(1/D) sum_a meas_a x receiver_a`` in the C x A x B
-        space, as two ``(B, D^3)`` stacks over the B label indices ``labels``.
+        space, as two ``(B, D^3)`` stacks over the B label indices ``labels``, for the psi of ``send``.
 
         The left side is the broadcast outer product, the same products as
-        ``np.kron``.  The right side is one stacked product of the ``(D^2, K)``
-        measurement stack with each label's ``(K, D)`` receivers, which sums
-        each label as its own product would.  One ``(D^2, K) x (K, B D)`` GEMM
-        with the receivers side by side moves the last bit at D = 2, 3, 5.
+        ``np.kron``.  The right side is ``q U_b``, a column gather of ``q``
+        times the phases (form 22), or ``q (U_b M^T)``, one stacked product
+        (form 11).  ``out``, a complex ``(2, B', D^3)`` array with ``B' >=
+        B``, receives the two sides in its first B rows, so that a walk over
+        blocks reuses one allocation instead of page-faulting a fresh one in
+        on every block.
         """
-        res = self.resource(labels)
-        count = len(res)
-        lhs = (psi[:, None] * res[:, None, :]).reshape(count, -1)
-        rhs = np.matmul(self.meas.T, self.receivers(psi, labels, corrupt)).reshape(count, -1) / self.dim
+        rows, phase = self.words[0][labels], self.words[1][labels]
+        count, dim = rows.shape
+        if out is None:
+            out = np.empty((2, count, dim**3), dtype=complex)
+        lhs, rhs = out[0, :count], out[1, :count]
+        ops = self._operators(labels)
+        np.multiply(self.psi[:, None], bell_vector(ops)[:, None, :], out=lhs.reshape(count, dim, -1))
+        if self.form == 22:
+            np.multiply(np.moveaxis(self.q[:, rows], 1, 0), phase[:, None, :], out=rhs.reshape(count, -1, dim))
+        else:
+            np.matmul(self.q, ops, out=rhs.reshape(count, -1, dim))
         return lhs, rhs
 
     def branches(self, prepared: np.ndarray) -> np.ndarray:
-        """Every measurement branch ``(<meas_a| x 1) prepared``, for ``prepared`` as a D^2 x D matrix.
+        """Every measurement branch ``(<meas_a| x 1) prepared``, for ``prepared`` as a D^2 x D matrix, as K rows.
 
-        One product of (1, D^2) rows, each summed as the per-row
-        vector-matrix product is; one (K, D^2) x (D^2, D) GEMM sums in
-        another order and moves the last bit.  Conjugating ``prepared``
-        (D^3), not the K x D^2 ``meas`` stack, keeps the copy small.
+        ``<meas_a|`` holds ``conj(phase[a, j]) / sqrt(D)`` at ``(rows[a, j],
+        j)`` (form 11; form 22 first applies ``M^dag`` on the middle axis of
+        ``prepared``), so the branches of one row map are one GEMM of its
+        conjugated phases with the rows of ``prepared`` at its positions,
+        batched over the maps.
         """
-        return np.matmul(self.meas[:, None, :], prepared.conj())[:, 0].conj()
+        dim = self.dim
+        if self.form == 22:
+            prepared = (self.m.conj().T @ prepared.reshape(dim, dim, dim)).reshape(dim * dim, dim)
+        gathered = prepared[self.maps * dim + np.arange(dim)]
+        out = np.empty((len(self.labels), dim), dtype=complex)
+        out[self.order] = (self.words[1][self.order].conj() @ gathered) * (1.0 / np.sqrt(dim))
+        return out
 
 
 def transfer_identity_check(d: int, seed: int = 0, tol: float = DEFAULT_TOL) -> Report:
@@ -209,8 +285,14 @@ def teleport_eq_suite(
     else:
         m = haar_unitary(dim, rng)
     setting.use(m)
-    for block in blocks(len(setting.labels), dim**3, BLOCK_ENTRIES):
-        diffs = np.abs(np.subtract(*setting.block_sides(psi, block)))
+    setting.send(psi)
+    walk = list(blocks(len(setting.labels), dim**3, BLOCK_ENTRIES))
+    # every block's sides and magnitudes are written into one allocation each
+    sides = np.empty((2, len(setting.labels[walk[0]]), dim**3), dtype=complex)
+    mags = np.empty(sides.shape[1:])
+    for block in walk:
+        lhs, rhs = setting.block_sides(block, sides)
+        diffs = np.abs(np.subtract(lhs, rhs, out=lhs), out=mags[: len(lhs)])
         for lab, diff, worst in zip(setting.labels[block], diffs, diffs.max(axis=1)):
             # argmax returns the first NaN entry if there is one, else the first worst one
             witness = f" witness=entry {np.argmax(diff)}" if not worst < tol else ""
@@ -233,10 +315,17 @@ def projective_eq_check(
     """Projector-applied teleportation equations, every outcome swept.
 
     ``(|m><m| x 1)(psi x resource) = m x (<m| @ prepared.reshape(D^2, D))``,
-    so each outcome costs one D^2 x D contraction, not a D^3 x D^3 projector.
-    The resource, measurement and receiver states are the setting's at
-    b = 0: ``projective_qudit`` is form 22 (receiver U_a^dag psi, correction
-    U_a), ``projective_qudit11`` form 11 (receiver M U_a^dag psi, correction
+    and ``lhs - rhs = meas_a x (branch_a - receiver_a / D)``, so each
+    outcome's residual is ``max|meas_a| * max|branch_a - receiver_a / D|``
+    from ``(K, D)`` arrays (``_Setting.branches``, ``receivers`` and
+    ``meas_max``); no D^3 x D^3 projector and no K x D^2 stack of
+    measurement vectors is formed.  A failing outcome names the entry
+    ``x D + k`` of its product as `` witness=entry <i>``: x the first
+    largest entry of ``|meas_a|``, k the first NaN, else first largest,
+    entry of ``|branch_a - receiver_a / D|``.  The resource, measurement
+    and receiver states are the setting's at b = 0: ``projective_qudit``
+    is form 22 (receiver U_a^dag psi, correction U_a),
+    ``projective_qudit11`` form 11 (receiver M U_a^dag psi, correction
     U_a M^dag), ``projective_nqubit`` form 22 over n qubits with M = 1.
     Only the qudit variants draw M (before psi).
     """
@@ -250,13 +339,14 @@ def projective_eq_check(
     setting.use(m)
     rep = Report("projective-eq", {"variant": setting.variant, **setting.size}, tolerance=tol, seed=seed)
     psi = random_state(dim, rng)
-    branches = setting.branches(np.kron(psi, setting.resource(0)).reshape(dim * dim, dim))
-    receivers = setting.receivers(psi, 0)
-    for block in blocks(len(setting.labels), dim**3, BLOCK_ENTRIES):
-        meas = setting.meas[block, :, None]
-        diffs = np.abs(meas * branches[block, None, :] - meas * receivers[block, None, :] / dim)
-        for label, worst in zip(setting.labels[block], diffs.max(axis=(1, 2))):
-            rep.add(f"outcome={label}", worst)
+    prepared = np.kron(psi, setting.resource([0])[0]).reshape(dim * dim, dim)
+    diffs = np.abs(setting.branches(prepared) - setting.receivers(psi) / dim)
+    for a, (label, res) in enumerate(zip(setting.labels, (setting.meas_max() * diffs.max(axis=1)).tolist())):
+        witness = ""
+        if not res < tol:
+            # argmax returns the first NaN entry if there is one, else the first worst one
+            witness = f" witness=entry {np.argmax(np.abs(setting.meas([a])[0])) * dim + np.argmax(diffs[a])}"
+        rep.add(f"outcome={label}{witness}", res)
     return rep
 
 
@@ -294,15 +384,18 @@ def protocol_outcomes(
     qubits = "n" in setting.size
     setting.use(identity(dim) if m is None or qubits else m)
     if resource is None:
-        resource = setting.resource(0)
+        resource = setting.resource([0])[0]
     branches = setting.branches(np.kron(psi, resource).reshape(dim * dim, dim))
     norms = np.sqrt(_row_dots(branches.real, branches.real) + _row_dots(branches.imag, branches.imag))
     probs = norms**2
     if abs(probs.sum() - 1.0) > 1e-12:
         raise AssertionError(f"outcome probabilities sum to {probs.sum()}, not 1")
-    # each post-measurement state times its correction U_a M^dag, one stacked product
-    corrections = setting.forward @ dagger(setting.m)
-    corrected = np.matmul(corrections, (branches / norms[:, None])[..., None])[..., 0]
+    # each post-measurement state corrected by U_a M^dag: M^dag on every state in one
+    # GEMM, rows (M^dag post_a)^T = post_a^T conj(M), then U_a by one scatter
+    turned = (branches / norms[:, None]) @ setting.m.conj()
+    rows, phase = setting.words
+    corrected = np.empty_like(turned)
+    np.put_along_axis(corrected, rows, phase * turned, axis=1)
     fidelities = np.abs(_row_dots(psi.conj(), corrected))
     name = "T({},{})" if qubits else "U({},{})·M†"
     names = [name.format(*label) for label in setting.labels]
@@ -343,7 +436,9 @@ def linearity_reduction_check(
     Includes a falsifiability control (correction with the dagger
     dropped must fail on some basis input) and, for the n-qubit variant,
     a cross-check that the blocked resource equals the twist applied to
-    the interleaved pair-product resource.
+    the interleaved pair-product resource.  A failing ``all-basis-inputs``
+    case names its input, counted from 0, as `` witness=input <i>``: the
+    first NaN one, else the worst one.
     """
     rng = np.random.default_rng(seed)
     setting = _Setting("teleport-eq", variant, d, n)
@@ -352,13 +447,20 @@ def linearity_reduction_check(
     setting.use(identity(dim))
     at = setting.labels.index((0, 1) if variant in QUDIT_VARIANTS else ((0,) * n, (1,) * n))
     basis = [basis_state(dim, i) for i in range(dim)]
-    rep.add("all-basis-inputs", fold(residual(*setting.block_sides(psi, [at])) for psi in basis))
-    rep.add("random-superposition", residual(*setting.block_sides(random_state(dim, rng), [at])))
+
+    def label_residual(psi, corrupt=False):
+        setting.send(psi, corrupt)
+        return residual(*setting.block_sides([at]))
+
+    per_input = np.array([label_residual(psi) for psi in basis])
+    worst = fold(per_input)
+    # argmax returns the first NaN if there is one, else the first worst input
+    witness = f" witness=input {np.argmax(per_input)}" if not worst < tol else ""
+    rep.add(f"all-basis-inputs{witness}", worst)
+    rep.add("random-superposition", label_residual(random_state(dim, rng)))
     # Control: drop the dagger on the outcome correction; some basis input must fail.
     rep.add_expect_fail(
-        "corrupted-correction-fails",
-        fold(residual(*setting.block_sides(psi, [at], corrupt=True)) for psi in basis),
-        1e-6,
+        "corrupted-correction-fails", fold(label_residual(psi, corrupt=True) for psi in basis), 1e-6
     )
 
     if variant in NQUBIT_VARIANTS:

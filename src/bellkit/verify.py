@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import bell_unitaries, bell_vector
+from .bell import bell_unitaries, bell_vector, compose, family_states, word_groups
 from .linalg import (
     DEFAULT_TOL,
     Monomial,
@@ -48,44 +48,81 @@ SIDES = ("left", "right")
 
 @dataclass
 class BasisFamily:
-    """A family of candidate basis states with their defining local unitaries.
+    """A family of candidate basis states.
 
-    ``dim`` is the total Hilbert-space dimension and ``states`` the
-    ``(K, dim)`` stack of states; ``unitaries``, the ``(K, D, D)`` stack of
-    local operators ``U_a`` with states ``(U_a x 1)|Omega>``, is kept so
-    the family can be extended by a matrix M.  A family extended by a
-    stack of M holds one such family per M, ``(..., K, dim)`` and
-    ``(..., K, D, D)``.
+    ``dim`` is the total Hilbert-space dimension.  A Bell family
+    (``bell_family``) is held as its words: ``words`` is the ``(rows,
+    phase)`` pair of ``bell.bell_unitaries``, the state of label a is
+    ``(U_a x 1)|Omega>`` with ``U_a[rows[a, j], j] = phase[a, j]``, and
+    ``states`` is None, so no ``(K, dim)`` stack is formed; only the qudit
+    observable suite, whose operators are dense, adds the stack beside
+    the words.  Only a family with words can be extended by a matrix M.
+    Any other family holds the ``(K, dim)`` stack of its ``states``; a
+    family extended by a stack of M holds one stack per M, ``(..., K,
+    dim)``.
     """
 
     dim: int
-    states: np.ndarray
+    states: np.ndarray | None
     labels: list
-    unitaries: np.ndarray | None = None
+    words: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        self.states = np.asarray(self.states)
-        if self.states.shape[-2] > self.dim:
+        if self.states is not None:
+            self.states = np.asarray(self.states)
+        if len(self.labels) > self.dim:
             raise ValueError("more states than the space can accommodate")
 
 
 def bell_family(d: int | None = None, n: int | None = None) -> BasisFamily:
-    """States ``(U_a x 1)|Omega>`` of the qudit (``d``) or n-qubit (``n``) Bell family."""
-    labels, unitaries = bell_unitaries(d=d, n=n)
-    return BasisFamily(unitaries.shape[-1] ** 2, bell_vector(unitaries), labels, unitaries)
+    """The qudit (``d``) or n-qubit (``n``) Bell family ``(U_a x 1)|Omega>``, held as its words."""
+    labels, words = bell_unitaries(d=d, n=n)
+    return BasisFamily(words[0].shape[-1] ** 2, None, labels, words)
+
+
+def _states(fam: BasisFamily) -> np.ndarray:
+    """The ``(..., K, dim)`` states of ``fam``: its own stack, or the dense states of its words."""
+    return family_states(fam.words) if fam.states is None else fam.states
 
 
 def gram_matrix(fam: BasisFamily) -> np.ndarray:
     """``<s_i|s_j>`` as one GEMM over the stacked states, or one per family of a stacked family."""
-    stack = real_if_real(fam.states)
+    stack = real_if_real(_states(fam))
     return stack.conj() @ np.swapaxes(stack, -1, -2)
 
 
+def _tiled_phases(fam: BasisFamily) -> np.ndarray | None:
+    """The phases of a Bell family's words stacked by row map, ``(G, K / G, D)``, or None.
+
+    When the groups' supports partition the D^2 positions
+    (``bell.word_groups``), states of two groups share no nonzero: their
+    Gram entries and their cross terms in the projector sum are exactly 0,
+    and every other entry lies in one group's block.  Any other family,
+    or one given by its states, gives None, and the checks read its dense
+    states, so an overlap or gap shows in the residual as the dense
+    product shows it.
+    """
+    groups = None if fam.words is None else word_groups(fam.words[0])
+    return None if groups is None else fam.words[1][groups[0]]
+
+
 def gram_check(fam: BasisFamily, tol: float = DEFAULT_TOL) -> Report:
-    rep = Report("gram", {"size": len(fam.states), "dim": fam.dim}, tolerance=tol)
-    if not len(fam.states):
+    """``<s_a|s_b> = delta_ab``; a Bell family's Gram is one block per row map (``_tiled_phases``).
+
+    Within group g it is ``conj(P) P^T / D`` over the group's ``(K / G,
+    D)`` phases P, one batched product for all groups.
+    """
+    count = len(fam.labels)
+    rep = Report("gram", {"size": count, "dim": fam.dim}, tolerance=tol)
+    if not count:
         raise ValueError("empty family")
-    rep.add("gram-vs-identity", residual(gram_matrix(fam), np.eye(len(fam.states))))
+    tiles = _tiled_phases(fam)
+    if tiles is None:
+        res = residual(gram_matrix(fam), np.eye(count))
+    else:
+        blocks = tiles.conj() @ np.swapaxes(tiles, -1, -2) / tiles.shape[-1]
+        res = residual(blocks, np.broadcast_to(np.eye(blocks.shape[-1]), blocks.shape))
+    rep.add("gram-vs-identity", res)
     return rep
 
 
@@ -96,11 +133,22 @@ def _projector_sum(stack: np.ndarray) -> np.ndarray:
 
 
 def completeness_check(fam: BasisFamily, tol: float = DEFAULT_TOL) -> Report:
-    rep = Report("completeness", {"size": len(fam.states), "dim": fam.dim}, tolerance=tol)
-    res = residual(_projector_sum(fam.states), identity(fam.dim))
+    """``sum_a |s_a><s_a| = 1``; a Bell family's sum is one block per row map (``_tiled_phases``).
+
+    On the positions ``(maps[g, j], j)`` of group g it is ``P^T conj(P) / D``
+    over the group's phases P, one batched product for all groups.
+    """
+    count = len(fam.labels)
+    rep = Report("completeness", {"size": count, "dim": fam.dim}, tolerance=tol)
+    tiles = _tiled_phases(fam)
+    if tiles is None:
+        res = residual(_projector_sum(_states(fam)), identity(fam.dim))
+    else:
+        blocks = np.swapaxes(tiles, -1, -2) @ tiles.conj() / tiles.shape[-1]
+        res = residual(blocks, np.broadcast_to(np.eye(blocks.shape[-1]), blocks.shape))
     case = "projector-sum-vs-identity"
-    if len(fam.states) != fam.dim:
-        case += f" (incomplete-family: {len(fam.states)} of {fam.dim})"
+    if count != fam.dim:
+        case += f" (incomplete-family: {count} of {fam.dim})"
     rep.add(case, res)
     return rep
 
@@ -108,29 +156,23 @@ def completeness_check(fam: BasisFamily, tol: float = DEFAULT_TOL) -> Report:
 def extend_basis(fam: BasisFamily, m: np.ndarray, side: str) -> BasisFamily:
     """Family with states (M U_a x 1)|Omega> (left) or (U_a M x 1)|Omega> (right).
 
-    The composed local operators are one GEMM with the stack of ``U_a``
-    laid out as one matrix: its rows ``(K d, d) x M`` on the right, its
-    columns side by side ``M x (d, K d)`` on the left.  Each state is
+    The composed local operators are gathers of M (``bell.compose``):
+    ``M U_a`` takes the columns of M at the row map of ``U_a``, ``U_a M``
+    puts the rows of M there, each times the phases.  Each state is
     ``bell_vector(C) = vec(C) / sqrt(d)`` of its operator ``C``, so no
-    Kronecker product with the identity is formed.  A stack of M
-    ``(..., d, d)`` gives the stacked family, one GEMM per M.
+    Kronecker product with the identity is formed.  The extended states
+    are dense, as M is.  A stack of M ``(..., d, d)`` gives the stacked
+    family, ``(..., K, d^2)``.
     """
-    if fam.unitaries is None:
-        raise ValueError("family does not carry its defining unitaries")
+    if fam.words is None:
+        raise ValueError("family does not carry its defining words")
     m = np.asarray(m, dtype=complex)
-    stack = fam.unitaries
-    local = stack.shape[-1]
+    local = fam.words[0].shape[-1]
     if m.shape[-2:] != (local, local):
         raise ValueError(f"M must be {local}x{local}, got {m.shape}")
     if side not in SIDES:
         raise ValueError("side must be 'left' or 'right'")
-    lead = m.shape[:-2]
-    if side == "left":
-        composed = (m @ stack.transpose(1, 0, 2).reshape(local, -1)).reshape(*lead, local, -1, local)
-        composed = np.swapaxes(composed, -3, -2)
-    else:
-        composed = (stack.reshape(-1, local) @ m).reshape(*lead, *stack.shape)
-    return BasisFamily(fam.dim, bell_vector(composed), list(fam.labels), composed)
+    return BasisFamily(fam.dim, bell_vector(compose(fam.words, m, side)), list(fam.labels))
 
 
 def perturbed_nonunitary(
@@ -165,15 +207,16 @@ def _perturb(u: np.ndarray, g: np.ndarray, min_dev: float = 0.1) -> np.ndarray:
     return m.reshape(shape)
 
 
-def reduced_completeness(unitaries: np.ndarray, m: np.ndarray) -> float:
+def reduced_completeness(words, m: np.ndarray) -> float:
     """Worst residual of ``(1/d) sum_a U_a M |i><j| M^dag U_a^dag = (M^dag M)_ji 1`` over all pairs (i, j).
 
-    Entry ``[p, q]`` of the sum is ``sum_a V_a[p, i] conj(V_a[q, j])`` with
-    ``V_a = U_a M``, so with ``X[a, (i, p)] = V_a[p, i]`` every pair is one
-    GEMM ``X^T conj(X)``, read as ``[i, p, j, q]``.
+    ``words`` is the family's ``(rows, phase)`` pair.  Entry ``[p, q]`` of
+    the sum is ``sum_a V_a[p, i] conj(V_a[q, j])`` with ``V_a = U_a M``, a
+    row gather of M (``bell.compose``), so with ``X[a, (i, p)] = V_a[p, i]``
+    every pair is one GEMM ``X^T conj(X)``, read as ``[i, p, j, q]``.
     """
     local = m.shape[0]
-    x = (unitaries @ m).transpose(0, 2, 1).reshape(len(unitaries), -1)
+    x = np.swapaxes(compose(words, m, "right"), -1, -2).reshape(len(words[0]), -1)
     total = (x.T @ x.conj()).reshape((local,) * 4).transpose(0, 2, 1, 3)
     mdm = m.conj().T @ m
     return residual(total / local, mdm.T[:, :, None, None] * np.eye(local))
@@ -193,9 +236,9 @@ def _trial_matrices(local: int, trials: int, rng: np.random.Generator) -> tuple[
 
 def _gram_residuals(fam: BasisFamily, ms: np.ndarray, side: str) -> np.ndarray:
     """Gram residual of ``fam`` extended by each M of the stack ``ms``, extended and Grammed in blocks."""
-    eye = np.eye(len(fam.states))
+    eye = np.eye(len(fam.labels))
     out = []
-    for block in blocks(len(ms), fam.states.size, BLOCK_ENTRIES):
+    for block in blocks(len(ms), len(fam.labels) * fam.dim, BLOCK_ENTRIES):
         out.extend(residual(gram, eye) for gram in gram_matrix(extend_basis(fam, ms[block], side)))
     return np.array(out)
 
@@ -221,7 +264,7 @@ def basis_theorem_suite(
     if (d is None) == (n is None):
         raise ValueError("give exactly one of d (qudit) or n (multi-qubit)")
     fam = bell_family(d, n)
-    local = fam.unitaries.shape[-1]
+    local = fam.words[0].shape[-1]
     rng = np.random.default_rng(seed)
     size = {"n": n} if d is None else {"d": d}
     rep = Report("basis-theorem", {**size, "trials": trials}, tolerance=tol, seed=seed)
@@ -240,7 +283,7 @@ def basis_theorem_suite(
         witness = f" witness=trial {np.argmin(nonunitary_res)}" if not best >= fail_floor else ""
         rep.add_expect_fail(f"nonunitary-extensions-{side} ({trials} trials){witness}", best, fail_floor)
 
-    rep.add("reduced-completeness (general M)", reduced_completeness(fam.unitaries, random_matrix(local, rng)))
+    rep.add("reduced-completeness (general M)", reduced_completeness(fam.words, random_matrix(local, rng)))
 
     # For square M, one-sided unitarity implies two-sided; nothing to sample.
     rep.add("vacuous-one-sided-unitarity", 0.0)
@@ -259,16 +302,17 @@ class ObservableSpec:
     ``eigenvalues[j]`` and label ``labels[j]``.  Eigenvalues come from the
     label, never from an eigensolver, so there is no ordering ambiguity.
     ``matrix`` is a dense array or, for the multiqubit words, a
-    ``Monomial``.  ``conjugated_observables`` by a stack of M gives a
-    stack of observables: ``matrix`` ``(..., D, D)`` and ``states``
-    ``(..., D, K)``.
+    ``Monomial``, whose eigenvectors are the Bell states held as the
+    family's ``(rows, phase)`` pair instead of a dense ``states`` stack.
+    ``conjugated_observables`` by a stack of M gives a stack of
+    observables: ``matrix`` ``(..., D, D)`` and ``states`` ``(..., D, K)``.
     """
 
     name: str
     matrix: np.ndarray | Monomial
     labels: list
     eigenvalues: np.ndarray
-    states: np.ndarray
+    states: np.ndarray | tuple[np.ndarray, np.ndarray]
 
 
 def _label_text(label) -> str:
@@ -276,18 +320,52 @@ def _label_text(label) -> str:
     return "(" + ",".join("".join(map(str, x)) if isinstance(x, tuple) else str(x) for x in label) + ")"
 
 
+def _word_eigen_residuals(op: Monomial, words, eigenvalues: np.ndarray) -> np.ndarray:
+    """``max|O s_a - lam_a s_a|`` of each Bell state ``s_a`` of ``words = (rows, phase)``, for a monomial O.
+
+    Entry j of ``s_a`` is ``phase[a, j] / sqrt(D)`` at position ``x =
+    rows[a, j] D + j``; O sends it to ``t = O.perm[x]`` times
+    ``O.phase[x]``.  Position t is entry ``t mod D`` of ``s_a`` when
+    ``rows[a, t mod D] D + t mod D = t``, and outside its support
+    otherwise.  Every entry of ``O s_a - lam_a s_a`` is one of a
+    difference at a shared position, an entry of ``O s_a`` where ``s_a``
+    is 0, or one of ``lam_a s_a`` that no entry of ``O s_a`` meets: the
+    dense max-abs residual, NaN included, from ``(K, D)`` arrays.
+    """
+    rows, phase = words
+    count, local = rows.shape
+    amps = phase * (1.0 / np.sqrt(local))
+    pos = rows * local + np.arange(local)
+    target = op.perm[pos]
+    # entry (a, t mod D) of the flattened (K, D) arrays
+    slot = target % local + np.arange(0, count * local, local)[:, None]
+    shared = rows.reshape(-1)[slot] * local + target % local == target
+    moved = op.phase[pos] * amps
+    scaled = amps * eigenvalues[:, None]
+    diff = np.abs(np.where(shared, moved - scaled.reshape(-1)[slot], moved))
+    unmet = np.abs(scaled).reshape(-1)
+    unmet[slot[shared]] = 0.0
+    return np.maximum(diff.max(axis=1), unmet.reshape(count, local).max(axis=1))
+
+
 def _observable_residuals(spec: ObservableSpec, tol: float) -> tuple[float, float, str]:
     """Hermiticity and eigenequation residuals of ``spec``, and the witness suffix.
 
     The eigenequations ``O s = lam s`` are one product of ``O`` with the
-    stacked states.  When they fail, the suffix names the first state
-    with a NaN residual, else the worst one; it is empty on a pass, so
-    passing case ids are unchanged.
+    stacked states, or for a monomial O on the family's words
+    ``_word_eigen_residuals``.  When they fail, the suffix names the first
+    state with a NaN residual, else the worst one; it is empty on a pass,
+    so passing case ids are unchanged.
     """
     herm = residual(spec.matrix, dagger(spec.matrix))
-    lhs, rhs = spec.matrix @ spec.states, spec.states * spec.eigenvalues
-    eig = residual(lhs, rhs)
-    witness = _witness(spec.labels, np.abs(lhs - rhs).max(axis=0)) if not eig < tol else ""
+    if isinstance(spec.states, tuple):
+        per_state = _word_eigen_residuals(spec.matrix, spec.states, spec.eigenvalues)
+        eig = fold(per_state)
+    else:
+        lhs, rhs = spec.matrix @ spec.states, spec.states * spec.eigenvalues
+        eig = residual(lhs, rhs)
+        per_state = np.abs(lhs - rhs).max(axis=0) if not eig < tol else None
+    witness = _witness(spec.labels, per_state) if not eig < tol else ""
     return herm, eig, witness
 
 
@@ -330,7 +408,7 @@ def qudit_observables(fam: BasisFamily, k: int) -> list[ObservableSpec]:
     and cos/sin(2 k beta pi / d); at d=2, k=1 the two sine operators
     degenerate to zero.
     """
-    d = fam.unitaries.shape[-1]
+    d = fam.words[0].shape[-1]
     if not 1 <= k <= d - 1:
         raise ValueError(f"k must be in 1..{d - 1}")
     xk = np.linalg.matrix_power(word(0, 1, d=d).dense(), k)
@@ -342,7 +420,8 @@ def qudit_observables(fam: BasisFamily, k: int) -> list[ObservableSpec]:
     oz_p = (b + dagger(b)) / 2
     oz_m = -1j * (b - dagger(b)) / 2
 
-    labels, states = fam.labels, fam.states.T
+    # the observables are dense d^2 x d^2 operators, so their eigenvectors are too
+    labels, states = fam.labels, _states(fam).T
     ang = 2 * np.pi * k / d
     # each eigenvalue is read from a table over the d values of one label digit
     alpha, beta = np.array(labels).T
@@ -386,7 +465,9 @@ def qudit_observable_suite(
     params = {"d": d, "conjugated": conjugated, **({"k": k} if k else {})}
     rep = Report("qudit-observables", params, tolerance=tol, seed=seed)
     rng = np.random.default_rng(seed)
-    fam = bell_family(d=d)
+    plain = bell_family(d=d)
+    # the dense observables read the family's dense states: built once, for every order
+    fam = BasisFamily(plain.dim, _states(plain), plain.labels, plain.words)
     orders = [k] if k else range(1, d)
     # one M per order, observable (four per order), round and side, in that order
     draws = _haar_stream(d, rng, len(orders) * 4 * conjugated * len(SIDES))
@@ -437,19 +518,21 @@ def conjugated_observables(spec: ObservableSpec, m: np.ndarray, side: str) -> Ob
 def multiqubit_observables(n: int) -> list[ObservableSpec]:
     """Phase-bit X_k X_{n+k} and parity-bit Z_k Z_{n+k} pairs, k = 1..n.
 
-    The observables are monomials; all 2n share one stack of Bell states.
+    The observables are monomials; all 2n share the Bell family's words
+    as their eigenvectors.
     """
     if not 1 <= n <= 5:
         raise ValueError("n must be in 1..5")
     fam = bell_family(n=n)
-    labels, states = fam.labels, real_if_real(fam.states.T)
+    labels, states = fam.labels, fam.words
+    bits = np.array(labels)  # (K, 2, n): phase bits, then parity bits
     specs = []
     for k in range(1, n + 1):
         # qubits k and n + k, big-endian over 2n
         pair = (1 << (2 * n - k)) | (1 << (n - k))
         for name, z, x, bit in (("X", 0, pair, 0), ("Z", pair, 0, 1)):
             # X_k X_{n+k} reads phase bit k of each label, Z_k Z_{n+k} its parity bit k
-            eigenvalues = np.array([(-1.0) ** lab[bit][k - 1] for lab in labels])
+            eigenvalues = 1.0 - 2.0 * bits[:, bit, k - 1]
             specs.append(ObservableSpec(f"{name}{k}{name}{n + k}", word(z, x, n=2 * n), labels, eigenvalues, states))
     return specs
 
@@ -459,7 +542,8 @@ def multiqubit_observable_suite(n: int, tol: float = DEFAULT_TOL) -> Report:
 
     Hermiticity and the commutators are exact index and phase arithmetic
     on the monomial observables, and each observable's eigenequations are
-    one scatter over the stacked Bell states.
+    index and phase arithmetic on the Bell family's words
+    (``_word_eigen_residuals``).
     """
     specs = multiqubit_observables(n)
     rep = Report("multiqubit-observables", {"n": n}, tolerance=tol)
@@ -487,9 +571,12 @@ def trace_system(n: int) -> tuple[np.ndarray, np.ndarray, list]:
     Unknowns are the row-major entries of the 2^n x 2^n matrix I; row
     order follows the lexicographic (alpha, beta) label order.
     """
-    labels, words = bell_unitaries(n=n)
-    # tr(I T) = sum_ij I[i, j] T[j, i]; tensor words of Z, X are real matrices.
-    mat = words.real.transpose(0, 2, 1).reshape(len(words), -1)
+    labels, (rows, phase) = bell_unitaries(n=n)
+    # tr(I T) = sum_ij I[i, j] T[j, i]: row a holds T[rows[a, i], i] = phase[a, i]
+    # at unknown (i, rows[a, i]); tensor words of Z, X are real signed permutations.
+    count, dim = rows.shape
+    mat = np.zeros((count, dim * dim))
+    mat[np.arange(count)[:, None], np.arange(dim) * dim + rows] = phase
     rhs = np.zeros(4**n)
     rhs[0] = 2**n  # the all-zero label comes first
     return mat, rhs, labels

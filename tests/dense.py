@@ -8,7 +8,10 @@ relation kernel with every operand forced complex, for the reduced
 completeness of the basis theorem, one pair (i, j) at a time, for the
 teleportation equations, one Bell label or outcome at a time, and for the
 Haar-sampled basis-theorem and observable suites, one draw, Gram and
-conjugation at a time.  The symbolic words (``PauliWord``, ``GenPauliWord``)
+conjugation at a time.  The library holds the Bell family as the
+``(rows, phase)`` pair of its words; the dense ``(K, D, D)`` stack of the
+words, the ``K x D^2`` stack of their states and the GEMMs over them that
+the family's readers ran before are here, as oracles.  The symbolic words (``PauliWord``, ``GenPauliWord``)
 with their algebra of products and adjoints, the circuit unitary built
 gate by gate from Kronecker products, and the Bell-basis reconstruction,
 one label at a time, live here too: the library reaches none of them.
@@ -21,13 +24,15 @@ from itertools import product
 
 import numpy as np
 
-from bellkit.bell import all_labels, multi_bell, product_ket, twist_monomial
+from bellkit.bell import all_labels, bell_vector, multi_bell, product_ket, twist_monomial
 from bellkit.braid import _word
-from bellkit.linalg import DEFAULT_TOL, fold, identity, residual
-from bellkit.pauli import as_bits, bits_to_int, pauli_gate, word
+from bellkit.linalg import DEFAULT_TOL, dagger, fold, identity, residual
+from bellkit.pauli import as_bits, bits_to_int, pauli_gate, word, word_stack
 from bellkit.report import Report
 from bellkit.verify import (
+    BasisFamily,
     _observable_residuals,
+    _projector_sum,
     bell_family,
     conjugated_observables,
     extend_basis,
@@ -298,6 +303,58 @@ def complex_relation_residual(x, local_dim, support, lhs, rhs, scale=1.0):
 
 
 # ---------------------------------------------------------------------------
+# the Bell family as a dense stack, and the GEMM readers of that stack
+
+
+def dense_words(words):
+    """The ``(K, D, D)`` stack of the words ``(rows, phase)``, in one scatter."""
+    rows, phase = words
+    out = np.zeros(rows.shape + rows.shape[-1:], dtype=phase.dtype)
+    out[np.arange(len(rows))[:, None], rows, np.arange(rows.shape[-1])] = phase
+    return out
+
+
+def dense_unitaries(d=None, n=None):
+    """The Bell family's ``(K, D, D)`` stack of words, from ``word_stack`` (not from ``bell_unitaries``)."""
+    shape = (d, d) if d is not None else (2**n, 2**n)
+    return word_stack(*np.indices(shape).reshape(2, -1, 1), n=n, d=d)
+
+
+def dense_family(fam):
+    """``fam`` held as its ``(K, D^2)`` stack of states, built from its dense words."""
+    return BasisFamily(fam.dim, bell_vector(dense_words(fam.words)), list(fam.labels))
+
+
+def dense_gram(fam):
+    """The Gram matrix of a Bell family, one GEMM over its dense states."""
+    states = dense_family(fam).states
+    return states.conj() @ states.T
+
+
+def dense_projector_sum(fam):
+    """``sum_a |s_a><s_a|`` of a Bell family, one GEMM over its dense states."""
+    return _projector_sum(dense_family(fam).states)
+
+
+def dense_extend(fam, m, side):
+    """``M U_a`` (left) or ``U_a M`` (right) for every word, by batched products with the dense stack."""
+    stack = dense_words(fam.words)
+    return m @ stack if side == "left" else stack @ m
+
+
+def dense_trace_system(n):
+    """``tr(I T(ab))`` rows over the row-major unknowns of I, read off the dense words."""
+    words = dense_unitaries(n=n)
+    return words.real.transpose(0, 2, 1).reshape(len(words), -1)
+
+
+def dense_eigen_residuals(spec):
+    """``max|O s_a - lam_a s_a|`` of each state, for a monomial O, from the dense states of its words."""
+    states = bell_vector(dense_words(spec.states)).T
+    return np.abs(spec.matrix @ states - states * spec.eigenvalues).max(axis=0)
+
+
+# ---------------------------------------------------------------------------
 # basis theorem, one pair at a time
 
 
@@ -317,23 +374,59 @@ def reduced_completeness(unitaries, m):
 
 
 # ---------------------------------------------------------------------------
-# teleportation equations, one label or outcome at a time
+# teleportation equations, one label or outcome at a time, from the dense words
+
+
+def dense_setting(setting):
+    """The setting's dense ``(K, D, D)`` words ``U_a`` and ``(K, D^2)`` measurement vectors."""
+    forward = dense_words(setting.words)
+    return forward, bell_vector(forward, setting.m if setting.form == 22 else None)
+
+
+def dense_resource(setting, forward, b):
+    t_b = forward[b]
+    return bell_vector(setting.m @ t_b) if setting.form == 22 else bell_vector(t_b, setting.m)
+
+
+def dense_receivers(setting, forward, psi, b, corrupt=False):
+    """The K x D receivers ``[M] U_b^T U_a^dag psi`` (``U_a psi`` when ``corrupt``), by products with the dense words."""
+    undone = forward @ psi if corrupt else (psi.conj() @ forward).conj()
+    outs = undone @ forward[b]
+    return outs @ setting.m.T if setting.form == 11 else outs
 
 
 def teleport_sides(setting, psi, b, corrupt=False):
     """The two sides at label index ``b``: one ``np.kron`` and one (D^2, K) x (K, D) product."""
-    rhs = (setting.meas.T @ setting.receivers(psi, b, corrupt)).reshape(-1) / setting.dim
-    return np.kron(psi, setting.resource(b)), rhs
+    forward, meas = dense_setting(setting)
+    rhs = (meas.T @ dense_receivers(setting, forward, psi, b, corrupt)).reshape(-1) / setting.dim
+    return np.kron(psi, dense_resource(setting, forward, b)), rhs
 
 
 def projective_residuals(setting, psi):
     """The projective equation's residual at every outcome, two ``np.kron`` per outcome."""
     dim = setting.dim
-    prepared = np.kron(psi, setting.resource(0)).reshape(dim * dim, dim)
+    forward, meas = dense_setting(setting)
+    prepared = np.kron(psi, dense_resource(setting, forward, 0)).reshape(dim * dim, dim)
     return [
-        residual(np.kron(meas, meas.conj() @ prepared), np.kron(meas, receiver) / dim)
-        for meas, receiver in zip(setting.meas, setting.receivers(psi, 0))
+        residual(np.kron(m_a, m_a.conj() @ prepared), np.kron(m_a, receiver) / dim)
+        for m_a, receiver in zip(meas, dense_receivers(setting, forward, psi, 0))
     ]
+
+
+def protocol_rows(setting, psi, resource=None):
+    """``protocol_outcomes`` one label at a time: a dense branch, norm and correction ``U_a M^dag`` each."""
+    dim = setting.dim
+    forward, meas = dense_setting(setting)
+    if resource is None:
+        resource = dense_resource(setting, forward, 0)
+    prepared = np.kron(psi, resource).reshape(dim * dim, dim)
+    rows = []
+    for label, u, m_a in zip(setting.labels, forward, meas):
+        branch = m_a.conj() @ prepared
+        prob = float(np.linalg.norm(branch) ** 2)
+        corrected = u @ dagger(setting.m) @ (branch / np.linalg.norm(branch))
+        rows.append((label, prob, float(abs(np.vdot(psi, corrected))), corrected))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +458,11 @@ def perturbed_one(dim, rng, min_dev=0.1):
 def basis_theorem_loop(d=None, n=None, trials=20, seed=0, tol=DEFAULT_TOL, fail_floor=1e-3):
     """``verify.basis_theorem_suite`` with two draws and two Grams per trial and side."""
     fam = bell_family(d, n)
-    local = fam.unitaries.shape[-1]
+    local = fam.words[0].shape[-1]
     rng = np.random.default_rng(seed)
     size = {"n": n} if d is None else {"d": d}
     rep = Report("basis-theorem", {**size, "trials": trials}, tolerance=tol, seed=seed)
-    eye_k = np.eye(len(fam.states))
+    eye_k = np.eye(len(fam.labels))
     for side in ("left", "right"):
         unitary_res, nonunitary_res = np.empty(trials), np.empty(trials)
         for t in range(trials):
@@ -384,7 +477,7 @@ def basis_theorem_loop(d=None, n=None, trials=20, seed=0, tol=DEFAULT_TOL, fail_
         witness = f" witness=trial {np.argmin(nonunitary_res)}" if not best >= fail_floor else ""
         rep.add_expect_fail(f"nonunitary-extensions-{side} ({trials} trials){witness}", best, fail_floor)
     general = rng.standard_normal((local, local)) + 1j * rng.standard_normal((local, local))
-    rep.add("reduced-completeness (general M)", batched_reduced_completeness(fam.unitaries, general))
+    rep.add("reduced-completeness (general M)", batched_reduced_completeness(fam.words, general))
     rep.add("vacuous-one-sided-unitarity", 0.0)
     return rep
 

@@ -24,6 +24,7 @@ from bellkit.bell import (
     Circuit,
     all_labels,
     bell_vector,
+    compose,
     concurrence,
     concurrence_oracle,
     expand_in_bell_basis,
@@ -58,11 +59,13 @@ from bellkit.linalg import (
     haar_unitary,
     identity,
     permutation,
+    random_matrix,
     random_state,
     residual,
 )
 from bellkit.pauli import (
     _nearest_residuals,
+    word,
     basis_group_check,
     omega_root,
     pauli_gate,
@@ -82,15 +85,23 @@ from bellkit.teleport import (
 )
 from bellkit import verify
 from bellkit.verify import (
+    BasisFamily,
+    ObservableSpec,
+    _tiled_phases,
     _trial_matrices,
+    _word_eigen_residuals,
     basis_theorem_suite,
     bell_family,
+    completeness_check,
     conjugated_observables,
     extend_basis,
+    gram_check,
+    multiqubit_observables,
     perturbed_nonunitary,
     qudit_observable_suite,
     qudit_observables,
     reduced_completeness,
+    trace_system,
 )
 from dense import (
     GenPauliWord,
@@ -99,7 +110,16 @@ from dense import (
     braid_teleport_rhs,
     complex_relation_residual,
     dense_circuit_matrix,
+    dense_eigen_residuals,
+    dense_extend,
+    dense_gram,
     dense_permutation_matrix,
+    dense_projector_sum,
+    dense_receivers,
+    dense_resource,
+    dense_setting,
+    dense_trace_system,
+    dense_words,
     gen_word_matrix,
     gen_word_monomial,
     gen_x,
@@ -109,6 +129,7 @@ from dense import (
     perturbed_one,
     product_ket_of,
     projective_residuals,
+    protocol_rows,
     qudit_observable_loop,
     reconstruct,
     teleport_sides,
@@ -549,7 +570,8 @@ def test_assembler_matches_kronecker_sum(variant, la, lb, seed, m_kind, corrupt)
     case = _case(variant, size, (la, lb), seed, m_kind)
     setting = _Setting("teleport-eq", variant, case.d, case.n)
     setting.use(case.m)
-    (lhs,), (rhs,) = setting.block_sides(case.psi, [setting.labels.index(case.label)], corrupt)
+    setting.send(case.psi, corrupt)
+    (lhs,), (rhs,) = setting.block_sides([setting.labels.index(case.label)])
     assert residual(rhs, dense_rhs(case, corrupt)) <= 1e-15
     m = case.m
     t_b = (
@@ -794,22 +816,26 @@ def test_conjugated_observables_match_kronecker(d, side):
         assert residual(twice.states, shift @ shift @ spec.states) < 1e-14
 
 
-@pytest.mark.parametrize("size", [{"d": 2}, {"d": 3}, {"d": 5}, {"d": 8}, {"n": 2}])
+@pytest.mark.parametrize(
+    "size", [{"d": 2}, {"d": 3}, {"d": 5}, {"d": 8}, {"n": 2}, {"d": 4}, {"d": 6}, {"n": 1}, {"n": 3}]
+)
 def test_reduced_completeness_matches_pair_loop(size):
     rng = np.random.default_rng(sum(size.values()))
-    unitaries = bell_family(**size).unitaries
-    local = unitaries.shape[-1]
+    words = bell_family(**size).words
+    local = words[0].shape[-1]
     m = rng.standard_normal((local, local)) + 1j * rng.standard_normal((local, local))
-    got = reduced_completeness(unitaries, m)
+    # U_a M, the one gather, against the product with the dense words
+    assert residual(compose(words, m, "right"), dense_words(words) @ m) <= 1e-15
+    got = reduced_completeness(words, m)
     assert got < DEFAULT_TOL
     # sums of d^2 products of O(1) Gaussians, in two association orders
-    assert abs(got - dense_reduced_completeness(unitaries, m)) <= 1e-13
-    # a stack that is no Bell family leaves an O(1) residual, the same on both routes
-    broken = unitaries.copy()
-    broken[-1] = haar_unitary(local, rng)
+    assert abs(got - dense_reduced_completeness(dense_words(words), m)) <= 1e-13
+    # a family with one word repeated is no Bell family: an O(1) residual, the same on both routes
+    broken = words[0].copy(), words[1].copy()
+    broken[0][-1], broken[1][-1] = broken[0][0], broken[1][0]
     got = reduced_completeness(broken, m)
     assert got > 0.01
-    assert abs(got - dense_reduced_completeness(broken, m)) <= 1e-13
+    assert abs(got - dense_reduced_completeness(dense_words(broken), m)) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -967,29 +993,21 @@ def test_multi_check_cases_match_per_ket_kronecker(n, signs, blocked):
 
 
 def dense_protocol_outcomes(psi, variant, m=None, resource=None):
-    """The per-label loop that ``protocol_outcomes`` replaced."""
+    """The per-label loop over the dense words that ``protocol_outcomes`` replaced."""
     dim = psi.shape[0]
     setting = _Setting("protocol", variant, d=dim, n=dim.bit_length() - 1)
     qubits = "n" in setting.size
     setting.use(identity(dim) if m is None or qubits else m)
-    if resource is None:
-        resource = setting.resource(0)
-    prepared = np.kron(psi, resource).reshape(dim * dim, dim)
     name = "T({},{})" if qubits else "U({},{})·M†"
-    rows = []
-    for label, u, meas in zip(setting.labels, setting.forward, setting.meas):
-        branch = meas.conj() @ prepared
-        prob = float(np.linalg.norm(branch) ** 2)
-        corrected = u @ dagger(setting.m) @ (branch / np.linalg.norm(branch))
-        rows.append((label, prob, float(abs(np.vdot(psi, corrected))), corrected, name.format(*label)))
-    return rows
+    return [(*row, name.format(*row[0])) for row in protocol_rows(setting, psi, resource)]
 
 
 @pytest.mark.parametrize(
     "variant,size,haar,skewed",
     [("basic2", 2, False, False), ("basic2", 2, False, True), ("qudit", 2, True, False),
      ("qudit", 3, True, False), ("qudit", 5, True, False), ("qudit", 3, True, True),
-     ("nqubit", 1, False, False), ("nqubit", 2, False, False), ("nqubit", 3, False, False)],
+     ("nqubit", 1, False, False), ("nqubit", 2, False, False), ("nqubit", 3, False, False),
+     ("qudit", 4, True, False), ("qudit", 6, True, False)],
 )
 def test_protocol_outcomes_match_per_label_loop(variant, size, haar, skewed):
     rng = np.random.default_rng(size)
@@ -1002,9 +1020,9 @@ def test_protocol_outcomes_match_per_label_loop(variant, size, haar, skewed):
     assert [(r[0], r[4]) for r in got] == [(r[0], r[4]) for r in want]
     for g, w in zip(got, want):
         assert type(g[1]) is float and type(g[2]) is float
-        assert abs(g[1] - w[1]) <= 1e-14, g[0]
-        assert abs(g[2] - w[2]) <= 1e-14, g[0]
-        assert residual(g[3], w[3]) <= 1e-14, g[0]
+        assert abs(g[1] - w[1]) <= 1e-15, g[0]
+        assert abs(g[2] - w[2]) <= 1e-15, g[0]
+        assert residual(g[3], w[3]) <= 1e-15, g[0]
 
 
 @pytest.mark.parametrize("variant,size", [("basic2", 2), ("qudit", 3), ("nqubit", 2)])
@@ -1025,12 +1043,19 @@ def test_protocol_histogram_matches_per_label_counts(variant, size):
 
 # ---------------------------------------------------------------------------
 # teleportation equations: every label of a block at once against the
-# per-label body, which must agree bit for bit
+# per-label body over the dense words.  The library sums over the outcomes
+# once per call, into q (``_Setting.send``), and gathers q per label; the
+# oracle sums over the outcomes for each label.  The sums run in another
+# order, so the sides agree to SIDE_TOL, a few ulps of their O(1) entries,
+# not bit for bit; a block's rows equal the single-label sides bit for bit.
+
+SIDE_TOL = 1e-15
 
 TELEPORT_EQ_CASES = (
     [("basic2", {"d": 2})]
     + [(v, {"d": d}) for v in ("qudit11", "qudit22", "qudit11p", "qudit22p") for d in (2, 3, 5, 8)]
     + [(v, {"n": n}) for v in ("nqubit11", "nqubit22") for n in (1, 2, 3)]
+    + [(v, {"d": d}) for v in ("qudit11", "qudit22") for d in (4, 6)]
 )
 PROJECTIVE_EQ_CASES = (
     [(v, {"d": d}) for v in ("projective_qudit", "projective_qudit11") for d in (2, 3, 5, 8)]
@@ -1058,21 +1083,22 @@ def _teleport_setting(variant, size, seed):
 @pytest.mark.parametrize("variant,size", TELEPORT_EQ_CASES)
 def test_block_sides_equal_per_label_body(variant, size, corrupt):
     setting, psi = _teleport_setting(variant, size, seed=sum(size.values()))
+    setting.send(psi, corrupt)
     count = len(setting.labels)
     want = [teleport_sides(setting, psi, b, corrupt) for b in range(count)]
     # every label at once, blocks of 3 and 2 that split K unevenly, and an index list out of order
     blocks = [slice(lo, lo + step) for step in (count, 3, 2) for lo in range(0, count, step)]
     blocks.append(list(range(count))[::-1])
+    whole = setting.block_sides(slice(None))
     for block in blocks:
-        lhs, rhs = setting.block_sides(psi, block, corrupt)
+        lhs, rhs = setting.block_sides(block)
         indices = np.arange(count)[block]
         assert lhs.shape == rhs.shape == (len(indices), setting.dim**3)
         for row, b in enumerate(indices):
-            np.testing.assert_array_equal(lhs[row], want[b][0])
-            np.testing.assert_array_equal(rhs[row], want[b][1])
-    for b in (0, count - 1):
-        for got, expected in zip(setting.block_sides(psi, [b], corrupt), want[b]):
-            np.testing.assert_array_equal(got[0], expected)
+            assert residual(lhs[row], want[b][0]) <= SIDE_TOL
+            assert residual(rhs[row], want[b][1]) <= SIDE_TOL
+            np.testing.assert_array_equal(lhs[row], whole[0][b])
+            np.testing.assert_array_equal(rhs[row], whole[1][b])
 
 
 @pytest.mark.parametrize("block_labels", [None, 3])
@@ -1087,9 +1113,8 @@ def test_teleport_eq_suite_equals_per_label_loop(variant, size, block_labels, mo
     psi = random_state(setting.dim, rng)
     setting.use(identity(setting.dim) if variant == "basic2" else haar_unitary(setting.dim, rng))
     assert [c.case_id for c in rep.cases] == [f"label={lab}" for lab in setting.labels]
-    assert [c.residual for c in rep.cases] == [
-        residual(*teleport_sides(setting, psi, b)) for b in range(len(setting.labels))
-    ]
+    for b, case in enumerate(rep.cases):
+        assert abs(case.residual - residual(*teleport_sides(setting, psi, b))) <= SIDE_TOL
     assert rep.passed
 
 
@@ -1106,7 +1131,8 @@ def test_projective_eq_equals_per_outcome_loop(variant, size, block_labels, monk
     setting.use(m)
     want = projective_residuals(setting, random_state(setting.dim, rng))
     assert [c.case_id for c in rep.cases] == [f"outcome={lab}" for lab in setting.labels]
-    assert [c.residual for c in rep.cases] == want
+    for case, res in zip(rep.cases, want):
+        assert abs(case.residual - res) <= SIDE_TOL
     assert rep.passed
 
 
@@ -1151,16 +1177,29 @@ def test_sample_histogram_refuses_bad_probabilities(probs):
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
-@pytest.mark.parametrize("size", [{"d": 2}, {"d": 3}, {"d": 5}, {"d": 8}, {"n": 2}])
+@pytest.mark.parametrize(
+    "size", [{"d": 2}, {"d": 3}, {"d": 5}, {"d": 8}, {"n": 2}, {"d": 4}, {"d": 6}, {"n": 1}, {"n": 3}]
+)
 def test_extend_basis_matches_batched_product(size, side):
     fam = bell_family(**size)
-    local = fam.unitaries.shape[-1]
-    m = haar_unitary(local, np.random.default_rng(local))
-    got = extend_basis(fam, m, side)
-    want = m @ fam.unitaries if side == "left" else fam.unitaries @ m
-    assert residual(got.unitaries, want) <= 1e-15
-    assert residual(got.states, bell_vector(want)) <= 1e-15
-    assert got.labels == fam.labels
+    local = fam.words[0].shape[-1]
+    # a Haar M, and a general one: the gathers hold for any M
+    for m in (haar_unitary(local, np.random.default_rng(local)), random_matrix(local, np.random.default_rng(0))):
+        got = extend_basis(fam, m, side)
+        assert residual(got.states, bell_vector(dense_extend(fam, m, side))) <= 1e-15
+        assert got.labels == fam.labels
+    # a stack of M gives one family per M, the same floats as one M at a time
+    ms = haar_unitary(local, np.random.default_rng(local + 1), (2, 3))
+    stacked = extend_basis(fam, ms, side)
+    assert stacked.states.shape == (2, 3, len(fam.labels), fam.dim)
+    for i, j in np.ndindex(2, 3):
+        np.testing.assert_array_equal(stacked.states[i, j], extend_basis(fam, ms[i, j], side).states)
+    # a stack of M gives one family per M, the same floats as one M at a time
+    ms = haar_unitary(local, np.random.default_rng(local + 1), (2, 3))
+    stacked = extend_basis(fam, ms, side)
+    assert stacked.states.shape == (2, 3, len(fam.labels), fam.dim)
+    for i, j in np.ndindex(2, 3):
+        np.testing.assert_array_equal(stacked.states[i, j], extend_basis(fam, ms[i, j], side).states)
 
 
 # ---------------------------------------------------------------------------
@@ -1240,3 +1279,165 @@ def test_stacked_suites_bound_memory(run, bound_mib):
         tracemalloc.stop()
     assert rep.passed
     assert peak < bound_mib * 2**20, peak
+
+
+# ---------------------------------------------------------------------------
+# the Bell family as monomials: every reader of the words' (rows, phase) pair
+# against the dense (K, D, D) stack and the GEMMs over it that it replaced,
+# at n = 1..3 and d = 2..6, to PAIR_TOL, a few ulps of the O(1) entries (the
+# teleport-eq sides, the protocol, extend_basis and the reduced completeness
+# are checked above, over the same sizes)
+
+FAMILY_SIZES = [{"n": n} for n in (1, 2, 3)] + [{"d": d} for d in range(2, 7)]
+FAMILY_IDS = [f"{k}{v}" for size in FAMILY_SIZES for k, v in size.items()]
+PAIR_TOL = 1e-15
+
+
+def _with_words(fam, rows, phase):
+    return BasisFamily(fam.dim, None, fam.labels, (rows, phase))
+
+
+@pytest.mark.parametrize("size", FAMILY_SIZES, ids=FAMILY_IDS)
+def test_grouped_gram_and_completeness_match_dense_words(size):
+    fam = bell_family(**size)
+    # the Bell family takes the grouped path and passes
+    assert _tiled_phases(fam) is not None
+    assert gram_check(fam).passed and completeness_check(fam).passed
+    # phases off the unit circle keep the row maps, and so the grouped path,
+    # and leave O(1) residuals that both routes must agree on
+    rows, phase = fam.words
+    scale = 1 + 0.25 * np.random.default_rng(len(rows)).standard_normal(phase.shape)
+    skewed = _with_words(fam, rows, phase * scale)
+    assert _tiled_phases(skewed) is not None
+    gram = gram_check(skewed).cases[0].residual
+    comp = completeness_check(skewed).cases[0].residual
+    assert gram > 0.1 and comp > 0.1
+    assert abs(gram - residual(dense_gram(skewed), np.eye(len(rows)))) <= PAIR_TOL
+    assert abs(comp - residual(dense_projector_sum(skewed), np.eye(fam.dim))) <= PAIR_TOL
+
+
+def _doctored(fam, kind):
+    """``fam`` with a label repeated, a shift dropped (its words moved onto shift 0's row map),
+    or entries 1 and 2 of shift 1's row map swapped, in every word of the shift ("overlap")
+    or in its last word only ("split-map"), so that their supports overlap other shifts'."""
+    rows, phase = (a.copy() for a in fam.words)
+    shift1 = np.flatnonzero((rows == rows[1]).all(axis=1))
+    swapped = [0, 2, 1, *range(3, rows.shape[1])]
+    if kind == "repeated-label":
+        rows[-1], phase[-1] = rows[0], phase[0]
+    elif kind == "dropped-shift":
+        rows[shift1] = rows[0]
+    elif kind == "overlap":
+        rows[shift1] = rows[shift1][:, swapped]
+    else:
+        rows[shift1[-1]] = rows[shift1[-1], swapped]
+    return _with_words(fam, rows, phase)
+
+
+@pytest.mark.parametrize("kind", ["repeated-label", "dropped-shift", "overlap", "split-map"])
+@pytest.mark.parametrize("size", [s for s in FAMILY_SIZES if s.get("n", 2) > 1 and s.get("d", 3) > 2],
+                         ids=[i for i in FAMILY_IDS if i not in ("n1", "d2")])
+def test_doctored_family_fails_through_partition_check(size, kind):
+    fam = _doctored(bell_family(**size), kind)
+    # the groups do not tile the D^2 positions, so the checks read the dense states
+    assert _tiled_phases(fam) is None
+    gram, comp = gram_check(fam), completeness_check(fam)
+    assert not gram.passed and not comp.passed
+    assert gram.cases[0].residual == residual(dense_gram(fam), np.eye(len(fam.labels)))
+    assert comp.cases[0].residual == residual(dense_projector_sum(fam), np.eye(fam.dim))
+
+
+PROJECTIVE_FORMS = [(v, {"d": d}) for v in ("projective_qudit", "projective_qudit11") for d in range(2, 7)] + [
+    ("projective_nqubit", {"n": n}) for n in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("variant,size", PROJECTIVE_FORMS)
+def test_projective_factors_match_dense_words(variant, size):
+    rng = np.random.default_rng(sum(size.values()))
+    setting = _Setting("projective-eq", variant, **size)
+    dim = setting.dim
+    setting.use(identity(dim) if variant == "projective_nqubit" else haar_unitary(dim, rng))
+    psi = random_state(dim, rng)
+    forward, meas = dense_setting(setting)
+    resource = dense_resource(setting, forward, 0)
+    prepared = np.kron(psi, resource).reshape(dim * dim, dim)
+    assert residual(setting.resource([0])[0], resource) <= PAIR_TOL
+    assert residual(setting.meas(slice(None)), meas) <= PAIR_TOL
+    assert residual(setting.meas_max(), np.abs(meas).max(axis=1)) <= PAIR_TOL
+    assert residual(setting.branches(prepared), meas.conj() @ prepared) <= PAIR_TOL
+    assert residual(setting.receivers(psi), dense_receivers(setting, forward, psi, 0)) <= PAIR_TOL
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_trace_system_matches_dense_words(n):
+    np.testing.assert_array_equal(trace_system(n)[0], dense_trace_system(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_word_eigenequations_equal_dense_states(n):
+    rng = np.random.default_rng(n)
+    specs = multiqubit_observables(n)
+    words = specs[0].states
+    # the observables' own eigenvalues, wrong ones, and words that are not diagonal on the family
+    cases = [(s.matrix, s.eigenvalues) for s in specs]
+    cases += [(s.matrix, s.eigenvalues + rng.standard_normal(len(s.labels))) for s in specs]
+    cases += [(word(int(z), int(x), n=2 * n), rng.choice([-1.0, 1.0], len(words[0])))
+              for z, x in rng.integers(0, 4**n, (6, 2))]
+    for op, lam in cases:
+        spec = ObservableSpec("o", op, specs[0].labels, lam, words)
+        np.testing.assert_array_equal(_word_eigen_residuals(op, words, lam), dense_eigen_residuals(spec))
+
+
+def _nan_phase(words, label=1, column=0):
+    rows, phase = words
+    phase = phase.copy()
+    phase[label, column] = np.nan
+    return rows, phase
+
+
+@pytest.mark.parametrize("size", [{"n": 2}, {"d": 3}], ids=["n2", "d3"])
+def test_nan_phase_gives_nan_residuals(size, monkeypatch):
+    fam = bell_family(**size)
+    local = fam.words[0].shape[-1]
+    poisoned = _with_words(fam, *_nan_phase(fam.words))
+    assert np.isnan(gram_check(poisoned).cases[0].residual)
+    assert np.isnan(completeness_check(poisoned).cases[0].residual)
+    assert np.isnan(reduced_completeness(poisoned.words, random_matrix(local, np.random.default_rng(0))))
+    for side in ("left", "right"):
+        assert np.isnan(extend_basis(poisoned, haar_unitary(local, np.random.default_rng(1)), side).states[1]).any()
+    if "n" in size:
+        spec = multiqubit_observables(size["n"])[0]
+        per_state = _word_eigen_residuals(spec.matrix, poisoned.words, spec.eigenvalues)
+        assert np.isnan(per_state[1]) and not np.isnan(per_state[0])
+    # the teleportation checks read the family from bell_unitaries
+    real = teleport.bell_unitaries
+    monkeypatch.setattr(teleport, "bell_unitaries", lambda **kw: (real(**kw)[0], _nan_phase(real(**kw)[1])))
+    qubits = "n" in size
+    for variant in ("nqubit11", "nqubit22") if qubits else ("qudit11", "qudit22"):
+        rep = teleport_eq_suite(variant, **size, seed=1)
+        assert np.isnan(rep.cases[1].residual) and not rep.passed
+    rep = projective_eq_check("nqubit" if qubits else "qudit", **size, seed=1)
+    assert np.isnan(rep.cases[1].residual) and not rep.cases[1].passed
+    assert rep.cases[0].passed
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: gram_check(bell_family(n=6)),
+        lambda: completeness_check(bell_family(n=6)),
+        lambda: projective_eq_check("nqubit", n=6, seed=0),
+    ],
+    ids=["gram-multi-n6", "completeness-multi-n6", "projective-eq-nqubit-n6"],
+)
+def test_bell_family_readers_build_no_dense_stack(run):
+    # a dense (4096, 64, 64) stack of words alone is 256 MiB
+    tracemalloc.start()
+    try:
+        rep = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 150 * 2**20, peak

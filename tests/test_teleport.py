@@ -12,7 +12,7 @@ from bellkit.teleport import (
     teleport_eq_suite,
     transfer_identity_check,
 )
-from dense import teleport_sides
+from dense import dense_receivers, dense_resource, dense_setting, dense_words, teleport_sides
 
 
 def skewed_resource(d: int, weights) -> np.ndarray:
@@ -28,7 +28,8 @@ def skewed_resource(d: int, weights) -> np.ndarray:
 def label_residual(variant, psi, m, label, **size):
     setting = _Setting("teleport-eq", variant, **size)
     setting.use(m)
-    return residual(*setting.block_sides(psi, [setting.labels.index(label)]))
+    setting.send(psi)
+    return residual(*setting.block_sides([setting.labels.index(label)]))
 
 
 def test_transfer_identity():
@@ -197,16 +198,15 @@ def test_primed_variants_are_aliases(base, modes, d):
             assert [c.residual for c in got] == [c.residual for c in want]
 
 
-def _patch_receivers(monkeypatch, corrupt):
-    """Make ``_Setting.receivers`` pass its stack through ``corrupt(outs, label_indices)``."""
-    original = _Setting.receivers
+def _patch_transfer(monkeypatch, corrupt):
+    """Make ``_Setting.send`` pass the matrix ``q`` of the right sides through ``corrupt(q)``."""
+    original = _Setting.send
 
-    def receivers(self, psi, b, corrupt_flag=False):
-        outs = original(self, psi, b, corrupt_flag)
-        corrupt(outs, np.arange(len(self.labels))[b])
-        return outs
+    def send(self, psi, corrupt_flag=False):
+        original(self, psi, corrupt_flag)
+        corrupt(self.q)
 
-    monkeypatch.setattr(_Setting, "receivers", receivers)
+    monkeypatch.setattr(_Setting, "send", send)
 
 
 @pytest.mark.parametrize("variant,size", [("qudit22", {"d": 3}), ("nqubit11", {"n": 2})])
@@ -214,37 +214,104 @@ def test_failing_label_names_worst_entry(variant, size, monkeypatch):
     clean = teleport_eq_suite(variant, **size, seed=3)
     assert clean.passed and all(" witness" not in c.case_id for c in clean.cases)
 
-    def shift(outs, labels):
-        outs[..., 1, 0] += 0.25
+    def shift(q):
+        q[1, 0] += 0.25
 
-    _patch_receivers(monkeypatch, shift)
+    _patch_transfer(monkeypatch, shift)
     rep = teleport_eq_suite(variant, **size, seed=3)
     setting = _Setting("teleport-eq", variant, **size)
     rng = np.random.default_rng(3)
     psi = random_state(setting.dim, rng)
     setting.use(haar_unitary(setting.dim, rng))
+    # the shift reaches label b's right side as bump U_b [M^T], from the dense words
+    bump = np.zeros((setting.dim**2, setting.dim), dtype=complex)
+    bump[1, 0] = 0.25
+    after = setting.m.T if setting.form == 11 else identity(setting.dim)
     assert not any(c.passed for c in rep.cases)
-    for b, (case, lab) in enumerate(zip(rep.cases, setting.labels)):
-        diff = np.abs(np.subtract(*teleport_sides(setting, psi, b)))
+    for b, (case, lab, u_b) in enumerate(zip(rep.cases, setting.labels, dense_words(setting.words))):
+        lhs, rhs = teleport_sides(setting, psi, b)
+        diff = np.abs(lhs - rhs - (bump @ u_b @ after).reshape(-1))
         assert case.case_id == f"label={lab} witness=entry {np.argmax(diff)}"
-        assert case.residual == diff.max()
+        assert abs(case.residual - diff.max()) <= 1e-15
 
 
 @pytest.mark.parametrize("block_entries", [teleport.BLOCK_ENTRIES, 2 * 27])
 def test_nan_fails_its_label_only(block_entries, monkeypatch):
     clean = teleport_eq_suite("qudit11", d=3, seed=2)
     target = 4
+    original = _Setting.block_sides
 
-    def poison(outs, labels):
-        outs[labels == target, 2, 1] = np.nan
+    def block_sides(self, labels, out=None):
+        lhs, rhs = original(self, labels, out)
+        rhs[np.arange(len(self.labels))[labels] == target, 1] = np.nan
+        return lhs, rhs
 
-    _patch_receivers(monkeypatch, poison)
+    monkeypatch.setattr(_Setting, "block_sides", block_sides)
     monkeypatch.setattr(teleport, "BLOCK_ENTRIES", block_entries)
     rep = teleport_eq_suite("qudit11", d=3, seed=2)
     for b, (case, want) in enumerate(zip(rep.cases, clean.cases)):
         if b == target:
-            # column 1 of the receivers is NaN, so entry 1 is the first NaN of the right side
+            # entry 1 of the right side is NaN, the first NaN of the difference
             assert case.case_id == f"{want.case_id} witness=entry 1"
             assert np.isnan(case.residual) and not case.passed
         else:
             assert case == want
+
+
+@pytest.mark.parametrize("variant,size", [("qudit", {"d": 3}), ("qudit11", {"d": 3}), ("nqubit", {"n": 2})])
+def test_projective_eq_names_worst_entry(variant, size, monkeypatch):
+    clean = projective_eq_check(variant, **size, seed=3)
+    assert clean.passed and all(" witness" not in c.case_id for c in clean.cases)
+    original = _Setting.receivers
+
+    def receivers(self, psi):
+        outs = original(self, psi).copy()
+        outs[2, 1] += 0.25
+        outs[3, 0] = np.nan
+        return outs
+
+    monkeypatch.setattr(_Setting, "receivers", receivers)
+    rep = projective_eq_check(variant, **size, seed=3)
+    # the check's draws: M for the qudit variants, then psi
+    setting = _Setting("projective-eq", variant, **size)
+    dim = setting.dim
+    rng = np.random.default_rng(3)
+    setting.use(identity(dim) if variant == "nqubit" else haar_unitary(dim, rng))
+    psi = random_state(dim, rng)
+    forward, meas = dense_setting(setting)
+    prepared = np.kron(psi, dense_resource(setting, forward, 0)).reshape(dim * dim, dim)
+    bumped = dense_receivers(setting, forward, psi, 0)[2] + np.eye(dim)[1] * 0.25
+    # outcome 2: the worst entry of the dense product of its two sides
+    diff = np.abs(np.kron(meas[2], meas[2].conj() @ prepared) - np.kron(meas[2], bumped) / dim)
+    assert rep.cases[2].case_id == f"outcome={setting.labels[2]} witness=entry {np.argmax(diff)}"
+    assert abs(rep.cases[2].residual - diff.max()) <= 1e-15
+    # outcome 3: its first NaN entry of branch - receiver / D, in the row of the largest |meas_a|
+    assert rep.cases[3].case_id == f"outcome={setting.labels[3]} witness=entry {np.argmax(np.abs(meas[3])) * dim}"
+    assert np.isnan(rep.cases[3].residual) and not rep.passed
+    assert [c for a, c in enumerate(rep.cases) if a not in (2, 3)] == [
+        c for a, c in enumerate(clean.cases) if a not in (2, 3)
+    ]
+
+
+def test_linearity_reduction_names_failing_input(monkeypatch):
+    clean = linearity_reduction_check("qudit11", d=3, seed=1)
+    assert clean.passed and clean.cases[0].case_id == "all-basis-inputs"
+    original = _Setting.send
+    poison = {}
+
+    def send(self, psi, corrupt=False):
+        original(self, psi, corrupt)
+        for index, value in poison.items():
+            if not corrupt and psi[index] == 1:
+                self.q = self.q + value
+
+    monkeypatch.setattr(_Setting, "send", send)
+    poison[2] = 0.5
+    rep = linearity_reduction_check("qudit11", d=3, seed=1)
+    assert rep.cases[0].case_id == "all-basis-inputs witness=input 2"
+    assert not rep.cases[0].passed and rep.cases[1:] == clean.cases[1:]
+    # a NaN input is the witness even when a finite one is worse
+    poison[1] = np.nan
+    rep = linearity_reduction_check("qudit11", d=3, seed=1)
+    assert rep.cases[0].case_id == "all-basis-inputs witness=input 1"
+    assert np.isnan(rep.cases[0].residual) and rep.cases[1:] == clean.cases[1:]

@@ -3,13 +3,14 @@ import pytest
 
 from bellkit.bell import omega, qudit_bell
 from bellkit.linalg import haar_unitary, residual, identity
-from dense import kron, observable_check
+from dense import dense_family, kron, observable_check
 from bellkit.pauli import pauli_gate
 from bellkit.verify import (
     APPENDIX_N1_MATRIX,
     BasisFamily,
     ObservableSpec,
     _projector_sum,
+    _tiled_phases,
     basis_theorem_suite,
     bell_family,
     completeness_check,
@@ -42,7 +43,7 @@ def test_completeness_check():
     assert completeness_check(bell_family(d=2)).passed
     assert completeness_check(bell_family(n=2)).passed
     fam = bell_family(d=2)
-    short = BasisFamily(4, fam.states[:3], fam.labels[:3])
+    short = BasisFamily(4, dense_family(fam).states[:3], fam.labels[:3])
     rep = completeness_check(short)
     assert not rep.passed
     assert "incomplete-family" in rep.cases[0].case_id
@@ -57,7 +58,7 @@ def test_completeness_check():
 def test_extend_basis():
     fam = bell_family(d=2)
     same = extend_basis(fam, np.eye(2), "left")
-    assert max(residual(a, b) for a, b in zip(same.states, fam.states)) == 0
+    assert max(residual(a, b) for a, b in zip(same.states, dense_family(fam).states)) == 0
     rng = np.random.default_rng(0)
     assert gram_check(extend_basis(bell_family(d=3), haar_unitary(3, rng), "left")).passed
     skew = extend_basis(fam, np.diag([1.0, 2.0]), "left")
@@ -68,7 +69,7 @@ def test_extend_basis():
     with pytest.raises(ValueError):
         extend_basis(fam, np.eye(2), "up")
     with pytest.raises(ValueError):
-        extend_basis(BasisFamily(4, fam.states, fam.labels), np.eye(2), "left")
+        extend_basis(dense_family(fam), np.eye(2), "left")
 
 
 def test_perturbed_nonunitary_deviation():
@@ -248,21 +249,24 @@ def test_multiqubit_observables():
 def test_multiqubit_family_readers_take_real_products():
     for n in (1, 2, 3):
         for spec in multiqubit_observables(n):
-            assert spec.states.dtype == np.float64
-            assert (spec.matrix @ spec.states).dtype == np.float64
+            assert spec.states[1].dtype == np.float64 and spec.matrix.phase.dtype == np.float64
         fam = bell_family(n=n)
-        assert gram_matrix(fam).dtype == np.float64
-        assert _projector_sum(fam.states).dtype == np.float64
+        # the grouped Gram and projector-sum blocks are real GEMMs of the real phases
+        assert _tiled_phases(fam).dtype == np.float64
+        assert gram_matrix(dense_family(fam)).dtype == np.float64
+        assert _projector_sum(dense_family(fam).states).dtype == np.float64
     fam = bell_family(d=3)
-    assert gram_matrix(fam).dtype == np.complex128
-    assert _projector_sum(fam.states).dtype == np.complex128
+    assert _tiled_phases(fam).dtype == np.complex128
+    assert gram_matrix(dense_family(fam)).dtype == np.complex128
+    assert _projector_sum(dense_family(fam).states).dtype == np.complex128
 
 
 def _respec(spec, lam_shift=None, nan_at=None):
     """``spec`` with eigenvalues shifted by ``lam_shift[label]``, and a NaN in the state at ``nan_at``."""
     shift = lam_shift or {}
-    states = spec.states.copy()
+    states = spec.states
     if nan_at is not None:
+        states = states.copy()
         states[0, spec.labels.index(nan_at)] = np.nan
     eigenvalues = spec.eigenvalues + [shift.get(lab, 0.0) for lab in spec.labels]
     return ObservableSpec(spec.name, spec.matrix, spec.labels, eigenvalues, states)
