@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Monomial, fold, identity, residual
+from .linalg import DEFAULT_TOL, Monomial, fold, identity, residual, residuals
 from .report import Report
 
 # multi_bell builds its word dense, 2^n x 2^n, on at most this many qubits;
@@ -159,9 +159,10 @@ def _nearest_residuals(count: int, build, mats: np.ndarray) -> np.ndarray:
     members with ``F2 <= d^2 ub^2 + slack`` can do better, where ``slack``
     is twice a bound on the rounding of both sides.  Those members get the
     exact ``max|P - w|``, and so does every member for a ``P`` whose row
-    of ``F2`` is not finite (a NaN or inf entry, or overflow).  Every
-    returned value is such an exact residual against a real member, so a
-    pruning error could only raise it, never lower it.
+    of ``F2`` is not finite (a NaN or inf entry, or overflow), except
+    ``w*``, whose residual ``ub`` already is.  Every returned value is such
+    an exact residual against a real member, so a pruning error could only
+    raise it, never lower it.
     """
     size = mats[0].size
     flat = mats.reshape(len(mats), size)
@@ -186,12 +187,44 @@ def _nearest_residuals(count: int, build, mats: np.ndarray) -> np.ndarray:
         bound += rel * (sq_p + bound) + floor
         near = f2 <= bound[:, None]
         near[~np.isfinite(f2.sum(axis=1))] = True
-        rows, cols = np.nonzero(near)
+        near[np.arange(len(prods)), best] = False
+        rows, cols = np.divmod(np.flatnonzero(near), len(mats))
         for k in range(0, rows.size, pair_step):
             r, c = rows[k:k + pair_step], cols[k:k + pair_step]
             np.minimum.at(ub, r, np.abs(prods[r] - mats[c]).max(axis=(1, 2)))
         out[lo:lo + len(prods)] = ub
     return out
+
+
+def _pair_products(stack: np.ndarray):
+    """``build(lo, hi)``: the ``(hi - lo, D, D)`` products ``stack[i] @ stack[j]`` of the pairs ``i N + j`` in ``[lo, hi)``.
+
+    Entry ``[(i, r), (j, c)]`` of ``stack.reshape(N D, D) @ stack.transpose(1,
+    0, 2).reshape(D, N D)`` is ``(stack[i] @ stack[j])[r, c]``.  A window
+    of pairs is at most three rectangles of that grid (the end of a row i,
+    whole rows, the start of a row), each one GEMM, so no product outside
+    the window is formed.
+    """
+    count, dim = stack.shape[:2]
+    left = stack.reshape(count * dim, dim)
+    right = stack.transpose(1, 0, 2).reshape(dim, count * dim)
+
+    def build(lo, hi):
+        out = np.empty((hi - lo,) + stack.shape[1:], dtype=stack.dtype)
+        start = lo
+        while start < hi:
+            i, j = divmod(start, count)
+            if j == 0 and hi - start >= count:
+                rows, stop = (hi - start) // count, count
+            else:
+                rows, stop = 1, min(count, j + hi - start)
+            grid = left[i * dim:(i + rows) * dim] @ right[:, j * dim:stop * dim]
+            view = out[start - lo:start - lo + rows * (stop - j)].reshape(rows, stop - j, dim, dim)
+            view[...] = grid.reshape(rows, dim, stop - j, dim).swapaxes(1, 2)
+            start += rows * (stop - j)
+        return out
+
+    return build
 
 
 def basis_group_check(words, d: int, tol: float = DEFAULT_TOL) -> Report:
@@ -208,17 +241,25 @@ def basis_group_check(words, d: int, tol: float = DEFAULT_TOL) -> Report:
         raise ValueError("empty candidate set")
     rep = Report("basis-group", {"d": d, "size": count}, tolerance=tol)
 
-    eye = identity(d)
-    rep.add("unitary", fold(residual(m.conj().T @ m, eye) for m in stack))
+    rep.add("unitary", fold(residuals(np.swapaxes(stack.conj(), -1, -2) @ stack, identity(d))))
 
-    def products(lo, hi):
-        i, j = np.divmod(np.arange(lo, hi), count)
-        return np.matmul(stack[i], stack[j])
-
-    dists = _nearest_residuals(count * count, products, stack).reshape(count, count)
+    dists = _nearest_residuals(count * count, _pair_products(stack), stack)
+    worst = fold(dists)
+    if not worst < tol:
+        # The GEMM and one product per pair round apart by at most half of
+        # ``slack``, so the pairs within ``slack`` of the worst are redone one
+        # product each: the worst pair and its residual then do not depend on
+        # how the BLAS rounds the GEMM.
+        mag = np.abs(stack)
+        slack = 16 * (stack.shape[1] + 2) * np.finfo(float).eps * (mag.sum(axis=2).max() * mag.max() + worst)
+        near = np.flatnonzero(~(dists < worst - slack))
+        left, right = np.divmod(near, count)
+        dists[near] = _nearest_residuals(
+            near.size, lambda lo, hi: np.matmul(stack[left[lo:hi]], stack[right[lo:hi]]), stack
+        )
+        worst = fold(dists)
     # argmax returns the first NaN if there is one, else the first worst pair.
-    i, j = np.unravel_index(np.argmax(dists), dists.shape)
-    worst = fold(dists.flat)
+    i, j = np.divmod(np.argmax(dists), count)
     rep.add("closure-mul" + (f" witness=({i},{j})" if not worst < tol else ""), worst)
 
     adjoints = stack.conj().transpose(0, 2, 1)

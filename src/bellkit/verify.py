@@ -235,12 +235,41 @@ def _trial_matrices(local: int, trials: int, rng: np.random.Generator) -> tuple[
 
 
 def _gram_residuals(fam: BasisFamily, ms: np.ndarray, side: str) -> np.ndarray:
-    """Gram residual of ``fam`` extended by each M of the stack ``ms``, extended and Grammed in blocks."""
-    eye = np.eye(len(fam.labels))
-    out = []
-    for block in blocks(len(ms), len(fam.labels) * fam.dim, BLOCK_ENTRIES):
-        out.extend(residual(gram, eye) for gram in gram_matrix(extend_basis(fam, ms[block], side)))
-    return np.array(out)
+    """Gram residual of the Bell family ``fam`` extended on ``side`` by each M of the ``(T, D, D)`` stack ``ms``.
+
+    The left Gram is ``<vec(M U_a), vec(M U_b)> / D = tr(U_a^dag H U_b) /
+    D`` with ``H = M^dag M``, so with ``U_a[r_a[j], j] = p_a[j]`` it is
+    ``G_ab = (1/D) sum_j conj(p_a[j]) p_b[j] H[r_a[j], r_b[j]]``: M enters
+    only through ``H``, and no extended state is formed.  The right Gram
+    ``tr(M^dag U_a^dag U_b M) / D`` is the same sum over the transposed
+    words ``U_a^T`` (row maps ``r_a^-1``, phases ``p_a[r_a^-1]``) with ``H =
+    (M M^dag)^T``.  Labels of one row map (``bell.word_groups``) share
+    ``r_a``.  For each group g, the Gram blocks ``(g, h)``, ``h >= g``, of a
+    block of trials are one GEMM: the phases ``P_h[b, j]`` scaled by
+    ``H[m_g[j], m_h[j]] / D``, times ``conj(P_g)^T``.  As G is Hermitian,
+    these blocks hold every entry or its conjugate.  Each array holds at
+    most ``BLOCK_ENTRIES`` entries, or one trial's.
+    """
+    rows, phase = fam.words
+    order, maps = word_groups(rows)
+    if side == "left":
+        tiles, hs = phase[order], np.swapaxes(ms.conj(), -1, -2) @ ms
+    else:
+        tiles = np.take_along_axis(phase, np.argsort(rows, axis=-1), axis=-1)[order]
+        maps, hs = np.argsort(maps, axis=-1), ms.conj() @ np.swapaxes(ms, -1, -2)
+    groups, size, local = tiles.shape
+    hs /= local
+    eye = np.eye(size)
+    out = np.zeros(len(ms))
+    for g, rows_g in enumerate(maps):
+        for block in blocks(len(ms), (groups - g) * size * local, BLOCK_ENTRIES):
+            part = hs[block]
+            # scaled[t, h - g, b, j] = H[m_g[j], m_h[j]] P_h[b, j] / D; gram[t, h - g, b, a] = G[(g, a), (h, b)]
+            scaled = part[:, rows_g, maps[g:]][:, :, None, :] * tiles[g:]
+            gram = (scaled.reshape(-1, local) @ tiles[g].conj().T).reshape(len(part), groups - g, size, size)
+            gram[:, 0] -= eye
+            np.maximum(out[block], np.abs(gram).max(axis=(1, 2, 3)), out=out[block])
+    return out
 
 
 def basis_theorem_suite(
@@ -259,7 +288,8 @@ def basis_theorem_suite(
     trial, counted from 0, as `` witness=trial <t>``: the first NaN one,
     else the worst (unitary) or best (non-unitary) one.  Each side's
     trials are drawn in stacked blocks, in the per-trial order
-    (``_trial_matrices``), and extended and Grammed in stacked blocks.
+    (``_trial_matrices``), and each trial's Gram is taken from ``M^dag M``
+    or ``M M^dag`` and the words (``_gram_residuals``), in stacked blocks.
     """
     if (d is None) == (n is None):
         raise ValueError("give exactly one of d (qudit) or n (multi-qubit)")

@@ -65,6 +65,7 @@ from bellkit.linalg import (
 )
 from bellkit.pauli import (
     _nearest_residuals,
+    _pair_products,
     word,
     basis_group_check,
     omega_root,
@@ -74,7 +75,7 @@ from bellkit.pauli import (
 )
 from bellkit.report import Report
 from bellkit.cli import _run_teleport
-from bellkit import teleport
+from bellkit import pauli, teleport
 from bellkit.teleport import (
     QUDIT_VARIANTS,
     _Setting,
@@ -87,6 +88,7 @@ from bellkit import verify
 from bellkit.verify import (
     BasisFamily,
     ObservableSpec,
+    _gram_residuals,
     _tiled_phases,
     _trial_matrices,
     _word_eigen_residuals,
@@ -96,6 +98,7 @@ from bellkit.verify import (
     conjugated_observables,
     extend_basis,
     gram_check,
+    gram_matrix,
     multiqubit_observables,
     perturbed_nonunitary,
     qudit_observable_suite,
@@ -924,6 +927,45 @@ def test_adversarial_sets_fail_with_witnesses():
     assert rep.cases[1].case_id == "closure-mul witness=(0,7)" and np.isnan(rep.cases[1].residual)
 
 
+@pytest.mark.parametrize("name", ["qudit-3", "multi-2", "qudit-3-nan", "qudit-3-inf", "qudit-2-haar"])
+def test_pair_products_equal_per_pair_matmul(name):
+    """Windows that start and stop inside a row i, span whole rows, or hold one product."""
+    stack = np.array(BASIS_GROUP_SETS[name][0](), dtype=complex)
+    count = len(stack)
+    want = np.array([a @ b for a in stack for b in stack])
+    build = _pair_products(stack)
+    windows = [(0, count * count), (1, count + 2), (count - 1, count + 1), (2, 3 * count + 1), (count, 3 * count),
+               (count * count - 1, count * count), (3, 4)]
+    for lo, hi in windows:
+        got = build(lo, hi)
+        assert got.shape == (hi - lo,) + stack.shape[1:]
+        # NaN and inf must sit at the same entries
+        np.testing.assert_allclose(got, want[lo:hi], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", [n for n in BASIS_GROUP_SETS if not _dense_basis_group(n)[2].cases[1].passed])
+def test_closure_witness_does_not_depend_on_product_rounding(name, seed, monkeypatch):
+    """Closure products rounded a few ulps away from ``a @ b`` still give the oracle's witness and worst residual.
+
+    Another BLAS may round the closure GEMM otherwise; pairs tied with the
+    worst to an ulp (``qudit-3-perturbed-1e-6`` has two 1.1e-16 apart)
+    must not trade places.
+    """
+    words, d, old, _, _ = _dense_basis_group(name)
+    exact = pauli._pair_products
+    noise = 1 + 4 * np.finfo(float).eps * np.random.default_rng(seed).choice([-1, 0, 1], len(words) ** 2)
+
+    def rounded(stack):
+        build = exact(stack)
+        return lambda lo, hi: build(lo, hi) * noise[lo:hi, None, None]
+
+    monkeypatch.setattr(pauli, "_pair_products", rounded)
+    got, want = basis_group_check(words, d).cases[1], old.cases[1]
+    assert got.case_id == want.case_id
+    np.testing.assert_array_equal(got.residual, want.residual)
+
+
 @st.composite
 def basis_group_variants(draw):
     """A random subset of qudit_word_set(3) or qubit_word_set(1), perhaps with one entry moved."""
@@ -1239,12 +1281,48 @@ def test_trial_matrices_interleave_per_call_draws(trials):
 @pytest.mark.parametrize("trials", [1, 5, 50])
 @pytest.mark.parametrize("size", [{"d": 2}, {"d": 3}, {"d": 5}, {"d": 8}, {"d": 16}, {"n": 1}, {"n": 2}, {"n": 3}])
 def test_basis_theorem_suite_equals_per_trial_loop(size, trials, block, monkeypatch):
+    """The suite's Grams come from M^dag M (``_gram_residuals``), the loop's from the extended states:
+    the same sums in another order, so case ids and pass flags match and residuals agree to 1e-15."""
     if BLOCKS[block]:
         monkeypatch.setattr(verify, "BLOCK_ENTRIES", BLOCKS[block])
     seed = trials + sum(size.values())
-    assert basis_theorem_suite(**size, trials=trials, seed=seed).to_dict() == basis_theorem_loop(
-        **size, trials=trials, seed=seed
-    ).to_dict()
+    _assert_reports_match(
+        basis_theorem_suite(**size, trials=trials, seed=seed), basis_theorem_loop(**size, trials=trials, seed=seed)
+    )
+
+
+def _poisoned(m, value, row, col):
+    m = m.copy()
+    m[row, col] = value
+    return m
+
+
+@pytest.mark.parametrize("block", list(BLOCKS))
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize(
+    "size", [{"d": 2}, {"d": 3}, {"d": 4}, {"d": 5}, {"d": 6}, {"n": 1}, {"n": 2}, {"n": 3}]
+)
+def test_gram_residuals_match_extended_gram(size, side, block, monkeypatch):
+    """Each trial's Gram residual from M^dag M (or (M M^dag)^T) and the words against the Gram of the
+    extended states, for Haar, perturbed, NaN- and inf-bearing M, one Gram block per M or several."""
+    if BLOCKS[block]:
+        monkeypatch.setattr(verify, "BLOCK_ENTRIES", BLOCKS[block])
+    fam = bell_family(**size)
+    local = fam.words[0].shape[-1]
+    rng = np.random.default_rng(local)
+    haar = haar_unitary(local, rng, (3,))
+    perturbed = perturbed_nonunitary(local, rng, lead=(3,))
+    poisoned = [_poisoned(haar[0], np.nan, 1, 0), _poisoned(perturbed[1], np.nan, 0, local - 1),
+                _poisoned(perturbed[2], np.inf, local - 1, 0)]
+    ms = np.concatenate([haar, perturbed, poisoned])
+    eye = np.eye(len(fam.labels))
+    want = [residual(gram_matrix(extend_basis(fam, m, side)), eye) for m in ms]
+    got = _gram_residuals(fam, ms, side)
+    assert got.shape == (len(ms),)
+    # NaN and inf must sit at the same trials
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+    assert not np.isfinite(got[6:]).any() and np.isfinite(got[:6]).all()
+    assert (got[:3] < 1e-12).all() and (got[3:6] > 1e-3).all()
 
 
 @pytest.mark.parametrize("block", list(BLOCKS))
@@ -1405,7 +1483,9 @@ def test_nan_phase_gives_nan_residuals(size, monkeypatch):
     assert np.isnan(completeness_check(poisoned).cases[0].residual)
     assert np.isnan(reduced_completeness(poisoned.words, random_matrix(local, np.random.default_rng(0))))
     for side in ("left", "right"):
-        assert np.isnan(extend_basis(poisoned, haar_unitary(local, np.random.default_rng(1)), side).states[1]).any()
+        m = haar_unitary(local, np.random.default_rng(1))
+        assert np.isnan(extend_basis(poisoned, m, side).states[1]).any()
+        assert np.isnan(_gram_residuals(poisoned, m[None], side)).all()
     if "n" in size:
         spec = multiqubit_observables(size["n"])[0]
         per_state = _word_eigen_residuals(spec.matrix, poisoned.words, spec.eigenvalues)

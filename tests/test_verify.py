@@ -352,17 +352,23 @@ def test_nan_residual_fails_must_pass_fold(monkeypatch):
     assert not rep.passed
 
 
-def test_nan_residual_fails_expect_fail_control(monkeypatch):
-    import bellkit.verify as verify
+def _with_nan(m, *args):
+    m = m.copy()
+    m[0, 1] = np.nan
+    return m
 
-    # every non-unitary extension's Gram residual (those above 1e-3) reads NaN
-    monkeypatch.setattr(
-        verify, "residual", lambda a, b: r if (r := residual(a, b)) < 1e-3 else float("nan")
-    )
+
+def test_nan_residual_fails_expect_fail_control(monkeypatch):
+    # one non-unitary M per side carries a NaN: trial 1 on the left (call 0), trial 2 on the right (call 1)
+    _patch_trials(monkeypatch, {(0, 1, 1): _with_nan, (1, 1, 2): _with_nan})
     rep = basis_theorem_suite(d=2, trials=3, seed=11)
     controls = [c for c in rep.cases if c.case_id.startswith("nonunitary")]
     assert len(controls) == 2
     assert all(np.isnan(c.residual) and not c.passed for c in controls)
+    assert [c.case_id for c in controls] == [
+        "nonunitary-extensions-left (3 trials) witness=trial 1",
+        "nonunitary-extensions-right (3 trials) witness=trial 2",
+    ]
     assert not rep.passed
 
 
