@@ -12,9 +12,10 @@ risk in this whole domain, so both are first-class.
 Bell states and the twist are built without Kronecker products with
 the identity: Bell states are reshaped operators (``bell_vector``), and
 the Bell-basis expansion is a Walsh-Hadamard transform.  The twist, the
-SWAP circuits and the spin-flip ``(ZX)^(2n)`` of the concurrence oracle
-are monomial operators (``linalg.Monomial``): checked and applied from
-their index and phase arrays, never as dense 4^n x 4^n matrices.
+SWAP circuits, the spin-flip ``(ZX)^(2n)`` of the concurrence oracle and
+the words of a whole Bell family (``bell_unitaries``, one stack) are
+monomial operators (``linalg.Monomial``): checked and applied from their
+index and phase arrays, never as dense 4^n x 4^n matrices.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from .linalg import Monomial, basis_state, fold, identity, permutation, random_state, residual
-from .pauli import DENSE_MAX_N, _word_entries, as_bits, bits_to_int, word
+from .pauli import DENSE_MAX_N, as_bits, bits_to_int, word
 from .report import Report
 
 _NORM_TOL = 1e-10
@@ -71,29 +72,22 @@ class Circuit:
         self.append("SWAP", a, b)
 
     def to_monomial(self) -> Monomial:
-        """The unitary of a circuit of SWAP, X, Z and CNOT gates, as a monomial.
+        """The unitary of a circuit of SWAP and CNOT gates, a permutation, as a monomial.
 
         Each column's output ket is tracked as one bit array per wire: a
-        SWAP swaps two wires' arrays, X and CNOT flip bits, and Z multiplies
-        the column phases by ``(-1)^bit``.  H has no monomial form and is
-        refused.
+        SWAP swaps two wires' arrays and a CNOT flips the target's bits
+        where the control's are set.
         """
-        if any(name == "H" for name, _ in self.gates):
-            raise ValueError("a circuit with H gates is not a monomial operator")
+        if any(name not in ("SWAP", "CNOT") for name, _ in self.gates):
+            raise ValueError("only a circuit of SWAP and CNOT gates is built as a monomial")
         cols = np.arange(2**self.wires)
         bits = [(cols >> (self.wires - 1 - q)) & 1 for q in range(self.wires)]
-        phase = np.ones(cols.size)
         for name, qs in self.gates:
             if name == "SWAP":
                 bits[qs[0]], bits[qs[1]] = bits[qs[1]], bits[qs[0]]
-            elif name == "X":
-                bits[qs[0]] = bits[qs[0]] ^ 1
-            elif name == "CNOT":
-                bits[qs[1]] = bits[qs[1]] ^ bits[qs[0]]
             else:
-                phase = phase * (1 - 2 * bits[qs[0]])
-        rows = sum(b << (self.wires - 1 - q) for q, b in enumerate(bits))
-        return Monomial(rows, phase)
+                bits[qs[1]] = bits[qs[1]] ^ bits[qs[0]]
+        return Monomial(sum(b << (self.wires - 1 - q) for q, b in enumerate(bits)))
 
     def to_qasm(self) -> str:
         """OpenQASM 2.0 text; gate order is construction order, bit-exact."""
@@ -116,18 +110,16 @@ def omega(d: int) -> np.ndarray:
     return bell_vector(identity(d))
 
 
-def bell_vector(t: np.ndarray, m: np.ndarray | None = None) -> np.ndarray:
-    """``(T x M)|Omega> = vec(T M^T) / sqrt(D)``, with ``M = 1`` when omitted.
+def bell_vector(t: np.ndarray) -> np.ndarray:
+    """``(T x 1)|Omega> = vec(T) / sqrt(D)``.
 
     ``|Omega> = sum_i |ii> / sqrt(D)``, so the amplitude of ``|jk>`` is
-    ``(T M^T)[j, k] / sqrt(D)``: the row-major flattening of one D x D
-    matrix, scaled by ``1/sqrt(D)`` (``omega`` is ``T = 1``).  No D^2 x D^2
+    ``T[j, k] / sqrt(D)``: the row-major flattening of one D x D matrix,
+    scaled by ``1/sqrt(D)`` (``omega`` is ``T = 1``).  No D^2 x D^2
     Kronecker product is formed.  A ``(K, D, D)`` stack of ``T`` gives
     the ``(K, D^2)`` stack of states.
     """
     t = np.asarray(t, dtype=complex)
-    if m is not None:
-        t = t @ np.asarray(m).T
     # scaling into a C-ordered result flattens a strided (transposed) stack in the same pass
     return np.multiply(t, 1.0 / np.sqrt(t.shape[-1]), order="C").reshape(t.shape[:-2] + (-1,))
 
@@ -328,18 +320,19 @@ def all_labels(n: int):
             yield a, b
 
 
-def bell_unitaries(d: int | None = None, n: int | None = None) -> tuple[list, tuple[np.ndarray, np.ndarray]]:
-    """Labels and the words ``U_a`` of a Bell basis ``(U_a x 1)|Omega>``, as one ``(rows, phase)`` pair.
+def bell_unitaries(d: int | None = None, n: int | None = None) -> tuple[list, Monomial]:
+    """Labels and the words ``U_a`` of a Bell basis ``(U_a x 1)|Omega>``, as one ``(K, D)`` stack.
 
     Give exactly one size.  A qudit (``d``) has labels ``(alpha, beta)``
     in ``0..d-1`` and ``U_a = Z^alpha X^beta``; n qubits (``n``) have the
     bit-string labels of ``all_labels(n)`` and ``U_a = T(alpha beta)``.
-    Labels are lexicographic.  Every word is a monomial matrix, and the
-    family is held as two ``(K, D)`` arrays from ``pauli._word_entries``:
-    ``U_a[rows[a, j], j] = phase[a, j]``, each ``rows[a]`` a permutation.
-    No dense ``(K, D, D)`` stack is formed; readers gather with ``compose``
-    and group by row map with ``word_groups``.  The n-qubit phases are
-    real signs, so ``T^T = T^dag``.
+    Labels are lexicographic.  Every word is a monomial matrix, so the
+    family is one stacked ``Monomial`` (``pauli.word``): ``U_a[perm[a, j],
+    j] = phase[a, j]``.  Its readers take products with M on either side
+    (``M @ words``, ``words @ M``), group the labels by row map
+    (``word_groups``) or, for dense operators, take the dense states
+    ``bell_vector(words.dense())``.  The n-qubit phases are real signs, so
+    ``T^T = T^dag``.
     """
     if (d is None) == (n is None):
         raise ValueError("give exactly one of d (qudit) or n (n qubits)")
@@ -347,59 +340,30 @@ def bell_unitaries(d: int | None = None, n: int | None = None) -> tuple[list, tu
         labels, shape = list(product(range(d), repeat=2)), (d, d)
     else:
         labels, shape = list(all_labels(n)), (2**n, 2**n)
-    return labels, _word_entries(*np.indices(shape).reshape(2, -1, 1), 0, n=n, d=d)
+    return labels, word(*np.indices(shape).reshape(2, -1, 1), n=n, d=d)
 
 
-def compose(words, m: np.ndarray, side: str) -> np.ndarray:
-    """``M U_a`` (``side="left"``) or ``U_a M`` (``"right"``) for every word of ``words = (rows, phase)``.
-
-    Column j of ``M U_a`` is column ``rows[a, j]`` of M times
-    ``phase[a, j]``, a column gather; row ``rows[a, j]`` of ``U_a M`` is
-    row j of M times ``phase[a, j]``, a row gather through the inverse
-    permutation of ``rows[a]``.  No product with a dense word is formed.
-    M is ``(..., r, D)`` on the left and ``(..., D, c)`` on the right, and
-    a stack of M gives one stack of products per M: ``(..., K, r, D)`` or
-    ``(..., K, D, c)``.
-    """
-    rows, phase = words
-    m = np.asarray(m)
-    if side == "left":
-        # gather the rows of M^T, then read the result transposed back
-        return np.swapaxes(np.swapaxes(m, -1, -2)[..., rows, :] * phase[:, :, None], -1, -2)
-    inverse = np.argsort(rows, axis=-1)
-    return m[..., inverse, :] * np.take_along_axis(phase, inverse, axis=-1)[:, :, None]
-
-
-def word_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The labels of a family ``(rows, phase)`` grouped by row map, for batched products over the groups.
+def word_groups(words: Monomial) -> tuple[np.ndarray, np.ndarray]:
+    """The labels of a family of words grouped by row map, for batched products over the groups.
 
     Returns ``order``, the ``(G, K / G)`` label indices of each group in
     label order, and ``maps``, the ``(G, D)`` row map each group shares.
-    The states of group g have their nonzeros at the positions ``(maps[g,
-    j], j)`` of the D x D grid of ``|jk>``.  A Bell family has one group
-    per shift, and the groups' supports partition the D^2 positions, so
-    two groups' states share no nonzero.  Otherwise None: groups of
-    unequal size (a label repeated), or supports that overlap or leave a
-    gap (a shift repeated or dropped).  A partition has D maps, one per
-    entry of column 0, so the labels are grouped by ``rows[:, 0]``; two
-    different maps in one group overlap there.  One integer count then
-    checks the partition.
+    The states ``(U_a x 1)|Omega>`` of group g have their nonzeros at the
+    positions ``(maps[g, j], j)`` of the D x D grid of ``|jk>``.  A Bell
+    family has one group per shift, and the groups' supports partition
+    the D^2 positions, so two groups' states share no nonzero.  Any other
+    family raises ValueError: no words, groups of unequal size (a label
+    repeated), or supports that overlap or leave a gap (a shift repeated or
+    dropped).  A partition has D maps, one per entry of column 0, so the
+    labels are grouped by ``perm[:, 0]``; two different maps in one group
+    overlap there.  One integer count then checks the partition.
     """
+    rows = words.perm
     count, local = rows.shape
-    if count % local or (np.bincount(rows[:, 0], minlength=local) != count // local).any():
-        return None
-    order = np.argsort(rows[:, 0], kind="stable").reshape(local, -1)
-    maps = rows[order[:, 0]]
-    cover = np.bincount((maps * local + np.arange(local)).ravel(), minlength=local * local)
-    if np.count_nonzero(cover != 1) or (rows[order] != maps[:, None]).any():
-        return None
-    return order, maps
-
-
-def family_states(words) -> np.ndarray:
-    """The ``(K, D^2)`` stack of states ``(U_a x 1)|Omega>``: entry j of ``U_a`` at ``rows[a, j] * D + j``, over ``sqrt(D)``."""
-    rows, phase = words
-    count, dim = rows.shape
-    out = np.zeros((count, dim * dim), dtype=np.result_type(phase, complex))
-    out[np.arange(count)[:, None], rows * dim + np.arange(dim)] = phase * (1.0 / np.sqrt(dim))
-    return out
+    if count and not count % local and (np.bincount(rows[:, 0], minlength=local) == count // local).all():
+        order = np.argsort(rows[:, 0], kind="stable").reshape(local, -1)
+        maps = rows[order[:, 0]]
+        cover = np.bincount((maps * local + np.arange(local)).ravel(), minlength=local * local)
+        if not np.count_nonzero(cover != 1) and (rows[order] == maps[:, None]).all():
+            return order, maps
+    raise ValueError(f"the row maps of these {count} words do not tile the {local}^2 positions of a Bell family")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bell import all_labels, bell2, bell_vector, product_ket, qudit_bell, twist_monomial
 from .linalg import DEFAULT_TOL, apply_local, dagger, fold, identity, random_state, real_if_real, residual
-from .pauli import _word_entries, pauli_gate, word, word_stack
+from .pauli import pauli_gate, word
 from .report import Report
 
 _SIGNS = (1, -1)
@@ -284,17 +284,15 @@ def _teleport_rhs(table, psi: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``(1/D) sum_out |rows[out]> x U(ab, out) psi`` for each resource ket ab of ``table``.
 
     ``table`` holds ``(R, K)`` word exponents (``outcome_table`` or some of
-    its rows) and ``rows[out]`` is the product ket of outcome ``out``.  Each
-    word acts on psi, ``(D,)`` or ``(D, P)``, by its ``_word_entries`` rows
-    and phases, scattered into one ``(R, K * D, ...)`` array.
+    its rows) and ``rows[out]`` is the product ket of outcome ``out``.  The
+    ``(R, K)`` stack of words acts on psi, ``(D,)`` or ``(D, P)``, in one
+    ``apply``, and each product lands in its outcome's block of one ``(R,
+    K * D, ...)`` array.
     """
     z, x, g = (t[..., None] for t in table)
     dim = psi.shape[0]
-    entries, phase = _word_entries(z, x, g, n=dim.bit_length() - 1)
     out = np.zeros(z.shape[:2] + psi.shape, dtype=complex)
-    out[np.arange(len(z))[:, None, None], rows[:, None], entries] = (
-        phase.reshape(phase.shape + (1,) * (psi.ndim - 1)) * psi / dim
-    )
+    out[:, rows] = word(z, x, g, n=dim.bit_length() - 1).apply(psi) / dim
     return out.reshape((len(z), -1) + psi.shape[1:])
 
 
@@ -378,7 +376,7 @@ def braid_teleport_single_check(
     eye, x, z = (pauli_gate(name) for name in "IXZ")
     x_b, z_c = (np.where(e[:, None, None] == 1, gate, eye) for e, gate in ((b, x), (c, z)))
     u_abc = (1.0 - 2.0 * a)[:, None, None] * x_b @ z_c
-    rep.add("abc-route-equals-word-route", residual(word_stack(*(t.T for t in table), n=1), u_abc))
+    rep.add("abc-route-equals-word-route", residual(word(*(t.T for t in table), n=1).dense(), u_abc))
     return rep
 
 

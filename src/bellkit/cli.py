@@ -83,12 +83,11 @@ def _unused(runner, branch: str, **values) -> None:
 
 
 def _suite_gram(tol, seed, *, family: Family = "qudit", d: int = 2, n: int = 2) -> Report:
-    return verify.gram_check(verify.bell_family(**_size(_suite_gram, d, n, family=family)), tol)
+    return verify.gram_check(bell.bell_unitaries(**_size(_suite_gram, d, n, family=family))[1], tol)
 
 
 def _suite_completeness(tol, seed, *, family: Family = "qudit", d: int = 2, n: int = 2) -> Report:
-    size = _size(_suite_completeness, d, n, family=family)
-    return verify.completeness_check(verify.bell_family(**size), tol)
+    return verify.completeness_check(bell.bell_unitaries(**_size(_suite_completeness, d, n, family=family))[1], tol)
 
 
 def _suite_basis_theorem(

@@ -1,6 +1,6 @@
 """Linear-algebra kernel shared by all other modules: dense arrays, local
-operators, monomial (one nonzero per column) operators and the blocks in
-which a stack is walked.
+operators, monomial (one nonzero per column) operators and stacks of
+them, and the blocks in which a stack is walked.
 
 Conventions, fixed once here:
 
@@ -14,8 +14,11 @@ Conventions, fixed once here:
 * qudit ordering is big-endian: wire 0 is the most significant digit,
   so a basis ket labelled by the digit string ``s[0] s[1] ... s[k-1]``
   sits at flat index ``sum(s[q] * D**(k-1-q))``;
-* all equality checks are absolute-tolerance (``DEFAULT_TOL``); every
-  quantity handled here is O(1) so no relative tolerance is needed.
+* all equality checks are absolute-tolerance (``DEFAULT_TOL``).  Most
+  compared quantities are O(1) entries of unitaries and unit states, but
+  not all: the basis theorem's reduced completeness compares entries of
+  ``M^dag M``, which are O(D) for a Gaussian M, so its residual grows
+  with D while the tolerance does not.
 """
 
 from __future__ import annotations
@@ -86,33 +89,54 @@ def basis_state(dim: int, index: int) -> np.ndarray:
 
 
 class Monomial:
-    """Operator with one nonzero entry per column: ``M[perm[j], j] = phase[j]``.
+    """Operator with one nonzero entry per column, ``M[perm[j], j] = phase[j]``, or a stack of them.
 
-    Pauli and clock/shift words, digit permutations and gate-only SWAP/X/Z/CNOT
-    circuits are all of this form; held as a ``(perm, phase)`` pair of arrays
-    (the signed-permutation view of Aaronson-Gottesman, with phases kept
-    numeric) they multiply, invert, act on states and compare by
-    ``residual`` in O(D) instead of as dense D x D operators.  ``perm``
-    must be a bijection on ``0..D-1``.  ``phase`` keeps its dtype, at least
-    float64: real for n-qubit words and permutations, complex for qudit
-    words; ``@``, ``apply`` and ``dense`` give the operands' result type.
+    Pauli and clock/shift words, a whole Bell family of them, digit
+    permutations and SWAP/CNOT circuits are all of this form; held as a
+    ``(perm, phase)`` pair of arrays (the signed-permutation view of
+    Aaronson-Gottesman, with phases kept numeric) they multiply, invert,
+    act on states and compare by ``residual`` in O(D) instead of as dense
+    D x D operators.  ``perm`` and ``phase`` are ``(..., D)``: K words are
+    ``(K, D)`` arrays, ``M_a[perm[a, j], j] = phase[a, j]``, indexed on
+    their leading axes by ``[]``.  A product takes every operand with every
+    other, one single index each: ``m @ words`` and ``words @ m`` for a
+    dense ``m`` ``(..., r, D)`` or ``(..., D, c)`` are ``(..., K, r, D)`` or
+    ``(..., K, D, c)``, one product per M and word, and a stack of K
+    words times one of L words is ``(K, L, D)``.  With one operand
+    unstacked this is ``matmul`` on the dense ``(..., D, D)`` stack
+    (``dense``).  Each row of ``perm`` must be a bijection on ``0..D-1``.
+    ``phase`` keeps its dtype, at least float64: real for n-qubit words and
+    permutations, complex for qudit words; products give the operands'
+    result type.
     """
 
     __slots__ = ("perm", "phase")
+    # numpy defers ``m @ words``, for a dense m, to ``__rmatmul__``
+    __array_ufunc__ = None
 
     def __init__(self, perm, phase=None):
         perm = np.asarray(perm, dtype=np.intp)
-        if perm.ndim != 1 or (np.bincount(perm, minlength=perm.size) != 1).any():
-            raise ValueError("perm must be a bijection on 0..D-1")
-        self.perm = perm
-        phase = np.ones(perm.size) if phase is None else np.asarray(phase)
-        self.phase = phase.astype(np.result_type(phase, float), copy=False)
-        if self.phase.shape != perm.shape:
-            raise ValueError(f"phase shape {self.phase.shape} does not match perm {perm.shape}")
+        _check_bijections(perm)
+        phase = np.ones(perm.shape) if phase is None else np.asarray(phase)
+        phase = phase.astype(np.result_type(phase, float), copy=False)
+        if phase.shape != perm.shape:
+            raise ValueError(f"phase shape {phase.shape} does not match perm {perm.shape}")
+        self.perm, self.phase = perm, phase
+
+    @classmethod
+    def _of(cls, perm: np.ndarray, phase: np.ndarray) -> Monomial:
+        """A monomial from arrays known to be valid (a product, transpose or slice of valid ones), unchecked."""
+        out = object.__new__(cls)
+        out.perm, out.phase = perm, phase
+        return out
 
     @property
     def dim(self) -> int:
-        return self.perm.size
+        return self.perm.shape[-1]
+
+    def __getitem__(self, key) -> Monomial:
+        """The words ``key`` of a stack, indexed on its leading axes."""
+        return Monomial._of(self.perm[key], self.phase[key])
 
     def __matmul__(self, other):
         """``self @ other``: a monomial for a monomial, else ``apply``."""
@@ -121,28 +145,69 @@ class Monomial:
         _same_dim(self, other)
         # column j of other has other.phase[j] in row other.perm[j], which
         # self sends to row self.perm[other.perm[j]]
-        return Monomial(self.perm[other.perm], self.phase[other.perm] * other.phase)
+        return Monomial._of(self.perm[..., other.perm], self.phase[..., other.perm] * other.phase)
+
+    def __rmatmul__(self, m) -> np.ndarray:
+        """``m @ self`` for a dense ``m`` ``(..., r, D)``: column j is column ``perm[j]`` of m times ``phase[j]``."""
+        # gather the rows of m^T, then read the result transposed back
+        return np.swapaxes(np.swapaxes(m, -1, -2)[..., self.perm, :] * self.phase[..., None], -1, -2)
+
+    @property
+    def T(self) -> Monomial:
+        """Transpose: column ``perm[j]`` gets ``phase[j]`` in row ``j``; the inverse row maps are one scatter."""
+        perm = self.perm.reshape(-1, self.dim)
+        words = np.arange(len(perm))[:, None]
+        inv = np.empty_like(perm)
+        inv[words, perm] = np.arange(self.dim)
+        phase = self.phase.reshape(perm.shape)[words, inv]
+        return Monomial._of(inv.reshape(self.perm.shape), phase.reshape(self.perm.shape))
 
     def adjoint(self) -> Monomial:
-        """Conjugate transpose: column ``perm[j]`` gets ``conj(phase[j])`` in row ``j``."""
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(self.dim)
-        return Monomial(inv, self.phase[inv].conj())
+        """Conjugate transpose."""
+        t = self.T
+        return Monomial._of(t.perm, t.phase.conj())
 
-    def apply(self, states: np.ndarray) -> np.ndarray:
-        """``M @ states`` for a state ``(D,)`` or a stack of states ``(D, K)``, by one scatter."""
-        states = np.asarray(states)
-        if states.shape[:1] != (self.dim,):
-            raise ValueError(f"cannot apply a {self.dim}-dim monomial to shape {states.shape}")
-        out = np.empty(states.shape, dtype=np.result_type(states, self.phase))
-        out[self.perm] = self.phase.reshape((-1,) + (1,) * (states.ndim - 1)) * states
-        return out
+    def apply(self, x) -> np.ndarray:
+        """``self @ x``, x a state ``(D,)`` or dense ``(..., D, C)``: row j of x times ``phase[j]`` goes to row ``perm[j]``."""
+        x = np.asarray(x)
+        cols = x[:, None] if x.ndim == 1 else x
+        if cols.shape[-2:-1] != (self.dim,):
+            raise ValueError(f"cannot apply a {self.dim}-dim monomial to shape {x.shape}")
+        perm = self.perm.reshape(-1, self.dim)
+        moved = cols[..., None, :, :] * self.phase.reshape(perm.shape)[..., None]
+        out = np.empty_like(moved)
+        out[..., np.arange(len(perm))[:, None], perm, :] = moved
+        out = out.reshape(cols.shape[:-2] + self.perm.shape + cols.shape[-1:])
+        return out[..., 0] if x.ndim == 1 else out
 
     def dense(self) -> np.ndarray:
-        """The D x D matrix, written in one scatter."""
-        mat = np.zeros((self.dim, self.dim), dtype=self.phase.dtype)
-        mat[self.perm, np.arange(self.dim)] = self.phase
+        """The ``(..., D, D)`` matrices, written in one scatter."""
+        mat = np.zeros(self.perm.shape + (self.dim,), dtype=self.phase.dtype)
+        np.put_along_axis(mat, self.perm[..., None, :], self.phase[..., None, :], -2)
         return mat
+
+
+# The bijection check walks a stack in blocks of rows of at most this many entries.
+_CHECK_ENTRIES = 2**16
+
+
+def _check_bijections(perm: np.ndarray) -> None:
+    """Raise ValueError unless every row of ``perm`` ``(..., D)``, D >= 1, is a bijection on ``0..D-1``.
+
+    Entry j of row r of a block is counted at ``r D + perm[r, j]``.  With
+    no entry negative, each count is 1 exactly when each row is a
+    bijection: an entry past D - 1 leaves its own row's bins one short.
+    Blocks of ``_CHECK_ENTRIES`` keep the counts small.
+    """
+    if not perm.ndim or not perm.shape[-1]:
+        raise ValueError("perm must be a bijection on 0..D-1, D >= 1")
+    dim = perm.shape[-1]
+    flat = perm.reshape(-1, dim)
+    for block in blocks(len(flat), dim, _CHECK_ENTRIES):
+        part = flat[block]
+        offsets = np.arange(0, part.size, dim)[:, None]
+        if part.min() < 0 or (np.bincount((part + offsets).ravel(), minlength=part.size) != 1).any():
+            raise ValueError("perm must be a bijection on 0..D-1")
 
 
 def _same_dim(a: Monomial, b) -> None:
@@ -190,8 +255,6 @@ def residual(a, b) -> float:
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch in residual: {a.shape} vs {b.shape}")
-    if a.size == 0:
-        return 0.0
     return float(np.abs(a - b).max())
 
 

@@ -3,9 +3,10 @@
 Covers the qubit gates X, Z, H, and the one formula for words: n-qubit
 tensor words ``T(ab) = (-1)^g  prod_k Z^{a_k} X^{b_k}`` and qudit words
 ``omega^g Z^a X^b`` (omega = exp(2 pi i / d), ``ZX = omega XZ``), built
-from integer exponents as monomial operators (``word``), as a family's
-``(rows, phase)`` pair (``_word_entries``), or, for the basis-group
-candidate sets and braid's table check, as a dense stack (``word_stack``).
+from integer exponents as one ``linalg.Monomial`` (``word``): one word
+from scalar exponents, a stack of K words (a Bell family, the basis-group
+candidate sets) from ``(K, 1)`` arrays.  A dense stack is that
+monomial's ``dense()``.
 
 Phases are never floated through matrices when combining words: signs
 and phases are integer exponents, so the braid outcome table, which adds
@@ -115,17 +116,15 @@ def _word_entries(a, b, g, n: int | None = None, d: int | None = None):
     return rows, roots[g % d] * roots[a * rows % d]
 
 
-def word(a: int, b: int, g: int = 0, n: int | None = None, d: int | None = None) -> Monomial:
-    """The word ``(-1)^g Z^a X^b`` on n qubits, or ``omega^g Z^a X^b`` on one qudit, as a monomial."""
-    return Monomial(*_word_entries(a, b, g, n, d))
+def word(a, b, g=0, n: int | None = None, d: int | None = None) -> Monomial:
+    """The word ``(-1)^g Z^a X^b`` on n qubits, or ``omega^g Z^a X^b`` on one qudit, as a monomial.
 
-
-def word_stack(a, b, g=0, n: int | None = None, d: int | None = None) -> np.ndarray:
-    """The ``(K, D, D)`` stack of words with ``(K, 1)`` exponents (``_word_entries``), in one scatter."""
-    rows, phase = _word_entries(a, b, g, n, d)
-    out = np.zeros(rows.shape + rows.shape[-1:], dtype=complex)
-    out[np.arange(len(rows))[:, None], rows, np.arange(rows.shape[-1])] = phase
-    return out
+    Scalar exponents give one word; ``(K, 1)`` arrays give the ``(K, D)``
+    stack of K words (``_word_entries``).  The formula gives a permutation
+    for every n-bit ``b`` (a qudit's shift is taken mod d), so the words
+    are not checked again.
+    """
+    return Monomial._of(*_word_entries(a, b, g, n, d))
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +133,13 @@ def word_stack(a, b, g=0, n: int | None = None, d: int | None = None) -> np.ndar
 
 def qubit_word_set(n: int) -> np.ndarray:
     """All 2 * 4^n signed words, the candidate basis group at d=2^n: (z, x) lexicographic, each + then -."""
-    return word_stack(*np.indices((2**n, 2**n, 2)).reshape(3, -1, 1), n=n)
+    return word(*np.indices((2**n, 2**n, 2)).reshape(3, -1, 1), n=n).dense()
 
 
 def qudit_word_set(d: int) -> np.ndarray:
     """All d^3 phase-decorated qudit words omega^g Z^a X^b, in (g, a, b) lexicographic order."""
     g, a, b = np.indices((d, d, d)).reshape(3, -1, 1)
-    return word_stack(a, b, g, d=d)
+    return word(a, b, g, d=d).dense()
 
 
 # Each temporary of the closure check holds at most this many bytes, so the

@@ -42,7 +42,6 @@ from .bell import (
     all_labels,
     bell_unitaries,
     bell_vector,
-    compose,
     multi_bell,
     omega,
     pair_product_bell,
@@ -97,13 +96,13 @@ class _Setting:
     ``variant`` is the full name (an alias resolved), ``size`` the one
     size the report records, ``{"d": d}`` or ``{"n": n}`` (``basic2``
     fixes d = 2), and ``dim`` is D.  ``labels`` and ``words``, the
-    family's ``(rows, phase)`` pair with ``U_a[rows[a, j], j] =
-    phase[a, j]``, follow ``bell_unitaries`` order, and ``order`` and
-    ``maps`` group the labels by row map (``bell.word_groups``).  Every
-    side is a gather of the pair or a product over the groups: no K x D x D
-    stack of ``U_a`` and no K x D^2 stack of measurement vectors is
-    formed.  ``use(m)`` sets M, and ``send(psi)`` sets psi and builds the
-    right sides' one matrix ``q``.
+    family's stacked ``Monomial`` with ``U_a[perm[a, j], j] = phase[a,
+    j]``, follow ``bell_unitaries`` order, and ``order`` and ``maps`` group
+    the labels by row map (``bell.word_groups``).  Every side is a product
+    of the words with M or a product over the groups: no K x D x D stack of
+    ``U_a`` and no K x D^2 stack of measurement vectors is formed.
+    ``use(m)`` sets M, and ``send(psi)`` sets psi and builds the right
+    sides' one matrix ``q``.
     """
 
     def __init__(self, check: str, variant: str, d: int | None = None, n: int | None = None):
@@ -116,8 +115,8 @@ class _Setting:
             raise ValueError(f"variant {variant} needs {family}")
         self.size = {family: size}
         self.labels, self.words = bell_unitaries(**self.size)
-        self.dim = self.words[0].shape[-1]
-        self.order, self.maps = word_groups(self.words[0])
+        self.dim = self.words.dim
+        self.order, self.maps = word_groups(self.words)
 
     def use(self, m: np.ndarray) -> None:
         """Set M; only the teleport-eq 11 forms hold for any square M."""
@@ -128,8 +127,7 @@ class _Setting:
 
     def _operators(self, b) -> np.ndarray:
         """``M U_b`` in form 22, ``U_b M^T`` in form 11, for the label indices ``b``: ``(B, D, D)``."""
-        words = self.words[0][b], self.words[1][b]
-        return compose(words, self.m, "left") if self.form == 22 else compose(words, self.m.T, "right")
+        return self.m @ self.words[b] if self.form == 22 else self.words[b] @ self.m.T
 
     def resource(self, b) -> np.ndarray:
         """``|M Omega(b)>`` in form 22, ``(U_b x M)|Omega>`` in form 11, as a ``(B, D^2)`` stack
@@ -138,29 +136,25 @@ class _Setting:
 
     def meas(self, b) -> np.ndarray:
         """The ``(B, D^2)`` measurement vectors ``(U_a x M)|Omega>`` (form 22) or ``(U_a x 1)|Omega>`` (form 11)."""
-        words = self.words[0][b], self.words[1][b]
-        return bell_vector(compose(words, self.m.T if self.form == 22 else identity(self.dim), "right"))
+        return bell_vector(self.words[b] @ self.m.T if self.form == 22 else self.words[b].dense())
 
     def meas_max(self) -> np.ndarray:
-        """``max|meas_a|`` of every label, from the pair: row ``rows[a, j]`` of ``U_a M^T`` is
+        """``max|meas_a|`` of every label, from the words: row ``perm[a, j]`` of ``U_a M^T`` is
         ``phase[a, j]`` times column j of M (form 22), of ``U_a`` just ``phase[a, j]`` (form 11)."""
-        scale = np.abs(self.words[1])
+        scale = np.abs(self.words.phase)
         if self.form == 22:
             scale = scale * np.abs(self.m).max(axis=0)
         return scale.max(axis=1) * (1.0 / np.sqrt(self.dim))
 
     def undone(self, psi: np.ndarray, corrupt: bool = False) -> np.ndarray:
-        """The ``(K, D)`` rows ``U_a^dag psi``: entry j is ``conj(phase[a, j]) psi[rows[a, j]]``, one gather.
+        """The ``(K, D)`` rows ``U_a^dag psi``: entry j is ``conj(phase[a, j]) psi[perm[a, j]]``, one gather.
 
         ``corrupt`` leaves ``U_a`` undaggered, the linearity-reduction
-        falsifiability control: ``U_a psi``, one scatter.
+        falsifiability control: ``U_a psi``.
         """
-        rows, phase = self.words
-        if not corrupt:
-            return phase.conj() * psi[rows]
-        out = np.empty(rows.shape, dtype=complex)
-        np.put_along_axis(out, rows, phase * psi, axis=1)
-        return out
+        if corrupt:
+            return self.words @ psi
+        return self.words.phase.conj() * psi[self.words.perm]
 
     def receivers(self, psi: np.ndarray) -> np.ndarray:
         """The K x D stack of receiver states ``[M] U_b^T U_a^dag psi`` at b = 0, ``[M]`` in form 11.
@@ -169,7 +163,7 @@ class _Setting:
         are a column gather of ``undone``, and a Pauli word is a real
         signed permutation, so ``T(b)^T = T^dag(b)``.
         """
-        outs = self.undone(psi)[:, self.words[0][0]] * self.words[1][0]
+        outs = self.undone(psi) @ self.words[0]
         return outs @ self.m.T if self.form == 11 else outs
 
     def send(self, psi: np.ndarray, corrupt: bool = False) -> None:
@@ -177,7 +171,7 @@ class _Setting:
 
         Label b's right side ``(1/D) sum_a meas_a x (U_a^dag psi)^T U_b [M^T]``
         is then ``q U_b [M^T]``, since ``U_b`` factors out of the sum.  In
-        form 11, ``meas_a`` holds ``phase[a, j] / sqrt(D)`` at ``(rows[a,
+        form 11, ``meas_a`` holds ``phase[a, j] / sqrt(D)`` at ``(perm[a,
         j], j)``, so ``q`` is one batched GEMM of the phases with ``undone``
         per row map, written at the map's positions, which the maps
         partition (``bell.word_groups``); form 22 then applies M on the
@@ -185,7 +179,7 @@ class _Setting:
         """
         dim = self.dim
         undone = self.undone(psi, corrupt)
-        per_map = np.swapaxes(self.words[1][self.order], -1, -2) @ undone[self.order]
+        per_map = np.swapaxes(self.words.phase[self.order], -1, -2) @ undone[self.order]
         q = np.zeros((dim * dim, dim), dtype=complex)
         q[(self.maps * dim + np.arange(dim)).ravel()] = per_map.reshape(-1, dim)
         q *= 1.0 / (dim * np.sqrt(dim))
@@ -205,15 +199,17 @@ class _Setting:
         blocks reuses one allocation instead of page-faulting a fresh one in
         on every block.
         """
-        rows, phase = self.words[0][labels], self.words[1][labels]
-        count, dim = rows.shape
+        words = self.words[labels]
+        count, dim = words.perm.shape
         if out is None:
             out = np.empty((2, count, dim**3), dtype=complex)
         lhs, rhs = out[0, :count], out[1, :count]
         ops = self._operators(labels)
         np.multiply(self.psi[:, None], bell_vector(ops)[:, None, :], out=lhs.reshape(count, dim, -1))
         if self.form == 22:
-            np.multiply(np.moveaxis(self.q[:, rows], 1, 0), phase[:, None, :], out=rhs.reshape(count, -1, dim))
+            # q @ words, written into the reused rows of ``out``
+            gathered = np.moveaxis(self.q[:, words.perm], 1, 0)
+            np.multiply(gathered, words.phase[:, None, :], out=rhs.reshape(count, -1, dim))
         else:
             np.matmul(self.q, ops, out=rhs.reshape(count, -1, dim))
         return lhs, rhs
@@ -221,7 +217,7 @@ class _Setting:
     def branches(self, prepared: np.ndarray) -> np.ndarray:
         """Every measurement branch ``(<meas_a| x 1) prepared``, for ``prepared`` as a D^2 x D matrix, as K rows.
 
-        ``<meas_a|`` holds ``conj(phase[a, j]) / sqrt(D)`` at ``(rows[a, j],
+        ``<meas_a|`` holds ``conj(phase[a, j]) / sqrt(D)`` at ``(perm[a, j],
         j)`` (form 11; form 22 first applies ``M^dag`` on the middle axis of
         ``prepared``), so the branches of one row map are one GEMM of its
         conjugated phases with the rows of ``prepared`` at its positions,
@@ -232,7 +228,7 @@ class _Setting:
             prepared = (self.m.conj().T @ prepared.reshape(dim, dim, dim)).reshape(dim * dim, dim)
         gathered = prepared[self.maps * dim + np.arange(dim)]
         out = np.empty((len(self.labels), dim), dtype=complex)
-        out[self.order] = (self.words[1][self.order].conj() @ gathered) * (1.0 / np.sqrt(dim))
+        out[self.order] = (self.words.phase[self.order].conj() @ gathered) * (1.0 / np.sqrt(dim))
         return out
 
 
@@ -391,11 +387,12 @@ def protocol_outcomes(
     if abs(probs.sum() - 1.0) > 1e-12:
         raise AssertionError(f"outcome probabilities sum to {probs.sum()}, not 1")
     # each post-measurement state corrected by U_a M^dag: M^dag on every state in one
-    # GEMM, rows (M^dag post_a)^T = post_a^T conj(M), then U_a by one scatter
+    # GEMM, rows (M^dag post_a)^T = post_a^T conj(M), then U_a by one scatter of
+    # phase times row (``words.apply`` multiplies row times phase: complex products
+    # need not commute bit for bit, and the fidelities have always been taken so)
     turned = (branches / norms[:, None]) @ setting.m.conj()
-    rows, phase = setting.words
     corrected = np.empty_like(turned)
-    np.put_along_axis(corrected, rows, phase * turned, axis=1)
+    np.put_along_axis(corrected, setting.words.perm, setting.words.phase * turned, axis=1)
     fidelities = np.abs(_row_dots(psi.conj(), corrected))
     name = "T({},{})" if qubits else "U({},{})·M†"
     names = [name.format(*label) for label in setting.labels]

@@ -12,10 +12,11 @@ two classes are cleanly separated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
-from .bell import bell_unitaries, bell_vector, compose, family_states, word_groups
+from .bell import bell_unitaries, bell_vector, word_groups
 from .linalg import (
     DEFAULT_TOL,
     Monomial,
@@ -24,11 +25,9 @@ from .linalg import (
     dagger,
     fold,
     haar_unitary,
-    identity,
     is_unitary,
     qr_unitary,
     random_matrix,
-    real_if_real,
     residual,
     residuals,
 )
@@ -46,133 +45,53 @@ BLOCK_ENTRIES = 2**12
 SIDES = ("left", "right")
 
 
-@dataclass
-class BasisFamily:
-    """A family of candidate basis states.
+def gram_check(words: Monomial, tol: float = DEFAULT_TOL) -> Report:
+    """``<s_a|s_b> = delta_ab`` over the Bell states ``s_a = (U_a x 1)|Omega>`` of the stacked ``words``.
 
-    ``dim`` is the total Hilbert-space dimension.  A Bell family
-    (``bell_family``) is held as its words: ``words`` is the ``(rows,
-    phase)`` pair of ``bell.bell_unitaries``, the state of label a is
-    ``(U_a x 1)|Omega>`` with ``U_a[rows[a, j], j] = phase[a, j]``, and
-    ``states`` is None, so no ``(K, dim)`` stack is formed; only the qudit
-    observable suite, whose operators are dense, adds the stack beside
-    the words.  Only a family with words can be extended by a matrix M.
-    Any other family holds the ``(K, dim)`` stack of its ``states``; a
-    family extended by a stack of M holds one stack per M, ``(..., K,
-    dim)``.
+    States of two row-map groups (``bell.word_groups``) share no nonzero,
+    so the Gram is one block per group, ``conj(P) P^T / D`` over the
+    group's ``(K / G, D)`` phases P, one batched product for all groups.
     """
-
-    dim: int
-    states: np.ndarray | None
-    labels: list
-    words: tuple[np.ndarray, np.ndarray] | None = None
-
-    def __post_init__(self):
-        if self.states is not None:
-            self.states = np.asarray(self.states)
-        if len(self.labels) > self.dim:
-            raise ValueError("more states than the space can accommodate")
-
-
-def bell_family(d: int | None = None, n: int | None = None) -> BasisFamily:
-    """The qudit (``d``) or n-qubit (``n``) Bell family ``(U_a x 1)|Omega>``, held as its words."""
-    labels, words = bell_unitaries(d=d, n=n)
-    return BasisFamily(words[0].shape[-1] ** 2, None, labels, words)
-
-
-def _states(fam: BasisFamily) -> np.ndarray:
-    """The ``(..., K, dim)`` states of ``fam``: its own stack, or the dense states of its words."""
-    return family_states(fam.words) if fam.states is None else fam.states
-
-
-def gram_matrix(fam: BasisFamily) -> np.ndarray:
-    """``<s_i|s_j>`` as one GEMM over the stacked states, or one per family of a stacked family."""
-    stack = real_if_real(_states(fam))
-    return stack.conj() @ np.swapaxes(stack, -1, -2)
-
-
-def _tiled_phases(fam: BasisFamily) -> np.ndarray | None:
-    """The phases of a Bell family's words stacked by row map, ``(G, K / G, D)``, or None.
-
-    When the groups' supports partition the D^2 positions
-    (``bell.word_groups``), states of two groups share no nonzero: their
-    Gram entries and their cross terms in the projector sum are exactly 0,
-    and every other entry lies in one group's block.  Any other family,
-    or one given by its states, gives None, and the checks read its dense
-    states, so an overlap or gap shows in the residual as the dense
-    product shows it.
-    """
-    groups = None if fam.words is None else word_groups(fam.words[0])
-    return None if groups is None else fam.words[1][groups[0]]
-
-
-def gram_check(fam: BasisFamily, tol: float = DEFAULT_TOL) -> Report:
-    """``<s_a|s_b> = delta_ab``; a Bell family's Gram is one block per row map (``_tiled_phases``).
-
-    Within group g it is ``conj(P) P^T / D`` over the group's ``(K / G,
-    D)`` phases P, one batched product for all groups.
-    """
-    count = len(fam.labels)
-    rep = Report("gram", {"size": count, "dim": fam.dim}, tolerance=tol)
-    if not count:
-        raise ValueError("empty family")
-    tiles = _tiled_phases(fam)
-    if tiles is None:
-        res = residual(gram_matrix(fam), np.eye(count))
-    else:
-        blocks = tiles.conj() @ np.swapaxes(tiles, -1, -2) / tiles.shape[-1]
-        res = residual(blocks, np.broadcast_to(np.eye(blocks.shape[-1]), blocks.shape))
-    rep.add("gram-vs-identity", res)
+    count, local = words.perm.shape
+    rep = Report("gram", {"size": count, "dim": local * local}, tolerance=tol)
+    tiles = words.phase[word_groups(words)[0]]
+    grams = tiles.conj() @ np.swapaxes(tiles, -1, -2) / local
+    rep.add("gram-vs-identity", residual(grams, np.broadcast_to(np.eye(grams.shape[-1]), grams.shape)))
     return rep
 
 
-def _projector_sum(stack: np.ndarray) -> np.ndarray:
-    """``sum_k |s_k><s_k|`` as one GEMM over the ``(K, D)`` stack of states."""
-    stack = real_if_real(stack)
-    return stack.T @ stack.conj()
+def completeness_check(words: Monomial, tol: float = DEFAULT_TOL) -> Report:
+    """``sum_a |s_a><s_a| = 1`` over the Bell states of the stacked ``words``.
 
-
-def completeness_check(fam: BasisFamily, tol: float = DEFAULT_TOL) -> Report:
-    """``sum_a |s_a><s_a| = 1``; a Bell family's sum is one block per row map (``_tiled_phases``).
-
-    On the positions ``(maps[g, j], j)`` of group g it is ``P^T conj(P) / D``
-    over the group's phases P, one batched product for all groups.
+    On the positions ``(maps[g, j], j)`` of row-map group g
+    (``bell.word_groups``) the sum is ``P^T conj(P) / D`` over the group's
+    phases P, one batched product for all groups, and 0 elsewhere.
     """
-    count = len(fam.labels)
-    rep = Report("completeness", {"size": count, "dim": fam.dim}, tolerance=tol)
-    tiles = _tiled_phases(fam)
-    if tiles is None:
-        res = residual(_projector_sum(_states(fam)), identity(fam.dim))
-    else:
-        blocks = np.swapaxes(tiles, -1, -2) @ tiles.conj() / tiles.shape[-1]
-        res = residual(blocks, np.broadcast_to(np.eye(blocks.shape[-1]), blocks.shape))
-    case = "projector-sum-vs-identity"
-    if count != fam.dim:
-        case += f" (incomplete-family: {count} of {fam.dim})"
-    rep.add(case, res)
+    count, local = words.perm.shape
+    rep = Report("completeness", {"size": count, "dim": local * local}, tolerance=tol)
+    tiles = words.phase[word_groups(words)[0]]
+    sums = np.swapaxes(tiles, -1, -2) @ tiles.conj() / local
+    rep.add("projector-sum-vs-identity", residual(sums, np.broadcast_to(np.eye(local), sums.shape)))
     return rep
 
 
-def extend_basis(fam: BasisFamily, m: np.ndarray, side: str) -> BasisFamily:
-    """Family with states (M U_a x 1)|Omega> (left) or (U_a M x 1)|Omega> (right).
+def extend_basis(words: Monomial, m: np.ndarray, side: str) -> np.ndarray:
+    """The states (M U_a x 1)|Omega> (left) or (U_a M x 1)|Omega> (right) of the stacked ``words``.
 
-    The composed local operators are gathers of M (``bell.compose``):
     ``M U_a`` takes the columns of M at the row map of ``U_a``, ``U_a M``
-    puts the rows of M there, each times the phases.  Each state is
-    ``bell_vector(C) = vec(C) / sqrt(d)`` of its operator ``C``, so no
-    Kronecker product with the identity is formed.  The extended states
-    are dense, as M is.  A stack of M ``(..., d, d)`` gives the stacked
-    family, ``(..., K, d^2)``.
+    puts the rows of M there, each times the phases (``M @ words``,
+    ``words @ M``).  Each state is ``bell_vector(C) = vec(C) / sqrt(d)`` of
+    its operator ``C``, so no Kronecker product with the identity is
+    formed.  The states are dense, ``(K, d^2)``, as M is; a stack of M
+    ``(..., d, d)`` gives one stack of states per M, ``(..., K, d^2)``.
     """
-    if fam.words is None:
-        raise ValueError("family does not carry its defining words")
     m = np.asarray(m, dtype=complex)
-    local = fam.words[0].shape[-1]
+    local = words.dim
     if m.shape[-2:] != (local, local):
         raise ValueError(f"M must be {local}x{local}, got {m.shape}")
     if side not in SIDES:
         raise ValueError("side must be 'left' or 'right'")
-    return BasisFamily(fam.dim, bell_vector(compose(fam.words, m, side)), list(fam.labels))
+    return bell_vector(m @ words if side == "left" else words @ m)
 
 
 def perturbed_nonunitary(
@@ -207,16 +126,16 @@ def _perturb(u: np.ndarray, g: np.ndarray, min_dev: float = 0.1) -> np.ndarray:
     return m.reshape(shape)
 
 
-def reduced_completeness(words, m: np.ndarray) -> float:
+def reduced_completeness(words: Monomial, m: np.ndarray) -> float:
     """Worst residual of ``(1/d) sum_a U_a M |i><j| M^dag U_a^dag = (M^dag M)_ji 1`` over all pairs (i, j).
 
-    ``words`` is the family's ``(rows, phase)`` pair.  Entry ``[p, q]`` of
-    the sum is ``sum_a V_a[p, i] conj(V_a[q, j])`` with ``V_a = U_a M``, a
-    row gather of M (``bell.compose``), so with ``X[a, (i, p)] = V_a[p, i]``
-    every pair is one GEMM ``X^T conj(X)``, read as ``[i, p, j, q]``.
+    ``words`` is the family's stacked ``Monomial``.  Entry ``[p, q]`` of
+    the sum is ``sum_a V_a[p, i] conj(V_a[q, j])`` with ``V_a = U_a M``
+    (``words @ M``, a row scatter of M), so with ``X[a, (i, p)] = V_a[p,
+    i]`` every pair is one GEMM ``X^T conj(X)``, read as ``[i, p, j, q]``.
     """
     local = m.shape[0]
-    x = np.swapaxes(compose(words, m, "right"), -1, -2).reshape(len(words[0]), -1)
+    x = np.swapaxes(words @ m, -1, -2).reshape(len(words.perm), -1)
     total = (x.T @ x.conj()).reshape((local,) * 4).transpose(0, 2, 1, 3)
     mdm = m.conj().T @ m
     return residual(total / local, mdm.T[:, :, None, None] * np.eye(local))
@@ -234,29 +153,29 @@ def _trial_matrices(local: int, trials: int, rng: np.random.Generator) -> tuple[
     return haar[:, 0], _perturb(haar[:, 1], z[:, 2])
 
 
-def _gram_residuals(fam: BasisFamily, ms: np.ndarray, side: str) -> np.ndarray:
-    """Gram residual of the Bell family ``fam`` extended on ``side`` by each M of the ``(T, D, D)`` stack ``ms``.
+def _gram_residuals(words: Monomial, ms: np.ndarray, side: str) -> np.ndarray:
+    """Gram residual of the Bell family ``words`` extended on ``side`` by each M of the ``(T, D, D)`` stack ``ms``.
 
     The left Gram is ``<vec(M U_a), vec(M U_b)> / D = tr(U_a^dag H U_b) /
     D`` with ``H = M^dag M``, so with ``U_a[r_a[j], j] = p_a[j]`` it is
     ``G_ab = (1/D) sum_j conj(p_a[j]) p_b[j] H[r_a[j], r_b[j]]``: M enters
     only through ``H``, and no extended state is formed.  The right Gram
     ``tr(M^dag U_a^dag U_b M) / D`` is the same sum over the transposed
-    words ``U_a^T`` (row maps ``r_a^-1``, phases ``p_a[r_a^-1]``) with ``H =
-    (M M^dag)^T``.  Labels of one row map (``bell.word_groups``) share
+    words ``U_a^T`` (``words.T``: row maps ``r_a^-1``, phases ``p_a[r_a^-1]``)
+    with ``H = (M M^dag)^T``.  Labels of one row map (``bell.word_groups``) share
     ``r_a``.  For each group g, the Gram blocks ``(g, h)``, ``h >= g``, of a
     block of trials are one GEMM: the phases ``P_h[b, j]`` scaled by
     ``H[m_g[j], m_h[j]] / D``, times ``conj(P_g)^T``.  As G is Hermitian,
     these blocks hold every entry or its conjugate.  Each array holds at
     most ``BLOCK_ENTRIES`` entries, or one trial's.
     """
-    rows, phase = fam.words
-    order, maps = word_groups(rows)
+    order, maps = word_groups(words)
     if side == "left":
-        tiles, hs = phase[order], np.swapaxes(ms.conj(), -1, -2) @ ms
+        hs = np.swapaxes(ms.conj(), -1, -2) @ ms
     else:
-        tiles = np.take_along_axis(phase, np.argsort(rows, axis=-1), axis=-1)[order]
-        maps, hs = np.argsort(maps, axis=-1), ms.conj() @ np.swapaxes(ms, -1, -2)
+        words, hs = words.T, ms.conj() @ np.swapaxes(ms, -1, -2)
+        maps = words.perm[order[:, 0]]
+    tiles = words.phase[order]
     groups, size, local = tiles.shape
     hs /= local
     eye = np.eye(size)
@@ -291,10 +210,8 @@ def basis_theorem_suite(
     (``_trial_matrices``), and each trial's Gram is taken from ``M^dag M``
     or ``M M^dag`` and the words (``_gram_residuals``), in stacked blocks.
     """
-    if (d is None) == (n is None):
-        raise ValueError("give exactly one of d (qudit) or n (multi-qubit)")
-    fam = bell_family(d, n)
-    local = fam.words[0].shape[-1]
+    words = bell_unitaries(d, n)[1]
+    local = words.dim
     rng = np.random.default_rng(seed)
     size = {"n": n} if d is None else {"d": d}
     rep = Report("basis-theorem", {**size, "trials": trials}, tolerance=tol, seed=seed)
@@ -303,8 +220,8 @@ def basis_theorem_suite(
         unitary_res, nonunitary_res = np.empty(trials), np.empty(trials)
         for block in blocks(trials, 3 * local**2, BLOCK_ENTRIES):
             unitaries, nonunitaries = _trial_matrices(local, block.stop - block.start, rng)
-            unitary_res[block] = _gram_residuals(fam, unitaries, side)
-            nonunitary_res[block] = _gram_residuals(fam, nonunitaries, side)
+            unitary_res[block] = _gram_residuals(words, unitaries, side)
+            nonunitary_res[block] = _gram_residuals(words, nonunitaries, side)
         worst = fold(unitary_res)
         # argmax (argmin) returns the first NaN if there is one, else the first worst (best) trial
         witness = f" witness=trial {np.argmax(unitary_res)}" if not worst < tol else ""
@@ -313,7 +230,7 @@ def basis_theorem_suite(
         witness = f" witness=trial {np.argmin(nonunitary_res)}" if not best >= fail_floor else ""
         rep.add_expect_fail(f"nonunitary-extensions-{side} ({trials} trials){witness}", best, fail_floor)
 
-    rep.add("reduced-completeness (general M)", reduced_completeness(fam.words, random_matrix(local, rng)))
+    rep.add("reduced-completeness (general M)", reduced_completeness(words, random_matrix(local, rng)))
 
     # For square M, one-sided unitarity implies two-sided; nothing to sample.
     rep.add("vacuous-one-sided-unitarity", 0.0)
@@ -333,7 +250,8 @@ class ObservableSpec:
     label, never from an eigensolver, so there is no ordering ambiguity.
     ``matrix`` is a dense array or, for the multiqubit words, a
     ``Monomial``, whose eigenvectors are the Bell states held as the
-    family's ``(rows, phase)`` pair instead of a dense ``states`` stack.
+    family's stacked words (a ``Monomial``) instead of a dense ``states``
+    stack.
     ``conjugated_observables`` by a stack of M gives a stack of
     observables: ``matrix`` ``(..., D, D)`` and ``states`` ``(..., D, K)``.
     """
@@ -342,27 +260,23 @@ class ObservableSpec:
     matrix: np.ndarray | Monomial
     labels: list
     eigenvalues: np.ndarray
-    states: np.ndarray | tuple[np.ndarray, np.ndarray]
+    states: np.ndarray | Monomial
 
 
-def _label_text(label) -> str:
-    """``(1,0)`` for a qudit label, ``(01,10)`` for an n-qubit one."""
-    return "(" + ",".join("".join(map(str, x)) if isinstance(x, tuple) else str(x) for x in label) + ")"
+def _word_eigen_residuals(op: Monomial, words: Monomial, eigenvalues: np.ndarray) -> np.ndarray:
+    """``max|O s_a - lam_a s_a|`` of each Bell state ``s_a`` of the stacked ``words``, for a monomial O.
 
-
-def _word_eigen_residuals(op: Monomial, words, eigenvalues: np.ndarray) -> np.ndarray:
-    """``max|O s_a - lam_a s_a|`` of each Bell state ``s_a`` of ``words = (rows, phase)``, for a monomial O.
-
-    Entry j of ``s_a`` is ``phase[a, j] / sqrt(D)`` at position ``x =
-    rows[a, j] D + j``; O sends it to ``t = O.perm[x]`` times
-    ``O.phase[x]``.  Position t is entry ``t mod D`` of ``s_a`` when
-    ``rows[a, t mod D] D + t mod D = t``, and outside its support
+    With ``rows, phase = words.perm, words.phase``, entry j of ``s_a`` is
+    ``phase[a, j] / sqrt(D)`` at position ``x = rows[a, j] D + j``; O sends
+    it to ``t = O.perm[x]`` times ``O.phase[x]``.  Position t is entry ``t
+    mod D`` of ``s_a`` when ``rows[a, t mod D] D + t mod D = t``, and
+    outside its support
     otherwise.  Every entry of ``O s_a - lam_a s_a`` is one of a
     difference at a shared position, an entry of ``O s_a`` where ``s_a``
     is 0, or one of ``lam_a s_a`` that no entry of ``O s_a`` meets: the
     dense max-abs residual, NaN included, from ``(K, D)`` arrays.
     """
-    rows, phase = words
+    rows, phase = words.perm, words.phase
     count, local = rows.shape
     amps = phase * (1.0 / np.sqrt(local))
     pos = rows * local + np.arange(local)
@@ -383,25 +297,26 @@ def _observable_residuals(spec: ObservableSpec, tol: float) -> tuple[float, floa
 
     The eigenequations ``O s = lam s`` are one product of ``O`` with the
     stacked states, or for a monomial O on the family's words
-    ``_word_eigen_residuals``.  When they fail, the suffix names the first
+    ``_word_eigen_residuals``, read per state.  When they fail, the suffix names the first
     state with a NaN residual, else the worst one; it is empty on a pass,
     so passing case ids are unchanged.
     """
     herm = residual(spec.matrix, dagger(spec.matrix))
-    if isinstance(spec.states, tuple):
+    if isinstance(spec.states, Monomial):
         per_state = _word_eigen_residuals(spec.matrix, spec.states, spec.eigenvalues)
-        eig = fold(per_state)
     else:
-        lhs, rhs = spec.matrix @ spec.states, spec.states * spec.eigenvalues
-        eig = residual(lhs, rhs)
-        per_state = np.abs(lhs - rhs).max(axis=0) if not eig < tol else None
-    witness = _witness(spec.labels, per_state) if not eig < tol else ""
-    return herm, eig, witness
+        per_state = np.abs(spec.matrix @ spec.states - spec.states * spec.eigenvalues).max(axis=0)
+    eig = fold(per_state)
+    return herm, eig, _witness(spec.labels, per_state) if not eig < tol else ""
 
 
 def _witness(labels: list, per_state: np.ndarray) -> str:
-    """`` witness=<label>`` of the first state with a NaN residual, else of the first worst one (``argmax``)."""
-    return f" witness={_label_text(labels[np.argmax(per_state)])}"
+    """`` witness=<label>`` of the first state with a NaN residual, else of the first worst one (``argmax``).
+
+    A qudit label reads ``(1,0)``, an n-qubit one ``(01,10)``.
+    """
+    label = labels[np.argmax(per_state)]
+    return " witness=(" + ",".join("".join(map(str, x)) if isinstance(x, tuple) else str(x) for x in label) + ")"
 
 
 def _stack_residuals(stack: ObservableSpec, tol: float) -> tuple[np.ndarray, np.ndarray, list[str]]:
@@ -419,26 +334,30 @@ def _add_observable(rep: Report, spec: ObservableSpec) -> None:
     rep.add(spec.name + witness, fold((herm, eig)))
 
 
-def _conjugated_cases(spec: ObservableSpec, fam: BasisFamily, ms: np.ndarray, side: str, tol: float) -> list:
+def _conjugated_cases(spec: ObservableSpec, words: Monomial, ms: np.ndarray, side: str, tol: float) -> list:
     """Case id and residual of ``spec`` conjugated on ``side`` by each M of the stack ``ms``.
 
     The residual is the worst of the conjugated observable's two
-    residuals and the distance of its states from ``fam`` extended by M.
+    residuals and the distance of its states from the family ``words`` extended by M.
     """
     turned = conjugated_observables(spec, ms, side)
     herm, eig, witness = _stack_residuals(turned, tol)
-    moved = residuals(np.swapaxes(turned.states, -1, -2), extend_basis(fam, ms, side).states)
+    moved = residuals(np.swapaxes(turned.states, -1, -2), extend_basis(words, ms, side))
     return [(turned.name + w, fold(r)) for w, *r in zip(witness, herm, eig, moved)]
 
 
-def qudit_observables(fam: BasisFamily, k: int) -> list[ObservableSpec]:
-    """The four Hermitian combinations of X^k x X^k and Z^k x (Z^dag)^k, on the qudit family ``fam``.
+def qudit_observables(labels: list, states: np.ndarray, k: int) -> list[ObservableSpec]:
+    """The four Hermitian combinations of X^k x X^k and Z^k x (Z^dag)^k, on the qudit Bell family.
+
+    ``labels`` and ``states``, the ``(d^2, d^2)`` stack
+    ``bell_vector(words.dense())``, are those of ``bell_unitaries(d=d)``:
+    the observables are dense, so their eigenvectors are too.
 
     Their eigenvalues on |Omega(alpha beta)> are cos/sin(2 k alpha pi / d)
     and cos/sin(2 k beta pi / d); at d=2, k=1 the two sine operators
     degenerate to zero.
     """
-    d = fam.words[0].shape[-1]
+    d = isqrt(states.shape[-1])
     if not 1 <= k <= d - 1:
         raise ValueError(f"k must be in 1..{d - 1}")
     xk = np.linalg.matrix_power(word(0, 1, d=d).dense(), k)
@@ -450,8 +369,7 @@ def qudit_observables(fam: BasisFamily, k: int) -> list[ObservableSpec]:
     oz_p = (b + dagger(b)) / 2
     oz_m = -1j * (b - dagger(b)) / 2
 
-    # the observables are dense d^2 x d^2 operators, so their eigenvectors are too
-    labels, states = fam.labels, _states(fam).T
+    states = states.T
     ang = 2 * np.pi * k / d
     # each eigenvalue is read from a table over the d values of one label digit
     alpha, beta = np.array(labels).T
@@ -486,7 +404,7 @@ def qudit_observable_suite(
     ``k = 0`` runs every order 1..d-1.  Each observable is followed by
     ``conjugated`` rounds of left and right conjugation by a Haar unitary
     M.  A conjugated case also compares the conjugated states with the
-    family extended by M on that side, ``extend_basis(fam, M, side)``:
+    family extended by M on that side, ``extend_basis(words, M, side)``:
     any unitary conjugation keeps the eigenequations, so only this
     residual tells a right conjugation from a left one.  The Ms are
     drawn in stacks, in the per-call order (``_haar_stream``), and each
@@ -495,18 +413,18 @@ def qudit_observable_suite(
     params = {"d": d, "conjugated": conjugated, **({"k": k} if k else {})}
     rep = Report("qudit-observables", params, tolerance=tol, seed=seed)
     rng = np.random.default_rng(seed)
-    plain = bell_family(d=d)
+    labels, words = bell_unitaries(d=d)
     # the dense observables read the family's dense states: built once, for every order
-    fam = BasisFamily(plain.dim, _states(plain), plain.labels, plain.words)
+    states = bell_vector(words.dense())
     orders = [k] if k else range(1, d)
     # one M per order, observable (four per order), round and side, in that order
     draws = _haar_stream(d, rng, len(orders) * 4 * conjugated * len(SIDES))
     for order in orders:
-        for spec in qudit_observables(fam, order):
+        for spec in qudit_observables(labels, states, order):
             _add_observable(rep, spec)
             for block in blocks(conjugated, d**4, BLOCK_ENTRIES):
                 ms = np.array([[next(draws) for _ in SIDES] for _ in range(block.stop - block.start)])
-                sides = (_conjugated_cases(spec, fam, ms[:, s], side, tol) for s, side in enumerate(SIDES))
+                sides = (_conjugated_cases(spec, words, ms[:, s], side, tol) for s, side in enumerate(SIDES))
                 for cases in zip(*sides):
                     for case_id, res in cases:
                         rep.add(case_id, res)
@@ -553,8 +471,7 @@ def multiqubit_observables(n: int) -> list[ObservableSpec]:
     """
     if not 1 <= n <= 5:
         raise ValueError("n must be in 1..5")
-    fam = bell_family(n=n)
-    labels, states = fam.labels, fam.words
+    labels, words = bell_unitaries(n=n)
     bits = np.array(labels)  # (K, 2, n): phase bits, then parity bits
     specs = []
     for k in range(1, n + 1):
@@ -563,7 +480,7 @@ def multiqubit_observables(n: int) -> list[ObservableSpec]:
         for name, z, x, bit in (("X", 0, pair, 0), ("Z", pair, 0, 1)):
             # X_k X_{n+k} reads phase bit k of each label, Z_k Z_{n+k} its parity bit k
             eigenvalues = 1.0 - 2.0 * bits[:, bit, k - 1]
-            specs.append(ObservableSpec(f"{name}{k}{name}{n + k}", word(z, x, n=2 * n), labels, eigenvalues, states))
+            specs.append(ObservableSpec(f"{name}{k}{name}{n + k}", word(z, x, n=2 * n), labels, eigenvalues, words))
     return specs
 
 
@@ -601,12 +518,10 @@ def trace_system(n: int) -> tuple[np.ndarray, np.ndarray, list]:
     Unknowns are the row-major entries of the 2^n x 2^n matrix I; row
     order follows the lexicographic (alpha, beta) label order.
     """
-    labels, (rows, phase) = bell_unitaries(n=n)
-    # tr(I T) = sum_ij I[i, j] T[j, i]: row a holds T[rows[a, i], i] = phase[a, i]
-    # at unknown (i, rows[a, i]); tensor words of Z, X are real signed permutations.
-    count, dim = rows.shape
-    mat = np.zeros((count, dim * dim))
-    mat[np.arange(count)[:, None], np.arange(dim) * dim + rows] = phase
+    labels, words = bell_unitaries(n=n)
+    # tr(I T) = sum_ij I[i, j] T[j, i]: row a holds T^T flattened, real as
+    # tensor words of Z, X are real signed permutations.
+    mat = np.swapaxes(words.dense(), -1, -2).reshape(len(labels), -1)
     rhs = np.zeros(4**n)
     rhs[0] = 2**n  # the all-zero label comes first
     return mat, rhs, labels

@@ -8,10 +8,11 @@ relation kernel with every operand forced complex, for the reduced
 completeness of the basis theorem, one pair (i, j) at a time, for the
 teleportation equations, one Bell label or outcome at a time, and for the
 Haar-sampled basis-theorem and observable suites, one draw, Gram and
-conjugation at a time.  The library holds the Bell family as the
-``(rows, phase)`` pair of its words; the dense ``(K, D, D)`` stack of the
-words, the ``K x D^2`` stack of their states and the GEMMs over them that
-the family's readers ran before are here, as oracles.  The symbolic words (``PauliWord``, ``GenPauliWord``)
+conjugation at a time.  The library holds the Bell family as one stacked
+``Monomial`` of its words; the dense ``(K, D, D)`` stack of the words,
+scattered here by hand, the ``K x D^2`` stack of their states and the
+GEMMs over them that the family's readers ran before (the Gram matrix
+and the projector sum) are here, as oracles.  The symbolic words (``PauliWord``, ``GenPauliWord``)
 with their algebra of products and adjoints, the circuit unitary built
 gate by gate from Kronecker products, and the Bell-basis reconstruction,
 one label at a time, live here too: the library reaches none of them.
@@ -24,19 +25,15 @@ from itertools import product
 
 import numpy as np
 
-from bellkit.bell import all_labels, bell_vector, multi_bell, product_ket, twist_monomial
+from bellkit.bell import all_labels, bell_unitaries, bell_vector, multi_bell, product_ket, twist_monomial
 from bellkit.braid import _word
 from bellkit.linalg import DEFAULT_TOL, dagger, fold, identity, residual
-from bellkit.pauli import as_bits, bits_to_int, pauli_gate, word, word_stack
+from bellkit.pauli import as_bits, bits_to_int, pauli_gate, word
 from bellkit.report import Report
 from bellkit.verify import (
-    BasisFamily,
     _observable_residuals,
-    _projector_sum,
-    bell_family,
     conjugated_observables,
     extend_basis,
-    gram_matrix,
     qudit_observables,
     reduced_completeness as batched_reduced_completeness,
 )
@@ -307,38 +304,49 @@ def complex_relation_residual(x, local_dim, support, lhs, rhs, scale=1.0):
 
 
 def dense_words(words):
-    """The ``(K, D, D)`` stack of the words ``(rows, phase)``, in one scatter."""
-    rows, phase = words
+    """The ``(K, D, D)`` stack of the stacked ``words``, scattered by hand from its arrays."""
+    rows, phase = words.perm, words.phase
     out = np.zeros(rows.shape + rows.shape[-1:], dtype=phase.dtype)
     out[np.arange(len(rows))[:, None], rows, np.arange(rows.shape[-1])] = phase
     return out
 
 
 def dense_unitaries(d=None, n=None):
-    """The Bell family's ``(K, D, D)`` stack of words, from ``word_stack`` (not from ``bell_unitaries``)."""
+    """The Bell family's ``(K, D, D)`` stack of words, one ``word`` at a time (not from ``bell_unitaries``)."""
     shape = (d, d) if d is not None else (2**n, 2**n)
-    return word_stack(*np.indices(shape).reshape(2, -1, 1), n=n, d=d)
+    return np.stack([word(a, b, n=n, d=d).dense() for a, b in np.ndindex(shape)])
 
 
-def dense_family(fam):
-    """``fam`` held as its ``(K, D^2)`` stack of states, built from its dense words."""
-    return BasisFamily(fam.dim, bell_vector(dense_words(fam.words)), list(fam.labels))
+def dense_states(words):
+    """The ``(K, D^2)`` stack of the Bell states ``(U_a x 1)|Omega>`` of the stacked ``words``."""
+    return bell_vector(dense_words(words))
 
 
-def dense_gram(fam):
-    """The Gram matrix of a Bell family, one GEMM over its dense states."""
-    states = dense_family(fam).states
-    return states.conj() @ states.T
+def qudit_states(d):
+    """Labels and dense Bell states of the qudit family: the family arguments of ``verify.qudit_observables``."""
+    labels, words = bell_unitaries(d=d)
+    return labels, bell_vector(words.dense())
 
 
-def dense_projector_sum(fam):
-    """``sum_a |s_a><s_a|`` of a Bell family, one GEMM over its dense states."""
-    return _projector_sum(dense_family(fam).states)
+def gram(states):
+    """``<s_i|s_j>`` of a ``(..., K, D)`` stack of states, as one GEMM."""
+    return states.conj() @ np.swapaxes(states, -1, -2)
 
 
-def dense_extend(fam, m, side):
+def dense_gram(words):
+    """The Gram matrix of a family of words, one GEMM over its dense states."""
+    return gram(dense_states(words))
+
+
+def dense_projector_sum(words):
+    """``sum_a |s_a><s_a|`` of a family of words, one GEMM over its dense states."""
+    states = dense_states(words)
+    return states.T @ states.conj()
+
+
+def dense_extend(words, m, side):
     """``M U_a`` (left) or ``U_a M`` (right) for every word, by batched products with the dense stack."""
-    stack = dense_words(fam.words)
+    stack = dense_words(words)
     return m @ stack if side == "left" else stack @ m
 
 
@@ -380,12 +388,12 @@ def reduced_completeness(unitaries, m):
 def dense_setting(setting):
     """The setting's dense ``(K, D, D)`` words ``U_a`` and ``(K, D^2)`` measurement vectors."""
     forward = dense_words(setting.words)
-    return forward, bell_vector(forward, setting.m if setting.form == 22 else None)
+    return forward, bell_vector(forward @ setting.m.T if setting.form == 22 else forward)
 
 
 def dense_resource(setting, forward, b):
     t_b = forward[b]
-    return bell_vector(setting.m @ t_b) if setting.form == 22 else bell_vector(t_b, setting.m)
+    return bell_vector(setting.m @ t_b if setting.form == 22 else t_b @ setting.m.T)
 
 
 def dense_receivers(setting, forward, psi, b, corrupt=False):
@@ -457,19 +465,19 @@ def perturbed_one(dim, rng, min_dev=0.1):
 
 def basis_theorem_loop(d=None, n=None, trials=20, seed=0, tol=DEFAULT_TOL, fail_floor=1e-3):
     """``verify.basis_theorem_suite`` with two draws and two Grams per trial and side."""
-    fam = bell_family(d, n)
-    local = fam.words[0].shape[-1]
+    labels, words = bell_unitaries(d, n)
+    local = words.dim
     rng = np.random.default_rng(seed)
     size = {"n": n} if d is None else {"d": d}
     rep = Report("basis-theorem", {**size, "trials": trials}, tolerance=tol, seed=seed)
-    eye_k = np.eye(len(fam.labels))
+    eye_k = np.eye(len(labels))
     for side in ("left", "right"):
         unitary_res, nonunitary_res = np.empty(trials), np.empty(trials)
         for t in range(trials):
             u = haar_one(local, rng)
-            unitary_res[t] = residual(gram_matrix(extend_basis(fam, u, side)), eye_k)
+            unitary_res[t] = residual(gram(extend_basis(words, u, side)), eye_k)
             m = perturbed_one(local, rng)
-            nonunitary_res[t] = residual(gram_matrix(extend_basis(fam, m, side)), eye_k)
+            nonunitary_res[t] = residual(gram(extend_basis(words, m, side)), eye_k)
         worst = fold(unitary_res)
         witness = f" witness=trial {np.argmax(unitary_res)}" if not worst < tol else ""
         rep.add(f"unitary-extensions-{side} ({trials} trials){witness}", worst)
@@ -477,7 +485,7 @@ def basis_theorem_loop(d=None, n=None, trials=20, seed=0, tol=DEFAULT_TOL, fail_
         witness = f" witness=trial {np.argmin(nonunitary_res)}" if not best >= fail_floor else ""
         rep.add_expect_fail(f"nonunitary-extensions-{side} ({trials} trials){witness}", best, fail_floor)
     general = rng.standard_normal((local, local)) + 1j * rng.standard_normal((local, local))
-    rep.add("reduced-completeness (general M)", batched_reduced_completeness(fam.words, general))
+    rep.add("reduced-completeness (general M)", batched_reduced_completeness(words, general))
     rep.add("vacuous-one-sided-unitarity", 0.0)
     return rep
 
@@ -496,18 +504,19 @@ def qudit_observable_loop(d, k=0, conjugated=0, seed=0, tol=DEFAULT_TOL):
     params = {"d": d, "conjugated": conjugated, **({"k": k} if k else {})}
     rep = Report("qudit-observables", params, tolerance=tol, seed=seed)
     rng = np.random.default_rng(seed)
-    fam = bell_family(d=d)
+    labels, words = bell_unitaries(d=d)
+    states = bell_vector(words.dense())
 
     def add(spec, *others):
         herm, eig, witness = _observable_residuals(spec, tol)
         rep.add(spec.name + witness, fold((herm, eig, *others)))
 
     for order in [k] if k else range(1, d):
-        for spec in qudit_observables(fam, order):
+        for spec in qudit_observables(labels, states, order):
             add(spec)
             for _ in range(conjugated):
                 for side in ("left", "right"):
                     m = haar_one(d, rng)
                     turned = conjugated_observables(spec, m, side)
-                    add(turned, residual(turned.states.T, extend_basis(fam, m, side).states))
+                    add(turned, residual(turned.states.T, extend_basis(words, m, side)))
     return rep

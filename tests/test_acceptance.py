@@ -14,7 +14,7 @@ import pytest
 from bellkit import bell, braid, teleport, verify
 from bellkit.cli import main as cli_main
 from bellkit.linalg import fold, haar_unitary, identity, random_state, residual
-from dense import dense_circuit_matrix, kron, observable_check, twist
+from dense import dense_circuit_matrix, kron, observable_check, qudit_states, twist
 from bellkit.pauli import pauli_gate
 
 TOL = 1e-12
@@ -31,12 +31,12 @@ def criterion(number, text, worst, bound=TOL):
 def test_criterion_1_bell_basis_suites():
     start = time.monotonic()
     worst = 0.0
-    fams = [verify.bell_family(d=2)]
-    fams += [verify.bell_family(d=d) for d in (2, 3, 4, 5)]
-    fams += [verify.bell_family(n=n) for n in (1, 2, 3)]
-    for fam in fams:
-        worst = fold((worst, verify.gram_check(fam).max_residual))
-        worst = fold((worst, verify.completeness_check(fam).max_residual))
+    fams = [bell.bell_unitaries(d=2)[1]]
+    fams += [bell.bell_unitaries(d=d)[1] for d in (2, 3, 4, 5)]
+    fams += [bell.bell_unitaries(n=n)[1] for n in (1, 2, 3)]
+    for words in fams:
+        worst = fold((worst, verify.gram_check(words).max_residual))
+        worst = fold((worst, verify.completeness_check(words).max_residual))
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"criterion 1 runtime {elapsed:.1f}s exceeds 10s"
     criterion(1, "gram + completeness, qubit / qudit d<=5 / multi n<=3", worst)
@@ -74,10 +74,10 @@ def test_criterion_4_observables():
     worst = 0.0
     for d in (2, 3, 4, 5):
         for k in range(1, d):
-            for spec in verify.qudit_observables(verify.bell_family(d=d), k):
+            for spec in verify.qudit_observables(*qudit_states(d), k):
                 worst = fold((worst, observable_check(spec).max_residual))
     # d=2 degenerate zero operators
-    ox_m, oz_m = verify.qudit_observables(verify.bell_family(d=2), 1)[1::2]
+    ox_m, oz_m = verify.qudit_observables(*qudit_states(2), 1)[1::2]
     worst = fold((worst, residual(ox_m.matrix, np.zeros((4, 4)))))
     worst = fold((worst, residual(oz_m.matrix, np.zeros((4, 4)))))
     for n in (1, 2, 3):
@@ -85,7 +85,7 @@ def test_criterion_4_observables():
         worst = fold((worst, rep.max_residual))
         assert rep.passed
     rng = np.random.default_rng(41)
-    base = verify.qudit_observables(verify.bell_family(d=3), 1)
+    base = verify.qudit_observables(*qudit_states(3), 1)
     for _ in range(10):
         m = haar_unitary(3, rng)
         for spec in base:

@@ -19,7 +19,6 @@ from bellkit.bell import (
     twist_decomposition,
 )
 from bellkit.linalg import (
-    Monomial,
     dagger,
     haar_unitary,
     identity,
@@ -300,22 +299,21 @@ def test_qasm_export():
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 16])
 def test_bell_unitaries_qudit_exact(d):
-    labels, (rows, phase) = bell_unitaries(d=d)
+    labels, words = bell_unitaries(d=d)
     assert labels == [(a, b) for a in range(d) for b in range(d)]
-    assert rows.shape == phase.shape == (d * d, d)
-    for (a, b), r, p in zip(labels, rows, phase):
-        assert residual(Monomial(r, p).dense(), gen_word_matrix(GenPauliWord(d, a, b))) == 0
+    assert words.perm.shape == words.phase.shape == (d * d, d)
+    for a, (alpha, beta) in enumerate(labels):
+        assert residual(words[a].dense(), gen_word_matrix(GenPauliWord(d, alpha, beta))) == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_bell_unitaries_nqubit_exact(n):
-    labels, (rows, phase) = bell_unitaries(n=n)
-    assert rows.shape == phase.shape == (4**n, 2**n) and phase.dtype == np.float64
+    labels, words = bell_unitaries(n=n)
+    assert words.perm.shape == words.phase.shape == (4**n, 2**n) and words.phase.dtype == np.float64
     assert labels == list(all_labels(n))
     assert labels == sorted(labels) and len(set(labels)) == 4**n
     assert labels[1] == ((0,) * n, (0,) * (n - 1) + (1,))
-    for (a, b), r, p in zip(labels, rows, phase):
-        u = Monomial(r, p).dense()
+    for (a, b), u in zip(labels, words.dense()):
         assert residual(u, word_matrix(PauliWord(a, b))) == 0
         assert residual(u.T, dagger(u)) == 0  # real signed permutation
 

@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 from bellkit.bell import (
     Circuit,
     all_labels,
+    bell_unitaries,
     bell_vector,
-    compose,
     concurrence,
     concurrence_oracle,
     expand_in_bell_basis,
@@ -34,6 +34,7 @@ from bellkit.bell import (
     pair_product_bell,
     qudit_bell,
     twist_check,
+    word_groups,
 )
 from bellkit import braid
 from bellkit.braid import (
@@ -75,7 +76,7 @@ from bellkit.pauli import (
 )
 from bellkit.report import Report
 from bellkit.cli import _run_teleport
-from bellkit import pauli, teleport
+from bellkit import linalg, pauli, teleport
 from bellkit.teleport import (
     QUDIT_VARIANTS,
     _Setting,
@@ -86,19 +87,16 @@ from bellkit.teleport import (
 )
 from bellkit import verify
 from bellkit.verify import (
-    BasisFamily,
     ObservableSpec,
     _gram_residuals,
-    _tiled_phases,
     _trial_matrices,
     _word_eigen_residuals,
     basis_theorem_suite,
-    bell_family,
     completeness_check,
     conjugated_observables,
     extend_basis,
     gram_check,
-    gram_matrix,
+    multiqubit_observable_suite,
     multiqubit_observables,
     perturbed_nonunitary,
     qudit_observable_suite,
@@ -122,10 +120,12 @@ from dense import (
     dense_resource,
     dense_setting,
     dense_trace_system,
+    dense_unitaries,
     dense_words,
     gen_word_matrix,
     gen_word_monomial,
     gen_x,
+    gram,
     haar_one,
     hs_inner,
     kron,
@@ -134,6 +134,7 @@ from dense import (
     projective_residuals,
     protocol_rows,
     qudit_observable_loop,
+    qudit_states,
     reconstruct,
     teleport_sides,
     twist,
@@ -479,8 +480,8 @@ def test_monomial_residual_nan_and_inf():
 @given(circuits())
 @FAST
 def test_circuit_monomial_matches_kronecker(circ):
-    if any(name == "H" for name, _ in circ.gates):
-        with pytest.raises(ValueError):
+    if any(name not in ("SWAP", "CNOT") for name, _ in circ.gates):
+        with pytest.raises(ValueError, match="SWAP and CNOT"):
             circ.to_monomial()
     else:
         assert residual(circ.to_monomial().dense(), dense_circuit_matrix(circ)) == 0
@@ -523,7 +524,7 @@ def test_bell_vector_matches_kronecker(d, a, b, seed):
     u = gen_word_matrix(GenPauliWord(d, a, b))
     assert residual(qudit_bell(d, a, b), dense_bell(u)) == 0
     m = haar_unitary(d, np.random.default_rng(seed))
-    assert residual(bell_vector(u, m), dense_bell(u, m)) <= 1e-15
+    assert residual(bell_vector(u @ m.T), dense_bell(u, m)) <= 1e-15
     assert residual(bell_vector(m), dense_bell(m)) <= 1e-15
 
 
@@ -806,7 +807,7 @@ def test_teleport_lhs_matches_kronecker(n, cols, seed):
 def test_conjugated_observables_match_kronecker(d, side):
     rng = np.random.default_rng(d)
     eye = identity(d)
-    for spec in qudit_observables(bell_family(d=d), d - 1):
+    for spec in qudit_observables(*qudit_states(d), d - 1):
         m = haar_unitary(d, rng)
         shift, inv = (kron(m, eye), kron(dagger(m), eye)) if side == "left" else (
             kron(eye, m.T), kron(eye, m.conj()))
@@ -824,18 +825,17 @@ def test_conjugated_observables_match_kronecker(d, side):
 )
 def test_reduced_completeness_matches_pair_loop(size):
     rng = np.random.default_rng(sum(size.values()))
-    words = bell_family(**size).words
-    local = words[0].shape[-1]
+    words = bell_unitaries(**size)[1]
+    local = words.dim
     m = rng.standard_normal((local, local)) + 1j * rng.standard_normal((local, local))
-    # U_a M, the one gather, against the product with the dense words
-    assert residual(compose(words, m, "right"), dense_words(words) @ m) <= 1e-15
+    # U_a M, the one scatter, against the product with the dense words
+    assert residual(words @ m, dense_words(words) @ m) <= 1e-15
     got = reduced_completeness(words, m)
     assert got < DEFAULT_TOL
     # sums of d^2 products of O(1) Gaussians, in two association orders
     assert abs(got - dense_reduced_completeness(dense_words(words), m)) <= 1e-13
     # a family with one word repeated is no Bell family: an O(1) residual, the same on both routes
-    broken = words[0].copy(), words[1].copy()
-    broken[0][-1], broken[1][-1] = broken[0][0], broken[1][0]
+    broken = words[np.r_[: len(words.perm) - 1, 0]]
     got = reduced_completeness(broken, m)
     assert got > 0.01
     assert abs(got - dense_reduced_completeness(dense_words(broken), m)) <= 1e-13
@@ -1223,25 +1223,18 @@ def test_sample_histogram_refuses_bad_probabilities(probs):
     "size", [{"d": 2}, {"d": 3}, {"d": 5}, {"d": 8}, {"n": 2}, {"d": 4}, {"d": 6}, {"n": 1}, {"n": 3}]
 )
 def test_extend_basis_matches_batched_product(size, side):
-    fam = bell_family(**size)
-    local = fam.words[0].shape[-1]
+    words = bell_unitaries(**size)[1]
+    local = words.dim
     # a Haar M, and a general one: the gathers hold for any M
     for m in (haar_unitary(local, np.random.default_rng(local)), random_matrix(local, np.random.default_rng(0))):
-        got = extend_basis(fam, m, side)
-        assert residual(got.states, bell_vector(dense_extend(fam, m, side))) <= 1e-15
-        assert got.labels == fam.labels
-    # a stack of M gives one family per M, the same floats as one M at a time
+        got = extend_basis(words, m, side)
+        assert residual(got, bell_vector(dense_extend(words, m, side))) <= 1e-15
+    # a stack of M gives one stack of states per M, the same floats as one M at a time
     ms = haar_unitary(local, np.random.default_rng(local + 1), (2, 3))
-    stacked = extend_basis(fam, ms, side)
-    assert stacked.states.shape == (2, 3, len(fam.labels), fam.dim)
+    stacked = extend_basis(words, ms, side)
+    assert stacked.shape == (2, 3, len(words.perm), local**2)
     for i, j in np.ndindex(2, 3):
-        np.testing.assert_array_equal(stacked.states[i, j], extend_basis(fam, ms[i, j], side).states)
-    # a stack of M gives one family per M, the same floats as one M at a time
-    ms = haar_unitary(local, np.random.default_rng(local + 1), (2, 3))
-    stacked = extend_basis(fam, ms, side)
-    assert stacked.states.shape == (2, 3, len(fam.labels), fam.dim)
-    for i, j in np.ndindex(2, 3):
-        np.testing.assert_array_equal(stacked.states[i, j], extend_basis(fam, ms[i, j], side).states)
+        np.testing.assert_array_equal(stacked[i, j], extend_basis(words, ms[i, j], side))
 
 
 # ---------------------------------------------------------------------------
@@ -1307,17 +1300,17 @@ def test_gram_residuals_match_extended_gram(size, side, block, monkeypatch):
     extended states, for Haar, perturbed, NaN- and inf-bearing M, one Gram block per M or several."""
     if BLOCKS[block]:
         monkeypatch.setattr(verify, "BLOCK_ENTRIES", BLOCKS[block])
-    fam = bell_family(**size)
-    local = fam.words[0].shape[-1]
+    words = bell_unitaries(**size)[1]
+    local = words.dim
     rng = np.random.default_rng(local)
     haar = haar_unitary(local, rng, (3,))
     perturbed = perturbed_nonunitary(local, rng, lead=(3,))
     poisoned = [_poisoned(haar[0], np.nan, 1, 0), _poisoned(perturbed[1], np.nan, 0, local - 1),
                 _poisoned(perturbed[2], np.inf, local - 1, 0)]
     ms = np.concatenate([haar, perturbed, poisoned])
-    eye = np.eye(len(fam.labels))
-    want = [residual(gram_matrix(extend_basis(fam, m, side)), eye) for m in ms]
-    got = _gram_residuals(fam, ms, side)
+    eye = np.eye(len(words.perm))
+    want = [residual(gram(extend_basis(words, m, side)), eye) for m in ms]
+    got = _gram_residuals(words, ms, side)
     assert got.shape == (len(ms),)
     # NaN and inf must sit at the same trials
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
@@ -1371,34 +1364,29 @@ FAMILY_IDS = [f"{k}{v}" for size in FAMILY_SIZES for k, v in size.items()]
 PAIR_TOL = 1e-15
 
 
-def _with_words(fam, rows, phase):
-    return BasisFamily(fam.dim, None, fam.labels, (rows, phase))
-
-
 @pytest.mark.parametrize("size", FAMILY_SIZES, ids=FAMILY_IDS)
 def test_grouped_gram_and_completeness_match_dense_words(size):
-    fam = bell_family(**size)
-    # the Bell family takes the grouped path and passes
-    assert _tiled_phases(fam) is not None
-    assert gram_check(fam).passed and completeness_check(fam).passed
-    # phases off the unit circle keep the row maps, and so the grouped path,
+    words = bell_unitaries(**size)[1]
+    # the Bell family tiles the D^2 positions and passes
+    word_groups(words)
+    assert gram_check(words).passed and completeness_check(words).passed
+    # phases off the unit circle keep the row maps, and so the tiling,
     # and leave O(1) residuals that both routes must agree on
-    rows, phase = fam.words
-    scale = 1 + 0.25 * np.random.default_rng(len(rows)).standard_normal(phase.shape)
-    skewed = _with_words(fam, rows, phase * scale)
-    assert _tiled_phases(skewed) is not None
+    scale = 1 + 0.25 * np.random.default_rng(len(words.perm)).standard_normal(words.phase.shape)
+    skewed = Monomial(words.perm, words.phase * scale)
+    word_groups(skewed)
     gram = gram_check(skewed).cases[0].residual
     comp = completeness_check(skewed).cases[0].residual
     assert gram > 0.1 and comp > 0.1
-    assert abs(gram - residual(dense_gram(skewed), np.eye(len(rows)))) <= PAIR_TOL
-    assert abs(comp - residual(dense_projector_sum(skewed), np.eye(fam.dim))) <= PAIR_TOL
+    assert abs(gram - residual(dense_gram(skewed), np.eye(len(words.perm)))) <= PAIR_TOL
+    assert abs(comp - residual(dense_projector_sum(skewed), np.eye(words.dim**2))) <= PAIR_TOL
 
 
-def _doctored(fam, kind):
-    """``fam`` with a label repeated, a shift dropped (its words moved onto shift 0's row map),
+def _doctored(words, kind):
+    """``words`` with a label repeated, a shift dropped (its words moved onto shift 0's row map),
     or entries 1 and 2 of shift 1's row map swapped, in every word of the shift ("overlap")
     or in its last word only ("split-map"), so that their supports overlap other shifts'."""
-    rows, phase = (a.copy() for a in fam.words)
+    rows, phase = words.perm.copy(), words.phase.copy()
     shift1 = np.flatnonzero((rows == rows[1]).all(axis=1))
     swapped = [0, 2, 1, *range(3, rows.shape[1])]
     if kind == "repeated-label":
@@ -1409,20 +1397,127 @@ def _doctored(fam, kind):
         rows[shift1] = rows[shift1][:, swapped]
     else:
         rows[shift1[-1]] = rows[shift1[-1], swapped]
-    return _with_words(fam, rows, phase)
+    return Monomial(rows, phase)
 
 
-@pytest.mark.parametrize("kind", ["repeated-label", "dropped-shift", "overlap", "split-map"])
-@pytest.mark.parametrize("size", [s for s in FAMILY_SIZES if s.get("n", 2) > 1 and s.get("d", 3) > 2],
-                         ids=[i for i in FAMILY_IDS if i not in ("n1", "d2")])
-def test_doctored_family_fails_through_partition_check(size, kind):
-    fam = _doctored(bell_family(**size), kind)
-    # the groups do not tile the D^2 positions, so the checks read the dense states
-    assert _tiled_phases(fam) is None
-    gram, comp = gram_check(fam), completeness_check(fam)
-    assert not gram.passed and not comp.passed
-    assert gram.cases[0].residual == residual(dense_gram(fam), np.eye(len(fam.labels)))
-    assert comp.cases[0].residual == residual(dense_projector_sum(fam), np.eye(fam.dim))
+DOCTORED = ["repeated-label", "dropped-shift", "overlap", "split-map"]
+DOCTORED_SIZES = [s for s in FAMILY_SIZES if s.get("n", 2) > 1 and s.get("d", 3) > 2]
+
+
+@pytest.mark.parametrize("kind", DOCTORED)
+@pytest.mark.parametrize("size", DOCTORED_SIZES, ids=[i for i in FAMILY_IDS if i not in ("n1", "d2")])
+def test_doctored_family_fails_through_partition_check(size, kind, monkeypatch):
+    """A family whose row maps do not tile the D^2 positions is refused by every grouped reader:
+    each raises ValueError, so none can return a passing report.  The dense oracle fails it too."""
+    words = _doctored(bell_unitaries(**size)[1], kind)
+    assert residual(dense_gram(words), np.eye(len(words.perm))) > 0.1
+    ms = haar_unitary(words.dim, np.random.default_rng(0), (2,))
+    readers = [
+        lambda: word_groups(words),
+        lambda: gram_check(words),
+        lambda: completeness_check(words),
+        lambda: _gram_residuals(words, ms, "left"),
+        lambda: _gram_residuals(words, ms, "right"),
+    ]
+    # the teleportation checks read the family from bell_unitaries, through one _Setting
+    monkeypatch.setattr(teleport, "bell_unitaries", lambda **kw: (bell_unitaries(**kw)[0], words))
+    variants = ("nqubit11", "nqubit22") if "n" in size else ("qudit11", "qudit22")
+    readers += [lambda v=v: teleport_eq_suite(v, **size) for v in variants]
+    readers += [lambda: projective_eq_check("nqubit" if "n" in size else "qudit", **size)]
+    for read in readers:
+        with pytest.raises(ValueError, match="tile"):
+            read()
+
+
+# ---------------------------------------------------------------------------
+# the stacked Monomial against the dense stack of its words
+
+
+MONOMIAL_SIZES = FAMILY_SIZES + [{"d": 8}, {"n": 4}]
+MONOMIAL_IDS = FAMILY_IDS + ["d8", "n4"]
+
+
+@pytest.mark.parametrize("size", MONOMIAL_SIZES, ids=MONOMIAL_IDS)
+def test_stack_dense_equals_each_word_dense(size):
+    words = bell_unitaries(**size)[1]
+    stack = words.dense()
+    np.testing.assert_array_equal(stack, dense_words(words))
+    np.testing.assert_array_equal(stack, dense_unitaries(**size))
+    for a in range(len(words.perm)):
+        np.testing.assert_array_equal(stack[a], words[a].dense())
+        np.testing.assert_array_equal(stack[a], Monomial(words.perm[a], words.phase[a]).dense())
+    assert stack.dtype == words.phase.dtype
+
+
+@pytest.mark.parametrize("size", MONOMIAL_SIZES, ids=MONOMIAL_IDS)
+def test_products_with_dense_equal_dense_products(size):
+    """``words @ m``, ``m @ words`` and ``words.apply`` against the same products with the dense stack.
+
+    Each entry of a dense product has one nonzero term.  Where every phase
+    is exact (n qubits, d = 2 and 4: signs and powers of i) that term is one
+    exact rounding on both routes, so they agree bit for bit; other qudit
+    phases round their complex product one way in the BLAS (fused
+    multiply-adds) and another in numpy's elementwise loop, a few ulps apart.
+    """
+    words = bell_unitaries(**size)[1]
+    local, stack = words.dim, words.dense()
+    if "n" in size or size["d"] in (2, 4):
+        same = np.testing.assert_array_equal
+    else:
+        def same(got, want):
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+    rng = np.random.default_rng(local)
+    # one M, a real M with two columns, and a stack of M: one product per M and word
+    for m in (random_matrix(local, rng), rng.standard_normal((local, 2))):
+        same(words @ m, stack @ m)
+        np.testing.assert_array_equal(words.apply(m), words @ m)
+        same(m.T @ words, m.T @ stack)
+    ms = random_matrix(local, rng, (3,))
+    same(words @ ms, stack @ ms[:, None])
+    same(ms @ words, ms[:, None] @ stack)
+    psi = random_state(local, rng)
+    same(words @ psi, stack @ psi)
+    same(words[3] @ psi, stack[3] @ psi)
+    # a stack of K words times one of L words: every pair
+    same((words[:5] @ words[-3:]).dense(), stack[:5, None] @ stack[-3:])
+    same((words[2] @ words).dense(), stack[2] @ stack)
+    # transposes and adjoints move entries and conjugate: no rounding on either route
+    np.testing.assert_array_equal(words.T.dense(), np.swapaxes(stack, -1, -2))
+    np.testing.assert_array_equal(words.adjoint().dense(), np.swapaxes(stack, -1, -2).conj())
+
+
+def test_bijection_check_rejects_one_bad_row(monkeypatch):
+    words = bell_unitaries(n=3)[1]
+    for bad in ([0, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 8], [-1, 1, 2, 3, 4, 5, 6, 7]):
+        for row in (0, 37, len(words.perm) - 1):
+            perm = words.perm.copy()
+            perm[row] = bad
+            with pytest.raises(ValueError, match="bijection"):
+                Monomial(perm, words.phase)
+    # two bad rows whose out-of-range entries would fill each other's gaps
+    perm = words.perm.copy()
+    perm[0], perm[1] = [0, 1, 2, 3, 4, 5, 6, 8], [-1, 1, 2, 3, 4, 5, 6, 7]
+    with pytest.raises(ValueError, match="bijection"):
+        Monomial(perm, words.phase)
+    # the check walks the stack in blocks of rows, the bad row in any of them
+    monkeypatch.setattr(linalg, "_CHECK_ENTRIES", 16)
+    Monomial(words.perm, words.phase)
+    perm = words.perm.copy()
+    perm[45, 0] = perm[45, 1]
+    with pytest.raises(ValueError, match="bijection"):
+        Monomial(perm, words.phase)
+
+
+def test_bijection_check_adds_no_stack_sized_temporary():
+    """The check's counts stay within one block: at n = 7, a (16384, 128) stack, far below the stack's size."""
+    words = bell_unitaries(n=7)[1]
+    tracemalloc.start()
+    try:
+        Monomial(words.perm, words.phase)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20 < words.perm.nbytes, peak
 
 
 PROJECTIVE_FORMS = [(v, {"d": d}) for v in ("projective_qudit", "projective_qudit11") for d in range(2, 7)] + [
@@ -1460,7 +1555,7 @@ def test_word_eigenequations_equal_dense_states(n):
     # the observables' own eigenvalues, wrong ones, and words that are not diagonal on the family
     cases = [(s.matrix, s.eigenvalues) for s in specs]
     cases += [(s.matrix, s.eigenvalues + rng.standard_normal(len(s.labels))) for s in specs]
-    cases += [(word(int(z), int(x), n=2 * n), rng.choice([-1.0, 1.0], len(words[0])))
+    cases += [(word(int(z), int(x), n=2 * n), rng.choice([-1.0, 1.0], len(words.perm)))
               for z, x in rng.integers(0, 4**n, (6, 2))]
     for op, lam in cases:
         spec = ObservableSpec("o", op, specs[0].labels, lam, words)
@@ -1468,27 +1563,26 @@ def test_word_eigenequations_equal_dense_states(n):
 
 
 def _nan_phase(words, label=1, column=0):
-    rows, phase = words
-    phase = phase.copy()
+    phase = words.phase.copy()
     phase[label, column] = np.nan
-    return rows, phase
+    return Monomial(words.perm, phase)
 
 
 @pytest.mark.parametrize("size", [{"n": 2}, {"d": 3}], ids=["n2", "d3"])
 def test_nan_phase_gives_nan_residuals(size, monkeypatch):
-    fam = bell_family(**size)
-    local = fam.words[0].shape[-1]
-    poisoned = _with_words(fam, *_nan_phase(fam.words))
+    words = bell_unitaries(**size)[1]
+    local = words.dim
+    poisoned = _nan_phase(words)
     assert np.isnan(gram_check(poisoned).cases[0].residual)
     assert np.isnan(completeness_check(poisoned).cases[0].residual)
-    assert np.isnan(reduced_completeness(poisoned.words, random_matrix(local, np.random.default_rng(0))))
+    assert np.isnan(reduced_completeness(poisoned, random_matrix(local, np.random.default_rng(0))))
     for side in ("left", "right"):
         m = haar_unitary(local, np.random.default_rng(1))
-        assert np.isnan(extend_basis(poisoned, m, side).states[1]).any()
+        assert np.isnan(extend_basis(poisoned, m, side)[1]).any()
         assert np.isnan(_gram_residuals(poisoned, m[None], side)).all()
     if "n" in size:
         spec = multiqubit_observables(size["n"])[0]
-        per_state = _word_eigen_residuals(spec.matrix, poisoned.words, spec.eigenvalues)
+        per_state = _word_eigen_residuals(spec.matrix, poisoned, spec.eigenvalues)
         assert np.isnan(per_state[1]) and not np.isnan(per_state[0])
     # the teleportation checks read the family from bell_unitaries
     real = teleport.bell_unitaries
@@ -1503,15 +1597,17 @@ def test_nan_phase_gives_nan_residuals(size, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "run",
+    "run,bound_mib",
     [
-        lambda: gram_check(bell_family(n=6)),
-        lambda: completeness_check(bell_family(n=6)),
-        lambda: projective_eq_check("nqubit", n=6, seed=0),
+        (lambda: gram_check(bell_unitaries(n=6)[1]), 150),
+        (lambda: completeness_check(bell_unitaries(n=6)[1]), 150),
+        (lambda: projective_eq_check("nqubit", n=6, seed=0), 150),
+        # a dense (1024, 32, 32) stack of the n = 5 family's words alone is 16 MiB
+        (lambda: multiqubit_observable_suite(5), 8),
     ],
-    ids=["gram-multi-n6", "completeness-multi-n6", "projective-eq-nqubit-n6"],
+    ids=["gram-multi-n6", "completeness-multi-n6", "projective-eq-nqubit-n6", "observables-multi-n5"],
 )
-def test_bell_family_readers_build_no_dense_stack(run):
+def test_bell_family_readers_build_no_dense_stack(run, bound_mib):
     # a dense (4096, 64, 64) stack of words alone is 256 MiB
     tracemalloc.start()
     try:
@@ -1520,4 +1616,4 @@ def test_bell_family_readers_build_no_dense_stack(run):
     finally:
         tracemalloc.stop()
     assert rep.passed
-    assert peak < 150 * 2**20, peak
+    assert peak < bound_mib * 2**20, peak

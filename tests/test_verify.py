@@ -1,23 +1,18 @@
 import numpy as np
 import pytest
 
-from bellkit.bell import omega, qudit_bell
-from bellkit.linalg import haar_unitary, residual, identity
-from dense import dense_family, kron, observable_check
+from bellkit.bell import bell_unitaries, omega, qudit_bell, word_groups
+from bellkit.linalg import Monomial, haar_unitary, residual, identity
+from dense import dense_states, gram, kron, observable_check, qudit_states
 from bellkit.pauli import pauli_gate
 from bellkit.verify import (
     APPENDIX_N1_MATRIX,
-    BasisFamily,
     ObservableSpec,
-    _projector_sum,
-    _tiled_phases,
     basis_theorem_suite,
-    bell_family,
     completeness_check,
     conjugated_observables,
     extend_basis,
     gram_check,
-    gram_matrix,
     multiqubit_observable_suite,
     multiqubit_observables,
     perturbed_nonunitary,
@@ -28,48 +23,51 @@ from bellkit.verify import (
 )
 
 
+def _scaled(words, label, factor):
+    """``words`` with the phases of one word scaled: the row maps, and so the tiling, stay."""
+    scale = np.ones(len(words.perm))
+    scale[label] = factor
+    return Monomial(words.perm, words.phase * scale[:, None])
+
+
 def test_gram_check_pass_and_fail():
-    assert gram_check(bell_family(d=2)).passed
-    assert gram_check(bell_family(d=3)).passed
-    ket = np.zeros(4, dtype=complex)
-    ket[0] = 1
-    dup = BasisFamily(4, [ket, ket], ["a", "b"])
-    rep = gram_check(dup)
+    assert gram_check(bell_unitaries(d=2)[1]).passed
+    assert gram_check(bell_unitaries(d=3)[1]).passed
+    # one state doubled: <s_0|s_0> = 4
+    rep = gram_check(_scaled(bell_unitaries(d=2)[1], 0, 2.0))
     assert not rep.passed
-    assert rep.cases[0].residual == pytest.approx(1.0)
+    assert rep.cases[0].residual == pytest.approx(3.0)
+    # no words tile nothing: refused
+    with pytest.raises(ValueError, match="tile"):
+        gram_check(bell_unitaries(d=2)[1][:0])
 
 
 def test_completeness_check():
-    assert completeness_check(bell_family(d=2)).passed
-    assert completeness_check(bell_family(n=2)).passed
-    fam = bell_family(d=2)
-    short = BasisFamily(4, dense_family(fam).states[:3], fam.labels[:3])
-    rep = completeness_check(short)
+    assert completeness_check(bell_unitaries(d=2)[1]).passed
+    assert completeness_check(bell_unitaries(n=2)[1]).passed
+    words = bell_unitaries(d=2)[1]
+    # one Bell projector counted four times: its diagonal entries 1/2 become 2
+    rep = completeness_check(_scaled(words, 0, 2.0))
     assert not rep.passed
-    assert "incomplete-family" in rep.cases[0].case_id
-    # the missing Bell projector has max-abs entry 1/2
-    assert rep.cases[0].residual == pytest.approx(0.5)
-    # dropping a computational-basis member leaves a full unit on the diagonal
-    kets = [np.eye(4, dtype=complex)[i] for i in range(3)]
-    rep = completeness_check(BasisFamily(4, kets, list("abc")))
-    assert rep.cases[0].residual == pytest.approx(1.0)
+    assert rep.cases[0].residual == pytest.approx(1.5)
+    # a family short of a word leaves a gap in the D^2 positions: refused, never checked
+    with pytest.raises(ValueError, match="tile"):
+        completeness_check(words[:3])
 
 
 def test_extend_basis():
-    fam = bell_family(d=2)
-    same = extend_basis(fam, np.eye(2), "left")
-    assert max(residual(a, b) for a, b in zip(same.states, dense_family(fam).states)) == 0
+    words = bell_unitaries(d=2)[1]
+    same = extend_basis(words, np.eye(2), "left")
+    assert residual(same, dense_states(words)) == 0
     rng = np.random.default_rng(0)
-    assert gram_check(extend_basis(bell_family(d=3), haar_unitary(3, rng), "left")).passed
-    skew = extend_basis(fam, np.diag([1.0, 2.0]), "left")
-    g = gram_matrix(skew)
+    extended = extend_basis(bell_unitaries(d=3)[1], haar_unitary(3, rng), "left")
+    assert residual(gram(extended), np.eye(9)) < 1e-12
+    g = gram(extend_basis(words, np.diag([1.0, 2.0]), "left"))
     assert g[0, 0] == pytest.approx(2.5)  # tr(M^dag M)/2
     with pytest.raises(ValueError):
-        extend_basis(fam, np.eye(3), "left")
+        extend_basis(words, np.eye(3), "left")
     with pytest.raises(ValueError):
-        extend_basis(fam, np.eye(2), "up")
-    with pytest.raises(ValueError):
-        extend_basis(dense_family(fam), np.eye(2), "left")
+        extend_basis(words, np.eye(2), "up")
 
 
 def test_perturbed_nonunitary_deviation():
@@ -149,7 +147,7 @@ def test_basis_theorem_names_witness_trial(monkeypatch):
 
 
 def test_qudit_observables_d2():
-    ox_p, ox_m, oz_p, oz_m = qudit_observables(bell_family(d=2), 1)
+    ox_p, ox_m, oz_p, oz_m = qudit_observables(*qudit_states(2), 1)
     xx = kron(pauli_gate("X"), pauli_gate("X"))
     zz = kron(pauli_gate("Z"), pauli_gate("Z"))
     assert residual(ox_p.matrix, xx) == 0
@@ -164,7 +162,7 @@ def test_qudit_observables_d2():
 
 
 def test_qudit_observables_d3_eigenvalue():
-    ox_p = qudit_observables(bell_family(d=3), 1)[0]
+    ox_p = qudit_observables(*qudit_states(3), 1)[0]
     lam = dict(zip(ox_p.labels, ox_p.eigenvalues))[(1, 0)]
     assert lam == pytest.approx(np.cos(2 * np.pi / 3))
     state = qudit_bell(3, 1, 0)
@@ -174,15 +172,15 @@ def test_qudit_observables_d3_eigenvalue():
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_qudit_observables_all_k(d):
     for k in range(1, d):
-        for spec in qudit_observables(bell_family(d=d), k):
+        for spec in qudit_observables(*qudit_states(d), k):
             assert observable_check(spec).passed, (d, k, spec.name)
     with pytest.raises(ValueError):
-        qudit_observables(bell_family(d=d), d)
+        qudit_observables(*qudit_states(d), d)
 
 
 def test_conjugated_observables():
     rng = np.random.default_rng(2)
-    spec = qudit_observables(bell_family(d=3), 2)[1]
+    spec = qudit_observables(*qudit_states(3), 2)[1]
     for side in ("left", "right"):
         conj = conjugated_observables(spec, haar_unitary(3, rng), side)
         assert observable_check(conj).passed
@@ -196,7 +194,7 @@ def test_right_conjugation_uses_transpose_pair():
     # eigenvectors of the right form are (1 x M^T)|Omega(ab)> = |Omega M(ab)>
     rng = np.random.default_rng(3)
     m = haar_unitary(3, rng)
-    spec = qudit_observables(bell_family(d=3), 1)[2]
+    spec = qudit_observables(*qudit_states(3), 1)[2]
     conj = conjugated_observables(spec, m, "right")
     shift = kron(identity(3), m.T)
     inv = kron(identity(3), m.conj())
@@ -221,7 +219,7 @@ def test_conjugation_is_exact_on_dyadic_unitary(side):
     # dense pair's bits
     h4 = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
     m = np.diag([1, 1j, -1, -1j]) @ h4 / 2
-    spec = qudit_observables(bell_family(d=4), 1)[2]
+    spec = qudit_observables(*qudit_states(4), 1)[2]
     conj = conjugated_observables(spec, m, side)
     eye = identity(4)
     # the left form shifts by M x 1, the right by 1 x M^T; the other matrix is wrong
@@ -249,16 +247,12 @@ def test_multiqubit_observables():
 def test_multiqubit_family_readers_take_real_products():
     for n in (1, 2, 3):
         for spec in multiqubit_observables(n):
-            assert spec.states[1].dtype == np.float64 and spec.matrix.phase.dtype == np.float64
-        fam = bell_family(n=n)
+            assert spec.states.phase.dtype == np.float64 and spec.matrix.phase.dtype == np.float64
+        words = bell_unitaries(n=n)[1]
         # the grouped Gram and projector-sum blocks are real GEMMs of the real phases
-        assert _tiled_phases(fam).dtype == np.float64
-        assert gram_matrix(dense_family(fam)).dtype == np.float64
-        assert _projector_sum(dense_family(fam).states).dtype == np.float64
-    fam = bell_family(d=3)
-    assert _tiled_phases(fam).dtype == np.complex128
-    assert gram_matrix(dense_family(fam)).dtype == np.complex128
-    assert _projector_sum(dense_family(fam).states).dtype == np.complex128
+        assert words.phase[word_groups(words)[0]].dtype == np.float64
+    words = bell_unitaries(d=3)[1]
+    assert words.phase[word_groups(words)[0]].dtype == np.complex128
 
 
 def _respec(spec, lam_shift=None, nan_at=None):
@@ -273,7 +267,7 @@ def _respec(spec, lam_shift=None, nan_at=None):
 
 
 def test_failed_eigenequations_name_witness():
-    spec = qudit_observables(bell_family(d=3), 1)[0]
+    spec = qudit_observables(*qudit_states(3), 1)[0]
     # the worst state is the witness, not the first failing one
     rep = observable_check(_respec(spec, {(0, 1): 0.25, (1, 2): 0.5}))
     assert rep.cases[1].case_id == "eigenequations (9 states) witness=(1,2)"
@@ -295,8 +289,8 @@ def test_observable_suite_case_names_witness(monkeypatch):
 
     real = verify.qudit_observables
 
-    def broken(fam, k):
-        specs = real(fam, k)
+    def broken(labels, states, k):
+        specs = real(labels, states, k)
         return [_respec(specs[0], nan_at=(1, 1))] + specs[1:]
 
     monkeypatch.setattr(verify, "qudit_observables", broken)
@@ -327,25 +321,11 @@ def test_trace_constraint_solve(n):
 # a NaN residual never passes a folded case
 
 
-def _nan_on_call(real, k):
-    """residual() that returns NaN on its k-th call (1-based) and is exact otherwise."""
-    calls = []
-
-    def fake(a, b):
-        calls.append(None)
-        return float("nan") if len(calls) == k else real(a, b)
-
-    return fake
-
-
-def test_nan_residual_fails_must_pass_fold(monkeypatch):
-    import bellkit.verify as verify
-
-    spec = qudit_observables(bell_family(d=2), 1)[0]
-    # call 1 is the hermiticity case; call 2 is the eigenequations, stacked
-    # over all states into one residual, so the NaN lands after a finite one
-    monkeypatch.setattr(verify, "residual", _nan_on_call(residual, 2))
-    rep = observable_check(spec)
+def test_nan_residual_fails_must_pass_fold():
+    spec = qudit_observables(*qudit_states(2), 1)[0]
+    # the eigenequations fold one residual per state; a NaN in the last state
+    # lands after finite ones
+    rep = observable_check(_respec(spec, nan_at=spec.labels[-1]))
     case = rep.cases[1]
     assert case.case_id.startswith("eigenequations")
     assert np.isnan(case.residual) and not case.passed
