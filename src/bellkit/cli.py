@@ -102,11 +102,11 @@ def _suite_basis_group(tol, seed, *, family: Family = "qudit", d: int = 2, n: in
         if n > BASIS_GROUP_MAX_N:
             raise ValueError(f"basis-group --n must be at most {BASIS_GROUP_MAX_N}, got {n}")
         n = _size(_suite_basis_group, d, n, family=family)["n"]
-        return basis_group_check(qubit_word_set(n), 2**n, tol)
+        return basis_group_check(qubit_word_set(n), tol)
     if d > BASIS_GROUP_MAX_D:
         raise ValueError(f"basis-group --d must be at most {BASIS_GROUP_MAX_D}, got {d}")
     d = _size(_suite_basis_group, d, n, family=family)["d"]
-    return basis_group_check(qudit_word_set(d), d, tol)
+    return basis_group_check(qudit_word_set(d), tol)
 
 
 def _suite_observables(

@@ -238,19 +238,10 @@ def residual(a, b) -> float:
     """Max-abs entrywise difference; the residual used by every suite.
 
     Two ``Monomial`` operators give the value of their dense matrices,
-    from the arrays: column j of the difference holds ``phase_a -
-    phase_b`` where the permutations agree, else ``phase_a`` and
-    ``-phase_b`` in two rows, so its max-abs is ``|phase_a - phase_b|``
-    or ``max(|phase_a|, |phase_b|)``, NaN included.
+    from the arrays (``residuals``).
     """
     if isinstance(a, Monomial):
-        _same_dim(a, b)
-        cols = np.where(
-            a.perm == b.perm,
-            np.abs(a.phase - b.phase),
-            np.maximum(np.abs(a.phase), np.abs(b.phase)),
-        )
-        return float(np.max(cols))
+        return float(np.max(residuals(a, b)))
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
@@ -259,7 +250,20 @@ def residual(a, b) -> float:
 
 
 def residuals(a, b) -> np.ndarray:
-    """``residual`` of each matrix of a stack ``(..., m, n)``: max-abs over the last two axes, NaN kept."""
+    """``residual`` of each matrix of a stack ``(..., m, n)``, or of each pair of two broadcast ``Monomial`` stacks.
+
+    Max-abs over each matrix, NaN kept.  Column j of the difference of two
+    monomials holds ``phase_a - phase_b`` where the permutations agree, else
+    ``phase_a`` and ``-phase_b`` in two rows, so its max-abs is ``|phase_a
+    - phase_b|`` or ``max(|phase_a|, |phase_b|)``.
+    """
+    if isinstance(a, Monomial):
+        _same_dim(a, b)
+        return np.where(
+            a.perm == b.perm,
+            np.abs(a.phase - b.phase),
+            np.maximum(np.abs(a.phase), np.abs(b.phase)),
+        ).max(axis=-1)
     return np.abs(np.asarray(a) - b).max(axis=(-2, -1))
 
 

@@ -5,8 +5,7 @@ tensor words ``T(ab) = (-1)^g  prod_k Z^{a_k} X^{b_k}`` and qudit words
 ``omega^g Z^a X^b`` (omega = exp(2 pi i / d), ``ZX = omega XZ``), built
 from integer exponents as one ``linalg.Monomial`` (``word``): one word
 from scalar exponents, a stack of K words (a Bell family, the basis-group
-candidate sets) from ``(K, 1)`` arrays.  A dense stack is that
-monomial's ``dense()``.
+candidate sets) from ``(K, 1)`` arrays.
 
 Phases are never floated through matrices when combining words: signs
 and phases are integer exponents, so the braid outcome table, which adds
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Monomial, fold, identity, residual, residuals
+from .linalg import DEFAULT_TOL, Monomial, blocks, fold, residual, residuals
 from .report import Report
 
 # multi_bell builds its word dense, 2^n x 2^n, on at most this many qubits;
@@ -131,145 +130,115 @@ def word(a, b, g=0, n: int | None = None, d: int | None = None) -> Monomial:
 # word families
 
 
-def qubit_word_set(n: int) -> np.ndarray:
+def qubit_word_set(n: int) -> Monomial:
     """All 2 * 4^n signed words, the candidate basis group at d=2^n: (z, x) lexicographic, each + then -."""
-    return word(*np.indices((2**n, 2**n, 2)).reshape(3, -1, 1), n=n).dense()
+    return word(*np.indices((2**n, 2**n, 2)).reshape(3, -1, 1), n=n)
 
 
-def qudit_word_set(d: int) -> np.ndarray:
+def qudit_word_set(d: int) -> Monomial:
     """All d^3 phase-decorated qudit words omega^g Z^a X^b, in (g, a, b) lexicographic order."""
     g, a, b = np.indices((d, d, d)).reshape(3, -1, 1)
-    return word(a, b, g, d=d).dense()
+    return word(a, b, g, d=d)
 
 
-# Each temporary of the closure check holds at most this many bytes, so the
-# check's extra working set stays near 2 MiB whatever the candidate count.
-_CHUNK_BYTES = 1 << 19
+# Each temporary of the closure search holds at most this many bytes (or one
+# candidate's worth), whatever the candidate count.  At four times this size
+# the check of the d = 5 words took twice as long: each of its temporaries
+# was then a fresh 250 KB allocation.
+_CHUNK_BYTES = 1 << 17
 
 
-def _nearest_residuals(count: int, build, mats: np.ndarray) -> np.ndarray:
-    """``min_w max|P - w|`` over the members ``w`` of ``mats``, for each of
-    ``count`` matrices ``P``; ``build(lo, hi)`` stacks ``P[lo:hi]``.
+def _nearest(words: Monomial, groups: dict, cands: Monomial) -> np.ndarray:
+    """``min_w residual(P, w)`` over the members ``w`` of ``words``, for each candidate ``P`` of ``cands``.
 
-    Equal to folding ``residual(P, w)`` over every member with ``np.min``,
-    NaN included.  One GEMM gives every squared Frobenius distance
-    ``F2 = |P|^2 + |w|^2 - 2 Re<w, P>``; the Frobenius-nearest member
-    ``w*`` gives ``ub = max|P - w*|``.  As ``max|x| >= |x|_F / d``, only
-    members with ``F2 <= d^2 ub^2 + slack`` can do better, where ``slack``
-    is twice a bound on the rounding of both sides.  Those members get the
-    exact ``max|P - w|``, and so does every member for a ``P`` whose row
-    of ``F2`` is not finite (a NaN or inf entry, or overflow), except
-    ``w*``, whose residual ``ub`` already is.  Every returned value is such
-    an exact residual against a real member, so a pruning error could only
-    raise it, never lower it.
+    All candidates share one row map; ``groups`` maps the bytes of a row
+    map to the members that have it.  A member with another map differs from P
+    by at least P's smallest ``|phase|``, in a column where the maps differ,
+    so the members with P's map, at ``max|p_P - p_w|``, decide the minimum
+    when their best is below that.  The other candidates, whose map no
+    member has or whose best is not below it, are compared with every
+    member.  A NaN member makes every value NaN, as ``np.min`` over the
+    dense residuals does.
     """
-    size = mats[0].size
-    flat = mats.reshape(len(mats), size)
-    sq_w = (flat.real**2 + flat.imag**2).sum(axis=1)
-    flat_h = flat.conj().T.copy()
-    rel = 8 * (size + 2) * np.finfo(float).eps
-    floor = rel * sq_w.max() + np.finfo(float).tiny
-    step = max(1, _CHUNK_BYTES // (16 * max(len(mats), size)))
-    pair_step = max(1, _CHUNK_BYTES // (16 * size))
-    out = np.empty(count)
-    for lo in range(0, count, step):
-        prods = build(lo, min(lo + step, count))
-        flat_p = prods.reshape(len(prods), size)
-        sq_p = (flat_p.real**2 + flat_p.imag**2).sum(axis=1)
-        f2 = (flat_p @ flat_h).real
-        f2 *= -2.0
-        f2 += sq_w
-        f2 += sq_p[:, None]
-        best = np.argmin(f2, axis=1)
-        ub = np.abs(prods - mats[best]).max(axis=(1, 2))
-        bound = size * ub**2
-        bound += rel * (sq_p + bound) + floor
-        near = f2 <= bound[:, None]
-        near[~np.isfinite(f2.sum(axis=1))] = True
-        near[np.arange(len(prods)), best] = False
-        rows, cols = np.divmod(np.flatnonzero(near), len(mats))
-        for k in range(0, rows.size, pair_step):
-            r, c = rows[k:k + pair_step], cols[k:k + pair_step]
-            np.minimum.at(ub, r, np.abs(prods[r] - mats[c]).max(axis=(1, 2)))
-        out[lo:lo + len(prods)] = ub
-    return out
+    perm, phase = cands.perm.reshape(-1, words.dim), cands.phase.reshape(-1, words.dim)
+    same = words.phase[groups.get(perm[0].tobytes(), [])]
+    floor = np.nan if np.isnan(words.phase).any() else np.inf
+    best = np.empty(len(phase))
+    for block in blocks(len(phase), max(1, len(same)), _CHUNK_BYTES // 16):
+        # one column at a time, so that each temporary is (members, candidates)
+        dist = np.zeros((len(same), len(phase[block])))
+        for c in range(words.dim):
+            np.maximum(dist, np.abs(phase[block, c] - same[:, c, None]), out=dist)
+        best[block] = dist.min(axis=0, initial=floor)
+    rest = np.flatnonzero(~(best < np.abs(phase).min(axis=1)))
+    for rows in (rest[block] for block in blocks(len(rest), words.phase.size, _CHUNK_BYTES // 16)):
+        best[rows] = residuals(Monomial._of(perm[rows, None], phase[rows, None]), words).min(axis=1)
+    return best.reshape(cands.perm.shape[:-1])
 
 
-def _pair_products(stack: np.ndarray):
-    """``build(lo, hi)``: the ``(hi - lo, D, D)`` products ``stack[i] @ stack[j]`` of the pairs ``i N + j`` in ``[lo, hi)``.
+def _map_groups(words: Monomial) -> dict:
+    """The members of a stack ``(N, D)`` by row map: the bytes of each distinct map to the indices of its members."""
+    groups: dict = {}
+    for i, row in enumerate(words.perm):
+        groups.setdefault(row.tobytes(), []).append(i)
+    return {key: np.array(idx) for key, idx in groups.items()}
 
-    Entry ``[(i, r), (j, c)]`` of ``stack.reshape(N D, D) @ stack.transpose(1,
-    0, 2).reshape(D, N D)`` is ``(stack[i] @ stack[j])[r, c]``.  A window
-    of pairs is at most three rectangles of that grid (the end of a row i,
-    whole rows, the start of a row), each one GEMM, so no product outside
-    the window is formed.
+
+def _closure_residuals(words: Monomial, groups: dict):
+    """Nearest-member residuals of the products ``words[i] @ words[j]``, ``(N, N)``, and of the adjoints, ``(N,)``.
+
+    The products of two map groups share one map; each is exact elementwise
+    arithmetic (``Monomial.__matmul__``, left factor first), taken in blocks
+    of left factors.
     """
-    count, dim = stack.shape[:2]
-    left = stack.reshape(count * dim, dim)
-    right = stack.transpose(1, 0, 2).reshape(dim, count * dim)
-
-    def build(lo, hi):
-        out = np.empty((hi - lo,) + stack.shape[1:], dtype=stack.dtype)
-        start = lo
-        while start < hi:
-            i, j = divmod(start, count)
-            if j == 0 and hi - start >= count:
-                rows, stop = (hi - start) // count, count
-            else:
-                rows, stop = 1, min(count, j + hi - start)
-            grid = left[i * dim:(i + rows) * dim] @ right[:, j * dim:stop * dim]
-            view = out[start - lo:start - lo + rows * (stop - j)].reshape(rows, stop - j, dim, dim)
-            view[...] = grid.reshape(rows, dim, stop - j, dim).swapaxes(1, 2)
-            start += rows * (stop - j)
-        return out
-
-    return build
+    members = groups.values()
+    products = np.empty((len(words.perm),) * 2)
+    for left in members:
+        for right in members:
+            for block in blocks(len(left), len(right) * words.dim, _CHUNK_BYTES // 16):
+                products[np.ix_(left[block], right)] = _nearest(words, groups, words[left[block]] @ words[right])
+    adjoints, dagger = words.adjoint(), np.empty(len(words.perm))
+    for idx in members:
+        dagger[idx] = _nearest(words, groups, adjoints[idx])
+    return products, dagger
 
 
-def basis_group_check(words, d: int, tol: float = DEFAULT_TOL) -> Report:
-    """Verify that a finite set of matrices forms a basis group.
+def basis_group_check(words: Monomial, tol: float = DEFAULT_TOL) -> Report:
+    """Verify that a stack of monomials ``(N, D)`` forms a basis group.
 
-    Checks (i) every element unitary, (ii) closure under multiplication
-    and conjugate transpose, (iii) Hilbert-Schmidt orthonormality of one
-    phase representative per coset.  A closure violation is reported
-    with the witness pair (product) or index (adjoint) in the case id.
+    Checks (i) every element unitary, ``|phase| = 1``, (ii) closure under
+    multiplication and conjugate transpose (``_closure_residuals``), (iii)
+    Hilbert-Schmidt orthonormality of one phase representative per coset.
+    A closure violation is reported with the witness pair (product) or
+    index (adjoint) in the case id.  No residual depends on how a BLAS
+    rounds.
     """
-    stack = np.asarray(words, dtype=complex)
-    count = len(stack)
-    if not count:
-        raise ValueError("empty candidate set")
-    rep = Report("basis-group", {"d": d, "size": count}, tolerance=tol)
+    if words.perm.ndim != 2 or not len(words.perm):
+        raise ValueError("expected a non-empty (N, D) stack of monomials")
+    count, dim = words.perm.shape
+    rep = Report("basis-group", {"d": dim, "size": count}, tolerance=tol)
+    rep.add("unitary", np.max(np.abs(np.abs(words.phase) ** 2 - 1)))
 
-    rep.add("unitary", fold(residuals(np.swapaxes(stack.conj(), -1, -2) @ stack, identity(d))))
-
-    dists = _nearest_residuals(count * count, _pair_products(stack), stack)
-    worst = fold(dists)
-    if not worst < tol:
-        # The GEMM and one product per pair round apart by at most half of
-        # ``slack``, so the pairs within ``slack`` of the worst are redone one
-        # product each: the worst pair and its residual then do not depend on
-        # how the BLAS rounds the GEMM.
-        mag = np.abs(stack)
-        slack = 16 * (stack.shape[1] + 2) * np.finfo(float).eps * (mag.sum(axis=2).max() * mag.max() + worst)
-        near = np.flatnonzero(~(dists < worst - slack))
-        left, right = np.divmod(near, count)
-        dists[near] = _nearest_residuals(
-            near.size, lambda lo, hi: np.matmul(stack[left[lo:hi]], stack[right[lo:hi]]), stack
-        )
-        worst = fold(dists)
+    groups = _map_groups(words)
+    products, dagger = _closure_residuals(words, groups)
+    worst = fold(products.ravel())
     # argmax returns the first NaN if there is one, else the first worst pair.
-    i, j = np.divmod(np.argmax(dists), count)
+    i, j = np.divmod(np.argmax(products), count)
     rep.add("closure-mul" + (f" witness=({i},{j})" if not worst < tol else ""), worst)
-
-    adjoints = stack.conj().transpose(0, 2, 1)
-    dists = _nearest_residuals(count, lambda lo, hi: adjoints[lo:hi], stack)
-    worst = fold(dists)
-    rep.add("closure-dagger" + (f" witness=({np.argmax(dists)})" if not worst < tol else ""), worst)
+    worst = fold(dagger)
+    rep.add("closure-dagger" + (f" witness=({np.argmax(dagger)})" if not worst < tol else ""), worst)
 
     # One representative per global-phase coset; for unitaries u, v the
-    # coset test is |tr(u^dagger v)| = d.  hs[a, b] = tr(a^dagger b) / d.
-    flat = stack.reshape(count, -1)
-    hs = flat.conj() @ flat.T / stack.shape[1]
+    # coset test is |tr(u^dagger v)| = d.  hs[a, b] = tr(a^dagger b) / d, the
+    # sum of conj(p_a) p_b over the columns where the two row maps agree.
+    hs = np.zeros((count, count), dtype=complex)
+    for left in groups.values():
+        for right in groups.values():
+            agree = words.perm[left[0]] == words.perm[right[0]]
+            if agree.any():
+                hs[np.ix_(left, right)] = np.einsum(
+                    "ic,jc->ij", words.phase[left][:, agree].conj(), words.phase[right][:, agree]
+                ) / dim
     reps: list[int] = []
     for m in range(count):
         if not np.any(np.abs(np.abs(hs[reps, m]) - 1.0) < 1e-9):

@@ -304,7 +304,6 @@ def projective_eq_check(
     variant: str,
     d: int | None = None,
     n: int | None = None,
-    m: np.ndarray | None = None,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
 ) -> Report:
@@ -328,11 +327,7 @@ def projective_eq_check(
     rng = np.random.default_rng(seed)
     setting = _Setting("projective-eq", variant, d, n)
     dim = setting.dim
-    if setting.variant == "projective_nqubit":
-        m = identity(dim)
-    elif m is None:
-        m = haar_unitary(dim, rng)
-    setting.use(m)
+    setting.use(identity(dim) if setting.variant == "projective_nqubit" else haar_unitary(dim, rng))
     rep = Report("projective-eq", {"variant": setting.variant, **setting.size}, tolerance=tol, seed=seed)
     psi = random_state(dim, rng)
     prepared = np.kron(psi, setting.resource([0])[0]).reshape(dim * dim, dim)
@@ -360,28 +355,19 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def protocol_outcomes(
-    psi: np.ndarray,
-    variant: str,
-    m: np.ndarray | None = None,
-    resource: np.ndarray | None = None,
-):
+def protocol_outcomes(psi: np.ndarray, variant: str, m: np.ndarray | None = None):
     """Deterministic outcome table: (label, probability, fidelity, output, correction).
 
     Measures in the form-11 setting at b = 0: outcome ``a`` is corrected by
     ``U_a M^dag`` for qudits and by ``T(a)`` for n qubits (``M = 1``).  Every
-    outcome is computed at once, from stacked products over the K labels.  A
-    non-default ``resource`` (e.g. a Schmidt-skewed state) is allowed so
-    that loss of fidelity can be demonstrated.
+    outcome is computed at once, from stacked products over the K labels.
     """
     psi = np.asarray(psi, dtype=complex)
     dim = psi.shape[0]
     setting = _Setting("protocol", variant, d=dim, n=dim.bit_length() - 1)
     qubits = "n" in setting.size
     setting.use(identity(dim) if m is None or qubits else m)
-    if resource is None:
-        resource = setting.resource([0])[0]
-    branches = setting.branches(np.kron(psi, resource).reshape(dim * dim, dim))
+    branches = setting.branches(np.kron(psi, setting.resource([0])[0]).reshape(dim * dim, dim))
     norms = np.sqrt(_row_dots(branches.real, branches.real) + _row_dots(branches.imag, branches.imag))
     probs = norms**2
     if abs(probs.sum() - 1.0) > 1e-12:

@@ -17,7 +17,11 @@ with their algebra of products and adjoints, the circuit unitary built
 gate by gate from Kronecker products, and the Bell-basis reconstruction,
 one label at a time, live here too: the library reaches none of them.
 The library builds every word from integer exponents (``pauli.word``);
-``word_matrix`` and its kin read a symbolic word into that call.
+``word_matrix`` and its kin read a symbolic word into that call.  The
+basis-group candidate sets of the tests are written as dense matrices
+and read into a stacked ``Monomial`` by ``monomial_of``, which refuses a
+non-monomial member; the dense oracle multiplies two members entry by
+entry (``monomial_matmul``).
 """
 
 from dataclasses import dataclass
@@ -27,7 +31,7 @@ import numpy as np
 
 from bellkit.bell import all_labels, bell_unitaries, bell_vector, multi_bell, product_ket, twist_monomial
 from bellkit.braid import _word
-from bellkit.linalg import DEFAULT_TOL, dagger, fold, identity, residual
+from bellkit.linalg import DEFAULT_TOL, Monomial, dagger, fold, identity, residual
 from bellkit.pauli import as_bits, bits_to_int, pauli_gate, word
 from bellkit.report import Report
 from bellkit.verify import (
@@ -308,6 +312,38 @@ def dense_words(words):
     rows, phase = words.perm, words.phase
     out = np.zeros(rows.shape + rows.shape[-1:], dtype=phase.dtype)
     out[np.arange(len(rows))[:, None], rows, np.arange(rows.shape[-1])] = phase
+    return out
+
+
+def _entry_rows(mats):
+    """The row of the one nonzero (or NaN) entry in each column of ``mats`` ``(..., D, D)``.
+
+    A matrix with any other column is refused.
+    """
+    nonzero = np.asarray(mats) != 0
+    if not (nonzero.sum(axis=-2) == 1).all():
+        raise ValueError("not a monomial matrix: a column without exactly one nonzero entry")
+    return np.argmax(nonzero, axis=-2)
+
+
+def monomial_of(mats):
+    """The stacked ``Monomial`` of the dense monomial matrices ``mats`` ``(N, D, D)``; any other member is refused."""
+    mats = np.asarray(mats)
+    rows = _entry_rows(mats)
+    return Monomial(rows, np.take_along_axis(mats, rows[:, None], axis=1)[:, 0])
+
+
+def monomial_matmul(a, b):
+    """``a @ b`` for two dense monomial matrices, without BLAS and without forming 0 * x.
+
+    Column c holds one entry, the left entry times the right entry:
+    ``a[r, k] * b[k, c]``, k the row of column c's entry of b and r that of
+    column k's entry of a.
+    """
+    ra, rb = _entry_rows(a), _entry_rows(b)
+    cols = np.arange(len(b))
+    out = np.zeros(np.shape(a), dtype=np.result_type(a, b))
+    out[ra[rb], cols] = a[ra[rb], rb] * b[rb, cols]
     return out
 
 

@@ -65,8 +65,6 @@ from bellkit.linalg import (
     residual,
 )
 from bellkit.pauli import (
-    _nearest_residuals,
-    _pair_products,
     word,
     basis_group_check,
     omega_root,
@@ -127,8 +125,9 @@ from dense import (
     gen_x,
     gram,
     haar_one,
-    hs_inner,
     kron,
+    monomial_matmul,
+    monomial_of,
     perturbed_one,
     product_ket_of,
     projective_residuals,
@@ -286,12 +285,18 @@ def dense_basis_group_check(words, d, tol=DEFAULT_TOL):
     """basis_group_check by the N^3 loop: every product and adjoint compared
     with every member by residual, the HS Gram entry by entry.
 
-    Returns the report and the per-product and per-adjoint nearest residuals.
+    Each product of two monomial members is formed entry by entry, left
+    entry times right entry (``monomial_matmul``), and each HS entry
+    ``tr(a^dagger b) / d`` as the sum of the entrywise product, both without
+    BLAS and in the members' own dtype; unitarity is the dense ``m^dagger
+    m``.  Returns the report and the per-product and per-adjoint nearest
+    residuals.
     """
-    mats = [np.asarray(w, dtype=complex) for w in words]
+    mats = [np.asarray(w) for w in words]
+    inner = lambda a, b: complex(np.sum(a.conj() * b) / d)
     rep = Report("basis-group", {"d": d, "size": len(mats)}, tolerance=tol)
     rep.add("unitary", fold(residual(m.conj().T @ m, identity(d)) for m in mats))
-    mul = dense_nearest([a @ b for a in mats for b in mats], mats).reshape(len(mats), -1)
+    mul = dense_nearest([monomial_matmul(a, b) for a in mats for b in mats], mats).reshape(len(mats), -1)
     i, j = np.unravel_index(np.argmax(mul), mul.shape)
     worst = fold(mul.flat)
     rep.add("closure-mul" + (f" witness=({i},{j})" if not worst < tol else ""), worst)
@@ -300,9 +305,9 @@ def dense_basis_group_check(words, d, tol=DEFAULT_TOL):
     rep.add("closure-dagger" + (f" witness=({np.argmax(dag)})" if not worst < tol else ""), worst)
     reps = []
     for m in mats:
-        if not any(abs(abs(hs_inner(r, m)) - 1.0) < 1e-9 for r in reps):
+        if not any(abs(abs(inner(r, m)) - 1.0) < 1e-9 for r in reps):
             reps.append(m)
-    gram = np.array([[hs_inner(a, b) for b in reps] for a in reps])
+    gram = np.array([[inner(a, b) for b in reps] for a in reps])
     rep.add("hs-orthonormal", residual(gram, np.eye(len(reps))))
     return rep, mul, dag
 
@@ -860,19 +865,23 @@ def _perturbed(words, index, delta):
 
 
 BASIS_GROUP_SETS = {
-    **{f"qudit-{d}": (lambda d=d: qudit_word_set(d), d) for d in (2, 3, 4, 5)},
-    **{f"multi-{n}": (lambda n=n: qubit_word_set(n), 2**n) for n in (1, 2)},
-    "qudit-3-dropped": (lambda: np.delete(qudit_word_set(3), 4, axis=0), 3),
-    "qudit-3-perturbed-1e-13": (lambda: _perturbed(qudit_word_set(3), 5, 1e-13), 3),
-    "qudit-3-perturbed-1e-6": (lambda: _perturbed(qudit_word_set(3), 5, 1e-6), 3),
-    "qudit-2-haar": (lambda: [*qudit_word_set(2), haar_unitary(2, np.random.default_rng(3))], 2),
+    **{f"qudit-{d}": (lambda d=d: qudit_word_set(d).dense(), d) for d in (2, 3, 4, 5)},
+    **{f"multi-{n}": (lambda n=n: qubit_word_set(n).dense(), 2**n) for n in (1, 2)},
+    "qudit-3-dropped": (lambda: np.delete(qudit_word_set(3).dense(), 4, axis=0), 3),
+    "qudit-3-perturbed-1e-13": (lambda: _perturbed(qudit_word_set(3).dense(), 5, 1e-13), 3),
+    "qudit-3-perturbed-1e-6": (lambda: _perturbed(qudit_word_set(3).dense(), 5, 1e-6), 3),
+    # not a set of monomials: refused before any check runs
+    "qudit-2-haar": (lambda: [*qudit_word_set(2).dense(), haar_unitary(2, np.random.default_rng(3))], 2),
     "one-diag": (lambda: [np.eye(2), np.diag([1.0, 2.0])], 2),
-    "qudit-3-nan": (lambda: _perturbed(qudit_word_set(3), 7, np.nan), 3),
-    "qudit-3-inf": (lambda: _perturbed(qudit_word_set(3), 7, np.inf), 3),
-    "multi-1-nan": (lambda: _perturbed(qubit_word_set(1), 3, np.nan), 2),
-    # |P|^2 + |w|^2 - 2 Re<w, P> overflows to inf - inf: F2 gives no ranking
+    "qudit-3-nan": (lambda: _perturbed(qudit_word_set(3).dense(), 7, np.nan), 3),
+    "qudit-3-inf": (lambda: _perturbed(qudit_word_set(3).dense(), 7, np.inf), 3),
+    "multi-1-nan": (lambda: _perturbed(qubit_word_set(1).dense(), 3, np.nan), 2),
+    # every product overflows to inf
     "overflow": (lambda: [1e160 * np.diag([1.0, 1.5]), 1e160 * np.eye(2)], 2),
+    # products near 1e200, residuals too: a squared difference would overflow to inf
+    "large": (lambda: [1e100 * np.eye(2), 1e100 * np.diag([1.0, -1.0])], 2),
 }
+MONOMIAL_SETS = [name for name in BASIS_GROUP_SETS if name != "qudit-2-haar"]
 
 
 @cache
@@ -893,75 +902,78 @@ def _assert_reports_match(new, old):
     )
 
 
+def _assert_basis_group_matches(words):
+    """``basis_group_check`` of the stacked ``words`` against the dense loop over its matrices."""
+    new, old = basis_group_check(words), dense_basis_group_check(words.dense(), words.dim)[0]
+    if np.isinf(words.phase).any() and not np.isnan(words.phase).any():
+        # the dense m^dagger m sums 0 * inf = NaN; |p|^2 - 1 reads inf, and both fail
+        assert np.isnan(old.cases[0].residual) and new.cases[0].residual == np.inf
+        old.cases[0] = new.cases[0]
+    _assert_reports_match(new, old)
+    # both take each product as left entry times right entry: the closure cases agree bit for bit
+    np.testing.assert_array_equal([c.residual for c in new.cases[1:3]], [c.residual for c in old.cases[1:3]])
+
+
 @pytest.mark.parametrize("name", list(BASIS_GROUP_SETS))
 def test_basis_group_check_matches_dense_loop(name):
-    words, d, old, _, _ = _dense_basis_group(name)
-    _assert_reports_match(basis_group_check(words, d), old)
+    if name not in MONOMIAL_SETS:
+        # the check takes a stack of monomials, and a dense member is refused when the stack is built
+        with pytest.raises(ValueError, match="monomial"):
+            monomial_of(BASIS_GROUP_SETS[name][0]())
+        return
+    _assert_basis_group_matches(monomial_of(_dense_basis_group(name)[0]))
 
 
-@pytest.mark.parametrize("name", list(BASIS_GROUP_SETS))
+@pytest.mark.parametrize("name", MONOMIAL_SETS)
 def test_nearest_residual_never_below_dense_loop(name):
-    """Per product and per adjoint, on the oracle's own matrices."""
+    """Per product and per adjoint, the nearest-member residual equals the dense loop's, bit for bit."""
     words, _, _, old_mul, old_dag = _dense_basis_group(name)
-    mats = [np.asarray(w, dtype=complex) for w in words]
-    stack = np.stack(mats)
-    for cands, old in (
-        (np.array([a @ b for a in mats for b in mats]), old_mul.reshape(-1)),
-        (stack.conj().transpose(0, 2, 1), old_dag),
-    ):
-        new = _nearest_residuals(len(cands), lambda lo, hi, c=cands: c[lo:hi], stack)
-        assert not np.any(new < old)  # a pruning error may only raise a residual
-        np.testing.assert_array_equal(new, old)  # and none happened
+    stack = monomial_of(words)
+    new_mul, new_dag = pauli._closure_residuals(stack, pauli._map_groups(stack))
+    np.testing.assert_array_equal(new_mul, old_mul)
+    np.testing.assert_array_equal(new_dag, old_dag)
 
 
 def test_adversarial_sets_fail_with_witnesses():
     """The adversarial sets above do break closure, so the match covers failing reports."""
-    for name in ("qudit-3-dropped", "qudit-3-perturbed-1e-6", "qudit-2-haar", "one-diag"):
+    for name in ("qudit-3-dropped", "qudit-3-perturbed-1e-6", "one-diag"):
         ids = [c.case_id for c in _dense_basis_group(name)[2].cases]
         assert ids[1].startswith("closure-mul witness=("), (name, ids)
     # a NaN member makes every nearest residual NaN: the first one is the witness
     ids = [c.case_id for c in _dense_basis_group("qudit-3-nan")[2].cases]
     assert ids[1:3] == ["closure-mul witness=(0,0)", "closure-dagger witness=(0)"]
-    # an inf entry times a zero is NaN in the products with that member
-    rep = _dense_basis_group("qudit-3-inf")[2]
+    # an inf phase times the identity's 1 + 0j has a NaN imaginary part
+    words, _, rep = _dense_basis_group("qudit-3-inf")[:3]
     assert rep.cases[1].case_id == "closure-mul witness=(0,7)" and np.isnan(rep.cases[1].residual)
+    # unitarity reads |p|^2 - 1 = inf; the dense m^dagger m read NaN from 0 * inf
+    assert basis_group_check(monomial_of(words)).cases[0].residual == np.inf
+    assert np.isnan(rep.cases[0].residual)
 
 
-@pytest.mark.parametrize("name", ["qudit-3", "multi-2", "qudit-3-nan", "qudit-3-inf", "qudit-2-haar"])
+@pytest.mark.parametrize("name", ["qudit-3", "multi-2", "qudit-3-nan", "qudit-3-inf"])
 def test_pair_products_equal_per_pair_matmul(name):
-    """Windows that start and stop inside a row i, span whole rows, or hold one product."""
-    stack = np.array(BASIS_GROUP_SETS[name][0](), dtype=complex)
-    count = len(stack)
-    want = np.array([a @ b for a in stack for b in stack])
-    build = _pair_products(stack)
-    windows = [(0, count * count), (1, count + 2), (count - 1, count + 1), (2, 3 * count + 1), (count, 3 * count),
-               (count * count - 1, count * count), (3, 4)]
-    for lo, hi in windows:
-        got = build(lo, hi)
-        assert got.shape == (hi - lo,) + stack.shape[1:]
-        # NaN and inf must sit at the same entries
-        np.testing.assert_allclose(got, want[lo:hi], rtol=0, atol=1e-15)
+    """The stacked products of the check's members equal the per-pair products bit for bit, NaN and inf included."""
+    words = BASIS_GROUP_SETS[name][0]()
+    stack = monomial_of(words)
+    want = np.array([[monomial_matmul(a, b) for b in words] for a in words])
+    np.testing.assert_array_equal((stack @ stack).dense(), want)
+    rows = np.arange(len(words))[::3]
+    np.testing.assert_array_equal((stack[rows] @ stack[1:3]).dense(), want[rows][:, 1:3])
 
 
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("name", [n for n in BASIS_GROUP_SETS if not _dense_basis_group(n)[2].cases[1].passed])
-def test_closure_witness_does_not_depend_on_product_rounding(name, seed, monkeypatch):
-    """Closure products rounded a few ulps away from ``a @ b`` still give the oracle's witness and worst residual.
-
-    Another BLAS may round the closure GEMM otherwise; pairs tied with the
-    worst to an ulp (``qudit-3-perturbed-1e-6`` has two 1.1e-16 apart)
-    must not trade places.
+@pytest.mark.parametrize("name", [n for n in MONOMIAL_SETS if not _dense_basis_group(n)[2].cases[1].passed])
+def test_closure_witness_does_not_depend_on_product_rounding(name, seed):
+    """Entries moved by a few ulps, which can break or make ties with the worst pair
+    (``qudit-3-perturbed-1e-6`` has two pairs 1.1e-16 apart), still give the
+    dense loop's witness and worst residual bit for bit: both round each
+    product the same way, left entry times right entry.
     """
-    words, d, old, _, _ = _dense_basis_group(name)
-    exact = pauli._pair_products
-    noise = 1 + 4 * np.finfo(float).eps * np.random.default_rng(seed).choice([-1, 0, 1], len(words) ** 2)
-
-    def rounded(stack):
-        build = exact(stack)
-        return lambda lo, hi: build(lo, hi) * noise[lo:hi, None, None]
-
-    monkeypatch.setattr(pauli, "_pair_products", rounded)
-    got, want = basis_group_check(words, d).cases[1], old.cases[1]
+    words = np.array(_dense_basis_group(name)[0], dtype=complex)
+    noise = 1 + 4 * np.finfo(float).eps * np.random.default_rng(seed).choice([-1, 0, 1], words.shape)
+    words *= noise
+    got = basis_group_check(monomial_of(words)).cases[1]
+    want = dense_basis_group_check(words, len(words[0]))[0].cases[1]
     assert got.case_id == want.case_id
     np.testing.assert_array_equal(got.residual, want.residual)
 
@@ -969,7 +981,7 @@ def test_closure_witness_does_not_depend_on_product_rounding(name, seed, monkeyp
 @st.composite
 def basis_group_variants(draw):
     """A random subset of qudit_word_set(3) or qubit_word_set(1), perhaps with one entry moved."""
-    words, d = draw(st.sampled_from([(qudit_word_set(3), 3), (qubit_word_set(1), 2)]))
+    words, d = draw(st.sampled_from([(qudit_word_set(3).dense(), 3), (qubit_word_set(1).dense(), 2)]))
     keep = draw(st.lists(st.booleans(), min_size=len(words), max_size=len(words)))
     words = [w for w, k in zip(words, keep) if k] or words[:1]
     if draw(st.booleans()):
@@ -982,8 +994,50 @@ def basis_group_variants(draw):
 @given(basis_group_variants())
 @FAST
 def test_basis_group_check_matches_dense_loop_on_variants(case):
-    words, d = case
-    _assert_reports_match(basis_group_check(words, d), dense_basis_group_check(words, d)[0])
+    words, _ = case
+    try:
+        stack = monomial_of(words)
+    except ValueError:
+        # an entry moved by -1 to zero leaves a column empty: no longer a monomial
+        assert any((np.asarray(w) != 0).sum(axis=0).min() == 0 for w in words)
+        return
+    _assert_basis_group_matches(stack)
+
+
+@st.composite
+def random_monomial_sets(draw):
+    """A set of monomials with a NaN, inf or noisy phase, or a member dropped or repeated.
+
+    The base is a word set, or random row maps (two of which can agree on
+    some columns, which no two word maps do) with q-th roots of unity as
+    phases.  Every phase is then moved by 0, 1e-13 or 1e-6 in a random
+    direction; one member may be dropped or repeated, and one phase may be
+    NaN or inf.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        base = monomial_of(BASIS_GROUP_SETS[draw(st.sampled_from(["qudit-2", "qudit-3", "multi-1"]))][0]())
+        perm, phase = base.perm, base.phase
+    else:
+        dim, count, q = draw(st.integers(2, 4)), draw(st.integers(1, 8)), draw(st.sampled_from([1, 2, 3, 4]))
+        perm = np.array([rng.permutation(dim) for _ in range(count)])
+        phase = np.exp(2j * np.pi * rng.integers(0, q, perm.shape) / q)
+    phase = phase * (1 + draw(st.sampled_from([0.0, 1e-13, 1e-6])) * np.exp(2j * np.pi * rng.random(perm.shape)))
+    k = int(rng.integers(len(perm)))
+    edit = draw(st.sampled_from(["none", "drop", "repeat"]))
+    if edit != "none" and (edit == "repeat" or len(perm) > 1):
+        rows = np.delete(np.arange(len(perm)), k) if edit == "drop" else np.insert(np.arange(len(perm)), k, k)
+        perm, phase = perm[rows], phase[rows]
+    bad = draw(st.sampled_from([None, np.nan, np.inf]))
+    if bad is not None:
+        phase[tuple(rng.integers(phase.shape))] += bad
+    return Monomial(perm, phase)
+
+
+@given(random_monomial_sets())
+@FAST
+def test_basis_group_check_matches_dense_loop_on_random_monomials(words):
+    _assert_basis_group_matches(words)
 
 
 # ---------------------------------------------------------------------------
@@ -1051,13 +1105,15 @@ def dense_protocol_outcomes(psi, variant, m=None, resource=None):
      ("nqubit", 1, False, False), ("nqubit", 2, False, False), ("nqubit", 3, False, False),
      ("qudit", 4, True, False), ("qudit", 6, True, False)],
 )
-def test_protocol_outcomes_match_per_label_loop(variant, size, haar, skewed):
+def test_protocol_outcomes_match_per_label_loop(variant, size, haar, skewed, monkeypatch):
     rng = np.random.default_rng(size)
     dim = 2**size if variant == "nqubit" else size
     psi = random_state(dim, rng)
     m = haar_unitary(dim, rng) if haar else None
     resource = random_state(dim * dim, rng) if skewed else None
-    got = protocol_outcomes(psi, variant, m, resource)
+    if skewed:
+        monkeypatch.setattr(_Setting, "resource", lambda self, b: resource[None])
+    got = protocol_outcomes(psi, variant, m)
     want = dense_protocol_outcomes(psi, variant, m, resource)
     assert [(r[0], r[4]) for r in got] == [(r[0], r[4]) for r in want]
     for g, w in zip(got, want):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellkit.bell import multi_bell
-from bellkit.linalg import dagger, residual
+from bellkit.linalg import Monomial, dagger, residual
 from dense import (
     GenPauliWord,
     PauliWord,
@@ -28,6 +28,7 @@ from bellkit.pauli import (
     pauli_gate,
     qubit_word_set,
     qudit_word_set,
+    word,
 )
 
 
@@ -177,7 +178,7 @@ def test_words_hs_orthonormal():
 def test_qubit_word_set_order_exact(n):
     # basis-group witness ids index into this order: each word, then its negative
     want = [word_matrix(PauliWord(w.z_exps, w.x_exps, s)) for w in all_words(n) for s in (0, 1)]
-    got = qubit_word_set(n)
+    got = qubit_word_set(n).dense()
     assert len(got) == len(want) == 2 * 4**n
     assert all(residual(g, w) == 0 for g, w in zip(got, want))
 
@@ -185,26 +186,28 @@ def test_qubit_word_set_order_exact(n):
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
 def test_qudit_word_set_order_exact(d):
     want = [gen_word_matrix(GenPauliWord(d, a, b, g)) for g in range(d) for a in range(d) for b in range(d)]
-    got = qudit_word_set(d)
+    got = qudit_word_set(d).dense()
     assert len(got) == len(want) == d**3
     assert all(residual(g, w) == 0 for g, w in zip(got, want))
 
 
 def test_basis_group_check():
-    assert basis_group_check(qudit_word_set(3), 3).passed
-    assert basis_group_check(qubit_word_set(2), 4).passed
-    bad = basis_group_check([np.eye(2), np.diag([1.0, 2.0])], 2)
+    assert basis_group_check(qudit_word_set(3)).passed
+    assert basis_group_check(qubit_word_set(2)).passed
+    bad = basis_group_check(Monomial([[0, 1], [0, 1]], [[1.0, 1.0], [1.0, 2.0]]))  # 1 and diag(1, 2)
     assert not bad.passed
     assert not bad.cases[0].passed  # unitarity is the first failure
     with pytest.raises(ValueError):
-        basis_group_check([], 2)
+        basis_group_check(Monomial(np.zeros((0, 2), dtype=int)))
+    with pytest.raises(ValueError):
+        basis_group_check(word(1, 0, d=3))  # one word, not a stack
 
 
 def test_closure_dagger_witness():
     # Z^dagger = Z^2 is missing from {1, Z}; the worst adjoint is index 1
-    ids = [c.case_id for c in basis_group_check([np.eye(3), gen_z(3)], 3).cases]
+    ids = [c.case_id for c in basis_group_check(word(np.array([[0], [1]]), np.zeros((2, 1), dtype=int), d=3)).cases]
     assert ids == ["unitary", "closure-mul witness=(1,1)", "closure-dagger witness=(1)", "hs-orthonormal"]
-    ids = [c.case_id for c in basis_group_check(qudit_word_set(3), 3).cases]
+    ids = [c.case_id for c in basis_group_check(qudit_word_set(3)).cases]
     assert ids == ["unitary", "closure-mul", "closure-dagger", "hs-orthonormal"]
 
 

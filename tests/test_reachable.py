@@ -200,8 +200,6 @@ CALLS = [
     (0, "verify basis-theorem --family multi --n 1 --trials 1 --json OUT"),
     (0, "verify basis-group --json OUT"),
     (0, "verify basis-group --family multi --n 1 --json OUT"),
-    # the smallest set whose closure windows start inside a row of pairs
-    (0, "verify basis-group --d 5 --json OUT"),
     (0, "verify observables --conjugated 1 --json OUT"),
     (0, "verify observables --family multi --n 1 --json OUT"),
     (0, "verify twist --json OUT"),
@@ -245,22 +243,8 @@ CALLS = [
 ALLOWED = {
     ("linalg.is_unitary", "return False"):
         "guard: a non-square array is not unitary, and its Gram would not say so",
-    ("pauli._nearest_residuals", "r, c = rows[k:k + pair_step], cols[k:k + pair_step]"):
-        "exact residuals of the members near a product; a closed set has none but the nearest",
-    ("pauli._nearest_residuals", "np.minimum.at(ub, r, np.abs(prods[r] - mats[c]).max(axis=(1, 2)))"):
-        "as above",
-    ("pauli.basis_group_check", "mag = np.abs(stack)"):
-        "failure only: the redo of the pairs within rounding of a failing worst pair",
-    ("pauli.basis_group_check", "slack = 16 * (stack.shape[1] + 2) * np.finfo(float).eps * (mag.sum(axis=2).max() * mag.max() + worst)"):
-        "as above",
-    ("pauli.basis_group_check", "near = np.flatnonzero(~(dists < worst - slack))"):
-        "as above",
-    ("pauli.basis_group_check", "left, right = np.divmod(near, count)"):
-        "as above",
-    ("pauli.basis_group_check", "dists[near] = _nearest_residuals("):
-        "as above",
-    ("pauli.basis_group_check", "worst = fold(dists)"):
-        "as above",
+    ("pauli._nearest", "best[rows] = residuals(Monomial._of(perm[rows, None], phase[rows, None]), words).min(axis=1)"):
+        "failure only: the search over every member, for a product or adjoint that no member with its row map matches",
     ("teleport._Setting.meas", "return bell_vector(self.words[b] @ self.m.T if self.form == 22 else self.words[b].dense())"):
         "failure only: the measurement vector that names a failing outcome's witness entry",
     ("teleport.projective_eq_check", 'witness = f" witness=entry {np.argmax(np.abs(setting.meas([a])[0])) * dim + np.argmax(diffs[a])}"'):

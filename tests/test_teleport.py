@@ -106,8 +106,9 @@ def test_projective_equations(variant, kw):
     assert len(rep.cases) == expected
 
 
-def test_projective_identity_m_is_standard_protocol():
-    rep = projective_eq_check("projective_qudit", d=2, m=np.eye(2), seed=4)
+def test_projective_identity_m_is_standard_protocol(monkeypatch):
+    monkeypatch.setattr(teleport, "haar_unitary", lambda dim, rng: np.eye(dim))
+    rep = projective_eq_check("projective_qudit", d=2, seed=4)
     assert rep.passed
 
 
@@ -145,9 +146,10 @@ def test_protocol_outcomes_basic2():
         assert fid == pytest.approx(1.0, abs=1e-10)
 
 
-def test_skewed_resource_degrades_fidelity():
+def test_skewed_resource_degrades_fidelity(monkeypatch):
     psi = np.array([1.0, np.sqrt(2.0)]) / np.sqrt(3.0)
-    rows = protocol_outcomes(psi, "basic2", resource=skewed_resource(2, [2.0, 1.0]))
+    monkeypatch.setattr(teleport._Setting, "resource", lambda self, b: skewed_resource(2, [2.0, 1.0])[None])
+    rows = protocol_outcomes(psi, "basic2")
     assert abs(sum(r[1] for r in rows) - 1) < 1e-12
     assert min(r[2] for r in rows) < 1 - 1e-3  # recorded, strictly below 1
     probs = sorted(r[1] for r in rows)
