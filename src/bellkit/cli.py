@@ -75,9 +75,9 @@ def _size(runner, d: int, n: int, **choice: str) -> dict:
 
 def _unused(runner, branch: str, **values) -> None:
     """Refuse a flag that ``branch`` ignores unless it keeps the default ``runner`` declares."""
-    declared = inspect.signature(runner).parameters
+    declared = inspect.unwrap(runner).__kwdefaults__  # a wrapper keeps no defaults of its own
     for name, value in values.items():
-        if value != declared[name].default:
+        if value != declared[name]:
             flag = "--" + name.replace("_", "-")
             raise ValueError(f"{branch} ignores {flag}, got {flag} {value}")
 

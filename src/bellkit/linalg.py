@@ -274,9 +274,9 @@ def fold(values, op=np.max, empty: float = 0.0) -> float:
     case (``NaN < tol`` is false) and an expect-fail control
     (``NaN >= floor`` is false).  The built-in ``max``/``min`` would keep
     or drop a NaN depending on where it sits.  ``empty`` is returned for
-    an empty run.
+    an empty run.  An ndarray, of any shape, is reduced as it is.
     """
-    arr = np.fromiter(values, dtype=float)
+    arr = values if isinstance(values, np.ndarray) else np.fromiter(values, dtype=float)
     return float(op(arr)) if arr.size else empty
 
 

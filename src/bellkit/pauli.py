@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Monomial, blocks, fold, residual, residuals
+from .linalg import DEFAULT_TOL, Monomial, blocks, residual, residuals
 from .report import Report
 
 # multi_bell builds its word dense, 2^n x 2^n, on at most this many qubits;
@@ -209,9 +209,8 @@ def basis_group_check(words: Monomial, tol: float = DEFAULT_TOL) -> Report:
     Checks (i) every element unitary, ``|phase| = 1``, (ii) closure under
     multiplication and conjugate transpose (``_closure_residuals``), (iii)
     Hilbert-Schmidt orthonormality of one phase representative per coset.
-    A closure violation is reported with the witness pair (product) or
-    index (adjoint) in the case id.  No residual depends on how a BLAS
-    rounds.
+    A closure violation names its pair ``(i,j)`` (product) or index
+    ``(k)`` (adjoint).  No residual depends on how a BLAS rounds.
     """
     if words.perm.ndim != 2 or not len(words.perm):
         raise ValueError("expected a non-empty (N, D) stack of monomials")
@@ -221,12 +220,8 @@ def basis_group_check(words: Monomial, tol: float = DEFAULT_TOL) -> Report:
 
     groups = _map_groups(words)
     products, dagger = _closure_residuals(words, groups)
-    worst = fold(products.ravel())
-    # argmax returns the first NaN if there is one, else the first worst pair.
-    i, j = np.divmod(np.argmax(products), count)
-    rep.add("closure-mul" + (f" witness=({i},{j})" if not worst < tol else ""), worst)
-    worst = fold(dagger)
-    rep.add("closure-dagger" + (f" witness=({np.argmax(dagger)})" if not worst < tol else ""), worst)
+    rep.add("closure-mul", products)
+    rep.add("closure-dagger", dagger)
 
     # One representative per global-phase coset; for unitaries u, v the
     # coset test is |tr(u^dagger v)| = d.  hs[a, b] = tr(a^dagger b) / d, the

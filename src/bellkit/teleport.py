@@ -264,7 +264,10 @@ def teleport_eq_suite(
     tol: float = DEFAULT_TOL,
     m_mode: str = "unitary",
 ) -> Report:
-    """Run one variant over all resource labels with a sampled M (``basic2``: M = 1)."""
+    """Run one variant over all resource labels with a sampled M (``basic2``: M = 1).
+
+    A failing label names its ``entry`` of the D^3 sides.
+    """
     if m_mode not in M_MODES:
         raise ValueError(f"m_mode must be one of {'|'.join(M_MODES)}, got {m_mode!r}")
     rng = np.random.default_rng(seed)
@@ -290,9 +293,7 @@ def teleport_eq_suite(
         lhs, rhs = setting.block_sides(block, sides)
         diffs = np.abs(np.subtract(lhs, rhs, out=lhs), out=mags[: len(lhs)])
         for lab, diff, worst in zip(setting.labels[block], diffs, diffs.max(axis=1)):
-            # argmax returns the first NaN entry if there is one, else the first worst one
-            witness = f" witness=entry {np.argmax(diff)}" if not worst < tol else ""
-            rep.add(f"label={lab}{witness}", worst)
+            rep.add(f"label={lab}", diff, index="entry", worst=worst)
     return rep
 
 
@@ -420,8 +421,7 @@ def linearity_reduction_check(
     dropped must fail on some basis input) and, for the n-qubit variant,
     a cross-check that the blocked resource equals the twist applied to
     the interleaved pair-product resource.  A failing ``all-basis-inputs``
-    case names its input, counted from 0, as `` witness=input <i>``: the
-    first NaN one, else the worst one.
+    case names its ``input``, counted from 0 (``Report``).
     """
     rng = np.random.default_rng(seed)
     setting = _Setting("teleport-eq", variant, d, n)
@@ -435,11 +435,7 @@ def linearity_reduction_check(
         setting.send(psi, corrupt)
         return residual(*setting.block_sides([at]))
 
-    per_input = np.array([label_residual(psi) for psi in basis])
-    worst = fold(per_input)
-    # argmax returns the first NaN if there is one, else the first worst input
-    witness = f" witness=input {np.argmax(per_input)}" if not worst < tol else ""
-    rep.add(f"all-basis-inputs{witness}", worst)
+    rep.add("all-basis-inputs", np.array([label_residual(psi) for psi in basis]), index="input")
     rep.add("random-superposition", label_residual(random_state(dim, rng)))
     # Control: drop the dagger on the outcome correction; some basis input must fail.
     rep.add_expect_fail(

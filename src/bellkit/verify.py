@@ -203,9 +203,8 @@ def basis_theorem_suite(
 
     Reports, per side, the worst Gram residual over unitary trials (must
     stay below ``tol``) and the best Gram deviation over non-unitary
-    trials (must stay above ``fail_floor``).  A failing case names its
-    trial, counted from 0, as `` witness=trial <t>``: the first NaN one,
-    else the worst (unitary) or best (non-unitary) one.  Each side's
+    trials (must stay above ``fail_floor``); a failing case names its
+    ``trial``, counted from 0 (``Report``).  Each side's
     trials are drawn in stacked blocks, in the per-trial order
     (``_trial_matrices``), and each trial's Gram is taken from ``M^dag M``
     or ``M M^dag`` and the words (``_gram_residuals``), in stacked blocks.
@@ -222,13 +221,8 @@ def basis_theorem_suite(
             unitaries, nonunitaries = _trial_matrices(local, block.stop - block.start, rng)
             unitary_res[block] = _gram_residuals(words, unitaries, side)
             nonunitary_res[block] = _gram_residuals(words, nonunitaries, side)
-        worst = fold(unitary_res)
-        # argmax (argmin) returns the first NaN if there is one, else the first worst (best) trial
-        witness = f" witness=trial {np.argmax(unitary_res)}" if not worst < tol else ""
-        rep.add(f"unitary-extensions-{side} ({trials} trials){witness}", worst)
-        best = fold(nonunitary_res, np.min, np.inf)
-        witness = f" witness=trial {np.argmin(nonunitary_res)}" if not best >= fail_floor else ""
-        rep.add_expect_fail(f"nonunitary-extensions-{side} ({trials} trials){witness}", best, fail_floor)
+        rep.add(f"unitary-extensions-{side} ({trials} trials)", unitary_res, index="trial")
+        rep.add_expect_fail(f"nonunitary-extensions-{side} ({trials} trials)", nonunitary_res, fail_floor, "trial")
 
     rep.add("reduced-completeness (general M)", reduced_completeness(words, random_matrix(local, rng)))
 
@@ -292,58 +286,29 @@ def _word_eigen_residuals(op: Monomial, words: Monomial, eigenvalues: np.ndarray
     return np.maximum(diff.max(axis=1), unmet.reshape(count, local).max(axis=1))
 
 
-def _observable_residuals(spec: ObservableSpec, tol: float) -> tuple[float, float, str]:
-    """Hermiticity and eigenequation residuals of ``spec``, and the witness suffix.
+def _observable_residuals(spec: ObservableSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Hermiticity residual and per-state eigenequation residuals of ``spec``, or of each observable of a stack.
 
     The eigenequations ``O s = lam s`` are one product of ``O`` with the
-    stacked states, or for a monomial O on the family's words
-    ``_word_eigen_residuals``, read per state.  When they fail, the suffix names the first
-    state with a NaN residual, else the worst one; it is empty on a pass,
-    so passing case ids are unchanged.
+    stacked states, batched over a stack, or for a monomial O on the
+    family's words ``_word_eigen_residuals``, read per state.
     """
-    herm = residual(spec.matrix, dagger(spec.matrix))
     if isinstance(spec.states, Monomial):
         per_state = _word_eigen_residuals(spec.matrix, spec.states, spec.eigenvalues)
-    else:
-        per_state = np.abs(spec.matrix @ spec.states - spec.states * spec.eigenvalues).max(axis=0)
-    eig = fold(per_state)
-    return herm, eig, _witness(spec.labels, per_state) if not eig < tol else ""
+        return residual(spec.matrix, dagger(spec.matrix)), per_state
+    herm = residuals(spec.matrix, np.swapaxes(spec.matrix.conj(), -1, -2))
+    return herm, np.abs(spec.matrix @ spec.states - spec.states * spec.eigenvalues).max(axis=-2)
 
 
-def _witness(labels: list, per_state: np.ndarray) -> str:
-    """`` witness=<label>`` of the first state with a NaN residual, else of the first worst one (``argmax``).
+def _conjugated_cases(spec: ObservableSpec, words: Monomial, ms: np.ndarray, side: str):
+    """Name, ``herm``, ``per_state`` and ``moved`` residuals of ``spec`` conjugated on ``side`` by each M of ``ms``.
 
-    A qudit label reads ``(1,0)``, an n-qubit one ``(01,10)``.
-    """
-    label = labels[np.argmax(per_state)]
-    return " witness=(" + ",".join("".join(map(str, x)) if isinstance(x, tuple) else str(x) for x in label) + ")"
-
-
-def _stack_residuals(stack: ObservableSpec, tol: float) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """``_observable_residuals`` of each observable of a dense stack, from one batched product."""
-    herm = residuals(stack.matrix, np.swapaxes(stack.matrix.conj(), -1, -2))
-    lhs, rhs = stack.matrix @ stack.states, stack.states * stack.eigenvalues
-    per_state = np.abs(lhs - rhs).max(axis=-2)
-    eig = per_state.max(axis=-1)
-    return herm, eig, ["" if e < tol else _witness(stack.labels, p) for e, p in zip(eig, per_state)]
-
-
-def _add_observable(rep: Report, spec: ObservableSpec) -> None:
-    """One suite case per observable: the worst of its two residuals, named by ``spec``."""
-    herm, eig, witness = _observable_residuals(spec, rep.tolerance)
-    rep.add(spec.name + witness, fold((herm, eig)))
-
-
-def _conjugated_cases(spec: ObservableSpec, words: Monomial, ms: np.ndarray, side: str, tol: float) -> list:
-    """Case id and residual of ``spec`` conjugated on ``side`` by each M of the stack ``ms``.
-
-    The residual is the worst of the conjugated observable's two
-    residuals and the distance of its states from the family ``words`` extended by M.
+    ``moved`` is the distance of the conjugated states from the family
+    ``words`` extended by M.
     """
     turned = conjugated_observables(spec, ms, side)
-    herm, eig, witness = _stack_residuals(turned, tol)
     moved = residuals(np.swapaxes(turned.states, -1, -2), extend_basis(words, ms, side))
-    return [(turned.name + w, fold(r)) for w, *r in zip(witness, herm, eig, moved)]
+    return [(turned.name, *r) for r in zip(*_observable_residuals(turned), moved)]
 
 
 def qudit_observables(labels: list, states: np.ndarray, k: int) -> list[ObservableSpec]:
@@ -421,13 +386,14 @@ def qudit_observable_suite(
     draws = _haar_stream(d, rng, len(orders) * 4 * conjugated * len(SIDES))
     for order in orders:
         for spec in qudit_observables(labels, states, order):
-            _add_observable(rep, spec)
+            herm, per_state = _observable_residuals(spec)
+            rep.add(spec.name, per_state, index=spec.labels, also=(herm,))
             for block in blocks(conjugated, d**4, BLOCK_ENTRIES):
                 ms = np.array([[next(draws) for _ in SIDES] for _ in range(block.stop - block.start)])
-                sides = (_conjugated_cases(spec, words, ms[:, s], side, tol) for s, side in enumerate(SIDES))
+                sides = (_conjugated_cases(spec, words, ms[:, s], side) for s, side in enumerate(SIDES))
                 for cases in zip(*sides):
-                    for case_id, res in cases:
-                        rep.add(case_id, res)
+                    for name, herm, per_state, moved in cases:
+                        rep.add(name, per_state, index=spec.labels, also=(herm, moved))
     return rep
 
 
@@ -495,7 +461,8 @@ def multiqubit_observable_suite(n: int, tol: float = DEFAULT_TOL) -> Report:
     specs = multiqubit_observables(n)
     rep = Report("multiqubit-observables", {"n": n}, tolerance=tol)
     for spec in specs:
-        _add_observable(rep, spec)
+        herm, per_state = _observable_residuals(spec)
+        rep.add(spec.name, per_state, index=spec.labels, also=(herm,))
     worst = fold(
         residual(a.matrix @ b.matrix, b.matrix @ a.matrix)
         for i, a in enumerate(specs)

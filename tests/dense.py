@@ -529,10 +529,19 @@ def basis_theorem_loop(d=None, n=None, trials=20, seed=0, tol=DEFAULT_TOL, fail_
 def observable_check(spec, tol=DEFAULT_TOL):
     """One observable's hermiticity and eigenequation residuals, as a two-case report."""
     rep = Report("observable", {"name": spec.name}, tolerance=tol)
-    herm, eig, witness = _observable_residuals(spec, tol)
+    herm, per_state = _observable_residuals(spec)
+    eig = fold(per_state)
     rep.add("hermitian", herm)
-    rep.add(f"eigenequations ({len(spec.labels)} states){witness}", eig)
+    rep.add(f"eigenequations ({len(spec.labels)} states){label_witness(spec.labels, per_state, eig, tol)}", eig)
     return rep
+
+
+def label_witness(labels, per_state, eig, tol):
+    """`` witness=<label>`` of the first NaN, else first worst, state of a failing observable, by hand."""
+    if eig < tol:
+        return ""
+    label = labels[np.argmax(per_state)]
+    return " witness=(" + ",".join("".join(map(str, x)) if isinstance(x, tuple) else str(x) for x in label) + ")"
 
 
 def qudit_observable_loop(d, k=0, conjugated=0, seed=0, tol=DEFAULT_TOL):
@@ -544,8 +553,9 @@ def qudit_observable_loop(d, k=0, conjugated=0, seed=0, tol=DEFAULT_TOL):
     states = bell_vector(words.dense())
 
     def add(spec, *others):
-        herm, eig, witness = _observable_residuals(spec, tol)
-        rep.add(spec.name + witness, fold((herm, eig, *others)))
+        herm, per_state = _observable_residuals(spec)
+        eig = fold(per_state)
+        rep.add(spec.name + label_witness(spec.labels, per_state, eig, tol), fold((herm, eig, *others)))
 
     for order in [k] if k else range(1, d):
         for spec in qudit_observables(labels, states, order):

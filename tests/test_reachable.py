@@ -249,9 +249,15 @@ ALLOWED = {
         "failure only: the measurement vector that names a failing outcome's witness entry",
     ("teleport.projective_eq_check", 'witness = f" witness=entry {np.argmax(np.abs(setting.meas([a])[0])) * dim + np.argmax(diffs[a])}"'):
         "failure only: a failing outcome's witness",
-    ("verify._witness", "label = labels[np.argmax(per_state)]"):
-        "failure only: a failing observable's witness",
-    ("verify._witness", 'return " witness=(" + ",".join("".join(map(str, x)) if isinstance(x, tuple) else str(x) for x in label) + ")"'):
+    ("report._witness", "at = pick(residual)"):
+        "failure only: the witness of a failing run of residuals",
+    ("report._witness", "if isinstance(index, str):"):
+        "as above",
+    ("report._witness", 'return f" witness={index} {at}"'):
+        "as above",
+    ("report._witness", "label = np.unravel_index(at, residual.shape) if index is None else index[at]"):
+        "as above",
+    ("report._witness", 'return " witness=(" + ",".join("".join(map(str, x)) if isinstance(x, tuple) else str(x) for x in label) + ")"'):
         "as above",
 }
 
