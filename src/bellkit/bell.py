@@ -26,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from .linalg import Monomial, basis_state, identity, permutation, random_state, residual
-from .pauli import DENSE_MAX_N, as_bits, bits_to_int, word
+from .pauli import as_bits, bits_to_int, word
 from .report import Report
 
 _NORM_TOL = 1e-10
@@ -138,8 +138,6 @@ def qudit_bell(d: int, alpha: int, beta: int) -> np.ndarray:
 
 def twist_monomial(n: int) -> Monomial:
     """Permutation sending |i1 j1 ... in jn> to |i1 ... in j1 ... jn>."""
-    if not 1 <= n <= 6:
-        raise ValueError("pair count must be in 1..6")
     perm = [0] * (2 * n)
     for k in range(n):
         perm[2 * k] = k
@@ -154,8 +152,6 @@ def twist_decomposition(n: int) -> Circuit:
     not-yet-moved first qubits; factors are emitted innermost first so
     the circuit reproduces ``twist_monomial(n)`` exactly.
     """
-    if not 1 <= n <= 6:
-        raise ValueError("pair count must be in 1..6")
     circ = Circuit(2 * n)
     for k in range(n - 1, 0, -1):
         for m in range(2 * k, n + k):
@@ -181,8 +177,6 @@ def twist_check(n: int, tol: float) -> Report:
 
 def multi_bell(n: int, alpha, beta) -> np.ndarray:
     """Generalized 2n-qubit Bell state, blocked order: (T(ab) tensor I^n)|Omega_{2^n}>."""
-    if n > DENSE_MAX_N:
-        raise ValueError(f"word on {n} qubits exceeds the 2^{DENSE_MAX_N} dense cap")
     return bell_vector(word(bits_to_int(as_bits(alpha, n)), bits_to_int(as_bits(beta, n)), n=n).dense())
 
 
@@ -288,12 +282,8 @@ def concurrence_oracle(state: np.ndarray, n: int) -> float:
 def concurrence_check(n: int, trials: int, seed: int, tol: float) -> Report:
     """Formula against the spin-flip oracle on random states, plus the known values 1 and 0.
 
-    ``n`` is checked against the dense word cap (``multi_bell`` builds the
-    Bell state as a dense word) before any ``4**n``-entry state is drawn.
     A failing formula case names its ``trial``, counted from 0 (``Report``).
     """
-    if n > DENSE_MAX_N:
-        raise ValueError(f"concurrence --n must be at most {DENSE_MAX_N}, got {n}")
     rng = np.random.default_rng(seed)
     rep = Report("concurrence", {"n": n, "trials": trials}, tolerance=tol, seed=seed)
     deviations = np.empty(trials)

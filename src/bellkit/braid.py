@@ -151,8 +151,6 @@ def braid_rep_check(
     evaluated once on the joint support (8x8 for neighbours, 16x16 for far
     pairs) and its residual reported under every i's case id.
     """
-    if not 2 <= n_strands <= 6:
-        raise ValueError("strand count must be in 2..6")
     params = {"strands": n_strands}
     if gate is None:
         gate = bell_transform(epsilon, eta)
@@ -192,10 +190,6 @@ def tl_generators(
     With M supplied the projector is built on the normalized
     (M U_a x 1)|Omega>; for unitary M this is |M Omega(a)> itself.
     """
-    if not 2 <= n_strands <= 5:
-        raise ValueError("strand count must be in 2..5")
-    if not 2 <= d <= 4:
-        raise ValueError("local dimension must be in 2..4")
     state = qudit_bell(d, *label)
     if m is not None:
         state = bell_vector(np.asarray(m, dtype=complex) @ word(*label, d=d).dense())
@@ -393,8 +387,6 @@ def twisted_yb_gates(n: int, eps, eta, kind: str = "plain") -> np.ndarray:
     if len(eps) != n or len(eta) != n:
         raise ValueError("need one (eps, eta) pair per qubit pair")
     _check_sign(*eps, *eta)
-    if not 1 <= n <= 3:
-        raise ValueError("n must be in 1..3")
     tau = twist_monomial(n)
     gate = tau @ reduce(np.kron, [bell_transform(e, t) for e, t in zip(eps, eta)])
     if kind == "plain":
@@ -423,8 +415,6 @@ def braid_teleport_multi_check(
     from ``outcome_table``.  Both gates are built once: the left-hand sides
     of all 4^n kets are one column stack, and one case per ket is reported.
     """
-    if not 1 <= n <= 2:
-        raise ValueError("the multi-qubit braid teleportation check is capped at n = 2")
     eps_l, eta_l = tuple(eps_l), tuple(eta_l)
     eps_r, eta_r = tuple(eps_r), tuple(eta_r)
     rng = np.random.default_rng(seed)

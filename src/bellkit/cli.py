@@ -37,14 +37,36 @@ from .report import Report
 TOL_FLOOR = 1e-15
 TOL_CEILING = 1e-6
 
-# A size flag below its floor exits 2 before anything is built.
-SIZE_FLOORS = {"n": 1, "d": 2, "trials": 1, "conjugated": 0, "samples": 1}
-
-# basis-group compares all N^2 products of its N = d^3 (qudit) or 2*4^n
-# (multi) candidates with every member; above these sizes that no longer
-# finishes in seconds, so it is refused up front.
-BASIS_GROUP_MAX_D = 7
-BASIS_GROUP_MAX_N = 3
+# A size flag below its floor, or above its command's cap, exits 2 before
+# anything is built.  Each cap's comment names what grows past it; most caps
+# sit well below a second of work and keep the sizes each suite was written for.
+SIZE_FLOORS = {"n": 1, "d": 2, "trials": 1, "conjugated": 0, "samples": 1, "strands": 2, "twist": 1}
+SIZE_CAPS = {
+    # closure: N^2 products of N = d^3 (qudit) or 2*4^n (multi) candidates
+    "verify basis-group": {"d": 7, "n": 3},
+    # each trial state and the dense Bell word: 4^n complex entries, 1 GiB at n = 13
+    "verify concurrence": {"n": 12},
+    # the twist's 4^n-entry index arrays, and its n(n-1)/2 SWAPs
+    "verify twist": {"n": 6},
+    # one teleportation per basis input: 2^n inputs, each with 8^n-entry sides
+    "verify linearity-reduction": {"n": 6},
+    # the exported twist circuit's n(n-1)/2 SWAPs
+    "circuit": {"twist": 6},
+    # 2n observables on the family's 4^n words of 4^n entries each
+    "verify observables": {"n": 5},
+    # the trace system, dense, 4^n x 4^n
+    "verify trace-constraint": {"n": 3},
+    # the contracted state psi x Omega: d^3 entries
+    "verify transfer-identity": {"d": 16},
+    # one case per generator pair; the far-commutation support, d^4 x d^4
+    "verify tl": {"strands": 5, "d": 4},
+    # one case per pair of generators
+    "verify braid": {"strands": 6},
+    # the twisted gates, 4^n x 4^n, checked on the 8^n-dim triple space
+    "verify ybe": {"n": 3},
+    # 4^n resource kets, each an 8^n-entry teleportation vector
+    "verify braid-teleport": {"n": 2},
+}
 
 Family = Literal["qubit", "qudit", "multi"]
 
@@ -98,15 +120,8 @@ def _suite_basis_theorem(
 
 
 def _suite_basis_group(tol, seed, *, family: Family = "qudit", d: int = 2, n: int = 2) -> Report:
-    if family == "multi":
-        if n > BASIS_GROUP_MAX_N:
-            raise ValueError(f"basis-group --n must be at most {BASIS_GROUP_MAX_N}, got {n}")
-        n = _size(_suite_basis_group, d, n, family=family)["n"]
-        return basis_group_check(qubit_word_set(n), tol)
-    if d > BASIS_GROUP_MAX_D:
-        raise ValueError(f"basis-group --d must be at most {BASIS_GROUP_MAX_D}, got {d}")
-    d = _size(_suite_basis_group, d, n, family=family)["d"]
-    return basis_group_check(qudit_word_set(d), tol)
+    size = _size(_suite_basis_group, d, n, family=family)
+    return basis_group_check(qubit_word_set(**size) if family == "multi" else qudit_word_set(**size), tol)
 
 
 def _suite_observables(
@@ -370,15 +385,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _in_range(values: dict) -> bool:
-    """False, with a one-line message on stderr, if ``--tol`` or a size flag is out of range."""
+def _in_range(command: str, values: dict) -> bool:
+    """False, with a one-line message on stderr, if ``--tol`` or a size flag of ``command`` is out of range.
+
+    A flag left out (``None``) is not checked.
+    """
     if "tol" in values and not TOL_FLOOR <= values["tol"] <= TOL_CEILING:
         print(f"--tol {values['tol']} outside the documented floor {TOL_FLOOR} and ceiling {TOL_CEILING}",
               file=sys.stderr)
         return False
     for name, floor in SIZE_FLOORS.items():
-        if name in values and values[name] < floor:
+        if values.get(name) is not None and values[name] < floor:
             print(f"--{name} must be at least {floor}, got {values[name]}", file=sys.stderr)
+            return False
+    for name, cap in SIZE_CAPS.get(command, {}).items():
+        if values[name] is not None and values[name] > cap:
+            print(f"bad parameters: {command.split()[-1]} --{name} must be at most {cap}, got {values[name]}",
+                  file=sys.stderr)
             return False
     return True
 
@@ -419,9 +442,10 @@ def main(argv=None) -> int:
             args = _build_parser().parse_args(command)
             print(f"unknown suite {args.suite!r}; choose from {', '.join(sorted(SUITES))}", file=sys.stderr)
             return 2
-        flags = vars(_parser(" ".join(command), runner).parse_args(argv[len(command):]))
+        name = " ".join(command)
+        flags = vars(_parser(name, runner).parse_args(argv[len(command):]))
         json_path = flags.pop("json_path", None)
-        if not _in_range(flags):
+        if not _in_range(name, flags):
             return 2
         # the common flags fill the runner's positional parameters by name
         return _emit(runner(**flags), json_path)

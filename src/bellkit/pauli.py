@@ -19,10 +19,6 @@ import numpy as np
 from .linalg import DEFAULT_TOL, Monomial, blocks, residual, residuals
 from .report import Report
 
-# multi_bell builds its word dense, 2^n x 2^n, on at most this many qubits;
-# concurrence_check refuses larger n before drawing any state.
-DENSE_MAX_N = 12
-
 # ---------------------------------------------------------------------------
 # bit strings
 

@@ -237,8 +237,6 @@ def transfer_identity_check(d: int, seed: int = 0, tol: float = DEFAULT_TOL) -> 
 
     The partial contraction is ``<Omega| @ (psi x Omega).reshape(d^2, d)``.
     """
-    if d > 16:
-        raise ValueError("d capped at 16")
     rng = np.random.default_rng(seed)
     rep = Report("transfer-identity", {"d": d}, tolerance=tol, seed=seed)
     bra = omega(d).conj()

@@ -435,8 +435,6 @@ def multiqubit_observables(n: int) -> list[ObservableSpec]:
     The observables are monomials; all 2n share the Bell family's words
     as their eigenvectors.
     """
-    if not 1 <= n <= 5:
-        raise ValueError("n must be in 1..5")
     labels, words = bell_unitaries(n=n)
     bits = np.array(labels)  # (K, 2, n): phase bits, then parity bits
     specs = []
@@ -502,8 +500,6 @@ _APPENDIX_ROW_ORDER = [0, 1, 3, 2]
 
 
 def trace_constraint_solve(n: int, tol: float = DEFAULT_TOL) -> Report:
-    if not 1 <= n <= 3:
-        raise ValueError("n must be in 1..3")
     mat, rhs, _ = trace_system(n)
     dim = 2**n
     rep = Report("trace-constraint", {"n": n}, tolerance=tol)

@@ -102,8 +102,6 @@ def test_twist_small_cases():
     assert residual(twist(2), kron(identity(2), swap, identity(2))) == 0
     out = twist(3) @ product_ket("011011")
     assert np.argmax(np.abs(out)) == bits_to_int((0, 1, 1, 1, 0, 1))
-    with pytest.raises(ValueError):
-        twist(7)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

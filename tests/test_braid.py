@@ -246,11 +246,6 @@ def test_multi_braid_teleport_blocked_form():
         assert _case(rep, a, b).passed
 
 
-def test_multi_braid_teleport_caps():
-    with pytest.raises(ValueError):
-        braid_teleport_multi_check(3, (1,) * 3, (1,) * 3, (1,) * 3, (1,) * 3)
-
-
 def test_tlrep_dataclass():
     rep = TLRep(3, 2, tl_generators(3, 2).proj)
     assert rep.n == 3 and rep.d == 2 and rep.proj.shape == (4, 4)

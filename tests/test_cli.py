@@ -1,5 +1,8 @@
+import functools
+import inspect
 import json
 import re
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -307,11 +310,17 @@ def test_circuit_twist_export(tmp_path, capsys):
     assert residual(dense_circuit_matrix(circ), twist(3)) == 0
 
 
-@pytest.mark.parametrize("twist", ["0", "7"])
-def test_circuit_twist_out_of_range_exit_two(twist, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "twist,message",
+    [
+        pytest.param("0", "--twist must be at least 1, got 0", id="0"),
+        pytest.param("7", "bad parameters: circuit --twist must be at most 6, got 7", id="7"),
+    ],
+)
+def test_circuit_twist_out_of_range_exit_two(twist, message, tmp_path, capsys):
     out = tmp_path / "t.qasm"
     assert run(["circuit", "--twist", twist, "--out", str(out)]) == 2
-    assert one_line_error(capsys).startswith("bad parameters:")
+    assert one_line_error(capsys) == message
     assert not out.exists()
 
 
@@ -416,6 +425,71 @@ def test_concurrence_size_cap_exit_two_before_any_draw(monkeypatch, capsys):
     monkeypatch.setattr(bell, "random_state", never)
     assert run(["verify", "concurrence", "--n", "13", "--trials", "2"]) == 2
     assert one_line_error(capsys) == "bad parameters: concurrence --n must be at most 12, got 13"
+
+
+# Each size cap of cli.SIZE_CAPS: the argv that reaches the capped flag, the flag and its cap.
+CAP_ROWS = [
+    ("verify basis-group", "d", 7),
+    ("verify basis-group --family multi", "n", 3),
+    ("verify concurrence", "n", 12),
+    ("verify twist", "n", 6),
+    ("verify linearity-reduction --variant nqubit11", "n", 6),
+    ("circuit", "twist", 6),
+    ("verify observables --family multi", "n", 5),
+    ("verify trace-constraint", "n", 3),
+    ("verify transfer-identity", "d", 16),
+    ("verify tl", "strands", 5),
+    ("verify tl", "d", 4),
+    ("verify braid", "strands", 6),
+    ("verify ybe --gate twisted", "n", 3),
+    ("verify braid-teleport", "n", 2),
+]
+
+
+def _stub_runner(monkeypatch, argv: str, stub):
+    """Put ``stub``, under the runner's signature, in place of the runner of ``argv``; return the command words."""
+    command, runner = cli._resolve(argv.split())
+    table = cli.SUITES if command[0] == "verify" else cli.COMMANDS
+    monkeypatch.setitem(table, command[-1], functools.wraps(runner)(stub))
+    return command
+
+
+def _output_flag(command, tmp_path):
+    return ["--out", str(tmp_path / "c.qasm")] if command == ["circuit"] else ["--json", str(tmp_path / "r.json")]
+
+
+@pytest.mark.parametrize("argv,flag,cap", CAP_ROWS, ids=[f"{argv} --{flag}" for argv, flag, _ in CAP_ROWS])
+def test_size_cap_exit_two_before_runner(argv, flag, cap, monkeypatch, tmp_path, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{argv} ran above its --{flag} cap")
+
+    command = _stub_runner(monkeypatch, argv, never)
+    assert run([*argv.split(), f"--{flag}", str(cap + 1), *_output_flag(command, tmp_path)]) == 2
+    assert one_line_error(capsys) == f"bad parameters: {command[-1]} --{flag} must be at most {cap}, got {cap + 1}"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,flag,cap", CAP_ROWS, ids=[f"{argv} --{flag}" for argv, flag, _ in CAP_ROWS])
+def test_size_cap_is_inclusive(argv, flag, cap, monkeypatch, tmp_path, capsys):
+    calls = []
+    command = _stub_runner(monkeypatch, argv, lambda *args, **kwargs: calls.append(kwargs[flag]) or "ran")
+    assert run([*argv.split(), f"--{flag}", str(cap), *_output_flag(command, tmp_path)]) == 0
+    assert calls == [cap]
+
+
+def test_size_caps_name_int_flags_of_their_runners():
+    # a misspelt command or flag would drop its cap unseen
+    rows = {}
+    for argv, flag, cap in CAP_ROWS:
+        rows.setdefault(" ".join(cli._resolve(argv.split())[0]), {})[flag] = cap
+    assert rows == cli.SIZE_CAPS
+    for command, caps in cli.SIZE_CAPS.items():
+        words, runner = cli._resolve(command.split())
+        assert runner is not None and words == command.split(), command
+        params = inspect.signature(runner, eval_str=True).parameters
+        for flag in caps:
+            assert params[flag].kind is inspect.Parameter.KEYWORD_ONLY, (command, flag)
+            assert int in (params[flag].annotation, *get_args(params[flag].annotation)), (command, flag)
 
 
 def test_basis_group_at_size_cap_runs(capsys):

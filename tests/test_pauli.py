@@ -1,4 +1,3 @@
-import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -6,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellkit.bell import multi_bell
 from bellkit.linalg import Monomial, dagger, residual
 from dense import (
     GenPauliWord,
@@ -120,15 +118,6 @@ def test_word_matrix_examples():
     assert residual(word_matrix(PauliWord((0,), (0,))), np.eye(2)) == 0
     zx_word = word_matrix(PauliWord((1, 0), (0, 1)))
     assert residual(zx_word, np.kron(pauli_gate("Z"), pauli_gate("X"))) == 0
-    # past the dense cap multi_bell refuses before it builds the 2^13 x 2^13 word (2 GiB complex)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError):
-            multi_bell(13, 0, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20, peak
 
 
 def test_word_dagger_rule_all_n2():
