@@ -394,13 +394,12 @@ def _in_range(command: str, values: dict) -> bool:
         print(f"--tol {values['tol']} outside the documented floor {TOL_FLOOR} and ceiling {TOL_CEILING}",
               file=sys.stderr)
         return False
-    for name, floor in SIZE_FLOORS.items():
-        if values.get(name) is not None and values[name] < floor:
-            print(f"--{name} must be at least {floor}, got {values[name]}", file=sys.stderr)
-            return False
-    for name, cap in SIZE_CAPS.get(command, {}).items():
-        if values[name] is not None and values[name] > cap:
-            print(f"bad parameters: {command.split()[-1]} --{name} must be at most {cap}, got {values[name]}",
+    bounds = [(name, "least", floor) for name, floor in SIZE_FLOORS.items()]
+    bounds += [(name, "most", cap) for name, cap in SIZE_CAPS.get(command, {}).items()]
+    for name, side, bound in bounds:
+        value = values.get(name)
+        if value is not None and (value < bound if side == "least" else value > bound):
+            print(f"bad parameters: {command.split()[-1]} --{name} must be at {side} {bound}, got {value}",
                   file=sys.stderr)
             return False
     return True

@@ -187,6 +187,18 @@ class Monomial:
         return mat
 
 
+def map_groups(words: Monomial) -> dict:
+    """The members of a stack ``(N, D)`` by row map: the bytes of each distinct map to the indices of its members.
+
+    Any stack is grouped, a Bell family or not (``bell.word_groups`` is the
+    batched grouping that refuses anything but a Bell family).
+    """
+    groups: dict = {}
+    for i, row in enumerate(words.perm):
+        groups.setdefault(row.tobytes(), []).append(i)
+    return {key: np.array(idx) for key, idx in groups.items()}
+
+
 # The bijection check walks a stack in blocks of rows of at most this many entries.
 _CHECK_ENTRIES = 2**16
 

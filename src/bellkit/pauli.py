@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Monomial, blocks, residual, residuals
+from .linalg import DEFAULT_TOL, Monomial, blocks, map_groups, residual, residuals
 from .report import Report
 
 # ---------------------------------------------------------------------------
@@ -172,14 +172,6 @@ def _nearest(words: Monomial, groups: dict, cands: Monomial) -> np.ndarray:
     return best.reshape(cands.perm.shape[:-1])
 
 
-def _map_groups(words: Monomial) -> dict:
-    """The members of a stack ``(N, D)`` by row map: the bytes of each distinct map to the indices of its members."""
-    groups: dict = {}
-    for i, row in enumerate(words.perm):
-        groups.setdefault(row.tobytes(), []).append(i)
-    return {key: np.array(idx) for key, idx in groups.items()}
-
-
 def _closure_residuals(words: Monomial, groups: dict):
     """Nearest-member residuals of the products ``words[i] @ words[j]``, ``(N, N)``, and of the adjoints, ``(N,)``.
 
@@ -214,7 +206,7 @@ def basis_group_check(words: Monomial, tol: float = DEFAULT_TOL) -> Report:
     rep = Report("basis-group", {"d": dim, "size": count}, tolerance=tol)
     rep.add("unitary", np.max(np.abs(np.abs(words.phase) ** 2 - 1)))
 
-    groups = _map_groups(words)
+    groups = map_groups(words)
     products, dagger = _closure_residuals(words, groups)
     rep.add("closure-mul", products)
     rep.add("closure-dagger", dagger)

@@ -85,9 +85,10 @@ NQUBIT_VARIANTS = tuple(v for v, (size, _) in _VARIANTS["teleport-eq"].items() i
 # How teleport_eq_suite samples M: the identity, Haar-unitary, or complex Gaussian.
 M_MODES = ("identity", "unitary", "general")
 # teleport-eq walks the labels in blocks whose stacked sides hold at most this
-# many entries each: every label at once up to D = 8, and a working set that
-# stays in cache (and in memory) at larger D.
-BLOCK_ENTRIES = 2**16
+# many entries each (every label at once up to D = 4, two blocks at D = 8), and
+# sample_histogram draws in blocks of this many: a working set that stays in
+# cache, and does not grow with D or with the number of samples.
+BLOCK_ENTRIES = 2**14
 
 
 class _Setting:
@@ -207,9 +208,11 @@ class _Setting:
         ops = self._operators(labels)
         np.multiply(self.psi[:, None], bell_vector(ops)[:, None, :], out=lhs.reshape(count, dim, -1))
         if self.form == 22:
-            # q @ words, written into the reused rows of ``out``
-            gathered = np.moveaxis(self.q[:, words.perm], 1, 0)
-            np.multiply(gathered, words.phase[:, None, :], out=rhs.reshape(count, -1, dim))
+            # q @ words: each label's column gather of q written into its row of ``out``, no temporary
+            cols = rhs.reshape(count, -1, dim)
+            for row, perm in zip(cols, words.perm):
+                np.take(self.q, perm, axis=1, out=row, mode="clip")
+            cols *= words.phase[:, None, :]
         else:
             np.matmul(self.q, ops, out=rhs.reshape(count, -1, dim))
         return lhs, rhs
@@ -392,14 +395,24 @@ def sample_histogram(probs: np.ndarray, samples: int, rng: np.random.Generator) 
     ``rng.random(samples)`` and puts a draw ``u`` on the first outcome whose
     normalized cdf exceeds it, so outcome k takes the draws in
     ``[cdf[k-1], cdf[k])``.  Sorting the draws counts them with one binary
-    search per outcome instead of one per draw.
+    search per outcome instead of one per draw.  The draws are taken, sorted
+    and counted in blocks of ``BLOCK_ENTRIES``, into one reused buffer:
+    consecutive ``rng.random`` calls give the numbers of one call, so the
+    counts are those of one draw of ``samples``.
     """
     p = np.asarray(probs, dtype=float) / np.sum(probs)
     if not np.all(p >= 0):
         raise ValueError("probabilities must be non-negative and not NaN")
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    return np.diff(np.searchsorted(np.sort(rng.random(samples)), cdf), prepend=0)
+    below = np.zeros(len(cdf), dtype=np.intp)
+    draws = np.empty(min(samples, BLOCK_ENTRIES))
+    for block in blocks(samples, 1, BLOCK_ENTRIES):
+        part = draws[: block.stop - block.start]
+        rng.random(out=part)
+        part.sort()
+        below += np.searchsorted(part, cdf)
+    return np.diff(below, prepend=0)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .linalg import (
     fold,
     haar_unitary,
     is_unitary,
+    map_groups,
     qr_unitary,
     random_matrix,
     residual,
@@ -129,16 +130,43 @@ def _perturb(u: np.ndarray, g: np.ndarray, min_dev: float = 0.1) -> np.ndarray:
 def reduced_completeness(words: Monomial, m: np.ndarray) -> float:
     """Worst residual of ``(1/d) sum_a U_a M |i><j| M^dag U_a^dag = (M^dag M)_ji 1`` over all pairs (i, j).
 
-    ``words`` is the family's stacked ``Monomial``.  Entry ``[p, q]`` of
-    the sum is ``sum_a V_a[p, i] conj(V_a[q, j])`` with ``V_a = U_a M``
-    (``words @ M``, a row scatter of M), so with ``X[a, (i, p)] = V_a[p,
-    i]`` every pair is one GEMM ``X^T conj(X)``, read as ``[i, p, j, q]``.
+    ``words`` is a stacked ``Monomial``, a Bell family or not.  Entry
+    ``[p, q]`` of the sum is ``sum_a V_a[p, i] conj(V_a[q, j])`` with ``V_a
+    = U_a M``.  Row p of ``U_a`` holds ``P[a, p] = phase[a, k_a(p)]`` in
+    column ``k_a(p)``, the transposed words' ``(perm, phase)`` (``words.T``),
+    so for the labels of one row map g (``map_groups``) ``V_a[p, i] = P[a, p]
+    Y_g[p, i]`` with ``Y_g = M[k_g]``, and the sum is ``Total[i, p, j, q] =
+    sum_g C_g[p, q] Y_g[p, i] conj(Y_g[q, j])`` with ``C_g = P_g^T
+    conj(P_g)`` over the group's rows of P.  For each p this is one ``(D x G)
+    @ (G x D^2)`` product, compared at once with its block ``(M^dag M)^T
+    delta_pq``: ``D^5`` work in all.  The per-group arrays hold ``G D^2``
+    entries, and a block of p at most ``BLOCK_ENTRIES`` per array, or one p's.
     """
     local = m.shape[0]
-    x = np.swapaxes(words @ m, -1, -2).reshape(len(words.perm), -1)
-    total = (x.T @ x.conj()).reshape((local,) * 4).transpose(0, 2, 1, 3)
+    t = words.T
+    grams, rows = [], []
+    for idx in map_groups(t).values():
+        tiles = t.phase[idx]
+        grams.append(tiles.T @ tiles.conj() / local)
+        rows.append(m[t.perm[idx[0]]])
+    # scale[p, g, q] = C_g[p, q] / D, left[p, i, g] = Y_g[p, i], right[g, j, q] = conj(Y_g[q, j])
+    scale, left = np.stack(grams, axis=1), np.stack(rows, axis=-1)
+    right = np.stack(rows).conj().transpose(0, 2, 1)
     mdm = m.conj().T @ m
-    return residual(total / local, mdm.T[:, :, None, None] * np.eye(local))
+    walk = list(blocks(local, max(len(rows), local) * local**2, BLOCK_ENTRIES))
+    # every block is written into the same three arrays, not page-faulted in afresh
+    size = walk[0].stop
+    terms = np.empty((size, len(rows), local, local), dtype=np.result_type(scale, right))
+    total = np.empty((size, local, local, local), dtype=np.result_type(left, terms))
+    mags = np.empty(total.shape)
+    worst = []
+    for block in walk:
+        count = block.stop - block.start
+        np.multiply(scale[block, :, None, :], right, out=terms[:count])
+        np.matmul(left[block], terms[:count].reshape(count, len(rows), -1), out=total[:count].reshape(count, local, -1))
+        total[np.arange(count), :, :, np.arange(block.start, block.stop)] -= mdm.T
+        worst.append(fold(np.abs(total[:count], out=mags[:count])))
+    return fold(worst)
 
 
 def _trial_matrices(local: int, trials: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

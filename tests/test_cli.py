@@ -313,7 +313,7 @@ def test_circuit_twist_export(tmp_path, capsys):
 @pytest.mark.parametrize(
     "twist,message",
     [
-        pytest.param("0", "--twist must be at least 1, got 0", id="0"),
+        pytest.param("0", "bad parameters: circuit --twist must be at least 1, got 0", id="0"),
         pytest.param("7", "bad parameters: circuit --twist must be at most 6, got 7", id="7"),
     ],
 )
@@ -387,7 +387,8 @@ def test_out_of_range_size_exit_two(argv, flag, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"{flag} must be at least"), lines
+    command = argv[1] if argv[0] == "verify" else argv[0]
+    assert len(lines) == 1 and lines[0].startswith(f"bad parameters: {command} {flag} must be at least"), lines
 
 
 @pytest.mark.parametrize(

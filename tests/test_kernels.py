@@ -59,6 +59,7 @@ from bellkit.linalg import (
     fold,
     haar_unitary,
     identity,
+    map_groups,
     permutation,
     random_matrix,
     random_state,
@@ -828,22 +829,43 @@ def test_conjugated_observables_match_kronecker(d, side):
 @pytest.mark.parametrize(
     "size", [{"d": 2}, {"d": 3}, {"d": 5}, {"d": 8}, {"n": 2}, {"d": 4}, {"d": 6}, {"n": 1}, {"n": 3}]
 )
-def test_reduced_completeness_matches_pair_loop(size):
+def test_reduced_completeness_matches_pair_loop(size, monkeypatch):
     rng = np.random.default_rng(sum(size.values()))
     words = bell_unitaries(**size)[1]
     local = words.dim
     m = rng.standard_normal((local, local)) + 1j * rng.standard_normal((local, local))
     # U_a M, the one scatter, against the product with the dense words
     assert residual(words @ m, dense_words(words) @ m) <= 1e-15
-    got = reduced_completeness(words, m)
-    assert got < DEFAULT_TOL
+    whole = reduced_completeness(words, m)
+    assert whole < DEFAULT_TOL
     # sums of d^2 products of O(1) Gaussians, in two association orders
-    assert abs(got - dense_reduced_completeness(dense_words(words), m)) <= 1e-13
-    # a family with one word repeated is no Bell family: an O(1) residual, the same on both routes
+    assert abs(whole - dense_reduced_completeness(dense_words(words), m)) <= 1e-13
+    # a family with one word repeated is no Bell family, so its row maps do not
+    # tile: an O(1) residual, the same on both routes
     broken = words[np.r_[: len(words.perm) - 1, 0]]
     got = reduced_completeness(broken, m)
     assert got > 0.01
     assert abs(got - dense_reduced_completeness(dense_words(broken), m)) <= 1e-13
+    # blocks of one p, and of two with a shorter last block, give the same residuals
+    for per_block in (1, 2):
+        monkeypatch.setattr(verify, "BLOCK_ENTRIES", per_block * local**3)
+        assert reduced_completeness(words, m) == whole
+        assert reduced_completeness(broken, m) == got
+
+
+def test_reduced_completeness_memory_is_a_block():
+    # n = 5, D = 32: the (K, D^2) matrix and its D^4-entry product peaked at 88 MiB;
+    # the per-group arrays and one p's D^3 block are about 4 MiB
+    words = bell_unitaries(n=5)[1]
+    m = random_matrix(words.dim, np.random.default_rng(2))
+    tracemalloc.start()
+    try:
+        res = reduced_completeness(words, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res < DEFAULT_TOL
+    assert peak < 8 * 2**20, peak
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -929,7 +951,7 @@ def test_nearest_residual_never_below_dense_loop(name):
     """Per product and per adjoint, the nearest-member residual equals the dense loop's, bit for bit."""
     words, _, _, old_mul, old_dag = _dense_basis_group(name)
     stack = monomial_of(words)
-    new_mul, new_dag = pauli._closure_residuals(stack, pauli._map_groups(stack))
+    new_mul, new_dag = pauli._closure_residuals(stack, map_groups(stack))
     np.testing.assert_array_equal(new_mul, old_mul)
     np.testing.assert_array_equal(new_dag, old_dag)
 
@@ -1235,8 +1257,10 @@ def test_projective_eq_equals_per_outcome_loop(variant, size, block_labels, monk
 
 
 def test_teleport_eq_blocks_bound_memory():
-    # n = 4: 256 labels of 4096 entries per side, walked 16 labels at a time;
-    # no 1 MiB stack of the 256 adjoints U_a^dag is held beside U_a
+    # n = 4: 256 labels of 4096 entries per side, walked 4 labels at a time: two
+    # 256 KiB sides and their magnitudes (1.1 MiB peak), not the 16-label blocks
+    # and their gathered temporary (4 MiB peak) of a 2^16-entry budget
+    assert teleport.BLOCK_ENTRIES == 2**14
     tracemalloc.start()
     try:
         rep = teleport_eq_suite("nqubit22", n=4, seed=1)
@@ -1244,13 +1268,20 @@ def test_teleport_eq_blocks_bound_memory():
     finally:
         tracemalloc.stop()
     assert rep.passed
-    assert peak < 7 * 2**20, peak
+    assert peak < 2 * 2**20, peak
 
 
-@pytest.mark.parametrize("samples", [1, 1000, 100000])
+# sample_histogram's draws are walked in blocks of this many in the test below
+HISTOGRAM_BLOCK = 1000
+
+
+@pytest.mark.parametrize(
+    "samples", [1, HISTOGRAM_BLOCK - 1, HISTOGRAM_BLOCK, HISTOGRAM_BLOCK + 1, 3 * HISTOGRAM_BLOCK + 7, 100000]
+)
 @pytest.mark.parametrize("outcomes", [4, 16, 256])
 @pytest.mark.parametrize("zeros", [False, True])
-def test_sample_histogram_equals_choice_counts(outcomes, samples, zeros):
+def test_sample_histogram_equals_choice_counts(outcomes, samples, zeros, monkeypatch):
+    monkeypatch.setattr(teleport, "BLOCK_ENTRIES", HISTOGRAM_BLOCK)
     rng = np.random.default_rng(outcomes + samples)
     probs = rng.random(outcomes)
     if zeros:  # outcomes that can never be drawn, the first and last among them
@@ -1266,6 +1297,22 @@ def test_sample_histogram_equals_choice_counts(outcomes, samples, zeros):
     assert not np.any(got[probs == 0])
     # and the generator is left where choice leaves it
     assert histogram_rng.random() == choice_rng.random()
+
+
+def test_sample_histogram_memory_does_not_grow_with_samples():
+    # 10^6 draws held at once, and their sorted copy, were 16 MB; one block of
+    # BLOCK_ENTRIES draws is 128 KiB
+    probs = np.random.default_rng(3).random(16)
+    choice_rng, histogram_rng = np.random.default_rng(4), np.random.default_rng(4)
+    want = np.bincount(choice_rng.choice(16, 10**6, p=probs / probs.sum()), minlength=16)
+    tracemalloc.start()
+    try:
+        got = sample_histogram(probs, 10**6, histogram_rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(got, want)
+    assert peak < 2**20, peak
 
 
 @pytest.mark.parametrize("probs", [[0.5, -0.1, 0.6], [0.5, np.nan, 0.5]])

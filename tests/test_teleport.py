@@ -235,7 +235,8 @@ def test_failing_label_names_worst_entry(variant, size, monkeypatch):
         assert abs(case.residual - diff.max()) <= 1e-15
 
 
-@pytest.mark.parametrize("block_entries", [teleport.BLOCK_ENTRIES, 2 * 27])
+# d = 3: every label's sides in one block, or two labels' (27 entries each) per block
+@pytest.mark.parametrize("block_entries", [2**16, 2 * 27])
 def test_nan_fails_its_label_only(block_entries, monkeypatch):
     clean = teleport_eq_suite("qudit11", d=3, seed=2)
     target = 4
