@@ -96,8 +96,9 @@ def bell_action_check(epsilon: int, eta: int, tol: float = 1e-15) -> Report:
 # full d^n space both sides are "local side x identity", and tensoring with
 # an identity changes neither the value nor the max-abs residual, so each
 # relation is checked on that d^3 or d^4 support.  There each side is a word
-# of X placed at sites s, applied to the columns of the identity by
-# ``apply_local``, one block of columns at a time; no placed X is formed.
+# of X placed at sites s, one block of columns at a time: the block of its
+# first factor is gathered from X's entries, and the others are applied to it
+# by ``apply_local``; no placed X is formed.
 
 
 def _word(x: np.ndarray, local_dim: int, sites, cols: np.ndarray) -> np.ndarray:
@@ -107,19 +108,39 @@ def _word(x: np.ndarray, local_dim: int, sites, cols: np.ndarray) -> np.ndarray:
     return cols
 
 
+def _placed_block(x: np.ndarray, local_dim: int, site: int, support: int, start: int) -> np.ndarray:
+    """Columns ``[start, start + k)`` of ``1 x X x 1`` on ``support`` sites, X = ``x`` (k x k) at ``site``.
+
+    Column ``(b, i, r)`` of the placed X is ``x[:, i]`` on rows ``(b, :, r)``.  ``k`` and ``rest``, the
+    dimension after X, are powers of ``local_dim``, so with ``m = min(k, rest)`` the block's column
+    ``q m + j`` is ``x[:, i0 + q]`` on rows ``(b, :, r0 + j)`` for one ``(b, i0, r0)``: one write into a
+    diagonal view of a zero block.  A GEMM against identity columns gives these entries exactly.
+    """
+    k = len(x)
+    rest = local_dim ** (support - site) // k
+    m = min(k, rest)
+    b, c = divmod(start, k * rest)
+    out = np.zeros((local_dim**support, k), dtype=x.dtype)
+    rows = out[b * k * rest : (b + 1) * k * rest].reshape(k, rest // m, m, k // m, m)
+    np.einsum("iarqr->iaqr", rows)[:, c % rest // m] = x[:, c // rest : c // rest + k // m, None]
+    return out
+
+
 def _relation_residual(x: np.ndarray, local_dim: int, support: int, lhs, rhs, scale: float = 1.0) -> float:
     """Max-abs residual of ``word(lhs) - scale * word(rhs)`` on ``support`` sites.
 
-    Both words act on identity blocks of ``len(x)`` columns; memory is one block.
-    A real ``x`` (an exactly real complex one included) and its blocks stay
-    float64, so every product is a real GEMM.
+    Both words act on blocks of ``len(x)`` columns, each word's first factor
+    gathered (``_placed_block``); memory is one block.  A real ``x`` (an
+    exactly real complex one included) and its blocks stay float64, so every
+    product is a real GEMM.
     """
     x = real_if_real(x)
-    dim = local_dim**support
-    width = x.shape[0]
+
+    def side(sites, start):
+        return _word(x, local_dim, sites[:-1], _placed_block(x, local_dim, sites[-1], support, start))
+
     return fold(
-        residual(_word(x, local_dim, lhs, eye), scale * _word(x, local_dim, rhs, eye))
-        for eye in (np.eye(dim, width, -start, dtype=x.dtype) for start in range(0, dim, width))
+        residual(side(lhs, start), scale * side(rhs, start)) for start in range(0, local_dim**support, len(x))
     )
 
 

@@ -2,13 +2,13 @@
 circuit export, JSON reporting.
 
 Every command is declared once, by its runner: ``SUITES`` holds one per
-``verify`` suite and ``COMMANDS`` one for ``teleport`` and ``circuit``.
-A runner's keyword-only parameters are its flags: the name gives
-``--flag``, the default its default (none: a required flag) and the
-annotation its type, with a ``Literal[...]`` annotation giving the
-accepted values.  Its positional parameters name the common flags it
-takes, ``tol`` and ``seed``; a runner that returns a report also takes
-``--json``.  Any other flag is bad usage.
+``verify`` suite, named after it, and ``COMMANDS`` one for ``teleport``
+and ``circuit``.  A runner's keyword-only parameters are its flags: name,
+default (none: required) and type, a ``Literal[...]`` giving the choices.
+Its positional parameters name the common flags it takes, ``tol`` and
+``seed``; a runner that returns a report also takes ``--json``.  Any other
+flag is bad usage.  ``_read`` reads the flags from that table, and prints
+it for ``--help``; argparse serves only top-level help and bad usage.
 
 Exit codes: 0 all cases pass, 1 some case failed, 2 bad usage.  The
 default seed comes from BELLKIT_SEED (else 0); reports with a fixed
@@ -17,11 +17,12 @@ seed serialize byte-identically across reruns.
 
 from __future__ import annotations
 
-import argparse
 import inspect
 import json
 import os
+import re
 import sys
+from contextlib import suppress
 from typing import Literal, get_args, get_origin
 
 import numpy as np
@@ -264,25 +265,12 @@ def _suite_trace_constraint(tol, seed, *, n: int = 2) -> Report:
     return verify.trace_constraint_solve(n, tol)
 
 
-SUITES = {
-    "gram": _suite_gram,
-    "completeness": _suite_completeness,
-    "basis-theorem": _suite_basis_theorem,
-    "basis-group": _suite_basis_group,
-    "observables": _suite_observables,
-    "twist": _suite_twist,
-    "concurrence": _suite_concurrence,
-    "teleport-eq": _suite_teleport_eq,
-    "projective-eq": _suite_projective_eq,
-    "linearity-reduction": _suite_linearity_reduction,
-    "transfer-identity": _suite_transfer_identity,
-    "bell-action": _suite_bell_action,
-    "ybe": _suite_ybe,
-    "braid": _suite_braid,
-    "tl": _suite_tl,
-    "braid-teleport": _suite_braid_teleport,
-    "trace-constraint": _suite_trace_constraint,
-}
+# A suite's name is its runner's after "_suite_", with "-" for "_".
+SUITES = {runner.__name__[7:].replace("_", "-"): runner for runner in (
+    _suite_gram, _suite_completeness, _suite_basis_theorem, _suite_basis_group, _suite_observables, _suite_twist,
+    _suite_concurrence, _suite_teleport_eq, _suite_projective_eq, _suite_linearity_reduction, _suite_transfer_identity,
+    _suite_bell_action, _suite_ybe, _suite_braid, _suite_tl, _suite_braid_teleport, _suite_trace_constraint,
+)}
 
 
 def _parse_signs(text: str, n: int) -> tuple[int, ...]:
@@ -332,50 +320,65 @@ def _run_circuit(*, n: int = 1, alpha: str = "0", beta: str = "0", twist: int | 
 COMMANDS = {"teleport": _run_teleport, "circuit": _run_circuit}
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raise bad usage as ValueError, so that ``main`` returns 2 instead of exiting."""
-
-    def error(self, message):
-        raise ValueError(message)
-
-
-def _parser(command: str, runner) -> argparse.ArgumentParser:
-    """The flags of ``bellkit <command>``: its runner's keyword-only parameters, then the common ones."""
-    parser = _Parser(prog=f"bellkit {command}", description=runner.__doc__, allow_abbrev=False)
+def _read(command: str, runner, args: list[str]) -> dict:
+    """The value of each flag of ``bellkit <command>``, the last one ``args`` gives or its default; the flags
+    are ``runner``'s keyword-only parameters, then the common ones it takes.  Bad usage raises ValueError."""
     signature = inspect.signature(runner, eval_str=True)
+    table = {}  # --flag: (name, type, choices, default (empty: a required flag), help)
     for param in signature.parameters.values():
-        if param.kind is not param.KEYWORD_ONLY:
-            continue
-        kind, choices = param.annotation, None
-        if get_origin(kind) is Literal:
-            kind, choices = str, get_args(kind)
-        elif get_args(kind):  # int | None: an int, or None when the flag is left out
-            kind = get_args(kind)[0]
-        required = param.default is param.empty
-        parser.add_argument(
-            "--" + param.name.replace("_", "-"),
-            type=kind,
-            choices=choices,
-            required=required,
-            default=None if required else param.default,
-            help="required" if required else f"default: {param.default}",
-        )
+        if param.kind is param.KEYWORD_ONLY:  # a Literal gives the choices; int | None is an int, None if left out
+            hint, help_ = param.annotation, "required" if param.default is param.empty else f"default: {param.default}"
+            kind, choices = (str, get_args(hint)) if get_origin(hint) is Literal else ((*get_args(hint), hint)[0], None)
+            table["--" + param.name.replace("_", "-")] = (param.name, kind, choices, param.default, help_)
     if "tol" in signature.parameters:
-        parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help=f"default: {DEFAULT_TOL}, "
-                            f"at least {TOL_FLOOR}, at most {TOL_CEILING}")
-    if "seed" in signature.parameters:
-        # argparse applies type=int to a string default only when the flag is absent,
-        # so a malformed BELLKIT_SEED exits 2 like a malformed --seed
-        seed = os.environ.get("BELLKIT_SEED", "0")
-        parser.add_argument("--seed", type=int, default=seed, help="default: BELLKIT_SEED, else 0")
+        table["--tol"] = ("tol", float, None, DEFAULT_TOL, f"default: {DEFAULT_TOL}, in [{TOL_FLOOR}, {TOL_CEILING}]")
+    if "seed" in signature.parameters:  # a text default is read as a value: a bad BELLKIT_SEED exits 2
+        table["--seed"] = ("seed", int, None, os.environ.get("BELLKIT_SEED", "0"), "default: BELLKIT_SEED, else 0")
     if signature.return_annotation is not str:  # a report, not a message
-        parser.add_argument("--json", dest="json_path", metavar="PATH", help="write the report here")
-    return parser
+        table["--json"] = ("json_path", str, None, None, "write the report here")
+
+    def value(flag, text):
+        _, kind, choices, _, _ = table[flag]
+        with suppress(ValueError):
+            if not choices or text in choices:
+                return kind(text)
+        raise ValueError(f"argument {flag}: " + (f"invalid choice: {text!r} (choose from {', '.join(map(repr, choices))})"
+                                                  if choices else f"invalid {kind.__name__} value: {text!r}"))
+
+    values, extra, words = {}, [], iter(args)
+    for word in words:
+        flag, eq, text = word.partition("=")
+        if "--" in extra or flag not in table and word not in ("-h", "--help"):  # after "--" no word is a flag
+            extra.append(word)
+        elif flag not in table:
+            print(f"usage: bellkit {command} [--FLAG VALUE ...]\n" + (f"\n{runner.__doc__}\n" if runner.__doc__ else ""), *(
+                f"  {flag} {'{' + ','.join(choices) + '}' if choices else name.upper()}  {help_}"
+                for flag, (name, _, choices, _, help_) in table.items()), "  -h, --help  show this help", sep="\n")
+            raise SystemExit(0)
+        # argparse's rule: the next word is a flag, not a value, if it starts with "-" and is not "-", and it
+        # names a flag (before any "="), starts with "-h", or is neither a negative number nor holds a space
+        elif not eq and (text := next(words, "--"))[:1] == "-" and text != "-" and (text[:2] == "-h" or text.partition(
+                "=")[0] in (*table, "--help") or not (re.match(r"-\d+$|-\d*\.\d+$", text) or " " in text)):
+            raise ValueError(f"argument {flag}: expected one argument")
+        else:
+            values[table[flag][0]] = value(flag, text)
+    if missing := [flag for flag, entry in table.items() if entry[3] is signature.empty and entry[0] not in values]:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    if extra:
+        raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
+    return {name: values[name] if name in values else value(flag, default) if isinstance(default, str)
+            else default for flag, (name, _, _, default, _) in table.items()}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """Command names only; each command's flags come from ``_parser``."""
-    parser = _Parser(prog="bellkit")
+def _build_parser():
+    """Command names only, for top-level help and bad usage; each command reads its own flags (``_read``)."""
+    import argparse  # only top-level help and bad usage import it
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # main returns 2 instead of exiting
+            raise ValueError(message)
+
+    parser = Parser(prog="bellkit")
     sub = parser.add_subparsers(dest="command", required=True)
     pv = sub.add_parser("verify", help="Run a named verification suite.",
                         description="Each suite takes its own flags: bellkit verify SUITE --help")
@@ -434,15 +437,12 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         command, runner = _resolve(argv)
-        if runner is None:
-            # Only help, bad usage and an unknown suite need the top-level
-            # parser: it prints the help or raises, and what it lets through
-            # is `verify SUITE` with a suite that SUITES does not hold.
+        if runner is None:  # help or bad usage raise; what passes is `verify SUITE` with an unknown suite
             args = _build_parser().parse_args(command)
             print(f"unknown suite {args.suite!r}; choose from {', '.join(sorted(SUITES))}", file=sys.stderr)
             return 2
         name = " ".join(command)
-        flags = vars(_parser(name, runner).parse_args(argv[len(command):]))
+        flags = _read(name, runner, argv[len(command):])
         json_path = flags.pop("json_path", None)
         if not _in_range(name, flags):
             return 2

@@ -4,7 +4,8 @@ The library applies local operators with ``linalg.apply_local`` and never
 forms ``op x 1`` as a matrix; the tests build that Kronecker form here, as
 an oracle to compare against.  The same holds for the braid-teleportation
 right-hand side, built here one symbolic outcome word at a time, for the
-relation kernel with every operand forced complex, for the reduced
+relation kernel applied to identity blocks (the library gathers each
+side's first factor) and with every operand forced complex, for the reduced
 completeness of the basis theorem, one pair (i, j) at a time, for the
 teleportation equations, one Bell label or outcome at a time, and for the
 Haar-sampled basis-theorem and observable suites, one draw, Gram and
@@ -31,7 +32,7 @@ import numpy as np
 
 from bellkit.bell import all_labels, bell_unitaries, bell_vector, multi_bell, product_ket, twist_monomial
 from bellkit.braid import _word
-from bellkit.linalg import DEFAULT_TOL, Monomial, dagger, fold, identity, residual
+from bellkit.linalg import DEFAULT_TOL, Monomial, dagger, fold, identity, real_if_real, residual
 from bellkit.pauli import as_bits, bits_to_int, pauli_gate, word
 from bellkit.report import Report
 from bellkit.verify import (
@@ -289,7 +290,18 @@ def braid_teleport_rhs(eps_l, eta_l, eps_r, eta_r, a_bits, b_bits, psi, blocked=
 
 
 # ---------------------------------------------------------------------------
-# relation kernel with every operand complex
+# relation kernel on identity blocks, and with every operand complex
+
+
+def identity_relation_residual(x, local_dim, support, lhs, rhs, scale=1.0):
+    """``braid._relation_residual`` with each side applied, factor by factor, to identity blocks in ``x``'s dtype."""
+    x = real_if_real(x)
+    dim = local_dim**support
+    width = x.shape[0]
+    return fold(
+        residual(_word(x, local_dim, lhs, eye), scale * _word(x, local_dim, rhs, eye))
+        for eye in (np.eye(dim, width, -start, dtype=x.dtype) for start in range(0, dim, width))
+    )
 
 
 def complex_relation_residual(x, local_dim, support, lhs, rhs, scale=1.0):

@@ -1,7 +1,10 @@
 import functools
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 from typing import get_args
 
 import numpy as np
@@ -78,6 +81,25 @@ def test_known_command_needs_no_top_level_parser(monkeypatch, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["verify", "twist", "--help"])
     assert exc.value.code == 0
+
+
+def test_happy_path_imports_no_argparse(tmp_path):
+    # pytest imports argparse itself, so only a fresh interpreter can tell whether the CLI does
+    code = ("import sys; import bellkit.cli as cli; "
+            f"code = cli.main(['verify', 'gram', '--family', 'qudit', '--d', '3', '--json', {str(tmp_path / 'r.json')!r}]); "
+            "print(code, 'argparse' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 False", out
+
+
+@pytest.mark.parametrize("argv", [["verify", "gram", "--n=--"], ["verify", "gram", "--tol=--"], ["teleport", "--samples=--"]],
+                         ids=" ".join)
+def test_double_dash_value_exit_two(argv, capsys):
+    # argparse read "--flag=--" as an empty list, which then raised a TypeError in the range check
+    assert run(argv) == 2
+    assert one_line_error(capsys).startswith("bad parameters: argument --")
 
 
 def test_top_level_help_and_errors(capsys):
@@ -391,43 +413,6 @@ def test_out_of_range_size_exit_two(argv, flag, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith(f"bad parameters: {command} {flag} must be at least"), lines
 
 
-@pytest.mark.parametrize(
-    "argv,flag,cap",
-    [
-        (["--family", "qudit", "--d", "8"], "--d", 7),
-        (["--family", "qudit", "--d", "20"], "--d", 7),
-        (["--family", "qubit", "--d", "8"], "--d", 7),
-        (["--family", "multi", "--n", "4"], "--n", 3),
-        (["--family", "multi", "--n", "5"], "--n", 3),
-    ],
-)
-def test_basis_group_size_cap_exit_two(argv, flag, cap, monkeypatch, capsys):
-    from bellkit import cli
-
-    def never(*args, **kwargs):
-        raise AssertionError("the closure check ran above its size cap")
-
-    # a check that reached the closure would fail here instead of running for hours
-    monkeypatch.setattr(cli, "basis_group_check", never)
-    assert run(["verify", "basis-group", *argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.strip().splitlines()
-    assert len(lines) == 1 and f"basis-group {flag} must be at most {cap}" in lines[0], lines
-
-
-def test_concurrence_size_cap_exit_two_before_any_draw(monkeypatch, capsys):
-    from bellkit import bell
-
-    def never(*args, **kwargs):
-        raise AssertionError("a trial state was drawn above the dense cap")
-
-    # a 4^13-entry trial state is 1 GiB; the cap must refuse before the first one
-    monkeypatch.setattr(bell, "random_state", never)
-    assert run(["verify", "concurrence", "--n", "13", "--trials", "2"]) == 2
-    assert one_line_error(capsys) == "bad parameters: concurrence --n must be at most 12, got 13"
-
-
 # Each size cap of cli.SIZE_CAPS: the argv that reaches the capped flag, the flag and its cap.
 CAP_ROWS = [
     ("verify basis-group", "d", 7),
@@ -459,14 +444,26 @@ def _output_flag(command, tmp_path):
     return ["--out", str(tmp_path / "c.qasm")] if command == ["circuit"] else ["--json", str(tmp_path / "r.json")]
 
 
-@pytest.mark.parametrize("argv,flag,cap", CAP_ROWS, ids=[f"{argv} --{flag}" for argv, flag, _ in CAP_ROWS])
-def test_size_cap_exit_two_before_runner(argv, flag, cap, monkeypatch, tmp_path, capsys):
+# Each row of CAP_ROWS at cap + 1 (ids as in CAP_ROWS), then values further past a cap, each with its row's
+# cap: --family qubit runs at d = 2 yet its --d is still capped.
+BEYOND_CAP = [("verify basis-group --family qubit", "d", 8), ("verify basis-group", "d", 20),
+              ("verify basis-group --family multi", "n", 5)]
+CAP_OF = {(" ".join(cli._resolve(argv.split())[0]), flag): cap for argv, flag, cap in CAP_ROWS}
+REFUSED_ROWS = [(argv, flag, cap, cap + 1) for argv, flag, cap in CAP_ROWS] + [
+    (argv, flag, CAP_OF[" ".join(cli._resolve(argv.split())[0]), flag], value) for argv, flag, value in BEYOND_CAP]
+
+
+@pytest.mark.parametrize(
+    "argv,flag,cap,value", REFUSED_ROWS,
+    ids=[f"{argv} --{flag}" for argv, flag, _ in CAP_ROWS] + [f"{argv} --{flag} {value}" for argv, flag, value in BEYOND_CAP],
+)
+def test_size_cap_exit_two_before_runner(argv, flag, cap, value, monkeypatch, tmp_path, capsys):
     def never(*args, **kwargs):
         raise AssertionError(f"{argv} ran above its --{flag} cap")
 
     command = _stub_runner(monkeypatch, argv, never)
-    assert run([*argv.split(), f"--{flag}", str(cap + 1), *_output_flag(command, tmp_path)]) == 2
-    assert one_line_error(capsys) == f"bad parameters: {command[-1]} --{flag} must be at most {cap}, got {cap + 1}"
+    assert run([*argv.split(), f"--{flag}", str(value), *_output_flag(command, tmp_path)]) == 2
+    assert one_line_error(capsys) == f"bad parameters: {command[-1]} --{flag} must be at most {cap}, got {value}"
     assert list(tmp_path.iterdir()) == []
 
 

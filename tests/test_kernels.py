@@ -126,6 +126,7 @@ from dense import (
     gen_x,
     gram,
     haar_one,
+    identity_relation_residual,
     kron,
     monomial_matmul,
     monomial_of,
@@ -699,9 +700,41 @@ def test_real_gates_take_the_real_relation_path(name, word_dtypes):
     gate, local, shapes = REAL_GATES[name]
     for support, lhs, rhs, scale in shapes:
         got = braid._relation_residual(gate, local, support, lhs, rhs, scale)
+        # a GEMM against identity columns is one product with 1.0 plus exact zeros, so the gathered start is exact
+        assert got == identity_relation_residual(gate, local, support, lhs, rhs, scale), (support, lhs, rhs)
         want = complex_relation_residual(gate, local, support, lhs, rhs, scale)
         assert abs(got - want) <= 1e-15, (support, lhs, rhs, got, want)
     assert word_dtypes == {np.dtype(np.float64)}
+
+
+@pytest.mark.parametrize("m", ["unitary", "nonunitary"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_gathered_start_equals_identity_blocks_complex_tl(d, m):
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        local = haar_unitary(d, rng) if m == "unitary" else perturbed_nonunitary(d, rng)
+        proj = tl_generators(3, d, (seed % d, 1), local).proj
+        assert np.iscomplexobj(linalg.real_if_real(proj))
+        for support, lhs, rhs, scale in _tl_shapes(d):
+            got = braid._relation_residual(proj, d, support, lhs, rhs, scale)
+            assert got == identity_relation_residual(proj, d, support, lhs, rhs, scale), (seed, support, lhs, rhs)
+
+
+def test_gathered_start_saves_the_first_local_product(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return apply_local(*args)
+
+    monkeypatch.setattr(braid, "apply_local", counting)
+    # 8 blocks of 64 columns, two products per side after the gathered one (48 with identity blocks)
+    assert yang_baxter_check(twisted_yb_gates(3, (1, -1, 1), (-1, 1, 1), "conjugated"), 8).passed
+    assert len(calls) == 32
+    calls.clear()
+    # TL's one-site sides are the gather alone: 2 blocks x 2 for each neighbour relation, 4 x 2 for far commutation
+    assert tl_relation_check(tl_generators(4, 2)).passed
+    assert len(calls) == 16
 
 
 def test_complex_gates_keep_the_complex_path(word_dtypes):

@@ -189,7 +189,7 @@ def unexecuted(paths: dict[str, Path], hits) -> list[tuple[str, str]]:
 
 
 # The smallest call of each command and of each branch its flags select, then
-# one call per usage-error path: (exit code, argv), OUT standing for a file.
+# one call per usage-error path and a help call: (exit code, argv), OUT standing for a file.
 # The first call prints its report; the others write it.
 CALLS = [
     (0, "verify gram"),
@@ -237,6 +237,8 @@ CALLS = [
     (2, "verify gram --d 1"),
     (2, "verify gram --family multi --d 3"),
     (2, "verify basis-group --d 8"),
+    (2, "verify gram --foo"),
+    (0, "verify tl --help"),
 ]
 
 # Statements that no call above runs, and why each stays: (qualified def name, first line) -> reason.
@@ -265,7 +267,11 @@ ALLOWED = {
 def _run_calls(tmp_path):
     for code, line in CALLS:
         argv = [str(tmp_path / "out") if word == "OUT" else word for word in line.split()]
-        assert cli.main(argv) == code, line
+        try:
+            got = cli.main(argv)
+        except SystemExit as exc:  # --help prints the flags and exits
+            got = exc.code
+        assert got == code, line
 
 
 def test_every_statement_in_src_runs_from_a_command(tmp_path, capsys):
