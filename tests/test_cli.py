@@ -413,6 +413,40 @@ def test_out_of_range_size_exit_two(argv, flag, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith(f"bad parameters: {command} {flag} must be at least"), lines
 
 
+# The inputs past a cap that only these two tests had are BEYOND_CAP rows below; these keep the real runner and
+# stub the work inside it instead.
+@pytest.mark.parametrize(
+    "argv,flag,cap",
+    [(["--family", "qudit", "--d", "8"], "--d", 7), (["--family", "multi", "--n", "4"], "--n", 3)],
+    ids=["argv0---d-7", "argv3---n-3"],
+)
+def test_basis_group_size_cap_exit_two(argv, flag, cap, monkeypatch, capsys):
+    from bellkit import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the closure check ran above its size cap")
+
+    # a check that reached the closure would fail here instead of running for hours
+    monkeypatch.setattr(cli, "basis_group_check", never)
+    assert run(["verify", "basis-group", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and f"basis-group {flag} must be at most {cap}" in lines[0], lines
+
+
+def test_concurrence_size_cap_exit_two_before_any_draw(monkeypatch, capsys):
+    from bellkit import bell
+
+    def never(*args, **kwargs):
+        raise AssertionError("a trial state was drawn above the dense cap")
+
+    # a 4^13-entry trial state is 1 GiB; the cap must refuse before the first one
+    monkeypatch.setattr(bell, "random_state", never)
+    assert run(["verify", "concurrence", "--n", "13", "--trials", "2"]) == 2
+    assert one_line_error(capsys) == "bad parameters: concurrence --n must be at most 12, got 13"
+
+
 # Each size cap of cli.SIZE_CAPS: the argv that reaches the capped flag, the flag and its cap.
 CAP_ROWS = [
     ("verify basis-group", "d", 7),
