@@ -10,9 +10,9 @@ Its positional parameters name the common flags it takes, ``tol`` and
 flag is bad usage.  ``_read`` reads the flags from that table, and prints
 it for ``--help``; argparse serves only top-level help and bad usage.
 
-Exit codes: 0 all cases pass, 1 some case failed, 2 bad usage.  The
-default seed comes from BELLKIT_SEED (else 0); reports with a fixed
-seed serialize byte-identically across reruns.
+Exit codes: 0 all cases pass, 1 some case failed or the report has no
+case, 2 bad usage.  The default seed comes from BELLKIT_SEED (else 0);
+reports with a fixed seed serialize byte-identically across reruns.
 """
 
 from __future__ import annotations
@@ -409,7 +409,7 @@ def _in_range(command: str, values: dict) -> bool:
 
 
 def _emit(result: Report | dict | str, json_path: str | None) -> int:
-    """Print what a runner returned, or write its report to ``json_path``; 1 if a case failed."""
+    """Print what a runner returned, or write its report to ``json_path``; 1 if the report did not pass."""
     if isinstance(result, str):
         print(result)
         return 0

@@ -57,16 +57,14 @@ class Report:
     tolerance: float = 1e-12
     seed: int | None = None
 
-    def add(self, case_id: str, residual, tol: float | None = None, index=None, also=(), worst=None) -> None:
+    def add(self, case_id: str, residual, tol: float | None = None, index=None, also=()) -> None:
         """Record a case that passes iff its residual is below ``tol`` (the report's by default).
 
-        ``worst`` is the run's fold when the caller already has it.  ``also``
-        holds more residuals, folded into the case's residual but never
-        named as a witness.
+        ``also`` holds more residuals, folded into the case's residual but
+        never named as a witness.
         """
         tol = self.tolerance if tol is None else tol
-        if worst is None:
-            worst = fold(residual) if isinstance(residual, np.ndarray) else residual
+        worst = fold(residual) if isinstance(residual, np.ndarray) else residual
         total = fold((worst, *also)) if also else worst
         case_id += _witness(residual, worst < tol, np.argmax, index)
         self.cases.append(Case(case_id, float(total), bool(total < tol)))
@@ -79,7 +77,8 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.cases)
+        """Whether every case passed; a report with no cases checked nothing, and fails."""
+        return bool(self.cases) and all(c.passed for c in self.cases)
 
     @property
     def max_residual(self) -> float:

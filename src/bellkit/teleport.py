@@ -3,8 +3,10 @@ protocol's Born-rule outcome table.
 
 Wire layout, fixed once: the sender holds the unknown state followed by
 the first (blocked-order) half of the shared resource; the receiver
-holds the second half.  Every ``teleport-eq`` equation is assembled as
-two full vectors in that triple space and compared entrywise;
+holds the second half.  A ``teleport-eq`` equation is one D^2 x D
+difference ``E`` in that triple space, the sender's wires on its rows
+and the receiver's on its columns: each label's two sides are two D^2 x D
+matrices times one operator, and their difference is ``E`` times it;
 ``projective-eq`` compares the two factors of each outcome's difference.
 
 Every check reads one teleportation setting, ``_Setting``: a Bell family
@@ -84,10 +86,10 @@ QUDIT_VARIANTS = tuple(v for v, (size, _) in _VARIANTS["teleport-eq"].items() if
 NQUBIT_VARIANTS = tuple(v for v, (size, _) in _VARIANTS["teleport-eq"].items() if size == "n")
 # How teleport_eq_suite samples M: the identity, Haar-unitary, or complex Gaussian.
 M_MODES = ("identity", "unitary", "general")
-# teleport-eq walks the labels in blocks whose stacked sides hold at most this
-# many entries each (every label at once up to D = 4, two blocks at D = 8), and
-# sample_histogram draws in blocks of this many: a working set that stays in
-# cache, and does not grow with D or with the number of samples.
+# teleport-eq walks the form-11 labels in blocks whose stacked differences hold
+# at most this many entries (every label at once up to D = 4, two blocks at
+# D = 8), and sample_histogram draws in blocks of this many: a working set that
+# stays in cache, and does not grow with D or with the number of samples.
 BLOCK_ENTRIES = 2**14
 
 
@@ -102,8 +104,9 @@ class _Setting:
     the labels by row map (``bell.word_groups``).  Every side is a product
     of the words with M or a product over the groups: no K x D x D stack of
     ``U_a`` and no K x D^2 stack of measurement vectors is formed.
-    ``use(m)`` sets M, and ``send(psi)`` sets psi and builds the right
-    sides' one matrix ``q``.
+    ``use(m)`` sets M, ``send(psi)`` sets psi and builds the right
+    sides' one matrix ``q``, and ``difference()`` is the equation's one
+    D^2 x D difference ``E``, from which every label's residual is read.
     """
 
     def __init__(self, check: str, variant: str, d: int | None = None, n: int | None = None):
@@ -179,8 +182,7 @@ class _Setting:
         middle axis.  ``corrupt`` as in ``undone``.
         """
         dim = self.dim
-        undone = self.undone(psi, corrupt)
-        per_map = np.swapaxes(self.words.phase[self.order], -1, -2) @ undone[self.order]
+        per_map = np.swapaxes(self.words.phase[self.order], -1, -2) @ self.undone(psi, corrupt)[self.order]
         q = np.zeros((dim * dim, dim), dtype=complex)
         q[(self.maps * dim + np.arange(dim)).ravel()] = per_map.reshape(-1, dim)
         q *= 1.0 / (dim * np.sqrt(dim))
@@ -188,34 +190,20 @@ class _Setting:
             q = (self.m @ q.reshape(dim, dim, dim)).reshape(dim * dim, dim)
         self.psi, self.q = psi, q
 
-    def block_sides(self, labels, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """``psi x resource(b)`` and ``(1/D) sum_a meas_a x receiver_a`` in the C x A x B
-        space, as two ``(B, D^3)`` stacks over the B label indices ``labels``, for the psi of ``send``.
+    def difference(self) -> np.ndarray:
+        """``E = L - q``, a D^2 x D matrix, for the psi of ``send``: the whole teleportation equation.
 
-        The left side is the broadcast outer product, the same products as
-        ``np.kron``.  The right side is ``q U_b``, a column gather of ``q``
-        times the phases (form 22), or ``q (U_b M^T)``, one stacked product
-        (form 11).  ``out``, a complex ``(2, B', D^3)`` array with ``B' >=
-        B``, receives the two sides in its first B rows, so that a walk over
-        blocks reuses one allocation instead of page-faulting a fresh one in
-        on every block.
+        Label b's left side ``psi x resource(b)`` is ``L`` times the same
+        operator as its right side ``q U_b [M^T]``: ``U_b`` in form 22, with
+        ``L = psi x vec(M) / sqrt(D)``, and ``U_b M^T`` in form 11, with
+        ``L = psi x vec(1) / sqrt(D)``.  So label b's difference of the two
+        D^3 sides is ``E`` times that operator.
         """
-        words = self.words[labels]
-        count, dim = words.perm.shape
-        if out is None:
-            out = np.empty((2, count, dim**3), dtype=complex)
-        lhs, rhs = out[0, :count], out[1, :count]
-        ops = self._operators(labels)
-        np.multiply(self.psi[:, None], bell_vector(ops)[:, None, :], out=lhs.reshape(count, dim, -1))
-        if self.form == 22:
-            # q @ words: each label's column gather of q written into its row of ``out``, no temporary
-            cols = rhs.reshape(count, -1, dim)
-            for row, perm in zip(cols, words.perm):
-                np.take(self.q, perm, axis=1, out=row, mode="clip")
-            cols *= words.phase[:, None, :]
-        else:
-            np.matmul(self.q, ops, out=rhs.reshape(count, -1, dim))
-        return lhs, rhs
+        dim = self.dim
+        left = bell_vector(self.m if self.form == 22 else identity(dim))
+        diff = (self.psi[:, None] * left).reshape(dim * dim, dim)
+        diff -= self.q
+        return diff
 
     def branches(self, prepared: np.ndarray) -> np.ndarray:
         """Every measurement branch ``(<meas_a| x 1) prepared``, for ``prepared`` as a D^2 x D matrix, as K rows.
@@ -267,7 +255,10 @@ def teleport_eq_suite(
 ) -> Report:
     """Run one variant over all resource labels with a sampled M (``basic2``: M = 1).
 
-    A failing label names its ``entry`` of the D^3 sides.
+    Label b's difference of the two sides is ``E U_b`` (form 22) or ``E
+    U_b M^T`` (form 11), ``E`` from ``_Setting.difference``.  In form 22
+    every label's residual is ``max|E|``; form 11 takes the products in
+    blocks of labels.  A failing label names its ``entry`` of the D^3 sides.
     """
     if m_mode not in M_MODES:
         raise ValueError(f"m_mode must be one of {'|'.join(M_MODES)}, got {m_mode!r}")
@@ -286,15 +277,18 @@ def teleport_eq_suite(
         m = haar_unitary(dim, rng)
     setting.use(m)
     setting.send(psi)
-    walk = list(blocks(len(setting.labels), dim**3, BLOCK_ENTRIES))
-    # every block's sides and magnitudes are written into one allocation each
-    sides = np.empty((2, len(setting.labels[walk[0]]), dim**3), dtype=complex)
-    mags = np.empty(sides.shape[1:])
-    for block in walk:
-        lhs, rhs = setting.block_sides(block, sides)
-        diffs = np.abs(np.subtract(lhs, rhs, out=lhs), out=mags[: len(lhs)])
-        for lab, diff, worst in zip(setting.labels[block], diffs, diffs.max(axis=1)):
-            rep.add(f"label={lab}", diff, index="entry", worst=worst)
+    diff = setting.difference()
+    if setting.form == 22:
+        # E U_b gathers E's columns times phases of modulus 1: every label's residual is max|E|,
+        # and only a failing label reads |E| through its perm_b for its witness
+        mags = np.abs(diff)
+        worst = fold(mags)
+        for lab, perm in zip(setting.labels, setting.words.perm):
+            rep.add(f"label={lab}", worst if worst < tol else mags[:, perm], index="entry")
+        return rep
+    for block in blocks(len(setting.labels), dim**3, BLOCK_ENTRIES):
+        for lab, mags in zip(setting.labels[block], np.abs(diff @ setting._operators(block))):
+            rep.add(f"label={lab}", mags, index="entry")
     return rep
 
 
@@ -439,12 +433,13 @@ def linearity_reduction_check(
     dim = setting.dim
     rep = Report("linearity-reduction", {"variant": variant, **setting.size}, tolerance=tol, seed=seed)
     setting.use(identity(dim))
-    at = setting.labels.index((0, 1) if variant in QUDIT_VARIANTS else ((0,) * n, (1,) * n))
     basis = [basis_state(dim, i) for i in range(dim)]
 
     def label_residual(psi, corrupt=False):
+        # M = 1, so in both forms label b's difference E U_b gathers E's columns times phases of
+        # modulus 1, and every label's residual is max|E|
         setting.send(psi, corrupt)
-        return residual(*setting.block_sides([at]))
+        return fold(np.abs(setting.difference()))
 
     rep.add("all-basis-inputs", np.array([label_residual(psi) for psi in basis]), index="input")
     rep.add("random-superposition", label_residual(random_state(dim, rng)))

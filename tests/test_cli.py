@@ -169,6 +169,14 @@ def test_cnot_ybe_fails_exit_one(capsys):
     assert out["cases"][0]["residual"] >= 0.5
 
 
+@pytest.mark.parametrize("gate", ["bell", "cnot"])
+def test_braid_on_two_strands_checks_nothing_and_fails(gate, capsys):
+    # two strands have one generator and no relation: a report with no cases fails
+    assert run(["verify", "braid", "--strands", "2", "--gate", gate]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["cases"] == [] and out["pass"] is False
+
+
 def test_bell_action_suite(capsys):
     assert run(["verify", "bell-action"]) == 0
     out = json.loads(capsys.readouterr().out)

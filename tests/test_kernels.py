@@ -582,8 +582,6 @@ def test_assembler_matches_kronecker_sum(variant, la, lb, seed, m_kind, corrupt)
     setting = _Setting("teleport-eq", variant, case.d, case.n)
     setting.use(case.m)
     setting.send(case.psi, corrupt)
-    (lhs,), (rhs,) = setting.block_sides([setting.labels.index(case.label)])
-    assert residual(rhs, dense_rhs(case, corrupt)) <= 1e-15
     m = case.m
     t_b = (
         dense_gen_word_matrix(GenPauliWord(case.d, *case.label))
@@ -591,7 +589,9 @@ def test_assembler_matches_kronecker_sum(variant, la, lb, seed, m_kind, corrupt)
         else dense_word_matrix(PauliWord(*case.label))
     )
     resource = dense_bell(m @ t_b) if variant in UNITARY_M_REQUIRED else dense_bell(t_b, m)
-    assert residual(lhs, np.kron(case.psi, resource)) <= 1e-15
+    # label b's difference of the two sides is E U_b (form 22) or E U_b M^T (form 11)
+    diff = setting.difference() @ (t_b if variant in UNITARY_M_REQUIRED else t_b @ m.T)
+    assert residual(diff.reshape(-1), np.kron(case.psi, resource) - dense_rhs(case, corrupt)) <= 1e-15
 
 
 @given(st.sampled_from(["qudit", "nqubit"]), st.integers(2, 5), seeds)
@@ -1195,12 +1195,14 @@ def test_protocol_histogram_matches_per_label_counts(variant, size):
 
 
 # ---------------------------------------------------------------------------
-# teleportation equations: every label of a block at once against the
-# per-label body over the dense words.  The library sums over the outcomes
-# once per call, into q (``_Setting.send``), and gathers q per label; the
-# oracle sums over the outcomes for each label.  The sums run in another
-# order, so the sides agree to SIDE_TOL, a few ulps of their O(1) entries,
-# not bit for bit; a block's rows equal the single-label sides bit for bit.
+# teleportation equations: every label's difference of the two sides against
+# the per-label body over the dense words.  The library sums over the
+# outcomes once per call, into q (``_Setting.send``), and takes label b's
+# difference as ``E = L - q`` times one operator; the oracle builds both
+# sides and sums over the outcomes for each label.  The sums run in another
+# order, so the differences agree to SIDE_TOL, a few ulps of the sides' O(1)
+# entries, not bit for bit; a block's rows equal the single-label
+# differences bit for bit.
 
 SIDE_TOL = 1e-15
 
@@ -1232,26 +1234,32 @@ def _teleport_setting(variant, size, seed):
     return setting, psi
 
 
+def _label_differences(setting, labels):
+    """``E U_b`` (form 22) or ``E U_b M^T`` (form 11), label b's difference of the two sides, for the
+    labels ``labels``: a ``(B, D^2, D)`` stack."""
+    ops = setting.words[labels] if setting.form == 22 else setting._operators(labels)
+    return setting.difference() @ ops
+
+
 @pytest.mark.parametrize("corrupt", [False, True])
 @pytest.mark.parametrize("variant,size", TELEPORT_EQ_CASES)
 def test_block_sides_equal_per_label_body(variant, size, corrupt):
+    # a block's differences of the two sides, one per label, against the oracle's lhs - rhs
     setting, psi = _teleport_setting(variant, size, seed=sum(size.values()))
     setting.send(psi, corrupt)
     count = len(setting.labels)
-    want = [teleport_sides(setting, psi, b, corrupt) for b in range(count)]
+    want = [np.subtract(*teleport_sides(setting, psi, b, corrupt)) for b in range(count)]
     # every label at once, blocks of 3 and 2 that split K unevenly, and an index list out of order
     blocks = [slice(lo, lo + step) for step in (count, 3, 2) for lo in range(0, count, step)]
     blocks.append(list(range(count))[::-1])
-    whole = setting.block_sides(slice(None))
+    whole = _label_differences(setting, slice(None))
     for block in blocks:
-        lhs, rhs = setting.block_sides(block)
+        diffs = _label_differences(setting, block)
         indices = np.arange(count)[block]
-        assert lhs.shape == rhs.shape == (len(indices), setting.dim**3)
+        assert diffs.shape == (len(indices), setting.dim**2, setting.dim)
         for row, b in enumerate(indices):
-            assert residual(lhs[row], want[b][0]) <= SIDE_TOL
-            assert residual(rhs[row], want[b][1]) <= SIDE_TOL
-            np.testing.assert_array_equal(lhs[row], whole[0][b])
-            np.testing.assert_array_equal(rhs[row], whole[1][b])
+            assert residual(diffs[row].reshape(-1), want[b]) <= SIDE_TOL
+            np.testing.assert_array_equal(diffs[row], whole[b])
 
 
 @pytest.mark.parametrize("block_labels", [None, 3])
@@ -1289,19 +1297,28 @@ def test_projective_eq_equals_per_outcome_loop(variant, size, block_labels, monk
     assert rep.passed
 
 
-def test_teleport_eq_blocks_bound_memory():
-    # n = 4: 256 labels of 4096 entries per side, walked 4 labels at a time: two
-    # 256 KiB sides and their magnitudes (1.1 MiB peak), not the 16-label blocks
-    # and their gathered temporary (4 MiB peak) of a 2^16-entry budget
-    assert teleport.BLOCK_ENTRIES == 2**14
+def _traced_peak(call):
     tracemalloc.start()
     try:
-        rep = teleport_eq_suite("nqubit22", n=4, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_teleport_eq_blocks_bound_memory():
+    # form 11, n = 4: 256 labels of 4096 entries each, walked 4 labels at a time: one 256 KiB
+    # block of differences and its magnitudes (1.5 MiB peak), not the 16-label blocks of a
+    # 2^16-entry budget (2.2 MiB peak) or every label at once (24 MiB peak)
+    assert teleport.BLOCK_ENTRIES == 2**14
+    rep, peak = _traced_peak(lambda: teleport_eq_suite("nqubit11", n=4, seed=1))
     assert rep.passed
     assert peak < 2 * 2**20, peak
+    # form 22, n = 5: one difference E of 32^3 entries (512 KiB) stands for all 1,024 labels
+    # (2.4 MiB peak); the labels' stacked sides would take 512 MiB each
+    rep, peak = _traced_peak(lambda: teleport_eq_suite("nqubit22", n=5, seed=1))
+    assert rep.passed and len(rep.cases) == 1024
+    assert peak < 4 * 2**20, peak
 
 
 # sample_histogram's draws are walked in blocks of this many in the test below

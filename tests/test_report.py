@@ -68,10 +68,12 @@ def test_failing_also_residual_alone_gets_no_suffix():
     assert case.case_id == "o witness=(0,1)" and np.isnan(case.residual)
 
 
-def test_given_worst_decides_and_the_run_names_the_witness():
-    run = np.array([0.0, 3.0, 1.0])
-    assert _case("add", "l", run, index="entry", worst=3.0).case_id == "l witness=entry 1"
-    assert _case("add", "l", run, index="entry", worst=0.0).case_id == "l"
+def test_report_with_no_cases_fails():
+    # a run that checked nothing is not a green run
+    rep = Report("rule", {}, tolerance=1e-12)
+    assert not rep.passed and rep.to_dict()["pass"] is False and rep.to_dict()["cases"] == []
+    rep.add("c", 0.0)
+    assert rep.passed
 
 
 @pytest.mark.parametrize("residual", [1.0, np.float64(np.nan), 0.0])

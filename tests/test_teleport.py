@@ -26,10 +26,18 @@ def skewed_resource(d: int, weights) -> np.ndarray:
 
 
 def label_residual(variant, psi, m, label, **size):
+    """One label's residual from the setting's difference ``E``, checked against the dense oracle's two sides.
+
+    Label b's difference is ``E U_b`` in form 22 and ``E U_b M^T`` in form 11.
+    """
     setting = _Setting("teleport-eq", variant, **size)
     setting.use(m)
     setting.send(psi)
-    return residual(*setting.block_sides([setting.labels.index(label)]))
+    b = setting.labels.index(label)
+    op = setting.words[b] if setting.form == 22 else setting._operators(b)
+    got = float(np.abs(setting.difference() @ op).max())
+    assert abs(got - residual(*teleport_sides(setting, psi, b))) <= 1e-15
+    return got
 
 
 def test_transfer_identity():
@@ -209,7 +217,9 @@ def _patch_transfer(monkeypatch, corrupt):
     monkeypatch.setattr(_Setting, "send", send)
 
 
-@pytest.mark.parametrize("variant,size", [("qudit22", {"d": 3}), ("nqubit11", {"n": 2})])
+@pytest.mark.parametrize(
+    "variant,size", [("qudit22", {"d": 3}), ("nqubit11", {"n": 2}), ("nqubit22", {"n": 2}), ("qudit22", {"d": 4})]
+)
 def test_failing_label_names_worst_entry(variant, size, monkeypatch):
     clean = teleport_eq_suite(variant, **size, seed=3)
     assert clean.passed and all(" witness" not in c.case_id for c in clean.cases)
@@ -235,24 +245,24 @@ def test_failing_label_names_worst_entry(variant, size, monkeypatch):
         assert abs(case.residual - diff.max()) <= 1e-15
 
 
-# d = 3: every label's sides in one block, or two labels' (27 entries each) per block
+# d = 3: every label's difference in one block, or two labels' (27 entries each) per block
 @pytest.mark.parametrize("block_entries", [2**16, 2 * 27])
 def test_nan_fails_its_label_only(block_entries, monkeypatch):
     clean = teleport_eq_suite("qudit11", d=3, seed=2)
     target = 4
-    original = _Setting.block_sides
+    original = _Setting._operators
 
-    def block_sides(self, labels, out=None):
-        lhs, rhs = original(self, labels, out)
-        rhs[np.arange(len(self.labels))[labels] == target, 1] = np.nan
-        return lhs, rhs
+    def _operators(self, labels):
+        ops = original(self, labels)
+        ops[np.arange(len(self.labels))[labels] == target, 0, 1] = np.nan
+        return ops
 
-    monkeypatch.setattr(_Setting, "block_sides", block_sides)
+    monkeypatch.setattr(_Setting, "_operators", _operators)
     monkeypatch.setattr(teleport, "BLOCK_ENTRIES", block_entries)
     rep = teleport_eq_suite("qudit11", d=3, seed=2)
     for b, (case, want) in enumerate(zip(rep.cases, clean.cases)):
         if b == target:
-            # entry 1 of the right side is NaN, the first NaN of the difference
+            # entry (0, 1) of the operator makes column 1 of E times it NaN: entry 1 is the first NaN
             assert case.case_id == f"{want.case_id} witness=entry 1"
             assert np.isnan(case.residual) and not case.passed
         else:
