@@ -96,52 +96,93 @@ def bell_action_check(epsilon: int, eta: int, tol: float = 1e-15) -> Report:
 # full d^n space both sides are "local side x identity", and tensoring with
 # an identity changes neither the value nor the max-abs residual, so each
 # relation is checked on that d^3 or d^4 support.  There each side is a word
-# of X placed at sites s, one block of columns at a time: the block of its
-# first factor is gathered from X's entries, and the others are applied to it
-# by ``apply_local``; no placed X is formed.
+# of X placed at sites s, one block of columns at a time, a block being the
+# columns of one value b of the leading digits.  The product of a word's last
+# two factors is read from X's entries (``_pair_block``), d^7 work per side
+# on three sites where applying the placed second factor took d^8; the rest
+# of the word, one factor for a neighbour relation and none for a far pair,
+# is applied by ``apply_local``, and a one-factor word is its gathered block
+# (``_placed_block``).  No placed X is formed, and every block is written
+# into arrays allocated once per relation.
 
 
-def _word(x: np.ndarray, local_dim: int, sites, cols: np.ndarray) -> np.ndarray:
-    """``X_{s_1} X_{s_2} ... @ cols`` for ``sites = (s_1, s_2, ...)``, X_s = x on sites (s, s+1)."""
+def _word(x: np.ndarray, local_dim: int, sites, cols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``X_{s_1} X_{s_2} ... @ cols`` for ``sites = (s_1, s_2, ...)``, X_s = x on sites (s, s+1), into ``out`` if given."""
     for s in reversed(sites):
-        cols = apply_local(x, cols, local_dim**s)
+        cols = apply_local(x, cols, local_dim**s, out)
     return cols
 
 
-def _placed_block(x: np.ndarray, local_dim: int, site: int, support: int, start: int) -> np.ndarray:
-    """Columns ``[start, start + k)`` of ``1 x X x 1`` on ``support`` sites, X = ``x`` (k x k) at ``site``.
+def _placed_block(x: np.ndarray, local_dim: int, site: int, support: int, start: int, out: np.ndarray) -> np.ndarray:
+    """Columns ``[start, start + k)`` of ``1 x X x 1`` on ``support`` sites, X = ``x`` (k x k) at ``site``, into ``out``.
 
     Column ``(b, i, r)`` of the placed X is ``x[:, i]`` on rows ``(b, :, r)``.  ``k`` and ``rest``, the
     dimension after X, are powers of ``local_dim``, so with ``m = min(k, rest)`` the block's column
     ``q m + j`` is ``x[:, i0 + q]`` on rows ``(b, :, r0 + j)`` for one ``(b, i0, r0)``: one write into a
-    diagonal view of a zero block.  A GEMM against identity columns gives these entries exactly.
+    diagonal view of the zeroed block.  A GEMM against identity columns gives these entries exactly.
     """
     k = len(x)
     rest = local_dim ** (support - site) // k
     m = min(k, rest)
     b, c = divmod(start, k * rest)
-    out = np.zeros((local_dim**support, k), dtype=x.dtype)
+    out.fill(0)
     rows = out[b * k * rest : (b + 1) * k * rest].reshape(k, rest // m, m, k // m, m)
     np.einsum("iarqr->iaqr", rows)[:, c % rest // m] = x[:, c // rest : c // rest + k // m, None]
+    return out
+
+
+def _pair_block(x: np.ndarray, local_dim: int, sites, start: int, out: np.ndarray) -> np.ndarray:
+    """Columns ``[start, start + k)`` of ``X_{s_1} X_{s_2}`` for a pair ``sites`` of a relation, into ``out``.
+
+    The block holds the columns of one value ``b`` of the leading digits,
+    ``(b, c1, c2)`` on three sites and ``(b, c2 c3)`` on four:
+
+    * ``(1, 0)``: ``T[(j0 k1 k2), (c1 c2)] = sum_j1 x[(j0 j1), (b c1)] x[(k1 k2), (j1 c2)]``, one
+      ``matmul`` of d x d matrices over the ``(j0, k1 k2)`` batch;
+    * ``(0, 1)``: ``T[(k0 k1 j2), (c1 c2)] = sum_j1 x[(k0 k1), (b j1)] x[(j1 j2), (c1 c2)]``, one GEMM;
+    * ``(0, 2)`` and ``(2, 0)``, which act on disjoint sites: ``x[:, b] x x``, with no sum.
+    """
+    d, k = local_dim, len(x)
+    b = start // k
+    if sites == (1, 0):
+        left = x.reshape(d, d, d, d)[:, :, b].transpose(0, 2, 1)[:, None]
+        np.matmul(left, x.reshape(k, d, d), out=out.reshape(d, k, d, d))
+    elif sites == (0, 1):
+        np.matmul(x.reshape(k, d, d)[:, b], x.reshape(d, -1), out=out.reshape(k, -1))
+    elif sites in ((0, 2), (2, 0)):
+        np.multiply(x[:, b, None, None], x, out=out.reshape(k, k, k))
+    else:
+        raise ValueError(f"no gathered product for the pair {sites}")
     return out
 
 
 def _relation_residual(x: np.ndarray, local_dim: int, support: int, lhs, rhs, scale: float = 1.0) -> float:
     """Max-abs residual of ``word(lhs) - scale * word(rhs)`` on ``support`` sites.
 
-    Both words act on blocks of ``len(x)`` columns, each word's first factor
-    gathered (``_placed_block``); memory is one block.  A real ``x`` (an
-    exactly real complex one included) and its blocks stay float64, so every
-    product is a real GEMM.
+    Both words act on blocks of ``len(x)`` columns, built as the comment
+    above says; memory is three blocks, allocated once, and ``residual``'s
+    one difference.  A real ``x`` (an exactly real complex one included)
+    and its blocks stay float64, so every product is real.
     """
     x = real_if_real(x)
+    dim = local_dim**support
+    # three arrays, not one (3, D, k) stack: freeing an array of the stack's size raised glibc's
+    # mmap threshold past the per-block temporaries, which then stayed on the heap (peak RSS +0.4 MiB)
+    pair, left, right = (np.empty((dim, len(x)), dtype=x.dtype) for _ in range(3))
 
-    def side(sites, start):
-        return _word(x, local_dim, sites[:-1], _placed_block(x, local_dim, sites[-1], support, start))
+    def side(sites, start, out):
+        if len(sites) == 1:
+            first = _placed_block(x, local_dim, sites[0], support, start, out)
+        else:
+            first = _pair_block(x, local_dim, sites[-2:], start, pair if len(sites) > 2 else out)
+        return _word(x, local_dim, sites[:-2], first, out)
 
-    return fold(
-        residual(side(lhs, start), scale * side(rhs, start)) for start in range(0, local_dim**support, len(x))
-    )
+    def block_residual(start):
+        rhs_block = side(rhs, start, right)
+        rhs_block *= scale
+        return residual(side(lhs, start, left), rhs_block)
+
+    return fold(block_residual(start) for start in range(0, dim, len(x)))
 
 
 def _far_pairs(n_gens: int):

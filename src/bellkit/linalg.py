@@ -38,7 +38,7 @@ def blocks(total: int, entries: int, budget: int):
     return (slice(start, min(start + step, total)) for start in range(0, total, step))
 
 
-def apply_local(op: np.ndarray, x: np.ndarray, before: int = 1) -> np.ndarray:
+def apply_local(op: np.ndarray, x: np.ndarray, before: int = 1, out: np.ndarray | None = None) -> np.ndarray:
     """``(1_before x op x 1_rest) @ x`` for ``x`` of shape ``(D,)`` or ``(..., D, C)``.
 
     ``op`` is k x k, or a stack ``(..., k, k)`` whose leading axes
@@ -48,6 +48,9 @@ def apply_local(op: np.ndarray, x: np.ndarray, before: int = 1) -> np.ndarray:
     entry ``[b, i, (r, c)]`` of its ``(before, k, rest * C)`` view, so the
     product is one batched ``matmul`` of ``op`` with that view: no
     transpose, and no Kronecker product with an identity is formed.
+    ``out``, a C-contiguous array of the result's shape and dtype,
+    receives the product through the same view and is returned, with the
+    values of the allocating call.
     """
     op = np.asarray(op)
     x = np.asarray(x)
@@ -55,8 +58,15 @@ def apply_local(op: np.ndarray, x: np.ndarray, before: int = 1) -> np.ndarray:
     if op.shape[-2:] != (k, k) or not x.ndim or x.shape[-2:][0] % (before * k):
         raise ValueError(f"cannot apply a {op.shape} operator after {before} to shape {x.shape}")
     # a stack of operators meets the view's (before, k, rest * C) axes across one more axis
-    out = np.matmul(op if op.ndim == 2 else op[..., None, :, :], x.reshape(x.shape[:-2] + (before, k, -1)))
-    return out.reshape(out.shape[:-3] + x.shape[-2:])
+    op = op if op.ndim == 2 else op[..., None, :, :]
+    view = x.reshape(x.shape[:-2] + (before, k, -1))
+    if out is None:
+        prod = np.matmul(op, view)
+        return prod.reshape(prod.shape[:-3] + x.shape[-2:])
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    np.matmul(op, view, out=out.reshape(out.shape[: out.ndim - len(x.shape[-2:])] + view.shape[-3:]))
+    return out
 
 
 def real_if_real(a) -> np.ndarray:
@@ -250,7 +260,9 @@ def residual(a, b) -> float:
     """Max-abs entrywise difference; the residual used by every suite.
 
     Two ``Monomial`` operators give the value of their dense matrices,
-    from the arrays (``residuals``).
+    from the arrays (``residuals``).  Dense operands hold one temporary,
+    their difference, whose magnitudes overwrite it in place when it is
+    real; a NaN in either operand makes the residual NaN.
     """
     if isinstance(a, Monomial):
         return float(np.max(residuals(a, b)))
@@ -258,7 +270,8 @@ def residual(a, b) -> float:
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch in residual: {a.shape} vs {b.shape}")
-    return float(np.abs(a - b).max())
+    diff = np.asarray(a - b)
+    return float((np.abs(diff) if np.iscomplexobj(diff) else np.abs(diff, out=diff)).max())
 
 
 def residuals(a, b) -> np.ndarray:

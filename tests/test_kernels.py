@@ -683,16 +683,16 @@ REAL_GATES = {
 
 @pytest.fixture
 def word_dtypes(monkeypatch):
-    """The dtypes of every word the relation kernel applies while the test runs."""
-    word, dtypes = braid._word, set()
+    """``(dtype of the block given, dtype of the side returned)`` for each ``_word`` call while the test runs."""
+    word, seen = braid._word, []
 
-    def recording_word(*args):
-        out = word(*args)
-        dtypes.add(out.dtype)
-        return out
+    def recording_word(x, local_dim, sites, cols, out=None):
+        side = word(x, local_dim, sites, cols, out)
+        seen.append((cols.dtype, side.dtype))
+        return side
 
     monkeypatch.setattr(braid, "_word", recording_word)
-    return dtypes
+    return seen
 
 
 @pytest.mark.parametrize("name", list(REAL_GATES))
@@ -700,11 +700,13 @@ def test_real_gates_take_the_real_relation_path(name, word_dtypes):
     gate, local, shapes = REAL_GATES[name]
     for support, lhs, rhs, scale in shapes:
         got = braid._relation_residual(gate, local, support, lhs, rhs, scale)
-        # a GEMM against identity columns is one product with 1.0 plus exact zeros, so the gathered start is exact
+        # every sum of these gates' products is exact in any order, so the gathered pair is exact
         assert got == identity_relation_residual(gate, local, support, lhs, rhs, scale), (support, lhs, rhs)
         want = complex_relation_residual(gate, local, support, lhs, rhs, scale)
         assert abs(got - want) <= 1e-15, (support, lhs, rhs, got, want)
-    assert word_dtypes == {np.dtype(np.float64)}
+    # both sides of every block of columns went through _word, in float64
+    assert len(word_dtypes) == sum(2 * local**support // len(gate) for support, *_ in shapes)
+    assert set(word_dtypes) == {(np.dtype(np.float64),) * 2}
 
 
 @pytest.mark.parametrize("m", ["unitary", "nonunitary"])
@@ -717,30 +719,79 @@ def test_gathered_start_equals_identity_blocks_complex_tl(d, m):
         assert np.iscomplexobj(linalg.real_if_real(proj))
         for support, lhs, rhs, scale in _tl_shapes(d):
             got = braid._relation_residual(proj, d, support, lhs, rhs, scale)
-            assert got == identity_relation_residual(proj, d, support, lhs, rhs, scale), (seed, support, lhs, rhs)
+            want = identity_relation_residual(proj, d, support, lhs, rhs, scale)
+            # the gathered pair sums its complex products in another order; far pairs read exactly 0
+            assert abs(got - want) <= 1e-15, (seed, support, lhs, rhs, got, want)
 
 
 def test_gathered_start_saves_the_first_local_product(monkeypatch):
     calls = []
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args[0].shape)
-        return apply_local(*args)
+        return apply_local(*args, **kwargs)
 
     monkeypatch.setattr(braid, "apply_local", counting)
-    # 8 blocks of 64 columns, two products per side after the gathered one (48 with identity blocks)
+    # 8 blocks of 64 columns, one product per side after the gathered pair (48 with identity blocks)
     assert yang_baxter_check(twisted_yb_gates(3, (1, -1, 1), (-1, 1, 1), "conjugated"), 8).passed
-    assert len(calls) == 32
-    calls.clear()
-    # TL's one-site sides are the gather alone: 2 blocks x 2 for each neighbour relation, 4 x 2 for far commutation
-    assert tl_relation_check(tl_generators(4, 2)).passed
     assert len(calls) == 16
+    calls.clear()
+    # TL's one-site sides and both far-commutation sides are gathered whole: 2 blocks x 1 for each neighbour relation
+    assert tl_relation_check(tl_generators(4, 2)).passed
+    assert len(calls) == 4
 
 
 def test_complex_gates_keep_the_complex_path(word_dtypes):
     proj = tl_generators(3, 3, (1, 2), haar_unitary(3, np.random.default_rng(3))).proj
     assert tl_relation_check(TLRep(3, 3, proj)).passed
-    assert word_dtypes == {np.dtype(np.complex128)}
+    # 3 + 3 blocks for the neighbour relations and 9 for far commutation, two sides each
+    assert len(word_dtypes) == 30
+    assert set(word_dtypes) == {(np.dtype(np.complex128),) * 2}
+
+
+# The products of two factors that the relation kernel gathers, by support.
+GATHERED_PAIRS = [(3, (1, 0)), (3, (0, 1)), (4, (0, 2)), (4, (2, 0))]
+PAIR_GATES = {
+    **{
+        f"twisted-{kind} n={n}": (twisted_yb_gates(n, (1, -1, 1)[:n], (-1, 1, 1)[:n], kind), 2**n)
+        for n in (1, 2, 3)
+        for kind in ("plain", "conjugated")
+    },
+    **{
+        f"TL {m} d={d}": (
+            tl_generators(3, d, (1, d - 1), (haar_unitary if m == "unitary" else perturbed_nonunitary)(
+                d, np.random.default_rng(d))).proj,
+            d,
+        )
+        for d in (2, 3, 4)
+        for m in ("unitary", "nonunitary")
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(PAIR_GATES))
+def test_gathered_pair_equals_placed_factors_on_identity_columns(name):
+    gate, d = PAIR_GATES[name]
+    x = linalg.real_if_real(gate)
+    k = len(x)
+    for support, pair in GATHERED_PAIRS:
+        dim = d**support
+        out = np.full((dim, k), np.nan, dtype=x.dtype)
+        for start in range(0, dim, k):
+            got = braid._pair_block(x, d, pair, start, out)
+            assert got is out
+            want = braid._word(x, d, pair, np.eye(dim, k, -start, dtype=x.dtype))
+            if np.iscomplexobj(x):
+                assert residual(got, want) <= 1e-15, (support, pair, start)
+            else:
+                assert np.array_equal(got, want), (support, pair, start)
+
+
+@pytest.mark.parametrize("sites", [(0, 0), (1, 2), (0, 1, 0)])
+def test_pair_block_refuses_a_pair_it_does_not_gather(sites):
+    x = bell_transform(1, 1).real
+    with pytest.raises(ValueError):
+        braid._pair_block(x, 2, sites, 0, np.empty((8, 4)))
 
 
 @pytest.mark.parametrize("part", ["real", "imag"])
@@ -778,6 +829,23 @@ def test_apply_local_matches_kronecker(d, before, sites, after, cols, seed):
     assert got.shape == x.shape
     # at most 9 products of O(1) Gaussians per entry
     assert residual(got, want) < 1e-13
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize(
+    "op_shape, x_shape, before",
+    [((4, 4), (8,), 2), ((4, 4), (16, 3), 1), ((4, 4), (2, 16, 3), 4), ((3, 2, 2), (8,), 2), ((3, 2, 2), (3, 8, 5), 1)],
+)
+def test_apply_local_into_out_matches_the_allocating_call(op_shape, x_shape, before, dtype):
+    rng = np.random.default_rng(sum(x_shape))
+    op = rng.standard_normal(op_shape).astype(dtype)
+    x = rng.standard_normal(x_shape).astype(dtype)
+    want = apply_local(op, x, before)
+    out = np.full(want.shape, np.nan, dtype=want.dtype)
+    assert apply_local(op, x, before, out) is out
+    assert np.array_equal(out, want)
+    with pytest.raises(ValueError):
+        apply_local(op, x, before, np.empty(want.shape + (2,), dtype=want.dtype)[..., 0])
 
 
 def test_apply_local_refuses_a_misfit():

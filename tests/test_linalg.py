@@ -133,6 +133,26 @@ def test_residual():
         residual(np.eye(2), np.eye(3))
 
 
+@pytest.mark.parametrize("dtype", [float, complex, np.int64])
+def test_residual_is_the_max_abs_difference_and_keeps_nan(dtype):
+    rng = np.random.default_rng(7)
+    z = rng.standard_normal((2, 2, 5, 4)) * 8
+    a, b = (z[0] + (1j * z[1] if dtype is complex else 0)).astype(dtype)
+    kept = a.copy(), b.copy()
+    assert residual(a, b) == np.abs(a - b).max()
+    # the difference is taken in a temporary: the operands are unchanged
+    assert all(np.array_equal(got, want) for got, want in zip((a, b), kept))
+    assert residual(dtype(3), dtype(-1)) == 4
+    if dtype is np.int64:
+        return
+    for bad in [np.nan, np.inf] + ([complex(0.0, np.nan)] if dtype is complex else []):
+        c = b.copy()
+        c[3, 1] = bad
+        np.testing.assert_equal(residual(a, c), np.abs(a - c).max())
+        # inf - inf is NaN as well
+        assert np.isnan(residual(c, c))
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_tensor_associativity(seed):
