@@ -211,7 +211,10 @@ def braid_rep_check(
 
     Every b_i is the same gate on sites (i, i+1), so each relation is
     evaluated once on the joint support (8x8 for neighbours, 16x16 for far
-    pairs) and its residual reported under every i's case id.
+    pairs) and its residual reported under every i's case id.  Both sides
+    of a far pair are the same outer product ``x[:, b] x X``
+    (``_pair_block``), so far-commute reads exactly 0.0 for any finite
+    gate and fails only on a NaN or inf entry.
     """
     params = {"strands": n_strands}
     if gate is None:
@@ -266,7 +269,9 @@ def tl_relation_check(rep_tl: TLRep, tol: float = DEFAULT_TOL) -> Report:
     idempotent on d^2, the TL pair on d^3, far commutation on d^4.  Every
     e_i is the same projector on sites (i, i+1), so the residual is the
     same for every i and is reported under each i's case id, in the order
-    and number of the full-space check.
+    and number of the full-space check.  Far commutation builds both sides
+    as the same outer product (``_pair_block``), so it reads exactly 0.0
+    for any finite projector and fails only on a NaN or inf entry.
     """
     p, d = rep_tl.proj, rep_tl.d
     inv_d2 = 1.0 / d**2

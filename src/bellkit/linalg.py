@@ -26,15 +26,19 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_TOL = 1e-12
+# Every blocked walk holds at most this many bytes per block array, or one
+# item's: half of glibc's default 128 KiB mmap threshold, so a block's
+# arrays come from the heap instead of fresh pages faulted in on every block.
+BLOCK_BYTES = 2**16
 
 
-def blocks(total: int, entries: int, budget: int):
-    """Slices of ``range(total)`` of ``budget // entries`` items each (at least one), capped at ``total``.
+def blocks(total: int, item_bytes: int):
+    """Slices of ``range(total)``, in order, of ``BLOCK_BYTES // item_bytes`` items each (at least one).
 
-    A stack of one block's items, ``entries`` entries per item, holds at
-    most ``budget`` entries, or one item.
+    A walk passes the bytes per item of its largest block array, so that
+    array holds at most ``BLOCK_BYTES``, or one item.
     """
-    step = max(1, budget // entries)
+    step = max(1, BLOCK_BYTES // item_bytes)
     return (slice(start, min(start + step, total)) for start in range(0, total, step))
 
 
@@ -209,23 +213,19 @@ def map_groups(words: Monomial) -> dict:
     return {key: np.array(idx) for key, idx in groups.items()}
 
 
-# The bijection check walks a stack in blocks of rows of at most this many entries.
-_CHECK_ENTRIES = 2**16
-
-
 def _check_bijections(perm: np.ndarray) -> None:
     """Raise ValueError unless every row of ``perm`` ``(..., D)``, D >= 1, is a bijection on ``0..D-1``.
 
     Entry j of row r of a block is counted at ``r D + perm[r, j]``.  With
     no entry negative, each count is 1 exactly when each row is a
     bijection: an entry past D - 1 leaves its own row's bins one short.
-    Blocks of ``_CHECK_ENTRIES`` keep the counts small.
+    Blocks of rows (``blocks``) keep the counts small.
     """
     if not perm.ndim or not perm.shape[-1]:
         raise ValueError("perm must be a bijection on 0..D-1, D >= 1")
     dim = perm.shape[-1]
     flat = perm.reshape(-1, dim)
-    for block in blocks(len(flat), dim, _CHECK_ENTRIES):
+    for block in blocks(len(flat), flat.itemsize * dim):
         part = flat[block]
         offsets = np.arange(0, part.size, dim)[:, None]
         if part.min() < 0 or (np.bincount((part + offsets).ravel(), minlength=part.size) != 1).any():

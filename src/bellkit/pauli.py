@@ -137,13 +137,6 @@ def qudit_word_set(d: int) -> Monomial:
     return word(a, b, g, d=d)
 
 
-# Each temporary of the closure search holds at most this many bytes (or one
-# candidate's worth), whatever the candidate count.  At four times this size
-# the check of the d = 5 words took twice as long: each of its temporaries
-# was then a fresh 250 KB allocation.
-_CHUNK_BYTES = 1 << 17
-
-
 def _nearest(words: Monomial, groups: dict, cands: Monomial) -> np.ndarray:
     """``min_w residual(P, w)`` over the members ``w`` of ``words``, for each candidate ``P`` of ``cands``.
 
@@ -160,14 +153,14 @@ def _nearest(words: Monomial, groups: dict, cands: Monomial) -> np.ndarray:
     same = words.phase[groups.get(perm[0].tobytes(), [])]
     floor = np.nan if np.isnan(words.phase).any() else np.inf
     best = np.empty(len(phase))
-    for block in blocks(len(phase), max(1, len(same)), _CHUNK_BYTES // 16):
+    for block in blocks(len(phase), phase.itemsize * max(1, len(same))):
         # one column at a time, so that each temporary is (members, candidates)
         dist = np.zeros((len(same), len(phase[block])))
         for c in range(words.dim):
             np.maximum(dist, np.abs(phase[block, c] - same[:, c, None]), out=dist)
         best[block] = dist.min(axis=0, initial=floor)
     rest = np.flatnonzero(~(best < np.abs(phase).min(axis=1)))
-    for rows in (rest[block] for block in blocks(len(rest), words.phase.size, _CHUNK_BYTES // 16)):
+    for rows in (rest[block] for block in blocks(len(rest), words.phase.nbytes)):
         best[rows] = residuals(Monomial._of(perm[rows, None], phase[rows, None]), words).min(axis=1)
     return best.reshape(cands.perm.shape[:-1])
 
@@ -183,7 +176,7 @@ def _closure_residuals(words: Monomial, groups: dict):
     products = np.empty((len(words.perm),) * 2)
     for left in members:
         for right in members:
-            for block in blocks(len(left), len(right) * words.dim, _CHUNK_BYTES // 16):
+            for block in blocks(len(left), words.phase.itemsize * len(right) * words.dim):
                 products[np.ix_(left[block], right)] = _nearest(words, groups, words[left[block]] @ words[right])
     adjoints, dagger = words.adjoint(), np.empty(len(words.perm))
     for idx in members:

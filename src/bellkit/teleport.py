@@ -86,11 +86,6 @@ QUDIT_VARIANTS = tuple(v for v, (size, _) in _VARIANTS["teleport-eq"].items() if
 NQUBIT_VARIANTS = tuple(v for v, (size, _) in _VARIANTS["teleport-eq"].items() if size == "n")
 # How teleport_eq_suite samples M: the identity, Haar-unitary, or complex Gaussian.
 M_MODES = ("identity", "unitary", "general")
-# teleport-eq walks the form-11 labels in blocks whose stacked differences hold
-# at most this many entries (every label at once up to D = 4, two blocks at
-# D = 8), and sample_histogram draws in blocks of this many: a working set that
-# stays in cache, and does not grow with D or with the number of samples.
-BLOCK_ENTRIES = 2**14
 
 
 class _Setting:
@@ -286,7 +281,7 @@ def teleport_eq_suite(
         for lab, perm in zip(setting.labels, setting.words.perm):
             rep.add(f"label={lab}", worst if worst < tol else mags[:, perm], index="entry")
         return rep
-    for block in blocks(len(setting.labels), dim**3, BLOCK_ENTRIES):
+    for block in blocks(len(setting.labels), 16 * dim**3):
         for lab, mags in zip(setting.labels[block], np.abs(diff @ setting._operators(block))):
             rep.add(f"label={lab}", mags, index="entry")
     return rep
@@ -390,7 +385,7 @@ def sample_histogram(probs: np.ndarray, samples: int, rng: np.random.Generator) 
     normalized cdf exceeds it, so outcome k takes the draws in
     ``[cdf[k-1], cdf[k])``.  Sorting the draws counts them with one binary
     search per outcome instead of one per draw.  The draws are taken, sorted
-    and counted in blocks of ``BLOCK_ENTRIES``, into one reused buffer:
+    and counted in blocks (``linalg.blocks``), into one reused buffer:
     consecutive ``rng.random`` calls give the numbers of one call, so the
     counts are those of one draw of ``samples``.
     """
@@ -400,8 +395,9 @@ def sample_histogram(probs: np.ndarray, samples: int, rng: np.random.Generator) 
     cdf = p.cumsum()
     cdf /= cdf[-1]
     below = np.zeros(len(cdf), dtype=np.intp)
-    draws = np.empty(min(samples, BLOCK_ENTRIES))
-    for block in blocks(samples, 1, BLOCK_ENTRIES):
+    walk = list(blocks(samples, 8))
+    draws = np.empty(walk[0].stop if walk else 0)
+    for block in walk:
         part = draws[: block.stop - block.start]
         rng.random(out=part)
         part.sort()

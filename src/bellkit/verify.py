@@ -35,14 +35,6 @@ from .linalg import (
 from .pauli import word
 from .report import Report
 
-# Every array of a stacked block (a block of Haar draws, of basis-theorem
-# trials or of one observable's conjugations) holds at most this many
-# complex entries, 64 KiB, and at least one matrix.  Measured at d = 8
-# (Linux, glibc malloc), 128 KiB blocks were served from fresh pages on
-# every call, thousands of minor page faults per call, which cost more
-# than the stacking saved.
-BLOCK_ENTRIES = 2**12
-
 SIDES = ("left", "right")
 
 
@@ -140,7 +132,8 @@ def reduced_completeness(words: Monomial, m: np.ndarray) -> float:
     conj(P_g)`` over the group's rows of P.  For each p this is one ``(D x G)
     @ (G x D^2)`` product, compared at once with its block ``(M^dag M)^T
     delta_pq``: ``D^5`` work in all.  The per-group arrays hold ``G D^2``
-    entries, and a block of p at most ``BLOCK_ENTRIES`` per array, or one p's.
+    entries, and a block of p at most ``linalg.BLOCK_BYTES`` per array (16
+    bytes per complex entry), or one p's.
     """
     local = m.shape[0]
     t = words.T
@@ -153,7 +146,7 @@ def reduced_completeness(words: Monomial, m: np.ndarray) -> float:
     scale, left = np.stack(grams, axis=1), np.stack(rows, axis=-1)
     right = np.stack(rows).conj().transpose(0, 2, 1)
     mdm = m.conj().T @ m
-    walk = list(blocks(local, max(len(rows), local) * local**2, BLOCK_ENTRIES))
+    walk = list(blocks(local, 16 * max(len(rows), local) * local**2))
     # every block is written into the same three arrays, not page-faulted in afresh
     size = walk[0].stop
     terms = np.empty((size, len(rows), local, local), dtype=np.result_type(scale, right))
@@ -195,7 +188,7 @@ def _gram_residuals(words: Monomial, ms: np.ndarray, side: str) -> np.ndarray:
     block of trials are one GEMM: the phases ``P_h[b, j]`` scaled by
     ``H[m_g[j], m_h[j]] / D``, times ``conj(P_g)^T``.  As G is Hermitian,
     these blocks hold every entry or its conjugate.  Each array holds at
-    most ``BLOCK_ENTRIES`` entries, or one trial's.
+    most ``linalg.BLOCK_BYTES``, or one trial's.
     """
     order, maps = word_groups(words)
     if side == "left":
@@ -209,7 +202,7 @@ def _gram_residuals(words: Monomial, ms: np.ndarray, side: str) -> np.ndarray:
     eye = np.eye(size)
     out = np.zeros(len(ms))
     for g, rows_g in enumerate(maps):
-        for block in blocks(len(ms), (groups - g) * size * local, BLOCK_ENTRIES):
+        for block in blocks(len(ms), 16 * (groups - g) * size * local):
             part = hs[block]
             # scaled[t, h - g, b, j] = H[m_g[j], m_h[j]] P_h[b, j] / D; gram[t, h - g, b, a] = G[(g, a), (h, b)]
             scaled = part[:, rows_g, maps[g:]][:, :, None, :] * tiles[g:]
@@ -245,7 +238,7 @@ def basis_theorem_suite(
 
     for side in SIDES:
         unitary_res, nonunitary_res = np.empty(trials), np.empty(trials)
-        for block in blocks(trials, 3 * local**2, BLOCK_ENTRIES):
+        for block in blocks(trials, 16 * 3 * local**2):
             unitaries, nonunitaries = _trial_matrices(local, block.stop - block.start, rng)
             unitary_res[block] = _gram_residuals(words, unitaries, side)
             nonunitary_res[block] = _gram_residuals(words, nonunitaries, side)
@@ -382,10 +375,10 @@ def qudit_observables(labels: list, states: np.ndarray, k: int) -> list[Observab
 def _haar_stream(dim: int, rng: np.random.Generator, count: int):
     """``count`` Haar unitaries, one at a time in the order of one ``haar_unitary`` call each.
 
-    They are drawn as stacks of at most ``BLOCK_ENTRIES`` entries, so a
+    They are drawn as stacks of at most ``linalg.BLOCK_BYTES``, so a
     long run keeps one stack in memory, not every draw.
     """
-    for block in blocks(count, dim * dim, BLOCK_ENTRIES):
+    for block in blocks(count, 16 * dim * dim):
         yield from haar_unitary(dim, rng, (block.stop - block.start,))
 
 
@@ -416,7 +409,7 @@ def qudit_observable_suite(
         for spec in qudit_observables(labels, states, order):
             herm, per_state = _observable_residuals(spec)
             rep.add(spec.name, per_state, index=spec.labels, also=(herm,))
-            for block in blocks(conjugated, d**4, BLOCK_ENTRIES):
+            for block in blocks(conjugated, 16 * d**4):
                 ms = np.array([[next(draws) for _ in SIDES] for _ in range(block.stop - block.start)])
                 sides = (_conjugated_cases(spec, words, ms[:, s], side) for s, side in enumerate(SIDES))
                 for cases in zip(*sides):

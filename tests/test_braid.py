@@ -106,6 +106,24 @@ def test_braid_relations(strands):
         assert any("far-commute(1,3)" in c.case_id for c in rep.cases)
 
 
+def test_far_commute_reads_zero_for_any_finite_gate():
+    """Both sides of far-commute(i,j) are built as the same outer product ``x[:, b] x X``
+    (``braid._pair_block``): exactly 0.0 for any finite X, a failure only from a NaN or inf entry."""
+    rng = np.random.default_rng(6)
+    gate = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    state = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    proj = np.outer(state, state.conj()) / np.vdot(state, state)
+    checks = ((lambda x: braid_rep_check(6, gate=x), gate), (lambda x: tl_relation_check(TLRep(6, 4, x)), proj))
+    for check, x in checks:
+        poisoned = x.copy()
+        poisoned[1, 2] = np.nan
+        for mat, want in ((x, 0.0), (poisoned, np.nan)):
+            far = [c for c in check(mat).cases if c.case_id.startswith("far-commute")]
+            assert len(far) == 6
+            np.testing.assert_array_equal([c.residual for c in far], want)
+            assert [c.passed for c in far] == [want == 0.0] * 6
+
+
 def test_braid_relations_cnot_control():
     cnot = dense_circuit_matrix(Circuit(2, [("CNOT", (0, 1))]))
     rep = braid_rep_check(3, gate=cnot)

@@ -74,7 +74,7 @@ from bellkit.pauli import (
     qudit_word_set,
 )
 from bellkit.report import Report
-from bellkit.cli import _run_teleport
+from bellkit.cli import _run_teleport, main
 from bellkit import linalg, pauli, teleport
 from bellkit.teleport import (
     QUDIT_VARIANTS,
@@ -84,7 +84,6 @@ from bellkit.teleport import (
     sample_histogram,
     teleport_eq_suite,
 )
-from bellkit import verify
 from bellkit.verify import (
     ObservableSpec,
     _gram_residuals,
@@ -949,7 +948,7 @@ def test_reduced_completeness_matches_pair_loop(size, monkeypatch):
     assert abs(got - dense_reduced_completeness(dense_words(broken), m)) <= 1e-13
     # blocks of one p, and of two with a shorter last block, give the same residuals
     for per_block in (1, 2):
-        monkeypatch.setattr(verify, "BLOCK_ENTRIES", per_block * local**3)
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", per_block * 16 * local**3)
         assert reduced_completeness(words, m) == whole
         assert reduced_completeness(broken, m) == got
 
@@ -1048,13 +1047,16 @@ def test_basis_group_check_matches_dense_loop(name):
 
 
 @pytest.mark.parametrize("name", MONOMIAL_SETS)
-def test_nearest_residual_never_below_dense_loop(name):
-    """Per product and per adjoint, the nearest-member residual equals the dense loop's, bit for bit."""
+def test_nearest_residual_never_below_dense_loop(name, monkeypatch):
+    """Per product and per adjoint, the nearest-member residual equals the dense loop's, bit for bit,
+    at the default blocks and at blocks of one candidate and one left factor (a 16-byte budget)."""
     words, _, _, old_mul, old_dag = _dense_basis_group(name)
     stack = monomial_of(words)
-    new_mul, new_dag = pauli._closure_residuals(stack, map_groups(stack))
-    np.testing.assert_array_equal(new_mul, old_mul)
-    np.testing.assert_array_equal(new_dag, old_dag)
+    for budget in (linalg.BLOCK_BYTES, 16):
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", budget)
+        new_mul, new_dag = pauli._closure_residuals(stack, map_groups(stack))
+        np.testing.assert_array_equal(new_mul, old_mul)
+        np.testing.assert_array_equal(new_dag, old_dag)
 
 
 def test_adversarial_sets_fail_with_witnesses():
@@ -1335,7 +1337,7 @@ def test_block_sides_equal_per_label_body(variant, size, corrupt):
 def test_teleport_eq_suite_equals_per_label_loop(variant, size, block_labels, monkeypatch):
     setting = _Setting("teleport-eq", variant, **size)
     if block_labels:
-        monkeypatch.setattr(teleport, "BLOCK_ENTRIES", block_labels * setting.dim**3)
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", block_labels * 16 * setting.dim**3)
     rep = teleport_eq_suite(variant, **size, seed=4)
     # the suite's draws: psi, then M (Haar, or the identity for basic2)
     rng = np.random.default_rng(4)
@@ -1352,7 +1354,7 @@ def test_teleport_eq_suite_equals_per_label_loop(variant, size, block_labels, mo
 def test_projective_eq_equals_per_outcome_loop(variant, size, block_labels, monkeypatch):
     setting = _Setting("projective-eq", variant, **size)
     if block_labels:
-        monkeypatch.setattr(teleport, "BLOCK_ENTRIES", block_labels * setting.dim**3)
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", block_labels * 16 * setting.dim**3)
     rep = projective_eq_check(variant, **size, seed=5)
     # the check's draws: M for the qudit variants, then psi
     rng = np.random.default_rng(5)
@@ -1375,13 +1377,15 @@ def _traced_peak(call):
 
 
 def test_teleport_eq_blocks_bound_memory():
-    # form 11, n = 4: 256 labels of 4096 entries each, walked 4 labels at a time: one 256 KiB
-    # block of differences and its magnitudes (1.5 MiB peak), not the 16-label blocks of a
-    # 2^16-entry budget (2.2 MiB peak) or every label at once (24 MiB peak)
-    assert teleport.BLOCK_ENTRIES == 2**14
+    # form 11, n = 4: 256 labels of 4096 complex entries (64 KiB) each, walked one label at a
+    # time under the 64 KiB budget: one block of differences and its magnitudes, 0.40 MiB peak
+    # once a first call has paid its one-time imports, not blocks of two labels (0.50 MiB),
+    # of four (0.75 MiB) or every label at once (24 MiB)
+    assert linalg.BLOCK_BYTES == 2**16
+    teleport_eq_suite("nqubit11", n=1, seed=1)
     rep, peak = _traced_peak(lambda: teleport_eq_suite("nqubit11", n=4, seed=1))
     assert rep.passed
-    assert peak < 2 * 2**20, peak
+    assert peak < 0.45 * 2**20, peak
     # form 22, n = 5: one difference E of 32^3 entries (512 KiB) stands for all 1,024 labels
     # (2.4 MiB peak); the labels' stacked sides would take 512 MiB each
     rep, peak = _traced_peak(lambda: teleport_eq_suite("nqubit22", n=5, seed=1))
@@ -1389,7 +1393,7 @@ def test_teleport_eq_blocks_bound_memory():
     assert peak < 4 * 2**20, peak
 
 
-# sample_histogram's draws are walked in blocks of this many in the test below
+# sample_histogram's draws, 8 bytes each, are walked in blocks of this many in the test below
 HISTOGRAM_BLOCK = 1000
 
 
@@ -1399,7 +1403,7 @@ HISTOGRAM_BLOCK = 1000
 @pytest.mark.parametrize("outcomes", [4, 16, 256])
 @pytest.mark.parametrize("zeros", [False, True])
 def test_sample_histogram_equals_choice_counts(outcomes, samples, zeros, monkeypatch):
-    monkeypatch.setattr(teleport, "BLOCK_ENTRIES", HISTOGRAM_BLOCK)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 8 * HISTOGRAM_BLOCK)
     rng = np.random.default_rng(outcomes + samples)
     probs = rng.random(outcomes)
     if zeros:  # outcomes that can never be drawn, the first and last among them
@@ -1419,7 +1423,7 @@ def test_sample_histogram_equals_choice_counts(outcomes, samples, zeros, monkeyp
 
 def test_sample_histogram_memory_does_not_grow_with_samples():
     # 10^6 draws held at once, and their sorted copy, were 16 MB; one block of
-    # BLOCK_ENTRIES draws is 128 KiB
+    # draws is linalg.BLOCK_BYTES, 64 KiB
     probs = np.random.default_rng(3).random(16)
     choice_rng, histogram_rng = np.random.default_rng(4), np.random.default_rng(4)
     want = np.bincount(choice_rng.choice(16, 10**6, p=probs / probs.sum()), minlength=16)
@@ -1462,11 +1466,12 @@ def test_extend_basis_matches_batched_product(size, side):
 # Haar trials drawn, factored and checked as stacks
 #
 # The basis-theorem and observable suites draw their Haar samples as stacks
-# and check them in blocks of ``verify.BLOCK_ENTRIES`` entries.  The same
+# and check them in blocks of at most ``linalg.BLOCK_BYTES``.  The same
 # floats must come out as from one draw, one Gram and one conjugation at a
-# time, at the default blocks and at blocks of one matrix.
+# time, at the default blocks and at blocks of one matrix (a budget of one
+# complex entry).
 
-BLOCKS = {"default": None, "one-matrix": 1}
+BLOCKS = {"default": None, "one-matrix": 16}
 
 
 @pytest.mark.parametrize("lead", [(), (1,), (5,), (2, 3)])
@@ -1498,7 +1503,7 @@ def test_basis_theorem_suite_equals_per_trial_loop(size, trials, block, monkeypa
     """The suite's Grams come from M^dag M (``_gram_residuals``), the loop's from the extended states:
     the same sums in another order, so case ids and pass flags match and residuals agree to 1e-15."""
     if BLOCKS[block]:
-        monkeypatch.setattr(verify, "BLOCK_ENTRIES", BLOCKS[block])
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", BLOCKS[block])
     seed = trials + sum(size.values())
     _assert_reports_match(
         basis_theorem_suite(**size, trials=trials, seed=seed), basis_theorem_loop(**size, trials=trials, seed=seed)
@@ -1520,7 +1525,7 @@ def test_gram_residuals_match_extended_gram(size, side, block, monkeypatch):
     """Each trial's Gram residual from M^dag M (or (M M^dag)^T) and the words against the Gram of the
     extended states, for Haar, perturbed, NaN- and inf-bearing M, one Gram block per M or several."""
     if BLOCKS[block]:
-        monkeypatch.setattr(verify, "BLOCK_ENTRIES", BLOCKS[block])
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", BLOCKS[block])
     words = bell_unitaries(**size)[1]
     local = words.dim
     rng = np.random.default_rng(local)
@@ -1545,7 +1550,7 @@ def test_gram_residuals_match_extended_gram(size, side, block, monkeypatch):
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
 def test_qudit_observable_suite_equals_per_conjugation_loop(d, k, conjugated, block, monkeypatch):
     if BLOCKS[block]:
-        monkeypatch.setattr(verify, "BLOCK_ENTRIES", BLOCKS[block])
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", BLOCKS[block])
     seed = d + 10 * conjugated
     assert qudit_observable_suite(d, k, conjugated, seed).to_dict() == qudit_observable_loop(
         d, k, conjugated, seed
@@ -1571,6 +1576,28 @@ def test_stacked_suites_bound_memory(run, bound_mib):
         tracemalloc.stop()
     assert rep.passed
     assert peak < bound_mib * 2**20, peak
+
+
+# Each call walks blocks that a 400-byte budget cuts to one or a few items: the
+# closure search (pauli._nearest, _closure_residuals) for the basis groups, the
+# Haar stream (verify._haar_stream) and the conjugation rounds for the
+# observables.
+SMALL_BUDGET_CALLS = [
+    "verify basis-group --d 3",
+    "verify basis-group --family multi --n 2",
+    "verify observables --family qudit --d 3 --conjugated 3",
+]
+
+
+@pytest.mark.parametrize("argv", SMALL_BUDGET_CALLS)
+def test_small_budget_report_equals_default(argv, tmp_path, capsys, monkeypatch):
+    runs = []
+    for budget in (linalg.BLOCK_BYTES, 400):
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", budget)
+        path = tmp_path / f"{budget}.json"
+        code = main([*argv.split(), "--seed", "7", "--json", str(path)])
+        runs.append((code, capsys.readouterr().out, path.read_bytes()))
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -1720,8 +1747,8 @@ def test_bijection_check_rejects_one_bad_row(monkeypatch):
     perm[0], perm[1] = [0, 1, 2, 3, 4, 5, 6, 8], [-1, 1, 2, 3, 4, 5, 6, 7]
     with pytest.raises(ValueError, match="bijection"):
         Monomial(perm, words.phase)
-    # the check walks the stack in blocks of rows, the bad row in any of them
-    monkeypatch.setattr(linalg, "_CHECK_ENTRIES", 16)
+    # the check walks the stack in blocks of rows, two rows of eight 8-byte entries here, the bad row in any of them
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 2 * 8 * 8)
     Monomial(words.perm, words.phase)
     perm = words.perm.copy()
     perm[45, 0] = perm[45, 1]

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellkit import linalg
 from bellkit.linalg import (
     Monomial,
+    blocks,
     dagger,
     fold,
     haar_unitary,
@@ -236,3 +238,23 @@ def test_qudit_words_stay_complex(d):
     m = gen_word_monomial(GenPauliWord(d, 1, 1))
     assert m.phase.dtype == np.complex128 and m.dense().dtype == np.complex128
     assert gen_word_matrix(GenPauliWord(d, 0, 0)).dtype == np.complex128
+
+
+@pytest.mark.parametrize("budget", [linalg.BLOCK_BYTES, 400])
+@pytest.mark.parametrize("item_bytes", [1, 48, 400, 401, 2**20])
+@pytest.mark.parametrize("total", [0, 1, 25, 1000])
+def test_blocks_partition_in_order(total, item_bytes, budget, monkeypatch):
+    """Slices of ``range(total)`` in order, ``max(1, BLOCK_BYTES // item_bytes)`` items each but the last.
+
+    The budget is read when ``blocks`` is called, and an item larger than it gets a block to itself.
+    """
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", budget)
+    walk = list(blocks(total, item_bytes))
+    step = max(1, budget // item_bytes)
+    assert [i for block in walk for i in range(total)[block]] == list(range(total))
+    assert [block.stop - block.start for block in walk[:-1]] == [step] * (len(walk) - 1)
+    assert all(0 < block.stop - block.start <= step for block in walk)
+    if item_bytes > budget:
+        assert walk == [slice(i, i + 1) for i in range(total)]
+    if not total:
+        assert walk == []

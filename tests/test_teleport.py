@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bellkit import teleport
+from bellkit import linalg, teleport
 from bellkit.bell import omega, product_ket
 from bellkit.linalg import DEFAULT_TOL, haar_unitary, identity, random_state, residual
 from bellkit.teleport import (
@@ -245,7 +245,7 @@ def test_failing_label_names_worst_entry(variant, size, monkeypatch):
         assert abs(case.residual - diff.max()) <= 1e-15
 
 
-# d = 3: every label's difference in one block, or two labels' (27 entries each) per block
+# d = 3: every label's difference in one block, or two labels' (27 complex entries each) per block
 @pytest.mark.parametrize("block_entries", [2**16, 2 * 27])
 def test_nan_fails_its_label_only(block_entries, monkeypatch):
     clean = teleport_eq_suite("qudit11", d=3, seed=2)
@@ -258,7 +258,7 @@ def test_nan_fails_its_label_only(block_entries, monkeypatch):
         return ops
 
     monkeypatch.setattr(_Setting, "_operators", _operators)
-    monkeypatch.setattr(teleport, "BLOCK_ENTRIES", block_entries)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 16 * block_entries)
     rep = teleport_eq_suite("qudit11", d=3, seed=2)
     for b, (case, want) in enumerate(zip(rep.cases, clean.cases)):
         if b == target:
