@@ -30,7 +30,6 @@ from .linalg import (
     qr_unitary,
     random_matrix,
     residual,
-    residuals,
 )
 from .pauli import word
 from .report import Report
@@ -174,41 +173,68 @@ def _trial_matrices(local: int, trials: int, rng: np.random.Generator) -> tuple[
     return haar[:, 0], _perturb(haar[:, 1], z[:, 2])
 
 
-def _gram_residuals(words: Monomial, ms: np.ndarray, side: str) -> np.ndarray:
-    """Gram residual of the Bell family ``words`` extended on ``side`` by each M of the ``(T, D, D)`` stack ``ms``.
+def _gram_tables(words: Monomial, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """The row maps and phase tiles of the Bell family ``words`` with which ``_gram_residuals`` reads ``side``.
 
-    The left Gram is ``<vec(M U_a), vec(M U_b)> / D = tr(U_a^dag H U_b) /
-    D`` with ``H = M^dag M``, so with ``U_a[r_a[j], j] = p_a[j]`` it is
-    ``G_ab = (1/D) sum_j conj(p_a[j]) p_b[j] H[r_a[j], r_b[j]]``: M enters
-    only through ``H``, and no extended state is formed.  The right Gram
-    ``tr(M^dag U_a^dag U_b M) / D`` is the same sum over the transposed
-    words ``U_a^T`` (``words.T``: row maps ``r_a^-1``, phases ``p_a[r_a^-1]``)
-    with ``H = (M M^dag)^T``.  Labels of one row map (``bell.word_groups``) share
-    ``r_a``.  For each group g, the Gram blocks ``(g, h)``, ``h >= g``, of a
-    block of trials are one GEMM: the phases ``P_h[b, j]`` scaled by
-    ``H[m_g[j], m_h[j]] / D``, times ``conj(P_g)^T``.  As G is Hermitian,
-    these blocks hold every entry or its conjugate.  Each array holds at
-    most ``linalg.BLOCK_BYTES``, or one trial's.
+    ``maps`` is the ``(G, D)`` row map of each row-map group
+    (``bell.word_groups``) and ``tiles`` the ``(G, K / G, D)`` phases
+    ``P_g`` of its labels; the right side reads the transposed words
+    (``words.T``) in the left side's label order.
     """
     order, maps = word_groups(words)
+    if side == "right":
+        words = words.T
+        maps = words.perm[order[:, 0]]
+    return maps, words.phase[order]
+
+
+def _gram_residuals(tables: tuple, ms: np.ndarray, side: str) -> np.ndarray:
+    """Gram residual of the Bell family extended on ``side`` by each M of the ``(T, D, D)`` stack ``ms``.
+
+    ``tables`` are the family's ``_gram_tables`` for ``side``.  The left
+    Gram is ``<vec(M U_a), vec(M U_b)> / D = tr(U_a^dag H U_b) / D`` with
+    ``H = M^dag M``, so with ``U_a[r_a[j], j] = p_a[j]`` it is ``G_ab =
+    (1/D) sum_j conj(p_a[j]) p_b[j] H[r_a[j], r_b[j]]``: M enters only
+    through ``H``, and no extended state is formed.  The right Gram
+    ``tr(M^dag U_a^dag U_b M) / D`` is the same sum over the transposed
+    words ``U_a^T`` (row maps ``r_a^-1``, phases ``p_a[r_a^-1]``) with ``H =
+    (M M^dag)^T``.  Labels of one row map share ``r_a``.  For each group g,
+    the Gram blocks ``(g, h)``, ``h >= g``, of a block of trials are one
+    GEMM: the phases ``P_h[b, j]`` scaled by ``H[m_g[j], m_h[j]] / D``,
+    times ``conj(P_g)^T``.  As G is Hermitian, these blocks hold every
+    entry or its conjugate.  Group g takes ``conj(P_g)^T`` once and walks
+    blocks of trials of at most ``linalg.BLOCK_BYTES`` per array over its
+    groups ``h >= g``, or one trial's; every block of every group is
+    written into the same three arrays, sized from the largest first block.
+    """
+    maps, tiles = tables
     if side == "left":
         hs = np.swapaxes(ms.conj(), -1, -2) @ ms
     else:
-        words, hs = words.T, ms.conj() @ np.swapaxes(ms, -1, -2)
-        maps = words.perm[order[:, 0]]
-    tiles = words.phase[order]
+        hs = ms.conj() @ np.swapaxes(ms, -1, -2)
     groups, size, local = tiles.shape
     hs /= local
     eye = np.eye(size)
     out = np.zeros(len(ms))
-    for g, rows_g in enumerate(maps):
-        for block in blocks(len(ms), 16 * (groups - g) * size * local):
+    walks = [list(blocks(len(ms), 16 * (groups - g) * size * local)) for g in range(groups)]
+    # the rows (t, h - g, b) of the largest first block over the groups
+    largest = max((walk[0].stop * (groups - g) * size for g, walk in enumerate(walks) if walk), default=0)
+    # scaled[t, h - g, b, j] = H[m_g[j], m_h[j]] P_h[b, j] / D; gram[t, h - g, b, a] = G[(g, a), (h, b)]
+    scaled = np.empty(largest * local, dtype=np.result_type(hs, tiles))
+    gram = np.empty(largest * size, dtype=scaled.dtype)
+    mags = np.empty(gram.shape)
+    for g, (rows_g, walk) in enumerate(zip(maps, walks)):
+        adjoint = tiles[g].conj().T
+        for block in walk:
             part = hs[block]
-            # scaled[t, h - g, b, j] = H[m_g[j], m_h[j]] P_h[b, j] / D; gram[t, h - g, b, a] = G[(g, a), (h, b)]
-            scaled = part[:, rows_g, maps[g:]][:, :, None, :] * tiles[g:]
-            gram = (scaled.reshape(-1, local) @ tiles[g].conj().T).reshape(len(part), groups - g, size, size)
-            gram[:, 0] -= eye
-            np.maximum(out[block], np.abs(gram).max(axis=(1, 2, 3)), out=out[block])
+            count = len(part) * (groups - g) * size
+            view = scaled[: count * local].reshape(len(part), groups - g, size, local)
+            np.multiply(part[:, rows_g, maps[g:]][:, :, None, :], tiles[g:], out=view)
+            grams = gram[: count * size].reshape(len(part), groups - g, size, size)
+            np.matmul(view.reshape(count, local), adjoint, out=grams.reshape(count, size))
+            grams[:, 0] -= eye
+            worst = np.abs(grams, out=mags[: grams.size].reshape(grams.shape)).max(axis=(1, 2, 3))
+            np.maximum(out[block], worst, out=out[block])
     return out
 
 
@@ -227,8 +253,11 @@ def basis_theorem_suite(
     trials (must stay above ``fail_floor``); a failing case names its
     ``trial``, counted from 0 (``Report``).  Each side's
     trials are drawn in stacked blocks, in the per-trial order
-    (``_trial_matrices``), and each trial's Gram is taken from ``M^dag M``
-    or ``M M^dag`` and the words (``_gram_residuals``), in stacked blocks.
+    (``_trial_matrices``) into one array sized from the first block, and
+    each trial's Gram is taken from ``M^dag M`` or ``M M^dag`` and the
+    side's tables of the words, built once per call (``_gram_tables``): a
+    block's unitary and perturbed trials go through ``_gram_residuals``
+    together.
     """
     words = bell_unitaries(d, n)[1]
     local = words.dim
@@ -236,14 +265,20 @@ def basis_theorem_suite(
     size = {"n": n} if d is None else {"d": d}
     rep = Report("basis-theorem", {**size, "trials": trials}, tolerance=tol, seed=seed)
 
+    walk = list(blocks(trials, 16 * 3 * local**2))
+    # each block's unitary and perturbed trials, side by side in one array sized from the first block
+    ms = np.empty((walk[0].stop if walk else 0, 2, local, local), dtype=complex)
     for side in SIDES:
-        unitary_res, nonunitary_res = np.empty(trials), np.empty(trials)
-        for block in blocks(trials, 16 * 3 * local**2):
-            unitaries, nonunitaries = _trial_matrices(local, block.stop - block.start, rng)
-            unitary_res[block] = _gram_residuals(words, unitaries, side)
-            nonunitary_res[block] = _gram_residuals(words, nonunitaries, side)
-        rep.add(f"unitary-extensions-{side} ({trials} trials)", unitary_res, index="trial")
-        rep.add_expect_fail(f"nonunitary-extensions-{side} ({trials} trials)", nonunitary_res, fail_floor, "trial")
+        tables = _gram_tables(words, side)
+        res = np.empty((trials, 2))
+        for block in walk:
+            count = block.stop - block.start
+            ms[:count, 0], ms[:count, 1] = _trial_matrices(local, count, rng)
+            res[block] = _gram_residuals(tables, ms[:count].reshape(-1, local, local), side).reshape(count, 2)
+        # one side's tables at a time: at d = 64 the tiles are 4 MiB
+        del tables
+        rep.add(f"unitary-extensions-{side} ({trials} trials)", res[:, 0], index="trial")
+        rep.add_expect_fail(f"nonunitary-extensions-{side} ({trials} trials)", res[:, 1], fail_floor, "trial")
 
     rep.add("reduced-completeness (general M)", reduced_completeness(words, random_matrix(local, rng)))
 
@@ -267,15 +302,16 @@ class ObservableSpec:
     ``Monomial``, whose eigenvectors are the Bell states held as the
     family's stacked words (a ``Monomial``) instead of a dense ``states``
     stack.
-    ``conjugated_observables`` by a stack of M gives a stack of
-    observables: ``matrix`` ``(..., D, D)`` and ``states`` ``(..., D, K)``.
+    ``conjugated_observables`` by one M or a stack of M gives an
+    observable or a stack, ``matrix`` ``(..., D, D)``, with no ``states``:
+    its eigenvectors are the family extended by M (``extend_basis``).
     """
 
     name: str
     matrix: np.ndarray | Monomial
     labels: list
     eigenvalues: np.ndarray
-    states: np.ndarray | Monomial
+    states: np.ndarray | Monomial | None
 
 
 def _word_eigen_residuals(op: Monomial, words: Monomial, eigenvalues: np.ndarray) -> np.ndarray:
@@ -307,29 +343,38 @@ def _word_eigen_residuals(op: Monomial, words: Monomial, eigenvalues: np.ndarray
     return np.maximum(diff.max(axis=1), unmet.reshape(count, local).max(axis=1))
 
 
-def _observable_residuals(spec: ObservableSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Hermiticity residual and per-state eigenequation residuals of ``spec``, or of each observable of a stack.
+def _observable_residuals(spec: ObservableSpec) -> tuple[float, np.ndarray]:
+    """Hermiticity residual and per-state eigenequation residuals of ``spec``.
 
     The eigenequations ``O s = lam s`` are one product of ``O`` with the
-    stacked states, batched over a stack, or for a monomial O on the
-    family's words ``_word_eigen_residuals``, read per state.
+    stacked states, or for a monomial O on the family's words
+    ``_word_eigen_residuals``, read per state.
     """
+    herm = residual(spec.matrix, dagger(spec.matrix))
     if isinstance(spec.states, Monomial):
-        per_state = _word_eigen_residuals(spec.matrix, spec.states, spec.eigenvalues)
-        return residual(spec.matrix, dagger(spec.matrix)), per_state
-    herm = residuals(spec.matrix, np.swapaxes(spec.matrix.conj(), -1, -2))
-    return herm, np.abs(spec.matrix @ spec.states - spec.states * spec.eigenvalues).max(axis=-2)
+        return herm, _word_eigen_residuals(spec.matrix, spec.states, spec.eigenvalues)
+    return herm, np.abs(spec.matrix @ spec.states - spec.states * spec.eigenvalues).max(axis=0)
 
 
-def _conjugated_cases(spec: ObservableSpec, words: Monomial, ms: np.ndarray, side: str):
-    """Name, ``herm``, ``per_state`` and ``moved`` residuals of ``spec`` conjugated on ``side`` by each M of ``ms``.
+def _conjugated_cases(spec: ObservableSpec, words: Monomial, ms: np.ndarray, side: str, prod, mags) -> list:
+    """Name, eigenequation and hermiticity residuals of ``spec`` conjugated on ``side`` by each M of ``ms``.
 
-    ``moved`` is the distance of the conjugated states from the family
-    ``words`` extended by M.
+    Each ``O'`` is checked on the family ``words`` extended by M on that
+    side, ``T = extend_basis(words, M, side)``: ``max|O' T^T - T^T Lambda|``
+    over its states and ``max|O' - O'^dag|``.  ``prod`` and ``mags``,
+    ``(len(ms), D, D)``, receive ``O' T^T`` and then ``O' - O'^dag``, and
+    their magnitudes; the rows of T are scaled by the eigenvalues in place.
     """
     turned = conjugated_observables(spec, ms, side)
-    moved = residuals(np.swapaxes(turned.states, -1, -2), extend_basis(words, ms, side))
-    return [(turned.name, *r) for r in zip(*_observable_residuals(turned), moved)]
+    family = extend_basis(words, ms, side)
+    np.matmul(turned.matrix, np.swapaxes(family, -1, -2), out=prod)
+    family *= spec.eigenvalues[:, None]
+    np.subtract(prod, np.swapaxes(family, -1, -2), out=prod)
+    eig = np.abs(prod, out=mags).max(axis=(-2, -1))
+    np.conjugate(np.swapaxes(turned.matrix, -1, -2), out=prod)
+    np.subtract(turned.matrix, prod, out=prod)
+    herm = np.abs(prod, out=mags).max(axis=(-2, -1))
+    return [(turned.name, *r) for r in zip(eig, herm)]
 
 
 def qudit_observables(labels: list, states: np.ndarray, k: int) -> list[ObservableSpec]:
@@ -376,10 +421,14 @@ def _haar_stream(dim: int, rng: np.random.Generator, count: int):
     """``count`` Haar unitaries, one at a time in the order of one ``haar_unitary`` call each.
 
     They are drawn as stacks of at most ``linalg.BLOCK_BYTES``, so a
-    long run keeps one stack in memory, not every draw.
+    long run keeps one stack in memory, not every draw, and each stack is
+    checked unitary once, as it is drawn.
     """
     for block in blocks(count, 16 * dim * dim):
-        yield from haar_unitary(dim, rng, (block.stop - block.start,))
+        stack = haar_unitary(dim, rng, (block.stop - block.start,))
+        if not is_unitary(stack):
+            raise ValueError("conjugation requires a unitary matrix")
+        yield from stack
 
 
 def qudit_observable_suite(
@@ -389,12 +438,14 @@ def qudit_observable_suite(
 
     ``k = 0`` runs every order 1..d-1.  Each observable is followed by
     ``conjugated`` rounds of left and right conjugation by a Haar unitary
-    M.  A conjugated case also compares the conjugated states with the
-    family extended by M on that side, ``extend_basis(words, M, side)``:
-    any unitary conjugation keeps the eigenequations, so only this
-    residual tells a right conjugation from a left one.  The Ms are
-    drawn in stacks, in the per-call order (``_haar_stream``), and each
-    observable's rounds are conjugated and checked in stacked blocks.
+    M.  A conjugated case checks ``O'`` on the family extended by M on
+    that side, ``extend_basis(words, M, side)``, whose states are its
+    eigenvectors with the eigenvalues of O: a conjugation on the wrong
+    qudit fails these eigenequations, most states at once, so the case
+    names no witness label.  The Ms are drawn in stacks, in the
+    per-call order (``_haar_stream``), and each observable's rounds are
+    conjugated and checked in blocks (``_conjugated_cases``), each
+    written into the same arrays, sized from the first block.
     """
     params = {"d": d, "conjugated": conjugated, **({"k": k} if k else {})}
     rep = Report("qudit-observables", params, tolerance=tol, seed=seed)
@@ -405,48 +456,61 @@ def qudit_observable_suite(
     orders = [k] if k else range(1, d)
     # one M per order, observable (four per order), round and side, in that order
     draws = _haar_stream(d, rng, len(orders) * 4 * conjugated * len(SIDES))
+    walk = list(blocks(conjugated, 16 * d**4))
+    size = walk[0].stop if walk else 0
+    ms = np.empty((size, len(SIDES), d, d), dtype=complex)
+    prod = np.empty((size, d * d, d * d), dtype=complex)
+    mags = np.empty(prod.shape)
     for order in orders:
         for spec in qudit_observables(labels, states, order):
             herm, per_state = _observable_residuals(spec)
             rep.add(spec.name, per_state, index=spec.labels, also=(herm,))
-            for block in blocks(conjugated, 16 * d**4):
-                ms = np.array([[next(draws) for _ in SIDES] for _ in range(block.stop - block.start)])
-                sides = (_conjugated_cases(spec, words, ms[:, s], side) for s, side in enumerate(SIDES))
+            for block in walk:
+                count = block.stop - block.start
+                for slot, m in zip(ms[:count].reshape(-1, d, d), draws):
+                    slot[...] = m
+                sides = [
+                    _conjugated_cases(spec, words, ms[:count, s], side, prod[:count], mags[:count])
+                    for s, side in enumerate(SIDES)
+                ]
                 for cases in zip(*sides):
-                    for name, herm, per_state, moved in cases:
-                        rep.add(name, per_state, index=spec.labels, also=(herm, moved))
+                    for name, eig, herm in cases:
+                        rep.add(name, eig, also=(herm,))
     return rep
 
 
 def conjugated_observables(spec: ObservableSpec, m: np.ndarray, side: str) -> ObservableSpec:
-    """Unitary transform of an observable along with its eigenvectors.
+    """Unitary transform ``O' = M~ O M~^dag`` of a dense observable, by M on ``side``.
 
-    Left: (M x 1) O (M^dag x 1) on states (M x 1)|psi>.  Right uses the
-    transpose/conjugate pair (1 x M^T) O (1 x M^*), matching the local
-    action U_a M = (1 x M^T) on the reference Bell state.  Each side is
-    one application of M to O's rows and one to its columns, O(d^5)
-    instead of the O(d^6) products with ``M x 1``.  A stack of M
-    ``(..., d, d)`` gives the stack of transforms, each application one
-    batched product over the stack.
+    Left: ``M~ = M x 1``, whose eigenvectors are ``(M x 1)|psi>``.  Right
+    uses the transpose/conjugate pair ``M~ = 1 x M^T``, matching the local
+    action ``U_a M = (1 x M^T)`` on the reference Bell state.  Either way
+    the eigenvectors of ``O'`` are the family extended by M on that side
+    (``extend_basis``), with the eigenvalues of O, so ``states`` is None.
+    ``O'`` is two products, O(d^5) instead of the O(d^6) products with
+    ``M~``: ``M~`` applied to O's rows (``apply_local``), then
+    ``conj(M~)`` to the digits of each row, a GEMM on a view of the first
+    product, so no transposed copy is made.  A stack of M ``(..., d, d)``
+    gives the stack of transforms, each product batched over the stack.
+    M is taken to be unitary: the suite checks its Haar draws once per
+    stack (``_haar_stream``).
     """
     m = np.asarray(m, dtype=complex)
-    if not is_unitary(m):
-        raise ValueError("conjugation requires a unitary matrix")
     d = m.shape[-1]
     if spec.matrix.shape != (d * d, d * d):
         raise ValueError("observable dimension does not match M")
     if side not in SIDES:
         raise ValueError("side must be 'left' or 'right'")
-    # shift = 1_before x op x 1_rest; inv = shift^dag, applied on the right through
-    # O inv = (inv^T O^T)^T with inv^T = 1_before x op^*
-    op, before = (m, 1) if side == "left" else (np.swapaxes(m, -1, -2), d)
-    shifted = apply_local(op, spec.matrix, before)
+    lead = m.shape[:-2]
+    if side == "left":
+        # row x of M~ O is a (d, d) matrix R_x, and row x of O' is conj(M) R_x
+        rows = apply_local(m, spec.matrix).reshape(*lead, d * d, d, d)
+        matrix = np.matmul(m.conj()[..., None, :, :], rows)
+    else:
+        # row x of M~ O, as (d, d), times conj(M) from the right
+        matrix = apply_local(np.swapaxes(m, -1, -2), spec.matrix, d).reshape(*lead, d**3, d) @ m.conj()
     return ObservableSpec(
-        f"{spec.name}|{side}-conjugated",
-        np.swapaxes(apply_local(op.conj(), np.swapaxes(shifted, -1, -2), before), -1, -2),
-        spec.labels,
-        spec.eigenvalues,
-        apply_local(op, spec.states, before),
+        f"{spec.name}|{side}-conjugated", matrix.reshape(*lead, d * d, d * d), spec.labels, spec.eigenvalues, None
     )
 
 

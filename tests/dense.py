@@ -9,7 +9,9 @@ side's first factor) and with every operand forced complex, for the reduced
 completeness of the basis theorem, one pair (i, j) at a time, for the
 teleportation equations, one Bell label or outcome at a time, and for the
 Haar-sampled basis-theorem and observable suites, one draw, Gram and
-conjugation at a time.  The library holds the Bell family as one stacked
+conjugation at a time, with the conjugated dense states ``M~ S`` that the
+library no longer forms (it checks a conjugated observable on the extended
+family).  The library holds the Bell family as one stacked
 ``Monomial`` of its words; the dense ``(K, D, D)`` stack of the words,
 scattered here by hand, the ``K x D^2`` stack of their states and the
 GEMMs over them that the family's readers ran before (the Gram matrix
@@ -32,10 +34,11 @@ import numpy as np
 
 from bellkit.bell import all_labels, bell_unitaries, bell_vector, multi_bell, product_ket, twist_monomial
 from bellkit.braid import _word
-from bellkit.linalg import DEFAULT_TOL, Monomial, dagger, fold, identity, real_if_real, residual
+from bellkit.linalg import DEFAULT_TOL, Monomial, apply_local, dagger, fold, identity, real_if_real, residual
 from bellkit.pauli import as_bits, bits_to_int, pauli_gate, word
 from bellkit.report import Report
 from bellkit.verify import (
+    ObservableSpec,
     _observable_residuals,
     conjugated_observables,
     extend_basis,
@@ -556,25 +559,43 @@ def label_witness(labels, per_state, eig, tol):
     return " witness=(" + ",".join("".join(map(str, x)) if isinstance(x, tuple) else str(x) for x in label) + ")"
 
 
+def conjugated_states(spec, m, side):
+    """The conjugated dense states ``M~ S``: M on the first qudit of each state (left), or M^T on the second (right).
+
+    They are the family extended by M on that side (``extend_basis``),
+    read through ``apply_local`` from the dense states instead of the words.
+    """
+    op, before = (m, 1) if side == "left" else (np.swapaxes(m, -1, -2), m.shape[-1])
+    return apply_local(op, spec.states, before)
+
+
+def conjugated_spec(spec, words, m, side):
+    """``conjugated_observables(spec, m, side)`` with its eigenvectors, the family ``words`` extended by M."""
+    turned = conjugated_observables(spec, m, side)
+    return ObservableSpec(turned.name, turned.matrix, spec.labels, spec.eigenvalues, extend_basis(words, m, side).T)
+
+
 def qudit_observable_loop(d, k=0, conjugated=0, seed=0, tol=DEFAULT_TOL):
-    """``verify.qudit_observable_suite`` with one draw and one conjugation per round and side."""
+    """``verify.qudit_observable_suite`` with one draw and one conjugation per round and side.
+
+    Each conjugated observable is checked on the family extended by its M
+    (``conjugated_spec``), and names no witness.
+    """
     params = {"d": d, "conjugated": conjugated, **({"k": k} if k else {})}
     rep = Report("qudit-observables", params, tolerance=tol, seed=seed)
     rng = np.random.default_rng(seed)
     labels, words = bell_unitaries(d=d)
     states = bell_vector(words.dense())
 
-    def add(spec, *others):
+    def add(spec, witness=True):
         herm, per_state = _observable_residuals(spec)
         eig = fold(per_state)
-        rep.add(spec.name + label_witness(spec.labels, per_state, eig, tol), fold((herm, eig, *others)))
+        rep.add(spec.name + (label_witness(spec.labels, per_state, eig, tol) if witness else ""), fold((herm, eig)))
 
     for order in [k] if k else range(1, d):
         for spec in qudit_observables(labels, states, order):
             add(spec)
             for _ in range(conjugated):
                 for side in ("left", "right"):
-                    m = haar_one(d, rng)
-                    turned = conjugated_observables(spec, m, side)
-                    add(turned, residual(turned.states.T, extend_basis(words, m, side)))
+                    add(conjugated_spec(spec, words, haar_one(d, rng), side), witness=False)
     return rep

@@ -14,7 +14,7 @@ import pytest
 from bellkit import bell, braid, teleport, verify
 from bellkit.cli import main as cli_main
 from bellkit.linalg import fold, haar_unitary, identity, random_state, residual
-from dense import dense_circuit_matrix, kron, observable_check, qudit_states, twist
+from dense import conjugated_spec, dense_circuit_matrix, kron, observable_check, qudit_states, twist
 from bellkit.pauli import pauli_gate
 
 TOL = 1e-12
@@ -86,11 +86,13 @@ def test_criterion_4_observables():
         assert rep.passed
     rng = np.random.default_rng(41)
     base = verify.qudit_observables(*qudit_states(3), 1)
+    words = bell.bell_unitaries(d=3)[1]
     for _ in range(10):
         m = haar_unitary(3, rng)
         for spec in base:
             for side in ("left", "right"):
-                conj = verify.conjugated_observables(spec, m, side)
+                # the conjugated observable on its eigenvectors, the family extended by M
+                conj = conjugated_spec(spec, words, m, side)
                 worst = fold((worst, observable_check(conj).max_residual))
     criterion(4, "observable eigenequations d<=5 all k, n<=3, 10 M-conjugations", worst)
 

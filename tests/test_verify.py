@@ -3,7 +3,7 @@ import pytest
 
 from bellkit.bell import bell_unitaries, omega, qudit_bell, word_groups
 from bellkit.linalg import Monomial, haar_unitary, residual, identity
-from dense import dense_states, gram, kron, observable_check, qudit_states
+from dense import conjugated_spec, conjugated_states, dense_states, gram, kron, observable_check, qudit_states
 from bellkit.pauli import pauli_gate
 from bellkit.verify import (
     APPENDIX_N1_MATRIX,
@@ -178,16 +178,21 @@ def test_qudit_observables_all_k(d):
         qudit_observables(*qudit_states(d), d)
 
 
-def test_conjugated_observables():
+def test_conjugated_observables(monkeypatch):
+    import bellkit.verify as verify
+
     rng = np.random.default_rng(2)
     spec = qudit_observables(*qudit_states(3), 2)[1]
+    words = bell_unitaries(d=3)[1]
     for side in ("left", "right"):
-        conj = conjugated_observables(spec, haar_unitary(3, rng), side)
-        assert observable_check(conj).passed
+        assert observable_check(conjugated_spec(spec, words, haar_unitary(3, rng), side)).passed
     same = conjugated_observables(spec, np.eye(3), "left")
     assert residual(same.matrix, spec.matrix) == 0
-    with pytest.raises(ValueError):
-        conjugated_observables(spec, np.diag([1.0, 2.0, 3.0]), "left")
+    # the suite checks each stack of Haar draws once, as it is drawn, and refuses a non-unitary one
+    stretched = np.diag([1.0, 2.0, 3.0])
+    monkeypatch.setattr(verify, "haar_unitary", lambda dim, rng, lead: np.broadcast_to(stretched, lead + (3, 3)))
+    with pytest.raises(ValueError, match="unitary"):
+        qudit_observable_suite(3, k=1, conjugated=1)
 
 
 def test_right_conjugation_uses_transpose_pair():
@@ -198,27 +203,31 @@ def test_right_conjugation_uses_transpose_pair():
     conj = conjugated_observables(spec, m, "right")
     shift = kron(identity(3), m.T)
     inv = kron(identity(3), m.conj())
-    # the states take the dense shift's products in its order; the right factor
-    # is applied to the transpose, so with a rounding M the matrix differs from
+    # apply_local takes the dense shift's products in its order; the matrix and
+    # the extended family sum in another, so with a rounding M they differ from
     # the dense pair in the last bits (exact equality: the dyadic test below)
-    assert residual(conj.states, shift @ spec.states) == 0
+    assert residual(conjugated_states(spec, m, "right"), shift @ spec.states) == 0
     assert np.array_equal(conj.eigenvalues, spec.eigenvalues)
     assert residual(conj.matrix, shift @ spec.matrix @ inv) < 1e-15
     plain = kron(identity(3), m) @ spec.matrix @ kron(identity(3), m.conj().T)
     assert residual(conj.matrix, plain) > 0.1
-    for (al, be), state in zip(conj.labels, conj.states.T):
+    family = extend_basis(bell_unitaries(d=3)[1], m, "right")
+    assert residual(family.T, shift @ spec.states) < 1e-15
+    for (al, be), state in zip(conj.labels, family):
         direct = kron(np.eye(3), m.T) @ qudit_bell(3, al, be)
         assert residual(state, direct) < 1e-12
 
 
+# M = diag(1, i, -1, -i) H_4 / 2 is unitary with entries in {+-1/2, +-i/2}, not
+# symmetric, and OZ+(1) at d = 4 has entries in {0, +-1}: every product and
+# partial sum is a small multiple of 1/4, so any summation order gives the
+# dense pair's bits
+DYADIC = np.diag([1, 1j, -1, -1j]) @ np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_conjugation_is_exact_on_dyadic_unitary(side):
-    # M = diag(1, i, -1, -i) H_4 / 2 is unitary with entries in {+-1/2, +-i/2}, not
-    # symmetric, and OZ+(1) at d = 4 has entries in {0, +-1}: every product and
-    # partial sum is a small multiple of 1/4, so any summation order gives the
-    # dense pair's bits
-    h4 = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
-    m = np.diag([1, 1j, -1, -1j]) @ h4 / 2
+    m = DYADIC
     spec = qudit_observables(*qudit_states(4), 1)[2]
     conj = conjugated_observables(spec, m, side)
     eye = identity(4)
@@ -227,9 +236,30 @@ def test_conjugation_is_exact_on_dyadic_unitary(side):
     place = (lambda a: kron(a, eye)) if side == "left" else (lambda a: kron(eye, a))
     shift = place(op)
     assert residual(conj.matrix, shift @ spec.matrix @ shift.conj().T) == 0
-    assert residual(conj.states, shift @ spec.states) == 0
+    assert residual(conjugated_states(spec, m, side), shift @ spec.states) == 0
+    assert residual(extend_basis(bell_unitaries(d=4)[1], m, side).T, shift @ spec.states) == 0
     off = place(wrong)
     assert residual(conj.matrix, off @ spec.matrix @ off.conj().T) > 0.1
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_conjugation_on_the_other_qudit_fails_the_eigenequations(side, monkeypatch):
+    """An O' conjugated on the other qudit is Hermitian, but the family extended on ``side`` is not its
+    eigenbasis: the eigenequation residual alone fails, and by more than 0.1."""
+    import bellkit.verify as verify
+
+    words = bell_unitaries(d=4)[1]
+    spec = qudit_observables(*qudit_states(4), 1)[2]
+    ms = DYADIC[None]
+    prod, mags = np.empty((1, 16, 16), dtype=complex), np.empty((1, 16, 16))
+    (name, eig, herm), = verify._conjugated_cases(spec, words, ms, side, prod, mags)
+    # cos(pi / 2) is 6e-17, not 0, so the eigenequations hold to that, not exactly
+    assert name == f"OZ+(1)|{side}-conjugated" and eig < 1e-16 and herm == 0
+    other = {"left": "right", "right": "left"}
+    real = verify.conjugated_observables
+    monkeypatch.setattr(verify, "conjugated_observables", lambda spec, m, side: real(spec, m, other[side]))
+    (_, eig, herm), = verify._conjugated_cases(spec, words, ms, side, prod, mags)
+    assert herm == 0 and eig > 0.1
 
 
 def test_multiqubit_observables():
