@@ -42,6 +42,19 @@ def blocks(total: int, item_bytes: int):
     return (slice(start, min(start + step, total)) for start in range(0, total, step))
 
 
+def walk(total: int, *items) -> list:
+    """The ``blocks`` of ``range(total)`` as a list of ``(block, views)``, one view per item.
+
+    An item is the ``(shape, dtype)`` of one entry of a block array; the
+    largest sets ``item_bytes``.  Each array is allocated once, for the
+    first block, and a block's view is its first rows, one per entry, so
+    every pass over the list writes into the same arrays.
+    """
+    walked = list(blocks(total, max(int(np.prod(shape)) * np.dtype(dtype).itemsize for shape, dtype in items)))
+    arrays = [np.empty((walked[0].stop if walked else 0, *shape), dtype) for shape, dtype in items]
+    return [(block, [a[: block.stop - block.start] for a in arrays]) for block in walked]
+
+
 def apply_local(op: np.ndarray, x: np.ndarray, before: int = 1, out: np.ndarray | None = None) -> np.ndarray:
     """``(1_before x op x 1_rest) @ x`` for ``x`` of shape ``(D,)`` or ``(..., D, C)``.
 

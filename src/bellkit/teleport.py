@@ -60,6 +60,7 @@ from .linalg import (
     is_unitary,
     random_state,
     residual,
+    walk,
 )
 from .report import Report
 
@@ -385,9 +386,9 @@ def sample_histogram(probs: np.ndarray, samples: int, rng: np.random.Generator) 
     normalized cdf exceeds it, so outcome k takes the draws in
     ``[cdf[k-1], cdf[k])``.  Sorting the draws counts them with one binary
     search per outcome instead of one per draw.  The draws are taken, sorted
-    and counted in blocks (``linalg.blocks``), into one reused buffer:
-    consecutive ``rng.random`` calls give the numbers of one call, so the
-    counts are those of one draw of ``samples``.
+    and counted in blocks (``linalg.walk``): consecutive ``rng.random``
+    calls give the numbers of one call, so the counts are those of one draw
+    of ``samples``.
     """
     p = np.asarray(probs, dtype=float) / np.sum(probs)
     if not np.all(p >= 0):
@@ -395,10 +396,7 @@ def sample_histogram(probs: np.ndarray, samples: int, rng: np.random.Generator) 
     cdf = p.cumsum()
     cdf /= cdf[-1]
     below = np.zeros(len(cdf), dtype=np.intp)
-    walk = list(blocks(samples, 8))
-    draws = np.empty(walk[0].stop if walk else 0)
-    for block in walk:
-        part = draws[: block.stop - block.start]
+    for _, (part,) in walk(samples, ((), float)):
         rng.random(out=part)
         part.sort()
         below += np.searchsorted(part, cdf)

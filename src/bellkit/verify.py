@@ -30,6 +30,7 @@ from .linalg import (
     qr_unitary,
     random_matrix,
     residual,
+    walk,
 )
 from .pauli import word
 from .report import Report
@@ -131,8 +132,7 @@ def reduced_completeness(words: Monomial, m: np.ndarray) -> float:
     conj(P_g)`` over the group's rows of P.  For each p this is one ``(D x G)
     @ (G x D^2)`` product, compared at once with its block ``(M^dag M)^T
     delta_pq``: ``D^5`` work in all.  The per-group arrays hold ``G D^2``
-    entries, and a block of p at most ``linalg.BLOCK_BYTES`` per array (16
-    bytes per complex entry), or one p's.
+    entries, and the p are taken in blocks (``linalg.walk``).
     """
     local = m.shape[0]
     t = words.T
@@ -145,19 +145,18 @@ def reduced_completeness(words: Monomial, m: np.ndarray) -> float:
     scale, left = np.stack(grams, axis=1), np.stack(rows, axis=-1)
     right = np.stack(rows).conj().transpose(0, 2, 1)
     mdm = m.conj().T @ m
-    walk = list(blocks(local, 16 * max(len(rows), local) * local**2))
-    # every block is written into the same three arrays, not page-faulted in afresh
-    size = walk[0].stop
-    terms = np.empty((size, len(rows), local, local), dtype=np.result_type(scale, right))
-    total = np.empty((size, local, local, local), dtype=np.result_type(left, terms))
-    mags = np.empty(total.shape)
     worst = []
-    for block in walk:
-        count = block.stop - block.start
-        np.multiply(scale[block, :, None, :], right, out=terms[:count])
-        np.matmul(left[block], terms[:count].reshape(count, len(rows), -1), out=total[:count].reshape(count, local, -1))
+    for block, (terms, total, mags) in walk(
+        local,
+        ((len(rows), local, local), np.result_type(scale, right)),
+        ((local, local, local), np.result_type(left, scale, right)),
+        ((local, local, local), float),
+    ):
+        count = len(total)
+        np.multiply(scale[block, :, None, :], right, out=terms)
+        np.matmul(left[block], terms.reshape(count, len(rows), -1), out=total.reshape(count, local, -1))
         total[np.arange(count), :, :, np.arange(block.start, block.stop)] -= mdm.T
-        worst.append(fold(np.abs(total[:count], out=mags[:count])))
+        worst.append(fold(np.abs(total, out=mags)))
     return fold(worst)
 
 
@@ -218,14 +217,14 @@ def _gram_residuals(tables: tuple, ms: np.ndarray, side: str) -> np.ndarray:
     out = np.zeros(len(ms))
     walks = [list(blocks(len(ms), 16 * (groups - g) * size * local)) for g in range(groups)]
     # the rows (t, h - g, b) of the largest first block over the groups
-    largest = max((walk[0].stop * (groups - g) * size for g, walk in enumerate(walks) if walk), default=0)
+    largest = max((spans[0].stop * (groups - g) * size for g, spans in enumerate(walks) if spans), default=0)
     # scaled[t, h - g, b, j] = H[m_g[j], m_h[j]] P_h[b, j] / D; gram[t, h - g, b, a] = G[(g, a), (h, b)]
     scaled = np.empty(largest * local, dtype=np.result_type(hs, tiles))
     gram = np.empty(largest * size, dtype=scaled.dtype)
     mags = np.empty(gram.shape)
-    for g, (rows_g, walk) in enumerate(zip(maps, walks)):
+    for g, (rows_g, spans) in enumerate(zip(maps, walks)):
         adjoint = tiles[g].conj().T
-        for block in walk:
+        for block in spans:
             part = hs[block]
             count = len(part) * (groups - g) * size
             view = scaled[: count * local].reshape(len(part), groups - g, size, local)
@@ -251,13 +250,12 @@ def basis_theorem_suite(
     Reports, per side, the worst Gram residual over unitary trials (must
     stay below ``tol``) and the best Gram deviation over non-unitary
     trials (must stay above ``fail_floor``); a failing case names its
-    ``trial``, counted from 0 (``Report``).  Each side's
-    trials are drawn in stacked blocks, in the per-trial order
-    (``_trial_matrices``) into one array sized from the first block, and
-    each trial's Gram is taken from ``M^dag M`` or ``M M^dag`` and the
-    side's tables of the words, built once per call (``_gram_tables``): a
-    block's unitary and perturbed trials go through ``_gram_residuals``
-    together.
+    ``trial``, counted from 0 (``Report``).  Each side's trials are drawn
+    in stacked blocks (``linalg.walk``), in the per-trial order
+    (``_trial_matrices``), and each trial's Gram is taken from ``M^dag M``
+    or ``M M^dag`` and the side's tables of the words, built once per call
+    (``_gram_tables``): a block's unitary and perturbed trials go through
+    ``_gram_residuals`` together.
     """
     words = bell_unitaries(d, n)[1]
     local = words.dim
@@ -265,16 +263,14 @@ def basis_theorem_suite(
     size = {"n": n} if d is None else {"d": d}
     rep = Report("basis-theorem", {**size, "trials": trials}, tolerance=tol, seed=seed)
 
-    walk = list(blocks(trials, 16 * 3 * local**2))
-    # each block's unitary and perturbed trials, side by side in one array sized from the first block
-    ms = np.empty((walk[0].stop if walk else 0, 2, local, local), dtype=complex)
+    # the draws of _trial_matrices, three matrices a trial, are the largest item: they set the block edges
+    trial_blocks = walk(trials, ((2, local, local), complex), ((3, local, local), complex))
     for side in SIDES:
         tables = _gram_tables(words, side)
         res = np.empty((trials, 2))
-        for block in walk:
-            count = block.stop - block.start
-            ms[:count, 0], ms[:count, 1] = _trial_matrices(local, count, rng)
-            res[block] = _gram_residuals(tables, ms[:count].reshape(-1, local, local), side).reshape(count, 2)
+        for block, (ms, _) in trial_blocks:
+            ms[:, 0], ms[:, 1] = _trial_matrices(local, len(ms), rng)
+            res[block] = _gram_residuals(tables, ms.reshape(-1, local, local), side).reshape(len(ms), 2)
         # one side's tables at a time: at d = 64 the tiles are 4 MiB
         del tables
         rep.add(f"unitary-extensions-{side} ({trials} trials)", res[:, 0], index="trial")
@@ -444,8 +440,8 @@ def qudit_observable_suite(
     qudit fails these eigenequations, most states at once, so the case
     names no witness label.  The Ms are drawn in stacks, in the
     per-call order (``_haar_stream``), and each observable's rounds are
-    conjugated and checked in blocks (``_conjugated_cases``), each
-    written into the same arrays, sized from the first block.
+    conjugated and checked in blocks (``linalg.walk``,
+    ``_conjugated_cases``).
     """
     params = {"d": d, "conjugated": conjugated, **({"k": k} if k else {})}
     rep = Report("qudit-observables", params, tolerance=tol, seed=seed)
@@ -456,23 +452,15 @@ def qudit_observable_suite(
     orders = [k] if k else range(1, d)
     # one M per order, observable (four per order), round and side, in that order
     draws = _haar_stream(d, rng, len(orders) * 4 * conjugated * len(SIDES))
-    walk = list(blocks(conjugated, 16 * d**4))
-    size = walk[0].stop if walk else 0
-    ms = np.empty((size, len(SIDES), d, d), dtype=complex)
-    prod = np.empty((size, d * d, d * d), dtype=complex)
-    mags = np.empty(prod.shape)
+    rounds = walk(conjugated, ((len(SIDES), d, d), complex), ((d * d, d * d), complex), ((d * d, d * d), float))
     for order in orders:
         for spec in qudit_observables(labels, states, order):
             herm, per_state = _observable_residuals(spec)
             rep.add(spec.name, per_state, index=spec.labels, also=(herm,))
-            for block in walk:
-                count = block.stop - block.start
-                for slot, m in zip(ms[:count].reshape(-1, d, d), draws):
+            for _, (ms, prod, mags) in rounds:
+                for slot, m in zip(ms.reshape(-1, d, d), draws):
                     slot[...] = m
-                sides = [
-                    _conjugated_cases(spec, words, ms[:count, s], side, prod[:count], mags[:count])
-                    for s, side in enumerate(SIDES)
-                ]
+                sides = [_conjugated_cases(spec, words, ms[:, s], side, prod, mags) for s, side in enumerate(SIDES)]
                 for cases in zip(*sides):
                     for name, eig, herm in cases:
                         rep.add(name, eig, also=(herm,))

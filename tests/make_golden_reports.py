@@ -22,9 +22,6 @@ import os
 import sys
 import tempfile
 
-from bellkit.cli import main
-from test_golden_reports import assert_matches
-
 SEED = "7"
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden_reports.json")
 
@@ -130,6 +127,9 @@ CALLS = BENCHMARK_CALLS + TELEPORT_CALLS + FAMILY_CALLS + KERNEL_CALLS + BRAID_C
 
 
 def run(line: str) -> dict:
+    # imported here, so that tests/ab_reports.py reads CALLS without bellkit or pytest
+    from bellkit.cli import main
+
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "report.json")
         argv = line.split() + ["--seed", SEED, "--json", path]
@@ -141,6 +141,8 @@ def run(line: str) -> dict:
 
 def merge(stored: dict | None, fresh: dict) -> dict:
     """``stored`` if ``fresh`` matches it as the test compares them, else ``fresh``."""
+    from test_golden_reports import assert_matches
+
     if stored is not None:
         try:
             assert_matches(fresh, stored)

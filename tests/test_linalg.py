@@ -13,6 +13,7 @@ from bellkit.linalg import (
     permutation,
     real_if_real,
     residual,
+    walk,
 )
 from bellkit.pauli import pauli_gate
 from dense import (
@@ -258,3 +259,42 @@ def test_blocks_partition_in_order(total, item_bytes, budget, monkeypatch):
         assert walk == [slice(i, i + 1) for i in range(total)]
     if not total:
         assert walk == []
+
+
+# (shape, dtype) items of a walk: the largest first, last, one byte past the 400-byte budget, past the default one
+WALK_ITEMS = {
+    "scalar": [((), float)],
+    "largest-first": [((2, 3), complex), ((3,), float)],
+    "largest-last": [((5,), np.int8), ((50,), float)],
+    "past-400": [((401,), np.uint8)],
+    "past-default": [((3, 64, 64), complex), ((64, 64), float)],
+}
+
+
+@pytest.mark.parametrize("budget", [linalg.BLOCK_BYTES, 400])
+@pytest.mark.parametrize("items", list(WALK_ITEMS))
+@pytest.mark.parametrize("total", [0, 1, 25, 1000])
+def test_walk_sizes_block_arrays_once(total, items, budget, monkeypatch):
+    """The ``blocks`` of the largest item's bytes, each with a ``(count, *shape)`` view per item.
+
+    Every view of an item, on every pass over the list, is a view of one
+    array of the first block's length; an item larger than the budget gets
+    one entry per block.
+    """
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", budget)
+    items = WALK_ITEMS[items]
+    largest = max(int(np.prod(shape)) * np.dtype(dtype).itemsize for shape, dtype in items)
+    walked = walk(total, *items)
+    assert [block for block, _ in walked] == list(blocks(total, largest))
+    if not total:
+        assert walked == []
+        return
+    bases = [view.base for view in walked[0][1]]
+    for _ in range(2):
+        for block, views in walked:
+            assert len(views) == len(items)
+            for view, (shape, dtype), base in zip(views, items, bases):
+                assert view.shape == (block.stop - block.start, *shape) and view.dtype == dtype
+                assert view.base is base and len(base) == walked[0][0].stop
+    if largest > budget:
+        assert all(block.stop - block.start == 1 for block, _ in walked)
