@@ -5,14 +5,11 @@ The decisive numerical statement verified here: extending a Bell basis
 by a local matrix M preserves orthonormality exactly when M is unitary.
 Random unitaries are Haar samples (QR of a complex Gaussian with the R
 diagonal phase-fixed); "non-unitary" probes are unitaries plus a
-perturbation pushed to spectral deviation ||M^dag M - 1|| >= 0.1 so the
-two classes are cleanly separated.
+perturbation pushed to spectral deviation ||M^dag M - 1|| >= ``MIN_DEV`` so
+the two classes are cleanly separated.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from math import isqrt
 
 import numpy as np
 
@@ -36,6 +33,10 @@ from .pauli import word
 from .report import Report
 
 SIDES = ("left", "right")
+# the least spectral deviation ||M^dag M - 1||_2 of a non-unitary probe, and the
+# Gram deviation that every non-unitary trial of the basis theorem must reach
+MIN_DEV = 0.1
+FAIL_FLOOR = 1e-3
 
 
 def gram_check(words: Monomial, tol: float = DEFAULT_TOL) -> Report:
@@ -87,33 +88,31 @@ def extend_basis(words: Monomial, m: np.ndarray, side: str) -> np.ndarray:
     return bell_vector(m @ words if side == "left" else words @ m)
 
 
-def perturbed_nonunitary(
-    dim: int, rng: np.random.Generator, min_dev: float = 0.1, lead: tuple = ()
-) -> np.ndarray:
-    """Haar unitary plus a perturbation with ||M^dag M - 1||_2 >= min_dev, or a ``(*lead)`` stack of them.
+def perturbed_nonunitary(dim: int, rng: np.random.Generator, lead: tuple = ()) -> np.ndarray:
+    """Haar unitary plus a perturbation with ||M^dag M - 1||_2 >= ``MIN_DEV``, or a ``(*lead)`` stack of them.
 
     Each matrix draws its Haar part, then its perturbation, so a stack
     holds the same numbers as one call per matrix.
     """
     z = random_matrix(dim, rng, (*lead, 2))
-    return _perturb(qr_unitary(z[..., 0, :, :]), z[..., 1, :, :], min_dev)
+    return _perturb(qr_unitary(z[..., 0, :, :]), z[..., 1, :, :])
 
 
-def _perturb(u: np.ndarray, g: np.ndarray, min_dev: float = 0.1) -> np.ndarray:
-    """``u + g`` with each ``g`` scaled to spectral norm ``min_dev``, then doubled until ``||M^dag M - 1||_2 >= min_dev``.
+def _perturb(u: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``u + g`` with each ``g`` scaled to spectral norm ``MIN_DEV``, then doubled until ``||M^dag M - 1||_2 >= MIN_DEV``.
 
     The stacks are flattened to one batch, and each round recomputes only
-    the matrices still below ``min_dev``.
+    the matrices still below ``MIN_DEV``.
     """
     shape, dim = u.shape, u.shape[-1]
     u, g = u.reshape(-1, dim, dim), g.reshape(-1, dim, dim)
-    g = g * (min_dev / np.linalg.norm(g, 2, axis=(-2, -1)))[:, None, None]
+    g = g * (MIN_DEV / np.linalg.norm(g, 2, axis=(-2, -1)))[:, None, None]
     m = u + g
     low = np.ones(len(m), dtype=bool)
     while low.any():
         below = m[low]
         dev = np.linalg.norm(np.swapaxes(below.conj(), -1, -2) @ below - np.eye(dim), 2, axis=(-2, -1))
-        low[low] = dev < min_dev
+        low[low] = dev < MIN_DEV
         g[low] *= 2.0
         m[low] = u[low] + g[low]
     return m.reshape(shape)
@@ -160,16 +159,20 @@ def reduced_completeness(words: Monomial, m: np.ndarray) -> float:
     return fold(worst)
 
 
-def _trial_matrices(local: int, trials: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The unitary and the perturbed matrices of ``trials`` trials, as two ``(trials, d, d)`` stacks.
+def _trial_matrices(draws: np.ndarray, mats: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The unitary and the perturbed matrices of a block of trials, as two ``(count, d, d)`` stacks.
 
     One draw and one batched QR, in the order of one ``haar_unitary`` and
     one ``perturbed_nonunitary`` call per trial: the unitary, then the
-    perturbed matrix's Haar part and perturbation.
+    perturbed matrix's Haar part and perturbation.  The block's Gaussians
+    are drawn into ``draws``, ``(count, 3, 2, d, d)`` float, and read into
+    ``mats``, ``(count, 3, d, d)`` complex: the numbers of
+    ``random_matrix(d, rng, (count, 3))``.
     """
-    z = random_matrix(local, rng, (trials, 3))
-    haar = qr_unitary(z[:, :2])
-    return haar[:, 0], _perturb(haar[:, 1], z[:, 2])
+    rng.standard_normal(out=draws)
+    mats.real, mats.imag = draws[:, :, 0], draws[:, :, 1]
+    haar = qr_unitary(mats[:, :2])
+    return haar[:, 0], _perturb(haar[:, 1], mats[:, 2])
 
 
 def _gram_tables(words: Monomial, side: str) -> tuple[np.ndarray, np.ndarray]:
@@ -243,13 +246,12 @@ def basis_theorem_suite(
     trials: int = 20,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
-    fail_floor: float = 1e-3,
 ) -> Report:
     """Unitary extensions stay orthonormal; perturbed ones never do.
 
     Reports, per side, the worst Gram residual over unitary trials (must
     stay below ``tol``) and the best Gram deviation over non-unitary
-    trials (must stay above ``fail_floor``); a failing case names its
+    trials (must stay above ``FAIL_FLOOR``); a failing case names its
     ``trial``, counted from 0 (``Report``).  Each side's trials are drawn
     in stacked blocks (``linalg.walk``), in the per-trial order
     (``_trial_matrices``), and each trial's Gram is taken from ``M^dag M``
@@ -263,18 +265,18 @@ def basis_theorem_suite(
     size = {"n": n} if d is None else {"d": d}
     rep = Report("basis-theorem", {**size, "trials": trials}, tolerance=tol, seed=seed)
 
-    # the draws of _trial_matrices, three matrices a trial, are the largest item: they set the block edges
-    trial_blocks = walk(trials, ((2, local, local), complex), ((3, local, local), complex))
+    # the draws of _trial_matrices, three matrices a trial, are the largest items: they set the block edges
+    trial_blocks = walk(trials, ((2, local, local), complex), ((3, 2, local, local), float), ((3, local, local), complex))
     for side in SIDES:
         tables = _gram_tables(words, side)
         res = np.empty((trials, 2))
-        for block, (ms, _) in trial_blocks:
-            ms[:, 0], ms[:, 1] = _trial_matrices(local, len(ms), rng)
+        for block, (ms, draws, mats) in trial_blocks:
+            ms[:, 0], ms[:, 1] = _trial_matrices(draws, mats, rng)
             res[block] = _gram_residuals(tables, ms.reshape(-1, local, local), side).reshape(len(ms), 2)
         # one side's tables at a time: at d = 64 the tiles are 4 MiB
         del tables
         rep.add(f"unitary-extensions-{side} ({trials} trials)", res[:, 0], index="trial")
-        rep.add_expect_fail(f"nonunitary-extensions-{side} ({trials} trials)", res[:, 1], fail_floor, "trial")
+        rep.add_expect_fail(f"nonunitary-extensions-{side} ({trials} trials)", res[:, 1], FAIL_FLOOR, "trial")
 
     rep.add("reduced-completeness (general M)", reduced_completeness(words, random_matrix(local, rng)))
 
@@ -285,29 +287,6 @@ def basis_theorem_suite(
 
 # ---------------------------------------------------------------------------
 # observables
-
-
-@dataclass
-class ObservableSpec:
-    """A Hermitian operator with its closed-form eigenpairs, stacked.
-
-    Column j of ``states`` is an eigenvector with eigenvalue
-    ``eigenvalues[j]`` and label ``labels[j]``.  Eigenvalues come from the
-    label, never from an eigensolver, so there is no ordering ambiguity.
-    ``matrix`` is a dense array or, for the multiqubit words, a
-    ``Monomial``, whose eigenvectors are the Bell states held as the
-    family's stacked words (a ``Monomial``) instead of a dense ``states``
-    stack.
-    ``conjugated_observables`` by one M or a stack of M gives an
-    observable or a stack, ``matrix`` ``(..., D, D)``, with no ``states``:
-    its eigenvectors are the family extended by M (``extend_basis``).
-    """
-
-    name: str
-    matrix: np.ndarray | Monomial
-    labels: list
-    eigenvalues: np.ndarray
-    states: np.ndarray | Monomial | None
 
 
 def _word_eigen_residuals(op: Monomial, words: Monomial, eigenvalues: np.ndarray) -> np.ndarray:
@@ -339,77 +318,53 @@ def _word_eigen_residuals(op: Monomial, words: Monomial, eigenvalues: np.ndarray
     return np.maximum(diff.max(axis=1), unmet.reshape(count, local).max(axis=1))
 
 
-def _observable_residuals(spec: ObservableSpec) -> tuple[float, np.ndarray]:
-    """Hermiticity residual and per-state eigenequation residuals of ``spec``.
-
-    The eigenequations ``O s = lam s`` are one product of ``O`` with the
-    stacked states, or for a monomial O on the family's words
-    ``_word_eigen_residuals``, read per state.
-    """
-    herm = residual(spec.matrix, dagger(spec.matrix))
-    if isinstance(spec.states, Monomial):
-        return herm, _word_eigen_residuals(spec.matrix, spec.states, spec.eigenvalues)
-    return herm, np.abs(spec.matrix @ spec.states - spec.states * spec.eigenvalues).max(axis=0)
-
-
-def _conjugated_cases(spec: ObservableSpec, words: Monomial, ms: np.ndarray, side: str, prod, mags) -> list:
-    """Name, eigenequation and hermiticity residuals of ``spec`` conjugated on ``side`` by each M of ``ms``.
+def _conjugated_cases(matrix, eigenvalues, words: Monomial, ms: np.ndarray, side: str, prod, mags) -> list:
+    """Eigenequation and hermiticity residuals of the observable ``matrix`` conjugated on ``side`` by each M of ``ms``.
 
     Each ``O'`` is checked on the family ``words`` extended by M on that
-    side, ``T = extend_basis(words, M, side)``: ``max|O' T^T - T^T Lambda|``
-    over its states and ``max|O' - O'^dag|``.  ``prod`` and ``mags``,
+    side, ``T = extend_basis(words, M, side)``, with the ``eigenvalues`` of
+    O: ``max|O' T^T - T^T Lambda|`` over its states and ``max|O' -
+    O'^dag|``, one ``(eig, herm)`` pair per M.  ``prod`` and ``mags``,
     ``(len(ms), D, D)``, receive ``O' T^T`` and then ``O' - O'^dag``, and
     their magnitudes; the rows of T are scaled by the eigenvalues in place.
     """
-    turned = conjugated_observables(spec, ms, side)
+    turned = conjugated_observables(matrix, ms, side)
     family = extend_basis(words, ms, side)
-    np.matmul(turned.matrix, np.swapaxes(family, -1, -2), out=prod)
-    family *= spec.eigenvalues[:, None]
+    np.matmul(turned, np.swapaxes(family, -1, -2), out=prod)
+    family *= eigenvalues[:, None]
     np.subtract(prod, np.swapaxes(family, -1, -2), out=prod)
     eig = np.abs(prod, out=mags).max(axis=(-2, -1))
-    np.conjugate(np.swapaxes(turned.matrix, -1, -2), out=prod)
-    np.subtract(turned.matrix, prod, out=prod)
+    np.conjugate(np.swapaxes(turned, -1, -2), out=prod)
+    np.subtract(turned, prod, out=prod)
     herm = np.abs(prod, out=mags).max(axis=(-2, -1))
-    return [(turned.name, *r) for r in zip(eig, herm)]
+    return list(zip(eig, herm))
 
 
-def qudit_observables(labels: list, states: np.ndarray, k: int) -> list[ObservableSpec]:
-    """The four Hermitian combinations of X^k x X^k and Z^k x (Z^dag)^k, on the qudit Bell family.
+def qudit_observables(d: int, k: int) -> list[tuple]:
+    """The four Hermitian combinations of X^k x X^k and Z^k x (Z^dag)^k, as ``(name, operator, eigenvalues)``.
 
-    ``labels`` and ``states``, the ``(d^2, d^2)`` stack
-    ``bell_vector(words.dense())``, are those of ``bell_unitaries(d=d)``:
-    the observables are dense, so their eigenvectors are too.
-
-    Their eigenvalues on |Omega(alpha beta)> are cos/sin(2 k alpha pi / d)
-    and cos/sin(2 k beta pi / d); at d=2, k=1 the two sine operators
+    The operators are dense ``(d^2, d^2)``, and their eigenvectors are the
+    qudit Bell family ``bell_unitaries(d=d)``: on |Omega(alpha beta)>, at
+    index ``alpha d + beta``, the eigenvalues are cos/sin(2 k alpha pi / d)
+    and cos/sin(2 k beta pi / d).  At d=2, k=1 the two sine operators
     degenerate to zero.
     """
-    d = isqrt(states.shape[-1])
     if not 1 <= k <= d - 1:
         raise ValueError(f"k must be in 1..{d - 1}")
     xk = np.linalg.matrix_power(word(0, 1, d=d).dense(), k)
     zk = np.linalg.matrix_power(word(1, 0, d=d).dense(), k)
     a = np.kron(xk, xk)
     b = np.kron(zk, dagger(zk))
-    ox_p = (a + dagger(a)) / 2
-    ox_m = 1j * (a - dagger(a)) / 2
-    oz_p = (b + dagger(b)) / 2
-    oz_m = -1j * (b - dagger(b)) / 2
-
-    states = states.T
+    a_dag, b_dag = dagger(a), dagger(b)
     ang = 2 * np.pi * k / d
     # each eigenvalue is read from a table over the d values of one label digit
-    alpha, beta = np.array(labels).T
+    alpha, beta = np.divmod(np.arange(d * d), d)
     cos, sin = (np.array([f(ang * x) for x in range(d)]) for f in (np.cos, np.sin))
-
-    def spec(name, op, eigenvalues):
-        return ObservableSpec(name, op, labels, eigenvalues, states)
-
     return [
-        spec(f"OX+({k})", ox_p, cos[alpha]),
-        spec(f"OX-({k})", ox_m, sin[alpha]),
-        spec(f"OZ+({k})", oz_p, cos[beta]),
-        spec(f"OZ-({k})", oz_m, sin[beta]),
+        (f"OX+({k})", (a + a_dag) / 2, cos[alpha]),
+        (f"OX-({k})", 1j * (a - a_dag) / 2, sin[alpha]),
+        (f"OZ+({k})", (b + b_dag) / 2, cos[beta]),
+        (f"OZ-({k})", -1j * (b - b_dag) / 2, sin[beta]),
     ]
 
 
@@ -432,13 +387,15 @@ def qudit_observable_suite(
 ) -> Report:
     """Eigenequations of the order-k qudit observables, with Haar conjugations.
 
-    ``k = 0`` runs every order 1..d-1.  Each observable is followed by
-    ``conjugated`` rounds of left and right conjugation by a Haar unitary
-    M.  A conjugated case checks ``O'`` on the family extended by M on
-    that side, ``extend_basis(words, M, side)``, whose states are its
-    eigenvectors with the eigenvalues of O: a conjugation on the wrong
-    qudit fails these eigenequations, most states at once, so the case
-    names no witness label.  The Ms are drawn in stacks, in the
+    ``k = 0`` runs every order 1..d-1.  Each observable O is checked on
+    the family's dense states, built once per call: ``max|O s_a - lam_a
+    s_a|`` per state, whose worst names its label, and ``max|O - O^dag|``.
+    It is followed by ``conjugated`` rounds of left and right conjugation
+    by a Haar unitary M.  A conjugated case checks ``O'`` on the family
+    extended by M on that side, ``extend_basis(words, M, side)``, whose
+    states are its eigenvectors with the eigenvalues of O: a conjugation
+    on the wrong qudit fails these eigenequations, most states at once, so
+    the case names no witness label.  The Ms are drawn in stacks, in the
     per-call order (``_haar_stream``), and each observable's rounds are
     conjugated and checked in blocks (``linalg.walk``,
     ``_conjugated_cases``).
@@ -447,78 +404,76 @@ def qudit_observable_suite(
     rep = Report("qudit-observables", params, tolerance=tol, seed=seed)
     rng = np.random.default_rng(seed)
     labels, words = bell_unitaries(d=d)
-    # the dense observables read the family's dense states: built once, for every order
-    states = bell_vector(words.dense())
+    # the family's dense states as columns: built once, for every order
+    states = bell_vector(words.dense()).T
     orders = [k] if k else range(1, d)
     # one M per order, observable (four per order), round and side, in that order
     draws = _haar_stream(d, rng, len(orders) * 4 * conjugated * len(SIDES))
     rounds = walk(conjugated, ((len(SIDES), d, d), complex), ((d * d, d * d), complex), ((d * d, d * d), float))
     for order in orders:
-        for spec in qudit_observables(labels, states, order):
-            herm, per_state = _observable_residuals(spec)
-            rep.add(spec.name, per_state, index=spec.labels, also=(herm,))
+        for name, op, lam in qudit_observables(d, order):
+            per_state = np.abs(op @ states - states * lam).max(axis=0)
+            rep.add(name, per_state, index=labels, also=(residual(op, dagger(op)),))
             for _, (ms, prod, mags) in rounds:
                 for slot, m in zip(ms.reshape(-1, d, d), draws):
                     slot[...] = m
-                sides = [_conjugated_cases(spec, words, ms[:, s], side, prod, mags) for s, side in enumerate(SIDES)]
+                sides = [_conjugated_cases(op, lam, words, ms[:, s], side, prod, mags) for s, side in enumerate(SIDES)]
                 for cases in zip(*sides):
-                    for name, eig, herm in cases:
-                        rep.add(name, eig, also=(herm,))
+                    for side, (eig, herm) in zip(SIDES, cases):
+                        rep.add(f"{name}|{side}-conjugated", eig, also=(herm,))
     return rep
 
 
-def conjugated_observables(spec: ObservableSpec, m: np.ndarray, side: str) -> ObservableSpec:
-    """Unitary transform ``O' = M~ O M~^dag`` of a dense observable, by M on ``side``.
+def conjugated_observables(matrix: np.ndarray, m: np.ndarray, side: str) -> np.ndarray:
+    """Unitary transform ``O' = M~ O M~^dag`` of a dense observable ``matrix``, by M on ``side``.
 
     Left: ``M~ = M x 1``, whose eigenvectors are ``(M x 1)|psi>``.  Right
     uses the transpose/conjugate pair ``M~ = 1 x M^T``, matching the local
     action ``U_a M = (1 x M^T)`` on the reference Bell state.  Either way
     the eigenvectors of ``O'`` are the family extended by M on that side
-    (``extend_basis``), with the eigenvalues of O, so ``states`` is None.
+    (``extend_basis``), with the eigenvalues of O.
     ``O'`` is two products, O(d^5) instead of the O(d^6) products with
     ``M~``: ``M~`` applied to O's rows (``apply_local``), then
     ``conj(M~)`` to the digits of each row, a GEMM on a view of the first
     product, so no transposed copy is made.  A stack of M ``(..., d, d)``
-    gives the stack of transforms, each product batched over the stack.
-    M is taken to be unitary: the suite checks its Haar draws once per
-    stack (``_haar_stream``).
+    gives the ``(..., d^2, d^2)`` stack of transforms, each product batched
+    over the stack.  M is taken to be unitary: the suite checks its Haar
+    draws once per stack (``_haar_stream``).
     """
     m = np.asarray(m, dtype=complex)
     d = m.shape[-1]
-    if spec.matrix.shape != (d * d, d * d):
+    if matrix.shape != (d * d, d * d):
         raise ValueError("observable dimension does not match M")
     if side not in SIDES:
         raise ValueError("side must be 'left' or 'right'")
     lead = m.shape[:-2]
     if side == "left":
         # row x of M~ O is a (d, d) matrix R_x, and row x of O' is conj(M) R_x
-        rows = apply_local(m, spec.matrix).reshape(*lead, d * d, d, d)
-        matrix = np.matmul(m.conj()[..., None, :, :], rows)
+        rows = apply_local(m, matrix).reshape(*lead, d * d, d, d)
+        turned = np.matmul(m.conj()[..., None, :, :], rows)
     else:
         # row x of M~ O, as (d, d), times conj(M) from the right
-        matrix = apply_local(np.swapaxes(m, -1, -2), spec.matrix, d).reshape(*lead, d**3, d) @ m.conj()
-    return ObservableSpec(
-        f"{spec.name}|{side}-conjugated", matrix.reshape(*lead, d * d, d * d), spec.labels, spec.eigenvalues, None
-    )
+        turned = apply_local(np.swapaxes(m, -1, -2), matrix, d).reshape(*lead, d**3, d) @ m.conj()
+    return turned.reshape(*lead, d * d, d * d)
 
 
-def multiqubit_observables(n: int) -> list[ObservableSpec]:
-    """Phase-bit X_k X_{n+k} and parity-bit Z_k Z_{n+k} pairs, k = 1..n.
+def multiqubit_observables(n: int) -> list[tuple]:
+    """Phase-bit X_k X_{n+k} and parity-bit Z_k Z_{n+k} pairs, k = 1..n, as ``(name, word, eigenvalues)``.
 
-    The observables are monomials; all 2n share the Bell family's words
-    as their eigenvectors.
+    The observables are monomials; all 2n share the Bell family
+    ``bell_unitaries(n=n)`` as their eigenvectors.  On label i, X_k
+    X_{n+k} reads phase bit k, ``(i >> (2n - k)) & 1``, and Z_k Z_{n+k}
+    parity bit k, ``(i >> (n - k)) & 1``: eigenvalue 1 for bit 0, -1 for 1.
     """
-    labels, words = bell_unitaries(n=n)
-    bits = np.array(labels)  # (K, 2, n): phase bits, then parity bits
-    specs = []
+    index = np.arange(4**n)
+    observables = []
     for k in range(1, n + 1):
         # qubits k and n + k, big-endian over 2n
         pair = (1 << (2 * n - k)) | (1 << (n - k))
-        for name, z, x, bit in (("X", 0, pair, 0), ("Z", pair, 0, 1)):
-            # X_k X_{n+k} reads phase bit k of each label, Z_k Z_{n+k} its parity bit k
-            eigenvalues = 1.0 - 2.0 * bits[:, bit, k - 1]
-            specs.append(ObservableSpec(f"{name}{k}{name}{n + k}", word(z, x, n=2 * n), labels, eigenvalues, words))
-    return specs
+        for name, z, x, shift in (("X", 0, pair, 2 * n - k), ("Z", pair, 0, n - k)):
+            eigenvalues = 1.0 - 2.0 * ((index >> shift) & 1)
+            observables.append((f"{name}{k}{name}{n + k}", word(z, x, n=2 * n), eigenvalues))
+    return observables
 
 
 def multiqubit_observable_suite(n: int, tol: float = DEFAULT_TOL) -> Report:
@@ -526,22 +481,19 @@ def multiqubit_observable_suite(n: int, tol: float = DEFAULT_TOL) -> Report:
 
     Hermiticity and the commutators are exact index and phase arithmetic
     on the monomial observables, and each observable's eigenequations are
-    index and phase arithmetic on the Bell family's words
-    (``_word_eigen_residuals``).
+    index and phase arithmetic on the Bell family's words, built once per
+    call (``_word_eigen_residuals``).
     """
-    specs = multiqubit_observables(n)
+    observables = multiqubit_observables(n)
+    labels, words = bell_unitaries(n=n)
     rep = Report("multiqubit-observables", {"n": n}, tolerance=tol)
-    for spec in specs:
-        herm, per_state = _observable_residuals(spec)
-        rep.add(spec.name, per_state, index=spec.labels, also=(herm,))
-    worst = fold(
-        residual(a.matrix @ b.matrix, b.matrix @ a.matrix)
-        for i, a in enumerate(specs)
-        for b in specs[i + 1 :]
-    )
+    for name, op, lam in observables:
+        rep.add(name, _word_eigen_residuals(op, words, lam), index=labels, also=(residual(op, dagger(op)),))
+    ops = [op for _, op, _ in observables]
+    worst = fold(residual(a @ b, b @ a) for i, a in enumerate(ops) for b in ops[i + 1 :])
     rep.add("pairwise-commutators", worst)
-    # one row of joint eigenvalues per label (every spec lists the labels in one order)
-    patterns = {tuple(row) for row in np.rint(np.stack([s.eigenvalues for s in specs], axis=1)).tolist()}
+    # one row of joint eigenvalues per label
+    patterns = {tuple(row) for row in np.rint(np.stack([lam for *_, lam in observables], axis=1)).tolist()}
     rep.add("joint-labels-distinct", 0.0 if len(patterns) == 4**n else 1.0)
     return rep
 

@@ -50,7 +50,7 @@ WALK_CALLS = [
     "teleport --variant nqubit --n 4 --samples 1000000",
     # the form-11 labels, one per block (256 blocks)
     "verify teleport-eq --variant qudit11 --d 16",
-    # the closure search, and the bijection check of its candidate stacks
+    # the closure search: its product blocks and the nearest-match walks of pauli._nearest
     "verify basis-group --family qudit --d 6",
 ]
 

@@ -38,8 +38,6 @@ from bellkit.linalg import DEFAULT_TOL, Monomial, apply_local, dagger, fold, ide
 from bellkit.pauli import as_bits, bits_to_int, pauli_gate, word
 from bellkit.report import Report
 from bellkit.verify import (
-    ObservableSpec,
-    _observable_residuals,
     conjugated_observables,
     extend_basis,
     qudit_observables,
@@ -374,9 +372,9 @@ def dense_states(words):
 
 
 def qudit_states(d):
-    """Labels and dense Bell states of the qudit family: the family arguments of ``verify.qudit_observables``."""
+    """Labels and dense Bell states, as columns, of the qudit family: the eigenvectors of ``verify.qudit_observables``."""
     labels, words = bell_unitaries(d=d)
-    return labels, bell_vector(words.dense())
+    return labels, bell_vector(words.dense()).T
 
 
 def gram(states):
@@ -407,10 +405,9 @@ def dense_trace_system(n):
     return words.real.transpose(0, 2, 1).reshape(len(words), -1)
 
 
-def dense_eigen_residuals(spec):
-    """``max|O s_a - lam_a s_a|`` of each state, for a monomial O, from the dense states of its words."""
-    states = bell_vector(dense_words(spec.states)).T
-    return np.abs(spec.matrix @ states - states * spec.eigenvalues).max(axis=0)
+def dense_eigen_residuals(matrix, states, eigenvalues):
+    """``max|O s_a - lam_a s_a|`` of each dense state ``s_a``, a column of ``states``, for a dense or monomial O."""
+    return np.abs(matrix @ states - states * eigenvalues).max(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -541,13 +538,13 @@ def basis_theorem_loop(d=None, n=None, trials=20, seed=0, tol=DEFAULT_TOL, fail_
     return rep
 
 
-def observable_check(spec, tol=DEFAULT_TOL):
-    """One observable's hermiticity and eigenequation residuals, as a two-case report."""
-    rep = Report("observable", {"name": spec.name}, tolerance=tol)
-    herm, per_state = _observable_residuals(spec)
+def observable_check(matrix, states, eigenvalues, labels, tol=DEFAULT_TOL):
+    """One observable's hermiticity and eigenequation residuals on the columns ``states``, as a two-case report."""
+    rep = Report("observable", {"states": len(labels)}, tolerance=tol)
+    per_state = dense_eigen_residuals(matrix, states, eigenvalues)
     eig = fold(per_state)
-    rep.add("hermitian", herm)
-    rep.add(f"eigenequations ({len(spec.labels)} states){label_witness(spec.labels, per_state, eig, tol)}", eig)
+    rep.add("hermitian", residual(matrix, dagger(matrix)))
+    rep.add(f"eigenequations ({len(labels)} states){label_witness(labels, per_state, eig, tol)}", eig)
     return rep
 
 
@@ -559,20 +556,22 @@ def label_witness(labels, per_state, eig, tol):
     return " witness=(" + ",".join("".join(map(str, x)) if isinstance(x, tuple) else str(x) for x in label) + ")"
 
 
-def conjugated_states(spec, m, side):
-    """The conjugated dense states ``M~ S``: M on the first qudit of each state (left), or M^T on the second (right).
+def conjugated_states(states, m, side):
+    """The conjugated dense columns ``M~ S``: M on the first qudit of each state (left), or M^T on the second (right).
 
     They are the family extended by M on that side (``extend_basis``),
     read through ``apply_local`` from the dense states instead of the words.
     """
     op, before = (m, 1) if side == "left" else (np.swapaxes(m, -1, -2), m.shape[-1])
-    return apply_local(op, spec.states, before)
+    return apply_local(op, states, before)
 
 
-def conjugated_spec(spec, words, m, side):
-    """``conjugated_observables(spec, m, side)`` with its eigenvectors, the family ``words`` extended by M."""
-    turned = conjugated_observables(spec, m, side)
-    return ObservableSpec(turned.name, turned.matrix, spec.labels, spec.eigenvalues, extend_basis(words, m, side).T)
+def conjugated_spec(matrix, words, m, side):
+    """``conjugated_observables(matrix, m, side)`` and its eigenvectors as columns, the family ``words`` extended by M.
+
+    The eigenvalues are those of ``matrix``.
+    """
+    return conjugated_observables(matrix, m, side), extend_basis(words, m, side).T
 
 
 def qudit_observable_loop(d, k=0, conjugated=0, seed=0, tol=DEFAULT_TOL):
@@ -585,17 +584,19 @@ def qudit_observable_loop(d, k=0, conjugated=0, seed=0, tol=DEFAULT_TOL):
     rep = Report("qudit-observables", params, tolerance=tol, seed=seed)
     rng = np.random.default_rng(seed)
     labels, words = bell_unitaries(d=d)
-    states = bell_vector(words.dense())
+    states = bell_vector(words.dense()).T
 
-    def add(spec, witness=True):
-        herm, per_state = _observable_residuals(spec)
+    def add(name, matrix, eigenvectors, eigenvalues, witness=True):
+        per_state = dense_eigen_residuals(matrix, eigenvectors, eigenvalues)
         eig = fold(per_state)
-        rep.add(spec.name + (label_witness(spec.labels, per_state, eig, tol) if witness else ""), fold((herm, eig)))
+        suffix = label_witness(labels, per_state, eig, tol) if witness else ""
+        rep.add(name + suffix, fold((residual(matrix, dagger(matrix)), eig)))
 
     for order in [k] if k else range(1, d):
-        for spec in qudit_observables(labels, states, order):
-            add(spec)
+        for name, op, lam in qudit_observables(d, order):
+            add(name, op, states, lam)
             for _ in range(conjugated):
                 for side in ("left", "right"):
-                    add(conjugated_spec(spec, words, haar_one(d, rng), side), witness=False)
+                    turned, extended = conjugated_spec(op, words, haar_one(d, rng), side)
+                    add(f"{name}|{side}-conjugated", turned, extended, lam, witness=False)
     return rep

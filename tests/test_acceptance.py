@@ -73,27 +73,28 @@ def test_criterion_3_twist():
 def test_criterion_4_observables():
     worst = 0.0
     for d in (2, 3, 4, 5):
+        labels, states = qudit_states(d)
         for k in range(1, d):
-            for spec in verify.qudit_observables(*qudit_states(d), k):
-                worst = fold((worst, observable_check(spec).max_residual))
+            for _, op, lam in verify.qudit_observables(d, k):
+                worst = fold((worst, observable_check(op, states, lam, labels).max_residual))
     # d=2 degenerate zero operators
-    ox_m, oz_m = verify.qudit_observables(*qudit_states(2), 1)[1::2]
-    worst = fold((worst, residual(ox_m.matrix, np.zeros((4, 4)))))
-    worst = fold((worst, residual(oz_m.matrix, np.zeros((4, 4)))))
+    (_, ox_m, _), (_, oz_m, _) = verify.qudit_observables(2, 1)[1::2]
+    worst = fold((worst, residual(ox_m, np.zeros((4, 4)))))
+    worst = fold((worst, residual(oz_m, np.zeros((4, 4)))))
     for n in (1, 2, 3):
         rep = verify.multiqubit_observable_suite(n)
         worst = fold((worst, rep.max_residual))
         assert rep.passed
     rng = np.random.default_rng(41)
-    base = verify.qudit_observables(*qudit_states(3), 1)
-    words = bell.bell_unitaries(d=3)[1]
+    base = verify.qudit_observables(3, 1)
+    labels, words = bell.bell_unitaries(d=3)
     for _ in range(10):
         m = haar_unitary(3, rng)
-        for spec in base:
+        for _, op, lam in base:
             for side in ("left", "right"):
                 # the conjugated observable on its eigenvectors, the family extended by M
-                conj = conjugated_spec(spec, words, m, side)
-                worst = fold((worst, observable_check(conj).max_residual))
+                conj = observable_check(*conjugated_spec(op, words, m, side), lam, labels)
+                worst = fold((worst, conj.max_residual))
     criterion(4, "observable eigenequations d<=5 all k, n<=3, 10 M-conjugations", worst)
 
 

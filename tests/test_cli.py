@@ -202,14 +202,12 @@ def test_observables_tell_right_conjugation_from_left(monkeypatch, capsys):
 
     real = verify.conjugated_observables
 
-    def first_qudit_transpose(spec, m, side):
+    def first_qudit_transpose(matrix, m, side):
         """The right conjugation of a stack of M, with M^T on the first qudit instead of the second."""
         if side == "left":
-            return real(spec, m, side)
+            return real(matrix, m, side)
         op = np.swapaxes(m, -1, -2)
-        matrix = np.swapaxes(apply_local(op.conj(), np.swapaxes(apply_local(op, spec.matrix), -1, -2)), -1, -2)
-        states = apply_local(op, spec.states)
-        return verify.ObservableSpec(f"{spec.name}|right-conjugated", matrix, spec.labels, spec.eigenvalues, states)
+        return np.swapaxes(apply_local(op.conj(), np.swapaxes(apply_local(op, matrix), -1, -2)), -1, -2)
 
     argv = ["verify", "observables", "--family", "qudit", "--d", "3", "--conjugated", "1"]
     assert run(argv) == 0

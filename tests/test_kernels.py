@@ -85,7 +85,6 @@ from bellkit.teleport import (
     teleport_eq_suite,
 )
 from bellkit.verify import (
-    ObservableSpec,
     _gram_residuals,
     _gram_tables,
     _trial_matrices,
@@ -119,6 +118,7 @@ from dense import (
     dense_receivers,
     dense_resource,
     dense_setting,
+    dense_states,
     dense_trace_system,
     dense_unitaries,
     dense_words,
@@ -916,19 +916,20 @@ def test_conjugated_observables_match_kronecker(d, side):
     rng = np.random.default_rng(d)
     eye = identity(d)
     words = bell_unitaries(d=d)[1]
-    for spec in qudit_observables(*qudit_states(d), d - 1):
+    states = qudit_states(d)[1]
+    for _, op, _ in qudit_observables(d, d - 1):
         m = haar_unitary(d, rng)
         shift, inv = (kron(m, eye), kron(dagger(m), eye)) if side == "left" else (
             kron(eye, m.T), kron(eye, m.conj()))
-        once = conjugated_observables(spec, m, side)
-        assert once.states is None
-        assert residual(once.matrix, shift @ spec.matrix @ inv) < 1e-14
+        once = conjugated_observables(op, m, side)
+        assert once.shape == op.shape
+        assert residual(once, shift @ op @ inv) < 1e-14
         # its eigenvectors: the shifted dense states, and the family extended by M on the same side
-        assert residual(conjugated_states(spec, m, side), shift @ spec.states) < 1e-14
-        assert residual(extend_basis(words, m, side).T, shift @ spec.states) < 1e-14
+        assert residual(conjugated_states(states, m, side), shift @ states) < 1e-14
+        assert residual(extend_basis(words, m, side).T, shift @ states) < 1e-14
         # a second round reads the first one's output
         twice = conjugated_observables(once, m, side)
-        assert residual(twice.matrix, shift @ shift @ spec.matrix @ inv @ inv) < 1e-14
+        assert residual(twice, shift @ shift @ op @ inv @ inv) < 1e-14
 
 
 @pytest.mark.parametrize(
@@ -1491,14 +1492,29 @@ def test_stacked_draws_equal_per_call_draws(dim, lead):
         assert stack_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
+def _trial_buffers(trials, local=3):
+    """The float draws and complex matrices of one block of ``trials`` trials, as ``basis_theorem_suite`` walks them."""
+    return np.empty((trials, 3, 2, local, local)), np.empty((trials, 3, local, local), dtype=complex)
+
+
 @pytest.mark.parametrize("trials", [1, 4, 9])
 def test_trial_matrices_interleave_per_call_draws(trials):
     stack_rng, loop_rng = np.random.default_rng(trials), np.random.default_rng(trials)
-    unitaries, nonunitaries = _trial_matrices(3, trials, stack_rng)
+    unitaries, nonunitaries = _trial_matrices(*_trial_buffers(trials), stack_rng)
     for u, m in zip(unitaries, nonunitaries, strict=True):
         np.testing.assert_array_equal(u, haar_one(3, loop_rng))
         np.testing.assert_array_equal(m, perturbed_one(3, loop_rng))
     assert stack_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("trials", [1, 4, 9])
+def test_trial_matrices_draw_into_block_buffers(trials):
+    """A block's draws are written into its buffers, with the numbers of one ``random_matrix`` stack."""
+    stack_rng, ref_rng = np.random.default_rng(trials), np.random.default_rng(trials)
+    draws, mats = _trial_buffers(trials)
+    _trial_matrices(draws, mats, stack_rng)
+    np.testing.assert_array_equal(mats, random_matrix(3, ref_rng, (trials, 3)))
+    assert stack_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("block", list(BLOCKS))
@@ -1805,16 +1821,16 @@ def test_trace_system_matches_dense_words(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_word_eigenequations_equal_dense_states(n):
     rng = np.random.default_rng(n)
-    specs = multiqubit_observables(n)
-    words = specs[0].states
+    observables = multiqubit_observables(n)
+    words = bell_unitaries(n=n)[1]
+    states = dense_states(words).T
     # the observables' own eigenvalues, wrong ones, and words that are not diagonal on the family
-    cases = [(s.matrix, s.eigenvalues) for s in specs]
-    cases += [(s.matrix, s.eigenvalues + rng.standard_normal(len(s.labels))) for s in specs]
+    cases = [(op, lam) for _, op, lam in observables]
+    cases += [(op, lam + rng.standard_normal(len(lam))) for _, op, lam in observables]
     cases += [(word(int(z), int(x), n=2 * n), rng.choice([-1.0, 1.0], len(words.perm)))
               for z, x in rng.integers(0, 4**n, (6, 2))]
     for op, lam in cases:
-        spec = ObservableSpec("o", op, specs[0].labels, lam, words)
-        np.testing.assert_array_equal(_word_eigen_residuals(op, words, lam), dense_eigen_residuals(spec))
+        np.testing.assert_array_equal(_word_eigen_residuals(op, words, lam), dense_eigen_residuals(op, states, lam))
 
 
 def _nan_phase(words, label=1, column=0):
@@ -1836,8 +1852,8 @@ def test_nan_phase_gives_nan_residuals(size, monkeypatch):
         assert np.isnan(extend_basis(poisoned, m, side)[1]).any()
         assert np.isnan(_gram_residuals(_gram_tables(poisoned, side), m[None], side)).all()
     if "n" in size:
-        spec = multiqubit_observables(size["n"])[0]
-        per_state = _word_eigen_residuals(spec.matrix, poisoned, spec.eigenvalues)
+        _, op, lam = multiqubit_observables(size["n"])[0]
+        per_state = _word_eigen_residuals(op, poisoned, lam)
         assert np.isnan(per_state[1]) and not np.isnan(per_state[0])
     # the teleportation checks read the family from bell_unitaries
     real = teleport.bell_unitaries

@@ -7,7 +7,6 @@ from dense import conjugated_spec, conjugated_states, dense_states, gram, kron, 
 from bellkit.pauli import pauli_gate
 from bellkit.verify import (
     APPENDIX_N1_MATRIX,
-    ObservableSpec,
     basis_theorem_suite,
     completeness_check,
     conjugated_observables,
@@ -134,7 +133,7 @@ def test_basis_theorem_names_witness_trial(monkeypatch):
     # the non-unitary control names its best trial: a unitary M on the
     # left at trial 2, a NaN M on the right at trial 1
     monkeypatch.undo()
-    changed = {(0, 1, 2): lambda m, dim, trials, rng: haar_unitary(dim, rng), (1, 1, 1): lambda m, *args: np.nan * m}
+    changed = {(0, 1, 2): lambda m, draws, mats, rng: haar_unitary(len(m), rng), (1, 1, 1): lambda m, *args: np.nan * m}
     _patch_trials(monkeypatch, changed)
     rep = basis_theorem_suite(d=2, trials=4, seed=5)
     assert ids(rep) == [
@@ -147,47 +146,47 @@ def test_basis_theorem_names_witness_trial(monkeypatch):
 
 
 def test_qudit_observables_d2():
-    ox_p, ox_m, oz_p, oz_m = qudit_observables(*qudit_states(2), 1)
+    (_, ox_p, lam_x), (_, ox_m, _), (_, oz_p, lam_z), (_, oz_m, _) = qudit_observables(2, 1)
     xx = kron(pauli_gate("X"), pauli_gate("X"))
     zz = kron(pauli_gate("Z"), pauli_gate("Z"))
-    assert residual(ox_p.matrix, xx) == 0
-    assert residual(oz_p.matrix, zz) == 0
-    assert residual(ox_m.matrix, np.zeros((4, 4))) < 1e-15
-    assert residual(oz_m.matrix, np.zeros((4, 4))) < 1e-15
-    # eigenvalues (-1)^alpha and (-1)^beta
-    for (al, be), lam in zip(ox_p.labels, ox_p.eigenvalues):
-        assert lam == pytest.approx((-1.0) ** al)
-    for (al, be), lam in zip(oz_p.labels, oz_p.eigenvalues):
-        assert lam == pytest.approx((-1.0) ** be)
+    assert residual(ox_p, xx) == 0
+    assert residual(oz_p, zz) == 0
+    assert residual(ox_m, np.zeros((4, 4))) < 1e-15
+    assert residual(oz_m, np.zeros((4, 4))) < 1e-15
+    # eigenvalues (-1)^alpha and (-1)^beta, in the family's label order
+    for (al, be), lx, lz in zip(bell_unitaries(d=2)[0], lam_x, lam_z, strict=True):
+        assert lx == pytest.approx((-1.0) ** al)
+        assert lz == pytest.approx((-1.0) ** be)
 
 
 def test_qudit_observables_d3_eigenvalue():
-    ox_p = qudit_observables(*qudit_states(3), 1)[0]
-    lam = dict(zip(ox_p.labels, ox_p.eigenvalues))[(1, 0)]
+    _, ox_p, lam = qudit_observables(3, 1)[0]
+    lam = dict(zip(bell_unitaries(d=3)[0], lam))[(1, 0)]
     assert lam == pytest.approx(np.cos(2 * np.pi / 3))
     state = qudit_bell(3, 1, 0)
-    assert residual(ox_p.matrix @ state, lam * state) < 1e-12
+    assert residual(ox_p @ state, lam * state) < 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_qudit_observables_all_k(d):
+    labels, states = qudit_states(d)
     for k in range(1, d):
-        for spec in qudit_observables(*qudit_states(d), k):
-            assert observable_check(spec).passed, (d, k, spec.name)
+        for name, op, lam in qudit_observables(d, k):
+            assert observable_check(op, states, lam, labels).passed, (d, k, name)
     with pytest.raises(ValueError):
-        qudit_observables(*qudit_states(d), d)
+        qudit_observables(d, d)
 
 
 def test_conjugated_observables(monkeypatch):
     import bellkit.verify as verify
 
     rng = np.random.default_rng(2)
-    spec = qudit_observables(*qudit_states(3), 2)[1]
-    words = bell_unitaries(d=3)[1]
+    _, op, lam = qudit_observables(3, 2)[1]
+    labels, words = bell_unitaries(d=3)
     for side in ("left", "right"):
-        assert observable_check(conjugated_spec(spec, words, haar_unitary(3, rng), side)).passed
-    same = conjugated_observables(spec, np.eye(3), "left")
-    assert residual(same.matrix, spec.matrix) == 0
+        assert observable_check(*conjugated_spec(op, words, haar_unitary(3, rng), side), lam, labels).passed
+    same = conjugated_observables(op, np.eye(3), "left")
+    assert residual(same, op) == 0
     # the suite checks each stack of Haar draws once, as it is drawn, and refuses a non-unitary one
     stretched = np.diag([1.0, 2.0, 3.0])
     monkeypatch.setattr(verify, "haar_unitary", lambda dim, rng, lead: np.broadcast_to(stretched, lead + (3, 3)))
@@ -199,21 +198,21 @@ def test_right_conjugation_uses_transpose_pair():
     # eigenvectors of the right form are (1 x M^T)|Omega(ab)> = |Omega M(ab)>
     rng = np.random.default_rng(3)
     m = haar_unitary(3, rng)
-    spec = qudit_observables(*qudit_states(3), 1)[2]
-    conj = conjugated_observables(spec, m, "right")
+    labels, states = qudit_states(3)
+    op = qudit_observables(3, 1)[2][1]
+    conj = conjugated_observables(op, m, "right")
     shift = kron(identity(3), m.T)
     inv = kron(identity(3), m.conj())
     # apply_local takes the dense shift's products in its order; the matrix and
     # the extended family sum in another, so with a rounding M they differ from
     # the dense pair in the last bits (exact equality: the dyadic test below)
-    assert residual(conjugated_states(spec, m, "right"), shift @ spec.states) == 0
-    assert np.array_equal(conj.eigenvalues, spec.eigenvalues)
-    assert residual(conj.matrix, shift @ spec.matrix @ inv) < 1e-15
-    plain = kron(identity(3), m) @ spec.matrix @ kron(identity(3), m.conj().T)
-    assert residual(conj.matrix, plain) > 0.1
+    assert residual(conjugated_states(states, m, "right"), shift @ states) == 0
+    assert residual(conj, shift @ op @ inv) < 1e-15
+    plain = kron(identity(3), m) @ op @ kron(identity(3), m.conj().T)
+    assert residual(conj, plain) > 0.1
     family = extend_basis(bell_unitaries(d=3)[1], m, "right")
-    assert residual(family.T, shift @ spec.states) < 1e-15
-    for (al, be), state in zip(conj.labels, family):
+    assert residual(family.T, shift @ states) < 1e-15
+    for (al, be), state in zip(labels, family):
         direct = kron(np.eye(3), m.T) @ qudit_bell(3, al, be)
         assert residual(state, direct) < 1e-12
 
@@ -228,18 +227,19 @@ DYADIC = np.diag([1, 1j, -1, -1j]) @ np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1,
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_conjugation_is_exact_on_dyadic_unitary(side):
     m = DYADIC
-    spec = qudit_observables(*qudit_states(4), 1)[2]
-    conj = conjugated_observables(spec, m, side)
+    states = qudit_states(4)[1]
+    op = qudit_observables(4, 1)[2][1]
+    conj = conjugated_observables(op, m, side)
     eye = identity(4)
     # the left form shifts by M x 1, the right by 1 x M^T; the other matrix is wrong
-    op, wrong = (m, m.T) if side == "left" else (m.T, m)
+    shifted, wrong = (m, m.T) if side == "left" else (m.T, m)
     place = (lambda a: kron(a, eye)) if side == "left" else (lambda a: kron(eye, a))
-    shift = place(op)
-    assert residual(conj.matrix, shift @ spec.matrix @ shift.conj().T) == 0
-    assert residual(conjugated_states(spec, m, side), shift @ spec.states) == 0
-    assert residual(extend_basis(bell_unitaries(d=4)[1], m, side).T, shift @ spec.states) == 0
+    shift = place(shifted)
+    assert residual(conj, shift @ op @ shift.conj().T) == 0
+    assert residual(conjugated_states(states, m, side), shift @ states) == 0
+    assert residual(extend_basis(bell_unitaries(d=4)[1], m, side).T, shift @ states) == 0
     off = place(wrong)
-    assert residual(conj.matrix, off @ spec.matrix @ off.conj().T) > 0.1
+    assert residual(conj, off @ op @ off.conj().T) > 0.1
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -249,25 +249,25 @@ def test_conjugation_on_the_other_qudit_fails_the_eigenequations(side, monkeypat
     import bellkit.verify as verify
 
     words = bell_unitaries(d=4)[1]
-    spec = qudit_observables(*qudit_states(4), 1)[2]
+    _, op, lam = qudit_observables(4, 1)[2]
     ms = DYADIC[None]
     prod, mags = np.empty((1, 16, 16), dtype=complex), np.empty((1, 16, 16))
-    (name, eig, herm), = verify._conjugated_cases(spec, words, ms, side, prod, mags)
+    (eig, herm), = verify._conjugated_cases(op, lam, words, ms, side, prod, mags)
     # cos(pi / 2) is 6e-17, not 0, so the eigenequations hold to that, not exactly
-    assert name == f"OZ+(1)|{side}-conjugated" and eig < 1e-16 and herm == 0
+    assert eig < 1e-16 and herm == 0
     other = {"left": "right", "right": "left"}
     real = verify.conjugated_observables
-    monkeypatch.setattr(verify, "conjugated_observables", lambda spec, m, side: real(spec, m, other[side]))
-    (_, eig, herm), = verify._conjugated_cases(spec, words, ms, side, prod, mags)
+    monkeypatch.setattr(verify, "conjugated_observables", lambda matrix, m, side: real(matrix, m, other[side]))
+    (eig, herm), = verify._conjugated_cases(op, lam, words, ms, side, prod, mags)
     assert herm == 0 and eig > 0.1
 
 
 def test_multiqubit_observables():
     for n in (1, 2, 3):
         assert multiqubit_observable_suite(n).passed
-    specs = multiqubit_observables(1)
+    name, op, _ = multiqubit_observables(1)[0]
     xx = kron(pauli_gate("X"), pauli_gate("X"))
-    assert residual(specs[0].matrix.dense(), xx) == 0
+    assert name == "X1X2" and residual(op.dense(), xx) == 0
     # n=2: joint eigenvalue pattern separates all 16 labels
     rep = multiqubit_observable_suite(2)
     case = [c for c in rep.cases if c.case_id == "joint-labels-distinct"][0]
@@ -276,42 +276,47 @@ def test_multiqubit_observables():
 
 def test_multiqubit_family_readers_take_real_products():
     for n in (1, 2, 3):
-        for spec in multiqubit_observables(n):
-            assert spec.states.phase.dtype == np.float64 and spec.matrix.phase.dtype == np.float64
+        for _, op, _ in multiqubit_observables(n):
+            assert op.phase.dtype == np.float64
         words = bell_unitaries(n=n)[1]
+        # the observables' eigenvectors are the family's words, real too;
         # the grouped Gram and projector-sum blocks are real GEMMs of the real phases
+        assert words.phase.dtype == np.float64
         assert words.phase[word_groups(words)[0]].dtype == np.float64
     words = bell_unitaries(d=3)[1]
     assert words.phase[word_groups(words)[0]].dtype == np.complex128
 
 
-def _respec(spec, lam_shift=None, nan_at=None):
-    """``spec`` with eigenvalues shifted by ``lam_shift[label]``, and a NaN in the state at ``nan_at``."""
+def _respec(states, eigenvalues, labels, lam_shift=None, nan_at=None):
+    """The columns ``states`` with a NaN in the state at ``nan_at``, and ``eigenvalues`` shifted by ``lam_shift``."""
     shift = lam_shift or {}
-    states = spec.states
     if nan_at is not None:
         states = states.copy()
-        states[0, spec.labels.index(nan_at)] = np.nan
-    eigenvalues = spec.eigenvalues + [shift.get(lab, 0.0) for lab in spec.labels]
-    return ObservableSpec(spec.name, spec.matrix, spec.labels, eigenvalues, states)
+        states[0, labels.index(nan_at)] = np.nan
+    return states, eigenvalues + [shift.get(lab, 0.0) for lab in labels]
 
 
 def test_failed_eigenequations_name_witness():
-    spec = qudit_observables(*qudit_states(3), 1)[0]
+    labels, states = qudit_states(3)
+    _, op, lam = qudit_observables(3, 1)[0]
     # the worst state is the witness, not the first failing one
-    rep = observable_check(_respec(spec, {(0, 1): 0.25, (1, 2): 0.5}))
+    rep = observable_check(op, *_respec(states, lam, labels, {(0, 1): 0.25, (1, 2): 0.5}), labels)
     assert rep.cases[1].case_id == "eigenequations (9 states) witness=(1,2)"
     assert rep.cases[1].residual > 0.1 and not rep.cases[1].passed
     # a NaN state is the witness even when a finite one is worse
-    rep = observable_check(_respec(spec, {(0, 1): 5.0}, nan_at=(2, 0)))
+    rep = observable_check(op, *_respec(states, lam, labels, {(0, 1): 5.0}, nan_at=(2, 0)), labels)
     assert rep.cases[1].case_id == "eigenequations (9 states) witness=(2,0)"
     assert np.isnan(rep.cases[1].residual) and not rep.passed
     # n-qubit labels read as bit strings; the matrix here is a monomial
-    multi = multiqubit_observables(2)[0]
-    rep = observable_check(_respec(multi, {((1, 0), (0, 1)): 2.0}))
+    multi_labels, words = bell_unitaries(n=2)
+    _, multi, multi_lam = multiqubit_observables(2)[0]
+    shifted = _respec(dense_states(words).T, multi_lam, multi_labels, {((1, 0), (0, 1)): 2.0})
+    rep = observable_check(multi, *shifted, multi_labels)
     assert rep.cases[1].case_id == "eigenequations (16 states) witness=(10,01)"
     # passing ids are unchanged
-    assert [c.case_id for c in observable_check(spec).cases] == ["hermitian", "eigenequations (9 states)"]
+    assert [c.case_id for c in observable_check(op, states, lam, labels).cases] == [
+        "hermitian", "eigenequations (9 states)"
+    ]
 
 
 def test_observable_suite_case_names_witness(monkeypatch):
@@ -319,9 +324,11 @@ def test_observable_suite_case_names_witness(monkeypatch):
 
     real = verify.qudit_observables
 
-    def broken(labels, states, k):
-        specs = real(labels, states, k)
-        return [_respec(specs[0], nan_at=(1, 1))] + specs[1:]
+    def broken(d, k):
+        # a NaN eigenvalue at label (1,1) of the first observable: a NaN residual for that state
+        (name, op, lam), *rest = real(d, k)
+        labels, states = qudit_states(d)
+        return [(name, op, _respec(states, lam, labels, {(1, 1): np.nan})[1]), *rest]
 
     monkeypatch.setattr(verify, "qudit_observables", broken)
     rep = qudit_observable_suite(3, k=1)
@@ -350,10 +357,11 @@ def test_trace_constraint_solve(n):
 
 
 def test_nan_residual_fails_must_pass_fold():
-    spec = qudit_observables(*qudit_states(2), 1)[0]
+    labels, states = qudit_states(2)
+    _, op, lam = qudit_observables(2, 1)[0]
     # the eigenequations fold one residual per state; a NaN in the last state
     # lands after finite ones
-    rep = observable_check(_respec(spec, nan_at=spec.labels[-1]))
+    rep = observable_check(op, *_respec(states, lam, labels, nan_at=labels[-1]), labels)
     case = rep.cases[1]
     assert case.case_id.startswith("eigenequations")
     assert np.isnan(case.residual) and not case.passed
