@@ -56,21 +56,6 @@ class Circuit:
         self._check(qs)
         self.gates.append((name, tuple(qs)))
 
-    def h(self, q: int) -> None:
-        self.append("H", q)
-
-    def x(self, q: int) -> None:
-        self.append("X", q)
-
-    def z(self, q: int) -> None:
-        self.append("Z", q)
-
-    def cnot(self, control: int, target: int) -> None:
-        self.append("CNOT", control, target)
-
-    def swap(self, a: int, b: int) -> None:
-        self.append("SWAP", a, b)
-
     def to_monomial(self) -> Monomial:
         """The unitary of a circuit of SWAP and CNOT gates, a permutation, as a monomial.
 
@@ -124,11 +109,6 @@ def bell_vector(t: np.ndarray) -> np.ndarray:
     return np.multiply(t, 1.0 / np.sqrt(t.shape[-1]), order="C").reshape(t.shape[:-2] + (-1,))
 
 
-def bell2(alpha: int, beta: int) -> np.ndarray:
-    """Two-qubit Bell state (Z^alpha X^beta tensor I)|phi(00)>."""
-    return bell_vector(word(alpha, beta, n=1).dense())
-
-
 def qudit_bell(d: int, alpha: int, beta: int) -> np.ndarray:
     """Generalized two-qudit Bell state (Z^alpha X^beta tensor I)|Omega>."""
     if not (0 <= alpha < d and 0 <= beta < d):
@@ -155,7 +135,7 @@ def twist_decomposition(n: int) -> Circuit:
     circ = Circuit(2 * n)
     for k in range(n - 1, 0, -1):
         for m in range(2 * k, n + k):
-            circ.swap(m - 1, m)
+            circ.append("SWAP", m - 1, m)
     return circ
 
 
@@ -184,7 +164,7 @@ def pair_product_bell(n: int, alpha, beta) -> np.ndarray:
     """Interleaved-order n-fold tensor product of two-qubit Bell pairs, by outer products."""
     out = np.ones(1, dtype=complex)
     for ak, bk in zip(as_bits(alpha, n), as_bits(beta, n)):
-        out = np.outer(out, bell2(ak, bk)).reshape(-1)
+        out = np.outer(out, qudit_bell(2, ak, bk)).reshape(-1)
     return out
 
 
@@ -194,14 +174,14 @@ def prep_circuit(n: int, alpha, beta) -> Circuit:
     b = as_bits(beta, n)
     circ = Circuit(2 * n)
     for k in range(n):
-        circ.h(k)
+        circ.append("H", k)
     for k in range(n):
-        circ.cnot(k, n + k)
+        circ.append("CNOT", k, n + k)
     for k in range(n):
         if b[k]:
-            circ.x(k)
+            circ.append("X", k)
         if a[k]:
-            circ.z(k)
+            circ.append("Z", k)
     return circ
 
 
@@ -226,12 +206,16 @@ def ghz_state(n: int, j_bits=0, l_bits=0, sign: int = 1) -> np.ndarray:
 
 
 def _walsh_hadamard(rows: np.ndarray, n: int) -> np.ndarray:
-    """``H @ rows`` with ``H[a, j] = (-1)^(a.j)`` over n bits, by n butterflies."""
-    out = rows.reshape((2,) * n + rows.shape[1:])
+    """``H @ rows`` with ``H[a, j] = (-1)^(a.j)`` over n bits, in place: ``rows`` must be C-contiguous.
+
+    Butterfly k writes ``lo + hi`` and ``lo - hi`` over the halves of bit k, a ``(2^k, 2, rest)`` view.
+    """
     for k in range(n):
-        lo, hi = out.take(0, axis=k), out.take(1, axis=k)
-        out = np.stack((lo + hi, lo - hi), axis=k)
-    return out.reshape(rows.shape)
+        lo, hi = rows.reshape(2**k, 2, -1).swapaxes(0, 1)
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
+    return rows
 
 
 def _check_state(state: np.ndarray, n: int) -> np.ndarray:
@@ -256,8 +240,8 @@ def expand_in_bell_basis(state: np.ndarray, n: int) -> np.ndarray:
     state = _check_state(state, n)
     dim = 2**n
     j = np.arange(dim)[:, None]
-    gathered = state.reshape(dim, dim)[j, j ^ j.T]
-    return _walsh_hadamard(gathered, n) * (1.0 / np.sqrt(dim))
+    amps = _walsh_hadamard(state.reshape(dim, dim)[j, j ^ j.T], n)  # a fresh gather, transformed in place
+    return np.multiply(amps, 1.0 / np.sqrt(dim), out=amps)
 
 
 def concurrence(state: np.ndarray, n: int) -> float:

@@ -20,9 +20,9 @@ from itertools import product
 
 import numpy as np
 
-from .bell import all_labels, bell2, bell_vector, product_ket, qudit_bell, twist_monomial
+from .bell import all_labels, bell_vector, product_ket, qudit_bell, twist_monomial
 from .linalg import DEFAULT_TOL, apply_local, dagger, fold, identity, random_state, real_if_real, residual
-from .pauli import pauli_gate, word
+from .pauli import word
 from .report import Report
 
 _SIGNS = (1, -1)
@@ -79,7 +79,7 @@ def bell_action_check(epsilon: int, eta: int, tol: float = 1e-15) -> Report:
         ip, jp = bell_bijection(epsilon, eta, i, j)
         images.add((ip, jp))
         sign = (-1.0) ** sign_exponent(epsilon, eta, i, j)
-        action_res.append(residual(sign * (b @ product_ket((i, j))), bell2(ip, jp)))
+        action_res.append(residual(sign * (b @ product_ket((i, j))), qudit_bell(2, ip, jp)))
     rep.add("unified-action (4 inputs)", fold(action_res))
     rep.add("input-output-bijection", 0.0 if len(images) == 4 else 1.0)
     rep.add("dagger-is-negated-params", residual(dagger(b), bell_transform(-epsilon, -eta)))
@@ -434,7 +434,7 @@ def braid_teleport_single_check(
 
     i, j = (bits[:, 0] for bits in _label_bits(1))
     a, b, c = correction_abc(eps_l, eta_l, eps_r, eta_r, k, m, i, j)
-    eye, x, z = (pauli_gate(name) for name in "IXZ")
+    eye, x, z = (word(*ab, n=1).dense() for ab in ((0, 0), (0, 1), (1, 0)))
     x_b, z_c = (np.where(e[:, None, None] == 1, gate, eye) for e, gate in ((b, x), (c, z)))
     u_abc = (1.0 - 2.0 * a)[:, None, None] * x_b @ z_c
     rep.add("abc-route-equals-word-route", residual(word(*(t.T for t in table), n=1).dense(), u_abc))

@@ -4,7 +4,8 @@ circuit export, JSON reporting.
 Every command is declared once, by its runner: ``SUITES`` holds one per
 ``verify`` suite, named after it, and ``COMMANDS`` one for ``teleport``
 and ``circuit``.  A runner's keyword-only parameters are its flags: name,
-default (none: required) and type, a ``Literal[...]`` giving the choices.
+default (none: required) and type, a ``Literal[...]`` giving the choices;
+the annotations are evaluated where each runner is defined, never from text.
 Its positional parameters name the common flags it takes, ``tol`` and
 ``seed``; a runner that returns a report also takes ``--json``.  Any other
 flag is bad usage.  ``_read`` reads the flags from that table, and prints
@@ -14,8 +15,6 @@ Exit codes: 0 all cases pass, 1 some case failed or the report has no
 case, 2 bad usage.  The default seed comes from BELLKIT_SEED (else 0);
 reports with a fixed seed serialize byte-identically across reruns.
 """
-
-from __future__ import annotations
 
 import inspect
 import json
@@ -30,7 +29,7 @@ import numpy as np
 from . import bell, braid, teleport, verify
 from .linalg import DEFAULT_TOL, fold, haar_unitary, random_state
 from .pauli import basis_group_check, qubit_word_set, qudit_word_set
-from .report import Report
+from .report import SCHEMA, Report
 
 # --tol must lie in [TOL_FLOOR, TOL_CEILING]: below the floor float64
 # rounding fails sound identities, above the ceiling (or non-finite) a
@@ -72,9 +71,8 @@ SIZE_CAPS = {
 Family = Literal["qubit", "qudit", "multi"]
 
 
-def _variants(check: str):
-    """The variant names a teleport check accepts, aliases first."""
-    return Literal[(*teleport._ALIASES.get(check, ()), *teleport._VARIANTS[check])]
+# The variant names each teleport check accepts, aliases first.
+_variants = {check: Literal[(*teleport._ALIASES.get(check, ()), *names)] for check, names in teleport._VARIANTS.items()}
 
 
 def _size(runner, d: int, n: int, **choice: str) -> dict:
@@ -146,7 +144,7 @@ def _suite_concurrence(tol, seed, *, n: int = 2, trials: int = 20) -> Report:
 
 
 def _suite_teleport_eq(
-    tol, seed, *, variant: _variants("teleport-eq") = "basic2", d: int = 2, n: int = 2,
+    tol, seed, *, variant: _variants["teleport-eq"] = "basic2", d: int = 2, n: int = 2,
     m: Literal[teleport.M_MODES] = "unitary",
 ) -> Report:
     size = _size(_suite_teleport_eq, d, n, variant=variant)
@@ -156,14 +154,14 @@ def _suite_teleport_eq(
 
 
 def _suite_projective_eq(
-    tol, seed, *, variant: _variants("projective-eq") = "basic2", d: int = 2, n: int = 2,
+    tol, seed, *, variant: _variants["projective-eq"] = "basic2", d: int = 2, n: int = 2,
 ) -> Report:
     size = _size(_suite_projective_eq, d, n, variant=variant)
     return teleport.projective_eq_check(variant, **size, seed=seed, tol=tol)
 
 
 def _suite_linearity_reduction(
-    tol, seed, *, variant: _variants("teleport-eq") = "basic2", d: int = 2, n: int = 2,
+    tol, seed, *, variant: _variants["teleport-eq"] = "basic2", d: int = 2, n: int = 2,
 ) -> Report:
     size = _size(_suite_linearity_reduction, d, n, variant=variant)
     return teleport.linearity_reduction_check(variant, **size, seed=seed, tol=tol)
@@ -280,7 +278,7 @@ def _parse_signs(text: str, n: int) -> tuple[int, ...]:
 
 
 def _run_teleport(
-    seed, *, variant: _variants("protocol") = "basic2", d: int = 2, n: int = 1, samples: int = 1000,
+    seed, *, variant: _variants["protocol"] = "basic2", d: int = 2, n: int = 1, samples: int = 1000,
 ) -> dict:
     """Run the protocol simulator: sample Born-rule outcomes of one teleportation."""
     dims = _size(_run_teleport, d, n, variant=variant)
@@ -294,7 +292,7 @@ def _run_teleport(
     histogram = dict(zip(map(str, labels), teleport.sample_histogram(np.array(probs), samples, rng).tolist()))
     min_fidelity = fold(fidelities, np.min)
     return {
-        "schema": "bellkit-report/1",
+        "schema": SCHEMA,
         "suite": "teleport-protocol",
         "params": {**dims, "samples": samples, "variant": variant},
         "seed": seed,
@@ -323,7 +321,7 @@ COMMANDS = {"teleport": _run_teleport, "circuit": _run_circuit}
 def _read(command: str, runner, args: list[str]) -> dict:
     """The value of each flag of ``bellkit <command>``, the last one ``args`` gives or its default; the flags
     are ``runner``'s keyword-only parameters, then the common ones it takes.  Bad usage raises ValueError."""
-    signature = inspect.signature(runner, eval_str=True)
+    signature = inspect.signature(runner)
     table = {}  # --flag: (name, type, choices, default (empty: a required flag), help)
     for param in signature.parameters.values():
         if param.kind is param.KEYWORD_ONLY:  # a Literal gives the choices; int | None is an int, None if left out

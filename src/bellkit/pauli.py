@@ -1,11 +1,12 @@
 """Pauli and clock/shift words, and the basis-group closure check.
 
-Covers the qubit gates X, Z, H, and the one formula for words: n-qubit
-tensor words ``T(ab) = (-1)^g  prod_k Z^{a_k} X^{b_k}`` and qudit words
+Covers the one formula for words: n-qubit tensor words
+``T(ab) = (-1)^g  prod_k Z^{a_k} X^{b_k}`` and qudit words
 ``omega^g Z^a X^b`` (omega = exp(2 pi i / d), ``ZX = omega XZ``), built
 from integer exponents as one ``linalg.Monomial`` (``word``): one word
 from scalar exponents, a stack of K words (a Bell family, the basis-group
-candidate sets) from ``(K, 1)`` arrays.
+candidate sets) from ``(K, 1)`` arrays.  Every Pauli (``word(0, 1, n=1)``
+is X), Bell pair and word power in the library is one of these words.
 
 Phases are never floated through matrices when combining words: signs
 and phases are integer exponents, so the braid outcome table, which adds
@@ -50,26 +51,6 @@ def bits_to_int(bits) -> int:
     for b in bits:
         out = (out << 1) | b
     return out
-
-
-# ---------------------------------------------------------------------------
-# qubit gates
-
-_SQ2 = 1.0 / np.sqrt(2.0)
-
-_GATES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) * _SQ2,
-}
-
-
-def pauli_gate(name: str) -> np.ndarray:
-    try:
-        return _GATES[name].copy()
-    except KeyError:
-        raise ValueError(f"unknown gate {name!r}, expected one of I, X, Z, H") from None
 
 
 # ---------------------------------------------------------------------------

@@ -351,8 +351,7 @@ def qudit_observables(d: int, k: int) -> list[tuple]:
     """
     if not 1 <= k <= d - 1:
         raise ValueError(f"k must be in 1..{d - 1}")
-    xk = np.linalg.matrix_power(word(0, 1, d=d).dense(), k)
-    zk = np.linalg.matrix_power(word(1, 0, d=d).dense(), k)
+    xk, zk = word(0, k, d=d).dense(), word(k, 0, d=d).dense()
     a = np.kron(xk, xk)
     b = np.kron(zk, dagger(zk))
     a_dag, b_dag = dagger(a), dagger(b)

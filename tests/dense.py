@@ -16,9 +16,12 @@ family).  The library holds the Bell family as one stacked
 scattered here by hand, the ``K x D^2`` stack of their states and the
 GEMMs over them that the family's readers ran before (the Gram matrix
 and the projector sum) are here, as oracles.  The symbolic words (``PauliWord``, ``GenPauliWord``)
-with their algebra of products and adjoints, the circuit unitary built
-gate by gate from Kronecker products, and the Bell-basis reconstruction,
-one label at a time, live here too: the library reaches none of them.
+with their algebra of products and adjoints, the dense gate table
+(``pauli_gate``: I, X, Z and H), the circuit unitary built gate by gate
+from Kronecker products, the Walsh-Hadamard transform by ``take`` and
+``np.stack`` (the library's runs in place) and the Bell-basis
+reconstruction, one label at a time, live here too: the library reaches
+none of them.
 The library builds every word from integer exponents (``pauli.word``);
 ``word_matrix`` and its kin read a symbolic word into that call.  The
 basis-group candidate sets of the tests are written as dense matrices
@@ -35,7 +38,7 @@ import numpy as np
 from bellkit.bell import all_labels, bell_unitaries, bell_vector, multi_bell, product_ket, twist_monomial
 from bellkit.braid import _word
 from bellkit.linalg import DEFAULT_TOL, Monomial, apply_local, dagger, fold, identity, real_if_real, residual
-from bellkit.pauli import as_bits, bits_to_int, pauli_gate, word
+from bellkit.pauli import as_bits, bits_to_int, word
 from bellkit.report import Report
 from bellkit.verify import (
     conjugated_observables,
@@ -179,6 +182,15 @@ def gen_word_mul(a: GenPauliWord, b: GenPauliWord) -> GenPauliWord:
     )
 
 
+def walsh_hadamard(rows, n):
+    """``H @ rows`` with ``H[a, j] = (-1)^(a.j)`` over n bits, each butterfly a new array from two ``take``s."""
+    out = rows.reshape((2,) * n + rows.shape[1:])
+    for k in range(n):
+        lo, hi = out.take(0, axis=k), out.take(1, axis=k)
+        out = np.stack((lo + hi, lo - hi), axis=k)
+    return out.reshape(rows.shape)
+
+
 def reconstruct(amps, n):
     """``sum_ab amps[a, b] B(ab)``: the state whose ``expand_in_bell_basis`` is ``amps``."""
     return sum(amps[bits_to_int(a), bits_to_int(b)] * multi_bell(n, a, b) for a, b in all_labels(n))
@@ -186,6 +198,22 @@ def reconstruct(amps, n):
 
 # ---------------------------------------------------------------------------
 # circuits, one Kronecker-product gate at a time
+
+
+GATES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) * (1.0 / np.sqrt(2.0)),
+}
+
+
+def pauli_gate(name: str) -> np.ndarray:
+    """A copy of one dense qubit gate of ``GATES``."""
+    try:
+        return GATES[name].copy()
+    except KeyError:
+        raise ValueError(f"unknown gate {name!r}, expected one of I, X, Z, H") from None
 
 
 def dense_permutation_matrix(perm, local_dim=2):

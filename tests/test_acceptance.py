@@ -15,7 +15,6 @@ from bellkit import bell, braid, teleport, verify
 from bellkit.cli import main as cli_main
 from bellkit.linalg import fold, haar_unitary, identity, random_state, residual
 from dense import conjugated_spec, dense_circuit_matrix, kron, observable_check, qudit_states, twist
-from bellkit.pauli import pauli_gate
 
 TOL = 1e-12
 

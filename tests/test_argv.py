@@ -42,7 +42,7 @@ def _int_values(command: str, name: str):
 @st.composite
 def argvs(draw):
     command = draw(st.sampled_from(sorted(RUNNERS)))
-    signature = inspect.signature(RUNNERS[command], eval_str=True)
+    signature = inspect.signature(RUNNERS[command])
     argv = command.split()
     for param in signature.parameters.values():
         if param.kind is not param.KEYWORD_ONLY:
@@ -102,7 +102,7 @@ class _Parser(argparse.ArgumentParser):
 def argparse_flags(command: str, runner, args: list[str]) -> dict:
     """The flags of ``bellkit <command>`` in ``args``, read by argparse: the reader the CLI had before."""
     parser = _Parser(prog=f"bellkit {command}", description=runner.__doc__, allow_abbrev=False)
-    signature = inspect.signature(runner, eval_str=True)
+    signature = inspect.signature(runner)
     for param in signature.parameters.values():
         if param.kind is not param.KEYWORD_ONLY:
             continue
@@ -160,7 +160,7 @@ def reader_argvs(draw):
     """A command, up to four flags with good values (a flag may repeat, each value after "=" or as the next
     word), and at most one odd piece: a flag with an odd value, a flag with no value, or a stray word."""
     command = draw(st.sampled_from(sorted(RUNNERS)))
-    good = _good_values(inspect.signature(RUNNERS[command], eval_str=True))
+    good = _good_values(inspect.signature(RUNNERS[command]))
     flag = st.sampled_from(sorted(good))
 
     def piece(name, value):
@@ -223,3 +223,12 @@ def test_flag_reader_takes_no_flag_after_double_dash():
     # argparse reads every word after "--" as a stray word, a help flag too
     _assert_reads_as_argparse(["verify", "tl", "--", "--help"])
     _assert_reads_as_argparse(["verify", "tl", "--strands", "3", "--", "--strands", "4"])
+
+
+def test_runner_annotations_are_objects_not_text():
+    # the reader takes each annotation as it is, with no eval_str; a string would also put off, past
+    # import, the def-time evaluation that fails on a Python that cannot read ``int | None``
+    for command, runner in RUNNERS.items():
+        signature = inspect.signature(runner)
+        hints = [param.annotation for param in signature.parameters.values()] + [signature.return_annotation]
+        assert not any(isinstance(hint, str) for hint in hints), command

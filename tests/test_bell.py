@@ -4,8 +4,8 @@ import pytest
 from bellkit.bell import (
     Circuit,
     all_labels,
-    bell2,
     bell_unitaries,
+    bell_vector,
     concurrence,
     concurrence_oracle,
     expand_in_bell_basis,
@@ -24,7 +24,7 @@ from bellkit.linalg import (
     identity,
     residual,
 )
-from bellkit.pauli import bits_to_int
+from bellkit.pauli import bits_to_int, word
 from dense import (
     GenPauliWord,
     PauliWord,
@@ -68,8 +68,12 @@ def test_m_shift_identity():
 
 
 def test_bell2_states():
-    assert residual(bell2(0, 0), np.array([1, 0, 0, 1]) / np.sqrt(2)) == 0
-    states = [bell2(a, b) for a in (0, 1) for b in (0, 1)]
+    # the d = 2 qudit word and the n = 1 qubit word give the same state, bit for bit
+    for a in (0, 1):
+        for b in (0, 1):
+            assert qudit_bell(2, a, b).tobytes() == bell_vector(word(a, b, n=1).dense()).tobytes()
+    assert residual(qudit_bell(2, 0, 0), np.array([1, 0, 0, 1]) / np.sqrt(2)) == 0
+    states = [qudit_bell(2, a, b) for a in (0, 1) for b in (0, 1)]
     gram = np.array([[np.vdot(u, v) for v in states] for u in states])
     assert residual(gram, np.eye(4)) < 1e-15
 
@@ -77,12 +81,12 @@ def test_bell2_states():
 def test_bell2_circuit_route():
     # CNOT (H x 1) |ab> reproduces every Bell state
     circ = Circuit(2)
-    circ.h(0)
-    circ.cnot(0, 1)
+    circ.append("H", 0)
+    circ.append("CNOT", 0, 1)
     mat = dense_circuit_matrix(circ)
     for a in (0, 1):
         for b in (0, 1):
-            assert residual(mat @ product_ket((a, b)), bell2(a, b)) < 1e-15
+            assert residual(mat @ product_ket((a, b)), qudit_bell(2, a, b)) < 1e-15
 
 
 def test_qudit_bell_family():
@@ -140,7 +144,7 @@ def test_twist_intertwines_word_layouts():
 
 
 def test_multi_bell():
-    assert residual(multi_bell(1, (0,), (0,)), bell2(0, 0)) == 0
+    assert residual(multi_bell(1, (0,), (0,)), qudit_bell(2, 0, 0)) == 0
     for n in (1, 2, 3):
         assert residual(multi_bell(n, 0, 0), omega(2**n)) == 0
     for a, b in all_labels(2):
@@ -162,7 +166,7 @@ def test_prep_circuit():
     circ = prep_circuit(1, (0,), (0,))
     assert [g[0] for g in circ.gates] == ["H", "CNOT"]
     zero = product_ket((0, 0))
-    assert residual(dense_circuit_matrix(circ) @ zero, bell2(0, 0)) < 1e-15
+    assert residual(dense_circuit_matrix(circ) @ zero, qudit_bell(2, 0, 0)) < 1e-15
     for a, b in all_labels(2):
         circ = prep_circuit(2, a, b)
         state = dense_circuit_matrix(circ) @ product_ket((0,) * 4)
@@ -278,9 +282,9 @@ def test_concurrence_failure_names_witness_trial(monkeypatch):
 def test_circuit_validation():
     circ = Circuit(2)
     with pytest.raises(ValueError):
-        circ.h(2)
+        circ.append("H", 2)
     with pytest.raises(ValueError):
-        circ.cnot(0, 0)
+        circ.append("CNOT", 0, 0)
     with pytest.raises(ValueError):
         circ.append("T", 0)
 

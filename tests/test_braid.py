@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from bellkit.bell import Circuit, all_labels, bell2, product_ket
+from bellkit.bell import Circuit, all_labels, product_ket, qudit_bell
 from bellkit.braid import (
     TLRep,
     bell_action_check,
@@ -40,14 +40,14 @@ def test_bell_transform_matrix():
 
 def test_bell_transform_maps_00_to_phase_bell():
     # B(1,1)|00> = |phi(1,0)>
-    assert residual(bell_transform(1, 1) @ product_ket((0, 0)), bell2(1, 0)) == 0
+    assert residual(bell_transform(1, 1) @ product_ket((0, 0)), qudit_bell(2, 1, 0)) == 0
 
 
 def test_bell_transform_minus_minus_action():
     b = bell_transform(-1, -1)
     for i, j in product((0, 1), repeat=2):
         lhs = b @ product_ket((i, j))
-        assert residual(lhs, (-1.0) ** i * bell2(i, i ^ j)) == 0
+        assert residual(lhs, (-1.0) ** i * qudit_bell(2, i, i ^ j)) == 0
 
 
 @pytest.mark.parametrize("eps,eta", SIGN_PAIRS)
@@ -134,7 +134,7 @@ def test_braid_relations_cnot_control():
 def test_tl_generator_shape():
     # on two strands e_1 is the projector itself
     rep = tl_generators(2, 2, (0, 0))
-    phi = bell2(0, 0)
+    phi = qudit_bell(2, 0, 0)
     assert residual(rep.proj, np.outer(phi, phi.conj())) == 0
 
 

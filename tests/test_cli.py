@@ -524,7 +524,7 @@ def test_size_caps_name_int_flags_of_their_runners():
     for command, caps in cli.SIZE_CAPS.items():
         words, runner = cli._resolve(command.split())
         assert runner is not None and words == command.split(), command
-        params = inspect.signature(runner, eval_str=True).parameters
+        params = inspect.signature(runner).parameters
         for flag in caps:
             assert params[flag].kind is inspect.Parameter.KEYWORD_ONLY, (command, flag)
             assert int in (params[flag].annotation, *get_args(params[flag].annotation)), (command, flag)

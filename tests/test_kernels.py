@@ -24,11 +24,11 @@ from bellkit.bell import (
     Circuit,
     all_labels,
     bell_unitaries,
+    _walsh_hadamard,
     bell_vector,
     concurrence,
     concurrence_oracle,
     expand_in_bell_basis,
-    bell2,
     multi_bell,
     omega,
     pair_product_bell,
@@ -69,7 +69,6 @@ from bellkit.pauli import (
     word,
     basis_group_check,
     omega_root,
-    pauli_gate,
     qubit_word_set,
     qudit_word_set,
 )
@@ -131,6 +130,7 @@ from dense import (
     kron,
     monomial_matmul,
     monomial_of,
+    pauli_gate,
     perturbed_one,
     product_ket_of,
     projective_residuals,
@@ -140,6 +140,7 @@ from dense import (
     reconstruct,
     teleport_sides,
     twist,
+    walsh_hadamard,
     word_dagger,
     word_matrix,
     word_monomial,
@@ -549,6 +550,18 @@ def test_expansion_matches_overlaps(n, seed):
         (-1.0) ** bin(a ^ b).count("1") * want[a, b] ** 2 for a in range(dim) for b in range(dim)
     )
     assert abs(concurrence(psi, n) - abs(loop)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6, 9])
+def test_walsh_hadamard_in_place_equals_stacked_butterflies(n):
+    """The in-place butterflies give the take/stack transform's every entry, bit for bit, in the input's memory."""
+    rng = np.random.default_rng(n)
+    for cols in (1, 3, 2**n):
+        rows = rng.standard_normal((2**n, cols)) + 1j * rng.standard_normal((2**n, cols))
+        want = walsh_hadamard(rows, n)
+        out = _walsh_hadamard(rows, n)
+        assert out is rows
+        assert out.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -977,7 +990,7 @@ def test_reduced_completeness_memory_is_a_block():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pair_product_bell_matches_kronecker(n):
     for a, b in all_labels(n):
-        want = kron(*[bell2(ak, bk) for ak, bk in zip(a, b)])
+        want = kron(*[bell_vector(word(ak, bk, n=1).dense()) for ak, bk in zip(a, b)])
         assert residual(pair_product_bell(n, a, b), want) == 0
 
 

@@ -15,7 +15,6 @@ from bellkit.linalg import (
     residual,
     walk,
 )
-from bellkit.pauli import pauli_gate
 from dense import (
     GenPauliWord,
     PauliWord,
@@ -25,6 +24,7 @@ from dense import (
     gen_z,
     hs_inner,
     kron,
+    pauli_gate,
     word_monomial,
 )
 

@@ -16,6 +16,7 @@ from dense import (
     gen_x,
     gen_z,
     hs_inner,
+    pauli_gate,
     word_dagger,
     word_matrix,
     word_mul,
@@ -23,7 +24,6 @@ from dense import (
 from bellkit.pauli import (
     as_bits,
     basis_group_check,
-    pauli_gate,
     qubit_word_set,
     qudit_word_set,
     word,
@@ -38,7 +38,10 @@ def all_words(n: int):
 
 
 def test_pauli_gates():
-    assert residual(pauli_gate("X"), np.array([[0, 1], [1, 0]])) == 0
+    # I, X and Z are the one-qubit words; only the tests' table holds H
+    for name, (a, b) in {"I": (0, 0), "X": (0, 1), "Z": (1, 0)}.items():
+        assert residual(word(a, b, n=1).dense(), pauli_gate(name)) == 0
+    assert residual(word(0, 1, n=1).dense(), np.array([[0, 1], [1, 0]])) == 0
     h = pauli_gate("H")
     assert residual(h @ h, np.eye(2)) < 1e-15
     assert residual(h, (pauli_gate("X") + pauli_gate("Z")) / np.sqrt(2)) == 0

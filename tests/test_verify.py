@@ -3,8 +3,16 @@ import pytest
 
 from bellkit.bell import bell_unitaries, omega, qudit_bell, word_groups
 from bellkit.linalg import Monomial, haar_unitary, residual, identity
-from dense import conjugated_spec, conjugated_states, dense_states, gram, kron, observable_check, qudit_states
-from bellkit.pauli import pauli_gate
+from dense import (
+    conjugated_spec,
+    conjugated_states,
+    dense_states,
+    gram,
+    kron,
+    observable_check,
+    pauli_gate,
+    qudit_states,
+)
 from bellkit.verify import (
     APPENDIX_N1_MATRIX,
     basis_theorem_suite,
